@@ -4,12 +4,19 @@ Buchberger with the Gebauer-Moeller pair update, normal selection strategy,
 and full inter-reduction to the unique reduced monic basis.  Orders are
 graded reverse lexicographic and lexicographic with an explicit variable
 precedence, so bases are reproducible across runs.
+
+Division is heap-ordered sparse division (Monagan-Pearce, JSC 2011) against
+a reducer table of (lead exponent, lead coefficient, tail terms) triples,
+built once per basis rather than once per division.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ParseError
 from .poly import Exponent, MultiPoly
@@ -36,6 +43,13 @@ class MonomialOrder:
         if self.kind == "lex":
             return tuple(e[i] for i in self.precedence)
         return (sum(e), tuple(-e[i] for i in reversed(self.precedence)))
+
+    def heap_key(self, e: Exponent):
+        """Key that ascends as the order descends: a min-heap of heap keys
+        pops the greatest monomial first."""
+        if self.kind == "lex":
+            return tuple([-e[i] for i in self.precedence])
+        return (-sum(e), *[e[i] for i in reversed(self.precedence)])
 
     def greater(self, a: Exponent, b: Exponent) -> bool:
         return self.key(a) > self.key(b)
@@ -72,7 +86,7 @@ def leading_term(p: MultiPoly, order: MonomialOrder):
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _lcm(a: Exponent, b: Exponent) -> Exponent:
@@ -83,38 +97,63 @@ def _sub_exp(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x - y for x, y in zip(a, b))
 
 
+Reducer = tuple[Exponent, Fraction, tuple[tuple[Exponent, Fraction], ...]]
+
+
+def reducer(g: MultiPoly, order: MonomialOrder) -> Reducer:
+    """(lead exponent, lead coefficient, tail terms) of a nonzero polynomial."""
+    le, lc = leading_term(g, order)
+    return le, lc, tuple((e, c) for e, c in g.terms.items() if e != le)
+
+
+def reducer_table(basis, order: MonomialOrder) -> list[Reducer]:
+    """Reducers of the nonzero elements of basis, in basis order."""
+    return [reducer(g, order) for g in basis if not g.is_zero()]
+
+
+def divide(p: MultiPoly, table, order: MonomialOrder) -> MultiPoly:
+    """Remainder of full division of p by a reducer table, in table order.
+
+    Pending terms live in a dict from exponent to coefficient; a min-heap of
+    ``order.heap_key`` holds each pending exponent once, so the greatest
+    term is popped without scanning.  A term that cancels stays in the dict
+    as zero and is skipped when popped.  Every term a reduction step adds is
+    below the term it reduces, so no exponent returns once popped.  Each
+    term is reduced by the first table entry whose lead divides it.
+    """
+    hkey = order.heap_key
+    le_, add, sub = operator.le, operator.add, operator.sub
+    heappush, heappop = heapq.heappush, heapq.heappop
+    work = dict(p.terms)
+    heap = [(hkey(e), e) for e in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e)
+        if not c:
+            continue
+        for le, lc, tail in table:
+            if all(map(le_, le, e)):
+                break
+        else:
+            rem[e] = c
+            continue
+        shift = tuple(map(sub, e, le))
+        factor = c if lc == 1 else c / lc
+        for ge, gc in tail:
+            ne = tuple(map(add, ge, shift))
+            if ne in work:
+                work[ne] -= factor * gc
+            else:
+                work[ne] = -factor * gc
+                heappush(heap, (hkey(ne), ne))
+    return MultiPoly(p.nvars, rem)
+
+
 def normal_form(p: MultiPoly, basis, order: MonomialOrder) -> MultiPoly:
     """Remainder of full division by the (ordered) list of basis elements."""
-    nv = p.nvars
-    leads = [(leading_term(g, order), g) for g in basis if not g.is_zero()]
-    rem = {}
-    work = dict(p.terms)
-    while work:
-        e = max(work, key=order.key)
-        c = work.pop(e)
-        hit = None
-        for (le, lc), g in leads:
-            if _divides(le, e):
-                hit = (le, lc, g)
-                break
-        if hit is None:
-            rem[e] = rem.get(e, Fraction(0)) + c
-            if not rem[e]:
-                del rem[e]
-            continue
-        le, lc, g = hit
-        shift = _sub_exp(e, le)
-        factor = c / lc
-        for ge, gc in g.terms.items():
-            if ge == le:
-                continue
-            ne = tuple(a + b for a, b in zip(ge, shift))
-            s = work.get(ne, Fraction(0)) - factor * gc
-            if s:
-                work[ne] = s
-            else:
-                work.pop(ne, None)
-    return MultiPoly(nv, rem)
+    return divide(p, reducer_table(basis, order), order)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
@@ -161,49 +200,48 @@ def _gm_update(G_leads, pairs, new_index, new_lead):
 
 
 def buchberger(gens, order: MonomialOrder) -> list[MultiPoly]:
-    """Reduced monic Groebner basis of the ideal generated by gens."""
-    G = []
-    for g in gens:
-        if not g.is_zero():
-            G.append(g)
+    """Reduced monic Groebner basis of the ideal generated by gens.
+
+    Returns ``[1]`` as soon as a remainder is a nonzero constant: that is
+    the reduced basis of the unit ideal.
+    """
+    G = [g for g in gens if not g.is_zero()]
     if not G:
         return []
+    nv = G[0].nvars
     basis: list[MultiPoly] = []
     leads: list[Exponent] = []
+    table: list[Reducer] = []
     pairs: list[tuple[int, int]] = []
 
-    def push(p):
-        e, c = leading_term(p, order)
-        p = p * (Fraction(1) / c)
-        nonlocal pairs
-        pairs = _gm_update(leads, pairs, len(basis), e)
-        basis.append(p)
-        leads.append(e)
+    def candidates():
+        yield from sorted(G, key=lambda q: order.key(leading_term(q, order)[0]))
+        while pairs:
+            best = min(pairs, key=lambda ij: order.key(_lcm(leads[ij[0]], leads[ij[1]])))
+            pairs.remove(best)
+            i, j = best
+            yield s_polynomial(basis[i], basis[j], order)
 
-    for g in sorted(G, key=lambda q: order.key(leading_term(q, order)[0])):
-        r = normal_form(g, basis, order)
-        if not r.is_zero():
-            push(r)
-    while pairs:
-        best = min(pairs, key=lambda ij: order.key(_lcm(leads[ij[0]], leads[ij[1]])))
-        pairs.remove(best)
-        i, j = best
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
-            push(r)
-    # minimalize: drop elements whose lead is divisible by another lead
-    minimal = []
-    for i, p in enumerate(basis):
-        e = leads[i]
-        if any(k != i and _divides(leads[k], e)
-               and (leads[k] != e or k < i) for k in range(len(basis))):
+    for q in candidates():
+        r = divide(q, table, order)
+        if r.is_zero():
             continue
-        minimal.append(p)
+        if r.is_constant():
+            return [MultiPoly.constant(nv, 1)]
+        e, c = leading_term(r, order)
+        r = r * (Fraction(1) / c)
+        pairs = _gm_update(leads, pairs, len(basis), e)
+        basis.append(r)
+        leads.append(e)
+        table.append(reducer(r, order))
+    # minimalize: drop elements whose lead is divisible by another lead
+    minimal = [i for i, e in enumerate(leads)
+               if not any(k != i and _divides(leads[k], e)
+                          and (leads[k] != e or k < i) for k in range(len(basis)))]
     # reduce tails
     reduced = []
-    for i, p in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(p, others, order)
+    for i in minimal:
+        r = divide(basis[i], [table[k] for k in minimal if k != i], order)
         if r.is_zero():
             continue
         e, c = leading_term(r, order)
@@ -221,15 +259,20 @@ class GroebnerBasis:
     def of(cls, gens, order):
         return cls(tuple(buchberger(gens, order)), order)
 
+    @cached_property
+    def reducers(self) -> tuple[Reducer, ...]:
+        """Reducer table of the generators, built on first use."""
+        return tuple(reducer_table(self.generators, self.order))
+
     def reduce(self, p: MultiPoly) -> MultiPoly:
-        return normal_form(p, self.generators, self.order)
+        return divide(p, self.reducers, self.order)
 
     def contains(self, p: MultiPoly) -> bool:
         return self.reduce(p).is_zero()
 
     @property
     def leading_exponents(self) -> tuple[Exponent, ...]:
-        return tuple(leading_term(g, self.order)[0] for g in self.generators)
+        return tuple(r[0] for r in self.reducers)
 
     def is_unit_ideal(self) -> bool:
         return any(not any(e) for e in self.leading_exponents)

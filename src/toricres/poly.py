@@ -384,8 +384,9 @@ def is_homogeneous(p: MultiPoly, grading) -> bool:
 def poly_det(M: list[list[MultiPoly]]) -> MultiPoly:
     """Determinant of a matrix of polynomials.
 
-    Cofactor expansion for sizes up to 3; fraction-free condensation with
-    exact polynomial division for larger sizes.
+    Closed forms for sizes up to 3; larger sizes expand by cofactors along
+    the first row, skipping zero entries, which costs on the order of n!
+    products.
     """
     n = len(M)
     if n == 0:

@@ -22,7 +22,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
-from .groebner import GroebnerBasis, MonomialOrder, grevlex, radical_member
+from .groebner import GroebnerBasis, MonomialOrder, _divides, grevlex, radical_member
 from .lattice import FanData, pairing_det
 from .poly import MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
@@ -38,10 +38,6 @@ def irrelevant_ideal(fan: FanData) -> tuple[Exponent, ...]:
         if e not in gens:
             gens.append(e)
     return tuple(gens)
-
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def irrelevant_witness(p: MultiPoly, fan: FanData) -> Exponent | None:
@@ -147,18 +143,34 @@ class CodimReport:
 
 
 def codim_one_check(fan: FanData, grading: Grading, polys,
-                    order: MonomialOrder) -> CodimReport:
+                    order: MonomialOrder,
+                    groebner: GroebnerBasis | None = None,
+                    monomials=None) -> CodimReport:
     """Whether the ideal has codimension one in the critical-degree slice.
 
-    Reduces every critical-degree monomial and demands all normal forms be
-    multiples of one distinguished monomial.
+    Counts the critical-degree monomials outside the leading ideal: the
+    check passes when exactly one is left, the pivot.  ``groebner`` and
+    ``monomials`` are the Groebner basis of ``polys`` under ``order`` and
+    the monomials of the critical degree; each is computed here when not
+    given.
+
+    One standard monomial suffices, without reducing the others: the
+    inputs are homogeneous in the class grading, so is every element of
+    the basis (checked here with ``degree_of``), and so the normal form of
+    a critical-degree monomial is a combination of critical-degree
+    standard monomials, i.e. a multiple of the pivot.  With more than one
+    standard monomial the report names the pivot (least in the order), the
+    two least standard monomials as the witness and their count.
     """
-    degrees = [degree_of(p, grading) for p in polys]
-    rho = critical_degree(grading, degrees)
-    mons = monomial_basis(fan, grading, rho)
+    mons = monomials
+    if mons is None:
+        degrees = [degree_of(p, grading) for p in polys]
+        mons = monomial_basis(fan, grading, critical_degree(grading, degrees))
     if not mons:
         raise AllReduceToZero("no monomials exist in the critical degree")
-    gb = GroebnerBasis.of(list(polys), order)
+    gb = groebner if groebner is not None else GroebnerBasis.of(list(polys), order)
+    for g in gb.generators:
+        degree_of(g, grading)
     leads = gb.leading_exponents
     standard = [m for m in mons if not any(_divides(le, m) for le in leads)]
     if not standard:
@@ -168,20 +180,19 @@ def codim_one_check(fan: FanData, grading: Grading, polys,
     if len(standard) > 1:
         others = sorted(standard, key=order.key)
         return CodimReport(False, pivot, (others[0], others[1]), len(standard))
-    for m in mons:
-        nf = gb.reduce(MultiPoly.monomial(m))
-        if any(e != pivot for e in nf.terms):
-            bad = next(e for e in nf.terms if e != pivot)
-            return CodimReport(False, pivot, (m, bad), len(standard))
     return CodimReport(True, pivot, None, 1)
 
 
 class ResidueProblem:
     """Immutable bundle: fan, grading, the n+1 forms, order, cone, basis.
 
-    Heavy artifacts (Groebner basis, codimension report, cone determinant)
-    are computed once on first use.  Construction only validates shapes and
-    homogeneity, so non-conforming inputs can still be probed.
+    Heavy artifacts (critical degree, monomials of the critical degree,
+    Groebner basis with its reducer table, codimension report, cone
+    determinant) are computed once on first use.  The codimension report
+    reads the cached basis and monomials; the residue of every H and the
+    normalizing coefficient reduce against the cached basis.  Construction
+    only validates shapes and homogeneity, so non-conforming inputs can
+    still be probed.
     """
 
     def __init__(self, fan: FanData, polys, order: MonomialOrder | None = None,
@@ -233,9 +244,9 @@ class ResidueProblem:
 
     @property
     def codim(self) -> CodimReport:
-        return self._get("codim",
-                         lambda: codim_one_check(self.fan, self.grading,
-                                                 self.polys, self.order))
+        return self._get("codim", lambda: codim_one_check(
+            self.fan, self.grading, self.polys, self.order,
+            monomials=self.monomials, groebner=self.groebner))
 
     @property
     def pivot(self) -> Exponent:

@@ -1,12 +1,21 @@
-"""Independent reference values for residue tests.
+"""Independent reference values and slow reference paths for tests.
 
-Everything here is derived by brute-force partial fractions, never by the
-package's own pipeline.  Tests compare engine output against these.
+The residue values are derived by brute-force partial fractions, never by
+the package's own pipeline.  The slow paths are the straightforward forms
+of routines the package runs in a faster form: division by a linear scan
+for the greatest term, and the codimension check that reduces every
+critical-degree monomial.  Tests compare engine output against both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from toricres import AllReduceToZero, GroebnerBasis, MultiPoly, monomial_basis
+from toricres.grading import critical_degree
+from toricres.groebner import leading_term
+from toricres.poly import degree_of
+from toricres.residues import CodimReport
 
 
 def laurent_inverse_coefficient(a: int, d: int) -> int:
@@ -76,3 +85,70 @@ def rational_residue_sum(num, den_roots, den_lead=1):
                 bot *= r - s
         total += ev(num) / bot
     return total
+
+
+def _divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def linear_scan_normal_form(p, basis, order):
+    """Remainder of full division by the ordered basis: each step scans the
+    pending terms for the greatest one and reduces it by the first basis
+    element whose lead divides it."""
+    nv = p.nvars
+    leads = [(leading_term(g, order), g) for g in basis if not g.is_zero()]
+    rem = {}
+    work = dict(p.terms)
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        hit = None
+        for (le, lc), g in leads:
+            if _divides(le, e):
+                hit = (le, lc, g)
+                break
+        if hit is None:
+            rem[e] = rem.get(e, Fraction(0)) + c
+            if not rem[e]:
+                del rem[e]
+            continue
+        le, lc, g = hit
+        shift = tuple(x - y for x, y in zip(e, le))
+        factor = c / lc
+        for ge, gc in g.terms.items():
+            if ge == le:
+                continue
+            ne = tuple(a + b for a, b in zip(ge, shift))
+            s = work.get(ne, Fraction(0)) - factor * gc
+            if s:
+                work[ne] = s
+            else:
+                work.pop(ne, None)
+    return MultiPoly(nv, rem)
+
+
+def all_monomial_codim_check(fan, grading, polys, order) -> CodimReport:
+    """Codimension-one check from scratch: a fresh basis and monomial list,
+    and the linear-scan normal form of every critical-degree monomial must
+    be a multiple of the single standard monomial."""
+    degrees = [degree_of(p, grading) for p in polys]
+    rho = critical_degree(grading, degrees)
+    mons = monomial_basis(fan, grading, rho)
+    if not mons:
+        raise AllReduceToZero("no monomials exist in the critical degree")
+    gb = GroebnerBasis.of(list(polys), order)
+    leads = gb.leading_exponents
+    standard = [m for m in mons if not any(_divides(le, m) for le in leads)]
+    if not standard:
+        raise AllReduceToZero(
+            "every critical-degree monomial reduces to zero")
+    pivot = min(standard, key=order.key)
+    if len(standard) > 1:
+        others = sorted(standard, key=order.key)
+        return CodimReport(False, pivot, (others[0], others[1]), len(standard))
+    for m in mons:
+        nf = linear_scan_normal_form(MultiPoly.monomial(m), gb.generators, order)
+        if any(e != pivot for e in nf.terms):
+            bad = next(e for e in nf.terms if e != pivot)
+            return CodimReport(False, pivot, (m, bad), len(standard))
+    return CodimReport(True, pivot, None, 1)

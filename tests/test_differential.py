@@ -1,0 +1,197 @@
+"""Fast paths against the slow paths they replace (``oracles.py``).
+
+The heap-ordered division must give the same remainder, term for term, as
+the linear scan; the codimension check on the cached basis must give the
+same report as the check that reduces every critical-degree monomial.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import toricres.groebner as groebner_mod
+from toricres import (
+    AllReduceToZero,
+    GroebnerBasis,
+    MonomialOrder,
+    MultiPoly,
+    ResidueProblem,
+    buchberger,
+    dehomogenize,
+    grevlex,
+    load_fan,
+    monomial_basis,
+    normal_form,
+    parse_poly,
+)
+
+from conftest import FIXTURES, load
+from oracles import all_monomial_codim_check, linear_scan_normal_form
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+RESIDUE_FIXTURES = sorted(
+    p.name for p in FIXTURES.glob("*.json") if not p.name.endswith(".fan.json"))
+
+
+def codim_outcome(check):
+    try:
+        report = check()
+    except AllReduceToZero:
+        return "AllReduceToZero"
+    return (report.ok, report.pivot, report.witness, report.quotient_dim)
+
+
+def oracle_outcome(pb):
+    return codim_outcome(lambda: all_monomial_codim_check(
+        pb.fan, pb.grading, pb.polys, pb.order))
+
+
+# ---------------------------------------------------------------------------
+# codimension check
+
+
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
+def test_codim_matches_all_monomial_oracle_on_fixtures(name):
+    pb = load(name).problem
+    assert codim_outcome(lambda: pb.codim) == oracle_outcome(pb)
+
+
+def test_fixture_list_covers_torsion_user_grading_and_failure():
+    assert {"torsion_fermat.json", "pentagon_main.json",
+            "p1p1_not_codim1.json"} <= set(RESIDUE_FIXTURES)
+    assert not load("p1p1_not_codim1.json").problem.codim.ok
+
+
+# each degree is given by the exponent of one monomial of that degree
+DENSE_FANS = {
+    "p1": (load_fan(FIXTURES / "p1.fan.json"), [(1, 0), (2, 0), (3, 0)]),
+    "p2": (load_fan(FIXTURES / "p2.fan.json"), [(1, 0, 0), (2, 0, 0)]),
+    "p1p1": (load_fan(FIXTURES / "p1p1.fan.json"),
+             [(1, 0, 1, 0), (1, 0, 2, 0), (2, 0, 1, 0)]),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(DENSE_FANS)), st.data())
+def test_codim_matches_oracle_on_dense_systems(name, data):
+    (fan, grading), degrees = DENSE_FANS[name]
+    polys = []
+    for _ in range(fan.dim + 1):
+        degree = grading.degree(data.draw(st.sampled_from(degrees)))
+        mons = monomial_basis(fan, grading, degree)
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(mons),
+                                    max_size=len(mons)).filter(any))
+        polys.append(MultiPoly(fan.nvars, dict(zip(mons, coeffs))))
+    pb = ResidueProblem(fan, polys, grading=grading)
+    assert codim_outcome(lambda: pb.codim) == oracle_outcome(pb)
+
+
+# ---------------------------------------------------------------------------
+# heap-ordered division
+
+
+coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+def polys_st(nvars, max_deg=3, max_terms=6):
+    exps = st.tuples(*[st.integers(0, max_deg) for _ in range(nvars)])
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
+        lambda d: MultiPoly(nvars, d))
+
+
+@st.composite
+def division_cases(draw):
+    nvars = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["grevlex", "lex"]))
+    order = MonomialOrder(kind, tuple(draw(st.permutations(range(nvars)))))
+    p = draw(polys_st(nvars, max_deg=4, max_terms=8))
+    basis = draw(st.lists(polys_st(nvars, max_deg=2, max_terms=3),
+                          min_size=1, max_size=4))
+    return p, basis, order
+
+
+@SETTINGS
+@given(division_cases())
+def test_heap_division_matches_linear_scan(case):
+    p, basis, order = case
+    fast = normal_form(p, basis, order)
+    slow = linear_scan_normal_form(p, basis, order)
+    assert list(fast.terms.items()) == list(slow.terms.items())
+
+
+@SETTINGS
+@given(division_cases())
+def test_cached_reducers_match_linear_scan_on_a_basis(case):
+    p, gens, order = case
+    gb = GroebnerBasis.of(gens, order)
+    fast = gb.reduce(p)
+    slow = linear_scan_normal_form(p, gb.generators, order)
+    assert list(fast.terms.items()) == list(slow.terms.items())
+    assert gb.leading_exponents == tuple(
+        max(g.terms, key=order.key) for g in gb.generators)
+
+
+@SETTINGS
+@given(st.sampled_from(["grevlex", "lex"]), st.permutations(range(3)),
+       st.lists(st.tuples(*[st.integers(0, 4)] * 3), unique=True, max_size=12))
+def test_heap_key_ascends_as_the_order_descends(kind, prec, exps):
+    order = MonomialOrder(kind, tuple(prec))
+    assert sorted(exps, key=order.heap_key) == sorted(exps, key=order.key, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# each artifact built once
+
+
+def counting_buchberger(monkeypatch):
+    calls = []
+    real = groebner_mod.buchberger
+
+    def counted(gens, order):
+        calls.append(order)
+        return real(gens, order)
+
+    monkeypatch.setattr(groebner_mod, "buchberger", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["pentagon_main.json", "torsion_fermat.json",
+                                  "p1p1_bilinear.json"])
+def test_codim_and_c_sigma_reuse_the_cached_basis(monkeypatch, name):
+    calls = counting_buchberger(monkeypatch)
+    pb = load(name).problem
+    pb.groebner
+    assert len(calls) == 1
+    pb.codim
+    pb.c_sigma
+    assert len(calls) == 1
+
+
+def test_codim_alone_builds_the_basis_once(monkeypatch):
+    calls = counting_buchberger(monkeypatch)
+    pb = load("p2_fermat.json").problem
+    assert pb.codim.ok
+    pb.groebner
+    pb.c_sigma
+    assert len(calls) == 1
+
+
+def test_constant_in_the_ideal_gives_the_unit_basis():
+    names = ("x", "y", "z")
+    one = MultiPoly.constant(3, 1)
+    for texts in (["x*y - 1", "y"], ["x^2 + y*z", "x*y*z - 2", "y^2*z", "z^2"],
+                  ["3"]):
+        gens = [parse_poly(t, names) for t in texts]
+        assert buchberger(gens, MonomialOrder("grevlex", (0, 1, 2))) == [one]
+        assert buchberger(gens, MonomialOrder("lex", (2, 0, 1))) == [one]
+        assert GroebnerBasis.of(gens, MonomialOrder("grevlex", (1, 2, 0))).is_unit_ideal()
+
+
+@pytest.mark.parametrize("name", ["pentagon_main.json", "torsion_fermat.json"])
+def test_chart_ideals_of_a_valid_problem_are_unit(name):
+    pb = load(name).problem
+    one = MultiPoly.constant(pb.fan.dim, 1)
+    for k in range(len(pb.fan.max_cones)):
+        charts = [dehomogenize(p, pb.fan, k) for p in pb.polys]
+        assert buchberger(charts, grevlex(pb.fan.dim)) == [one]
+    assert pb.zero_locus().ok
