@@ -65,7 +65,6 @@ from .groebner import (
     normal_form,
     parse_order,
     quotient_is_finite,
-    radical_member,
     standard_monomials,
 )
 from .lattice import (
@@ -130,4 +129,35 @@ from .residues import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CayleyData", "build_cayley", "bundle_class", "cayley_polytope_check",
+    "critical_degree_lifted", "equal_degree_check", "jacobian_ideal_degree_check",
+    "PositivityReport", "cone_functionals", "is_ample", "is_cartier", "is_q_ample",
+    "AllReduceToZero", "CodimNotOne", "DecompositionFailed", "DegenerateVolume",
+    "DegreeMismatch", "HypothesesFailed", "InfiniteIntersection", "InvalidFan",
+    "NoIntegralLift", "NonSimpleZero", "NonSquare", "NotAGrading", "NotAmple",
+    "NotHomogeneous", "NotShapePosition", "NotSurjective", "NotTorusZero",
+    "NotZeroDimensional", "NonUniqueLift", "ParseError", "ToricError", "Unbounded",
+    "WrongDegree", "ZeroOnPolarLocus", "ZeroPolynomial",
+    "LoadedProblem", "load_fan", "load_problem",
+    "DegreeClass", "Grading", "anticanonical_class", "compute_grading",
+    "critical_degree", "grading_from_rays", "representative_divisor",
+    "validate_user_grading",
+    "GroebnerBasis", "MonomialOrder", "buchberger", "grevlex", "ideal_member", "lex",
+    "normal_form", "parse_order", "quotient_is_finite", "standard_monomials",
+    "CompletenessReport", "FanData", "SmithDecomposition", "cone_group_order",
+    "is_complete", "is_simplicial", "make_fan", "pairing_det", "smith_normal_form",
+    "NumericZeroSet", "chart_zero_set", "euler_jacobi_check", "local_residue_simple",
+    "solve_chart_system", "sum_local_residues",
+    "MultiPoly", "degree_of", "dehomogenize", "homogenize_to_degree", "is_homogeneous",
+    "parse_poly", "poly_det", "poly_to_string",
+    "HPolytope", "divisor_polytope", "intersection_number", "lattice_points",
+    "monomial_basis", "normalized_volume", "polytope_volume",
+    "AnnihilationReport", "CodimReport", "ResidueProblem", "ResidueReport",
+    "ZeroLocusReport", "codim_one_check", "cone_determinant", "decompose",
+    "in_irrelevant_ideal", "irrelevant_ideal", "jacobian_residue_check",
+    "no_common_zeros_on_x", "oriented_basis", "residue_report",
+    "sigma_independence_check", "toric_jacobian", "toric_residue",
+    "variable_annihilation_check", "verify_gtl",
+    "__version__",
+]

@@ -14,10 +14,10 @@ from fractions import Fraction
 from .divisors import is_ample
 from .errors import DegreeMismatch, NotAmple
 from .grading import Grading, grading_from_rays, anticanonical_class, representative_divisor
-from .lattice import FanData, dot
+from .lattice import FanData, solve_rational
 from .poly import MultiPoly, degree_of
-from .polytopes import HPolytope, divisor_polytope, lattice_points, monomial_basis
-from .lattice import solve_rational
+from .polytopes import (HPolytope, divisor_monomials, divisor_polytope, lattice_points,
+                        monomial_basis)
 
 
 @dataclass(frozen=True)
@@ -98,17 +98,8 @@ def critical_degree_lifted(cd: CayleyData):
 
 
 def _lifted_monomials(cd: CayleyData):
-    rho = critical_degree_lifted(cd)
-    coeffs = representative_divisor(cd.grading, rho)
-    poly = HPolytope(2 * cd.n, cd.lifted_rays, tuple(Fraction(c) for c in coeffs))
-    pts = lattice_points(poly)
-    out = []
-    for m in pts:
-        e = tuple(dot(m, cd.lifted_rays[i]) + coeffs[i]
-                  for i in range(len(cd.lifted_rays)))
-        out.append(e)
-    out.sort()
-    return out
+    coeffs = representative_divisor(cd.grading, critical_degree_lifted(cd))
+    return divisor_monomials(cd.lifted_rays, coeffs)
 
 
 def equal_degree_check(cd: CayleyData, polys) -> bool:

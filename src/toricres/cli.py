@@ -53,7 +53,6 @@ from .residues import (
     cone_determinant,
     irrelevant_ideal,
     jacobian_residue_check,
-    no_common_zeros_on_x,
     residue_report,
     toric_residue,
     variable_annihilation_check,
@@ -178,7 +177,7 @@ def cmd_monomials(args) -> int:
 
 
 def _problem_from_args(args):
-    sigma = args.sigma if getattr(args, "sigma", None) else None
+    sigma = getattr(args, "sigma", None)
     order = getattr(args, "order", None)
     return load_problem(args.problemfile, sigma_override=sigma,
                         order_override=order)

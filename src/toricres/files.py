@@ -5,6 +5,7 @@ Fan file:
      "max_cones": [[2,3],[1,3],[1,2]],        # 1-based ray indices
      "variables": ["x","y","z"],               # optional
      "degree_basis": [[1,1,1]]}                # optional free grading rows
+    dim, ray entries, cone indices and degree_basis entries are JSON integers.
 
 Problem file:
     {"fan": "p2.fan.json",                     # path relative to this file
@@ -42,12 +43,24 @@ def _load_json(path: Path) -> dict:
     return data
 
 
+def _require_integers(path: Path, key: str, value):
+    """Reject a value, or any entry of nested lists, that is not an integer;
+    a JSON float or boolean would otherwise be truncated by ``int``."""
+    if isinstance(value, list):
+        for item in value:
+            _require_integers(path, key, item)
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{path}: {key} must hold integers, got {value!r}")
+
+
 def load_fan(path) -> tuple[FanData, Grading]:
     path = Path(path)
     data = _load_json(path)
     for key in ("dim", "rays", "max_cones"):
         if key not in data:
             raise ParseError(f"{path} lacks required key {key!r}")
+    for key in ("dim", "rays", "max_cones", "degree_basis"):
+        _require_integers(path, key, data.get(key, []))
     try:
         fan = make_fan(data["dim"], data["rays"], data["max_cones"],
                        variables=tuple(data["variables"]) if "variables" in data else None,
@@ -84,7 +97,8 @@ def load_problem(path, sigma_override: int | None = None,
     order_text = order_override or data.get("order")
     order = parse_order(order_text, names) if order_text else grevlex(fan.nvars)
     sigma = sigma_override if sigma_override is not None else data.get("sigma", 1)
-    if not isinstance(sigma, int) or not 1 <= sigma <= len(fan.max_cones):
+    if (isinstance(sigma, bool) or not isinstance(sigma, int)
+            or not 1 <= sigma <= len(fan.max_cones)):
         raise ParseError(f"sigma must be a 1-based cone index, got {sigma!r}")
     problem = ResidueProblem(fan, polys, order=order, sigma=sigma - 1,
                              grading=grading)

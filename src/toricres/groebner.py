@@ -283,29 +283,6 @@ def ideal_member(p: MultiPoly, gens, order=None) -> bool:
     return GroebnerBasis.of(gens, order).contains(p)
 
 
-def radical_member(p: MultiPoly, gens, order=None) -> bool:
-    """Membership in the radical via a fresh slack variable.
-
-    Appends a variable w with least precedence and asks whether
-    1 - w*p lands in the unit ideal together with the generators.
-    """
-    nv = p.nvars
-    big = nv + 1
-
-    def lift(q):
-        return MultiPoly(big, {e + (0,): c for e, c in q.terms.items()})
-
-    w = MultiPoly.variable(big, nv)
-    sat = MultiPoly.constant(big, 1) - w * lift(p)
-    gens_big = [lift(g) for g in gens] + [sat]
-    if order is None:
-        prec = tuple(range(big))
-    else:
-        prec = tuple(order.precedence) + (nv,)
-    gb = GroebnerBasis.of(gens_big, MonomialOrder("grevlex", prec))
-    return gb.is_unit_ideal()
-
-
 def quotient_is_finite(gb: GroebnerBasis) -> bool:
     """Finite-dimensional quotient iff every variable has a pure-power lead."""
     nv = gb.order.nvars

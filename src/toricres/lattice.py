@@ -85,71 +85,21 @@ def mat_det(A) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def mat_rank(A) -> int:
-    """Rank over the rationals."""
-    rows = [[Fraction(x) for x in row] for row in A]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[c]
-        rows[rank] = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def rref(rows, ncols):
+    """Reduced row echelon form over the rationals, by Gauss-Jordan.
 
-
-def solve_rational(A, b):
-    """One rational solution of A x = b, or None when inconsistent.
-
-    Deterministic Gauss-Jordan; free variables are pinned to 0.
+    Returns ``(rows, pivot_columns)``: the nonzero rows as lists of
+    Fractions, each with a 1 in its pivot column and 0 in every other
+    pivot column, and their pivot columns in ascending order.  The pivot of
+    each column is the first remaining row that is nonzero there, so the
+    result is deterministic.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(A, b)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = rows[i][n]
-    return tuple(x)
-
-
-def rational_kernel(rows, ncols):
-    """Basis of the rational null space of the given rows."""
     work = [[Fraction(x) for x in row] for row in rows]
-    piv_cols = []
-    r = 0
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
         piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if piv is None:
             continue
@@ -160,17 +110,40 @@ def rational_kernel(rows, ncols):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(work):
-            break
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
+        pivots.append(c)
+    return work[:len(pivots)], pivots
+
+
+def mat_rank(A) -> int:
+    """Rank over the rationals."""
+    return len(rref(A, len(A[0]) if A else 0)[1])
+
+
+def solve_rational(A, b):
+    """One rational solution of A x = b, or None when inconsistent.
+
+    Eliminates the augmented matrix [A | b]; a pivot in its last column
+    means the system is inconsistent.  Free variables are pinned to 0.
+    """
+    n = len(A[0]) if A else 0
+    rows, pivots = rref([list(row) + [bi] for row, bi in zip(A, b)], n + 1)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
+    return tuple(x)
+
+
+def rational_kernel(rows, ncols):
+    """Basis of the rational null space of the given rows."""
+    work, pivots = rref(rows, ncols)
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -work[i][fc]
+        for row, pc in zip(work, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 
@@ -468,56 +441,19 @@ class CompletenessReport:
         return self.ok
 
 
-def _dual_rows(fan, cone):
-    """Integer inequality description of a full simplicial cone."""
-    n = fan.dim
-    A = [[fan.rays[c][j] for j in range(n)] for c in cone]
-    rows = []
-    for i in range(n):
-        rhs = [Fraction(int(i == k)) for k in range(n)]
-        # the covector dual to the i-th generator: <m, ray_k> = delta_ik
-        sol = solve_rational(A, rhs)
-        den = 1
-        for x in sol:
-            den = den * x.denominator // gcd(den, x.denominator)
-        rows.append(primitive(tuple(int(x * den) for x in sol)))
-    return rows
-
-
-def _cones_overlap_witness(fan, ka, kb):
-    """A direction in both cones outside their common face, or None."""
-    n = fan.dim
-    ca, cb = fan.max_cones[ka], fan.max_cones[kb]
-    D = []
-    for row in _dual_rows(fan, ca) + _dual_rows(fan, cb):
-        if row not in D:
-            D.append(row)
-    common = set(ca) & set(cb)
-    cands = set()
-    for subset in itertools.combinations(D, n - 1):
-        v = integer_kernel_vector(list(subset), n)
-        if v is None:
-            continue
-        for s in (v, tuple(-x for x in v)):
-            if all(dot(d, s) >= 0 for d in D):
-                cands.add(s)
-    A = [[fan.rays[c][j] for j in range(n)] for c in ca]
-    for v in sorted(cands):
-        lam = solve_rational(transpose(A), v)
-        if lam is None:
-            continue
-        for pos, c in enumerate(ca):
-            if c not in common and lam[pos] != 0:
-                return v
-    return None
-
-
 def is_complete(fan: FanData) -> CompletenessReport:
     """Exact completeness test.
 
     Checks simpliciality, that every ray is used, that every facet of a
-    maximal cone is shared by exactly two of them, and that any two cones
-    meet exactly along their common face.
+    maximal cone is shared by exactly two of them and that those two lie on
+    opposite sides of it, and that the sum of the rays of cone 0 lies in no
+    other closed cone.
+
+    The facet conditions make the number of cones that contain a generic
+    vector the same everywhere, and a point inside cone 0 lies in a second
+    closed cone exactly when that number exceeds one; together the checks
+    say that the cones cover the space exactly once.  The cost is one
+    determinant per cone and facet, and one solve per cone.
     """
     n = fan.dim
     if not fan.max_cones:
@@ -537,16 +473,26 @@ def is_complete(fan: FanData) -> CompletenessReport:
         if dirs == {1, -1} and len(fan.max_cones) == 2:
             return CompletenessReport(True)
         return CompletenessReport(False, "the two half-lines are not both covered exactly once")
-    facet_count = {}
-    for cone in fan.max_cones:
+    facet_cones = {}
+    for k, cone in enumerate(fan.max_cones):
         for facet in itertools.combinations(cone, n - 1):
-            facet_count[facet] = facet_count.get(facet, 0) + 1
-    for facet, cnt in sorted(facet_count.items()):
-        if cnt != 2:
-            return CompletenessReport(False, f"facet {facet} lies in {cnt} maximal cones")
-    for ka, kb in itertools.combinations(range(len(fan.max_cones)), 2):
-        w = _cones_overlap_witness(fan, ka, kb)
-        if w is not None:
+            facet_cones.setdefault(facet, []).append(k)
+    for facet, cones in sorted(facet_cones.items()):
+        if len(cones) != 2:
             return CompletenessReport(
-                False, f"cones {ka} and {kb} overlap beyond their common face at {w}")
+                False, f"facet {facet} lies in {len(cones)} maximal cones")
+        sides = []
+        for k in cones:
+            apex = next(i for i in fan.max_cones[k] if i not in facet)
+            sides.append(mat_det([fan.rays[i] for i in facet + (apex,)]) > 0)
+        if sides[0] == sides[1]:
+            return CompletenessReport(
+                False, f"cones {cones[0]} and {cones[1]} lie on the same side "
+                       f"of facet {facet}")
+    inner = tuple(sum(col) for col in zip(*fan.cone_rays(0)))
+    for k in range(1, len(fan.max_cones)):
+        lam = solve_rational(transpose(fan.cone_rays(k)), inner)
+        if all(x >= 0 for x in lam):
+            return CompletenessReport(
+                False, f"cone {k} contains {inner}, an interior point of cone 0")
     return CompletenessReport(True)

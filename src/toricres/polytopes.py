@@ -18,8 +18,8 @@ from .lattice import (
     dot,
     integer_kernel_vector,
     mat_rank,
-    primitive,
     rational_kernel,
+    rref,
     smith_normal_form,
     solve_rational,
 )
@@ -57,12 +57,14 @@ def _vertices(poly: HPolytope):
     seen = set()
     out = []
     for subset in itertools.combinations(range(len(poly.normals)), n):
-        A = [list(poly.normals[i]) for i in subset]
-        if mat_rank(A) != n:
+        # the active facets meet in one point when [A | b] has its pivots
+        # in exactly the first n columns
+        rows, pivots = rref([list(poly.normals[i]) + [-poly.offsets[i]]
+                             for i in subset], n + 1)
+        if pivots != list(range(n)):
             continue
-        b = [-poly.offsets[i] for i in subset]
-        v = solve_rational(A, b)
-        if v is None or v in seen:
+        v = tuple(row[n] for row in rows)
+        if v in seen:
             continue
         seen.add(v)
         if poly.contains(v):
@@ -194,6 +196,14 @@ def intersection_number(fan, coeffs) -> int:
     return int(vol)
 
 
+def divisor_monomials(rays, coeffs) -> list[tuple[int, ...]]:
+    """Sorted exponent vectors e_i = <m, ray_i> + a_i of the monomials of the
+    divisor sum a_i D_i, one per lattice point m of its polytope."""
+    poly = HPolytope(len(rays[0]), tuple(rays), tuple(Fraction(c) for c in coeffs))
+    return sorted(tuple(dot(m, ray) + a for ray, a in zip(rays, coeffs))
+                  for m in lattice_points(poly))
+
+
 def monomial_basis(fan, grading, target) -> list[tuple[int, ...]]:
     """All exponent vectors of the given degree class, deterministically ordered.
 
@@ -202,12 +212,4 @@ def monomial_basis(fan, grading, target) -> list[tuple[int, ...]]:
     """
     from .grading import representative_divisor
 
-    coeffs = representative_divisor(grading, target)
-    poly = divisor_polytope(fan, coeffs)
-    pts = lattice_points(poly)
-    out = []
-    for m in pts:
-        e = tuple(dot(m, fan.rays[i]) + coeffs[i] for i in range(fan.nvars))
-        out.append(e)
-    out.sort()
-    return out
+    return divisor_monomials(fan.rays, representative_divisor(grading, target))

@@ -22,7 +22,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
-from .groebner import GroebnerBasis, MonomialOrder, _divides, grevlex, radical_member
+from .groebner import GroebnerBasis, MonomialOrder, _divides, grevlex
 from .lattice import FanData, pairing_det
 from .poly import MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
@@ -63,26 +63,17 @@ class ZeroLocusReport:
         return self.ok
 
 
-def no_common_zeros_on_x(fan: FanData, polys, method: str = "radical",
-                         order: MonomialOrder | None = None) -> ZeroLocusReport:
+def no_common_zeros_on_x(fan: FanData, polys) -> ZeroLocusReport:
     """Whether the polynomials have no common zero away from the excluded locus.
 
-    method="radical" asks, per maximal cone, whether the off-cone variable
-    product lies in the radical of the ideal.  method="chart" asks whether 1
-    lies in the dehomogenized ideal of the cone's chart; the two agree, the
-    chart route just runs in dim-many variables.
+    Asks, per maximal cone, whether 1 lies in the dehomogenized ideal of
+    the cone's chart, i.e. whether the off-cone variable product lies in
+    the radical of the ideal; the report names the first cone that fails.
     """
-    if method not in ("radical", "chart"):
-        raise ValueError(f"unknown method {method!r}")
     for k, cone in enumerate(fan.max_cones):
-        e = tuple(0 if i in cone else 1 for i in range(fan.nvars))
-        if method == "radical":
-            ok = radical_member(MultiPoly.monomial(e), list(polys), order)
-        else:
-            charts = [dehomogenize(p, fan, k) for p in polys]
-            gb = GroebnerBasis.of(charts, grevlex(fan.dim))
-            ok = gb.is_unit_ideal()
-        if not ok:
+        charts = [dehomogenize(p, fan, k) for p in polys]
+        if not GroebnerBasis.of(charts, grevlex(fan.dim)).is_unit_ideal():
+            e = tuple(0 if i in cone else 1 for i in range(fan.nvars))
             return ZeroLocusReport(False, k, e)
     return ZeroLocusReport(True)
 
@@ -263,10 +254,8 @@ class ResidueProblem:
             return tuple(out)
         return self._get("membership", build)
 
-    def zero_locus(self, method: str = "chart") -> ZeroLocusReport:
-        key = ("zeros", method)
-        return self._get(key, lambda: no_common_zeros_on_x(
-            self.fan, self.polys, method=method))
+    def zero_locus(self) -> ZeroLocusReport:
+        return self._get("zeros", lambda: no_common_zeros_on_x(self.fan, self.polys))
 
     @property
     def delta(self) -> MultiPoly:

@@ -2,18 +2,26 @@
 
 The residue values are derived by brute-force partial fractions, never by
 the package's own pipeline.  The slow paths are the straightforward forms
-of routines the package runs in a faster form: division by a linear scan
-for the greatest term, and the codimension check that reduces every
-critical-degree monomial.  Tests compare engine output against both.
+of routines the package runs in a faster or different form: division by a
+linear scan for the greatest term, the codimension check that reduces
+every critical-degree monomial, membership in the radical through a slack
+variable, the completeness test that compares every pair of cones, and
+the rank as the size of the largest nonzero minor.  Tests compare engine
+output against them.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import gcd
 
-from toricres import AllReduceToZero, GroebnerBasis, MultiPoly, monomial_basis
+from toricres import (AllReduceToZero, GroebnerBasis, MonomialOrder, MultiPoly,
+                      is_simplicial, monomial_basis)
 from toricres.grading import critical_degree
 from toricres.groebner import leading_term
+from toricres.lattice import (dot, integer_kernel_vector, mat_det, primitive,
+                              solve_rational, transpose)
 from toricres.poly import degree_of
 from toricres.residues import CodimReport
 
@@ -152,3 +160,108 @@ def all_monomial_codim_check(fan, grading, polys, order) -> CodimReport:
             bad = next(e for e in nf.terms if e != pivot)
             return CodimReport(False, pivot, (m, bad), len(standard))
     return CodimReport(True, pivot, None, 1)
+
+
+def radical_member(p, gens, order=None) -> bool:
+    """Membership in the radical via a fresh slack variable.
+
+    Appends a variable w with least precedence and asks whether
+    1 - w*p lands in the unit ideal together with the generators.
+    """
+    nv = p.nvars
+    big = nv + 1
+
+    def lift(q):
+        return MultiPoly(big, {e + (0,): c for e, c in q.terms.items()})
+
+    w = MultiPoly.variable(big, nv)
+    sat = MultiPoly.constant(big, 1) - w * lift(p)
+    gens_big = [lift(g) for g in gens] + [sat]
+    if order is None:
+        prec = tuple(range(big))
+    else:
+        prec = tuple(order.precedence) + (nv,)
+    gb = GroebnerBasis.of(gens_big, MonomialOrder("grevlex", prec))
+    return gb.is_unit_ideal()
+
+
+def _dual_rows(fan, cone):
+    """Integer inequality description of a full simplicial cone."""
+    n = fan.dim
+    A = [[fan.rays[c][j] for j in range(n)] for c in cone]
+    rows = []
+    for i in range(n):
+        rhs = [Fraction(int(i == k)) for k in range(n)]
+        # the covector dual to the i-th generator: <m, ray_k> = delta_ik
+        sol = solve_rational(A, rhs)
+        den = 1
+        for x in sol:
+            den = den * x.denominator // gcd(den, x.denominator)
+        rows.append(primitive(tuple(int(x * den) for x in sol)))
+    return rows
+
+
+def _cones_overlap_witness(fan, ka, kb):
+    """A direction in both cones outside their common face, or None."""
+    n = fan.dim
+    ca, cb = fan.max_cones[ka], fan.max_cones[kb]
+    D = []
+    for row in _dual_rows(fan, ca) + _dual_rows(fan, cb):
+        if row not in D:
+            D.append(row)
+    common = set(ca) & set(cb)
+    cands = set()
+    for subset in itertools.combinations(D, n - 1):
+        v = integer_kernel_vector(list(subset), n)
+        if v is None:
+            continue
+        for s in (v, tuple(-x for x in v)):
+            if all(dot(d, s) >= 0 for d in D):
+                cands.add(s)
+    A = [[fan.rays[c][j] for j in range(n)] for c in ca]
+    for v in sorted(cands):
+        lam = solve_rational(transpose(A), v)
+        if lam is None:
+            continue
+        for pos, c in enumerate(ca):
+            if c not in common and lam[pos] != 0:
+                return v
+    return None
+
+
+def pairwise_is_complete(fan) -> bool:
+    """Completeness by the quadratic route: simplicial cones that use every
+    ray, every facet in exactly two cones, and any two cones meeting exactly
+    along their common face, tested pair by pair through the extreme rays
+    of their intersection."""
+    n = fan.dim
+    if not fan.max_cones or not is_simplicial(fan):
+        return False
+    if set().union(*fan.max_cones) != set(range(fan.nvars)):
+        return False
+    if len(set(fan.max_cones)) != len(fan.max_cones):
+        return False
+    if n == 1:
+        dirs = {fan.rays[cone[0]][0] for cone in fan.max_cones}
+        return dirs == {1, -1} and len(fan.max_cones) == 2
+    facet_count = {}
+    for cone in fan.max_cones:
+        for facet in itertools.combinations(cone, n - 1):
+            facet_count[facet] = facet_count.get(facet, 0) + 1
+    if any(cnt != 2 for cnt in facet_count.values()):
+        return False
+    return all(_cones_overlap_witness(fan, ka, kb) is None
+               for ka, kb in itertools.combinations(range(len(fan.max_cones)), 2))
+
+
+def minor_rank(A) -> int:
+    """Rank as the size of the largest square submatrix with a nonzero
+    determinant (fraction-free Bareiss, no row reduction)."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    for k in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                if mat_det([[A[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0

@@ -2,11 +2,15 @@
 
 The heap-ordered division must give the same remainder, term for term, as
 the linear scan; the codimension check on the cached basis must give the
-same report as the check that reduces every critical-degree monomial.
+same report as the check that reduces every critical-degree monomial; the
+linear-time completeness test must agree with the pairwise overlap test.
 """
 
+import itertools
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import toricres.groebner as groebner_mod
 from toricres import (
@@ -18,14 +22,18 @@ from toricres import (
     buchberger,
     dehomogenize,
     grevlex,
+    is_complete,
     load_fan,
+    make_fan,
     monomial_basis,
     normal_form,
     parse_poly,
 )
 
+from toricres.lattice import primitive
+
 from conftest import FIXTURES, load
-from oracles import all_monomial_codim_check, linear_scan_normal_form
+from oracles import all_monomial_codim_check, linear_scan_normal_form, pairwise_is_complete
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -195,3 +203,95 @@ def test_chart_ideals_of_a_valid_problem_are_unit(name):
         charts = [dehomogenize(p, pb.fan, k) for p in pb.polys]
         assert buchberger(charts, grevlex(pb.fan.dim)) == [one]
     assert pb.zero_locus().ok
+
+
+# ---------------------------------------------------------------------------
+# completeness
+
+
+@st.composite
+def fans_2d(draw):
+    """Rays sorted by angle with consecutive cones: complete exactly when
+    every angular gap is below pi.  Then maybe drop or replace one cone, or
+    swap two neighbours in the cyclic order, which folds the fan at both."""
+    vecs = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+                         min_size=2, max_size=8))
+    rays = sorted({primitive(v) for v in vecs}, key=lambda r: math.atan2(r[1], r[0]))
+    assume(len(rays) >= 2)
+    cycle = list(range(len(rays)))
+    k = draw(st.integers(0, len(rays) - 1))
+    change = draw(st.sampled_from(["none", "drop", "replace", "swap"]))
+    if change == "swap":
+        j = (k + 1) % len(rays)
+        cycle[k], cycle[j] = cycle[j], cycle[k]
+    cones = [(cycle[i], cycle[(i + 1) % len(rays)]) for i in range(len(rays))]
+    if change == "drop":
+        del cones[k]
+    elif change == "replace":
+        cones[k] = tuple(draw(st.permutations(range(len(rays))))[:2])
+    return make_fan(2, rays, cones)
+
+
+P3_RAYS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+
+
+@st.composite
+def stellar_fans_3d(draw):
+    """Star subdivisions of the P^3 fan at edges and maximal cones, each
+    adding the primitive sum of the face's rays; then maybe one cone
+    replaced by a random triple of rays."""
+    rays = list(P3_RAYS)
+    cones = [set(c) for c in itertools.combinations(range(4), 3)]
+    for _ in range(draw(st.integers(0, 3))):
+        edges = {tuple(sorted(f)) for c in cones for f in itertools.combinations(c, 2)}
+        face = set(draw(st.sampled_from(sorted(edges | {tuple(sorted(c)) for c in cones}))))
+        rays.append(primitive(tuple(map(sum, zip(*(rays[i] for i in face))))))
+        new = len(rays) - 1
+        cones = ([c for c in cones if not face <= c]
+                 + [(c - {i}) | {new} for c in cones if face <= c for i in face])
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(cones) - 1))
+        cones[k] = set(draw(st.permutations(range(len(rays))))[:3])
+    return make_fan(3, rays, [sorted(c) for c in cones])
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.one_of(fans_2d(), stellar_fans_3d()))
+def test_is_complete_matches_pairwise_oracle(fan):
+    assert is_complete(fan).ok == pairwise_is_complete(fan)
+
+
+def test_random_fans_cover_both_outcomes():
+    outcomes = set()
+
+    @SETTINGS
+    @given(st.one_of(fans_2d(), stellar_fans_3d()))
+    def record(fan):
+        outcomes.add((fan.dim, pairwise_is_complete(fan)))
+
+    record()
+    assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+
+
+# wound twice round the origin: every facet in two cones on opposite sides
+DOUBLY_WOUND = ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))
+# the cone on (-1,0),(1,1) folds back over the first two cones
+FOLDED = ((1, 0), (0, 1), (-1, 0), (1, 1))
+# folds at (-3,-1) and (-2,1), covering the angles between them three times
+# and the first cone once
+ZIGZAG = ((1, 0), (0, 1), (-3, -1), (-2, 1), (0, -1))
+
+
+@SETTINGS
+@given(st.sampled_from([DOUBLY_WOUND, FOLDED, ZIGZAG]), st.data())
+def test_wound_and_folded_fans_are_incomplete(rays, data):
+    """Consecutive cones, under any labelling of the rays and with any cone
+    listed first."""
+    perm = data.draw(st.permutations(range(len(rays))))
+    pos = {old: new for new, old in enumerate(perm)}
+    first = data.draw(st.integers(0, len(rays) - 1))
+    cones = [(pos[i % len(rays)], pos[(i + 1) % len(rays)])
+             for i in range(first, first + len(rays))]
+    fan = make_fan(2, [rays[i] for i in perm], cones)
+    assert not pairwise_is_complete(fan)
+    assert not is_complete(fan).ok

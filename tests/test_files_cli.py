@@ -1,4 +1,5 @@
-"""File loading contracts and the command line surface with its exit codes."""
+"""File loading contracts, the command line surface with its exit codes, and
+the names the package exports."""
 
 import json
 import os
@@ -6,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -73,6 +75,40 @@ def test_bad_sigma(tmp_path):
         load_problem(p)
 
 
+P2_FAN = json.loads((FIXTURES / "p2.fan.json").read_text())
+PENTAGON_FAN = json.loads((FIXTURES / "pentagon.fan.json").read_text())
+
+
+@pytest.mark.parametrize("fan,key,value", [
+    (P2_FAN, "rays", [[1.5, 0], [0, 1], [-1, -1]]),
+    (P2_FAN, "rays", [[True, 0], [0, 1], [-1, -1]]),
+    (P2_FAN, "max_cones", [[2, 3], [1, 3], [1, 2.9]]),
+    (P2_FAN, "dim", 2.0),
+    (PENTAGON_FAN, "degree_basis",
+     [[1, -1, 1, 0, 0], [1, 1, 0, 1, 0], [-1, 1, 0, 0, 1.0]]),
+])
+def test_non_integer_fan_fields_rejected(tmp_path, capsys, fan, key, value):
+    # truncated by int(), [1.5, 0] and [1, 2.9] would load as P^2
+    p = tmp_path / "bad.fan.json"
+    p.write_text(json.dumps(dict(fan, **{key: value})))
+    with pytest.raises(ParseError):
+        load_fan(p)
+    problem = tmp_path / "bad.json"
+    problem.write_text(json.dumps({"fan": p.name, "F": fan["variables"][:3]}))
+    assert main(["fan", str(p)]) == 2
+    assert main(["residue", str(problem)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", [1.0, True, "1"])
+def test_non_integer_sigma_rejected(tmp_path, sigma):
+    p = tmp_path / "sigma.json"
+    p.write_text(json.dumps({"fan": fx("p2.fan.json"), "F": ["x0^2", "x1^2", "x2^2"],
+                             "sigma": sigma}))
+    with pytest.raises(ParseError):
+        load_problem(p)
+
+
 def test_sigma_and_order_overrides():
     lp = load_problem(fx("pentagon_small.json"), sigma_override=2,
                       order_override="lex:x>y>z>t>u")
@@ -100,6 +136,12 @@ def test_exit_invalid_fan(tmp_path, capsys):
 def test_exit_hypotheses(capsys):
     assert main(["residue", fx("pentagon_outside.json")]) == 4
     assert "hypotheses violated" in capsys.readouterr().err
+
+
+def test_exit_sigma_out_of_range(capsys):
+    assert main(["residue", fx("p2_fermat.json"), "--sigma", "0"]) == 2
+    assert main(["residue", fx("p2_fermat.json"), "--sigma", "9"]) == 2
+    assert "sigma must be a 1-based cone index" in capsys.readouterr().err
 
 
 def test_exit_codim(capsys):
@@ -234,3 +276,23 @@ def test_module_invocation_subprocess():
     proc = _run([sys.executable, "-m", "toricres.cli", "residue",
                  fx("p1p1_not_codim1.json")])
     assert proc.returncode == 5
+
+
+def test_run_examples_script():
+    proc = _run([sys.executable, str(PROJECT / "scripts" / "run_examples.py")])
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# exports
+
+
+def test_star_import_binds_exported_names_only():
+    namespace = {}
+    exec("from toricres import *", namespace)
+    del namespace["__builtins__"]
+    assert not [n for n, v in namespace.items() if isinstance(v, ModuleType)]
+    assert set(namespace) == set(toricres.__all__)
+    public = {n for n, v in vars(toricres).items()
+              if not n.startswith("_") and not isinstance(v, ModuleType)}
+    assert set(toricres.__all__) == public | {"__version__"}

@@ -4,19 +4,22 @@ import pytest
 
 from toricres import (
     GroebnerBasis,
+    MultiPoly,
     ParseError,
     buchberger,
     grevlex,
     ideal_member,
+    irrelevant_ideal,
     lex,
     normal_form,
     no_common_zeros_on_x,
     parse_order,
     parse_poly,
     quotient_is_finite,
-    radical_member,
     standard_monomials,
 )
+
+from oracles import radical_member
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -138,7 +141,7 @@ def test_no_common_zeros_on_variety(p1, pentagon, p1p1):
     F = [P("x*y^2*z^3", names),
          P("x^2*y*u^3 + x*t^2*u^3 + y^2*z^3*t + y*z^2*t^2*u", names),
          P("x*t^2*u^3 + y^2*z^3*t + z*t^3*u^2", names)]
-    assert no_common_zeros_on_x(fan2, F, method="chart").ok
+    assert no_common_zeros_on_x(fan2, F).ok
 
     fan3, _ = p1p1
     G = [P("(x+y)^2", fan3.variables), P("x*z", fan3.variables),
@@ -153,7 +156,12 @@ def test_radical_and_chart_routes_agree(p1p1, p2):
          P("x*t + y*z", fan.variables)],
         [P("x", fan.variables), P("y*t", fan.variables),
          P("y*z", fan.variables)],
+        # common zero x = z = 0
+        [P("x*z", fan.variables), P("x*t", fan.variables),
+         P("y*z", fan.variables)],
     ]
+    assert [no_common_zeros_on_x(fan, F).ok for F in cases] == [True, True, False]
     for F in cases:
-        assert no_common_zeros_on_x(fan, F, method="radical").ok \
-            == no_common_zeros_on_x(fan, F, method="chart").ok
+        radical = all(radical_member(MultiPoly.monomial(e), F)
+                      for e in irrelevant_ideal(fan))
+        assert radical == no_common_zeros_on_x(fan, F).ok

@@ -14,6 +14,7 @@ from toricres import (
     polytope_volume,
 )
 from toricres.poly import MultiPoly
+from toricres.polytopes import _vertices
 
 
 def test_p2_simplex(p2):
@@ -36,6 +37,12 @@ def test_point_polytope(p2):
     fan, _ = p2
     poly = divisor_polytope(fan, (0, 0, 0))
     assert lattice_points(poly) == [(0, 0)]
+
+
+def test_vertices_skip_parallel_facets():
+    # the parallel pairs of facets meet nowhere; only the corners are vertices
+    square = HPolytope(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), (1, 1, 1, 1))
+    assert _vertices(square) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
 def test_segment_volume():

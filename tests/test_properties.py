@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +21,12 @@ from toricres import (
     toric_residue,
 )
 from toricres.divisors import is_ample, is_cartier, is_q_ample
-from toricres.lattice import dot, smith_normal_form
+from toricres.lattice import (dot, mat_rank, rational_kernel, rref, smith_normal_form,
+                              solve_rational)
 from toricres.polytopes import monomial_basis
 
 from conftest import load
+from oracles import minor_rank
 
 DEFAULTS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -49,6 +52,73 @@ def test_smith_form_reconstructs(rows, cols, data):
         min_size=rows, max_size=rows))
     dec = smith_normal_form(A)
     assert dec.verify(A)
+
+
+# small entries and rows that repeat combinations of earlier rows make
+# rank-deficient and inconsistent systems common
+@st.composite
+def linear_systems(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    A = []
+    for _ in range(rows):
+        if A and draw(st.booleans()):
+            weights = draw(st.lists(entry, min_size=len(A), max_size=len(A)))
+            A.append([sum(w * r[j] for w, r in zip(weights, A)) for j in range(cols)])
+        else:
+            A.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    if draw(st.booleans()):
+        y = draw(st.lists(entry, min_size=cols, max_size=cols))
+        b = [dot(row, y) for row in A]
+    else:
+        b = draw(st.lists(entry, min_size=rows, max_size=rows))
+    return A, b
+
+
+def integer_multiple(v):
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return [int(x * den) for x in v]
+
+
+@DEFAULTS
+@given(linear_systems())
+def test_solve_rational_against_ranks(system):
+    A, b = system
+    x = solve_rational(A, b)
+    inconsistent = minor_rank([row + [bi] for row, bi in zip(A, b)]) > minor_rank(A)
+    assert (x is None) == inconsistent
+    if x is not None:
+        assert [sum(a * xi for a, xi in zip(row, x)) for row in A] == b
+
+
+@DEFAULTS
+@given(linear_systems())
+def test_kernel_and_rank_against_minors(system):
+    A, _ = system
+    ncols = len(A[0])
+    rank = minor_rank(A)
+    assert mat_rank(A) == rank
+    kernel = rational_kernel(A, ncols)
+    for v in kernel:
+        assert all(sum(a * vi for a, vi in zip(row, v)) == 0 for row in A)
+    assert rank + len(kernel) == ncols
+    assert minor_rank([integer_multiple(v) for v in kernel]) == len(kernel)
+
+
+@DEFAULTS
+@given(linear_systems())
+def test_rref_is_reduced_echelon(system):
+    A, _ = system
+    ncols = len(A[0])
+    rows, pivots = rref(A, ncols)
+    assert len(rows) == len(pivots) == minor_rank(A)
+    assert pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(rows, pivots)):
+        assert all(x == 0 for x in row[:c])
+        assert [r[c] for r in rows] == [int(k == i) for k in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
