@@ -40,14 +40,15 @@ def cone_functionals(fan: FanData, coeffs) -> list[tuple[Fraction, ...]]:
     return out
 
 
+def _cartier_failures(ms) -> tuple[int, ...]:
+    return tuple(k for k, m in enumerate(ms) if any(x.denominator != 1 for x in m))
+
+
 def is_cartier(fan: FanData, coeffs) -> PositivityReport:
     """Integral per-cone functionals exist."""
-    witnesses = []
-    for k, m in enumerate(cone_functionals(fan, coeffs)):
-        if any(x.denominator != 1 for x in m):
-            witnesses.append(k)
+    witnesses = _cartier_failures(cone_functionals(fan, coeffs))
     ok = not witnesses
-    return PositivityReport(ok, ok, tuple(witnesses))
+    return PositivityReport(ok, ok, witnesses)
 
 
 def _strictness_failures(fan: FanData, ms, coeffs):
@@ -65,15 +66,14 @@ def is_q_ample(fan: FanData, coeffs) -> PositivityReport:
     """Strictly convex rational support function exists."""
     ms = cone_functionals(fan, coeffs)
     bad = _strictness_failures(fan, ms, coeffs)
-    cart = not is_cartier(fan, coeffs).witnesses
-    return PositivityReport(not bad, cart, tuple(bad))
+    return PositivityReport(not bad, not _cartier_failures(ms), tuple(bad))
 
 
 def is_ample(fan: FanData, coeffs) -> PositivityReport:
     """Cartier with a strictly convex support function."""
-    cart = is_cartier(fan, coeffs)
-    if not cart.ok:
-        return PositivityReport(False, False, cart.witnesses)
     ms = cone_functionals(fan, coeffs)
+    witnesses = _cartier_failures(ms)
+    if witnesses:
+        return PositivityReport(False, False, witnesses)
     bad = _strictness_failures(fan, ms, coeffs)
     return PositivityReport(not bad, True, tuple(bad))

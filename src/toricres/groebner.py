@@ -7,7 +7,11 @@ precedence, so bases are reproducible across runs.
 
 Division is heap-ordered sparse division (Monagan-Pearce, JSC 2011) against
 a reducer table of (lead exponent, lead coefficient, tail terms) triples,
-built once per basis rather than once per division.
+built once per basis rather than once per division.  Buchberger keeps each
+basis element only as a monic reducer ``(lead, 1, tail)`` in one such
+table: S-polynomials shift two tails to the lcm of the leads, each S-pair
+carries the order key of its lcm from the moment it is made, and the final
+inter-reduction divides each minimal element's tail and keeps its lead.
 """
 
 from __future__ import annotations
@@ -148,7 +152,7 @@ def divide(p: MultiPoly, table, order: MonomialOrder) -> MultiPoly:
             else:
                 work[ne] = -factor * gc
                 heappush(heap, (hkey(ne), ne))
-    return MultiPoly(p.nvars, rem)
+    return MultiPoly.from_terms(p.nvars, rem)
 
 
 def normal_form(p: MultiPoly, basis, order: MonomialOrder) -> MultiPoly:
@@ -156,52 +160,63 @@ def normal_form(p: MultiPoly, basis, order: MonomialOrder) -> MultiPoly:
     return divide(p, reducer_table(basis, order), order)
 
 
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    (ef, cf) = leading_term(f, order)
-    (eg, cg) = leading_term(g, order)
-    L = _lcm(ef, eg)
-    mf = MultiPoly.monomial(_sub_exp(L, ef), Fraction(1, 1) / cf)
-    mg = MultiPoly.monomial(_sub_exp(L, eg), Fraction(1, 1) / cg)
-    return mf * f - mg * g
+def s_polynomial(f: Reducer, g: Reducer, nvars: int) -> MultiPoly:
+    """S-polynomial of two monic reducers: both tails shifted to the lcm of
+    the leads, g's subtracted from f's.  The leads cancel, so they never
+    enter the sum."""
+    fe, _, ftail = f
+    ge, _, gtail = g
+    L = _lcm(fe, ge)
+    sf, sg = _sub_exp(L, fe), _sub_exp(L, ge)
+    add = operator.add
+    terms = {tuple(map(add, e, sf)): c for e, c in ftail}
+    for e, c in gtail:
+        ne = tuple(map(add, e, sg))
+        s = terms.get(ne, 0) - c
+        if s:
+            terms[ne] = s
+        else:
+            del terms[ne]
+    return MultiPoly.from_terms(nvars, terms)
 
 
-def _gm_update(G_leads, pairs, new_index, new_lead):
-    """Gebauer-Moeller pair list update for one new basis element.
+def _monic(r: MultiPoly, order: MonomialOrder) -> Reducer:
+    le, lc, tail = reducer(r, order)
+    return le, Fraction(1), tuple((e, c / lc) for e, c in tail)
 
+
+def _gm_update(table, pairs, new_lead, order: MonomialOrder):
+    """Gebauer-Moeller pair list update for a new element with lead
+    new_lead, to be appended to the reducer table.
+
+    A pair is ``(order key of lcm, lcm, i, j)``, keyed once when it is made.
     Coprime pairs survive the divisibility sieve so they can knock out other
     candidates, then are dropped at the end; old pairs whose lcm the new lead
     properly refines are discarded.
     """
-    t = new_index
+    t = len(table)
     lt = new_lead
-
-    def pair_lcm(i):
-        return _lcm(G_leads[i], lt)
-
-    def coprime(i):
-        return pair_lcm(i) == tuple(a + b for a, b in zip(G_leads[i], lt))
-
+    lcms = [_lcm(le, lt) for le, _, _ in table]
+    coprime = [L == tuple(map(operator.add, le, lt))
+               for (le, _, _), L in zip(table, lcms)]
     C = list(range(t))
     D = []
     while C:
         i = C.pop(0)
-        li = pair_lcm(i)
-        if coprime(i) or (all(not _divides(pair_lcm(j), li) for j in C)
-                          and all(not _divides(pair_lcm(j), li) for j in D)):
+        li = lcms[i]
+        if coprime[i] or not any(_divides(lcms[j], li) for j in C + D):
             D.append(i)
-    E = [i for i in D if not coprime(i)]
-    kept_old = []
-    for (i, j) in pairs:
-        lij = _lcm(G_leads[i], G_leads[j])
-        if _divides(lt, lij) and pair_lcm(i) != lij and pair_lcm(j) != lij:
-            continue
-        kept_old.append((i, j))
-    return kept_old + [(i, t) for i in E]
+    kept_old = [p for p in pairs
+                if not (_divides(lt, p[1]) and lcms[p[2]] != p[1] and lcms[p[3]] != p[1])]
+    return kept_old + [(order.key(lcms[i]), lcms[i], i, t) for i in D if not coprime[i]]
 
 
 def buchberger(gens, order: MonomialOrder) -> list[MultiPoly]:
     """Reduced monic Groebner basis of the ideal generated by gens.
 
+    Each element is kept only as a monic reducer in one table: the table
+    is the divisor list, the source of every S-polynomial and the list of
+    leads the pair update reads.
     Returns ``[1]`` as soon as a remainder is a nonzero constant: that is
     the reduced basis of the unit ideal.
     """
@@ -209,18 +224,15 @@ def buchberger(gens, order: MonomialOrder) -> list[MultiPoly]:
     if not G:
         return []
     nv = G[0].nvars
-    basis: list[MultiPoly] = []
-    leads: list[Exponent] = []
     table: list[Reducer] = []
-    pairs: list[tuple[int, int]] = []
+    pairs: list[tuple] = []
 
     def candidates():
         yield from sorted(G, key=lambda q: order.key(leading_term(q, order)[0]))
         while pairs:
-            best = min(pairs, key=lambda ij: order.key(_lcm(leads[ij[0]], leads[ij[1]])))
+            best = min(pairs, key=operator.itemgetter(0))
             pairs.remove(best)
-            i, j = best
-            yield s_polynomial(basis[i], basis[j], order)
+            yield s_polynomial(table[best[2]], table[best[3]], nv)
 
     for q in candidates():
         r = divide(q, table, order)
@@ -228,25 +240,21 @@ def buchberger(gens, order: MonomialOrder) -> list[MultiPoly]:
             continue
         if r.is_constant():
             return [MultiPoly.constant(nv, 1)]
-        e, c = leading_term(r, order)
-        r = r * (Fraction(1) / c)
-        pairs = _gm_update(leads, pairs, len(basis), e)
-        basis.append(r)
-        leads.append(e)
-        table.append(reducer(r, order))
+        g = _monic(r, order)
+        pairs = _gm_update(table, pairs, g[0], order)
+        table.append(g)
     # minimalize: drop elements whose lead is divisible by another lead
-    minimal = [i for i, e in enumerate(leads)
-               if not any(k != i and _divides(leads[k], e)
-                          and (leads[k] != e or k < i) for k in range(len(basis)))]
-    # reduce tails
+    minimal = [g for i, g in enumerate(table)
+               if not any(k != i and _divides(h[0], g[0]) and (h[0] != g[0] or k < i)
+                          for k, h in enumerate(table))]
+    minimal.sort(key=lambda g: order.key(g[0]))
+    # reduce tails; no other minimal lead divides a lead, which stays monic
     reduced = []
-    for i in minimal:
-        r = divide(basis[i], [table[k] for k in minimal if k != i], order)
-        if r.is_zero():
-            continue
-        e, c = leading_term(r, order)
-        reduced.append(r * (Fraction(1) / c))
-    reduced.sort(key=lambda q: order.key(leading_term(q, order)[0]))
+    for g in minimal:
+        le, one, tail = g
+        rem = divide(MultiPoly.from_terms(nv, dict(tail)),
+                     [h for h in minimal if h is not g], order)
+        reduced.append(MultiPoly.from_terms(nv, {le: one, **rem.terms}))
     return reduced
 
 

@@ -25,9 +25,8 @@ from .errors import (
 )
 from .groebner import (
     GroebnerBasis,
-    MonomialOrder,
-    grevlex,
     leading_term,
+    lex,
     quotient_is_finite,
     standard_monomials,
 )
@@ -144,10 +143,6 @@ def _roots_dk(coeffs) -> list[complex]:
 # ---------------------------------------------------------------------------
 # shape-position solving
 
-def _lex_order(nv: int) -> MonomialOrder:
-    return MonomialOrder("lex", tuple(range(nv)))
-
-
 def _shape_parts(gb: GroebnerBasis, nv: int):
     """(univariate coefficients in the last variable, substitution tails)
     or None when the basis is not triangular in shape form."""
@@ -181,26 +176,25 @@ def solve_chart_system(polys, seed: int = 0):
     Returns (zeros, quotient_dim).  Raises NotZeroDimensional for a positive
     dimensional system, NotShapePosition when triangularization fails after
     seeded coordinate changes, NonSimpleZero when the count of distinct roots
-    falls short of the quotient dimension.
+    falls short of the quotient dimension.  Finiteness and the quotient
+    dimension are read from the lex basis of the first attempt, which is
+    a basis of the system's own ideal.
     """
     polys = [p for p in polys]
     if not polys:
         raise ValueError("empty system")
     nv = polys[0].nvars
-    gb0 = GroebnerBasis.of(polys, grevlex(nv))
-    if not quotient_is_finite(gb0):
+    gb = GroebnerBasis.of(polys, lex(nv))
+    if not quotient_is_finite(gb):
         raise NotZeroDimensional("chart system has positive-dimensional zeros")
-    qdim = len(standard_monomials(gb0))
+    qdim = len(standard_monomials(gb))
     if qdim == 0:
         return [], 0
 
     rng = random.Random(seed)
     change = None
     for attempt in range(6):
-        if attempt == 0:
-            cur = polys
-            change = None
-        else:
+        if attempt:
             # last variable becomes a generic separating functional; the
             # change matrix is unitriangular so no determinant check needed
             C = [[1 if i == j else 0 for j in range(nv)] for i in range(nv)]
@@ -213,9 +207,8 @@ def solve_chart_system(polys, seed: int = 0):
                     if C[i][j]:
                         acc = acc + C[i][j] * MultiPoly.variable(nv, j)
                 subs[i] = acc
-            cur = [p.substitute(subs) for p in polys]
             change = C
-        gb = GroebnerBasis.of(cur, _lex_order(nv))
+            gb = GroebnerBasis.of([p.substitute(subs) for p in polys], lex(nv))
         parts = _shape_parts(gb, nv)
         if parts is None:
             continue

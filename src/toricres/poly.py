@@ -44,6 +44,16 @@ class MultiPoly:
     # -- construction -----------------------------------------------------
 
     @classmethod
+    def from_terms(cls, nvars, terms):
+        """Trusted constructor: terms must already map int exponent tuples
+        of length nvars to nonzero Fractions.  The dict is kept, not copied
+        or checked."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars, {})
 
@@ -70,9 +80,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get(tuple([0] * self.nvars), Fraction(0))
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other):
@@ -90,19 +97,13 @@ class MultiPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        p = MultiPoly.__new__(MultiPoly)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return MultiPoly.from_terms(self.nvars, out)
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self):
-        p = MultiPoly.__new__(MultiPoly)
-        p.nvars = self.nvars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return MultiPoly.from_terms(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -117,10 +118,7 @@ class MultiPoly:
             c = Fraction(other)
             if not c:
                 return MultiPoly.zero(self.nvars)
-            p = MultiPoly.__new__(MultiPoly)
-            p.nvars = self.nvars
-            p.terms = {e: c * v for e, v in self.terms.items()}
-            return p
+            return MultiPoly.from_terms(self.nvars, {e: c * v for e, v in self.terms.items()})
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -131,10 +129,7 @@ class MultiPoly:
                     out[e] = s
                 else:
                     del out[e]
-        p = MultiPoly.__new__(MultiPoly)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return MultiPoly.from_terms(self.nvars, out)
 
     def __rmul__(self, other):
         return self * other
@@ -165,11 +160,6 @@ class MultiPoly:
         return f"MultiPoly({poly_to_string(self, names)})"
 
     # -- queries -------------------------------------------------------------
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomial("total degree of the zero polynomial")
-        return max(sum(e) for e in self.terms)
 
     def coefficient(self, exponent) -> Fraction:
         return self.terms.get(tuple(exponent), Fraction(0))
@@ -211,19 +201,6 @@ class MultiPoly:
                     term = term * MultiPoly.variable(self.nvars, i, k)
             out = out + term
         return out
-
-
-def map_vars(p: MultiPoly, target_nvars: int, where) -> MultiPoly:
-    """Reindex variables: variable i of p becomes variable where[i]."""
-    out = {}
-    for e, c in p.terms.items():
-        ne = [0] * target_nvars
-        for i, k in enumerate(e):
-            if k:
-                ne[where[i]] += k
-        ne = tuple(ne)
-        out[ne] = out.get(ne, Fraction(0)) + c
-    return MultiPoly(target_nvars, out)
 
 
 # ---------------------------------------------------------------------------

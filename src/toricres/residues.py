@@ -301,6 +301,13 @@ def _require_hypotheses(problem: ResidueProblem):
 
 def toric_residue(problem: ResidueProblem, H: MultiPoly) -> Fraction:
     """Exact residue of H, normalized so the cone determinant has residue 1."""
+    c_h = _checked_coefficient(problem, H)
+    return c_h / problem.c_sigma if c_h else Fraction(0)
+
+
+def _checked_coefficient(problem: ResidueProblem, H: MultiPoly) -> Fraction:
+    """c(H), once the degree of H and the hypotheses of the residue hold;
+    0 for H = 0, which needs no check.  Afterwards c_sigma is nonzero."""
     if H.is_zero():
         return Fraction(0)
     try:
@@ -320,7 +327,7 @@ def toric_residue(problem: ResidueProblem, H: MultiPoly) -> Fraction:
     if c_sigma == 0:
         raise HypothesesFailed(
             "cone determinant lies in the ideal; residue undefined")
-    return problem.normal_coefficient(H) / c_sigma
+    return problem.normal_coefficient(H)
 
 
 @dataclass(frozen=True)
@@ -336,15 +343,15 @@ class ResidueReport:
 
 
 def residue_report(problem: ResidueProblem, H: MultiPoly) -> ResidueReport:
-    value = toric_residue(problem, H)
+    c_h = _checked_coefficient(problem, H)
     return ResidueReport(
         critical=problem.critical,
         monomials=tuple(problem.monomials),
         pivot=problem.pivot,
         delta=problem.delta,
         c_sigma=problem.c_sigma,
-        c_h=problem.normal_coefficient(H),
-        residue=value,
+        c_h=c_h,
+        residue=c_h / problem.c_sigma if c_h else Fraction(0),
         codim_ok=problem.codim.ok,
     )
 

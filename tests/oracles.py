@@ -3,7 +3,9 @@
 The residue values are derived by brute-force partial fractions, never by
 the package's own pipeline.  The slow paths are the straightforward forms
 of routines the package runs in a faster or different form: division by a
-linear scan for the greatest term, the codimension check that reduces
+linear scan for the greatest term, Buchberger over parallel lists with
+MultiPoly S-polynomials, the quotient dimension of a chart system from its
+grevlex basis, the codimension check that reduces
 every critical-degree monomial, membership in the radical through a slack
 variable, the completeness test that compares every pair of cones, and
 the rank as the size of the largest nonzero minor.  Tests compare engine
@@ -19,7 +21,8 @@ from math import gcd
 from toricres import (AllReduceToZero, GroebnerBasis, MonomialOrder, MultiPoly,
                       is_simplicial, monomial_basis)
 from toricres.grading import critical_degree
-from toricres.groebner import leading_term
+from toricres.groebner import (divide, grevlex, leading_term, quotient_is_finite,
+                               reducer, standard_monomials)
 from toricres.lattice import (dot, integer_kernel_vector, mat_det, primitive,
                               solve_rational, transpose)
 from toricres.poly import degree_of
@@ -160,6 +163,111 @@ def all_monomial_codim_check(fan, grading, polys, order) -> CodimReport:
             bad = next(e for e in nf.terms if e != pivot)
             return CodimReport(False, pivot, (m, bad), len(standard))
     return CodimReport(True, pivot, None, 1)
+
+
+def multipoly_s_polynomial(f, g, order):
+    """S-polynomial through MultiPoly products: each input is scaled by the
+    monomial that lifts its lead to the lcm over its lead coefficient."""
+    (ef, cf) = leading_term(f, order)
+    (eg, cg) = leading_term(g, order)
+    L = tuple(max(x, y) for x, y in zip(ef, eg))
+    mf = MultiPoly.monomial(tuple(a - b for a, b in zip(L, ef)), Fraction(1, 1) / cf)
+    mg = MultiPoly.monomial(tuple(a - b for a, b in zip(L, eg)), Fraction(1, 1) / cg)
+    return mf * f - mg * g
+
+
+def _gm_update_by_index(G_leads, pairs, new_index, new_lead):
+    """Gebauer-Moeller update on (i, j) index pairs, recomputing each lcm
+    wherever it is needed."""
+    t = new_index
+    lt = new_lead
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def pair_lcm(i):
+        return lcm(G_leads[i], lt)
+
+    def coprime(i):
+        return pair_lcm(i) == tuple(a + b for a, b in zip(G_leads[i], lt))
+
+    C = list(range(t))
+    D = []
+    while C:
+        i = C.pop(0)
+        li = pair_lcm(i)
+        if coprime(i) or (all(not _divides(pair_lcm(j), li) for j in C)
+                          and all(not _divides(pair_lcm(j), li) for j in D)):
+            D.append(i)
+    E = [i for i in D if not coprime(i)]
+    kept_old = []
+    for (i, j) in pairs:
+        lij = lcm(G_leads[i], G_leads[j])
+        if _divides(lt, lij) and pair_lcm(i) != lij and pair_lcm(j) != lij:
+            continue
+        kept_old.append((i, j))
+    return kept_old + [(i, t) for i in E]
+
+
+def parallel_list_buchberger(gens, order):
+    """Reduced monic Groebner basis, keeping each element three times: as a
+    MultiPoly, as a lead, and as a reducer.  S-polynomials are MultiPoly
+    products, and each pair's lcm and order key are recomputed whenever
+    the next pair is chosen."""
+    G = [g for g in gens if not g.is_zero()]
+    if not G:
+        return []
+    nv = G[0].nvars
+    basis = []
+    leads = []
+    table = []
+    pairs = []
+
+    def pair_key(ij):
+        i, j = ij
+        return order.key(tuple(max(x, y) for x, y in zip(leads[i], leads[j])))
+
+    def candidates():
+        yield from sorted(G, key=lambda q: order.key(leading_term(q, order)[0]))
+        while pairs:
+            best = min(pairs, key=pair_key)
+            pairs.remove(best)
+            i, j = best
+            yield multipoly_s_polynomial(basis[i], basis[j], order)
+
+    for q in candidates():
+        r = divide(q, table, order)
+        if r.is_zero():
+            continue
+        if r.is_constant():
+            return [MultiPoly.constant(nv, 1)]
+        e, c = leading_term(r, order)
+        r = r * (Fraction(1) / c)
+        pairs = _gm_update_by_index(leads, pairs, len(basis), e)
+        basis.append(r)
+        leads.append(e)
+        table.append(reducer(r, order))
+    minimal = [i for i, e in enumerate(leads)
+               if not any(k != i and _divides(leads[k], e)
+                          and (leads[k] != e or k < i) for k in range(len(basis)))]
+    reduced = []
+    for i in minimal:
+        r = divide(basis[i], [table[k] for k in minimal if k != i], order)
+        if r.is_zero():
+            continue
+        e, c = leading_term(r, order)
+        reduced.append(r * (Fraction(1) / c))
+    reduced.sort(key=lambda q: order.key(leading_term(q, order)[0]))
+    return reduced
+
+
+def grevlex_chart_dimension(polys):
+    """(finite, quotient dimension) of a square system from a grevlex
+    basis; the dimension is None when the quotient is infinite."""
+    gb = GroebnerBasis.of(list(polys), grevlex(polys[0].nvars))
+    if not quotient_is_finite(gb):
+        return False, None
+    return True, len(standard_monomials(gb))
 
 
 def radical_member(p, gens, order=None) -> bool:

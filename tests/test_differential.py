@@ -1,9 +1,13 @@
 """Fast paths against the slow paths they replace (``oracles.py``).
 
 The heap-ordered division must give the same remainder, term for term, as
-the linear scan; the codimension check on the cached basis must give the
-same report as the check that reduces every critical-degree monomial; the
-linear-time completeness test must agree with the pairwise overlap test.
+the linear scan; Buchberger over one table of monic reducers must give the
+same basis, generator for generator, as Buchberger over parallel lists; the
+chart solver's finiteness and quotient dimension, read from a lex basis,
+must match a grevlex basis; the codimension check on the cached basis must
+give the same report as the check that reduces every critical-degree
+monomial; the linear-time completeness test must agree with the pairwise
+overlap test.
 """
 
 import itertools
@@ -12,28 +16,41 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import toricres.divisors as divisors_mod
 import toricres.groebner as groebner_mod
+import toricres.localres as localres_mod
 from toricres import (
     AllReduceToZero,
     GroebnerBasis,
     MonomialOrder,
     MultiPoly,
+    NonSimpleZero,
+    NotShapePosition,
+    NotZeroDimensional,
     ResidueProblem,
     buchberger,
     dehomogenize,
     grevlex,
+    is_ample,
     is_complete,
+    is_q_ample,
+    lex,
     load_fan,
     make_fan,
     monomial_basis,
     normal_form,
     parse_poly,
+    residue_report,
+    solve_chart_system,
 )
 
+from toricres.groebner import reducer, s_polynomial
 from toricres.lattice import primitive
 
 from conftest import FIXTURES, load
-from oracles import all_monomial_codim_check, linear_scan_normal_form, pairwise_is_complete
+from oracles import (all_monomial_codim_check, grevlex_chart_dimension,
+                     linear_scan_normal_form, multipoly_s_polynomial, pairwise_is_complete,
+                     parallel_list_buchberger)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -148,6 +165,148 @@ def test_heap_key_ascends_as_the_order_descends(kind, prec, exps):
 
 
 # ---------------------------------------------------------------------------
+# Buchberger over one reducer table
+
+
+def term_lists(basis):
+    return [list(g.terms.items()) for g in basis]
+
+
+@st.composite
+def ideal_cases(draw):
+    """Generators under a permuted order, possibly with zero generators,
+    duplicates, and a constant that makes the ideal the unit ideal."""
+    nvars = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["grevlex", "lex"]))
+    order = MonomialOrder(kind, tuple(draw(st.permutations(range(nvars)))))
+    # at most nvars nonconstant generators, so that most ideals are proper
+    gens = draw(st.lists(polys_st(nvars, max_deg=2, max_terms=4).filter(
+        lambda p: not p.is_constant()), min_size=nvars - 1, max_size=nvars))
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    for extra, odds in ((MultiPoly.zero(nvars), 3), (MultiPoly.constant(nvars, 3), 6)):
+        if draw(st.integers(1, odds)) == odds:
+            gens.insert(draw(st.integers(0, len(gens))), extra)
+    return gens, order
+
+
+@settings(SETTINGS, max_examples=60)
+@given(ideal_cases())
+def test_buchberger_matches_parallel_list_oracle(case):
+    gens, order = case
+    assert term_lists(buchberger(gens, order)) \
+        == term_lists(parallel_list_buchberger(gens, order))
+
+
+def test_buchberger_edge_ideals_match_oracle():
+    names = ("x", "y")
+    order = MonomialOrder("grevlex", (1, 0))
+    zero = MultiPoly.zero(2)
+    f, g = parse_poly("x^2 - y", names), parse_poly("x*y - 1", names)
+    for gens in ([], [zero, zero], [zero, f, zero], [f, f, g, g], [g, f, g],
+                 [f, MultiPoly.constant(2, -2)]):
+        assert term_lists(buchberger(gens, order)) \
+            == term_lists(parallel_list_buchberger(gens, order))
+    assert buchberger([zero, zero], order) == []
+    assert buchberger([f, MultiPoly.constant(2, -2)], order) == [MultiPoly.constant(2, 1)]
+
+
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
+def test_buchberger_matches_oracle_on_fixture_ideals(name):
+    pb = load(name).problem
+    assert term_lists(buchberger(pb.polys, pb.order)) \
+        == term_lists(parallel_list_buchberger(pb.polys, pb.order))
+    dim = pb.fan.dim
+    for k in range(len(pb.fan.max_cones)):
+        charts = [dehomogenize(p, pb.fan, k) for p in pb.polys]
+        for order in (grevlex(dim), lex(dim)):
+            assert term_lists(buchberger(charts, order)) \
+                == term_lists(parallel_list_buchberger(charts, order))
+            for j in range(len(charts)):
+                dropped = charts[:j] + charts[j + 1:]
+                assert term_lists(buchberger(dropped, order)) \
+                    == term_lists(parallel_list_buchberger(dropped, order))
+
+
+@SETTINGS
+@given(division_cases())
+def test_s_polynomial_of_monic_reducers_matches_multipoly_oracle(case):
+    _, polys, order = case
+    polys = [p for p in polys if not p.is_zero()]
+    assume(len(polys) >= 2)
+    f, g = polys[:2]
+    monic = [reducer(p * (1 / reducer(p, order)[1]), order) for p in (f, g)]
+    assert s_polynomial(*monic, f.nvars) == multipoly_s_polynomial(f, g, order)
+
+
+# ---------------------------------------------------------------------------
+# chart solver: finiteness and quotient dimension from the lex basis
+
+
+def solver_dimension(system):
+    """(finite, quotient dimension) as solve_chart_system sees them, on
+    every exit: the dimension is recorded where the solver counts it."""
+    seen = []
+    real = localres_mod.standard_monomials
+
+    def counted(gb):
+        out = real(gb)
+        seen.append(len(out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localres_mod, "standard_monomials", counted)
+        try:
+            solve_chart_system(system)
+        except NotZeroDimensional:
+            return False, None
+        except (NonSimpleZero, NotShapePosition):
+            pass
+    return True, seen[0]
+
+
+def chart_systems(name):
+    pb = load(name).problem
+    for cone in range(len(pb.fan.max_cones)):
+        charts = [dehomogenize(p, pb.fan, cone) for p in pb.polys]
+        for k in range(len(charts)):
+            yield charts[:k] + charts[k + 1:]
+
+
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
+def test_chart_solver_dimension_matches_grevlex_oracle(name):
+    for system in chart_systems(name):
+        assert solver_dimension(system) == grevlex_chart_dimension(system)
+
+
+def test_chart_solver_fixtures_cover_infinite_and_positive_dimensions():
+    seen = {grevlex_chart_dimension(s) for s in chart_systems("p1p1_infinite.json")}
+    assert (False, None) in seen
+    seen |= {grevlex_chart_dimension(s) for s in chart_systems("pentagon_main.json")}
+    assert {(True, 0), (True, 1), (True, 5), (True, 13)} <= seen
+
+
+@st.composite
+def square_systems(draw):
+    """Square systems in one or two variables; a common factor, when drawn,
+    makes a two-variable system positive-dimensional."""
+    nvars = draw(st.integers(1, 2))
+    system = draw(st.lists(polys_st(nvars, max_deg=2, max_terms=3).filter(
+        lambda p: not p.is_zero()), min_size=nvars, max_size=nvars))
+    if nvars == 2 and draw(st.booleans()):
+        common = draw(polys_st(nvars, max_deg=1, max_terms=2).filter(
+            lambda p: not p.is_constant()))
+        system = [common * p for p in system]
+    return system
+
+
+@settings(SETTINGS, max_examples=80)
+@given(square_systems())
+def test_chart_solver_dimension_matches_oracle_on_random_systems(system):
+    assert solver_dimension(system) == grevlex_chart_dimension(system)
+
+
+# ---------------------------------------------------------------------------
 # each artifact built once
 
 
@@ -182,6 +341,41 @@ def test_codim_alone_builds_the_basis_once(monkeypatch):
     pb.groebner
     pb.c_sigma
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["pentagon_main.json", "torsion_fermat.json",
+                                  "p2_fermat.json"])
+def test_residue_report_reduces_h_once(monkeypatch, name):
+    lp = load(name)
+    H = lp.inputs[0]
+    reduced = []
+    real = GroebnerBasis.reduce
+
+    def counted(gb, p):
+        reduced.append(p)
+        return real(gb, p)
+
+    monkeypatch.setattr(GroebnerBasis, "reduce", counted)
+    rep = residue_report(lp.problem, H)
+    assert sum(p is H for p in reduced) == 1
+    assert rep.residue == rep.c_h / rep.c_sigma
+
+
+@pytest.mark.parametrize("test", [is_ample, is_q_ample])
+def test_positivity_solves_cone_functionals_once(monkeypatch, pentagon, test):
+    calls = []
+    real = divisors_mod.cone_functionals
+
+    def counted(fan, coeffs):
+        calls.append(coeffs)
+        return real(fan, coeffs)
+
+    monkeypatch.setattr(divisors_mod, "cone_functionals", counted)
+    fan, _ = pentagon
+    for coeffs in ((0, 0, 1, 1, 1), (0, 0, 2, 3, 1), (0, 0, -1, -1, -1)):
+        calls.clear()
+        test(fan, coeffs)
+        assert calls == [coeffs]
 
 
 def test_constant_in_the_ideal_gives_the_unit_basis():
