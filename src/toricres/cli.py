@@ -46,7 +46,7 @@ from .grading import DegreeClass, anticanonical_class, representative_divisor
 from .groebner import grevlex
 from .lattice import is_complete, is_simplicial
 from .localres import sum_local_residues
-from .poly import MultiPoly, parse_poly, poly_to_string
+from .poly import MultiPoly, parse_poly, poly_det, poly_to_string
 from .polytopes import monomial_basis
 from .residues import (
     ResidueProblem,
@@ -304,7 +304,6 @@ def _random_admissible(problem, rng):
                     if mons and rng.random() < 0.5:
                         M[i][j] = MultiPoly.monomial(
                             rng.choice(mons), rng.randint(1, 2))
-        from .poly import poly_det
         if not poly_det(M).is_zero():
             return M
 

@@ -191,6 +191,7 @@ def solve_chart_system(polys, seed: int = 0):
     if qdim == 0:
         return [], 0
 
+    system = [_complex_terms(p) for p in polys]
     rng = random.Random(seed)
     change = None
     for attempt in range(6):
@@ -225,8 +226,8 @@ def solve_chart_system(polys, seed: int = 0):
                 coords = [sum(change[i][j] * coords[j] for j in range(nv))
                           for i in range(nv)]
             pts.append(tuple(coords))
-        pts = _newton_refine(polys, pts)
-        pts = [p for p in pts if _residual(polys, p) < RESIDUAL_TOL]
+        pts = _newton_refine(polys, system, pts)
+        pts = [p for p in pts if _residual(system, p) < RESIDUAL_TOL]
         pts = _dedupe(pts)
         if len(pts) < len(roots):
             raise NonSimpleZero(
@@ -238,8 +239,27 @@ def solve_chart_system(polys, seed: int = 0):
     raise NotShapePosition("no triangular basis after coordinate changes")
 
 
-def _residual(polys, pt) -> float:
-    return max(abs(complex(p.evaluate(pt))) for p in polys)
+def _complex_terms(p: MultiPoly):
+    """Terms of p as (complex(c), ((variable, power), ..)): complex(c) is what
+    a Fraction c becomes when it meets a complex value, so ``_evaluate`` at
+    complex points repeats the operations of ``MultiPoly.evaluate``."""
+    return [(complex(c), tuple((i, k) for i, k in enumerate(e) if k))
+            for e, c in p.terms.items()]
+
+
+def _evaluate(terms, pt):
+    """Value at pt of a polynomial given by ``_complex_terms``."""
+    total = 0
+    for c, powers in terms:
+        v = c
+        for i, k in powers:
+            v = v * pt[i] ** k
+        total = total + v
+    return total
+
+
+def _residual(system, pt) -> float:
+    return max(abs(complex(_evaluate(p, pt))) for p in system)
 
 
 def _dedupe(pts):
@@ -250,20 +270,28 @@ def _dedupe(pts):
     return out
 
 
-def _newton_refine(polys, pts, steps: int = 30):
-    nv = polys[0].nvars
-    jac = [[p.partial(j) for j in range(nv)] for p in polys]
+def _jacobian_terms(polys, nv: int):
+    """``_complex_terms`` of every partial derivative, by row and column."""
+    return [[_complex_terms(p.partial(j)) for j in range(nv)] for p in polys]
+
+
+def _jacobian_at(jac, z):
+    """Matrix at z of a Jacobian from ``_jacobian_terms``."""
+    return np.array([[complex(_evaluate(entry, z)) for entry in row] for row in jac])
+
+
+def _newton_refine(polys, system, pts, steps: int = 30):
+    jac = _jacobian_terms(polys, polys[0].nvars)
     out = []
     for pt in pts:
         x = np.array(pt, dtype=complex)
         for _ in range(steps):
-            fval = np.array([complex(p.evaluate(tuple(x))) for p in polys])
+            xt = tuple(x)
+            fval = np.array([complex(_evaluate(p, xt)) for p in system])
             if max(abs(v) for v in fval) < 1e-15:
                 break
-            J = np.array([[complex(jac[i][j].evaluate(tuple(x)))
-                           for j in range(nv)] for i in range(len(polys))])
             try:
-                dx = np.linalg.solve(J, -fval)
+                dx = np.linalg.solve(_jacobian_at(jac, xt), -fval)
             except np.linalg.LinAlgError:
                 break
             x = x + dx
@@ -298,13 +326,9 @@ def chart_zero_set(problem, k: int, cone_index: int | None = None,
             f"inputs excluding {k} meet in positive dimension in cone {cone}"
         ) from exc
     nv = fan.dim
-    jacs = []
-    jac_polys = [[f.partial(j) for j in range(nv)] for f in system]
-    for z in zeros:
-        M = np.array([[complex(jac_polys[i][j].evaluate(z)) for j in range(nv)]
-                      for i in range(nv)])
-        jacs.append(complex(np.linalg.det(M)))
-    return NumericZeroSet(cone, tuple(zeros), tuple(jacs), qdim)
+    jac = _jacobian_terms(system, nv)
+    jacs = tuple(complex(np.linalg.det(_jacobian_at(jac, z))) for z in zeros)
+    return NumericZeroSet(cone, tuple(zeros), jacs, qdim)
 
 
 def local_residue_simple(problem, H: MultiPoly, k: int, zero,
@@ -315,12 +339,12 @@ def local_residue_simple(problem, H: MultiPoly, k: int, zero,
     cone = problem.sigma if cone_index is None else cone_index
     fk = dehomogenize(problem.polys[k], fan, cone)
     h = dehomogenize(H, fan, cone)
-    fk_val = complex(fk.evaluate(zero))
+    fk_val = complex(_evaluate(_complex_terms(fk), zero))
     if abs(fk_val) < RESIDUAL_TOL:
         raise ZeroOnPolarLocus("dropped input vanishes at the zero")
     if abs(jacobian) < RESIDUAL_TOL:
         raise NonSimpleZero("vanishing Jacobian at the zero")
-    return complex(h.evaluate(zero)) / (fk_val * jacobian)
+    return complex(_evaluate(_complex_terms(h), zero)) / (fk_val * jacobian)
 
 
 def sum_local_residues(problem, H: MultiPoly, k: int, seed: int = 0) -> complex:
@@ -351,19 +375,17 @@ def euler_jacobi_check(nvars: int, f_list, g: MultiPoly, seed: int = 0):
     """Sum of torus residues of g against the given divisor polynomials,
     weighted by the torus form; returns (vanishes, total)."""
     zeros, _ = solve_chart_system(list(f_list), seed=seed)
-    nv = nvars
-    jac_polys = [[f.partial(j) for j in range(nv)] for f in f_list]
+    jac = _jacobian_terms(f_list, nvars)
+    g_terms = _complex_terms(g)
     total = 0j
     for z in zeros:
         if any(abs(c) < SEPARATION_TOL for c in z):
             raise NotTorusZero("zero off the torus")
-        M = np.array([[complex(jac_polys[i][j].evaluate(z)) for j in range(nv)]
-                      for i in range(nv)])
-        det = complex(np.linalg.det(M))
+        det = complex(np.linalg.det(_jacobian_at(jac, z)))
         if abs(det) < RESIDUAL_TOL:
             raise NonSimpleZero("vanishing Jacobian at a torus zero")
         coord = 1+0j
         for c in z:
             coord *= c
-        total += complex(g.evaluate(z)) / (coord * det)
+        total += complex(_evaluate(g_terms, z)) / (coord * det)
     return abs(total) < COMPARE_TOL, total

@@ -1,13 +1,15 @@
 """Residue pipeline on a complete simplicial fan.
 
 Given n+1 homogeneous polynomials with no common zeros on the variety, the
-residue of a critical-degree input H is computed as c / c_sigma: both H and
-the distinguished cone determinant reduce, modulo a Groebner basis of the
-input ideal, to rational multiples of a single monomial.
+residue of a critical-degree input H is l(H) / l(Delta_sigma), where l sends
+each critical-degree monomial to the coefficient of one standard monomial in
+its normal form modulo a Groebner basis of the input ideal, and Delta_sigma
+is the distinguished cone determinant.  l is built once per problem.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,57 +135,68 @@ class CodimReport:
         return self.ok
 
 
-def codim_one_check(fan: FanData, grading: Grading, polys,
-                    order: MonomialOrder,
-                    groebner: GroebnerBasis | None = None,
-                    monomials=None) -> CodimReport:
-    """Whether the ideal has codimension one in the critical-degree slice.
+def residue_functional(grading: Grading, order: MonomialOrder,
+                       groebner: GroebnerBasis, monomials) -> tuple[CodimReport, dict]:
+    """Codimension report and residue functional of the critical slice, from
+    one ascending pass over its ``monomials`` against ``groebner``.
 
-    Counts the critical-degree monomials outside the leading ideal: the
-    check passes when exactly one is left, the pivot.  ``groebner`` and
-    ``monomials`` are the Groebner basis of ``polys`` under ``order`` and
-    the monomials of the critical degree; each is computed here when not
-    given.
-
-    One standard monomial suffices, without reducing the others: the
-    inputs are homogeneous in the class grading, so is every element of
-    the basis (checked here with ``degree_of``), and so the normal form of
-    a critical-degree monomial is a combination of critical-degree
-    standard monomials, i.e. a multiple of the pivot.  With more than one
-    standard monomial the report names the pivot (least in the order), the
-    two least standard monomials as the witness and their count.
+    The functional l sends m to the coefficient of the pivot, the least
+    standard monomial, in the normal form of m.  A standard m is its own
+    normal form: l(m) is 1 at the pivot and 0 elsewhere.  Otherwise, with
+    (le, lc, tail) the first reducer dividing m, normal forms being linear
+    give l(m) = -sum c_t*l(t*m/le)/lc over the tail; each t*m/le is below m
+    and, the basis being homogeneous (checked with ``degree_of``), in the
+    slice.  The check passes with one standard monomial, since every normal
+    form in the slice is then a multiple of the pivot; otherwise the report
+    names the pivot, the two least standard monomials and their count.
     """
-    mons = monomials
-    if mons is None:
-        degrees = [degree_of(p, grading) for p in polys]
-        mons = monomial_basis(fan, grading, critical_degree(grading, degrees))
-    if not mons:
+    if not monomials:
         raise AllReduceToZero("no monomials exist in the critical degree")
-    gb = groebner if groebner is not None else GroebnerBasis.of(list(polys), order)
-    for g in gb.generators:
+    for g in groebner.generators:
         degree_of(g, grading)
-    leads = gb.leading_exponents
-    standard = [m for m in mons if not any(_divides(le, m) for le in leads)]
+    le_, add, sub = operator.le, operator.add, operator.sub
+    ell = {}
+    standard = []
+    for m in sorted(monomials, key=order.key):
+        for le, lc, tail in groebner.reducers:
+            if all(map(le_, le, m)):
+                break
+        else:
+            ell[m] = Fraction(0) if standard else Fraction(1)
+            standard.append(m)
+            continue
+        shift = tuple(map(sub, m, le))
+        total = sum((c * ell[tuple(map(add, t, shift))] for t, c in tail), Fraction(0))
+        ell[m] = -total if lc == 1 else -total / lc
     if not standard:
         raise AllReduceToZero(
             "every critical-degree monomial reduces to zero")
-    pivot = min(standard, key=order.key)
     if len(standard) > 1:
-        others = sorted(standard, key=order.key)
-        return CodimReport(False, pivot, (others[0], others[1]), len(standard))
-    return CodimReport(True, pivot, None, 1)
+        return CodimReport(False, standard[0], tuple(standard[:2]), len(standard)), ell
+    return CodimReport(True, standard[0], None, 1), ell
+
+
+def codim_one_check(fan: FanData, grading: Grading, polys,
+                    order: MonomialOrder) -> CodimReport:
+    """Whether the ideal has codimension one in the critical-degree slice,
+    from a fresh basis and monomial list: see ``residue_functional``."""
+    degrees = [degree_of(p, grading) for p in polys]
+    mons = monomial_basis(fan, grading, critical_degree(grading, degrees))
+    gb = GroebnerBasis.of(list(polys), order)
+    return residue_functional(grading, order, gb, mons)[0]
 
 
 class ResidueProblem:
     """Immutable bundle: fan, grading, the n+1 forms, order, cone, basis.
 
     Heavy artifacts (critical degree, monomials of the critical degree,
-    Groebner basis with its reducer table, codimension report, cone
-    determinant) are computed once on first use.  The codimension report
-    reads the cached basis and monomials; the residue of every H and the
-    normalizing coefficient reduce against the cached basis.  Construction
-    only validates shapes and homogeneity, so non-conforming inputs can
-    still be probed.
+    Groebner basis with its reducer table, residue functional ``ell`` with
+    the codimension report, cone determinant) are computed once on first
+    use.  The functional and the report come from one pass over the cached
+    monomials against the cached basis; the residue of every H and the
+    normalizing coefficient are dot products with the functional.
+    Construction only validates shapes and homogeneity, so non-conforming
+    inputs can still be probed.
     """
 
     def __init__(self, fan: FanData, polys, order: MonomialOrder | None = None,
@@ -234,10 +247,21 @@ class ResidueProblem:
                          lambda: monomial_basis(self.fan, self.grading, self.critical))
 
     @property
+    def _monomial_set(self) -> frozenset:
+        return self._get("monomial_set", lambda: frozenset(self.monomials))
+
+    def _functional(self):
+        return self._get("functional", lambda: residue_functional(
+            self.grading, self.order, self.groebner, self.monomials))
+
+    @property
     def codim(self) -> CodimReport:
-        return self._get("codim", lambda: codim_one_check(
-            self.fan, self.grading, self.polys, self.order,
-            monomials=self.monomials, groebner=self.groebner))
+        return self._functional()[0]
+
+    @property
+    def ell(self) -> dict:
+        """Critical-degree monomial -> coefficient of the pivot in its normal form."""
+        return self._functional()[1]
 
     @property
     def pivot(self) -> Exponent:
@@ -263,18 +287,17 @@ class ResidueProblem:
 
     @property
     def c_sigma(self) -> Fraction:
-        def build():
-            nf = self.groebner.reduce(self.delta)
-            return nf.terms.get(self.pivot, Fraction(0))
-        return self._get("c_sigma", build)
+        return self._get("c_sigma", lambda: self.normal_coefficient(self.delta))
 
     def cone_sign(self, cone_index: int) -> int:
         d = pairing_det(self.fan, self.basis, self.fan.max_cones[cone_index])
         return (d > 0) - (d < 0)
 
     def normal_coefficient(self, H: MultiPoly) -> Fraction:
-        nf = self.groebner.reduce(H)
-        return nf.terms.get(self.pivot, Fraction(0))
+        """Coefficient of the pivot in the normal form of H: ``ell`` applied
+        to H, where terms outside the critical degree give 0."""
+        ell = self.ell
+        return sum((c * ell[e] for e, c in H.terms.items() if e in ell), Fraction(0))
 
 
 def cone_determinant(problem: ResidueProblem, cone_index: int | None = None) -> MultiPoly:
@@ -310,14 +333,16 @@ def _checked_coefficient(problem: ResidueProblem, H: MultiPoly) -> Fraction:
     0 for H = 0, which needs no check.  Afterwards c_sigma is nonzero."""
     if H.is_zero():
         return Fraction(0)
-    try:
-        dH = degree_of(H, problem.grading)
-    except NotHomogeneous as exc:
-        raise WrongDegree(f"input is not homogeneous: {exc}") from exc
-    if dH != problem.critical:
-        raise WrongDegree(
-            f"degree {dH.free}+t{dH.torsion} differs from the critical degree "
-            f"{problem.critical.free}+t{problem.critical.torsion}")
+    # an H with every term in the critical slice has the critical degree
+    if not problem._monomial_set.issuperset(H.terms):
+        try:
+            dH = degree_of(H, problem.grading)
+        except NotHomogeneous as exc:
+            raise WrongDegree(f"input is not homogeneous: {exc}") from exc
+        if dH != problem.critical:
+            raise WrongDegree(
+                f"degree {dH.free}+t{dH.torsion} differs from the critical degree "
+                f"{problem.critical.free}+t{problem.critical.torsion}")
     _require_hypotheses(problem)
     report = problem.codim
     if not report.ok:

@@ -6,10 +6,11 @@ of routines the package runs in a faster or different form: division by a
 linear scan for the greatest term, Buchberger over parallel lists with
 MultiPoly S-polynomials, the quotient dimension of a chart system from its
 grevlex basis, the codimension check that reduces
-every critical-degree monomial, membership in the radical through a slack
-variable, the completeness test that compares every pair of cones, and
-the rank as the size of the largest nonzero minor.  Tests compare engine
-output against them.
+every critical-degree monomial, the residue read from normal forms with
+every degree check done by ``degree_of``, membership in the radical
+through a slack variable, the completeness test that compares every pair
+of cones, and the rank as the size of the largest nonzero minor.  Tests
+compare engine output against them.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from toricres import (AllReduceToZero, GroebnerBasis, MonomialOrder, MultiPoly,
-                      is_simplicial, monomial_basis)
+from toricres import (AllReduceToZero, CodimNotOne, GroebnerBasis, HypothesesFailed,
+                      MonomialOrder, MultiPoly, NotHomogeneous, WrongDegree,
+                      cone_determinant, is_simplicial, monomial_basis)
 from toricres.grading import critical_degree
 from toricres.groebner import (divide, grevlex, leading_term, quotient_is_finite,
                                reducer, standard_monomials)
 from toricres.lattice import (dot, integer_kernel_vector, mat_det, primitive,
                               solve_rational, transpose)
 from toricres.poly import degree_of
-from toricres.residues import CodimReport
+from toricres.residues import CodimReport, _require_hypotheses
 
 
 def laurent_inverse_coefficient(a: int, d: int) -> int:
@@ -163,6 +165,59 @@ def all_monomial_codim_check(fan, grading, polys, order) -> CodimReport:
             bad = next(e for e in nf.terms if e != pivot)
             return CodimReport(False, pivot, (m, bad), len(standard))
     return CodimReport(True, pivot, None, 1)
+
+
+def normal_form_coefficient(problem, H) -> Fraction:
+    """Coefficient of the pivot in the linear-scan normal form of H modulo
+    the problem's basis; the pivot is the least critical-degree monomial
+    outside the leading ideal."""
+    gb = problem.groebner
+    leads = gb.leading_exponents
+    standard = [m for m in problem.monomials
+                if not any(_divides(le, m) for le in leads)]
+    if not standard:
+        raise AllReduceToZero(
+            "every critical-degree monomial reduces to zero")
+    pivot = min(standard, key=problem.order.key)
+    nf = linear_scan_normal_form(H, gb.generators, problem.order)
+    return nf.terms.get(pivot, Fraction(0))
+
+
+def normal_form_residue(problem, H) -> Fraction:
+    """Res(H) = c(H)/c_sigma with both coefficients read from normal forms,
+    after the checks in their order: the degree of H by ``degree_of``, the
+    hypotheses, the all-monomial codimension check, then c_sigma."""
+    if H.is_zero():
+        return Fraction(0)
+    try:
+        dH = degree_of(H, problem.grading)
+    except NotHomogeneous as exc:
+        raise WrongDegree(f"input is not homogeneous: {exc}") from exc
+    if dH != problem.critical:
+        raise WrongDegree(
+            f"degree {dH.free}+t{dH.torsion} differs from the critical degree "
+            f"{problem.critical.free}+t{problem.critical.torsion}")
+    _require_hypotheses(problem)
+    report = all_monomial_codim_check(problem.fan, problem.grading,
+                                      problem.polys, problem.order)
+    if not report.ok:
+        raise CodimNotOne(
+            f"critical-degree quotient has dimension {report.quotient_dim}")
+    c_sigma = normal_form_coefficient(problem, problem.delta)
+    if c_sigma == 0:
+        raise HypothesesFailed(
+            "cone determinant lies in the ideal; residue undefined")
+    c_h = normal_form_coefficient(problem, H)
+    return c_h / c_sigma if c_h else Fraction(0)
+
+
+def normal_form_sigma_independence(problem) -> bool:
+    """Every cone determinant's normal-form coefficient is the oriented
+    sign of its cone times c_sigma."""
+    c_sigma = normal_form_coefficient(problem, problem.delta)
+    return all(normal_form_coefficient(problem, cone_determinant(problem, k))
+               == problem.cone_sign(k) * c_sigma
+               for k in range(len(problem.fan.max_cones)))
 
 
 def multipoly_s_polynomial(f, g, order):

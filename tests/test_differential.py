@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 import toricres.divisors as divisors_mod
 import toricres.groebner as groebner_mod
 import toricres.localres as localres_mod
+import toricres.residues as residues_mod
 from toricres import (
     AllReduceToZero,
     GroebnerBasis,
@@ -41,7 +42,9 @@ from toricres import (
     normal_form,
     parse_poly,
     residue_report,
+    sigma_independence_check,
     solve_chart_system,
+    toric_residue,
 )
 
 from toricres.groebner import reducer, s_polynomial
@@ -345,20 +348,34 @@ def test_codim_alone_builds_the_basis_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["pentagon_main.json", "torsion_fermat.json",
                                   "p2_fermat.json"])
-def test_residue_report_reduces_h_once(monkeypatch, name):
+def test_residues_never_reduce_h_and_build_ell_once(monkeypatch, name):
     lp = load(name)
+    pb = lp.problem
     H = lp.inputs[0]
     reduced = []
-    real = GroebnerBasis.reduce
+    built = []
+    real_reduce = GroebnerBasis.reduce
+    real_functional = residues_mod.residue_functional
 
-    def counted(gb, p):
+    def counted_reduce(gb, p):
         reduced.append(p)
-        return real(gb, p)
+        return real_reduce(gb, p)
 
-    monkeypatch.setattr(GroebnerBasis, "reduce", counted)
-    rep = residue_report(lp.problem, H)
-    assert sum(p is H for p in reduced) == 1
+    def counted_functional(*args, **kwargs):
+        built.append(args)
+        return real_functional(*args, **kwargs)
+
+    monkeypatch.setattr(GroebnerBasis, "reduce", counted_reduce)
+    monkeypatch.setattr(residues_mod, "residue_functional", counted_functional)
+    rep = residue_report(pb, H)
     assert rep.residue == rep.c_h / rep.c_sigma
+    for k in range(1, 6):
+        assert toric_residue(pb, H * k) == k * rep.residue
+    assert toric_residue(pb, pb.delta) == 1
+    assert sigma_independence_check(pb)
+    assert pb.codim.ok
+    assert reduced == []
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("test", [is_ample, is_q_ample])
