@@ -90,11 +90,14 @@ class NotZeroDimensional(ToricError):
 
 
 class NotShapePosition(ToricError):
-    """Lex basis not triangular after the allowed coordinate changes."""
+    """No longer raised: the numeric cross-check reads zeros from
+    multiplication matrices, not from a lex basis in shape position.  Kept
+    exported so that existing ``except`` clauses keep working."""
 
 
 class NonSimpleZero(ToricError):
-    """A zero has multiplicity or a singular Jacobian."""
+    """A zero has multiplicity (a singular Jacobian), or the numeric solve
+    resolved fewer distinct zeros than the quotient dimension."""
 
 
 class ZeroOnPolarLocus(ToricError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import InvalidFan
 
@@ -60,14 +60,17 @@ def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
-def mat_det(A) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
+def mat_det(A) -> int | Fraction:
+    """Exact determinant over Q: fraction-free Bareiss elimination after
+    each row is scaled by the lcm of its denominators, then division by the
+    product of the scales.  An integer matrix has an int determinant."""
     n = len(A)
     if n == 0:
         return 1
     if any(len(row) != n for row in A):
         raise ValueError("determinant of a non-square matrix")
-    M = [[int(x) for x in row] for row in A]
+    scales = [lcm(*(x.denominator for x in row)) for row in A]
+    M = [[int(x * d) for x in row] for row, d in zip(A, scales)]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -82,7 +85,8 @@ def mat_det(A) -> int:
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
             M[i][k] = 0
         prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    det, scale = sign * M[n - 1][n - 1], prod(scales)
+    return det if scale == 1 else Fraction(det, scale)
 
 
 def rref(rows, ncols):
@@ -154,9 +158,7 @@ def integer_kernel_vector(rows, ncols):
     if len(basis) != 1:
         return None
     v = basis[0]
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in v))
     iv = tuple(int(x * den) for x in v)
     return primitive(iv)
 

@@ -1,36 +1,43 @@
 """Numeric cross-check: residues as sums over the zeros of n of the inputs.
 
-Dropping one input leaves a square system per chart.  Its zeros are found
-exactly up to the final numeric step: lex Groebner basis, shape position
-(with seeded random coordinate changes as fallback), simultaneous univariate
-root iteration, back substitution, then Newton polishing in double
-precision.  Only simple zeros in the dense torus are accepted.
+Dropping input k leaves a square system in each chart.  One grevlex basis
+gives its quotient A = Q[x]/I, finite exactly when every variable has a
+pure-power lead, with the standard monomials B as basis.  M_g, the exact
+matrix of multiplication by g on A, has the normal form of g*x^b as column b.
+
+By Stickelberger's theorem (Cox-Little-O'Shea, *Using Algebraic Geometry*,
+ch. 2 section 4) the eigenvalues of M_g are the values g(p) at the zeros p,
+each repeated by the multiplicity of p.  So det M_g = 0 exactly when g
+vanishes at a zero, and each refusal is that exact test: ``NotTorusZero``
+for g = x_1*...*x_n, ``NonSimpleZero`` for the Jacobian determinant g = J
+(nonzero at a zero exactly when it is simple), ``ZeroOnPolarLocus`` for f_k.
+
+With simple zeros the commuting M_{x_j} share an eigenbasis (Auzinger-Stetter
+1988): if a seeded integer combination M_lambda = sum_j lambda_j M_{x_j}
+separates the zeros, its eigenvectors V give their j-th coordinates as
+diag(V^-1 M_{x_j} V), which Newton steps polish.  A lambda that does not
+separate them yields fewer than |B| distinct zeros and is refused.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     InfiniteIntersection,
     NonSimpleZero,
-    NotShapePosition,
     NotTorusZero,
     NotZeroDimensional,
     ZeroOnPolarLocus,
 )
-from .groebner import (
-    GroebnerBasis,
-    leading_term,
-    lex,
-    quotient_is_finite,
-    standard_monomials,
-)
-from .poly import MultiPoly, dehomogenize
+from .groebner import GroebnerBasis, grevlex, quotient_is_finite, standard_monomials
+from .lattice import mat_det
+from .poly import MultiPoly, dehomogenize, poly_det
 
 RESIDUAL_TOL = 1e-9
 SEPARATION_TOL = 1e-6
@@ -38,206 +45,92 @@ COMPARE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# exact univariate helpers (coefficient lists over Fraction, low degree first)
+# the quotient ring of a chart system
 
-def _uni_coeffs(p: MultiPoly, var: int) -> list[Fraction]:
-    deg = max((e[var] for e in p.terms), default=0)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        if any(e[i] for i in range(p.nvars) if i != var):
-            raise ValueError("polynomial is not univariate in the given variable")
-        out[e[var]] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+class _Quotient:
+    """Q[x]/I for the ideal I of a square system with finitely many zeros,
+    on the basis B of standard monomials of its grevlex basis."""
 
+    def __init__(self, polys):
+        if not polys:
+            raise ValueError("empty system")
+        self.polys = polys
+        self.gb = GroebnerBasis.of(polys, grevlex(polys[0].nvars))
+        if not quotient_is_finite(self.gb):
+            raise NotZeroDimensional("chart system has positive-dimensional zeros")
+        self.basis = standard_monomials(self.gb)
 
-def _uni_deriv(c):
-    return [i * c[i] for i in range(1, len(c))] or [Fraction(0)]
+    @cached_property
+    def _times_variable(self):
+        """For each variable x_j, the normal form of x_j*x^b for each b in B."""
+        return [{b: self.gb.reduce(MultiPoly.monomial(
+                    tuple(k + (i == j) for i, k in enumerate(b)))).terms
+                 for b in self.basis}
+                for j in range(self.polys[0].nvars)]
 
+    def _dense(self, cols):
+        """Matrix whose column b holds the coefficients of cols[b]."""
+        return [[cols[b].get(e, 0) for b in self.basis] for e in self.basis]
 
-def _uni_rem(a, b):
-    rem = list(a)
-    db = len(b) - 1
-    inv = 1 / b[-1]
-    while len(rem) - 1 >= db and any(x != 0 for x in rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        f = rem[-1] * inv
-        shift = len(rem) - 1 - db
-        for i in range(db + 1):
-            rem[shift + i] -= f * b[i]
-        rem.pop()
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return rem or [Fraction(0)]
+    def matrix(self, g: MultiPoly):
+        """M_g.  B is sorted and closed under division, so x^b = x_j*x^c
+        for a c earlier in B, and the column of b is x_j times the column
+        of c, reduced term by term through ``_times_variable``."""
+        cols = {b: self.gb.reduce(g).terms for b in self.basis[:1]}
+        for b in self.basis[1:]:
+            j = next(i for i, k in enumerate(b) if k)
+            col = {}
+            for e, c in cols[tuple(k - (i == j) for i, k in enumerate(b))].items():
+                for f, d in self._times_variable[j][e].items():
+                    col[f] = col.get(f, 0) + c * d
+            cols[b] = col
+        return self._dense(cols)
 
+    def vanishes_at_a_zero(self, g: MultiPoly) -> bool:
+        """Whether g vanishes at some zero of I: det M_g = 0."""
+        return mat_det(self.matrix(g)) == 0
 
-def _uni_gcd(a, b):
-    a, b = list(a), list(b)
-    while any(x != 0 for x in b):
-        a, b = b, _uni_rem(a, b)
-    return [x / a[-1] for x in a]
+    def require_simple(self):
+        """NonSimpleZero unless det M_J != 0, J the Jacobian determinant."""
+        J = poly_det([[p.partial(j) for j in range(p.nvars)] for p in self.polys])
+        if self.vanishes_at_a_zero(J):
+            raise NonSimpleZero("the Jacobian vanishes at a zero (det M_J = 0)")
 
-
-def _uni_divexact(a, b):
-    rem = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        f = rem[k + db] / b[-1]
-        q[k] = f
-        if f:
-            for i in range(db + 1):
-                rem[k + i] -= f * b[i]
-    return q
-
-
-def _squarefree(c):
-    """Monic squarefree part of a univariate coefficient list."""
-    g = _uni_gcd(c, _uni_deriv(c))
-    if len(g) == 1:
-        return [x / c[-1] for x in c]
-    q = _uni_divexact(c, g)
-    return [x / q[-1] for x in q]
-
-
-def _roots_dk(coeffs) -> list[complex]:
-    """All roots of a squarefree polynomial by simultaneous iteration."""
-    c = [complex(x) for x in coeffs]
-    lead = c[-1]
-    c = [x / lead for x in c]
-    d = len(c) - 1
-    if d == 0:
-        return []
-    if d == 1:
-        return [-c[0]]
-    radius = 1.0 + max(abs(x) for x in c[:-1])
-    z = [radius * (0.4 + 0.9j) ** k for k in range(1, d + 1)]
-
-    def ev(x):
-        v = 0j
-        for a in reversed(c):
-            v = v * x + a
-        return v
-
-    for _ in range(500):
-        moved = 0.0
-        for i in range(d):
-            denom = 1.0 + 0j
-            for j in range(d):
-                if j != i:
-                    denom *= z[i] - z[j]
-            if denom == 0:
-                z[i] += 1e-8 * (1 + 1j)
-                continue
-            step = ev(z[i]) / denom
-            z[i] -= step
-            moved = max(moved, abs(step))
-        if moved < 1e-14:
-            break
-    return z
-
-
-# ---------------------------------------------------------------------------
-# shape-position solving
-
-def _shape_parts(gb: GroebnerBasis, nv: int):
-    """(univariate coefficients in the last variable, substitution tails)
-    or None when the basis is not triangular in shape form."""
-    last = nv - 1
-    q = None
-    tails = {}
-    for g in gb.generators:
-        le, _ = leading_term(g, gb.order)
-        if all(le[i] == 0 for i in range(last)):
-            if q is not None:
-                return None
-            q = g
-        elif sum(le) == 1 and 1 in le:
-            i = le.index(1)
-            tail = g - MultiPoly.variable(nv, i)
-            if any(any(e[j] for j in range(nv) if j != last) for e in tail.terms):
-                return None
-            if i in tails:
-                return None
-            tails[i] = tail
-        else:
-            return None
-    if q is None or set(tails) != set(range(last)):
-        return None
-    return _uni_coeffs(q, last), tails
+    def zeros(self, seed: int):
+        """The |B| zeros when all are simple, and the Jacobian determinant
+        at each: eigenvectors of a seeded combination of the coordinate
+        matrices, then Newton."""
+        B, polys = self.basis, self.polys
+        if not B:
+            return [], []
+        rng = random.Random(seed)
+        coords = [np.array(self._dense(cols), dtype=float) for cols in self._times_variable]
+        _, V = np.linalg.eig(sum(rng.randint(1, 99) * M for M in coords))
+        diags = [np.diag(np.linalg.solve(V, M @ V)) for M in coords]
+        system = [_complex_terms(p) for p in polys]
+        sizes = [_complex_terms(MultiPoly.from_terms(
+            p.nvars, {e: abs(c) for e, c in p.terms.items()})) for p in polys]
+        jac = _jacobian_terms(polys)
+        pts = _newton_refine(system, jac, list(zip(*diags)))
+        pts = _dedupe([p for p in pts if _residual(system, sizes, p) < RESIDUAL_TOL])
+        if len(pts) != len(B):
+            raise NonSimpleZero(
+                f"{len(B)} simple zeros but {len(pts)} resolved numerically")
+        return pts, [complex(np.linalg.det(_jacobian_at(jac, z))) for z in pts]
 
 
 def solve_chart_system(polys, seed: int = 0):
-    """All complex zeros of a square zero-dimensional system.
+    """(zeros, dim Q[x]/I) of a square system.  Raises NotZeroDimensional
+    when the zeros are not finite, and NonSimpleZero when det M_J = 0 (a
+    multiple zero) or when the combination of coordinate matrices that the
+    seed picks resolves fewer distinct zeros than dim Q[x]/I."""
+    quotient = _Quotient(list(polys))
+    quotient.require_simple()
+    return quotient.zeros(seed)[0], len(quotient.basis)
 
-    Returns (zeros, quotient_dim).  Raises NotZeroDimensional for a positive
-    dimensional system, NotShapePosition when triangularization fails after
-    seeded coordinate changes, NonSimpleZero when the count of distinct roots
-    falls short of the quotient dimension.  Finiteness and the quotient
-    dimension are read from the lex basis of the first attempt, which is
-    a basis of the system's own ideal.
-    """
-    polys = [p for p in polys]
-    if not polys:
-        raise ValueError("empty system")
-    nv = polys[0].nvars
-    gb = GroebnerBasis.of(polys, lex(nv))
-    if not quotient_is_finite(gb):
-        raise NotZeroDimensional("chart system has positive-dimensional zeros")
-    qdim = len(standard_monomials(gb))
-    if qdim == 0:
-        return [], 0
 
-    system = [_complex_terms(p) for p in polys]
-    rng = random.Random(seed)
-    change = None
-    for attempt in range(6):
-        if attempt:
-            # last variable becomes a generic separating functional; the
-            # change matrix is unitriangular so no determinant check needed
-            C = [[1 if i == j else 0 for j in range(nv)] for i in range(nv)]
-            for j in range(nv - 1):
-                C[nv - 1][j] = rng.randint(-9, 9)
-            subs = {}
-            for i in range(nv):
-                acc = MultiPoly.zero(nv)
-                for j in range(nv):
-                    if C[i][j]:
-                        acc = acc + C[i][j] * MultiPoly.variable(nv, j)
-                subs[i] = acc
-            change = C
-            gb = GroebnerBasis.of([p.substitute(subs) for p in polys], lex(nv))
-        parts = _shape_parts(gb, nv)
-        if parts is None:
-            continue
-        qcoeffs, tails = parts
-        sq = _squarefree(qcoeffs)
-        roots = _roots_dk(sq)
-        pts = []
-        for r in roots:
-            coords = [0j] * nv
-            coords[nv - 1] = r
-            for i in range(nv - 1):
-                coords[i] = -complex(tails[i].evaluate(coords))
-            if change is not None:
-                coords = [sum(change[i][j] * coords[j] for j in range(nv))
-                          for i in range(nv)]
-            pts.append(tuple(coords))
-        pts = _newton_refine(polys, system, pts)
-        pts = [p for p in pts if _residual(system, p) < RESIDUAL_TOL]
-        pts = _dedupe(pts)
-        if len(pts) < len(roots):
-            raise NonSimpleZero(
-                f"found {len(pts)} isolated roots for {len(roots)} candidates")
-        if len(pts) != qdim:
-            raise NonSimpleZero(
-                f"{qdim}-dimensional quotient but {len(pts)} distinct zeros")
-        return pts, qdim
-    raise NotShapePosition("no triangular basis after coordinate changes")
-
+# ---------------------------------------------------------------------------
+# numeric evaluation and polishing
 
 def _complex_terms(p: MultiPoly):
     """Terms of p as (complex(c), ((variable, power), ..)): complex(c) is what
@@ -258,8 +151,13 @@ def _evaluate(terms, pt):
     return total
 
 
-def _residual(system, pt) -> float:
-    return max(abs(complex(_evaluate(p, pt))) for p in system)
+def _residual(system, sizes, pt) -> float:
+    """Largest |f(pt)|, relative to the size of f at pt (the sum of |c*pt^e|
+    over its terms, from ``sizes``) when that exceeds 1: rounding leaves
+    about that size times the machine epsilon even at an exact zero."""
+    apt = tuple(abs(v) for v in pt)
+    return max(abs(complex(_evaluate(f, pt))) / max(1.0, abs(complex(_evaluate(s, apt))))
+               for f, s in zip(system, sizes))
 
 
 def _dedupe(pts):
@@ -270,9 +168,9 @@ def _dedupe(pts):
     return out
 
 
-def _jacobian_terms(polys, nv: int):
+def _jacobian_terms(polys):
     """``_complex_terms`` of every partial derivative, by row and column."""
-    return [[_complex_terms(p.partial(j)) for j in range(nv)] for p in polys]
+    return [[_complex_terms(p.partial(j)) for j in range(p.nvars)] for p in polys]
 
 
 def _jacobian_at(jac, z):
@@ -280,8 +178,7 @@ def _jacobian_at(jac, z):
     return np.array([[complex(_evaluate(entry, z)) for entry in row] for row in jac])
 
 
-def _newton_refine(polys, system, pts, steps: int = 30):
-    jac = _jacobian_terms(polys, polys[0].nvars)
+def _newton_refine(system, jac, pts, steps: int = 30):
     out = []
     for pt in pts:
         x = np.array(pt, dtype=complex)
@@ -312,23 +209,28 @@ class NumericZeroSet:
     quotient_dim: int
 
 
-def chart_zero_set(problem, k: int, cone_index: int | None = None,
-                   seed: int = 0) -> NumericZeroSet:
-    """Zeros, in one chart, of the system with input k dropped."""
-    fan = problem.fan
-    cone = problem.sigma if cone_index is None else cone_index
-    charts = [dehomogenize(p, fan, cone) for p in problem.polys]
-    system = [f for i, f in enumerate(charts) if i != k]
+def _chart(problem, k: int, cone: int):
+    """f_k and the quotient of the system with input k dropped, in the
+    chart of a cone; InfiniteIntersection when its zeros are not finite."""
+    charts = [dehomogenize(p, problem.fan, cone) for p in problem.polys]
     try:
-        zeros, qdim = solve_chart_system(system, seed=seed)
+        return charts[k], _Quotient(charts[:k] + charts[k + 1:])
     except NotZeroDimensional as exc:
         raise InfiniteIntersection(
             f"inputs excluding {k} meet in positive dimension in cone {cone}"
         ) from exc
-    nv = fan.dim
-    jac = _jacobian_terms(system, nv)
-    jacs = tuple(complex(np.linalg.det(_jacobian_at(jac, z))) for z in zeros)
-    return NumericZeroSet(cone, tuple(zeros), jacs, qdim)
+
+
+def chart_zero_set(problem, k: int, cone_index: int | None = None,
+                   seed: int = 0) -> NumericZeroSet:
+    """Zeros, in one chart, of the system with input k dropped, with the
+    Jacobian determinant at each.  Refuses like ``solve_chart_system``,
+    with InfiniteIntersection for a positive-dimensional system."""
+    cone = problem.sigma if cone_index is None else cone_index
+    quotient = _chart(problem, k, cone)[1]
+    quotient.require_simple()
+    zeros, dets = quotient.zeros(seed)
+    return NumericZeroSet(cone, tuple(zeros), tuple(dets), len(quotient.basis))
 
 
 def local_residue_simple(problem, H: MultiPoly, k: int, zero,
@@ -350,42 +252,48 @@ def local_residue_simple(problem, H: MultiPoly, k: int, zero,
 def sum_local_residues(problem, H: MultiPoly, k: int, seed: int = 0) -> complex:
     """Signed sum of the local residues over all zeros of the k-dropped system.
 
-    Every chart is screened first: the system must be zero-dimensional there
-    and all of its zeros must stay inside the dense torus.  The sum itself is
-    taken in the problem's distinguished chart, where the orientation of the
-    basis makes the chart form factor cancel against the chart group order.
+    Every chart is screened first, in cone order: its system must be
+    zero-dimensional (else InfiniteIntersection) and det M_{x_1...x_n} must
+    not vanish, so that every zero lies in the dense torus (else
+    NotTorusZero).  Each zero then lies in every chart, so simplicity
+    (det M_J, NonSimpleZero) and the polar locus (det M_{f_k},
+    ZeroOnPolarLocus) are tested in the distinguished chart only.  The sum
+    is taken there too, where the orientation of the basis makes the chart
+    form factor cancel against the chart group order.
     """
     fan = problem.fan
-    sets = {}
+    torus = MultiPoly.monomial((1,) * fan.dim)
     for cone in range(len(fan.max_cones)):
-        zs = chart_zero_set(problem, k, cone, seed=seed)
-        for z in zs.zeros:
-            if any(abs(c) < SEPARATION_TOL for c in z):
-                raise NotTorusZero(
-                    f"zero with a vanishing coordinate in cone {cone}")
-        sets[cone] = zs
-    zs = sets[problem.sigma]
-    total = 0j
-    for z, jac in zip(zs.zeros, zs.jacobians):
-        total += local_residue_simple(problem, H, k, z, jac)
+        chart = _chart(problem, k, cone)
+        if chart[1].vanishes_at_a_zero(torus):
+            raise NotTorusZero(f"zero with a vanishing coordinate in cone {cone}")
+        if cone == problem.sigma:
+            fk, quotient = chart
+    quotient.require_simple()
+    if quotient.vanishes_at_a_zero(fk):
+        raise ZeroOnPolarLocus("dropped input vanishes at a zero (det M_fk = 0)")
+    h = _complex_terms(dehomogenize(H, fan, problem.sigma))
+    fk = _complex_terms(fk)
+    total = sum((complex(_evaluate(h, z)) / (complex(_evaluate(fk, z)) * det)
+                 for z, det in zip(*quotient.zeros(seed))), 0j)
     return (-1) ** k * total
 
 
 def euler_jacobi_check(nvars: int, f_list, g: MultiPoly, seed: int = 0):
-    """Sum of torus residues of g against the given divisor polynomials,
-    weighted by the torus form; returns (vanishes, total)."""
-    zeros, _ = solve_chart_system(list(f_list), seed=seed)
-    jac = _jacobian_terms(f_list, nvars)
+    """Sum of g/(x_1...x_n * J) over the zeros of f_list, J the Jacobian
+    determinant: the torus residues of g against the given divisor
+    polynomials, weighted by the torus form.  Returns (vanishes, total),
+    where vanishes means |total| < COMPARE_TOL.
+
+    Refuses as ``solve_chart_system`` does (NotZeroDimensional, then
+    NonSimpleZero by det M_J = 0), then with NotTorusZero when
+    det M_{x_1...x_n} = 0, that is when some zero has a vanishing coordinate.
+    """
+    quotient = _Quotient(list(f_list))
+    quotient.require_simple()
+    if quotient.vanishes_at_a_zero(MultiPoly.monomial((1,) * nvars)):
+        raise NotTorusZero("zero off the torus")
     g_terms = _complex_terms(g)
-    total = 0j
-    for z in zeros:
-        if any(abs(c) < SEPARATION_TOL for c in z):
-            raise NotTorusZero("zero off the torus")
-        det = complex(np.linalg.det(_jacobian_at(jac, z)))
-        if abs(det) < RESIDUAL_TOL:
-            raise NonSimpleZero("vanishing Jacobian at a torus zero")
-        coord = 1+0j
-        for c in z:
-            coord *= c
-        total += complex(_evaluate(g_terms, z)) / (coord * det)
+    total = sum((complex(_evaluate(g_terms, z)) / (math.prod(z) * det)
+                 for z, det in zip(*quotient.zeros(seed))), 0j)
     return abs(total) < COMPARE_TOL, total

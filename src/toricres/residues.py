@@ -343,16 +343,20 @@ def _checked_coefficient(problem: ResidueProblem, H: MultiPoly) -> Fraction:
             raise WrongDegree(
                 f"degree {dH.free}+t{dH.torsion} differs from the critical degree "
                 f"{problem.critical.free}+t{problem.critical.torsion}")
+    _require_residue(problem)
+    return problem.normal_coefficient(H)
+
+
+def _require_residue(problem: ResidueProblem):
+    """The hypotheses, codimension one and c_sigma != 0, in that order."""
     _require_hypotheses(problem)
     report = problem.codim
     if not report.ok:
         raise CodimNotOne(
             f"critical-degree quotient has dimension {report.quotient_dim}")
-    c_sigma = problem.c_sigma
-    if c_sigma == 0:
+    if problem.c_sigma == 0:
         raise HypothesesFailed(
             "cone determinant lies in the ideal; residue undefined")
-    return problem.normal_coefficient(H)
 
 
 @dataclass(frozen=True)
@@ -368,7 +372,10 @@ class ResidueReport:
 
 
 def residue_report(problem: ResidueProblem, H: MultiPoly) -> ResidueReport:
+    """Res(H) with the objects it is read from.  The report holds Delta_sigma
+    and c_sigma, so even H = 0 must pass the checks that define them."""
     c_h = _checked_coefficient(problem, H)
+    _require_residue(problem)
     return ResidueReport(
         critical=problem.critical,
         monomials=tuple(problem.monomials),

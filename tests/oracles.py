@@ -9,24 +9,35 @@ grevlex basis, the codimension check that reduces
 every critical-degree monomial, the residue read from normal forms with
 every degree check done by ``degree_of``, membership in the radical
 through a slack variable, the completeness test that compares every pair
-of cones, and the rank as the size of the largest nonzero minor.  Tests
-compare engine output against them.
+of cones, the rank as the size of the largest nonzero minor, the
+determinant by cofactor expansion, and the numeric chart solver that read
+zeros from a lex basis in shape position.  The exact sum of local
+residues as a trace over the quotient ring is a reference value for both
+the exact residue and the numeric sum.  Tests compare engine output
+against them.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from toricres import (AllReduceToZero, CodimNotOne, GroebnerBasis, HypothesesFailed,
-                      MonomialOrder, MultiPoly, NotHomogeneous, WrongDegree,
-                      cone_determinant, is_simplicial, monomial_basis)
+                      InfiniteIntersection, MonomialOrder, MultiPoly, NonSimpleZero,
+                      NotHomogeneous, NotShapePosition, NotTorusZero, NotZeroDimensional,
+                      WrongDegree, cone_determinant, dehomogenize, is_simplicial,
+                      local_residue_simple, monomial_basis, poly_det)
 from toricres.grading import critical_degree
-from toricres.groebner import (divide, grevlex, leading_term, quotient_is_finite,
+from toricres.groebner import (divide, grevlex, leading_term, lex, quotient_is_finite,
                                reducer, standard_monomials)
-from toricres.lattice import (dot, integer_kernel_vector, mat_det, primitive,
+from toricres.lattice import (dot, integer_kernel_vector, mat_det, primitive, rref,
                               solve_rational, transpose)
+from toricres.localres import (RESIDUAL_TOL, SEPARATION_TOL, _complex_terms, _dedupe,
+                               _evaluate, _jacobian_at, _jacobian_terms, _newton_refine)
 from toricres.poly import degree_of
 from toricres.residues import CodimReport, _require_hypotheses
 
@@ -428,3 +439,289 @@ def minor_rank(A) -> int:
                 if mat_det([[A[i][j] for j in cols] for i in rows]):
                     return k
     return 0
+
+
+def cofactor_det(A):
+    """Determinant by Laplace expansion along the first row."""
+    if not A:
+        return 1
+    return sum((-1) ** j * A[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in A[1:]])
+               for j in range(len(A)) if A[0][j])
+
+
+# ---------------------------------------------------------------------------
+# the numeric chart solver as it was before multiplication matrices: a lex
+# basis in shape position, exact squarefree univariate parts, Durand-Kerner
+# roots and back substitution, with every refusal decided by a tolerance
+
+
+def _uni_coeffs(p, var):
+    deg = max((e[var] for e in p.terms), default=0)
+    out = [Fraction(0)] * (deg + 1)
+    for e, c in p.terms.items():
+        if any(e[i] for i in range(p.nvars) if i != var):
+            raise ValueError("polynomial is not univariate in the given variable")
+        out[e[var]] += c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _uni_deriv(c):
+    return [i * c[i] for i in range(1, len(c))] or [Fraction(0)]
+
+
+def _uni_rem(a, b):
+    rem = list(a)
+    db = len(b) - 1
+    inv = 1 / b[-1]
+    while len(rem) - 1 >= db and any(x != 0 for x in rem):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        f = rem[-1] * inv
+        shift = len(rem) - 1 - db
+        for i in range(db + 1):
+            rem[shift + i] -= f * b[i]
+        rem.pop()
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return rem or [Fraction(0)]
+
+
+def _uni_gcd(a, b):
+    a, b = list(a), list(b)
+    while any(x != 0 for x in b):
+        a, b = b, _uni_rem(a, b)
+    return [x / a[-1] for x in a]
+
+
+def _uni_divexact(a, b):
+    rem = list(a)
+    db = len(b) - 1
+    q = [Fraction(0)] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        f = rem[k + db] / b[-1]
+        q[k] = f
+        if f:
+            for i in range(db + 1):
+                rem[k + i] -= f * b[i]
+    return q
+
+
+def _squarefree(c):
+    """Monic squarefree part of a univariate coefficient list."""
+    g = _uni_gcd(c, _uni_deriv(c))
+    if len(g) == 1:
+        return [x / c[-1] for x in c]
+    q = _uni_divexact(c, g)
+    return [x / q[-1] for x in q]
+
+
+def _roots_dk(coeffs):
+    """All roots of a squarefree polynomial by Durand-Kerner iteration."""
+    c = [complex(x) for x in coeffs]
+    c = [x / c[-1] for x in c]
+    d = len(c) - 1
+    if d == 0:
+        return []
+    if d == 1:
+        return [-c[0]]
+    radius = 1.0 + max(abs(x) for x in c[:-1])
+    z = [radius * (0.4 + 0.9j) ** k for k in range(1, d + 1)]
+
+    def ev(x):
+        v = 0j
+        for a in reversed(c):
+            v = v * x + a
+        return v
+
+    for _ in range(500):
+        moved = 0.0
+        for i in range(d):
+            denom = 1.0 + 0j
+            for j in range(d):
+                if j != i:
+                    denom *= z[i] - z[j]
+            if denom == 0:
+                z[i] += 1e-8 * (1 + 1j)
+                continue
+            step = ev(z[i]) / denom
+            z[i] -= step
+            moved = max(moved, abs(step))
+        if moved < 1e-14:
+            break
+    return z
+
+
+def _shape_parts(gb, nv):
+    """(univariate coefficients in the last variable, substitution tails),
+    or None when the lex basis is not in shape position."""
+    last = nv - 1
+    q = None
+    tails = {}
+    for g in gb.generators:
+        le, _ = leading_term(g, gb.order)
+        if all(le[i] == 0 for i in range(last)):
+            if q is not None:
+                return None
+            q = g
+        elif sum(le) == 1 and 1 in le:
+            i = le.index(1)
+            tail = g - MultiPoly.variable(nv, i)
+            if any(any(e[j] for j in range(nv) if j != last) for e in tail.terms):
+                return None
+            if i in tails:
+                return None
+            tails[i] = tail
+        else:
+            return None
+    if q is None or set(tails) != set(range(last)):
+        return None
+    return _uni_coeffs(q, last), tails
+
+
+def shape_position_solve(polys, seed=0):
+    """(zeros, quotient dimension) of a square system by the shape-position
+    chain, with up to five seeded unitriangular coordinate changes; refuses
+    with NotZeroDimensional, NotShapePosition or NonSimpleZero."""
+    polys = list(polys)
+    nv = polys[0].nvars
+    gb = GroebnerBasis.of(polys, lex(nv))
+    if not quotient_is_finite(gb):
+        raise NotZeroDimensional("chart system has positive-dimensional zeros")
+    qdim = len(standard_monomials(gb))
+    if qdim == 0:
+        return [], 0
+    system = [_complex_terms(p) for p in polys]
+    jac = _jacobian_terms(polys)
+    rng = random.Random(seed)
+    change = None
+    for attempt in range(6):
+        if attempt:
+            C = [[int(i == j) for j in range(nv)] for i in range(nv)]
+            for j in range(nv - 1):
+                C[nv - 1][j] = rng.randint(-9, 9)
+            subs = {i: sum((C[i][j] * MultiPoly.variable(nv, j) for j in range(nv) if C[i][j]),
+                           MultiPoly.zero(nv)) for i in range(nv)}
+            change = C
+            gb = GroebnerBasis.of([p.substitute(subs) for p in polys], lex(nv))
+        parts = _shape_parts(gb, nv)
+        if parts is None:
+            continue
+        qcoeffs, tails = parts
+        roots = _roots_dk(_squarefree(qcoeffs))
+        pts = []
+        for r in roots:
+            coords = [0j] * nv
+            coords[nv - 1] = r
+            for i in range(nv - 1):
+                coords[i] = -complex(tails[i].evaluate(coords))
+            if change is not None:
+                coords = [sum(change[i][j] * coords[j] for j in range(nv)) for i in range(nv)]
+            pts.append(tuple(coords))
+        pts = _newton_refine(system, jac, pts)
+        pts = _dedupe([p for p in pts
+                       if max(abs(complex(_evaluate(f, p))) for f in system) < RESIDUAL_TOL])
+        if len(pts) < len(roots):
+            raise NonSimpleZero(f"found {len(pts)} isolated roots for {len(roots)} candidates")
+        if len(pts) != qdim:
+            raise NonSimpleZero(f"{qdim}-dimensional quotient but {len(pts)} distinct zeros")
+        return pts, qdim
+    raise NotShapePosition("no triangular basis after coordinate changes")
+
+
+def chart_system(problem, k, cone):
+    """The system with input k dropped, dehomogenized in the chart of a cone."""
+    charts = [dehomogenize(p, problem.fan, cone) for p in problem.polys]
+    return charts[:k] + charts[k + 1:]
+
+
+def shape_position_chart_zeros(problem, k, cone, seed=0):
+    """Zeros of ``chart_system`` by ``shape_position_solve``."""
+    try:
+        return shape_position_solve(chart_system(problem, k, cone), seed)[0]
+    except NotZeroDimensional as exc:
+        raise InfiniteIntersection(
+            f"inputs excluding {k} meet in positive dimension in cone {cone}") from exc
+
+
+def shape_position_sum(problem, H, k, seed=0):
+    """The local residue sum as the shape-position chain took it: every
+    chart solved, a zero off the torus when a coordinate is below
+    SEPARATION_TOL, then ``local_residue_simple`` at each zero of the
+    distinguished chart."""
+    for cone in range(len(problem.fan.max_cones)):
+        zeros = shape_position_chart_zeros(problem, k, cone, seed)
+        if any(abs(c) < SEPARATION_TOL for z in zeros for c in z):
+            raise NotTorusZero(f"zero with a vanishing coordinate in cone {cone}")
+        if cone == problem.sigma:
+            sigma_zeros = zeros
+    jac = _jacobian_terms(chart_system(problem, k, problem.sigma))
+    total = sum((local_residue_simple(problem, H, k, z, complex(np.linalg.det(_jacobian_at(jac, z))))
+                 for z in sigma_zeros), 0j)
+    return (-1) ** k * total
+
+
+def trace_residue_sum(problem, H, k):
+    """The sum over the zeros p of the k-dropped system in the distinguished
+    chart of h(p)/(f_k(p)*J(p)), exactly, as Tr(M_h * M_{f_k*J}^-1) on the
+    quotient by that system (Cattani-Dickenstein-Sturmfels, *Computing
+    multidimensional residues*, 1996).  Needs every zero simple and off
+    f_k, so that M_{f_k*J} is invertible.  Multiplication matrices come
+    from linear-scan normal forms on a grevlex basis, the inverse from rref."""
+    fan, cone = problem.fan, problem.sigma
+    system = chart_system(problem, k, cone)
+    order = grevlex(fan.dim)
+    gb = GroebnerBasis.of(system, order)
+    B = standard_monomials(gb)
+    m = len(B)
+
+    def matrix(g):
+        cols = [linear_scan_normal_form(g * MultiPoly.monomial(b), gb.generators, order)
+                for b in B]
+        return [[col.terms.get(e, Fraction(0)) for col in cols] for e in B]
+
+    fk = dehomogenize(problem.polys[k], fan, cone)
+    J = poly_det([[p.partial(j) for j in range(fan.dim)] for p in system])
+    rows, pivots = rref([a + b for a, b in zip(matrix(fk * J),
+                                                matrix(dehomogenize(H, fan, cone)))], 2 * m)
+    if pivots[:m] != list(range(m)):
+        raise ValueError("f_k*J vanishes at a zero; the trace formula does not apply")
+    return sum((rows[i][m + i] for i in range(m)), Fraction(0))
+
+
+def vanishes_somewhere(system, g) -> bool:
+    """Whether g vanishes at a common zero of the system: by the weak
+    Nullstellensatz, whether the system and g generate a proper ideal."""
+    return not GroebnerBasis.of(list(system) + [g], grevlex(g.nvars)).is_unit_ideal()
+
+
+def solver_refusal(system):
+    """The refusal of the chart solver by ideal membership: infinitely many
+    zeros, or a multiple zero (where the Jacobian vanishes); else None."""
+    nv = system[0].nvars
+    if not quotient_is_finite(GroebnerBasis.of(list(system), grevlex(nv))):
+        return "NotZeroDimensional"
+    J = poly_det([[p.partial(j) for j in range(nv)] for p in system])
+    return "NonSimpleZero" if vanishes_somewhere(system, J) else None
+
+
+def nullstellensatz_refusal(problem, k):
+    """The refusal of the local sum, by ideal membership in place of
+    determinants, in the order the sum tests them: in every chart a finite
+    zero set, then no zero off the torus; then, in the distinguished chart,
+    simple zeros and none on f_k.  None when the sum is defined."""
+    fan = problem.fan
+    for cone in range(len(fan.max_cones)):
+        system = chart_system(problem, k, cone)
+        if not quotient_is_finite(GroebnerBasis.of(system, grevlex(fan.dim))):
+            return "InfiniteIntersection"
+        if vanishes_somewhere(system, MultiPoly.monomial((1,) * fan.dim)):
+            return "NotTorusZero"
+    system = chart_system(problem, k, problem.sigma)
+    if solver_refusal(system):
+        return "NonSimpleZero"
+    if vanishes_somewhere(system, dehomogenize(problem.polys[k], fan, problem.sigma)):
+        return "ZeroOnPolarLocus"
+    return None

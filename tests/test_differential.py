@@ -3,8 +3,8 @@
 The heap-ordered division must give the same remainder, term for term, as
 the linear scan; Buchberger over one table of monic reducers must give the
 same basis, generator for generator, as Buchberger over parallel lists; the
-chart solver's finiteness and quotient dimension, read from a lex basis,
-must match a grevlex basis; the codimension check on the cached basis must
+chart solver's finiteness and quotient dimension must match a grevlex
+basis built apart from it; the codimension check on the cached basis must
 give the same report as the check that reduces every critical-degree
 monomial; the linear-time completeness test must agree with the pairwise
 overlap test.
@@ -243,7 +243,7 @@ def test_s_polynomial_of_monic_reducers_matches_multipoly_oracle(case):
 
 
 # ---------------------------------------------------------------------------
-# chart solver: finiteness and quotient dimension from the lex basis
+# chart solver: finiteness and quotient dimension
 
 
 def solver_dimension(system):

@@ -63,8 +63,8 @@ def test_solve_origin_only():
 
 
 def test_solve_needs_coordinate_change():
-    # the last variable alone does not separate the four zeros, so the
-    # seeded unitriangular change kicks in
+    # neither coordinate alone separates the four zeros; the eigenvectors
+    # of a seeded combination of both multiplication matrices do
     names = ("x", "y")
     sys_ = [up("x^2 - 1", names), up("y^2 - 1", names)]
     zeros, qdim = solve_chart_system(sys_)

@@ -21,12 +21,12 @@ from toricres import (
     toric_residue,
 )
 from toricres.divisors import is_ample, is_cartier, is_q_ample
-from toricres.lattice import (dot, mat_rank, rational_kernel, rref, smith_normal_form,
-                              solve_rational)
+from toricres.lattice import (dot, mat_det, mat_rank, rational_kernel, rref,
+                              smith_normal_form, solve_rational)
 from toricres.polytopes import monomial_basis
 
 from conftest import load
-from oracles import minor_rank
+from oracles import cofactor_det, minor_rank
 
 DEFAULTS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -106,6 +106,34 @@ def test_kernel_and_rank_against_minors(system):
         assert all(sum(a * vi for a, vi in zip(row, v)) == 0 for row in A)
     assert rank + len(kernel) == ncols
     assert minor_rank([integer_multiple(v) for v in kernel]) == len(kernel)
+
+
+def square_matrices(entries):
+    return st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@DEFAULTS
+@given(square_matrices(st.fractions(min_value=-4, max_value=4, max_denominator=6)
+                       | st.just(Fraction(0))))
+def test_determinant_is_exact_over_the_rationals(A):
+    n = len(A)
+    d = mat_det(A)
+    assert d == cofactor_det(A)
+    assert (d != 0) == (minor_rank(A) == n) == (mat_rank(A) == n)
+
+
+@DEFAULTS
+@given(square_matrices(st.integers(-9, 9)))
+def test_integer_determinant_stays_an_int(A):
+    d = mat_det(A)
+    assert type(d) is int
+    assert d == cofactor_det(A)
+
+
+def test_determinant_keeps_fractions():
+    assert mat_det([[Fraction(1, 2)]]) == Fraction(1, 2)
+    assert mat_det([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 3)]]) == 0
 
 
 @DEFAULTS
