@@ -1,4 +1,8 @@
-"""Groebner bases over the rationals.
+"""Groebner bases over the rationals or over GF(p).
+
+Over Q coefficients are ``Fraction``s.  Over GF(p), chosen by passing p as
+``modulus`` (0 means Q), they are plain ints, reduced into [0, p) when a
+division pops their term, so one algorithm serves both fields.
 
 Buchberger with the Gebauer-Moeller pair update, normal selection strategy,
 and full inter-reduction to the unique reduced monic basis.  Orders are
@@ -115,8 +119,9 @@ def reducer_table(basis, order: MonomialOrder) -> list[Reducer]:
     return [reducer(g, order) for g in basis if not g.is_zero()]
 
 
-def divide(p: MultiPoly, table, order: MonomialOrder) -> MultiPoly:
-    """Remainder of full division of p by a reducer table, in table order.
+def divide(p: MultiPoly, table, order: MonomialOrder, modulus: int = 0) -> MultiPoly:
+    """Remainder of full division of p by a reducer table, in table order,
+    over Q or, with a prime ``modulus``, over GF(modulus).
 
     Pending terms live in a dict from exponent to coefficient; a min-heap of
     ``order.heap_key`` holds each pending exponent once, so the greatest
@@ -135,6 +140,8 @@ def divide(p: MultiPoly, table, order: MonomialOrder) -> MultiPoly:
     while heap:
         e = heappop(heap)[1]
         c = work.pop(e)
+        if modulus:
+            c %= modulus
         if not c:
             continue
         for le, lc, tail in table:
@@ -144,7 +151,7 @@ def divide(p: MultiPoly, table, order: MonomialOrder) -> MultiPoly:
             rem[e] = c
             continue
         shift = tuple(map(sub, e, le))
-        factor = c if lc == 1 else c / lc
+        factor = c if lc == 1 else c * pow(lc, -1, modulus) if modulus else c / lc
         for ge, gc in tail:
             ne = tuple(map(add, ge, shift))
             if ne in work:
@@ -163,7 +170,8 @@ def normal_form(p: MultiPoly, basis, order: MonomialOrder) -> MultiPoly:
 def s_polynomial(f: Reducer, g: Reducer, nvars: int) -> MultiPoly:
     """S-polynomial of two monic reducers: both tails shifted to the lcm of
     the leads, g's subtracted from f's.  The leads cancel, so they never
-    enter the sum."""
+    enter the sum.  Over GF(p) both tails are reduced into [0, p), so a
+    difference is zero exactly when it is zero mod p."""
     fe, _, ftail = f
     ge, _, gtail = g
     L = _lcm(fe, ge)
@@ -180,8 +188,11 @@ def s_polynomial(f: Reducer, g: Reducer, nvars: int) -> MultiPoly:
     return MultiPoly.from_terms(nvars, terms)
 
 
-def _monic(r: MultiPoly, order: MonomialOrder) -> Reducer:
+def _monic(r: MultiPoly, order: MonomialOrder, modulus: int) -> Reducer:
     le, lc, tail = reducer(r, order)
+    if modulus:
+        inv = pow(lc, -1, modulus)
+        return le, 1, tuple((e, c * inv % modulus) for e, c in tail)
     return le, Fraction(1), tuple((e, c / lc) for e, c in tail)
 
 
@@ -211,8 +222,10 @@ def _gm_update(table, pairs, new_lead, order: MonomialOrder):
     return kept_old + [(order.key(lcms[i]), lcms[i], i, t) for i in D if not coprime[i]]
 
 
-def buchberger(gens, order: MonomialOrder) -> list[MultiPoly]:
-    """Reduced monic Groebner basis of the ideal generated by gens.
+def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[MultiPoly]:
+    """Reduced monic Groebner basis of the ideal generated by gens, over Q
+    or, with a prime ``modulus``, over GF(modulus); there the coefficients
+    of gens must be ints, and those of the basis are ints in [0, modulus).
 
     Each element is kept only as a monic reducer in one table: the table
     is the divisor list, the source of every S-polynomial and the list of
@@ -235,12 +248,12 @@ def buchberger(gens, order: MonomialOrder) -> list[MultiPoly]:
             yield s_polynomial(table[best[2]], table[best[3]], nv)
 
     for q in candidates():
-        r = divide(q, table, order)
+        r = divide(q, table, order, modulus)
         if r.is_zero():
             continue
         if r.is_constant():
             return [MultiPoly.constant(nv, 1)]
-        g = _monic(r, order)
+        g = _monic(r, order, modulus)
         pairs = _gm_update(table, pairs, g[0], order)
         table.append(g)
     # minimalize: drop elements whose lead is divisible by another lead
@@ -253,7 +266,7 @@ def buchberger(gens, order: MonomialOrder) -> list[MultiPoly]:
     for g in minimal:
         le, one, tail = g
         rem = divide(MultiPoly.from_terms(nv, dict(tail)),
-                     [h for h in minimal if h is not g], order)
+                     [h for h in minimal if h is not g], order, modulus)
         reduced.append(MultiPoly.from_terms(nv, {le: one, **rem.terms}))
     return reduced
 

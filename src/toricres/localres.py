@@ -179,6 +179,8 @@ def _jacobian_at(jac, z):
 
 
 def _newton_refine(system, jac, pts, steps: int = 30):
+    """Newton steps from each point until |f| < 1e-15, the step is below
+    1e-15 * max(1, |x|), or ``steps`` steps are taken."""
     out = []
     for pt in pts:
         x = np.array(pt, dtype=complex)
@@ -192,7 +194,7 @@ def _newton_refine(system, jac, pts, steps: int = 30):
             except np.linalg.LinAlgError:
                 break
             x = x + dx
-            if max(abs(v) for v in dx) < 1e-15:
+            if max(abs(v) for v in dx) < 1e-15 * max(1.0, *(abs(v) for v in x)):
                 break
         out.append(tuple(complex(v) for v in x))
     return out

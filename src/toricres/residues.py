@@ -24,7 +24,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
-from .groebner import GroebnerBasis, MonomialOrder, _divides, grevlex
+from .groebner import GroebnerBasis, MonomialOrder, _divides, buchberger, grevlex
 from .lattice import FanData, pairing_det
 from .poly import MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
@@ -57,27 +57,70 @@ def in_irrelevant_ideal(p: MultiPoly, fan: FanData) -> bool:
 
 @dataclass(frozen=True)
 class ZeroLocusReport:
+    """``q_charts`` lists, ascending, the cones whose chart ideal needed a
+    basis over Q; it is empty when every chart is the unit ideal mod P."""
+
     ok: bool
     witness_cone: int | None = None
     witness_monomial: Exponent | None = None
+    q_charts: tuple[int, ...] = ()
 
     def __bool__(self):
         return self.ok
 
 
+P = 2**61 - 1  # the prime of the modular zero-locus test
+
+
+def _mod_p(q: MultiPoly) -> MultiPoly:
+    """q with its P-integral coefficients reduced to ints in [1, P)."""
+    terms = {e: c.numerator * pow(c.denominator, -1, P) % P for e, c in q.terms.items()}
+    return MultiPoly.from_terms(q.nvars, {e: r for e, r in terms.items() if r})
+
+
 def no_common_zeros_on_x(fan: FanData, polys) -> ZeroLocusReport:
     """Whether the polynomials have no common zero away from the excluded locus.
 
-    Asks, per maximal cone, whether 1 lies in the dehomogenized ideal of
-    the cone's chart, i.e. whether the off-cone variable product lies in
-    the radical of the ideal; the report names the first cone that fails.
+    The answer is the chart test's over Q: each maximal cone's chart ideal
+    (the inputs with the off-cone variables set to 1) is the unit ideal;
+    else the report names the first cone that fails.  A basis over Q is
+    built only for charts that are not the unit ideal mod P, which is
+    enough.  Proof: with P-integral coefficients the inputs cut out Z in X
+    over Z_(P), proper as the fan is complete (Cox-Little-Schenck 3.4).
+    Each chart A^n -> U_sigma is a finite quotient (Cox, JAG 1995), so it
+    is surjective on points over Q-bar and over F_P-bar.  A point z of Z
+    over Q-bar specializes to one over F_P-bar, which lies in some open
+    U_tau; so z does too, and tau's chart ideal is unit neither mod P nor
+    over Q.  So if every chart that is not unit mod P is unit over Q, Z is
+    empty over Q-bar and every chart ideal is unit over Q.  Alone, unit mod
+    P proves nothing (P*x - 1: its zero leaves the chart mod P), nor does
+    non-unit mod P (an input that is 0 mod P, or a zero only mod P).  With
+    a denominator divisible by P there is no model over Z_(P), and every
+    chart is decided over Q.
     """
-    for k, cone in enumerate(fan.max_cones):
-        charts = [dehomogenize(p, fan, k) for p in polys]
-        if not GroebnerBasis.of(charts, grevlex(fan.dim)).is_unit_ideal():
-            e = tuple(0 if i in cone else 1 for i in range(fan.nvars))
-            return ZeroLocusReport(False, k, e)
-    return ZeroLocusReport(True)
+    order = grevlex(fan.dim)
+    integral = all(c.denominator % P for F in polys for c in F.terms.values())
+    over_q = {}
+
+    def unit(k, modulus):
+        charts = [dehomogenize(F, fan, k) for F in polys]
+        if modulus:
+            charts = [_mod_p(q) for q in charts]
+        return buchberger(charts, order, modulus) == [1]
+
+    def unit_over_q(k):
+        if k not in over_q:
+            over_q[k] = unit(k, 0)
+        return over_q[k]
+
+    cones = range(len(fan.max_cones))
+    if all(unit_over_q(k) for k in cones if not (integral and unit(k, P))):
+        return ZeroLocusReport(True, q_charts=tuple(over_q))
+    # a common zero exists: the first chart that fails over Q may be one
+    # that was unit mod P
+    k = next(k for k in cones if not unit_over_q(k))
+    e = tuple(0 if i in fan.max_cones[k] else 1 for i in range(fan.nvars))
+    return ZeroLocusReport(False, k, e, tuple(sorted(over_q)))
 
 
 def decompose(F: MultiPoly, fan: FanData, cone_index: int):

@@ -5,16 +5,16 @@ the package's own pipeline.  The slow paths are the straightforward forms
 of routines the package runs in a faster or different form: division by a
 linear scan for the greatest term, Buchberger over parallel lists with
 MultiPoly S-polynomials, the quotient dimension of a chart system from its
-grevlex basis, the codimension check that reduces
-every critical-degree monomial, the residue read from normal forms with
-every degree check done by ``degree_of``, membership in the radical
-through a slack variable, the completeness test that compares every pair
-of cones, the rank as the size of the largest nonzero minor, the
-determinant by cofactor expansion, and the numeric chart solver that read
-zeros from a lex basis in shape position.  The exact sum of local
-residues as a trace over the quotient ring is a reference value for both
-the exact residue and the numeric sum.  Tests compare engine output
-against them.
+grevlex basis, the zero-locus test that builds a basis over Q of every
+chart ideal, the codimension check that reduces every critical-degree
+monomial, the residue read from normal forms with every degree check done
+by ``degree_of``, membership in the radical through a slack variable, the
+completeness test that compares every pair of cones, the rank as the size
+of the largest nonzero minor, the determinant by cofactor expansion, and
+the numeric chart solver that read zeros from a lex basis in shape
+position.  The exact sum of local residues as a trace over the quotient
+ring is a reference value for both the exact residue and the numeric sum.
+Tests compare engine output against them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from toricres.lattice import (dot, integer_kernel_vector, mat_det, primitive, rr
 from toricres.localres import (RESIDUAL_TOL, SEPARATION_TOL, _complex_terms, _dedupe,
                                _evaluate, _jacobian_at, _jacobian_terms, _newton_refine)
 from toricres.poly import degree_of
-from toricres.residues import CodimReport, _require_hypotheses
+from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
 
 
 def laurent_inverse_coefficient(a: int, d: int) -> int:
@@ -334,6 +334,17 @@ def grevlex_chart_dimension(polys):
     if not quotient_is_finite(gb):
         return False, None
     return True, len(standard_monomials(gb))
+
+
+def q_chart_zero_locus(fan, polys) -> ZeroLocusReport:
+    """The zero-locus test over Q alone: a grevlex basis over Q of every
+    chart ideal, in cone order, until one is not the unit ideal."""
+    for k, cone in enumerate(fan.max_cones):
+        charts = [dehomogenize(p, fan, k) for p in polys]
+        if not GroebnerBasis.of(charts, grevlex(fan.dim)).is_unit_ideal():
+            e = tuple(0 if i in cone else 1 for i in range(fan.nvars))
+            return ZeroLocusReport(False, k, e)
+    return ZeroLocusReport(True)
 
 
 def radical_member(p, gens, order=None) -> bool:

@@ -2,12 +2,12 @@
 
 The heap-ordered division must give the same remainder, term for term, as
 the linear scan; Buchberger over one table of monic reducers must give the
-same basis, generator for generator, as Buchberger over parallel lists; the
-chart solver's finiteness and quotient dimension must match a grevlex
-basis built apart from it; the codimension check on the cached basis must
-give the same report as the check that reduces every critical-degree
-monomial; the linear-time completeness test must agree with the pairwise
-overlap test.
+same basis, generator for generator, as Buchberger over parallel lists,
+and mod P the basis over Q reduced mod P; the chart solver's finiteness
+and quotient dimension must match a grevlex basis built apart from it; the
+codimension check on the cached basis must give the same report as the
+check that reduces every critical-degree monomial; the linear-time
+completeness test must agree with the pairwise overlap test.
 """
 
 import itertools
@@ -47,7 +47,8 @@ from toricres import (
     toric_residue,
 )
 
-from toricres.groebner import reducer, s_polynomial
+from toricres.groebner import divide, reducer, reducer_table, s_polynomial
+from toricres.residues import P, _mod_p
 from toricres.lattice import primitive
 
 from conftest import FIXTURES, load
@@ -229,6 +230,29 @@ def test_buchberger_matches_oracle_on_fixture_ideals(name):
                 dropped = charts[:j] + charts[j + 1:]
                 assert term_lists(buchberger(dropped, order)) \
                     == term_lists(parallel_list_buchberger(dropped, order))
+
+
+@SETTINGS
+@given(division_cases())
+def test_division_mod_p_is_division_over_q_reduced_mod_p(case):
+    """Reduction mod P is a ring map on P-integral coefficients, and no
+    lead coefficient here is 0 mod P, so each step over Q maps to the same
+    step mod P; the reducers need not be monic."""
+    p, basis, order = case
+    table_p = reducer_table([_mod_p(g) for g in basis], order)
+    assert divide(_mod_p(p), table_p, order, P) \
+        == _mod_p(divide(p, reducer_table(basis, order), order))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(ideal_cases())
+def test_buchberger_mod_p_is_the_basis_over_q_reduced_mod_p(case):
+    """True unless P is unlucky for the ideal, i.e. divides one of finitely
+    many nonzero integers formed from its coefficients; with coefficients
+    this small none of them is near P in size."""
+    gens, order = case
+    assert buchberger([_mod_p(g) for g in gens], order, P) \
+        == [_mod_p(g) for g in buchberger(gens, order)]
 
 
 @SETTINGS

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import toricres.localres as localres
 from toricres import (
     InfiniteIntersection,
     NonSimpleZero,
@@ -84,6 +85,26 @@ def test_solve_positive_dimensional():
 def test_solve_multiple_root_refused():
     with pytest.raises(NonSimpleZero):
         solve_chart_system([up("x^2", ("x",))])
+
+
+def test_newton_stops_relative_to_the_size_of_the_zero(monkeypatch):
+    """Near a zero of size 80 a step is a few ulps of 80, above an absolute
+    1e-15 but below 1e-15 * |x|: Newton stops instead of taking all steps."""
+    names = ("x", "y")
+    polys = [up("x^2 + x*y - 12345 - 7*y", names), up("y - x + 1", names)]
+    solves = []
+    real_solve = localres.np.linalg.solve
+
+    def counted(a, b):
+        solves.append(b)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(localres.np.linalg, "solve", counted)
+    start = (12345 ** 0.5 * 1.01, 12345 ** 0.5)
+    (x, y), = localres._newton_refine([localres._complex_terms(p) for p in polys],
+                                      localres._jacobian_terms(polys), [start])
+    assert len(solves) < 10
+    assert abs(y - (x - 1)) < 1e-12 and abs(x * x + x * y - 12345 - 7 * y) < 1e-9
 
 
 # ---------------------------------------------------------------------------
