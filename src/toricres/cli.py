@@ -242,19 +242,24 @@ def cmd_delta(args) -> int:
     return 0
 
 
-def cmd_cayley(args) -> int:
-    loaded = _problem_from_args(args)
-    problem = loaded.problem
+def _cayley_checks(problem):
+    """The bundle lift of the problem's degrees and its three checks."""
     divisors = [representative_divisor(problem.grading, d)
                 for d in problem.degrees]
     cd = build_cayley(problem.fan, problem.grading, divisors)
+    polys = list(problem.polys)
+    return cd, {
+        "equal_degree": equal_degree_check(cd, polys),
+        "polytope": cayley_polytope_check(cd),
+        "jacobian_degrees": jacobian_ideal_degree_check(cd, polys),
+    }
+
+
+def cmd_cayley(args) -> int:
+    problem = _problem_from_args(args).problem
+    cd, checks = _cayley_checks(problem)
     gamma = bundle_class(cd)
     rho = critical_degree_lifted(cd)
-    checks = {
-        "equal_degree": equal_degree_check(cd, list(problem.polys)),
-        "polytope": cayley_polytope_check(cd),
-        "jacobian_degrees": jacobian_ideal_degree_check(cd, list(problem.polys)),
-    }
     report = {
         "lifted_rays": [list(r) for r in cd.lifted_rays],
         "variables": list(cd.variables),
@@ -377,14 +382,7 @@ def cmd_check(args) -> int:
         for k, r in skipped:
             lines.append(f"k={k} skipped: {r}")
     elif which == "cayley":
-        divisors = [representative_divisor(problem.grading, d)
-                    for d in problem.degrees]
-        cd = build_cayley(problem.fan, problem.grading, divisors)
-        checks = {
-            "equal_degree": equal_degree_check(cd, list(problem.polys)),
-            "polytope": cayley_polytope_check(cd),
-            "jacobian_degrees": jacobian_ideal_degree_check(cd, list(problem.polys)),
-        }
+        _, checks = _cayley_checks(problem)
         report["checks"] = checks
         ok = all(checks.values())
     else:

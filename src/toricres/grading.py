@@ -176,6 +176,22 @@ def critical_degree(grading: Grading, degrees) -> DegreeClass:
     return total - anticanonical_class(grading)
 
 
+def degree_system(grading: Grading, columns) -> list[list[int]]:
+    """Integer rows of the degree map on the given exponent columns.
+
+    The free rows come first, then each torsion row with one extra column
+    holding its modulus, so the first len(columns) entries of an integer
+    solution of rows·x = (free, torsion) are exponents of that degree.
+    """
+    t = len(grading.torsion_rows)
+    rows = [[row[i] for i in columns] + [0] * t for row in grading.free_rows]
+    for k, trow in enumerate(grading.torsion_rows):
+        aux = [0] * t
+        aux[k] = grading.moduli[k]
+        rows.append([trow[i] for i in columns] + aux)
+    return rows
+
+
 def representative_divisor(grading: Grading, degree: DegreeClass) -> Vec:
     """A canonical exponent vector with the given degree.
 
@@ -184,14 +200,8 @@ def representative_divisor(grading: Grading, degree: DegreeClass) -> Vec:
     Hermite division so equal degrees give equal representatives.
     """
     nv = grading.nvars
-    t = len(grading.torsion_rows)
-    rows = [list(r) + [0] * t for r in grading.free_rows]
-    for k, trow in enumerate(grading.torsion_rows):
-        aux = [0] * t
-        aux[k] = grading.moduli[k]
-        rows.append(list(trow) + aux)
     rhs = list(degree.free) + list(degree.torsion)
-    sol = solve_integer(rows, rhs)
+    sol = solve_integer(degree_system(grading, range(nv)), rhs)
     if sol is None:
         raise NoIntegralLift("degree is not in the grading group image")
     v = sol[:nv]

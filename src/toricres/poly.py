@@ -18,6 +18,7 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
+from .grading import degree_system
 from .lattice import mat_rank, solve_integer
 
 Exponent = tuple[int, ...]
@@ -427,24 +428,17 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     cone = chart_variables(fan, cone_index)
     others = [i for i in range(fan.nvars) if i not in cone]
     nv = fan.nvars
-    t = len(grading.torsion_rows)
+    rows = degree_system(grading, others)
+    if q.terms and mat_rank(rows) < len(others) + len(grading.torsion_rows):
+        raise NonUniqueLift("off-cone exponents are not determined by the degree")
     out = {}
     for e, c in q.terms.items():
         base = [0] * nv
         for k, ray in enumerate(cone):
             base[ray] = e[k]
         have = grading.degree(base)
-        need_free = tuple(a - b for a, b in zip(target.free, have.free))
-        need_tors = tuple(a - b for a, b in zip(target.torsion, have.torsion))
-        rows = [[row[i] for i in others] + [0] * t for row in grading.free_rows]
-        for k, trow in enumerate(grading.torsion_rows):
-            aux = [0] * t
-            aux[k] = grading.moduli[k]
-            rows.append([trow[i] for i in others] + aux)
-        rhs = list(need_free) + list(need_tors)
-        if mat_rank(rows) < len(others) + t:
-            raise NonUniqueLift(
-                "off-cone exponents are not determined by the degree")
+        rhs = ([a - b for a, b in zip(target.free, have.free)]
+               + [a - b for a, b in zip(target.torsion, have.torsion)])
         sol = solve_integer(rows, rhs)
         if sol is None:
             raise NoIntegralLift("no integral exponent pattern reaches the degree")

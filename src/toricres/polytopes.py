@@ -1,9 +1,11 @@
 """Rational polytopes from divisor data: lattice points and exact volumes.
 
-A polytope is stored by inequalities <m, normal_i> + offset_i >= 0.  Volumes
-are computed by an exact pyramid recursion over facets; the per-facet change
-of coordinates uses an integer basis of the normal's orthogonal sublattice,
-which keeps every intermediate quantity rational.
+A polytope is stored by inequalities <m, normal_i> + offset_i >= 0.  Its
+vertices are enumerated once, by eliminating every n-subset of the
+inequalities.  Lattice points are read from the vertices' bounding box, and
+volumes from a pulling triangulation of the vertex list, whose faces are the
+sets of vertices where each inequality is tight; every quantity is an exact
+Fraction.
 """
 
 from __future__ import annotations
@@ -11,18 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, floor, gcd
+from math import ceil, factorial, floor
 
 from .errors import DegenerateVolume, Unbounded
-from .lattice import (
-    dot,
-    integer_kernel_vector,
-    mat_rank,
-    rational_kernel,
-    rref,
-    smith_normal_form,
-    solve_rational,
-)
+from .lattice import dot, integer_kernel_vector, mat_det, mat_rank, rational_kernel, rref
 
 
 @dataclass(frozen=True)
@@ -88,13 +82,16 @@ def _is_bounded(poly: HPolytope) -> bool:
     return True
 
 
+def _bounded_vertices(poly: HPolytope):
+    """The vertex list, after refusing a polytope with an unbounded direction."""
+    if poly.dim and not _is_bounded(poly):
+        raise Unbounded("polytope has an unbounded direction")
+    return _vertices(poly)
+
+
 def lattice_points(poly: HPolytope) -> list[tuple[int, ...]]:
     """All integer points, in lexicographic order."""
-    if poly.dim == 0:
-        return [()] if all(o >= 0 for o in poly.offsets) else []
-    if not _is_bounded(poly):
-        raise Unbounded("polytope has an unbounded direction")
-    verts = _vertices(poly)
+    verts = _bounded_vertices(poly)
     if not verts:
         return []
     ranges = []
@@ -105,90 +102,56 @@ def lattice_points(poly: HPolytope) -> list[tuple[int, ...]]:
     return [pt for pt in itertools.product(*ranges) if poly.contains(pt)]
 
 
-def _orthogonal_lattice_basis(normal):
-    """Integer row basis of the sublattice orthogonal to a primitive vector."""
-    n = len(normal)
-    snf = smith_normal_form([list(normal)])
-    # row vector times V has a single nonzero entry; columns of V past the
-    # first span the kernel, so rows of V transpose give the basis
-    basis = []
-    for j in range(1, n):
-        basis.append(tuple(snf.V[i][j] for i in range(n)))
-    return basis
+def normalized_volume(poly: HPolytope) -> Fraction:
+    """n!·vol(P), exactly, by a pulling triangulation of the vertex list.
 
+    Faces are sets of vertex indices; each inequality contributes the set of
+    vertices where it is tight.  Pulling the apex a = min(F) cuts a face F
+    into the pyramids over its facets G with a not in G, and each G is
+    triangulated the same way, so every chain of apexes down to a vertex is
+    a simplex of the triangulation and the result is the sum of their
+    |det|.  The facets not containing a are the inclusion-maximal nonempty
+    sets F ∩ H over the tight sets H without a: a face not containing a
+    lies in a facet not containing a, because a face is the intersection of
+    the facets that contain it.  Parallel, duplicate, redundant and zero
+    inequalities only add sets that are not maximal, or no set at all.
+    """
+    verts = _bounded_vertices(poly)
+    if not verts:
+        raise DegenerateVolume("polytope is empty")
+    diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
+    if poly.dim > 0 and mat_rank(diffs) < poly.dim:
+        raise DegenerateVolume("polytope is lower-dimensional")
+    tight = {frozenset(i for i, v in enumerate(verts) if dot(v, nr) + off == 0)
+             for nr, off in zip(poly.normals, poly.offsets)}
 
-def _volume_rec(normals, offsets, n) -> Fraction:
-    """Volume of {x : <x,normal_i> + offset_i >= 0} in R^n, exactly."""
-    if n == 0:
-        return Fraction(1) if all(o >= 0 for o in offsets) else Fraction(0)
-    prim = []
-    for nr, off in zip(normals, offsets):
-        if not any(nr):
-            if off < 0:
-                return Fraction(0)
-            continue
-        g = gcd(*[abs(x) for x in nr]) if len(nr) > 1 else abs(nr[0])
-        prim.append((tuple(x // g for x in nr), Fraction(off, g)))
-    # keep one inequality per normal direction, the tightest, so no facet
-    # is counted twice in the pyramid sum
-    tight = {}
-    for nr, off in prim:
-        if nr not in tight or off < tight[nr]:
-            tight[nr] = off
-    prim = sorted(tight.items())
-    if n == 1:
-        lo, hi = None, None
-        for (a,), off in prim:
-            bound = -off / a
-            if a > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is None or hi is None:
-            raise Unbounded("one-dimensional slice is unbounded")
-        return max(Fraction(0), hi - lo)
-    poly = HPolytope(n, tuple(nr for nr, _ in prim), tuple(off for _, off in prim))
-    verts = _vertices(poly)
-    if len(verts) <= n:
-        return Fraction(0)
-    center = tuple(sum(col, Fraction(0)) / len(verts) for col in zip(*verts))
-    total = Fraction(0)
-    for k, (nr, off) in enumerate(prim):
-        height = dot(center, nr) + off
-        if height <= 0:
-            continue
-        base = solve_rational([list(nr)], [-off])
-        rows = _orthogonal_lattice_basis(nr)
-        sub_normals = []
-        sub_offsets = []
-        for j, (nj, oj) in enumerate(prim):
-            if j == k:
-                continue
-            sub_normals.append(tuple(dot(b, nj) for b in rows))
-            sub_offsets.append(dot(base, nj) + oj)
-        total += height * _volume_rec(sub_normals, sub_offsets, n - 1)
-    return total / n
+    def pull(face, chain):
+        a = min(face)
+        chain = chain + (verts[a],)
+        if len(face) == 1:
+            return abs(mat_det([[x - y for x, y in zip(p, chain[0])]
+                                for p in chain[1:]]))
+        meets = {face & h for h in tight if a not in h} - {frozenset()}
+        return sum((pull(g, chain) for g in meets
+                    if not any(g < other for other in meets)), Fraction(0))
+
+    return Fraction(pull(frozenset(range(len(verts))), ()))
 
 
 def polytope_volume(poly: HPolytope) -> Fraction:
     """Euclidean volume; raises when the polytope is not full-dimensional."""
-    if not _is_bounded(poly):
-        raise Unbounded("polytope has an unbounded direction")
-    verts = _vertices(poly)
-    if not verts:
-        raise DegenerateVolume("polytope is empty")
-    diffs = [[v[j] - verts[0][j] for j in range(poly.dim)] for v in verts[1:]]
-    if poly.dim > 0 and mat_rank(diffs) < poly.dim:
-        raise DegenerateVolume("polytope is lower-dimensional")
-    return _volume_rec(list(poly.normals), list(poly.offsets), poly.dim)
-
-
-def normalized_volume(poly: HPolytope) -> Fraction:
-    return factorial(poly.dim) * polytope_volume(poly)
+    return normalized_volume(poly) / factorial(poly.dim)
 
 
 def intersection_number(fan, coeffs) -> int:
-    """Top self-intersection of the divisor, as lattice-normalized volume."""
+    """Lattice-normalized volume n!·vol(P_D) of the divisor's polytope.
+
+    This is the top self-intersection D^n only when D is nef.  Otherwise it
+    is the volume of D, the limit of n!·h^0(kD)/k^n, which can differ: on
+    the Hirzebruch surface F1 (rays (1,0), (1,1), (0,1), (-1,-1)),
+    D = (0,1,0,1) has D^2 = 0 and (0,3,0,1) has D^2 = -8, but both
+    polytopes are the unit triangle and both values are 1.
+    """
     vol = normalized_volume(divisor_polytope(fan, coeffs))
     if vol.denominator != 1:
         raise DegenerateVolume(

@@ -12,7 +12,7 @@ by ``degree_of``, membership in the radical through a slack variable, the
 completeness test that compares every pair of cones, the rank as the size
 of the largest nonzero minor, the determinant by cofactor expansion, and
 the numeric chart solver that read zeros from a lex basis in shape
-position.  The exact sum of local residues as a trace over the quotient
+position, and the polytope volume by a pyramid recursion over facets.  The exact sum of local residues as a trace over the quotient
 ring is a reference value for both the exact residue and the numeric sum.
 Tests compare engine output against them.
 """
@@ -22,23 +22,24 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 
 from toricres import (AllReduceToZero, CodimNotOne, GroebnerBasis, HypothesesFailed,
                       InfiniteIntersection, MonomialOrder, MultiPoly, NonSimpleZero,
                       NotHomogeneous, NotShapePosition, NotTorusZero, NotZeroDimensional,
-                      WrongDegree, cone_determinant, dehomogenize, is_simplicial,
+                      Unbounded, WrongDegree, cone_determinant, dehomogenize, is_simplicial,
                       local_residue_simple, monomial_basis, poly_det)
 from toricres.grading import critical_degree
 from toricres.groebner import (divide, grevlex, leading_term, lex, quotient_is_finite,
                                reducer, standard_monomials)
 from toricres.lattice import (dot, integer_kernel_vector, mat_det, primitive, rref,
-                              solve_rational, transpose)
+                              smith_normal_form, solve_rational, transpose)
 from toricres.localres import (RESIDUAL_TOL, SEPARATION_TOL, _complex_terms, _dedupe,
                                _evaluate, _jacobian_at, _jacobian_terms, _newton_refine)
 from toricres.poly import degree_of
+from toricres.polytopes import HPolytope, _vertices
 from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
 
 
@@ -458,6 +459,83 @@ def cofactor_det(A):
         return 1
     return sum((-1) ** j * A[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in A[1:]])
                for j in range(len(A)) if A[0][j])
+
+
+# ---------------------------------------------------------------------------
+# the volume as it was before the pulling triangulation: a pyramid over each
+# facet from an interior point, with the facet's slice carried into the
+# normal's orthogonal sublattice and its vertices enumerated again
+
+
+def _orthogonal_lattice_basis(normal):
+    """Integer row basis of the sublattice orthogonal to a primitive vector."""
+    n = len(normal)
+    snf = smith_normal_form([list(normal)])
+    # row vector times V has a single nonzero entry; columns of V past the
+    # first span the kernel, so rows of V transpose give the basis
+    basis = []
+    for j in range(1, n):
+        basis.append(tuple(snf.V[i][j] for i in range(n)))
+    return basis
+
+
+def _volume_rec(normals, offsets, n) -> Fraction:
+    """Volume of {x : <x,normal_i> + offset_i >= 0} in R^n, exactly."""
+    if n == 0:
+        return Fraction(1) if all(o >= 0 for o in offsets) else Fraction(0)
+    prim = []
+    for nr, off in zip(normals, offsets):
+        if not any(nr):
+            if off < 0:
+                return Fraction(0)
+            continue
+        g = gcd(*[abs(x) for x in nr]) if len(nr) > 1 else abs(nr[0])
+        prim.append((tuple(x // g for x in nr), Fraction(off, g)))
+    # keep one inequality per normal direction, the tightest, so no facet
+    # is counted twice in the pyramid sum
+    tight = {}
+    for nr, off in prim:
+        if nr not in tight or off < tight[nr]:
+            tight[nr] = off
+    prim = sorted(tight.items())
+    if n == 1:
+        lo, hi = None, None
+        for (a,), off in prim:
+            bound = -off / a
+            if a > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None or hi is None:
+            raise Unbounded("one-dimensional slice is unbounded")
+        return max(Fraction(0), hi - lo)
+    poly = HPolytope(n, tuple(nr for nr, _ in prim), tuple(off for _, off in prim))
+    verts = _vertices(poly)
+    if len(verts) <= n:
+        return Fraction(0)
+    center = tuple(sum(col, Fraction(0)) / len(verts) for col in zip(*verts))
+    total = Fraction(0)
+    for k, (nr, off) in enumerate(prim):
+        height = dot(center, nr) + off
+        if height <= 0:
+            continue
+        base = solve_rational([list(nr)], [-off])
+        rows = _orthogonal_lattice_basis(nr)
+        sub_normals = []
+        sub_offsets = []
+        for j, (nj, oj) in enumerate(prim):
+            if j == k:
+                continue
+            sub_normals.append(tuple(dot(b, nj) for b in rows))
+            sub_offsets.append(dot(base, nj) + oj)
+        total += height * _volume_rec(sub_normals, sub_offsets, n - 1)
+    return total / n
+
+
+def facet_recursion_volume(poly) -> Fraction:
+    """n!·vol(P) by the pyramid recursion over facets."""
+    return factorial(poly.dim) * _volume_rec(list(poly.normals), list(poly.offsets),
+                                             poly.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from toricres import (
     MultiPoly,
     NoIntegralLift,
     NonSquare,
+    NonUniqueLift,
     NotHomogeneous,
     ParseError,
     ZeroPolynomial,
@@ -14,10 +15,13 @@ from toricres import (
     dehomogenize,
     homogenize_to_degree,
     is_homogeneous,
+    make_fan,
     parse_poly,
     poly_det,
     poly_to_string,
 )
+
+import toricres.poly as poly_module
 
 from conftest import poly
 
@@ -154,6 +158,25 @@ def test_homogenize_refuses_negative_exponents(p1p1):
     with pytest.raises(NoIntegralLift):
         homogenize_to_degree(q, fan, sigma, rho, g)
 
+
+
+def test_homogenize_lift_needs_a_unique_pattern(p2, monkeypatch):
+    fan, g = p2
+    # a one-ray "cone" leaves two off-cone exponents for one free degree
+    thin = make_fan(2, fan.rays, [(0,)])
+    rho = g.degree((2, 0, 0))
+    with pytest.raises(NonUniqueLift, match="not determined by the degree"):
+        homogenize_to_degree(parse_poly("x1", ("x1",)), thin, 0, rho, g)
+    # a zero polynomial lifts to zero without a rank check
+    assert homogenize_to_degree(MultiPoly.zero(1), thin, 0, rho, g).is_zero()
+    # the stacked system and its rank are built once per call, not per term
+    ranks = []
+    monkeypatch.setattr(poly_module, "mat_rank",
+                        lambda rows: ranks.append(rows) or len(rows[0]))
+    sigma = fan.max_cones.index((1, 2))
+    homogenize_to_degree(parse_poly("1 + x1 + x2 + x1*x2", ("x1", "x2")),
+                         fan, sigma, rho, g)
+    assert len(ranks) == 1
 
 def test_substitute():
     p = parse_poly("x^2*y", ("x", "y"))
