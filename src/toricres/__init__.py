@@ -111,7 +111,6 @@ from .residues import (
     ResidueProblem,
     ResidueReport,
     ZeroLocusReport,
-    codim_one_check,
     cone_determinant,
     decompose,
     in_irrelevant_ideal,
@@ -154,7 +153,7 @@ __all__ = [
     "HPolytope", "divisor_polytope", "intersection_number", "lattice_points",
     "monomial_basis", "normalized_volume", "polytope_volume",
     "AnnihilationReport", "CodimReport", "ResidueProblem", "ResidueReport",
-    "ZeroLocusReport", "codim_one_check", "cone_determinant", "decompose",
+    "ZeroLocusReport", "cone_determinant", "decompose",
     "in_irrelevant_ideal", "irrelevant_ideal", "jacobian_residue_check",
     "no_common_zeros_on_x", "oriented_basis", "residue_report",
     "sigma_independence_check", "toric_jacobian", "toric_residue",

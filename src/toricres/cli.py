@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 a check reported failure, 2 parse problems,
-3 invalid fan data, 4 violated hypotheses (wrong degree, membership,
-degenerate numeric configuration), 5 critical-degree quotient not of
-dimension one.
+Exit codes: 0 success, 1 a check reported failure, 2 parse problems
+(also non-integer or wrong-length options), 3 invalid fan data or degree
+basis, 4 violated hypotheses (wrong degree, a zero or non-homogeneous
+input, membership, degenerate numeric configuration), 5 critical-degree
+quotient not of dimension one.
 """
 
 from __future__ import annotations
@@ -33,13 +34,16 @@ from .errors import (
     InvalidFan,
     NoIntegralLift,
     NonSimpleZero,
+    NotAGrading,
     NotAmple,
-    NotShapePosition,
+    NotHomogeneous,
+    NotSurjective,
     NotTorusZero,
     NotZeroDimensional,
     ParseError,
     WrongDegree,
     ZeroOnPolarLocus,
+    ZeroPolynomial,
 )
 from .files import load_fan, load_problem
 from .grading import DegreeClass, anticanonical_class, representative_divisor
@@ -66,8 +70,8 @@ CODIM_EXIT = 5
 
 _HYPO_ERRORS = (HypothesesFailed, WrongDegree, DecompositionFailed, NotAmple,
                 DegreeMismatch, NoIntegralLift, InfiniteIntersection,
-                NotTorusZero, NonSimpleZero, NotShapePosition,
-                NotZeroDimensional, ZeroOnPolarLocus)
+                NotTorusZero, NonSimpleZero, NotZeroDimensional,
+                ZeroOnPolarLocus, NotHomogeneous, ZeroPolynomial)
 _CODIM_ERRORS = (CodimNotOne, AllReduceToZero)
 
 
@@ -100,8 +104,14 @@ def _emit(report: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _parse_ints(text: str):
-    return [int(t) for t in text.replace(",", " ").split()]
+def _parse_ints(text: str, count: int, what: str):
+    try:
+        values = [int(t) for t in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ParseError(f"{what} must be integers: {exc}") from exc
+    if len(values) != count:
+        raise ParseError(f"need {count} {what}, got {len(values)}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +138,7 @@ def cmd_grading(args) -> int:
 
 def cmd_ample(args) -> int:
     fan, _grading = load_fan(args.fanfile)
-    coeffs = _parse_ints(args.coeffs)
-    if len(coeffs) != fan.nvars:
-        raise ParseError(f"need {fan.nvars} coefficients")
+    coeffs = _parse_ints(args.coeffs, fan.nvars, "coefficients")
     cart = is_cartier(fan, coeffs)
     amp = is_ample(fan, coeffs)
     qamp = is_q_ample(fan, coeffs)
@@ -163,8 +171,9 @@ def cmd_bsigma(args) -> int:
 
 def cmd_monomials(args) -> int:
     fan, grading = load_fan(args.fanfile)
-    free = _parse_ints(args.free)
-    torsion = _parse_ints(args.torsion) if args.torsion else [0] * len(grading.moduli)
+    free = _parse_ints(args.free, grading.rank, "free degree entries")
+    torsion = (_parse_ints(args.torsion, len(grading.moduli), "torsion entries")
+               if args.torsion else [0] * len(grading.moduli))
     degree = DegreeClass(tuple(free), tuple(torsion), grading.moduli)
     mons = monomial_basis(fan, grading, degree)
     names = fan.variables
@@ -277,9 +286,7 @@ def cmd_cayley(args) -> int:
 
 def cmd_cone_xalpha(args) -> int:
     fan, _ = load_fan(args.fanfile)
-    coeffs = _parse_ints(args.coeffs)
-    if len(coeffs) != fan.nvars:
-        raise ParseError(f"need {fan.nvars} coefficients")
+    coeffs = _parse_ints(args.coeffs, fan.nvars, "coefficients")
     lifted = [(coeffs[i],) + fan.rays[i] for i in range(fan.nvars)]
     report = {"generators": [list(v) for v in lifted]}
     _emit(report, args.json,
@@ -473,7 +480,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_EXIT
-    except InvalidFan as exc:
+    except (InvalidFan, NotAGrading, NotSurjective) as exc:
         print(f"invalid fan: {exc}", file=sys.stderr)
         return FAN_EXIT
     except _CODIM_ERRORS as exc:

@@ -8,9 +8,9 @@ matrix of multiplication by g on A, has the normal form of g*x^b as column b.
 By Stickelberger's theorem (Cox-Little-O'Shea, *Using Algebraic Geometry*,
 ch. 2 section 4) the eigenvalues of M_g are the values g(p) at the zeros p,
 each repeated by the multiplicity of p.  So det M_g = 0 exactly when g
-vanishes at a zero, and each refusal is that exact test: ``NotTorusZero``
-for g = x_1*...*x_n, ``NonSimpleZero`` for the Jacobian determinant g = J
-(nonzero at a zero exactly when it is simple), ``ZeroOnPolarLocus`` for f_k.
+vanishes at a zero: the test for a multiple zero (``NonSimpleZero``, g = J
+the Jacobian determinant) in the one chart whose quotient the sum builds.
+The sum's other refusals are common zeros on X (``no_common_zeros_on_x``).
 
 With simple zeros the commuting M_{x_j} share an eigenbasis (Auzinger-Stetter
 1988): if a seeded integer combination M_lambda = sum_j lambda_j M_{x_j}
@@ -38,6 +38,7 @@ from .errors import (
 from .groebner import GroebnerBasis, grevlex, quotient_is_finite, standard_monomials
 from .lattice import mat_det
 from .poly import MultiPoly, dehomogenize, poly_det
+from .residues import no_common_zeros_on_x
 
 RESIDUAL_TOL = 1e-9
 SEPARATION_TOL = 1e-6
@@ -86,14 +87,10 @@ class _Quotient:
             cols[b] = col
         return self._dense(cols)
 
-    def vanishes_at_a_zero(self, g: MultiPoly) -> bool:
-        """Whether g vanishes at some zero of I: det M_g = 0."""
-        return mat_det(self.matrix(g)) == 0
-
     def require_simple(self):
         """NonSimpleZero unless det M_J != 0, J the Jacobian determinant."""
         J = poly_det([[p.partial(j) for j in range(p.nvars)] for p in self.polys])
-        if self.vanishes_at_a_zero(J):
+        if mat_det(self.matrix(J)) == 0:
             raise NonSimpleZero("the Jacobian vanishes at a zero (det M_J = 0)")
 
     def zeros(self, seed: int):
@@ -238,7 +235,8 @@ def chart_zero_set(problem, k: int, cone_index: int | None = None,
 def local_residue_simple(problem, H: MultiPoly, k: int, zero,
                          jacobian: complex, cone_index: int | None = None) -> complex:
     """Residue contribution of one simple zero: value over polar factor and
-    the square system's Jacobian determinant."""
+    the square system's Jacobian determinant.  Refuses by tolerance tests
+    at that zero alone: |f_k| or |J| below RESIDUAL_TOL."""
     fan = problem.fan
     cone = problem.sigma if cone_index is None else cone_index
     fk = dehomogenize(problem.polys[k], fan, cone)
@@ -254,26 +252,30 @@ def local_residue_simple(problem, H: MultiPoly, k: int, zero,
 def sum_local_residues(problem, H: MultiPoly, k: int, seed: int = 0) -> complex:
     """Signed sum of the local residues over all zeros of the k-dropped system.
 
-    Every chart is screened first, in cone order: its system must be
-    zero-dimensional (else InfiniteIntersection) and det M_{x_1...x_n} must
-    not vanish, so that every zero lies in the dense torus (else
-    NotTorusZero).  Each zero then lies in every chart, so simplicity
-    (det M_J, NonSimpleZero) and the polar locus (det M_{f_k},
-    ZeroOnPolarLocus) are tested in the distinguished chart only.  The sum
-    is taken there too, where the orientation of the basis makes the chart
-    form factor cancel against the chart group order.
+    The zeros Z = V(F_i : i != k) must lie in the torus T, and f_k must not
+    vanish on Z.  ``no_common_zeros_on_x`` decides both on X: the F_i and
+    the product of all variables, then all inputs (``zero_locus``), have
+    no common zero.  As X is complete, Z in the affine T is finite; every
+    chart A^n -> U_tau is a finite quotient, so each chart system is then
+    finite with no zero on a coordinate hyperplane, and sigma's chart holds
+    all of Z.  Refusals keep the order of a screen of the charts in cone
+    order: the charts up to the first cone w with a zero off T are built,
+    so an infinite one raises InfiniteIntersection before NotTorusZero
+    names w.  Then sigma's chart alone gets a quotient ring: NonSimpleZero
+    (det M_J), ZeroOnPolarLocus, and the sum, where the basis orientation
+    makes the chart form factor cancel against the chart group order.
     """
     fan = problem.fan
-    torus = MultiPoly.monomial((1,) * fan.dim)
-    for cone in range(len(fan.max_cones)):
-        chart = _chart(problem, k, cone)
-        if chart[1].vanishes_at_a_zero(torus):
-            raise NotTorusZero(f"zero with a vanishing coordinate in cone {cone}")
-        if cone == problem.sigma:
-            fk, quotient = chart
+    torus = MultiPoly.monomial((1,) * fan.nvars)
+    screen = no_common_zeros_on_x(fan, problem.polys[:k] + problem.polys[k + 1:] + (torus,))
+    if not screen.ok:
+        for cone in range(screen.witness_cone + 1):
+            _chart(problem, k, cone)
+        raise NotTorusZero(f"zero with a vanishing coordinate in cone {cone}")
+    fk, quotient = _chart(problem, k, problem.sigma)
     quotient.require_simple()
-    if quotient.vanishes_at_a_zero(fk):
-        raise ZeroOnPolarLocus("dropped input vanishes at a zero (det M_fk = 0)")
+    if not problem.zero_locus().ok:
+        raise ZeroOnPolarLocus("dropped input vanishes at a zero: a common zero on X")
     h = _complex_terms(dehomogenize(H, fan, problem.sigma))
     fk = _complex_terms(fk)
     total = sum((complex(_evaluate(h, z)) / (complex(_evaluate(fk, z)) * det)
@@ -293,7 +295,7 @@ def euler_jacobi_check(nvars: int, f_list, g: MultiPoly, seed: int = 0):
     """
     quotient = _Quotient(list(f_list))
     quotient.require_simple()
-    if quotient.vanishes_at_a_zero(MultiPoly.monomial((1,) * nvars)):
+    if mat_det(quotient.matrix(MultiPoly.monomial((1,) * nvars))) == 0:
         raise NotTorusZero("zero off the torus")
     g_terms = _complex_terms(g)
     total = sum((complex(_evaluate(g_terms, z)) / (math.prod(z) * det)

@@ -103,7 +103,15 @@ def lattice_points(poly: HPolytope) -> list[tuple[int, ...]]:
 
 
 def normalized_volume(poly: HPolytope) -> Fraction:
-    """n!·vol(P), exactly, by a pulling triangulation of the vertex list.
+    """n!·vol(P), exactly; raises when P is not full-dimensional."""
+    if vol := _pulled_volume(poly):
+        return vol
+    raise DegenerateVolume("polytope is lower-dimensional")
+
+
+def _pulled_volume(poly: HPolytope) -> Fraction:
+    """n!·vol(P), exactly, by a pulling triangulation of the vertex list;
+    0 for a nonempty lower-dimensional P, DegenerateVolume for an empty one.
 
     Faces are sets of vertex indices; each inequality contributes the set of
     vertices where it is tight.  Pulling the apex a = min(F) cuts a face F
@@ -121,7 +129,7 @@ def normalized_volume(poly: HPolytope) -> Fraction:
         raise DegenerateVolume("polytope is empty")
     diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
     if poly.dim > 0 and mat_rank(diffs) < poly.dim:
-        raise DegenerateVolume("polytope is lower-dimensional")
+        return Fraction(0)
     tight = {frozenset(i for i, v in enumerate(verts) if dot(v, nr) + off == 0)
              for nr, off in zip(poly.normals, poly.offsets)}
 
@@ -150,9 +158,10 @@ def intersection_number(fan, coeffs) -> int:
     is the volume of D, the limit of n!·h^0(kD)/k^n, which can differ: on
     the Hirzebruch surface F1 (rays (1,0), (1,1), (0,1), (-1,-1)),
     D = (0,1,0,1) has D^2 = 0 and (0,3,0,1) has D^2 = -8, but both
-    polytopes are the unit triangle and both values are 1.
+    polytopes are the unit triangle and both values are 1.  A flat P_D, as
+    for a nef D that is not big, gives 0; an empty one raises.
     """
-    vol = normalized_volume(divisor_polytope(fan, coeffs))
+    vol = _pulled_volume(divisor_polytope(fan, coeffs))
     if vol.denominator != 1:
         raise DegenerateVolume(
             f"normalized volume {vol} is not an integer")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     AllReduceToZero,
@@ -219,25 +220,17 @@ def residue_functional(grading: Grading, order: MonomialOrder,
     return CodimReport(True, standard[0], None, 1), ell
 
 
-def codim_one_check(fan: FanData, grading: Grading, polys,
-                    order: MonomialOrder) -> CodimReport:
-    """Whether the ideal has codimension one in the critical-degree slice,
-    from a fresh basis and monomial list: see ``residue_functional``."""
-    degrees = [degree_of(p, grading) for p in polys]
-    mons = monomial_basis(fan, grading, critical_degree(grading, degrees))
-    gb = GroebnerBasis.of(list(polys), order)
-    return residue_functional(grading, order, gb, mons)[0]
-
-
 class ResidueProblem:
     """Immutable bundle: fan, grading, the n+1 forms, order, cone, basis.
 
     Heavy artifacts (critical degree, monomials of the critical degree,
     Groebner basis with its reducer table, residue functional ``ell`` with
-    the codimension report, cone determinant) are computed once on first
-    use.  The functional and the report come from one pass over the cached
-    monomials against the cached basis; the residue of every H and the
-    normalizing coefficient are dot products with the functional.
+    the codimension report, zero-locus report, cone determinant) are
+    cached properties, computed once on first use; a stage that raises
+    caches nothing and raises again on the next access.  The functional
+    and the report come from one pass over the cached monomials against
+    the cached basis; the residue of every H and the normalizing
+    coefficient are dot products with the functional.
     Construction only validates shapes and homogeneity, so non-conforming
     inputs can still be probed.
     """
@@ -267,70 +260,59 @@ class ResidueProblem:
             if pairing_det(fan, basis, fan.max_cones[sigma]) <= 0:
                 raise ValueError("basis is not positively oriented for the cone")
         self.basis = basis
-        self._cache = {}
 
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def critical(self) -> DegreeClass:
-        return self._get("critical",
-                         lambda: critical_degree(self.grading, self.degrees))
+        return critical_degree(self.grading, self.degrees)
 
-    @property
+    @cached_property
     def groebner(self) -> GroebnerBasis:
-        return self._get("groebner",
-                         lambda: GroebnerBasis.of(list(self.polys), self.order))
+        return GroebnerBasis.of(list(self.polys), self.order)
 
-    @property
+    @cached_property
     def monomials(self):
-        return self._get("monomials",
-                         lambda: monomial_basis(self.fan, self.grading, self.critical))
+        return monomial_basis(self.fan, self.grading, self.critical)
 
-    @property
+    @cached_property
     def _monomial_set(self) -> frozenset:
-        return self._get("monomial_set", lambda: frozenset(self.monomials))
+        return frozenset(self.monomials)
 
+    @cached_property
     def _functional(self):
-        return self._get("functional", lambda: residue_functional(
-            self.grading, self.order, self.groebner, self.monomials))
+        return residue_functional(self.grading, self.order, self.groebner, self.monomials)
 
     @property
     def codim(self) -> CodimReport:
-        return self._functional()[0]
+        return self._functional[0]
 
     @property
     def ell(self) -> dict:
         """Critical-degree monomial -> coefficient of the pivot in its normal form."""
-        return self._functional()[1]
+        return self._functional[1]
 
     @property
     def pivot(self) -> Exponent:
         return self.codim.pivot
 
-    @property
+    @cached_property
     def membership_failures(self):
-        def build():
-            out = []
-            for j, p in enumerate(self.polys):
-                w = irrelevant_witness(p, self.fan)
-                if w is not None:
-                    out.append((j, w))
-            return tuple(out)
-        return self._get("membership", build)
+        witnesses = (irrelevant_witness(p, self.fan) for p in self.polys)
+        return tuple((j, w) for j, w in enumerate(witnesses) if w is not None)
+
+    @cached_property
+    def _zero_locus(self) -> ZeroLocusReport:
+        return no_common_zeros_on_x(self.fan, self.polys)
 
     def zero_locus(self) -> ZeroLocusReport:
-        return self._get("zeros", lambda: no_common_zeros_on_x(self.fan, self.polys))
+        return self._zero_locus
 
-    @property
+    @cached_property
     def delta(self) -> MultiPoly:
-        return self._get("delta", lambda: cone_determinant(self))
+        return cone_determinant(self)
 
-    @property
+    @cached_property
     def c_sigma(self) -> Fraction:
-        return self._get("c_sigma", lambda: self.normal_coefficient(self.delta))
+        return self.normal_coefficient(self.delta)
 
     def cone_sign(self, cone_index: int) -> int:
         d = pairing_det(self.fan, self.basis, self.fan.max_cones[cone_index])

@@ -149,6 +149,47 @@ def test_exit_codim(capsys):
     assert "codimension failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("F", [["x0^2 + x1", "x1^2", "x2^2"], ["0", "x1^2", "x2^2"]])
+def test_exit_non_homogeneous_or_zero_input(tmp_path, capsys, F):
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps({"fan": fx("p2.fan.json"), "F": F}))
+    assert main(["residue", str(p)]) == 4
+    assert "hypotheses violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, message", [([[1, 1, 2]], "does not vanish"),
+                                           ([[2, 2, 2]], "do not generate")])
+def test_exit_rejected_degree_basis(tmp_path, capsys, rows, message):
+    p = tmp_path / "fan.json"
+    p.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                             "max_cones": [[1, 2], [2, 3], [1, 3]], "degree_basis": rows}))
+    assert main(["grading", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "invalid fan" in err and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ample", fx("p2.fan.json"), "--coeffs", "1,a,0"],
+    ["cone-xalpha", fx("p2.fan.json"), "--coeffs", "1.5,0,0"],
+    ["monomials", fx("p2.fan.json"), "--free", "x"],
+    ["monomials", fx("torsion.fan.json"), "--free", "1", "--torsion", "q"],
+])
+def test_exit_non_integer_option(capsys, argv):
+    assert main(argv) == 2
+    assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["monomials", fx("p2.fan.json"), "--free", "1,2"], "need 1 free degree entries"),
+    (["monomials", fx("torsion.fan.json"), "--free", "1", "--torsion", "1,1"],
+     "need 1 torsion entries"),
+    (["ample", fx("p2.fan.json"), "--coeffs", "1,0"], "need 3 coefficients"),
+])
+def test_exit_wrong_option_length(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_exit_failed_check(capsys):
     assert main(["check", "annihilation", fx("pentagon_outside.json")]) == 1
 

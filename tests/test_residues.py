@@ -10,11 +10,9 @@ from toricres import (
     MultiPoly,
     ResidueProblem,
     WrongDegree,
-    codim_one_check,
     cone_determinant,
     decompose,
     degree_of,
-    grevlex,
     in_irrelevant_ideal,
     irrelevant_ideal,
     oriented_basis,
@@ -151,7 +149,7 @@ def test_all_reduce_to_zero(p1):
     fan, g = p1
     F = [MultiPoly.constant(2, 1), poly("x*y", fan)]
     with pytest.raises(AllReduceToZero):
-        codim_one_check(fan, g, F, grevlex(2))
+        ResidueProblem(fan, F, grading=g).codim
 
 
 def test_residue_values_pentagon():

@@ -213,3 +213,19 @@ def test_intersection_number_is_the_volume_not_d_squared_off_the_nef_cone():
     # fibre class (F^2 = 0, H.F = 1)
     assert intersection_number(F1, (0, 0, 0, 1)) == 1
     assert intersection_number(F1, (1, 0, 0, 1)) == 3
+
+
+def test_a_flat_divisor_polytope_has_intersection_number_zero(p1p1, monkeypatch):
+    # nef classes that are not big: the zero class and a ruling on P1xP1,
+    # the fibre class on F1; each polytope is a point or a segment
+    fan = p1p1[0]
+    assert intersection_number(fan, (0, 0, 0, 0)) == 0
+    assert intersection_number(fan, (1, 0, 0, 0)) == 0
+    assert intersection_number(F1, (1, 0, 0, 0)) == 0
+    with pytest.raises(DegenerateVolume, match="empty"):
+        intersection_number(fan, (-1, 0, 0, 0))
+    calls = []
+    real = polytopes._vertices
+    monkeypatch.setattr(polytopes, "_vertices", lambda poly: calls.append(1) or real(poly))
+    intersection_number(fan, (1, 0, 0, 0))
+    assert calls == [1]
