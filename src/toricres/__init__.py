@@ -32,7 +32,6 @@ from .errors import (
     NotAGrading,
     NotAmple,
     NotHomogeneous,
-    NotShapePosition,
     NotSurjective,
     NotTorusZero,
     NotZeroDimensional,
@@ -79,11 +78,8 @@ from .lattice import (
     smith_normal_form,
 )
 from .localres import (
-    NumericZeroSet,
-    chart_zero_set,
     euler_jacobi_check,
     local_residue_simple,
-    solve_chart_system,
     sum_local_residues,
 )
 from .poly import (
@@ -135,7 +131,7 @@ __all__ = [
     "AllReduceToZero", "CodimNotOne", "DecompositionFailed", "DegenerateVolume",
     "DegreeMismatch", "HypothesesFailed", "InfiniteIntersection", "InvalidFan",
     "NoIntegralLift", "NonSimpleZero", "NonSquare", "NotAGrading", "NotAmple",
-    "NotHomogeneous", "NotShapePosition", "NotSurjective", "NotTorusZero",
+    "NotHomogeneous", "NotSurjective", "NotTorusZero",
     "NotZeroDimensional", "NonUniqueLift", "ParseError", "ToricError", "Unbounded",
     "WrongDegree", "ZeroOnPolarLocus", "ZeroPolynomial",
     "LoadedProblem", "load_fan", "load_problem",
@@ -146,8 +142,7 @@ __all__ = [
     "normal_form", "parse_order", "quotient_is_finite", "standard_monomials",
     "CompletenessReport", "FanData", "SmithDecomposition", "cone_group_order",
     "is_complete", "is_simplicial", "make_fan", "pairing_det", "smith_normal_form",
-    "NumericZeroSet", "chart_zero_set", "euler_jacobi_check", "local_residue_simple",
-    "solve_chart_system", "sum_local_residues",
+    "euler_jacobi_check", "local_residue_simple", "sum_local_residues",
     "MultiPoly", "degree_of", "dehomogenize", "homogenize_to_degree", "is_homogeneous",
     "parse_poly", "poly_det", "poly_to_string",
     "HPolytope", "divisor_polytope", "intersection_number", "lattice_points",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidFan
 from .lattice import FanData, dot, solve_rational
@@ -52,13 +53,18 @@ def is_cartier(fan: FanData, coeffs) -> PositivityReport:
 
 
 def _strictness_failures(fan: FanData, ms, coeffs):
+    """(cone, ray) pairs, ray off the cone, with <m_cone, ray> <= -a_ray,
+    compared in integers: with L the lcm of m_cone's denominators and d that
+    of the a's, as d*<L*m_cone, ray> <= -(d*a_ray)*L."""
+    cs = [Fraction(c) for c in coeffs]
+    d = lcm(*(c.denominator for c in cs))
+    scaled = [c.numerator * (d // c.denominator) for c in cs]
     out = []
     for k, cone in enumerate(fan.max_cones):
-        for j in range(fan.nvars):
-            if j in cone:
-                continue
-            if dot(ms[k], fan.rays[j]) <= -Fraction(coeffs[j]):
-                out.append((k, j))
+        L = lcm(*(x.denominator for x in ms[k]))
+        m = [x.numerator * (L // x.denominator) for x in ms[k]]
+        out.extend((k, j) for j, ray in enumerate(fan.rays)
+                   if j not in cone and d * dot(m, ray) <= -scaled[j] * L)
     return out
 
 

@@ -89,12 +89,6 @@ class NotZeroDimensional(ToricError):
     """Chart system has positive-dimensional zero locus."""
 
 
-class NotShapePosition(ToricError):
-    """No longer raised: the numeric cross-check reads zeros from
-    multiplication matrices, not from a lex basis in shape position.  Kept
-    exported so that existing ``except`` clauses keep working."""
-
-
 class NonSimpleZero(ToricError):
     """A zero has multiplicity (a singular Jacobian), or the numeric solve
     resolved fewer distinct zeros than the quotient dimension."""

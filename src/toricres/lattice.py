@@ -29,13 +29,6 @@ def vec_content(v) -> int:
     return g
 
 
-def primitive(v):
-    g = vec_content(v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(a // g for a in v)
-
-
 def freeze(rows) -> Mat:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
@@ -137,30 +130,6 @@ def solve_rational(A, b):
     for row, c in zip(rows, pivots):
         x[c] = row[n]
     return tuple(x)
-
-
-def rational_kernel(rows, ncols):
-    """Basis of the rational null space of the given rows."""
-    work, pivots = rref(rows, ncols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(work, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def integer_kernel_vector(rows, ncols):
-    """Primitive integer kernel vector when the null space is a line, else None."""
-    basis = rational_kernel(rows, ncols)
-    if len(basis) != 1:
-        return None
-    v = basis[0]
-    den = lcm(*(x.denominator for x in v))
-    iv = tuple(int(x * den) for x in v)
-    return primitive(iv)
 
 
 @dataclass(frozen=True)

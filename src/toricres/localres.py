@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -116,16 +115,6 @@ class _Quotient:
         return pts, [complex(np.linalg.det(_jacobian_at(jac, z))) for z in pts]
 
 
-def solve_chart_system(polys, seed: int = 0):
-    """(zeros, dim Q[x]/I) of a square system.  Raises NotZeroDimensional
-    when the zeros are not finite, and NonSimpleZero when det M_J = 0 (a
-    multiple zero) or when the combination of coordinate matrices that the
-    seed picks resolves fewer distinct zeros than dim Q[x]/I."""
-    quotient = _Quotient(list(polys))
-    quotient.require_simple()
-    return quotient.zeros(seed)[0], len(quotient.basis)
-
-
 # ---------------------------------------------------------------------------
 # numeric evaluation and polishing
 
@@ -200,14 +189,6 @@ def _newton_refine(system, jac, pts, steps: int = 30):
 # ---------------------------------------------------------------------------
 # residue sums
 
-@dataclass(frozen=True)
-class NumericZeroSet:
-    cone: int
-    zeros: tuple
-    jacobians: tuple
-    quotient_dim: int
-
-
 def _chart(problem, k: int, cone: int):
     """f_k and the quotient of the system with input k dropped, in the
     chart of a cone; InfiniteIntersection when its zeros are not finite."""
@@ -218,18 +199,6 @@ def _chart(problem, k: int, cone: int):
         raise InfiniteIntersection(
             f"inputs excluding {k} meet in positive dimension in cone {cone}"
         ) from exc
-
-
-def chart_zero_set(problem, k: int, cone_index: int | None = None,
-                   seed: int = 0) -> NumericZeroSet:
-    """Zeros, in one chart, of the system with input k dropped, with the
-    Jacobian determinant at each.  Refuses like ``solve_chart_system``,
-    with InfiniteIntersection for a positive-dimensional system."""
-    cone = problem.sigma if cone_index is None else cone_index
-    quotient = _chart(problem, k, cone)[1]
-    quotient.require_simple()
-    zeros, dets = quotient.zeros(seed)
-    return NumericZeroSet(cone, tuple(zeros), tuple(dets), len(quotient.basis))
 
 
 def local_residue_simple(problem, H: MultiPoly, k: int, zero,
@@ -289,9 +258,11 @@ def euler_jacobi_check(nvars: int, f_list, g: MultiPoly, seed: int = 0):
     polynomials, weighted by the torus form.  Returns (vanishes, total),
     where vanishes means |total| < COMPARE_TOL.
 
-    Refuses as ``solve_chart_system`` does (NotZeroDimensional, then
-    NonSimpleZero by det M_J = 0), then with NotTorusZero when
-    det M_{x_1...x_n} = 0, that is when some zero has a vanishing coordinate.
+    Refuses with NotZeroDimensional when the zeros are not finite, with
+    NonSimpleZero when det M_J = 0 (a multiple zero), with NotTorusZero when
+    det M_{x_1...x_n} = 0, that is when some zero has a vanishing coordinate,
+    and with NonSimpleZero when the numeric solve resolves fewer distinct
+    zeros than dim Q[x]/I.
     """
     quotient = _Quotient(list(f_list))
     quotient.require_simple()

@@ -1,11 +1,13 @@
 """Rational polytopes from divisor data: lattice points and exact volumes.
 
-A polytope is stored by inequalities <m, normal_i> + offset_i >= 0.  Its
-vertices are enumerated once, by eliminating every n-subset of the
-inequalities.  Lattice points are read from the vertices' bounding box, and
-volumes from a pulling triangulation of the vertex list, whose faces are the
-sets of vertices where each inequality is tight; every quantity is an exact
-Fraction.
+A polytope is stored by inequalities <m, normal_i> + offset_i >= 0 and
+worked on as integer rows, each scaled by its offset's denominator.  The
+vertices are enumerated once, by integer Cramer's rule on every n-subset of
+the rows.  Lattice points scan the first n-1 coordinates over the vertices'
+bounding box and take the last one's exact integer interval from the rows.
+Volumes come from a pulling triangulation of the vertex list, whose faces
+are the sets of vertices where each row is tight.  No Fraction is built per
+point or per subset; vertices and volumes are exact Fractions.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, floor
+from functools import cached_property
+from math import ceil, factorial, floor, gcd, lcm
 
 from .errors import DegenerateVolume, Unbounded
-from .lattice import dot, integer_kernel_vector, mat_det, mat_rank, rational_kernel, rref
+from .lattice import dot, mat_det, mat_rank
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,8 @@ class HPolytope:
     def __post_init__(self):
         if len(self.normals) != len(self.offsets):
             raise ValueError("one offset per normal is required")
+        if any(len(nr) != self.dim for nr in self.normals):
+            raise ValueError("each normal needs one entry per dimension")
         object.__setattr__(self, "normals",
                            tuple(tuple(int(x) for x in nr) for nr in self.normals))
         object.__setattr__(self, "offsets",
@@ -39,6 +44,12 @@ class HPolytope:
         return all(dot(point, nr) + off >= 0
                    for nr, off in zip(self.normals, self.offsets))
 
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Integer (normal, offset) rows: each inequality times its offset's denominator."""
+        return tuple((tuple(x * off.denominator for x in nr), off.numerator)
+                     for nr, off in zip(self.normals, self.offsets))
+
 
 def divisor_polytope(fan, coeffs) -> HPolytope:
     """Sections polytope of the divisor with the given ray coefficients."""
@@ -46,39 +57,39 @@ def divisor_polytope(fan, coeffs) -> HPolytope:
 
 
 def _vertices(poly: HPolytope):
-    """All vertices, as rational tuples, via active-set enumeration."""
-    n = poly.dim
-    seen = set()
-    out = []
-    for subset in itertools.combinations(range(len(poly.normals)), n):
-        # the active facets meet in one point when [A | b] has its pivots
-        # in exactly the first n columns
-        rows, pivots = rref([list(poly.normals[i]) + [-poly.offsets[i]]
-                             for i in subset], n + 1)
-        if pivots != list(range(n)):
+    """All vertices, as sorted rational tuples, via active-set enumeration.
+
+    Each n-subset of the rows with a nonzero determinant meets in one point:
+    integer Cramer numerators over that determinant, reduced by their gcd to
+    a key with a positive denominator.  A key is a vertex when
+    <normal, num> + offset*den >= 0 on every row.
+    """
+    n, rows = poly.dim, poly._rows
+    keys = set()
+    for subset in itertools.combinations(rows, n):
+        den = mat_det([nr for nr, _ in subset])
+        if den == 0:
             continue
-        v = tuple(row[n] for row in rows)
-        if v in seen:
-            continue
-        seen.add(v)
-        if poly.contains(v):
-            out.append(v)
-    out.sort()
-    return out
+        num = [mat_det([nr[:j] + (-off,) + nr[j + 1:] for nr, off in subset])
+               for j in range(n)]
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        keys.add((tuple(x // g for x in num), den // g))
+    return sorted(tuple(Fraction(x, den) for x in num) for num, den in keys
+                  if all(dot(nr, num) + off * den >= 0 for nr, off in rows))
 
 
 def _is_bounded(poly: HPolytope) -> bool:
-    """Exact recession cone test: only the origin may satisfy all <v,n> >= 0."""
-    n = poly.dim
-    if rational_kernel([list(r) for r in poly.normals], n):
+    """Exact recession cone test: only the origin may satisfy all
+    <v, normal> >= 0, exactly when the normals have rank n and no kernel
+    line of n-1 of them, spanned by its signed maximal minors, satisfies
+    them all in either direction."""
+    n, normals = poly.dim, poly.normals
+    if not any(mat_det(sub) for sub in itertools.combinations(normals, n)):
         return False
-    for subset in itertools.combinations(range(len(poly.normals)), n - 1):
-        v = integer_kernel_vector([poly.normals[i] for i in subset], n)
-        if v is None:
-            continue
-        for s in (v, tuple(-x for x in v)):
-            if all(dot(s, nr) >= 0 for nr in poly.normals):
-                return False
+    for sub in itertools.combinations(normals, n - 1):
+        v = [(-1) ** j * mat_det([nr[:j] + nr[j + 1:] for nr in sub]) for j in range(n)]
+        if any(v) and any(all(s * dot(v, nr) >= 0 for nr in normals) for s in (1, -1)):
+            return False
     return True
 
 
@@ -90,16 +101,35 @@ def _bounded_vertices(poly: HPolytope):
 
 
 def lattice_points(poly: HPolytope) -> list[tuple[int, ...]]:
-    """All integer points, in lexicographic order."""
+    """All integer points, in lexicographic order.
+
+    The first n-1 coordinates run over the vertices' bounding box.  At each
+    such prefix p the rows whose last normal entry c is zero are tested
+    once; every other row, with s its value at p, bounds the last coordinate
+    x by c*x + s >= 0, so x >= ceil(-s/c) for c > 0 and x <= floor(s/-c) for
+    c < 0, and only the points of that interval are built.
+    """
     verts = _bounded_vertices(poly)
-    if not verts:
-        return []
-    ranges = []
-    for j in range(poly.dim):
-        lo = min(v[j] for v in verts)
-        hi = max(v[j] for v in verts)
-        ranges.append(range(ceil(lo), floor(hi) + 1))
-    return [pt for pt in itertools.product(*ranges) if poly.contains(pt)]
+    n = poly.dim
+    if not verts or n == 0:
+        return verts  # none, or the one point () of a 0-dimensional polytope
+    box = [(ceil(min(v[j] for v in verts)), floor(max(v[j] for v in verts)))
+           for j in range(n)]
+    flat = [(nr[:-1], off) for nr, off in poly._rows if nr[-1] == 0]
+    slanted = [(nr[:-1], off, nr[-1]) for nr, off in poly._rows if nr[-1]]
+    out = []
+    for p in itertools.product(*(range(lo, hi + 1) for lo, hi in box[:-1])):
+        if any(dot(nr, p) + off < 0 for nr, off in flat):
+            continue
+        lo, hi = box[-1]
+        for nr, off, c in slanted:
+            s = dot(nr, p) + off
+            if c > 0:
+                lo = max(lo, -(s // c))
+            else:
+                hi = min(hi, s // -c)
+        out.extend(p + (x,) for x in range(lo, hi + 1))
+    return out
 
 
 def normalized_volume(poly: HPolytope) -> Fraction:
@@ -130,8 +160,12 @@ def _pulled_volume(poly: HPolytope) -> Fraction:
     diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
     if poly.dim > 0 and mat_rank(diffs) < poly.dim:
         return Fraction(0)
-    tight = {frozenset(i for i, v in enumerate(verts) if dot(v, nr) + off == 0)
-             for nr, off in zip(poly.normals, poly.offsets)}
+    scaled = []
+    for v in verts:
+        d = lcm(*(x.denominator for x in v))
+        scaled.append(([x.numerator * (d // x.denominator) for x in v], d))
+    tight = {frozenset(i for i, (num, d) in enumerate(scaled) if dot(num, nr) + off * d == 0)
+             for nr, off in poly._rows}
 
     def pull(face, chain):
         a = min(face)

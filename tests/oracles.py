@@ -10,36 +10,42 @@ chart ideal, the codimension check that reduces every critical-degree
 monomial, the residue read from normal forms with every degree check done
 by ``degree_of``, membership in the radical through a slack variable, the
 completeness test that compares every pair of cones, the rank as the size
-of the largest nonzero minor, the determinant by cofactor expansion, and
-the numeric chart solver that read zeros from a lex basis in shape
-position, and the polytope volume by a pyramid recursion over facets.  The exact sum of local residues as a trace over the quotient
-ring is a reference value for both the exact residue and the numeric sum.
-Tests compare engine output against them.
+of the largest nonzero minor, the determinant by cofactor expansion, the
+numeric chart solver that read zeros from a lex basis in shape position,
+the chart solver and zero set the package once exported, the
+polytope volume by a pyramid recursion over facets, polytope vertices by
+elimination over Q, boundedness from rational kernels, lattice points by a
+bounding-box scan, and ampleness by Fraction comparisons.  The exact sum
+of local residues as a trace over the quotient ring is a reference value
+for both the exact residue and the numeric sum.  Tests compare engine
+output against them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import ceil, factorial, floor, gcd, lcm
 
 import numpy as np
 
 from toricres import (AllReduceToZero, CodimNotOne, GroebnerBasis, HypothesesFailed,
                       InfiniteIntersection, MonomialOrder, MultiPoly, NonSimpleZero,
-                      NotHomogeneous, NotShapePosition, NotTorusZero, NotZeroDimensional,
+                      NotHomogeneous, NotTorusZero, NotZeroDimensional, ToricError,
                       Unbounded, WrongDegree, cone_determinant, dehomogenize, is_simplicial,
                       local_residue_simple, monomial_basis, poly_det)
 from toricres.grading import critical_degree
 from toricres.groebner import (divide, grevlex, leading_term, lex, quotient_is_finite,
                                reducer, standard_monomials)
-from toricres.lattice import (dot, integer_kernel_vector, mat_det, primitive, rref,
-                              smith_normal_form, solve_rational, transpose)
-from toricres.localres import (RESIDUAL_TOL, SEPARATION_TOL, _complex_terms, _dedupe,
-                               _evaluate, _jacobian_at, _jacobian_terms, _newton_refine)
+from toricres.lattice import (dot, mat_det, rref, smith_normal_form, solve_rational, transpose,
+                              vec_content)
+from toricres.localres import (RESIDUAL_TOL, SEPARATION_TOL, _chart, _complex_terms, _dedupe,
+                               _evaluate, _jacobian_at, _jacobian_terms, _newton_refine,
+                               _Quotient)
 from toricres.poly import degree_of
-from toricres.polytopes import HPolytope, _vertices
+from toricres.polytopes import HPolytope
 from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
 
 
@@ -462,6 +468,111 @@ def cofactor_det(A):
 
 
 # ---------------------------------------------------------------------------
+# the polytope layer as it was before integer rows: every n-subset of the
+# inequalities eliminated over Q, boundedness from rational kernels, every
+# point of the vertices' bounding box tested with Fraction dot products, and
+# ampleness by Fraction comparisons
+
+
+def fraction_vertices(poly):
+    """All vertices, as sorted rational tuples, via active-set enumeration."""
+    n = poly.dim
+    seen = set()
+    out = []
+    for subset in itertools.combinations(range(len(poly.normals)), n):
+        # the active facets meet in one point when [A | b] has its pivots
+        # in exactly the first n columns
+        rows, pivots = rref([list(poly.normals[i]) + [-poly.offsets[i]]
+                             for i in subset], n + 1)
+        if pivots != list(range(n)):
+            continue
+        v = tuple(row[n] for row in rows)
+        if v in seen:
+            continue
+        seen.add(v)
+        if poly.contains(v):
+            out.append(v)
+    out.sort()
+    return out
+
+
+def primitive(v):
+    """v divided by the gcd of its entries."""
+    g = vec_content(v)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(a // g for a in v)
+
+
+def rational_kernel(rows, ncols):
+    """Basis of the rational null space of the given rows."""
+    work, pivots = rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(work, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def integer_kernel_vector(rows, ncols):
+    """Primitive integer kernel vector when the null space is a line, else None."""
+    basis = rational_kernel(rows, ncols)
+    if len(basis) != 1:
+        return None
+    v = basis[0]
+    den = lcm(*(x.denominator for x in v))
+    iv = tuple(int(x * den) for x in v)
+    return primitive(iv)
+
+
+def kernel_is_bounded(poly) -> bool:
+    """Exact recession cone test: only the origin may satisfy all <v,n> >= 0."""
+    n = poly.dim
+    if rational_kernel([list(r) for r in poly.normals], n):
+        return False
+    for subset in itertools.combinations(range(len(poly.normals)), n - 1):
+        v = integer_kernel_vector([poly.normals[i] for i in subset], n)
+        if v is None:
+            continue
+        for s in (v, tuple(-x for x in v)):
+            if all(dot(s, nr) >= 0 for nr in poly.normals):
+                return False
+    return True
+
+
+def box_lattice_points(poly):
+    """All integer points, in lexicographic order: the points of the
+    vertices' bounding box that the polytope contains."""
+    if poly.dim and not kernel_is_bounded(poly):
+        raise Unbounded("polytope has an unbounded direction")
+    verts = fraction_vertices(poly)
+    if not verts:
+        return []
+    ranges = []
+    for j in range(poly.dim):
+        lo = min(v[j] for v in verts)
+        hi = max(v[j] for v in verts)
+        ranges.append(range(ceil(lo), floor(hi) + 1))
+    return [pt for pt in itertools.product(*ranges) if poly.contains(pt)]
+
+
+def fraction_strictness_failures(fan, ms, coeffs):
+    """(cone, ray) pairs, ray off the cone, with <m_cone, ray> <= -a_ray,
+    compared as Fractions."""
+    out = []
+    for k, cone in enumerate(fan.max_cones):
+        for j in range(fan.nvars):
+            if j in cone:
+                continue
+            if dot(ms[k], fan.rays[j]) <= -Fraction(coeffs[j]):
+                out.append((k, j))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the volume as it was before the pulling triangulation: a pyramid over each
 # facet from an interior point, with the facet's slice carried into the
 # normal's orthogonal sublattice and its vertices enumerated again
@@ -510,7 +621,7 @@ def _volume_rec(normals, offsets, n) -> Fraction:
             raise Unbounded("one-dimensional slice is unbounded")
         return max(Fraction(0), hi - lo)
     poly = HPolytope(n, tuple(nr for nr, _ in prim), tuple(off for _, off in prim))
-    verts = _vertices(poly)
+    verts = fraction_vertices(poly)
     if len(verts) <= n:
         return Fraction(0)
     center = tuple(sum(col, Fraction(0)) / len(verts) for col in zip(*verts))
@@ -670,6 +781,11 @@ def _shape_parts(gb, nv):
     return _uni_coeffs(q, last), tails
 
 
+class NotShapePosition(ToricError):
+    """The lex basis stayed out of shape position after every coordinate
+    change; only ``shape_position_solve`` raises it."""
+
+
 def shape_position_solve(polys, seed=0):
     """(zeros, quotient dimension) of a square system by the shape-position
     chain, with up to five seeded unitriangular coordinate changes; refuses
@@ -814,3 +930,38 @@ def nullstellensatz_refusal(problem, k):
     if vanishes_somewhere(system, dehomogenize(problem.polys[k], fan, problem.sigma)):
         return "ZeroOnPolarLocus"
     return None
+
+
+# ---------------------------------------------------------------------------
+# chart solving by one quotient ring, on a square system or on one chart of
+# a problem, as the package exported it before the sum built its own chart
+
+
+def solve_chart_system(polys, seed: int = 0):
+    """(zeros, dim Q[x]/I) of a square system.  Raises NotZeroDimensional
+    when the zeros are not finite, and NonSimpleZero when det M_J = 0 (a
+    multiple zero) or when the combination of coordinate matrices that the
+    seed picks resolves fewer distinct zeros than dim Q[x]/I."""
+    quotient = _Quotient(list(polys))
+    quotient.require_simple()
+    return quotient.zeros(seed)[0], len(quotient.basis)
+
+
+@dataclass(frozen=True)
+class NumericZeroSet:
+    cone: int
+    zeros: tuple
+    jacobians: tuple
+    quotient_dim: int
+
+
+def chart_zero_set(problem, k: int, cone_index: int | None = None,
+                   seed: int = 0) -> NumericZeroSet:
+    """Zeros, in one chart, of the system with input k dropped, with the
+    Jacobian determinant at each.  Refuses like ``solve_chart_system``,
+    with InfiniteIntersection for a positive-dimensional system."""
+    cone = problem.sigma if cone_index is None else cone_index
+    quotient = _chart(problem, k, cone)[1]
+    quotient.require_simple()
+    zeros, dets = quotient.zeros(seed)
+    return NumericZeroSet(cone, tuple(zeros), tuple(dets), len(quotient.basis))

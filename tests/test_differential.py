@@ -26,7 +26,6 @@ from toricres import (
     MonomialOrder,
     MultiPoly,
     NonSimpleZero,
-    NotShapePosition,
     NotZeroDimensional,
     ResidueProblem,
     buchberger,
@@ -43,18 +42,16 @@ from toricres import (
     parse_poly,
     residue_report,
     sigma_independence_check,
-    solve_chart_system,
     toric_residue,
 )
 
 from toricres.groebner import divide, reducer, reducer_table, s_polynomial
 from toricres.residues import P, _mod_p
-from toricres.lattice import primitive
 
 from conftest import FIXTURES, load
-from oracles import (all_monomial_codim_check, grevlex_chart_dimension,
+from oracles import (NotShapePosition, all_monomial_codim_check, grevlex_chart_dimension,
                      linear_scan_normal_form, multipoly_s_polynomial, pairwise_is_complete,
-                     parallel_list_buchberger)
+                     parallel_list_buchberger, primitive, solve_chart_system)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 

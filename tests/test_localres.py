@@ -11,16 +11,15 @@ from toricres import (
     NotTorusZero,
     NotZeroDimensional,
     ZeroOnPolarLocus,
-    chart_zero_set,
     euler_jacobi_check,
     local_residue_simple,
     parse_poly,
-    solve_chart_system,
     sum_local_residues,
     toric_residue,
 )
 
 from conftest import load
+from oracles import chart_zero_set, solve_chart_system
 
 TOL = 1e-8
 

@@ -45,6 +45,15 @@ def test_vertices_skip_parallel_facets():
     assert _vertices(square) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
+def test_normals_of_the_wrong_length_are_refused():
+    # unchecked, zip in the dot products would cut a longer normal short,
+    # and a shorter one would be indexed past its end
+    for normals in (((1, 0, 5), (-1, 0, 0), (0, 1, 0), (0, -1, 0)),
+                    ((1,), (-1, 0), (0, 1), (0, -1))):
+        with pytest.raises(ValueError, match="one entry per dimension"):
+            HPolytope(2, normals, (1, 1, 1, 1))
+
+
 def test_segment_volume():
     poly = HPolytope(1, ((1,), (-1,)), (Fraction(0), Fraction(3)))
     assert polytope_volume(poly) == 3

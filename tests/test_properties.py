@@ -21,12 +21,11 @@ from toricres import (
     toric_residue,
 )
 from toricres.divisors import is_ample, is_cartier, is_q_ample
-from toricres.lattice import (dot, mat_det, mat_rank, rational_kernel, rref,
-                              smith_normal_form, solve_rational)
+from toricres.lattice import dot, mat_det, mat_rank, rref, smith_normal_form, solve_rational
 from toricres.polytopes import monomial_basis
 
 from conftest import load
-from oracles import cofactor_det, minor_rank
+from oracles import cofactor_det, minor_rank, rational_kernel
 
 DEFAULTS = settings(max_examples=40, deadline=None, derandomize=True)
 

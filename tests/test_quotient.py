@@ -17,19 +17,16 @@ from toricres import (
     InfiniteIntersection,
     MultiPoly,
     NonSimpleZero,
-    NotShapePosition,
     NotTorusZero,
     NotZeroDimensional,
     ResidueProblem,
     ZeroOnPolarLocus,
-    chart_zero_set,
     compute_grading,
     euler_jacobi_check,
     load_fan,
     make_fan,
     monomial_basis,
     parse_poly,
-    solve_chart_system,
     sum_local_residues,
     toric_residue,
 )
@@ -37,9 +34,9 @@ from toricres import localres
 from toricres.localres import COMPARE_TOL, SEPARATION_TOL
 
 from conftest import FIXTURES, load
-from oracles import (chart_system, nullstellensatz_refusal, shape_position_chart_zeros,
-                     shape_position_solve, shape_position_sum, solver_refusal,
-                     trace_residue_sum)
+from oracles import (NotShapePosition, chart_system, chart_zero_set, nullstellensatz_refusal,
+                     shape_position_chart_zeros, shape_position_solve, shape_position_sum,
+                     solve_chart_system, solver_refusal, trace_residue_sum)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
