@@ -14,7 +14,7 @@ from fractions import Fraction
 from .divisors import is_ample
 from .errors import DegreeMismatch, NotAmple
 from .grading import Grading, grading_from_rays, anticanonical_class, representative_divisor
-from .lattice import FanData, solve_rational
+from .lattice import FanData, smith_normal_form
 from .poly import MultiPoly, degree_of
 from .polytopes import (HPolytope, divisor_monomials, divisor_polytope, lattice_points,
                         monomial_basis)
@@ -156,19 +156,19 @@ def cayley_polytope_check(cd: CayleyData) -> bool:
 
 
 def jacobian_ideal_degree_check(cd: CayleyData, polys) -> bool:
-    """Degree bookkeeping behind the codimension argument: a rational weight
+    """Degree bookkeeping behind the codimension argument: a weight
     functional gives every y variable weight one and every base variable
     weight zero, kills the lifted critical degree, and every base partial of
-    the bundled form carries a y in each term."""
-    rows = []
-    rhs = []
-    for i in range(cd.base_count):
-        rows.append(list(cd.grading.variable_degree(i).free))
-        rhs.append(Fraction(0))
-    for j in range(cd.n + 1):
-        rows.append(list(cd.grading.variable_degree(cd.base_count + j).free))
-        rhs.append(Fraction(1))
-    lam = solve_rational(rows, rhs)
+    the bundled form carries a y in each term.
+
+    The functional is found by one integer Smith solve.  It is the same
+    functional as over Q: the free-degree map sends the variables onto Z^r,
+    so the system's Smith diagonal is r ones, and a rational solution is
+    unique and integer whenever one exists."""
+    rows = [list(cd.grading.variable_degree(i).free)
+            for i in range(cd.base_count + cd.n + 1)]
+    rhs = [0] * cd.base_count + [1] * (cd.n + 1)
+    lam = smith_normal_form(rows).solve(rhs)
     if lam is None:
         return False
     rho = critical_degree_lifted(cd)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidFan
-from .lattice import FanData, dot, solve_rational
+from .lattice import FanData, cramer, dot
 
 
 @dataclass(frozen=True)
@@ -26,18 +26,31 @@ class PositivityReport:
         return self.ok
 
 
+def _scaled_coeffs(coeffs) -> tuple[int, list[int]]:
+    """d, the lcm of the coefficients' denominators, and the integers d*a_i."""
+    cs = [Fraction(c) for c in coeffs]
+    d = lcm(*(c.denominator for c in cs))
+    return d, [c.numerator * (d // c.denominator) for c in cs]
+
+
 def cone_functionals(fan: FanData, coeffs) -> list[tuple[Fraction, ...]]:
-    """Per-cone m with <m, ray_i> = -a_i on the cone's rays."""
+    """Per-cone m with <m, ray_i> = -a_i on the cone's rays.
+
+    With d the lcm of the coefficients' denominators, each cone solves the
+    integer system <m, ray_i> = -d*a_i by Cramer's rule and divides by d.  A
+    cone without exactly dim independent rays has no unique m and raises.
+    """
     if len(coeffs) != fan.nvars:
         raise InvalidFan("one coefficient per ray is required")
+    d, scaled = _scaled_coeffs(coeffs)
     out = []
-    for cone in fan.max_cones:
-        A = [list(fan.rays[i]) for i in cone]
-        b = [-Fraction(coeffs[i]) for i in cone]
-        m = solve_rational(A, b)
-        if m is None:
-            raise InvalidFan("cone rays are dependent")
-        out.append(m)
+    for k, cone in enumerate(fan.max_cones):
+        meet = len(cone) == fan.dim and cramer([fan.rays[i] for i in cone],
+                                               [-scaled[i] for i in cone])
+        if not meet:
+            raise InvalidFan(f"cone {k} does not have {fan.dim} independent rays")
+        num, den = meet
+        out.append(tuple(Fraction(x, den * d) for x in num))
     return out
 
 
@@ -56,9 +69,7 @@ def _strictness_failures(fan: FanData, ms, coeffs):
     """(cone, ray) pairs, ray off the cone, with <m_cone, ray> <= -a_ray,
     compared in integers: with L the lcm of m_cone's denominators and d that
     of the a's, as d*<L*m_cone, ray> <= -(d*a_ray)*L."""
-    cs = [Fraction(c) for c in coeffs]
-    d = lcm(*(c.denominator for c in cs))
-    scaled = [c.numerator * (d // c.denominator) for c in cs]
+    d, scaled = _scaled_coeffs(coeffs)
     out = []
     for k, cone in enumerate(fan.max_cones):
         L = lcm(*(x.denominator for x in ms[k]))

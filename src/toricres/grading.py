@@ -18,10 +18,8 @@ from .lattice import (
     freeze,
     hnf_reduced_rows,
     hnf_rows,
-    mat_rank,
     reduce_mod_lattice,
     smith_normal_form,
-    solve_integer,
 )
 
 
@@ -159,7 +157,7 @@ def validate_user_grading(fan, free_rows) -> Grading:
     lat_comp = span_rows(list(computed.free_rows) + base)
     if lat_user != lat_comp:
         raise NotSurjective("rows do not generate the free quotient")
-    if mat_rank(list(free_rows)) != len(free_rows):
+    if len(hnf_rows(free_rows, cols)) != len(free_rows):
         raise NotSurjective("rows are linearly dependent")
     return Grading(rays, free_rows, computed.torsion_rows, computed.moduli,
                    provenance="user")
@@ -201,7 +199,7 @@ def representative_divisor(grading: Grading, degree: DegreeClass) -> Vec:
     """
     nv = grading.nvars
     rhs = list(degree.free) + list(degree.torsion)
-    sol = solve_integer(degree_system(grading, range(nv)), rhs)
+    sol = smith_normal_form(degree_system(grading, range(nv))).solve(rhs)
     if sol is None:
         raise NoIntegralLift("degree is not in the grading group image")
     v = sol[:nv]

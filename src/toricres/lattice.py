@@ -2,7 +2,11 @@
 
 Matrices are nested tuples/lists of Python ints, so nothing overflows and
 every normal form (Smith, Hermite) carries unimodular transforms that can
-be replayed and verified in tests.
+be replayed and verified in tests.  There is one integer path for each
+job and no elimination over Q: a square system is solved by Cramer's rule
+over fraction-free Bareiss determinants (``cramer``), a system over the
+integers by the Smith form (``SmithDecomposition.solve``), and a rank or a
+lattice is read from the Smith or Hermite form.
 """
 
 from __future__ import annotations
@@ -49,10 +53,6 @@ def mat_vec(A, v):
     return tuple(dot(row, v) for row in A)
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
 def mat_det(A) -> int | Fraction:
     """Exact determinant over Q: fraction-free Bareiss elimination after
     each row is scaled by the lcm of its denominators, then division by the
@@ -82,54 +82,20 @@ def mat_det(A) -> int | Fraction:
     return det if scale == 1 else Fraction(det, scale)
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form over the rationals, by Gauss-Jordan.
+def cramer(rows, rhs):
+    """The one solution of the square integer system rows·x = rhs, or None
+    when det(rows) is 0.
 
-    Returns ``(rows, pivot_columns)``: the nonzero rows as lists of
-    Fractions, each with a 1 in its pivot column and 0 in every other
-    pivot column, and their pivot columns in ascending order.  The pivot of
-    each column is the first remaining row that is nonzero there, so the
-    result is deterministic.
+    Returns ``(num, den)`` with x = num/den: the Cramer numerators over the
+    determinant, divided by their common gcd so that ``den`` is positive.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-    return work[:len(pivots)], pivots
-
-
-def mat_rank(A) -> int:
-    """Rank over the rationals."""
-    return len(rref(A, len(A[0]) if A else 0)[1])
-
-
-def solve_rational(A, b):
-    """One rational solution of A x = b, or None when inconsistent.
-
-    Eliminates the augmented matrix [A | b]; a pivot in its last column
-    means the system is inconsistent.  Free variables are pinned to 0.
-    """
-    n = len(A[0]) if A else 0
-    rows, pivots = rref([list(row) + [bi] for row, bi in zip(A, b)], n + 1)
-    if n in pivots:
+    den = mat_det(rows)
+    if den == 0:
         return None
-    x = [Fraction(0)] * n
-    for row, c in zip(rows, pivots):
-        x[c] = row[n]
-    return tuple(x)
+    num = [mat_det([[*row[:j], b, *row[j + 1:]] for row, b in zip(rows, rhs)])
+           for j in range(len(rows))]
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    return tuple(x // g for x in num), den // g
 
 
 @dataclass(frozen=True)
@@ -163,6 +129,23 @@ class SmithDecomposition:
         n = len(self.S[0]) if m else 0
         off = all(self.S[i][j] == 0 for i in range(m) for j in range(n) if i != j)
         return off and abs(mat_det(self.U)) == 1 and abs(mat_det(self.V)) == 1
+
+    def solve(self, b):
+        """One integer solution of A x = b, or None."""
+        m = len(self.S)
+        n = len(self.V)
+        ub = mat_vec(self.U, tuple(b))
+        d = self.diagonal
+        y = [0] * n
+        for i in range(m):
+            s = d[i] if i < len(d) else 0
+            if s:
+                if ub[i] % s:
+                    return None
+                y[i] = ub[i] // s
+            elif ub[i] != 0:
+                return None
+        return tuple(sum(self.V[i][j] * y[j] for j in range(n)) for i in range(n))
 
 
 def smith_normal_form(A) -> SmithDecomposition:
@@ -295,25 +278,6 @@ def hnf_reduced_rows(vectors, ncols):
     return [tuple(r) for _, r in paired]
 
 
-def solve_integer(A, b):
-    """One integer solution of A x = b, or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    snf = smith_normal_form(A)
-    ub = mat_vec(snf.U, tuple(b))
-    d = snf.diagonal
-    y = [0] * n
-    for i in range(m):
-        s = d[i] if i < len(d) else 0
-        if s:
-            if ub[i] % s:
-                return None
-            y[i] = ub[i] // s
-        elif ub[i] != 0:
-            return None
-    return tuple(sum(snf.V[i][j] * y[j] for j in range(n)) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # fans
 
@@ -424,7 +388,8 @@ def is_complete(fan: FanData) -> CompletenessReport:
     vector the same everywhere, and a point inside cone 0 lies in a second
     closed cone exactly when that number exceeds one; together the checks
     say that the cones cover the space exactly once.  The cost is one
-    determinant per cone and facet, and one solve per cone.
+    determinant per cone and facet, and one Cramer solve per cone, whose
+    positive denominator lets λ >= 0 be read off the numerators.
     """
     n = fan.dim
     if not fan.max_cones:
@@ -462,8 +427,8 @@ def is_complete(fan: FanData) -> CompletenessReport:
                        f"of facet {facet}")
     inner = tuple(sum(col) for col in zip(*fan.cone_rays(0)))
     for k in range(1, len(fan.max_cones)):
-        lam = solve_rational(transpose(fan.cone_rays(k)), inner)
-        if all(x >= 0 for x in lam):
+        num, _ = cramer(list(zip(*fan.cone_rays(k))), inner)
+        if all(x >= 0 for x in num):
             return CompletenessReport(
                 False, f"cone {k} contains {inner}, an interior point of cone 0")
     return CompletenessReport(True)

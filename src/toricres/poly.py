@@ -19,7 +19,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import degree_system
-from .lattice import mat_rank, solve_integer
+from .lattice import smith_normal_form
 
 Exponent = tuple[int, ...]
 
@@ -423,13 +423,19 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     """Rescale a chart polynomial into the full ring at an exact degree.
 
     Each chart monomial must extend by a unique nonnegative exponent pattern
-    on the off-cone variables so every term reaches ``target``.
+    on the off-cone variables so every term reaches ``target``.  The degree
+    system on those variables (``degree_system``) is put in Smith form once
+    per call.  A nonzero polynomial is refused when the form's rank, its
+    count of nonzero diagonal entries, is below the number of unknowns, as
+    the pattern is then not unique; each term's degree gap is then one
+    integer solve against the form.
     """
     cone = chart_variables(fan, cone_index)
     others = [i for i in range(fan.nvars) if i not in cone]
     nv = fan.nvars
-    rows = degree_system(grading, others)
-    if q.terms and mat_rank(rows) < len(others) + len(grading.torsion_rows):
+    snf = smith_normal_form(degree_system(grading, others))
+    rank = sum(1 for s in snf.diagonal if s)
+    if q.terms and rank < len(others) + len(grading.torsion_rows):
         raise NonUniqueLift("off-cone exponents are not determined by the degree")
     out = {}
     for e, c in q.terms.items():
@@ -439,7 +445,7 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
         have = grading.degree(base)
         rhs = ([a - b for a, b in zip(target.free, have.free)]
                + [a - b for a, b in zip(target.torsion, have.torsion)])
-        sol = solve_integer(rows, rhs)
+        sol = snf.solve(rhs)
         if sol is None:
             raise NoIntegralLift("no integral exponent pattern reaches the degree")
         fill = sol[:len(others)]

@@ -16,10 +16,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, factorial, floor, gcd, lcm
+from math import ceil, factorial, floor, lcm
 
 from .errors import DegenerateVolume, Unbounded
-from .lattice import dot, mat_det, mat_rank
+from .lattice import cramer, dot, mat_det
 
 
 @dataclass(frozen=True)
@@ -59,21 +59,14 @@ def divisor_polytope(fan, coeffs) -> HPolytope:
 def _vertices(poly: HPolytope):
     """All vertices, as sorted rational tuples, via active-set enumeration.
 
-    Each n-subset of the rows with a nonzero determinant meets in one point:
-    integer Cramer numerators over that determinant, reduced by their gcd to
-    a key with a positive denominator.  A key is a vertex when
+    Each n-subset of the rows with a nonzero determinant meets in one point,
+    whose ``lattice.cramer`` key is its integer numerators over a positive
+    denominator with no common factor.  A key is a vertex when
     <normal, num> + offset*den >= 0 on every row.
     """
     n, rows = poly.dim, poly._rows
-    keys = set()
-    for subset in itertools.combinations(rows, n):
-        den = mat_det([nr for nr, _ in subset])
-        if den == 0:
-            continue
-        num = [mat_det([nr[:j] + (-off,) + nr[j + 1:] for nr, off in subset])
-               for j in range(n)]
-        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
-        keys.add((tuple(x // g for x in num), den // g))
+    keys = {cramer([nr for nr, _ in subset], [-off for _, off in subset])
+            for subset in itertools.combinations(rows, n)} - {None}
     return sorted(tuple(Fraction(x, den) for x in num) for num, den in keys
                   if all(dot(nr, num) + off * den >= 0 for nr, off in rows))
 
@@ -153,19 +146,27 @@ def _pulled_volume(poly: HPolytope) -> Fraction:
     lies in a facet not containing a, because a face is the intersection of
     the facets that contain it.  Parallel, duplicate, redundant and zero
     inequalities only add sets that are not maximal, or no set at all.
+
+    P is flat exactly when some row with a nonzero normal is tight at every
+    vertex, an implicit equality.  Such a row is tight on all of P, the hull
+    of its vertices, so P lies in its hyperplane.  If instead each such row
+    is slack at some point of P, the mean of those points is slack in all
+    of them at once and so is an interior point: P is full-dimensional.  A
+    zero row is constant, holds on the nonempty P and bounds nothing.
     """
     verts = _bounded_vertices(poly)
     if not verts:
         raise DegenerateVolume("polytope is empty")
-    diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
-    if poly.dim > 0 and mat_rank(diffs) < poly.dim:
-        return Fraction(0)
     scaled = []
     for v in verts:
         d = lcm(*(x.denominator for x in v))
         scaled.append(([x.numerator * (d // x.denominator) for x in v], d))
-    tight = {frozenset(i for i, (num, d) in enumerate(scaled) if dot(num, nr) + off * d == 0)
-             for nr, off in poly._rows}
+    rows = [(nr, frozenset(i for i, (num, d) in enumerate(scaled)
+                           if dot(num, nr) + off * d == 0))
+            for nr, off in poly._rows]
+    if any(any(nr) and len(h) == len(verts) for nr, h in rows):
+        return Fraction(0)
+    tight = {h for _, h in rows}
 
     def pull(face, chain):
         a = min(face)

@@ -15,7 +15,10 @@ numeric chart solver that read zeros from a lex basis in shape position,
 the chart solver and zero set the package once exported, the
 polytope volume by a pyramid recursion over facets, polytope vertices by
 elimination over Q, boundedness from rational kernels, lattice points by a
-bounding-box scan, and ampleness by Fraction comparisons.  The exact sum
+bounding-box scan, ampleness by Fraction comparisons, and the Fraction
+Gauss-Jordan elimination (``rref``, ``mat_rank``, ``solve_rational``,
+``solve_integer``) with the cone functionals and the Cayley weight
+functional it once computed.  The exact sum
 of local residues as a trace over the quotient ring is a reference value
 for both the exact residue and the numeric sum.  Tests compare engine
 output against them.
@@ -32,21 +35,148 @@ from math import ceil, factorial, floor, gcd, lcm
 import numpy as np
 
 from toricres import (AllReduceToZero, CodimNotOne, GroebnerBasis, HypothesesFailed,
-                      InfiniteIntersection, MonomialOrder, MultiPoly, NonSimpleZero,
+                      InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NonSimpleZero,
                       NotHomogeneous, NotTorusZero, NotZeroDimensional, ToricError,
                       Unbounded, WrongDegree, cone_determinant, dehomogenize, is_simplicial,
                       local_residue_simple, monomial_basis, poly_det)
+from toricres.cayley import _lift_poly, critical_degree_lifted
 from toricres.grading import critical_degree
 from toricres.groebner import (divide, grevlex, leading_term, lex, quotient_is_finite,
                                reducer, standard_monomials)
-from toricres.lattice import (dot, mat_det, rref, smith_normal_form, solve_rational, transpose,
-                              vec_content)
+from toricres.lattice import FanData, dot, mat_det, mat_vec, smith_normal_form, vec_content
 from toricres.localres import (RESIDUAL_TOL, SEPARATION_TOL, _chart, _complex_terms, _dedupe,
                                _evaluate, _jacobian_at, _jacobian_terms, _newton_refine,
                                _Quotient)
 from toricres.poly import degree_of
 from toricres.polytopes import HPolytope
 from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
+
+
+# ---------------------------------------------------------------------------
+# elimination over Q, as the package ran it before every solve went through
+# integer Cramer or the Smith form
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)] if A else []
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over the rationals, by Gauss-Jordan.
+
+    Returns ``(rows, pivot_columns)``: the nonzero rows as lists of
+    Fractions, each with a 1 in its pivot column and 0 in every other
+    pivot column, and their pivot columns in ascending order.  The pivot of
+    each column is the first remaining row that is nonzero there, so the
+    result is deterministic.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return work[:len(pivots)], pivots
+
+
+def mat_rank(A) -> int:
+    """Rank over the rationals."""
+    return len(rref(A, len(A[0]) if A else 0)[1])
+
+
+def solve_rational(A, b):
+    """One rational solution of A x = b, or None when inconsistent.
+
+    Eliminates the augmented matrix [A | b]; a pivot in its last column
+    means the system is inconsistent.  Free variables are pinned to 0.
+    """
+    n = len(A[0]) if A else 0
+    rows, pivots = rref([list(row) + [bi] for row, bi in zip(A, b)], n + 1)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
+    return tuple(x)
+
+
+def solve_integer(A, b):
+    """One integer solution of A x = b, or None."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    snf = smith_normal_form(A)
+    ub = mat_vec(snf.U, tuple(b))
+    d = snf.diagonal
+    y = [0] * n
+    for i in range(m):
+        s = d[i] if i < len(d) else 0
+        if s:
+            if ub[i] % s:
+                return None
+            y[i] = ub[i] // s
+        elif ub[i] != 0:
+            return None
+    return tuple(sum(snf.V[i][j] * y[j] for j in range(n)) for i in range(n))
+
+
+def fraction_cone_functionals(fan: FanData, coeffs) -> list[tuple[Fraction, ...]]:
+    """Per-cone m with <m, ray_i> = -a_i on the cone's rays."""
+    if len(coeffs) != fan.nvars:
+        raise InvalidFan("one coefficient per ray is required")
+    out = []
+    for cone in fan.max_cones:
+        A = [list(fan.rays[i]) for i in cone]
+        b = [-Fraction(coeffs[i]) for i in cone]
+        m = solve_rational(A, b)
+        if m is None:
+            raise InvalidFan("cone rays are dependent")
+        out.append(m)
+    return out
+
+
+def weight_system(cd):
+    """Rows and right side of the Cayley weight functional: weight zero on
+    every base variable and one on every y variable."""
+    rows = []
+    rhs = []
+    for i in range(cd.base_count):
+        rows.append(list(cd.grading.variable_degree(i).free))
+        rhs.append(Fraction(0))
+    for j in range(cd.n + 1):
+        rows.append(list(cd.grading.variable_degree(cd.base_count + j).free))
+        rhs.append(Fraction(1))
+    return rows, rhs
+
+
+def fraction_jacobian_ideal_degree_check(cd, polys) -> bool:
+    """``jacobian_ideal_degree_check`` with its functional found over Q."""
+    rows, rhs = weight_system(cd)
+    lam = solve_rational(rows, rhs)
+    if lam is None:
+        return False
+    rho = critical_degree_lifted(cd)
+    if sum(l * r for l, r in zip(lam, rho.free)) != 0:
+        return False
+    bundled = MultiPoly.zero(cd.base_count + cd.n + 1)
+    for j, p in enumerate(polys):
+        bundled = bundled + _lift_poly(cd, p, j)
+    for i in range(cd.base_count):
+        partial = bundled.partial(i)
+        for e in partial.terms:
+            if not any(e[cd.base_count:]):
+                return False
+    return True
 
 
 def laurent_inverse_coefficient(a: int, d: int) -> int:

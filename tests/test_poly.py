@@ -169,14 +169,16 @@ def test_homogenize_lift_needs_a_unique_pattern(p2, monkeypatch):
         homogenize_to_degree(parse_poly("x1", ("x1",)), thin, 0, rho, g)
     # a zero polynomial lifts to zero without a rank check
     assert homogenize_to_degree(MultiPoly.zero(1), thin, 0, rho, g).is_zero()
-    # the stacked system and its rank are built once per call, not per term
-    ranks = []
-    monkeypatch.setattr(poly_module, "mat_rank",
-                        lambda rows: ranks.append(rows) or len(rows[0]))
+    # the stacked system's Smith form, which gives its rank and every term's
+    # solve, is built once per call, not per term
+    forms = []
+    smith = poly_module.smith_normal_form
+    monkeypatch.setattr(poly_module, "smith_normal_form",
+                        lambda rows: forms.append(rows) or smith(rows))
     sigma = fan.max_cones.index((1, 2))
     homogenize_to_degree(parse_poly("1 + x1 + x2 + x1*x2", ("x1", "x2")),
                          fan, sigma, rho, g)
-    assert len(ranks) == 1
+    assert len(forms) == 1
 
 def test_substitute():
     p = parse_poly("x^2*y", ("x", "y"))

@@ -7,9 +7,11 @@ bounding box tested), and refuse alike; volumes must match the facet
 recursion.  Lattice polygons are also counted by Pick's theorem, ampleness
 witnesses are compared with ``oracles.fraction_strictness_failures``, and a
 guard pins that neither routine tests a point with ``HPolytope.contains``
-or eliminates with ``rref``.
+and that no ``toricres`` module binds a Fraction eliminator.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 from math import gcd
 
@@ -34,7 +36,8 @@ from toricres import (
     normalized_volume,
     representative_divisor,
 )
-from toricres import cayley, divisors, lattice, polytopes
+import toricres
+from toricres import cayley, divisors, polytopes
 
 from conftest import FIXTURES, load
 from oracles import (box_lattice_points, facet_recursion_volume, fraction_strictness_failures,
@@ -189,14 +192,19 @@ def test_lattice_points_and_vertices_use_no_fraction_path(p2, pentagon, monkeypa
     fails here, with no timing involved."""
     calls = []
     monkeypatch.setattr(HPolytope, "contains", lambda self, point: calls.append("contains"))
-    monkeypatch.setattr(lattice, "rref", lambda *args: calls.append("rref"))
-    monkeypatch.setattr(polytopes, "rref", lambda *args: calls.append("rref"), raising=False)
     for poly in (divisor_polytope(p2[0], (0, 0, 3)),
                  divisor_polytope(pentagon[0], (1, 1, 1, 1, 1)),
                  divisor_polytope(P3, (Fraction(1, 2), 0, 0, 2))):
         assert lattice_points(poly)
         assert polytopes._vertices(poly)
     assert calls == []
+    modules = [toricres] + [importlib.import_module(f"toricres.{info.name}")
+                            for info in pkgutil.iter_modules(toricres.__path__)]
+    assert len(modules) > 10
+    for module in modules:
+        bound = [name for name in ("rref", "mat_rank", "solve_rational")
+                 if hasattr(module, name)]
+        assert bound == [], (module.__name__, bound)
 
 
 def _assert_strictness_as_oracle(fan, coeffs):

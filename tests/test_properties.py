@@ -21,11 +21,12 @@ from toricres import (
     toric_residue,
 )
 from toricres.divisors import is_ample, is_cartier, is_q_ample
-from toricres.lattice import dot, mat_det, mat_rank, rref, smith_normal_form, solve_rational
+from toricres.lattice import dot, mat_det, smith_normal_form
 from toricres.polytopes import monomial_basis
 
 from conftest import load
-from oracles import cofactor_det, minor_rank, rational_kernel
+from oracles import (cofactor_det, mat_rank, minor_rank, rational_kernel, rref,
+                     solve_rational)
 
 DEFAULTS = settings(max_examples=40, deadline=None, derandomize=True)
 
