@@ -3,17 +3,18 @@
 The n+1 line bundle choices on an n-dimensional base are packed into a
 projectivized bundle whose coordinate ring adds one variable per bundle
 summand.  Everything here works with the lifted ray data directly; no
-maximal cones of the bundle space are built.
+maximal cones of the bundle space are built.  One exponent vector,
+x^{D_0} y_0, gives both the bundle class and the bundle polytope's offsets,
+and both critical degrees, lifted and on the base, are ``critical_degree``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .divisors import is_ample
 from .errors import DegreeMismatch, NotAmple
-from .grading import Grading, grading_from_rays, anticanonical_class, representative_divisor
+from .grading import Grading, critical_degree, grading_from_rays, representative_divisor
 from .lattice import FanData, smith_normal_form
 from .poly import MultiPoly, degree_of
 from .polytopes import (HPolytope, divisor_monomials, divisor_polytope, lattice_points,
@@ -82,19 +83,19 @@ def _lift_poly(cd: CayleyData, p: MultiPoly, y_index: int | None = None) -> Mult
     return MultiPoly(total, out)
 
 
+def _bundle_exponent(cd: CayleyData) -> tuple[int, ...]:
+    """The exponent vector x^{D_0} y_0: degree of every y_j F_j, and the
+    offsets of the bundle polytope."""
+    return cd.divisors[0] + (1,) + (0,) * cd.n
+
+
 def bundle_class(cd: CayleyData):
     """Degree shared by all y_j F_j when inputs match the divisor classes."""
-    e = [0] * (cd.base_count + cd.n + 1)
-    e[cd.base_count] = 1
-    for i, a in enumerate(cd.divisors[0]):
-        e[i] += a
-    return cd.grading.degree(e)
+    return cd.grading.degree(_bundle_exponent(cd))
 
 
 def critical_degree_lifted(cd: CayleyData):
-    gamma = bundle_class(cd)
-    beta = anticanonical_class(cd.grading)
-    return (cd.n + 1) * gamma - beta
+    return critical_degree(cd.grading, [bundle_class(cd)] * (cd.n + 1))
 
 
 def _lifted_monomials(cd: CayleyData):
@@ -127,24 +128,16 @@ def equal_degree_check(cd: CayleyData, polys) -> bool:
 
 
 def _base_critical_monomials(cd: CayleyData):
-    total = cd.base_grading.degree(cd.divisors[0])
-    for d in cd.divisors[1:]:
-        total = total + cd.base_grading.degree(d)
-    rho = total - anticanonical_class(cd.base_grading)
-    return sorted(monomial_basis(cd.fan, cd.base_grading, rho))
+    rho = critical_degree(cd.base_grading,
+                          [cd.base_grading.degree(d) for d in cd.divisors])
+    return monomial_basis(cd.fan, cd.base_grading, rho)
 
 
 def cayley_polytope_check(cd: CayleyData) -> bool:
     """Lattice points of the bundle polytope equal the union of the divisor
     polytopes placed on the vertices of a standard simplex."""
     n = cd.n
-    normals = list(cd.lifted_rays)
-    offsets = []
-    for i in range(cd.base_count):
-        offsets.append(Fraction(cd.divisors[0][i]))
-    offsets.append(Fraction(1))
-    offsets.extend([Fraction(0)] * n)
-    poly = HPolytope(2 * n, tuple(normals), tuple(offsets))
+    poly = HPolytope(2 * n, cd.lifted_rays, _bundle_exponent(cd))
     got = set(lattice_points(poly))
     expected = set()
     for j in range(n + 1):

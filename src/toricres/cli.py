@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 a check reported failure, 2 parse problems
 (also non-integer or wrong-length options), 3 invalid fan data or degree
-basis, 4 violated hypotheses (wrong degree, a zero or non-homogeneous
-input, membership, degenerate numeric configuration), 5 critical-degree
-quotient not of dimension one.
+basis (also a problem on a fan that is not complete and simplicial, or an
+unbounded polytope), 4 violated hypotheses (wrong degree, a zero or
+non-homogeneous input, membership, degenerate numeric configuration) and
+any other package error, 5 critical-degree quotient not of dimension one.
+Each code and its stderr prefix are attributes of the error class.
 """
 
 from __future__ import annotations
@@ -25,25 +27,13 @@ from .cayley import (
 )
 from .divisors import is_ample, is_cartier, is_q_ample
 from .errors import (
-    AllReduceToZero,
     CodimNotOne,
-    DecompositionFailed,
-    DegreeMismatch,
     HypothesesFailed,
     InfiniteIntersection,
-    InvalidFan,
-    NoIntegralLift,
     NonSimpleZero,
-    NotAGrading,
-    NotAmple,
-    NotHomogeneous,
-    NotSurjective,
     NotTorusZero,
-    NotZeroDimensional,
     ParseError,
-    WrongDegree,
-    ZeroOnPolarLocus,
-    ZeroPolynomial,
+    ToricError,
 )
 from .files import load_fan, load_problem
 from .grading import DegreeClass, anticanonical_class, representative_divisor
@@ -62,17 +52,6 @@ from .residues import (
     variable_annihilation_check,
     verify_gtl,
 )
-
-PARSE_EXIT = 2
-FAN_EXIT = 3
-HYPOTHESES_EXIT = 4
-CODIM_EXIT = 5
-
-_HYPO_ERRORS = (HypothesesFailed, WrongDegree, DecompositionFailed, NotAmple,
-                DegreeMismatch, NoIntegralLift, InfiniteIntersection,
-                NotTorusZero, NonSimpleZero, NotZeroDimensional,
-                ZeroOnPolarLocus, NotHomogeneous, ZeroPolynomial)
-_CODIM_ERRORS = (CodimNotOne, AllReduceToZero)
 
 
 def _rat(x) -> str:
@@ -477,18 +456,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return PARSE_EXIT
-    except (InvalidFan, NotAGrading, NotSurjective) as exc:
-        print(f"invalid fan: {exc}", file=sys.stderr)
-        return FAN_EXIT
-    except _CODIM_ERRORS as exc:
-        print(f"codimension failure: {exc}", file=sys.stderr)
-        return CODIM_EXIT
-    except _HYPO_ERRORS as exc:
-        print(f"hypotheses violated: {exc}", file=sys.stderr)
-        return HYPOTHESES_EXIT
+    except ToricError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,24 +1,38 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the command line's exit code and stderr prefix for it;
+a class that sets neither inherits those of ``ToricError``.
+"""
 
 
 class ToricError(Exception):
     """Base class for all package errors."""
 
+    exit_code, prefix = 4, "hypotheses violated"
+
 
 class ParseError(ToricError):
     """Malformed input file, polynomial string, or order string."""
+
+    exit_code, prefix = 2, "parse error"
 
 
 class InvalidFan(ToricError):
     """Fan data violates a structural requirement."""
 
+    exit_code, prefix = 3, "invalid fan"
+
 
 class NotAGrading(ToricError):
     """User-supplied degree rows do not annihilate the ray pairing."""
 
+    exit_code, prefix = 3, "invalid fan"
+
 
 class NotSurjective(ToricError):
     """User-supplied degree rows do not map onto the full free degree group."""
+
+    exit_code, prefix = 3, "invalid fan"
 
 
 class ZeroPolynomial(ToricError):
@@ -48,6 +62,8 @@ class NonUniqueLift(ToricError):
 class Unbounded(ToricError):
     """Polyhedron is unbounded; enumeration refused."""
 
+    exit_code, prefix = 3, "invalid fan"
+
 
 class DegenerateVolume(ToricError):
     """Polytope is not full-dimensional."""
@@ -72,6 +88,8 @@ class WrongDegree(ToricError):
 class CodimNotOne(ToricError):
     """Degree-critical quotient has dimension above one."""
 
+    exit_code, prefix = 5, "codimension failure"
+
 
 class HypothesesFailed(ToricError):
     """System violates a residue hypothesis (membership or base locus)."""
@@ -79,6 +97,8 @@ class HypothesesFailed(ToricError):
 
 class AllReduceToZero(ToricError):
     """Every critical-degree monomial lies in the ideal; quotient is zero."""
+
+    exit_code, prefix = 5, "codimension failure"
 
 
 class DegreeMismatch(ToricError):

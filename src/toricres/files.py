@@ -21,10 +21,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import InvalidFan, ParseError
 from .grading import Grading, compute_grading, validate_user_grading
 from .groebner import MonomialOrder, grevlex, parse_order
-from .lattice import FanData, make_fan
+from .lattice import FanData, is_complete, make_fan
 from .poly import MultiPoly, parse_poly
 from .residues import ResidueProblem
 
@@ -86,12 +86,17 @@ class LoadedProblem:
 
 def load_problem(path, sigma_override: int | None = None,
                  order_override: str | None = None) -> LoadedProblem:
+    """Read a problem file and its fan; the fan must be complete and
+    simplicial, or ``InvalidFan`` names the ``is_complete`` witness."""
     path = Path(path)
     data = _load_json(path)
     if "fan" not in data or "F" not in data:
         raise ParseError(f"{path} lacks required key 'fan' or 'F'")
     fan_path = (path.parent / data["fan"]).resolve()
     fan, grading = load_fan(fan_path)
+    complete = is_complete(fan)
+    if not complete:
+        raise InvalidFan(f"{fan_path}: not a complete simplicial fan: {complete.witness}")
     names = fan.variables
     polys = [parse_poly(s, names) for s in data["F"]]
     order_text = order_override or data.get("order")

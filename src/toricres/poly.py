@@ -7,6 +7,7 @@ only need arithmetic, substitution, and exact degree bookkeeping.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -18,8 +19,8 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
-from .grading import degree_system
-from .lattice import smith_normal_form
+from .grading import representative_divisor
+from .lattice import cramer, dot
 
 Exponent = tuple[int, ...]
 
@@ -362,33 +363,31 @@ def is_homogeneous(p: MultiPoly, grading) -> bool:
 def poly_det(M: list[list[MultiPoly]]) -> MultiPoly:
     """Determinant of a matrix of polynomials.
 
-    Closed forms for sizes up to 3; larger sizes expand by cofactors along
-    the first row, skipping zero entries, which costs on the order of n!
-    products.
+    Expands from the last row up: the minor of the bottom k rows on each
+    k-set of columns is found once, from the row above's entries and the
+    (k-1)-minors already found, skipping zero factors.  That is at most
+    n·2^(n-1) - n products for an n×n matrix.
     """
     n = len(M)
     if n == 0:
         raise ValueError("empty determinant")
     if any(len(row) != n for row in M):
         raise NonSquare("determinant needs a square matrix")
-    nv = M[0][0].nvars
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    if n == 3:
-        a, b, c = M[0]
-        d, e, f = M[1]
-        g, h, i = M[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    total = MultiPoly.zero(nv)
-    for j in range(n):
-        if M[0][j].is_zero():
-            continue
-        minor = [[M[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = M[0][j] * poly_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    minors = {(j,): M[-1][j] for j in range(n)}
+    for r in range(n - 2, -1, -1):
+        row = M[r]
+        below = minors
+        minors = {}
+        for cols in itertools.combinations(range(n), n - r):
+            total = MultiPoly.zero(row[0].nvars)
+            for k, j in enumerate(cols):
+                minor = below[cols[:k] + cols[k + 1:]]
+                if row[j].is_zero() or minor.is_zero():
+                    continue
+                term = row[j] * minor
+                total = total - term if k % 2 else total + term
+            minors[cols] = total
+    return minors[tuple(range(n))]
 
 
 # ---------------------------------------------------------------------------
@@ -422,37 +421,31 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
                          grading) -> MultiPoly:
     """Rescale a chart polynomial into the full ring at an exact degree.
 
-    Each chart monomial must extend by a unique nonnegative exponent pattern
-    on the off-cone variables so every term reaches ``target``.  The degree
-    system on those variables (``degree_system``) is put in Smith form once
-    per call.  A nonzero polynomial is refused when the form's rank, its
-    count of nonzero diagonal entries, is below the number of unknowns, as
-    the pattern is then not unique; each term's degree gap is then one
-    integer solve against the form.
+    The exponent vectors of degree ``target`` are a + (<m, ray_i>)_i for
+    m in M, with a = ``representative_divisor(grading, target)`` (taken once
+    per call, and only when q has terms).  A chart term x^e fixes m by
+    <m, ray_i> = e_i - a_i on the cone's rays, one ``cramer`` solve, and
+    lifts to the exponent a_i + <m, ray_i> on every ray.  A cone without
+    dim independent rays leaves m, so the lift, undetermined; a non-integral
+    m means no exponent vector of the degree restricts to e, and a negative
+    off-cone entry that the degree gap needs a negative exponent.
     """
     cone = chart_variables(fan, cone_index)
-    others = [i for i in range(fan.nvars) if i not in cone]
-    nv = fan.nvars
-    snf = smith_normal_form(degree_system(grading, others))
-    rank = sum(1 for s in snf.diagonal if s)
-    if q.terms and rank < len(others) + len(grading.torsion_rows):
-        raise NonUniqueLift("off-cone exponents are not determined by the degree")
+    if not q.terms:
+        return MultiPoly.zero(fan.nvars)
+    a = representative_divisor(grading, target)
+    cone_rays = [fan.rays[i] for i in cone]
     out = {}
     for e, c in q.terms.items():
-        base = [0] * nv
-        for k, ray in enumerate(cone):
-            base[ray] = e[k]
-        have = grading.degree(base)
-        rhs = ([a - b for a, b in zip(target.free, have.free)]
-               + [a - b for a, b in zip(target.torsion, have.torsion)])
-        sol = snf.solve(rhs)
+        sol = (cramer(cone_rays, [x - a[i] for x, i in zip(e, cone)])
+               if len(cone) == fan.dim else None)
         if sol is None:
+            raise NonUniqueLift("off-cone exponents are not determined by the degree")
+        m, den = sol
+        if den != 1:
             raise NoIntegralLift("no integral exponent pattern reaches the degree")
-        fill = sol[:len(others)]
-        if any(x < 0 for x in fill):
+        key = tuple(ai + dot(m, ray) for ai, ray in zip(a, fan.rays))
+        if any(x < 0 for x in key):
             raise NoIntegralLift("degree gap needs a negative exponent")
-        for i, k in zip(others, fill):
-            base[i] = int(k)
-        key = tuple(base)
         out[key] = out.get(key, Fraction(0)) + c
-    return MultiPoly(nv, out)
+    return MultiPoly(fan.nvars, out)

@@ -18,7 +18,8 @@ elimination over Q, boundedness from rational kernels, lattice points by a
 bounding-box scan, ampleness by Fraction comparisons, and the Fraction
 Gauss-Jordan elimination (``rref``, ``mat_rank``, ``solve_rational``,
 ``solve_integer``) with the cone functionals and the Cayley weight
-functional it once computed.  The exact sum
+functional it once computed, and the chart lift by a Smith form of the
+off-cone degree system.  The exact sum
 of local residues as a trace over the quotient ring is a reference value
 for both the exact residue and the numeric sum.  Tests compare engine
 output against them.
@@ -35,19 +36,20 @@ from math import ceil, factorial, floor, gcd, lcm
 import numpy as np
 
 from toricres import (AllReduceToZero, CodimNotOne, GroebnerBasis, HypothesesFailed,
-                      InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NonSimpleZero,
-                      NotHomogeneous, NotTorusZero, NotZeroDimensional, ToricError,
-                      Unbounded, WrongDegree, cone_determinant, dehomogenize, is_simplicial,
-                      local_residue_simple, monomial_basis, poly_det)
+                      InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NoIntegralLift,
+                      NonSimpleZero, NonUniqueLift, NotHomogeneous, NotTorusZero,
+                      NotZeroDimensional, ToricError, Unbounded, WrongDegree, cone_determinant,
+                      dehomogenize, is_simplicial, local_residue_simple, monomial_basis,
+                      poly_det)
 from toricres.cayley import _lift_poly, critical_degree_lifted
-from toricres.grading import critical_degree
+from toricres.grading import critical_degree, degree_system
 from toricres.groebner import (divide, grevlex, leading_term, lex, quotient_is_finite,
                                reducer, standard_monomials)
 from toricres.lattice import FanData, dot, mat_det, mat_vec, smith_normal_form, vec_content
 from toricres.localres import (RESIDUAL_TOL, SEPARATION_TOL, _chart, _complex_terms, _dedupe,
                                _evaluate, _jacobian_at, _jacobian_terms, _newton_refine,
                                _Quotient)
-from toricres.poly import degree_of
+from toricres.poly import chart_variables, degree_of
 from toricres.polytopes import HPolytope
 from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
 
@@ -177,6 +179,51 @@ def fraction_jacobian_ideal_degree_check(cd, polys) -> bool:
             if not any(e[cd.base_count:]):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the chart lift as it was before it solved on the cone's rays: a Smith form
+# of the stacked degree system on the off-cone variables
+
+
+def smith_homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
+                               grading) -> MultiPoly:
+    """Rescale a chart polynomial into the full ring at an exact degree.
+
+    Each chart monomial must extend by a unique nonnegative exponent pattern
+    on the off-cone variables so every term reaches ``target``.  The degree
+    system on those variables (``degree_system``) is put in Smith form once
+    per call.  A nonzero polynomial is refused when the form's rank, its
+    count of nonzero diagonal entries, is below the number of unknowns, as
+    the pattern is then not unique; each term's degree gap is then one
+    integer solve against the form.
+    """
+    cone = chart_variables(fan, cone_index)
+    others = [i for i in range(fan.nvars) if i not in cone]
+    nv = fan.nvars
+    snf = smith_normal_form(degree_system(grading, others))
+    rank = sum(1 for s in snf.diagonal if s)
+    if q.terms and rank < len(others) + len(grading.torsion_rows):
+        raise NonUniqueLift("off-cone exponents are not determined by the degree")
+    out = {}
+    for e, c in q.terms.items():
+        base = [0] * nv
+        for k, ray in enumerate(cone):
+            base[ray] = e[k]
+        have = grading.degree(base)
+        rhs = ([a - b for a, b in zip(target.free, have.free)]
+               + [a - b for a, b in zip(target.torsion, have.torsion)])
+        sol = snf.solve(rhs)
+        if sol is None:
+            raise NoIntegralLift("no integral exponent pattern reaches the degree")
+        fill = sol[:len(others)]
+        if any(x < 0 for x in fill):
+            raise NoIntegralLift("degree gap needs a negative exponent")
+        for i, k in zip(others, fill):
+            base[i] = int(k)
+        key = tuple(base)
+        out[key] = out.get(key, Fraction(0)) + c
+    return MultiPoly(nv, out)
 
 
 def laurent_inverse_coefficient(a: int, d: int) -> int:

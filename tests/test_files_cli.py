@@ -3,6 +3,7 @@ the names the package exports."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from types import ModuleType
 import pytest
 
 import toricres
-from toricres import ParseError
+from toricres import InvalidFan, ParseError, cli, errors
 from toricres.cli import main
 from toricres.files import load_fan, load_problem
 
@@ -166,6 +167,66 @@ def test_exit_rejected_degree_basis(tmp_path, capsys, rows, message):
     assert main(["grading", str(p)]) == 3
     err = capsys.readouterr().err
     assert "invalid fan" in err and message in err
+
+
+# every error type of the package, with the exit code and the stderr prefix
+# the command line gives it
+EXIT_CODES = {
+    "ParseError": 2,
+    "InvalidFan": 3, "NotAGrading": 3, "NotSurjective": 3, "Unbounded": 3,
+    "CodimNotOne": 5, "AllReduceToZero": 5,
+    "ToricError": 4, "ZeroPolynomial": 4, "NotHomogeneous": 4, "NonSquare": 4,
+    "NoIntegralLift": 4, "NonUniqueLift": 4, "DegenerateVolume": 4, "NotAmple": 4,
+    "DecompositionFailed": 4, "WrongDegree": 4, "HypothesesFailed": 4,
+    "DegreeMismatch": 4, "NotZeroDimensional": 4, "NonSimpleZero": 4,
+    "ZeroOnPolarLocus": 4, "NotTorusZero": 4, "InfiniteIntersection": 4,
+}
+PREFIXES = {2: "parse error", 3: "invalid fan", 4: "hypotheses violated",
+            5: "codimension failure"}
+
+
+def test_every_error_type_has_its_exit_code(monkeypatch, capsys):
+    types = {name: cls for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.ToricError)}
+    assert set(types) == set(EXIT_CODES)
+    for name, cls in types.items():
+        def fail(args, cls=cls):
+            raise cls("boom")
+        monkeypatch.setattr(cli, "cmd_fan", fail)
+        code = EXIT_CODES[name]
+        assert (name, main(["fan", fx("p2.fan.json")])) == (name, code)
+        assert capsys.readouterr().err == f"{PREFIXES[code]}: boom\n"
+
+
+# rays (1,0), (0,1), (-1,0) covering the upper half plane only, and a
+# complete-looking fan whose third cone has the dependent rays (1,0), (-1,0)
+HALF_PLANE = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, 0]], "max_cones": [[1, 2], [2, 3]]}
+DEPENDENT = {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1], [-1, 0]],
+             "max_cones": [[1, 2], [2, 3], [1, 4]]}
+
+
+def test_exit_unbounded_polytope_on_incomplete_fan(tmp_path, capsys):
+    p = tmp_path / "half.fan.json"
+    p.write_text(json.dumps(HALF_PLANE))
+    assert main(["monomials", str(p), "--free", "1"]) == 3
+    assert capsys.readouterr().err.startswith("invalid fan: ")
+
+
+@pytest.mark.parametrize("fan, witness", [
+    (HALF_PLANE, "facet (0,) lies in 1 maximal cones"),
+    (DEPENDENT, "a maximal cone is not simplicial of full dimension"),
+])
+def test_problem_needs_a_complete_simplicial_fan(tmp_path, capsys, fan, witness):
+    (tmp_path / "f.fan.json").write_text(json.dumps(fan))
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps({"fan": "f.fan.json", "F": ["x1^2", "x2^2", "x3^2"],
+                             "H": ["x1*x2*x3"]}))
+    with pytest.raises(InvalidFan, match=re.escape(witness)):
+        load_problem(p)
+    for command in ("residue", "delta", "cayley"):
+        assert main([command, str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid fan: ") and witness in err
 
 
 @pytest.mark.parametrize("argv", [

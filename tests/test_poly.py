@@ -111,6 +111,20 @@ def test_poly_det_small():
         poly_det([[x, y]])
 
 
+def test_poly_det_products_are_bounded(monkeypatch):
+    # each minor of the bottom rows is built once: a dense 5x5 needs
+    # 5*2^4 - 5 = 75 products
+    nv = 5
+    M = [[MultiPoly.variable(nv, (i + j) % nv) + (i * nv + j + 1)
+          for j in range(nv)] for i in range(nv)]
+    products = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    poly_det(M)
+    assert len(products) <= 80
+
+
 def test_poly_det_fermat_pattern(p2):
     # diag of scaled partials reproduces the product of partial powers
     fan, g = p2
@@ -169,16 +183,16 @@ def test_homogenize_lift_needs_a_unique_pattern(p2, monkeypatch):
         homogenize_to_degree(parse_poly("x1", ("x1",)), thin, 0, rho, g)
     # a zero polynomial lifts to zero without a rank check
     assert homogenize_to_degree(MultiPoly.zero(1), thin, 0, rho, g).is_zero()
-    # the stacked system's Smith form, which gives its rank and every term's
-    # solve, is built once per call, not per term
-    forms = []
-    smith = poly_module.smith_normal_form
-    monkeypatch.setattr(poly_module, "smith_normal_form",
-                        lambda rows: forms.append(rows) or smith(rows))
+    # the representative exponent vector of the target degree, from which
+    # every term's lift is read, is found once per call, not per term
+    reps = []
+    rep = poly_module.representative_divisor
+    monkeypatch.setattr(poly_module, "representative_divisor",
+                        lambda grading, degree: reps.append(degree) or rep(grading, degree))
     sigma = fan.max_cones.index((1, 2))
     homogenize_to_degree(parse_poly("1 + x1 + x2 + x1*x2", ("x1", "x2")),
                          fan, sigma, rho, g)
-    assert len(forms) == 1
+    assert reps == [rho]
 
 def test_substitute():
     p = parse_poly("x^2*y", ("x", "y"))

@@ -233,19 +233,21 @@ def test_chart_round_trip(d, data):
 
 
 @DEFAULTS
-@given(st.lists(st.lists(polys_st(2, max_deg=2, max_terms=2),
-                         min_size=3, max_size=3), min_size=3, max_size=3))
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(polys_st(2, max_deg=2, max_terms=2),
+                                min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_det_matches_permutation_expansion(M):
+    n = len(M)
     got = poly_det(M)
     want = MultiPoly.zero(2)
-    for perm in itertools.permutations(range(3)):
+    for perm in itertools.permutations(range(n)):
         sign = 1
-        for i in range(3):
-            for j in range(i + 1, 3):
+        for i in range(n):
+            for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
         term = MultiPoly(2, {(0, 0): Fraction(sign)})
-        for i in range(3):
+        for i in range(n):
             term = term * M[i][perm[i]]
         want = want + term
     assert got == want
