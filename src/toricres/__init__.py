@@ -70,11 +70,11 @@ from .lattice import (
     CompletenessReport,
     FanData,
     SmithDecomposition,
+    cone_det,
     cone_group_order,
     is_complete,
     is_simplicial,
     make_fan,
-    pairing_det,
     smith_normal_form,
 )
 from .localres import (
@@ -113,7 +113,6 @@ from .residues import (
     irrelevant_ideal,
     jacobian_residue_check,
     no_common_zeros_on_x,
-    oriented_basis,
     residue_report,
     sigma_independence_check,
     toric_jacobian,
@@ -140,8 +139,8 @@ __all__ = [
     "validate_user_grading",
     "GroebnerBasis", "MonomialOrder", "buchberger", "grevlex", "ideal_member", "lex",
     "normal_form", "parse_order", "quotient_is_finite", "standard_monomials",
-    "CompletenessReport", "FanData", "SmithDecomposition", "cone_group_order",
-    "is_complete", "is_simplicial", "make_fan", "pairing_det", "smith_normal_form",
+    "CompletenessReport", "FanData", "SmithDecomposition", "cone_det", "cone_group_order",
+    "is_complete", "is_simplicial", "make_fan", "smith_normal_form",
     "euler_jacobi_check", "local_residue_simple", "sum_local_residues",
     "MultiPoly", "degree_of", "dehomogenize", "homogenize_to_degree", "is_homogeneous",
     "parse_poly", "poly_det", "poly_to_string",
@@ -150,7 +149,7 @@ __all__ = [
     "AnnihilationReport", "CodimReport", "ResidueProblem", "ResidueReport",
     "ZeroLocusReport", "cone_determinant", "decompose",
     "in_irrelevant_ideal", "irrelevant_ideal", "jacobian_residue_check",
-    "no_common_zeros_on_x", "oriented_basis", "residue_report",
+    "no_common_zeros_on_x", "residue_report",
     "sigma_independence_check", "toric_jacobian", "toric_residue",
     "variable_annihilation_check", "verify_gtl",
     "__version__",

@@ -37,13 +37,11 @@ from .errors import (
 )
 from .files import load_fan, load_problem
 from .grading import DegreeClass, anticanonical_class, representative_divisor
-from .groebner import grevlex
 from .lattice import is_complete, is_simplicial
 from .localres import sum_local_residues
 from .poly import MultiPoly, parse_poly, poly_det, poly_to_string
 from .polytopes import monomial_basis
 from .residues import (
-    ResidueProblem,
     cone_determinant,
     irrelevant_ideal,
     jacobian_residue_check,
@@ -333,6 +331,8 @@ def cmd_check(args) -> int:
         else:
             H = MultiPoly.monomial(problem.codim.pivot)
         trials = args.count
+        if trials < 1:
+            raise ParseError(f"--count must be at least 1, got {trials}")
         for t in range(trials):
             A = _random_admissible(problem, rng)
             if not verify_gtl(problem, A, H):

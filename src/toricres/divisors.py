@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InvalidFan
 from .lattice import FanData, cramer, dot
+from .polytopes import clear_denominators
 
 
 @dataclass(frozen=True)
@@ -26,13 +26,6 @@ class PositivityReport:
         return self.ok
 
 
-def _scaled_coeffs(coeffs) -> tuple[int, list[int]]:
-    """d, the lcm of the coefficients' denominators, and the integers d*a_i."""
-    cs = [Fraction(c) for c in coeffs]
-    d = lcm(*(c.denominator for c in cs))
-    return d, [c.numerator * (d // c.denominator) for c in cs]
-
-
 def cone_functionals(fan: FanData, coeffs) -> list[tuple[Fraction, ...]]:
     """Per-cone m with <m, ray_i> = -a_i on the cone's rays.
 
@@ -42,7 +35,7 @@ def cone_functionals(fan: FanData, coeffs) -> list[tuple[Fraction, ...]]:
     """
     if len(coeffs) != fan.nvars:
         raise InvalidFan("one coefficient per ray is required")
-    d, scaled = _scaled_coeffs(coeffs)
+    d, scaled = clear_denominators(map(Fraction, coeffs))
     out = []
     for k, cone in enumerate(fan.max_cones):
         meet = len(cone) == fan.dim and cramer([fan.rays[i] for i in cone],
@@ -69,11 +62,10 @@ def _strictness_failures(fan: FanData, ms, coeffs):
     """(cone, ray) pairs, ray off the cone, with <m_cone, ray> <= -a_ray,
     compared in integers: with L the lcm of m_cone's denominators and d that
     of the a's, as d*<L*m_cone, ray> <= -(d*a_ray)*L."""
-    d, scaled = _scaled_coeffs(coeffs)
+    d, scaled = clear_denominators(map(Fraction, coeffs))
     out = []
     for k, cone in enumerate(fan.max_cones):
-        L = lcm(*(x.denominator for x in ms[k]))
-        m = [x.numerator * (L // x.denominator) for x in ms[k]]
+        L, m = clear_denominators(ms[k])
         out.extend((k, j) for j, ray in enumerate(fan.rays)
                    if j not in cone and d * dot(m, ray) <= -scaled[j] * L)
     return out

@@ -13,6 +13,7 @@ Problem file:
      "order": "grevlex:x>y>z",                 # optional
      "sigma": 1,                               # optional, 1-based cone index
      "H": ["x*y*z"]}                           # optional inputs of interest
+    fan and order are strings, F and H lists of strings.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import InvalidFan, ParseError
 from .grading import Grading, compute_grading, validate_user_grading
 from .groebner import MonomialOrder, grevlex, parse_order
 from .lattice import FanData, is_complete, make_fan
-from .poly import MultiPoly, parse_poly
+from .poly import _NAME, MultiPoly, parse_poly
 from .residues import ResidueProblem
 
 
@@ -53,6 +54,15 @@ def _require_integers(path: Path, key: str, value):
         raise ParseError(f"{path}: {key} must hold integers, got {value!r}")
 
 
+def _require_strings(path: Path, key: str, value, listed: bool):
+    """Reject a value that is not a string or, when ``listed``, not a list of
+    strings; a bare string would be iterated one character at a time."""
+    if listed != isinstance(value, list) or not all(
+            isinstance(s, str) for s in (value if listed else [value])):
+        kind = "a list of strings" if listed else "a string"
+        raise ParseError(f"{path}: {key} must be {kind}, got {value!r}")
+
+
 def load_fan(path) -> tuple[FanData, Grading]:
     path = Path(path)
     data = _load_json(path)
@@ -61,6 +71,10 @@ def load_fan(path) -> tuple[FanData, Grading]:
             raise ParseError(f"{path} lacks required key {key!r}")
     for key in ("dim", "rays", "max_cones", "degree_basis"):
         _require_integers(path, key, data.get(key, []))
+    names = data.get("variables", [])
+    _require_strings(path, "variables", names, listed=True)
+    if not all(map(_NAME.fullmatch, names)):
+        raise ParseError(f"{path}: variables must be names, got {names!r}")
     try:
         fan = make_fan(data["dim"], data["rays"], data["max_cones"],
                        variables=tuple(data["variables"]) if "variables" in data else None,
@@ -92,6 +106,9 @@ def load_problem(path, sigma_override: int | None = None,
     data = _load_json(path)
     if "fan" not in data or "F" not in data:
         raise ParseError(f"{path} lacks required key 'fan' or 'F'")
+    for key, listed in (("fan", False), ("order", False), ("F", True), ("H", True)):
+        if key in data:
+            _require_strings(path, key, data[key], listed)
     fan_path = (path.parent / data["fan"]).resolve()
     fan, grading = load_fan(fan_path)
     complete = is_complete(fan)

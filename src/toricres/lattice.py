@@ -3,8 +3,9 @@
 Matrices are nested tuples/lists of Python ints, so nothing overflows and
 every normal form (Smith, Hermite) carries unimodular transforms that can
 be replayed and verified in tests.  There is one integer path for each
-job and no elimination over Q: a square system is solved by Cramer's rule
-over fraction-free Bareiss determinants (``cramer``), a system over the
+job and no arithmetic over Q: determinants are Bareiss eliminations of
+integer matrices (``mat_det``, and ``cone_det`` for a cone's rays), a
+square system is solved by Cramer's rule (``cramer``), a system over the
 integers by the Smith form (``SmithDecomposition.solve``), and a rank or a
 lattice is read from the Smith or Hermite form.
 """
@@ -12,9 +13,9 @@ lattice is read from the Smith or Hermite form.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd
 
 from .errors import InvalidFan
 
@@ -44,7 +45,6 @@ def mat_identity(n):
 def mat_mul(A, B):
     if not A:
         return []
-    p = len(B[0]) if B else 0
     cols = list(zip(*B)) if B else []
     return [[dot(row, col) for col in cols] for row in A] if cols else [[] for _ in A]
 
@@ -53,17 +53,16 @@ def mat_vec(A, v):
     return tuple(dot(row, v) for row in A)
 
 
-def mat_det(A) -> int | Fraction:
-    """Exact determinant over Q: fraction-free Bareiss elimination after
-    each row is scaled by the lcm of its denominators, then division by the
-    product of the scales.  An integer matrix has an int determinant."""
+def mat_det(A) -> int:
+    """Exact determinant of an integer matrix by fraction-free Bareiss
+    elimination.  Entries must be integers: each is read through
+    ``operator.index``, so a Fraction raises TypeError."""
     n = len(A)
     if n == 0:
         return 1
     if any(len(row) != n for row in A):
         raise ValueError("determinant of a non-square matrix")
-    scales = [lcm(*(x.denominator for x in row)) for row in A]
-    M = [[int(x * d) for x in row] for row, d in zip(A, scales)]
+    M = [list(map(operator.index, row)) for row in A]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -78,8 +77,7 @@ def mat_det(A) -> int | Fraction:
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
             M[i][k] = 0
         prev = M[k][k]
-    det, scale = sign * M[n - 1][n - 1], prod(scales)
-    return det if scale == 1 else Fraction(det, scale)
+    return sign * M[n - 1][n - 1]
 
 
 def cramer(rows, rhs):
@@ -337,34 +335,24 @@ def make_fan(dim, rays, max_cones, variables=None, one_based=False):
     return FanData(int(dim), rays, tuple(cones), tuple(variables))
 
 
+def cone_det(fan: FanData, k: int) -> int:
+    """Signed determinant of cone k's rays in ascending order, or 0 when the
+    cone lacks dim independent rays.  Its sign orients the cone and its
+    absolute value is the index of the sublattice the rays span."""
+    return mat_det(fan.cone_rays(k)) if len(fan.max_cones[k]) == fan.dim else 0
+
+
 def is_simplicial(fan: FanData) -> bool:
     """Every maximal cone is generated by dim-many independent rays."""
-    n = fan.dim
-    for k, cone in enumerate(fan.max_cones):
-        if len(cone) != n:
-            return False
-        cols = [[fan.rays[i][j] for i in cone] for j in range(n)]
-        if mat_det(cols) == 0:
-            return False
-    return True
+    return all(cone_det(fan, k) for k in range(len(fan.max_cones)))
 
 
 def cone_group_order(fan: FanData, k: int) -> int:
     """Index of the sublattice spanned by the cone's rays."""
-    cone = fan.max_cones[k]
-    if len(cone) != fan.dim:
-        raise InvalidFan(f"cone {k} is not full-dimensional")
-    cols = [[fan.rays[i][j] for i in cone] for j in range(fan.dim)]
-    d = mat_det(cols)
+    d = cone_det(fan, k)
     if d == 0:
-        raise InvalidFan(f"cone {k} has dependent rays")
+        raise InvalidFan(f"cone {k} does not have {fan.dim} independent rays")
     return abs(d)
-
-
-def pairing_det(fan: FanData, basis, ray_indices) -> int:
-    """det of the pairing matrix between basis covectors and the chosen rays."""
-    M = [[dot(m, fan.rays[i]) for i in ray_indices] for m in basis]
-    return mat_det(M)
 
 
 @dataclass(frozen=True)

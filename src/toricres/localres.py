@@ -37,6 +37,7 @@ from .errors import (
 from .groebner import GroebnerBasis, grevlex, quotient_is_finite, standard_monomials
 from .lattice import mat_det
 from .poly import MultiPoly, dehomogenize, poly_det
+from .polytopes import clear_denominators
 from .residues import no_common_zeros_on_x
 
 RESIDUAL_TOL = 1e-9
@@ -73,9 +74,11 @@ class _Quotient:
         return [[cols[b].get(e, 0) for b in self.basis] for e in self.basis]
 
     def matrix(self, g: MultiPoly):
-        """M_g.  B is sorted and closed under division, so x^b = x_j*x^c
-        for a c earlier in B, and the column of b is x_j times the column
-        of c, reduced term by term through ``_times_variable``."""
+        """M_g with each row multiplied by the lcm of its denominators: an
+        integer matrix that is singular exactly when M_g is.  B is sorted
+        and closed under division, so x^b = x_j*x^c for a c earlier in B,
+        and the column of b is x_j times the column of c, reduced term by
+        term through ``_times_variable``."""
         cols = {b: self.gb.reduce(g).terms for b in self.basis[:1]}
         for b in self.basis[1:]:
             j = next(i for i, k in enumerate(b) if k)
@@ -84,7 +87,7 @@ class _Quotient:
                 for f, d in self._times_variable[j][e].items():
                     col[f] = col.get(f, 0) + c * d
             cols[b] = col
-        return self._dense(cols)
+        return [clear_denominators(row)[1] for row in self._dense(cols)]
 
     def require_simple(self):
         """NonSimpleZero unless det M_J != 0, J the Jacobian determinant."""
@@ -231,8 +234,8 @@ def sum_local_residues(problem, H: MultiPoly, k: int, seed: int = 0) -> complex:
     order: the charts up to the first cone w with a zero off T are built,
     so an infinite one raises InfiniteIntersection before NotTorusZero
     names w.  Then sigma's chart alone gets a quotient ring: NonSimpleZero
-    (det M_J), ZeroOnPolarLocus, and the sum, where the basis orientation
-    makes the chart form factor cancel against the chart group order.
+    (det M_J), ZeroOnPolarLocus, and the sum, where the index |cone_det| of
+    sigma in the chart form cancels against the chart group order.
     """
     fan = problem.fan
     torus = MultiPoly.monomial((1,) * fan.nvars)

@@ -16,10 +16,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, factorial, floor, lcm
+from math import ceil, factorial, floor, lcm, prod
 
 from .errors import DegenerateVolume, Unbounded
 from .lattice import cramer, dot, mat_det
+
+
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """d, the lcm of the denominators of the rationals ``values``, and the
+    integers d*v."""
+    values = list(values)
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -140,11 +148,12 @@ def _pulled_volume(poly: HPolytope) -> Fraction:
     vertices where it is tight.  Pulling the apex a = min(F) cuts a face F
     into the pyramids over its facets G with a not in G, and each G is
     triangulated the same way, so every chain of apexes down to a vertex is
-    a simplex of the triangulation and the result is the sum of their
-    |det|.  The facets not containing a are the inclusion-maximal nonempty
-    sets F ∩ H over the tight sets H without a: a face not containing a
-    lies in a facet not containing a, because a face is the intersection of
-    the facets that contain it.  Parallel, duplicate, redundant and zero
+    a simplex of the triangulation, and the result is the sum of their
+    |det [[d_i, num_i]]| / prod d_i over their vertices num_i/d_i.  The
+    facets not containing a are the inclusion-maximal nonempty sets F ∩ H
+    over the tight sets H without a: a face not containing a lies in a
+    facet not containing a, because a face is the intersection of the
+    facets that contain it.  Parallel, duplicate, redundant and zero
     inequalities only add sets that are not maximal, or no set at all.
 
     P is flat exactly when some row with a nonzero normal is tight at every
@@ -157,11 +166,8 @@ def _pulled_volume(poly: HPolytope) -> Fraction:
     verts = _bounded_vertices(poly)
     if not verts:
         raise DegenerateVolume("polytope is empty")
-    scaled = []
-    for v in verts:
-        d = lcm(*(x.denominator for x in v))
-        scaled.append(([x.numerator * (d // x.denominator) for x in v], d))
-    rows = [(nr, frozenset(i for i, (num, d) in enumerate(scaled)
+    scaled = [clear_denominators(v) for v in verts]
+    rows = [(nr, frozenset(i for i, (d, num) in enumerate(scaled)
                            if dot(num, nr) + off * d == 0))
             for nr, off in poly._rows]
     if any(any(nr) and len(h) == len(verts) for nr, h in rows):
@@ -170,15 +176,15 @@ def _pulled_volume(poly: HPolytope) -> Fraction:
 
     def pull(face, chain):
         a = min(face)
-        chain = chain + (verts[a],)
+        chain = chain + (scaled[a],)
         if len(face) == 1:
-            return abs(mat_det([[x - y for x, y in zip(p, chain[0])]
-                                for p in chain[1:]]))
+            return Fraction(abs(mat_det([[d, *num] for d, num in chain])),
+                            prod(d for d, _ in chain))
         meets = {face & h for h in tight if a not in h} - {frozenset()}
         return sum((pull(g, chain) for g in meets
                     if not any(g < other for other in meets)), Fraction(0))
 
-    return Fraction(pull(frozenset(range(len(verts))), ()))
+    return pull(frozenset(range(len(verts))), ())
 
 
 def polytope_volume(poly: HPolytope) -> Fraction:

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
 from .groebner import GroebnerBasis, MonomialOrder, _divides, buchberger, grevlex
-from .lattice import FanData, pairing_det
+from .lattice import FanData, cone_det, cone_group_order
 from .poly import MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
 
@@ -155,19 +155,6 @@ def decompose(F: MultiPoly, fan: FanData, cone_index: int):
     return tuple(MultiPoly(nv, d) for d in parts)
 
 
-def oriented_basis(fan: FanData, cone_index: int):
-    """Standard basis rows, first row negated if needed, so the pairing
-    determinant against the cone's rays (in ascending ray order) is positive."""
-    n = fan.dim
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    d = pairing_det(fan, rows, fan.max_cones[cone_index])
-    if d == 0:
-        raise ValueError("cone rays are dependent")
-    if d < 0:
-        rows[0] = [-x for x in rows[0]]
-    return tuple(tuple(r) for r in rows)
-
-
 @dataclass(frozen=True)
 class CodimReport:
     ok: bool
@@ -221,7 +208,7 @@ def residue_functional(grading: Grading, order: MonomialOrder,
 
 
 class ResidueProblem:
-    """Immutable bundle: fan, grading, the n+1 forms, order, cone, basis.
+    """Immutable bundle: fan, grading, the n+1 forms, order, cone.
 
     Heavy artifacts (critical degree, monomials of the critical degree,
     Groebner basis with its reducer table, residue functional ``ell`` with
@@ -231,12 +218,12 @@ class ResidueProblem:
     and the report come from one pass over the cached monomials against
     the cached basis; the residue of every H and the normalizing
     coefficient are dot products with the functional.
-    Construction only validates shapes and homogeneity, so non-conforming
-    inputs can still be probed.
+    Construction only validates shapes, homogeneity and the rays of sigma,
+    so non-conforming inputs can still be probed.
     """
 
     def __init__(self, fan: FanData, polys, order: MonomialOrder | None = None,
-                 sigma: int = 0, grading: Grading | None = None, basis=None):
+                 sigma: int = 0, grading: Grading | None = None):
         self.fan = fan
         self.polys = tuple(polys)
         if len(self.polys) != fan.dim + 1:
@@ -253,13 +240,9 @@ class ResidueProblem:
         self.order = order if order is not None else grevlex(fan.nvars)
         self.grading = grading if grading is not None else compute_grading(fan)
         self.degrees = tuple(degree_of(p, self.grading) for p in self.polys)
-        if basis is None:
-            basis = oriented_basis(fan, sigma)
-        else:
-            basis = tuple(tuple(int(x) for x in row) for row in basis)
-            if pairing_det(fan, basis, fan.max_cones[sigma]) <= 0:
-                raise ValueError("basis is not positively oriented for the cone")
-        self.basis = basis
+        self._sigma_det = cone_det(fan, sigma)
+        if self._sigma_det == 0:
+            raise ValueError("cone rays are dependent")
 
     @cached_property
     def critical(self) -> DegreeClass:
@@ -315,7 +298,9 @@ class ResidueProblem:
         return self.normal_coefficient(self.delta)
 
     def cone_sign(self, cone_index: int) -> int:
-        d = pairing_det(self.fan, self.basis, self.fan.max_cones[cone_index])
+        """+1 or -1 as the rays of the cone, in ascending order, are oriented
+        like sigma's or not; 0 when they are dependent."""
+        d = cone_det(self.fan, cone_index) * self._sigma_det
         return (d > 0) - (d < 0)
 
     def normal_coefficient(self, H: MultiPoly) -> Fraction:
@@ -415,7 +400,7 @@ def residue_report(problem: ResidueProblem, H: MultiPoly) -> ResidueReport:
 
 def sigma_independence_check(problem: ResidueProblem) -> bool:
     """Across all maximal cones, the normalizing coefficients agree up to the
-    orientation sign of the problem's fixed basis."""
+    sign of each cone's orientation relative to sigma (``cone_sign``)."""
     c_sigma = problem.c_sigma
     for k in range(len(problem.fan.max_cones)):
         delta_k = cone_determinant(problem, k)
@@ -462,8 +447,7 @@ def verify_gtl(problem: ResidueProblem, A, H: MultiPoly) -> bool:
     if det_a.is_zero():
         raise DegreeMismatch("transformation matrix is singular")
     transformed = ResidueProblem(problem.fan, G, order=problem.order,
-                                 sigma=problem.sigma, grading=problem.grading,
-                                 basis=problem.basis)
+                                 sigma=problem.sigma, grading=problem.grading)
     rho_f = problem.critical
     rho_g = transformed.critical
     if rho_g != rho_f + degree_of(det_a, problem.grading):
@@ -509,10 +493,9 @@ def toric_jacobian(problem: ResidueProblem) -> MultiPoly:
     rows = [charts]
     for j in range(n):
         rows.append([f.partial(j) for f in charts])
-    # the chart trivialization of the Euler form carries the oriented cone
-    # determinant, so the determinant overcounts by it on orbifold charts
-    det = poly_det(rows) * Fraction(1, pairing_det(fan, problem.basis,
-                                                   fan.max_cones[k]))
+    # the chart trivialization of the Euler form carries the index of the
+    # cone, so the determinant overcounts by it on orbifold charts
+    det = poly_det(rows) * Fraction(1, cone_group_order(fan, k))
     if det.is_zero():
         return MultiPoly.zero(fan.nvars)
     return homogenize_to_degree(det, fan, k, problem.critical, problem.grading)

@@ -18,8 +18,10 @@ elimination over Q, boundedness from rational kernels, lattice points by a
 bounding-box scan, ampleness by Fraction comparisons, and the Fraction
 Gauss-Jordan elimination (``rref``, ``mat_rank``, ``solve_rational``,
 ``solve_integer``) with the cone functionals and the Cayley weight
-functional it once computed, and the chart lift by a Smith form of the
-off-cone degree system.  The exact sum
+functional it once computed, the chart lift by a Smith form of the
+off-cone degree system, the determinant over Q by row scaling, and the
+cone orientations and chart Jacobian read from a positively oriented basis
+of M.  The exact sum
 of local residues as a trace over the quotient ring is a reference value
 for both the exact residue and the numeric sum.  Tests compare engine
 output against them.
@@ -31,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, floor, gcd, lcm
+from math import ceil, factorial, floor, gcd, lcm, prod
 
 import numpy as np
 
@@ -39,13 +41,13 @@ from toricres import (AllReduceToZero, CodimNotOne, GroebnerBasis, HypothesesFai
                       InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NoIntegralLift,
                       NonSimpleZero, NonUniqueLift, NotHomogeneous, NotTorusZero,
                       NotZeroDimensional, ToricError, Unbounded, WrongDegree, cone_determinant,
-                      dehomogenize, is_simplicial, local_residue_simple, monomial_basis,
-                      poly_det)
+                      dehomogenize, homogenize_to_degree, is_simplicial, local_residue_simple,
+                      monomial_basis, poly_det)
 from toricres.cayley import _lift_poly, critical_degree_lifted
 from toricres.grading import critical_degree, degree_system
 from toricres.groebner import (divide, grevlex, leading_term, lex, quotient_is_finite,
                                reducer, standard_monomials)
-from toricres.lattice import FanData, dot, mat_det, mat_vec, smith_normal_form, vec_content
+from toricres.lattice import FanData, dot, mat_vec, smith_normal_form, vec_content
 from toricres.localres import (RESIDUAL_TOL, SEPARATION_TOL, _chart, _complex_terms, _dedupe,
                                _evaluate, _jacobian_at, _jacobian_terms, _newton_refine,
                                _Quotient)
@@ -631,7 +633,7 @@ def minor_rank(A) -> int:
     for k in range(min(m, n), 0, -1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
-                if mat_det([[A[i][j] for j in cols] for i in rows]):
+                if fraction_mat_det([[A[i][j] for j in cols] for i in rows]):
                     return k
     return 0
 
@@ -642,6 +644,73 @@ def cofactor_det(A):
         return 1
     return sum((-1) ** j * A[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in A[1:]])
                for j in range(len(A)) if A[0][j])
+
+
+# ---------------------------------------------------------------------------
+# determinants as the package ran them before every determinant was an
+# integer one: Bareiss over Q after row scaling, and each cone's orientation
+# and index read from a basis of M oriented positively on a cone
+
+
+def fraction_mat_det(A) -> int | Fraction:
+    """Exact determinant over Q: fraction-free Bareiss elimination after
+    each row is scaled by the lcm of its denominators, then division by the
+    product of the scales.  An integer matrix has an int determinant."""
+    n = len(A)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in A):
+        raise ValueError("determinant of a non-square matrix")
+    scales = [lcm(*(x.denominator for x in row)) for row in A]
+    M = [[int(x * d) for x in row] for row, d in zip(A, scales)]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    det, scale = sign * M[n - 1][n - 1], prod(scales)
+    return det if scale == 1 else Fraction(det, scale)
+
+
+def pairing_det(fan: FanData, basis, ray_indices) -> int:
+    """det of the pairing matrix between basis covectors and the chosen rays."""
+    M = [[dot(m, fan.rays[i]) for i in ray_indices] for m in basis]
+    return fraction_mat_det(M)
+
+
+def oriented_basis(fan: FanData, cone_index: int):
+    """Standard basis rows, first row negated if needed, so the pairing
+    determinant against the cone's rays (in ascending ray order) is positive."""
+    n = fan.dim
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = pairing_det(fan, rows, fan.max_cones[cone_index])
+    if d == 0:
+        raise ValueError("cone rays are dependent")
+    if d < 0:
+        rows[0] = [-x for x in rows[0]]
+    return tuple(tuple(r) for r in rows)
+
+
+def basis_toric_jacobian(problem) -> MultiPoly:
+    """The chart Jacobian of ``residues.toric_jacobian``, divided by the
+    pairing determinant of sigma's oriented basis against sigma's rays."""
+    fan, k = problem.fan, problem.sigma
+    charts = [dehomogenize(p, fan, k) for p in problem.polys]
+    rows = [charts] + [[f.partial(j) for f in charts] for j in range(fan.dim)]
+    det = poly_det(rows) * Fraction(1, pairing_det(fan, oriented_basis(fan, k),
+                                                   fan.max_cones[k]))
+    if det.is_zero():
+        return MultiPoly.zero(fan.nvars)
+    return homogenize_to_degree(det, fan, k, problem.critical, problem.grading)
 
 
 # ---------------------------------------------------------------------------

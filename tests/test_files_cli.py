@@ -110,6 +110,50 @@ def test_non_integer_sigma_rejected(tmp_path, sigma):
         load_problem(p)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("F", ["x0^2", "x1^2", 5]),
+    ("H", [7]),
+    ("order", 3),
+    ("fan", 5),
+])
+def test_malformed_problem_fields_rejected(tmp_path, capsys, key, value):
+    # fan and order must be strings, F and H lists of strings
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict({"fan": fx("p2.fan.json"), "F": ["x0^2", "x1^2", "x2^2"]},
+                                 **{key: value})))
+    with pytest.raises(ParseError, match=f": {key} must be a"):
+        load_problem(p)
+    assert main(["residue", str(p)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_bare_string_f_is_not_read_by_character(tmp_path, capsys):
+    # on a fan with variables x, y, z, "xyz" must not pass for the inputs x, y, z
+    p = tmp_path / "bare.json"
+    p.write_text(json.dumps({"fan": fx("p112.fan.json"), "F": "xyz"}))
+    with pytest.raises(ParseError, match=": F must be a list of strings"):
+        load_problem(p)
+    assert main(["residue", str(p)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variables", [[1, 2, 3], ["x", "y", "2z"], "xyz"])
+def test_variables_must_be_names(tmp_path, capsys, variables):
+    p = tmp_path / "names.fan.json"
+    p.write_text(json.dumps(dict(P2_FAN, variables=variables)))
+    with pytest.raises(ParseError, match=": variables must be"):
+        load_fan(p)
+    assert main(["bsigma", str(p)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_gtl_needs_at_least_one_trial(capsys, count):
+    # no trial checks nothing, so it cannot report ok
+    assert main(["check", "gtl", fx("p2_fermat.json"), "--count", str(count)]) == 2
+    assert "--count must be at least 1" in capsys.readouterr().err
+
+
 def test_sigma_and_order_overrides():
     lp = load_problem(fx("pentagon_small.json"), sigma_override=2,
                       order_override="lex:x>y>z>t>u")

@@ -102,7 +102,7 @@ def swapped_problem(name, i, j):
     polys = list(pb.polys)
     polys[i], polys[j] = polys[j], polys[i]
     return ResidueProblem(pb.fan, polys, order=pb.order, sigma=pb.sigma,
-                          grading=pb.grading, basis=pb.basis)
+                          grading=pb.grading)
 
 
 @cache

@@ -4,11 +4,11 @@ import pytest
 
 from toricres import (
     InvalidFan,
+    cone_det,
     cone_group_order,
     is_complete,
     is_simplicial,
     make_fan,
-    pairing_det,
     smith_normal_form,
 )
 from toricres.lattice import (
@@ -90,18 +90,17 @@ def test_group_order_from_raw_cone():
     assert cone_group_order(fan, 0) == 2
 
 
-def test_pairing_det_p1(p1):
+def test_cone_det_p1(p1):
     fan, _ = p1
     # ray 0 is +1, ray 1 is -1
-    assert pairing_det(fan, [[1]], (0,)) == 1
-    assert pairing_det(fan, [[1]], (1,)) == -1
+    assert cone_det(fan, fan.max_cones.index((0,))) == 1
+    assert cone_det(fan, fan.max_cones.index((1,))) == -1
 
 
-def test_pairing_det_p2(p2):
+def test_cone_det_p2(p2):
     fan, _ = p2
-    basis = [[1, 0], [0, 1]]
-    cone = fan.max_cones[2]  # rays (1,0),(0,1)
-    assert pairing_det(fan, basis, cone) == 1
+    assert fan.max_cones[2] == (0, 1)  # rays (-1,-1),(1,0)
+    assert cone_det(fan, 2) == 1
 
 
 def test_make_fan_rejects_bad_data():

@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +25,8 @@ from toricres.lattice import dot, mat_det, smith_normal_form
 from toricres.polytopes import monomial_basis
 
 from conftest import load
-from oracles import (cofactor_det, mat_rank, minor_rank, rational_kernel, rref,
-                     solve_rational)
+from oracles import (cofactor_det, fraction_mat_det, mat_rank, minor_rank, rational_kernel,
+                     rref, solve_rational)
 
 DEFAULTS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -117,9 +117,13 @@ def square_matrices(entries):
 @given(square_matrices(st.fractions(min_value=-4, max_value=4, max_denominator=6)
                        | st.just(Fraction(0))))
 def test_determinant_is_exact_over_the_rationals(A):
+    # a rational determinant is the integer one of the rows scaled to
+    # integers, over the product of the scales
     n = len(A)
-    d = mat_det(A)
-    assert d == cofactor_det(A)
+    scales = [lcm(*(x.denominator for x in row)) for row in A]
+    d = mat_det([[int(x * c) for x in row] for row, c in zip(A, scales)])
+    assert type(d) is int
+    assert Fraction(d, prod(scales)) == cofactor_det(A) == fraction_mat_det(A)
     assert (d != 0) == (minor_rank(A) == n) == (mat_rank(A) == n)
 
 
@@ -131,9 +135,13 @@ def test_integer_determinant_stays_an_int(A):
     assert d == cofactor_det(A)
 
 
-def test_determinant_keeps_fractions():
-    assert mat_det([[Fraction(1, 2)]]) == Fraction(1, 2)
-    assert mat_det([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 3)]]) == 0
+def test_determinant_refuses_fractions():
+    for A in ([[Fraction(1, 2)]], [[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 3)]],
+              [[1, 0], [0, Fraction(2)]]):
+        with pytest.raises(TypeError):
+            mat_det(A)
+    assert fraction_mat_det([[Fraction(1, 2)]]) == Fraction(1, 2)
+    assert fraction_mat_det([[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 3)]]) == 0
 
 
 @DEFAULTS

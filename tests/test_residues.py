@@ -10,12 +10,13 @@ from toricres import (
     MultiPoly,
     ResidueProblem,
     WrongDegree,
+    cone_det,
     cone_determinant,
+    cone_group_order,
     decompose,
     degree_of,
     in_irrelevant_ideal,
     irrelevant_ideal,
-    oriented_basis,
     residue_report,
     sigma_independence_check,
     toric_residue,
@@ -97,15 +98,15 @@ def test_decompose_rejects_outside_terms(pentagon):
         decompose(poly("z*t^2", fan), fan, sigma)
 
 
-def test_oriented_basis(p1, p2):
+def test_cone_det_orientation(p1, p2):
     fan, _ = p1
-    assert oriented_basis(fan, 1) == ((1,),)   # cone on the +1 ray
-    assert oriented_basis(fan, 0) == ((-1,),)  # cone on the -1 ray
+    assert cone_det(fan, 1) == 1   # cone on the +1 ray
+    assert cone_det(fan, 0) == -1  # cone on the -1 ray
     fan2, _ = p2
     for k in range(3):
-        from toricres import pairing_det
-        basis = oriented_basis(fan2, k)
-        assert pairing_det(fan2, basis, fan2.max_cones[k]) > 0
+        pb = ResidueProblem(fan2, polys(["x0", "x1", "x2"], fan2), sigma=k, grading=p2[1])
+        assert pb.cone_sign(k) == 1
+        assert abs(cone_det(fan2, k)) == cone_group_order(fan2, k) == 1
 
 
 def test_delta_degree_is_critical(pentagon):
@@ -258,5 +259,5 @@ def test_swap_flips_sign():
     h = lp.inputs[0]
     swapped = ResidueProblem(lp.fan, [pb.polys[1], pb.polys[0]],
                              order=pb.order, sigma=pb.sigma,
-                             grading=lp.grading, basis=pb.basis)
+                             grading=lp.grading)
     assert toric_residue(swapped, h) == -toric_residue(pb, h)
