@@ -3,7 +3,7 @@
 The package computes the residue map in the homogeneous coordinate ring:
 given a fan, a critical-degree input H, and a regular sequence of
 homogeneous polynomials, it produces an exact rational number, normalized
-by the cone determinant of a distinguished maximal cone.  A floating-point
+by the cone determinant of a distinguished maximal cone.  An exact
 cross-check sums local residues over the zero set in a torus chart.
 """
 
@@ -79,7 +79,6 @@ from .lattice import (
 )
 from .localres import (
     euler_jacobi_check,
-    local_residue_simple,
     sum_local_residues,
 )
 from .poly import (
@@ -141,7 +140,7 @@ __all__ = [
     "normal_form", "parse_order", "quotient_is_finite", "standard_monomials",
     "CompletenessReport", "FanData", "SmithDecomposition", "cone_det", "cone_group_order",
     "is_complete", "is_simplicial", "make_fan", "smith_normal_form",
-    "euler_jacobi_check", "local_residue_simple", "sum_local_residues",
+    "euler_jacobi_check", "sum_local_residues",
     "MultiPoly", "degree_of", "dehomogenize", "homogenize_to_degree", "is_homogeneous",
     "parse_poly", "poly_det", "poly_to_string",
     "HPolytope", "divisor_polytope", "intersection_number", "lattice_points",

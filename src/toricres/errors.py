@@ -110,8 +110,7 @@ class NotZeroDimensional(ToricError):
 
 
 class NonSimpleZero(ToricError):
-    """A zero has multiplicity (a singular Jacobian), or the numeric solve
-    resolved fewer distinct zeros than the quotient dimension."""
+    """A zero has multiplicity: the Jacobian vanishes there (det M_J = 0)."""
 
 
 class ZeroOnPolarLocus(ToricError):

@@ -6,8 +6,9 @@ be replayed and verified in tests.  There is one integer path for each
 job and no arithmetic over Q: determinants are Bareiss eliminations of
 integer matrices (``mat_det``, and ``cone_det`` for a cone's rays), a
 square system is solved by Cramer's rule (``cramer``), a system over the
-integers by the Smith form (``SmithDecomposition.solve``), and a rank or a
-lattice is read from the Smith or Hermite form.
+integers by the Smith form (``SmithDecomposition.solve``), the trace of
+A^-1 B by one Bareiss elimination of A + tB (``trace_of_solve``), and a rank
+or a lattice is read from the Smith or Hermite form.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidFan
@@ -78,6 +80,38 @@ def mat_det(A) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def trace_of_solve(A, B) -> Fraction | None:
+    """Tr(A^-1 B) for square integer matrices of one size, or None when
+    det A = 0.
+
+    One Bareiss elimination of A + tB over Z[t]/(t^2), pivoting on constant
+    terms, since det(A + tB) = det A * (1 + t Tr(A^-1 B)) mod t^2.  Every
+    Bareiss quotient is exact over Z[t], and its divisor, a previous pivot,
+    has a nonzero constant term, so the quotient's two low coefficients are
+    exact integer quotients.  A column with no nonzero constant term left
+    means det A = 0.
+    """
+    n = len(A)
+    P = [list(map(operator.index, row)) for row in A]
+    T = [list(map(operator.index, row)) for row in B]
+    p0, p1 = 1, 0
+    for k in range(n):
+        swap = next((i for i in range(k, n) if P[i][k]), None)
+        if swap is None:
+            return None
+        P[k], P[swap], T[k], T[swap] = P[swap], P[k], T[swap], T[k]
+        a0, a1, Pk, Tk = P[k][k], T[k][k], P[k], T[k]
+        for i in range(k + 1, n):
+            Pi, Ti = P[i], T[i]
+            b0, b1 = Pi[k], Ti[k]
+            for j in range(k + 1, n):
+                q0 = (Pi[j] * a0 - b0 * Pk[j]) // p0
+                Ti[j] = (Pi[j] * a1 + Ti[j] * a0 - b0 * Tk[j] - b1 * Pk[j] - q0 * p1) // p0
+                Pi[j] = q0
+        p0, p1 = a0, a1
+    return Fraction(p1, p0)
 
 
 def cramer(rows, rhs):

@@ -338,21 +338,30 @@ def toric_residue(problem: ResidueProblem, H: MultiPoly) -> Fraction:
     return c_h / problem.c_sigma if c_h else Fraction(0)
 
 
+def require_critical_degree(problem: ResidueProblem, H: MultiPoly):
+    """DegreeMismatch unless H lies in the ring of the fan, WrongDegree
+    unless H is 0 or has the critical degree."""
+    if H.nvars != problem.fan.nvars:
+        raise DegreeMismatch("polynomial ring does not match the fan")
+    # an H with every term in the critical slice has the critical degree
+    if H.is_zero() or problem._monomial_set.issuperset(H.terms):
+        return
+    try:
+        dH = degree_of(H, problem.grading)
+    except NotHomogeneous as exc:
+        raise WrongDegree(f"input is not homogeneous: {exc}") from exc
+    if dH != problem.critical:
+        raise WrongDegree(
+            f"degree {dH.free}+t{dH.torsion} differs from the critical degree "
+            f"{problem.critical.free}+t{problem.critical.torsion}")
+
+
 def _checked_coefficient(problem: ResidueProblem, H: MultiPoly) -> Fraction:
     """c(H), once the degree of H and the hypotheses of the residue hold;
-    0 for H = 0, which needs no check.  Afterwards c_sigma is nonzero."""
+    0 for H = 0, which needs no hypothesis.  Afterwards c_sigma is nonzero."""
+    require_critical_degree(problem, H)
     if H.is_zero():
         return Fraction(0)
-    # an H with every term in the critical slice has the critical degree
-    if not problem._monomial_set.issuperset(H.terms):
-        try:
-            dH = degree_of(H, problem.grading)
-        except NotHomogeneous as exc:
-            raise WrongDegree(f"input is not homogeneous: {exc}") from exc
-        if dH != problem.critical:
-            raise WrongDegree(
-                f"degree {dH.free}+t{dH.torsion} differs from the critical degree "
-                f"{problem.critical.free}+t{problem.critical.torsion}")
     _require_residue(problem)
     return problem.normal_coefficient(H)
 

@@ -21,10 +21,11 @@ Gauss-Jordan elimination (``rref``, ``mat_rank``, ``solve_rational``,
 functional it once computed, the chart lift by a Smith form of the
 off-cone degree system, the determinant over Q by row scaling, and the
 cone orientations and chart Jacobian read from a positively oriented basis
-of M.  The exact sum
-of local residues as a trace over the quotient ring is a reference value
-for both the exact residue and the numeric sum.  Tests compare engine
-output against them.
+of M, and the floating-point local sum (an eigen-solve on the chart
+quotient, Newton polishing and tolerances).  The exact sum of local
+residues as a trace over the quotient ring, by linear-scan normal forms
+and Fraction elimination, is a reference value for both the exact residue
+and the package's trace.  Tests compare engine output against them.
 """
 
 from __future__ import annotations
@@ -40,17 +41,15 @@ import numpy as np
 from toricres import (AllReduceToZero, CodimNotOne, GroebnerBasis, HypothesesFailed,
                       InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NoIntegralLift,
                       NonSimpleZero, NonUniqueLift, NotHomogeneous, NotTorusZero,
-                      NotZeroDimensional, ToricError, Unbounded, WrongDegree, cone_determinant,
-                      dehomogenize, homogenize_to_degree, is_simplicial, local_residue_simple,
-                      monomial_basis, poly_det)
+                      NotZeroDimensional, ToricError, Unbounded, WrongDegree, ZeroOnPolarLocus,
+                      cone_determinant, dehomogenize, homogenize_to_degree, is_simplicial,
+                      monomial_basis, no_common_zeros_on_x, poly_det)
 from toricres.cayley import _lift_poly, critical_degree_lifted
 from toricres.grading import critical_degree, degree_system
 from toricres.groebner import (divide, grevlex, leading_term, lex, quotient_is_finite,
                                reducer, standard_monomials)
-from toricres.lattice import FanData, dot, mat_vec, smith_normal_form, vec_content
-from toricres.localres import (RESIDUAL_TOL, SEPARATION_TOL, _chart, _complex_terms, _dedupe,
-                               _evaluate, _jacobian_at, _jacobian_terms, _newton_refine,
-                               _Quotient)
+from toricres.lattice import FanData, dot, mat_det, mat_vec, smith_normal_form, vec_content
+from toricres.localres import _chart, _Quotient
 from toricres.poly import chart_variables, degree_of
 from toricres.polytopes import HPolytope
 from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
@@ -1179,6 +1178,163 @@ def nullstellensatz_refusal(problem, k):
 
 
 # ---------------------------------------------------------------------------
+# the floating-point local sum, as the package ran it before the sum became an
+# exact trace: the zeros from the eigenvectors of a seeded combination of the
+# coordinate matrices (Auzinger-Stetter 1988), polished by Newton steps,
+# filtered by a relative residual and deduplicated; with simple zeros the
+# commuting M_{x_j} share an eigenbasis V, and the j-th coordinates of the
+# zeros are diag(V^-1 M_{x_j} V)
+
+RESIDUAL_TOL = 1e-9
+SEPARATION_TOL = 1e-6
+
+
+def quotient_zeros(quotient, seed: int):
+    """The |B| zeros when all are simple, and the Jacobian determinant
+    at each: eigenvectors of a seeded combination of the coordinate
+    matrices M_{x_j}, then Newton.  ``_times_variable`` holds each column
+    of M_{x_j} times D_j; each entry is rounded once, from its Fraction."""
+    B, polys = quotient.basis, quotient.polys
+    if not B:
+        return [], []
+    rng = random.Random(seed)
+    coords = [np.array([[Fraction(table[b].get(e, 0), D) for b in B] for e in B], dtype=float)
+              for D, table in quotient._times_variable]
+    _, V = np.linalg.eig(sum(rng.randint(1, 99) * M for M in coords))
+    diags = [np.diag(np.linalg.solve(V, M @ V)) for M in coords]
+    system = [_complex_terms(p) for p in polys]
+    sizes = [_complex_terms(MultiPoly.from_terms(
+        p.nvars, {e: abs(c) for e, c in p.terms.items()})) for p in polys]
+    jac = _jacobian_terms(polys)
+    pts = _newton_refine(system, jac, list(zip(*diags)))
+    pts = _dedupe([p for p in pts if _residual(system, sizes, p) < RESIDUAL_TOL])
+    if len(pts) != len(B):
+        raise NonSimpleZero(
+            f"{len(B)} simple zeros but {len(pts)} resolved numerically")
+    return pts, [complex(np.linalg.det(_jacobian_at(jac, z))) for z in pts]
+
+
+def _complex_terms(p: MultiPoly):
+    """Terms of p as (complex(c), ((variable, power), ..)): complex(c) is what
+    a Fraction c becomes when it meets a complex value, so ``_evaluate`` at
+    complex points repeats the operations of ``MultiPoly.evaluate``."""
+    return [(complex(c), tuple((i, k) for i, k in enumerate(e) if k))
+            for e, c in p.terms.items()]
+
+
+def _evaluate(terms, pt):
+    """Value at pt of a polynomial given by ``_complex_terms``."""
+    total = 0
+    for c, powers in terms:
+        v = c
+        for i, k in powers:
+            v = v * pt[i] ** k
+        total = total + v
+    return total
+
+
+def _residual(system, sizes, pt) -> float:
+    """Largest |f(pt)|, relative to the size of f at pt (the sum of |c*pt^e|
+    over its terms, from ``sizes``) when that exceeds 1: rounding leaves
+    about that size times the machine epsilon even at an exact zero."""
+    apt = tuple(abs(v) for v in pt)
+    return max(abs(complex(_evaluate(f, pt))) / max(1.0, abs(complex(_evaluate(s, apt))))
+               for f, s in zip(system, sizes))
+
+
+def _dedupe(pts):
+    out = []
+    for p in pts:
+        if all(max(abs(a - b) for a, b in zip(p, q)) > SEPARATION_TOL for q in out):
+            out.append(p)
+    return out
+
+
+def _jacobian_terms(polys):
+    """``_complex_terms`` of every partial derivative, by row and column."""
+    return [[_complex_terms(p.partial(j)) for j in range(p.nvars)] for p in polys]
+
+
+def _jacobian_at(jac, z):
+    """Matrix at z of a Jacobian from ``_jacobian_terms``."""
+    return np.array([[complex(_evaluate(entry, z)) for entry in row] for row in jac])
+
+
+def _newton_refine(system, jac, pts, steps: int = 30):
+    """Newton steps from each point until |f| < 1e-15, the step is below
+    1e-15 * max(1, |x|), or ``steps`` steps are taken."""
+    out = []
+    for pt in pts:
+        x = np.array(pt, dtype=complex)
+        for _ in range(steps):
+            xt = tuple(x)
+            fval = np.array([complex(_evaluate(p, xt)) for p in system])
+            if max(abs(v) for v in fval) < 1e-15:
+                break
+            try:
+                dx = np.linalg.solve(_jacobian_at(jac, xt), -fval)
+            except np.linalg.LinAlgError:
+                break
+            x = x + dx
+            if max(abs(v) for v in dx) < 1e-15 * max(1.0, *(abs(v) for v in x)):
+                break
+        out.append(tuple(complex(v) for v in x))
+    return out
+
+
+def local_residue_simple(problem, H: MultiPoly, k: int, zero,
+                         jacobian: complex, cone_index: int | None = None) -> complex:
+    """Residue contribution of one simple zero: value over polar factor and
+    the square system's Jacobian determinant.  Refuses by tolerance tests
+    at that zero alone: |f_k| or |J| below RESIDUAL_TOL."""
+    fan = problem.fan
+    cone = problem.sigma if cone_index is None else cone_index
+    fk = dehomogenize(problem.polys[k], fan, cone)
+    h = dehomogenize(H, fan, cone)
+    fk_val = complex(_evaluate(_complex_terms(fk), zero))
+    if abs(fk_val) < RESIDUAL_TOL:
+        raise ZeroOnPolarLocus("dropped input vanishes at the zero")
+    if abs(jacobian) < RESIDUAL_TOL:
+        raise NonSimpleZero("vanishing Jacobian at the zero")
+    return complex(_evaluate(_complex_terms(h), zero)) / (fk_val * jacobian)
+
+
+def numeric_residue_sum(problem, H, k, seed: int = 0) -> complex:
+    """The local sum in floating point, with the refusals of the exact sum
+    in its order: the torus screen, then NonSimpleZero (det M_J),
+    ZeroOnPolarLocus, and NonSimpleZero when the seeded eigen-solve
+    resolves fewer distinct zeros than dim Q[x]/I."""
+    fan = problem.fan
+    torus = MultiPoly.monomial((1,) * fan.nvars)
+    screen = no_common_zeros_on_x(fan, problem.polys[:k] + problem.polys[k + 1:] + (torus,))
+    if not screen.ok:
+        for cone in range(screen.witness_cone + 1):
+            _chart(problem, k, cone)
+        raise NotTorusZero(f"zero with a vanishing coordinate in cone {cone}")
+    fk, quotient = _chart(problem, k, problem.sigma)
+    quotient.require_simple()
+    if not problem.zero_locus().ok:
+        raise ZeroOnPolarLocus("dropped input vanishes at a zero: a common zero on X")
+    h = _complex_terms(dehomogenize(H, fan, problem.sigma))
+    fk = _complex_terms(fk)
+    total = sum((complex(_evaluate(h, z)) / (complex(_evaluate(fk, z)) * det)
+                 for z, det in zip(*quotient_zeros(quotient, seed))), 0j)
+    return (-1) ** k * total
+
+
+def numeric_torus_total(nvars: int, f_list, g: MultiPoly, seed: int = 0) -> complex:
+    """Sum of g/(x_1...x_n * J) over the zeros of f_list in floating point,
+    with the refusals of ``euler_jacobi_check`` in its order."""
+    quotient = _Quotient(list(f_list))
+    quotient.require_simple()
+    if mat_det(quotient.matrix(MultiPoly.monomial((1,) * nvars))[1]) == 0:
+        raise NotTorusZero("zero off the torus")
+    g_terms = _complex_terms(g)
+    return sum((complex(_evaluate(g_terms, z)) / (prod(z) * det)
+                for z, det in zip(*quotient_zeros(quotient, seed))), 0j)
+
+
+# ---------------------------------------------------------------------------
 # chart solving by one quotient ring, on a square system or on one chart of
 # a problem, as the package exported it before the sum built its own chart
 
@@ -1190,7 +1346,7 @@ def solve_chart_system(polys, seed: int = 0):
     seed picks resolves fewer distinct zeros than dim Q[x]/I."""
     quotient = _Quotient(list(polys))
     quotient.require_simple()
-    return quotient.zeros(seed)[0], len(quotient.basis)
+    return quotient_zeros(quotient, seed)[0], len(quotient.basis)
 
 
 @dataclass(frozen=True)
@@ -1209,5 +1365,5 @@ def chart_zero_set(problem, k: int, cone_index: int | None = None,
     cone = problem.sigma if cone_index is None else cone_index
     quotient = _chart(problem, k, cone)[1]
     quotient.require_simple()
-    zeros, dets = quotient.zeros(seed)
+    zeros, dets = quotient_zeros(quotient, seed)
     return NumericZeroSet(cone, tuple(zeros), tuple(dets), len(quotient.basis))

@@ -1,7 +1,8 @@
 """The integer solves against the Fraction elimination they replaced.
 
 ``lattice.cramer`` must give the solution ``oracles.solve_rational`` gives
-on every nonsingular square system and refuse every singular one;
+on every nonsingular square system and refuse every singular one, and
+``lattice.trace_of_solve`` the trace of the solutions for the columns of B;
 ``cone_functionals`` must return the tuples of
 ``oracles.fraction_cone_functionals`` wherever each maximal cone has dim
 independent rays, and refuse the other fans by naming the cone; the
@@ -36,7 +37,7 @@ from toricres import (
 )
 from toricres import polytopes
 from toricres.cli import main
-from toricres.lattice import cramer, smith_normal_form
+from toricres.lattice import cramer, smith_normal_form, trace_of_solve
 
 from conftest import FIXTURES, load
 from oracles import (fraction_cone_functionals, fraction_jacobian_ideal_degree_check,
@@ -93,6 +94,50 @@ def test_cramer_reduces_and_fixes_the_sign():
     assert cramer([[-4]], [6]) == ((-3,), 2)
     assert cramer([[1, 2], [2, 4]], [1, 2]) is None
     assert cramer([], []) == ((), 1)
+
+
+# ---------------------------------------------------------------------------
+# trace_of_solve
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Integer A and B of size 1-6; about half of the A are made singular
+    by a row that is an integer combination of the others, and some have
+    a zero leading entry, so that the elimination must pivot."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2 * n)]
+    A, B = A[:n], A[n:]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        mult = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        A[k] = [sum(m * row[j] for m, (i, row) in zip(mult, enumerate(A)) if i != k)
+                for j in range(n)]
+    if draw(st.booleans()):
+        A[0][0] = 0
+    return A, B
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrix_pairs())
+def test_trace_of_solve_matches_rational_elimination(pair):
+    A, B = pair
+    got = trace_of_solve(A, B)
+    if mat_rank(A) < len(A):
+        assert got is None
+        return
+    columns = [solve_rational(A, [row[j] for row in B]) for j in range(len(A))]
+    assert got == sum((x[j] for j, x in enumerate(columns)), Fraction(0))
+
+
+def test_trace_of_solve_pivots_on_constant_terms():
+    # A[0][0] = 0 while B[0][0] != 0: the pivot must come from A alone
+    assert trace_of_solve([[0, 1], [1, 0]], [[5, 0], [0, 7]]) == 0
+    assert trace_of_solve([[0, 2], [3, 0]], [[0, 1], [1, 0]]) == Fraction(1, 2) + Fraction(1, 3)
+    assert trace_of_solve([[2]], [[3]]) == Fraction(3, 2)
+    assert trace_of_solve([[1, 2], [2, 4]], [[1, 0], [0, 1]]) is None
+    assert trace_of_solve([], []) == 0
 
 
 # ---------------------------------------------------------------------------

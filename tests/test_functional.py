@@ -7,8 +7,9 @@ fixture (codimension failures included) and on dense H over P^2, P^3, the
 torsion fan, the pentagon with its user grading and P(1,1,2).  The degree
 check of H is skipped when every term of H lies in S_rho, so S_rho must be
 complete and the errors must keep their type, message and precedence.  The
-numeric cross-check evaluates polynomials from precomputed complex term
-lists, which must give the values ``MultiPoly.evaluate`` gives.
+floating-point local sum of ``oracles.py`` evaluates polynomials from
+precomputed complex term lists, which must give the values
+``MultiPoly.evaluate`` gives.
 """
 
 import itertools
@@ -21,14 +22,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import toricres.localres as localres_mod
+import oracles
 from toricres import (
     AllReduceToZero,
     MultiPoly,
     ResidueProblem,
     compute_grading,
     cone_determinant,
-    euler_jacobi_check,
     jacobian_residue_check,
     load_fan,
     make_fan,
@@ -36,7 +36,6 @@ from toricres import (
     parse_poly,
     residue_report,
     sigma_independence_check,
-    sum_local_residues,
     toric_jacobian,
     toric_residue,
 )
@@ -385,16 +384,16 @@ def test_complex_evaluation_matches_multipoly_evaluate(case):
     nv = len(pt)
     p = MultiPoly(nv, terms)
     x = tuple(np.array(pt, dtype=complex)) if as_numpy else tuple(pt)
-    fast = localres_mod._evaluate(localres_mod._complex_terms(p), x)
+    fast = oracles._evaluate(oracles._complex_terms(p), x)
     slow = p.evaluate(x)
     assert fast == slow
     assert complex(fast) == complex(slow)
 
 
 def evaluate_by_multipoly(monkeypatch):
-    """Route the numeric module's evaluation through MultiPoly.evaluate."""
-    monkeypatch.setattr(localres_mod, "_complex_terms", lambda p: p)
-    monkeypatch.setattr(localres_mod, "_evaluate", lambda p, pt: p.evaluate(pt))
+    """Route the floating-point sum's evaluation through MultiPoly.evaluate."""
+    monkeypatch.setattr(oracles, "_complex_terms", lambda p: p)
+    monkeypatch.setattr(oracles, "_evaluate", lambda p, pt: p.evaluate(pt))
 
 
 def numeric_outcomes():
@@ -402,14 +401,14 @@ def numeric_outcomes():
     for name in RESIDUE_FIXTURES:
         lp = load(name)
         for k in range(len(lp.problem.polys)):
-            out.append(outcome(lambda: sum_local_residues(lp.problem, lp.inputs[0], k)))
+            out.append(outcome(lambda: oracles.numeric_residue_sum(lp.problem, lp.inputs[0], k)))
     names = ("x", "y")
     for texts, g in [(["x^2 - 1", "y^2 - 1"], "x*y"), (["x^2 - 1", "y^2 - 1"], "1/3"),
                      (["x^2 - 3*y", "y^2 - 2*x + 1"], "x + 2"),
                      (["x*y - 1", "x^2 - y"], "y^2"),
                      (["x^2", "y - 1"], "1")]:
         system = [parse_poly(t, names) for t in texts]
-        out.append(outcome(lambda: euler_jacobi_check(2, system, parse_poly(g, names))))
+        out.append(outcome(lambda: oracles.numeric_torus_total(2, system, parse_poly(g, names))))
     return out
 
 

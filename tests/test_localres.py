@@ -1,25 +1,33 @@
-"""Numeric side: chart solving, local residue sums, torus residue totals."""
+"""Local residue sums and torus residue totals, exactly; the chart solver
+and the per-zero residues of the floating-point oracle they replaced."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-import toricres.localres as localres
+import oracles
 from toricres import (
+    DegreeMismatch,
     InfiniteIntersection,
+    MultiPoly,
     NonSimpleZero,
     NotTorusZero,
     NotZeroDimensional,
+    WrongDegree,
     ZeroOnPolarLocus,
     euler_jacobi_check,
-    local_residue_simple,
     parse_poly,
+    residue_report,
     sum_local_residues,
     toric_residue,
 )
 
 from conftest import load
-from oracles import chart_zero_set, solve_chart_system
+from oracles import chart_zero_set, local_residue_simple, solve_chart_system
 
 TOL = 1e-8
 
@@ -92,16 +100,16 @@ def test_newton_stops_relative_to_the_size_of_the_zero(monkeypatch):
     names = ("x", "y")
     polys = [up("x^2 + x*y - 12345 - 7*y", names), up("y - x + 1", names)]
     solves = []
-    real_solve = localres.np.linalg.solve
+    real_solve = np.linalg.solve
 
     def counted(a, b):
         solves.append(b)
         return real_solve(a, b)
 
-    monkeypatch.setattr(localres.np.linalg, "solve", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     start = (12345 ** 0.5 * 1.01, 12345 ** 0.5)
-    (x, y), = localres._newton_refine([localres._complex_terms(p) for p in polys],
-                                      localres._jacobian_terms(polys), [start])
+    (x, y), = oracles._newton_refine([oracles._complex_terms(p) for p in polys],
+                                     oracles._jacobian_terms(polys), [start])
     assert len(solves) < 10
     assert abs(y - (x - 1)) < 1e-12 and abs(x * x + x * y - 12345 - 7 * y) < 1e-9
 
@@ -158,28 +166,21 @@ def test_sum_matches_exact_line_a():
     exact = toric_residue(lp.problem, lp.inputs[0])
     assert exact == -1
     got = sum_local_residues(lp.problem, lp.inputs[0], 0)
-    assert close(got, exact)
+    assert got == exact and isinstance(got, Fraction)
 
 
 def test_sum_matches_exact_line_b_all_k():
     lp = load("p1_numeric_b.json")
     exact = toric_residue(lp.problem, lp.inputs[0])
     assert exact == Fraction(1, 3)
-    sums = [sum_local_residues(lp.problem, lp.inputs[0], k) for k in (0, 1)]
-    for s in sums:
-        assert close(s, exact)
-    assert close(sums[0], sums[1])
+    assert [sum_local_residues(lp.problem, lp.inputs[0], k) for k in (0, 1)] == [exact] * 2
 
 
 def test_sum_matches_exact_surface_all_k():
     lp = load("p1p1_numeric.json")
     exact = toric_residue(lp.problem, lp.inputs[0])
     assert exact == Fraction(-3, 29)
-    sums = [sum_local_residues(lp.problem, lp.inputs[0], k) for k in (0, 1, 2)]
-    for s in sums:
-        assert close(s, exact)
-    for s in sums[1:]:
-        assert close(s, sums[0])
+    assert [sum_local_residues(lp.problem, lp.inputs[0], k) for k in (0, 1, 2)] == [exact] * 3
 
 
 def test_zero_off_torus_is_refused():
@@ -195,38 +196,68 @@ def test_positive_dimensional_drop_is_refused():
 
 
 # ---------------------------------------------------------------------------
+# the inputs of a sum: H of the critical degree in the fan's ring, k an input
+
+
+def test_sum_refuses_an_input_of_another_degree():
+    lp = load("p1p1_numeric.json")
+    H = parse_poly("x", lp.fan.variables)
+    with pytest.raises(WrongDegree, match="differs from the critical degree") as exc:
+        sum_local_residues(lp.problem, H, 0)
+    with pytest.raises(WrongDegree) as want:
+        toric_residue(lp.problem, H)
+    assert str(exc.value) == str(want.value)
+    H = lp.inputs[0] + parse_poly("x^2", lp.fan.variables)
+    with pytest.raises(WrongDegree, match="not homogeneous"):
+        sum_local_residues(lp.problem, H, 0)
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_sum_refuses_an_index_that_names_no_input(k):
+    lp = load("p1p1_numeric.json")
+    with pytest.raises(ValueError, match=f"no input with index {k}"):
+        sum_local_residues(lp.problem, lp.inputs[0], k)
+
+
+def test_an_input_from_another_ring_is_refused():
+    lp = load("p2_fermat.json")
+    H = MultiPoly.monomial((1, 1, 1, 0))
+    for compute in (toric_residue, residue_report, lambda pb, h: sum_local_residues(pb, h, 0)):
+        with pytest.raises(DegreeMismatch, match="polynomial ring does not match the fan"):
+            compute(lp.problem, H)
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, toricres; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
 # torus residue totals
 
 
 def test_torus_total_vanishes_for_coordinate_numerator():
-    ok, total = euler_jacobi_check(1, [up("x^2 - 1", ("x",))], up("x", ("x",)))
-    assert ok
-    assert close(total, 0)
+    assert euler_jacobi_check(1, [up("x^2 - 1", ("x",))], up("x", ("x",))) == (True, 0)
 
 
 def test_torus_total_counts_constant_numerator():
-    ok, total = euler_jacobi_check(1, [up("x^2 - 1", ("x",))], up("1", ("x",)))
-    assert not ok
-    assert close(total, 1)
+    assert euler_jacobi_check(1, [up("x^2 - 1", ("x",))], up("1", ("x",))) == (False, 1)
 
 
 def test_torus_total_single_zero():
-    ok, total = euler_jacobi_check(1, [up("x - 2", ("x",))], up("1", ("x",)))
-    assert not ok
-    assert close(total, 0.5)
+    assert euler_jacobi_check(1, [up("x - 2", ("x",))], up("1", ("x",))) == (False, Fraction(1, 2))
 
 
 def test_torus_total_vanishes_on_the_ideal():
     f = up("x^2 - 1", ("x",))
     g = up("x", ("x",)) * f
-    ok, total = euler_jacobi_check(1, [f], g)
-    assert ok
-    assert close(total, 0)
+    assert euler_jacobi_check(1, [f], g) == (True, 0)
 
 
 def test_torus_total_two_variables():
     names = ("x", "y")
     sys_ = [up("x^2 - 1", names), up("y^2 - 1", names)]
-    ok, total = euler_jacobi_check(2, sys_, up("x*y", names))
-    assert ok
-    assert close(total, 0)
+    assert euler_jacobi_check(2, sys_, up("x*y", names)) == (True, 0)

@@ -1,10 +1,13 @@
-"""The numeric cross-check by multiplication matrices (``localres``).
+"""The exact local sum by a trace on the chart quotient (``localres``).
 
-Its zeros and refusals are compared with the shape-position chain it
-replaced (``oracles.shape_position_solve``), its sums with the exact trace
-over the quotient ring (``oracles.trace_residue_sum``), which must equal
-the exact residue as a Fraction.  Each refusal is also shown on a system
-built to need it.
+Its values must equal the exact residue and the trace over the quotient
+ring by linear-scan normal forms and Fraction elimination
+(``oracles.trace_residue_sum``) as Fractions, and come within COMPARE_TOL
+of the floating-point sum it replaced (``oracles.numeric_residue_sum``),
+which must refuse the same inputs with the same errors.  The chart solver
+of that floating-point sum is compared with the shape-position chain it
+replaced (``oracles.shape_position_solve``).  Each refusal is also shown on
+a system built to need it.
 """
 
 from functools import cache
@@ -20,6 +23,7 @@ from toricres import (
     NotTorusZero,
     NotZeroDimensional,
     ResidueProblem,
+    ToricError,
     ZeroOnPolarLocus,
     compute_grading,
     euler_jacobi_check,
@@ -31,12 +35,13 @@ from toricres import (
     toric_residue,
 )
 from toricres import localres
-from toricres.localres import COMPARE_TOL, SEPARATION_TOL
+from toricres.localres import COMPARE_TOL
 
 from conftest import FIXTURES, load
-from oracles import (NotShapePosition, chart_system, chart_zero_set, nullstellensatz_refusal,
-                     shape_position_chart_zeros, shape_position_solve, shape_position_sum,
-                     solve_chart_system, solver_refusal, trace_residue_sum)
+from oracles import (SEPARATION_TOL, NotShapePosition, chart_system, chart_zero_set,
+                     nullstellensatz_refusal, numeric_residue_sum, shape_position_chart_zeros,
+                     shape_position_solve, shape_position_sum, solve_chart_system,
+                     solver_refusal, trace_residue_sum)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -74,12 +79,25 @@ def assert_solvers_agree(system):
 
 
 def assert_sums_agree(pb, H, k):
-    """The refusal is the one ideal membership gives, and the shape-position
-    chain agrees on the value or the refusal.  That chain tested each chart
-    for multiple zeros before the torus, so where it found a multiple zero
-    the new sum may first meet a zero off the torus or an infinite chart."""
+    """The refusal is the one ideal membership gives, and the floating-point
+    sum gives it too; a value is the exact residue where that is defined,
+    the exact trace, and within COMPARE_TOL of the floating-point sum.  The
+    shape-position chain agrees on the value or the refusal.  That chain
+    tested each chart for multiple zeros before the torus, so where it
+    found a multiple zero the new sum may first meet a zero off the torus
+    or an infinite chart."""
     new = outcome(lambda: sum_local_residues(pb, H, k))
     assert new[0] == (nullstellensatz_refusal(pb, k) or "value")
+    numeric = outcome(lambda: numeric_residue_sum(pb, H, k))
+    assert numeric[0] == new[0]
+    if new[0] == "value":
+        assert new[1] == (-1) ** k * trace_residue_sum(pb, H, k)
+        assert abs(numeric[1] - new[1]) < COMPARE_TOL
+        try:
+            exact = toric_residue(pb, H)
+        except ToricError:
+            exact = None
+        assert exact is None or new[1] == exact
     old = outcome(lambda: shape_position_sum(pb, H, k))
     if old[0] == "NotShapePosition":
         return
@@ -89,6 +107,32 @@ def assert_sums_agree(pb, H, k):
     elif new[0] != old[0]:
         assert old[0] == "NonSimpleZero"
         assert new[0] in ("NotTorusZero", "InfiniteIntersection")
+
+
+def message(compute):
+    """The value, or the error's type and message."""
+    try:
+        return compute()
+    except ToricError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")
+                                        if not p.name.endswith(".fan.json")))
+def test_exact_sums_and_refusals_on_every_fixture(name):
+    """Every fixture and k: the refusal of the floating-point sum, type and
+    message, or the value that the trace and the exact residue give."""
+    lp = load(name)
+    pb, H = lp.problem, lp.inputs[0]
+    for k in range(len(pb.polys)):
+        new = message(lambda: sum_local_residues(pb, H, k))
+        numeric = message(lambda: numeric_residue_sum(pb, H, k))
+        if isinstance(numeric, tuple):
+            assert new == numeric
+            continue
+        assert new == (-1) ** k * trace_residue_sum(pb, H, k)
+        assert abs(numeric - new) < COMPARE_TOL
+        assert new == message(lambda: toric_residue(pb, H))
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +242,10 @@ def test_a_sum_builds_one_quotient_ring(monkeypatch):
     p1p1 = load("p1p1_numeric.json")
     for pb, H in ((p2, MultiPoly.constant(3, 1)), (p1p1.problem, p1p1.inputs[0]),
                   (p3, MultiPoly.constant(4, 1))):
-        exact = complex(toric_residue(pb, H))
+        exact = toric_residue(pb, H)
         for k in range(len(pb.polys)):
             built.clear()
-            assert abs(sum_local_residues(pb, H, k) - exact) < COMPARE_TOL
+            assert sum_local_residues(pb, H, k) == exact
             assert built == [pb.fan.dim]
 
 
@@ -212,7 +256,7 @@ def test_a_sum_builds_one_quotient_ring(monkeypatch):
 def assert_trace_is_the_residue(pb, H, k):
     trace = (-1) ** k * trace_residue_sum(pb, H, k)
     assert trace == toric_residue(pb, H)
-    assert abs(sum_local_residues(pb, H, k) - trace) < COMPARE_TOL
+    assert sum_local_residues(pb, H, k) == trace
 
 
 @pytest.mark.parametrize("name, ks", [("p1_numeric_a.json", [0]),
@@ -279,9 +323,7 @@ def test_a_coordinate_below_the_old_tolerance_is_in_the_torus():
     # 10^-7 is below SEPARATION_TOL, which the shape-position chain took
     # for zero; the exact test sees a zero in the torus
     x = ("x",)
-    ok, total = euler_jacobi_check(1, [up("x - 1/10000000", x)], up("1", x))
-    assert not ok
-    assert abs(total - 10 ** 7) < 1e-6
+    assert euler_jacobi_check(1, [up("x - 1/10000000", x)], up("1", x)) == (False, 10 ** 7)
 
 
 def test_dropped_input_vanishing_at_a_zero_is_refused():
