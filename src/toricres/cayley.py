@@ -98,20 +98,15 @@ def critical_degree_lifted(cd: CayleyData):
     return critical_degree(cd.grading, [bundle_class(cd)] * (cd.n + 1))
 
 
-def _lifted_monomials(cd: CayleyData):
-    coeffs = representative_divisor(cd.grading, critical_degree_lifted(cd))
-    return divisor_monomials(cd.lifted_rays, coeffs)
-
-
 def equal_degree_check(cd: CayleyData, polys) -> bool:
     """All y_j-weighted inputs share one degree; the lifted critical degree
     matches the base one monomial for monomial (its slice is y-free)."""
     n = cd.n
     if len(polys) != n + 1:
         raise DegreeMismatch(f"need {n + 1} polynomials")
+    base_degrees = [cd.base_grading.degree(d) for d in cd.divisors]
     for j, p in enumerate(polys):
-        want = cd.base_grading.degree(cd.divisors[j])
-        if degree_of(p, cd.base_grading) != want:
+        if degree_of(p, cd.base_grading) != base_degrees[j]:
             raise DegreeMismatch(
                 f"input {j} does not have the degree of divisor {j}")
     degs = [degree_of(_lift_poly(cd, p, j), cd.grading)
@@ -119,33 +114,21 @@ def equal_degree_check(cd: CayleyData, polys) -> bool:
     gamma = bundle_class(cd)
     if any(d != gamma for d in degs):
         return False
-    lifted = _lifted_monomials(cd)
-    for e in lifted:
-        if any(e[cd.base_count:]):
-            return False
-    base_rho_monomials = _base_critical_monomials(cd)
-    return sorted(e[:cd.base_count] for e in lifted) == base_rho_monomials
-
-
-def _base_critical_monomials(cd: CayleyData):
-    rho = critical_degree(cd.base_grading,
-                          [cd.base_grading.degree(d) for d in cd.divisors])
-    return monomial_basis(cd.fan, cd.base_grading, rho)
+    coeffs = representative_divisor(cd.grading, critical_degree_lifted(cd))
+    lifted = divisor_monomials(HPolytope(2 * n, cd.lifted_rays, coeffs))
+    if any(any(e[cd.base_count:]) for e in lifted):
+        return False
+    base = monomial_basis(cd.fan, cd.base_grading, critical_degree(cd.base_grading, base_degrees))
+    return sorted(e[:cd.base_count] for e in lifted) == base
 
 
 def cayley_polytope_check(cd: CayleyData) -> bool:
     """Lattice points of the bundle polytope equal the union of the divisor
     polytopes placed on the vertices of a standard simplex."""
     n = cd.n
-    poly = HPolytope(2 * n, cd.lifted_rays, _bundle_exponent(cd))
-    got = set(lattice_points(poly))
-    expected = set()
-    for j in range(n + 1):
-        base_pts = lattice_points(divisor_polytope(cd.fan, cd.divisors[j]))
-        mu = tuple(1 if j == t + 1 else 0 for t in range(n))
-        for m in base_pts:
-            expected.add(mu + m)
-    return got == expected
+    got = set(lattice_points(HPolytope(2 * n, cd.lifted_rays, _bundle_exponent(cd))))
+    return got == {tuple(int(j == t + 1) for t in range(n)) + m for j in range(n + 1)
+                   for m in lattice_points(divisor_polytope(cd.fan, cd.divisors[j]))}
 
 
 def jacobian_ideal_degree_check(cd: CayleyData, polys) -> bool:

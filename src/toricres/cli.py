@@ -302,7 +302,7 @@ def cmd_check(args) -> int:
     problem = loaded.problem
     names = problem.fan.variables
     which = args.which
-    report = {"check": which, "seed": args.seed}
+    report = {"check": which}
     ok = True
     lines = []
     if which == "codim1":
@@ -323,6 +323,7 @@ def cmd_check(args) -> int:
             report["witness"] = f"{names[i]}*{_mono_str(m, names)}"
             lines.append(f"not in ideal: {report['witness']}")
     elif which == "gtl":
+        report["seed"] = args.seed
         rng = random.Random(args.seed)
         if args.H:
             H = parse_poly(args.H, names)

@@ -5,10 +5,10 @@ every normal form (Smith, Hermite) carries unimodular transforms that can
 be replayed and verified in tests.  There is one integer path for each
 job and no arithmetic over Q: determinants are Bareiss eliminations of
 integer matrices (``mat_det``, and ``cone_det`` for a cone's rays), a
-square system is solved by Cramer's rule (``cramer``), a system over the
-integers by the Smith form (``SmithDecomposition.solve``), the trace of
-A^-1 B by one Bareiss elimination of A + tB (``trace_of_solve``), and a rank
-or a lattice is read from the Smith or Hermite form.
+square system is solved by Cramer's rule (``cramer``) or its ``adjugate``,
+a system over the integers by the Smith form (``SmithDecomposition.solve``),
+the trace of A^-1 B by one Bareiss elimination of A + tB
+(``trace_of_solve``), and a rank or a lattice by the Smith or Hermite form.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import InvalidFan
@@ -128,6 +129,13 @@ def cramer(rows, rhs):
            for j in range(len(rows))]
     g = gcd(den, *num) if den > 0 else -gcd(den, *num)
     return tuple(x // g for x in num), den // g
+
+
+def adjugate(A) -> list[list[int]]:
+    """adj(A) of a square integer matrix, adj(A)·A = det(A)·I, its entries
+    the signed minors of A, each a ``mat_det``."""
+    return [[(-1) ** (i + j) * mat_det([r[:j] + r[j + 1:] for k, r in enumerate(A) if k != i])
+             for i in range(len(A))] for j in range(len(A))]
 
 
 @dataclass(frozen=True)
@@ -357,6 +365,11 @@ class FanData:
     def cone_rays(self, k):
         return tuple(self.rays[i] for i in self.max_cones[k])
 
+    @cached_property
+    def completeness(self) -> CompletenessReport:
+        """``is_complete``'s report, computed once per fan."""
+        return _completeness(self)
+
 
 def make_fan(dim, rays, max_cones, variables=None, one_based=False):
     rays = freeze(rays)
@@ -399,7 +412,12 @@ class CompletenessReport:
 
 
 def is_complete(fan: FanData) -> CompletenessReport:
-    """Exact completeness test.
+    """Exact completeness test, run once per fan: ``fan.completeness``."""
+    return fan.completeness
+
+
+def _completeness(fan: FanData) -> CompletenessReport:
+    """The completeness test behind ``is_complete``.
 
     Checks simpliciality, that every ray is used, that every facet of a
     maximal cone is shared by exactly two of them and that those two lie on

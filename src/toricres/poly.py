@@ -20,7 +20,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import representative_divisor
-from .lattice import cramer, dot
+from .lattice import adjugate, cone_det, dot, mat_vec
 
 Exponent = tuple[int, ...]
 
@@ -424,26 +424,27 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     The exponent vectors of degree ``target`` are a + (<m, ray_i>)_i for
     m in M, with a = ``representative_divisor(grading, target)`` (taken once
     per call, and only when q has terms).  A chart term x^e fixes m by
-    <m, ray_i> = e_i - a_i on the cone's rays, one ``cramer`` solve, and
-    lifts to the exponent a_i + <m, ray_i> on every ray.  A cone without
-    dim independent rays leaves m, so the lift, undetermined; a non-integral
-    m means no exponent vector of the degree restricts to e, and a negative
-    off-cone entry that the degree gap needs a negative exponent.
+    <m, ray_i> = e_i - a_i on the cone's rays R: m = adj(R)(e - a)/det R,
+    with adj(R) and det R built once per call, and x^e lifts to the exponent
+    a_i + <m, ray_i> on every ray.  det R = 0 leaves m, so the lift,
+    undetermined; an m that det R does not divide means no exponent vector
+    of the degree restricts to e, and a negative off-cone entry that the
+    degree gap needs a negative exponent.
     """
-    cone = chart_variables(fan, cone_index)
     if not q.terms:
         return MultiPoly.zero(fan.nvars)
+    det = cone_det(fan, cone_index)
+    if det == 0:
+        raise NonUniqueLift("off-cone exponents are not determined by the degree")
+    cone = chart_variables(fan, cone_index)
     a = representative_divisor(grading, target)
-    cone_rays = [fan.rays[i] for i in cone]
+    adj = adjugate(fan.cone_rays(cone_index))
     out = {}
     for e, c in q.terms.items():
-        sol = (cramer(cone_rays, [x - a[i] for x, i in zip(e, cone)])
-               if len(cone) == fan.dim else None)
-        if sol is None:
-            raise NonUniqueLift("off-cone exponents are not determined by the degree")
-        m, den = sol
-        if den != 1:
+        m = mat_vec(adj, [x - a[i] for x, i in zip(e, cone)])
+        if any(x % det for x in m):
             raise NoIntegralLift("no integral exponent pattern reaches the degree")
+        m = [x // det for x in m]
         key = tuple(ai + dot(m, ray) for ai, ray in zip(a, fan.rays))
         if any(x < 0 for x in key):
             raise NoIntegralLift("degree gap needs a negative exponent")

@@ -1,13 +1,14 @@
 """Rational polytopes from divisor data: lattice points and exact volumes.
 
 A polytope is stored by inequalities <m, normal_i> + offset_i >= 0 and
-worked on as integer rows, each scaled by its offset's denominator.  The
-vertices are enumerated once, by integer Cramer's rule on every n-subset of
-the rows.  Lattice points scan the first n-1 coordinates over the vertices'
-bounding box and take the last one's exact integer interval from the rows.
-Volumes come from a pulling triangulation of the vertex list, whose faces
-are the sets of vertices where each row is tight.  No Fraction is built per
-point or per subset; vertices and volumes are exact Fractions.
+worked on as integer rows, each scaled by its offset's denominator.  Its one
+vertex list is the cone functionals for a nef divisor on a complete fan, or
+else found by integer Cramer's rule on every n-subset of the rows.  Lattice
+points scan the vertices' bounding box in runs along the last coordinate,
+whose exact integer interval comes from the rows.  Volumes come from a
+pulling triangulation of the vertex list, whose faces are the sets of
+vertices where each row is tight.  No Fraction is built per point or per
+subset; vertices and volumes are exact Fractions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 from math import ceil, factorial, floor, lcm, prod
 
 from .errors import DegenerateVolume, Unbounded
-from .lattice import cramer, dot, mat_det
+from .lattice import cramer, dot, is_complete, mat_det
 
 
 def clear_denominators(values) -> tuple[int, list[int]]:
@@ -58,10 +59,31 @@ class HPolytope:
         return tuple((tuple(x * off.denominator for x in nr), off.numerator)
                      for nr, off in zip(self.normals, self.offsets))
 
+    @cached_property
+    def vertices(self) -> list[tuple[Fraction, ...]]:
+        """The sorted vertex list from n-subsets, unless ``divisor_polytope`` set it."""
+        if self.dim and not _is_bounded(self):
+            raise Unbounded("polytope has an unbounded direction")
+        return _vertices(self)
+
 
 def divisor_polytope(fan, coeffs) -> HPolytope:
-    """Sections polytope of the divisor with the given ray coefficients."""
-    return HPolytope(fan.dim, fan.rays, tuple(Fraction(c) for c in coeffs))
+    """Sections polytope P_D of the divisor D with the given ray coefficients.
+
+    On a complete fan the rays positively span N_R, so P_D is bounded, and D
+    is nef iff every cone functional m_σ lies in P_D, whose vertices are then
+    the distinct m_σ (Cox–Little–Schenck, *Toric Varieties*, §6.1); other D
+    enumerate n-subsets, as ``HPolytope.vertices`` does on other fans.
+    """
+    from .divisors import cone_functionals
+
+    poly = HPolytope(fan.dim, fan.rays, tuple(Fraction(c) for c in coeffs))
+    if is_complete(fan):
+        ms = set(cone_functionals(fan, poly.offsets))
+        nef = all(dot(nr, num) + off * d >= 0 for d, num in map(clear_denominators, ms)
+                  for nr, off in poly._rows)
+        object.__setattr__(poly, "vertices", sorted(ms) if nef else _vertices(poly))
+    return poly
 
 
 def _vertices(poly: HPolytope):
@@ -94,31 +116,23 @@ def _is_bounded(poly: HPolytope) -> bool:
     return True
 
 
-def _bounded_vertices(poly: HPolytope):
-    """The vertex list, after refusing a polytope with an unbounded direction."""
-    if poly.dim and not _is_bounded(poly):
-        raise Unbounded("polytope has an unbounded direction")
-    return _vertices(poly)
-
-
-def lattice_points(poly: HPolytope) -> list[tuple[int, ...]]:
-    """All integer points, in lexicographic order.
+def _runs(poly: HPolytope):
+    """The integer points of a polytope of dimension n >= 1, in lexicographic
+    order, as runs (p, lo, hi): the points p + (x,) for lo <= x <= hi.
 
     The first n-1 coordinates run over the vertices' bounding box.  At each
     such prefix p the rows whose last normal entry c is zero are tested
     once; every other row, with s its value at p, bounds the last coordinate
     x by c*x + s >= 0, so x >= ceil(-s/c) for c > 0 and x <= floor(s/-c) for
-    c < 0, and only the points of that interval are built.
+    c < 0.
     """
-    verts = _bounded_vertices(poly)
-    n = poly.dim
-    if not verts or n == 0:
-        return verts  # none, or the one point () of a 0-dimensional polytope
+    verts = poly.vertices
+    if not verts:
+        return
     box = [(ceil(min(v[j] for v in verts)), floor(max(v[j] for v in verts)))
-           for j in range(n)]
+           for j in range(poly.dim)]
     flat = [(nr[:-1], off) for nr, off in poly._rows if nr[-1] == 0]
     slanted = [(nr[:-1], off, nr[-1]) for nr, off in poly._rows if nr[-1]]
-    out = []
     for p in itertools.product(*(range(lo, hi + 1) for lo, hi in box[:-1])):
         if any(dot(nr, p) + off < 0 for nr, off in flat):
             continue
@@ -129,8 +143,15 @@ def lattice_points(poly: HPolytope) -> list[tuple[int, ...]]:
                 lo = max(lo, -(s // c))
             else:
                 hi = min(hi, s // -c)
-        out.extend(p + (x,) for x in range(lo, hi + 1))
-    return out
+        if lo <= hi:
+            yield p, lo, hi
+
+
+def lattice_points(poly: HPolytope) -> list[tuple[int, ...]]:
+    """All integer points, in lexicographic order: the runs, expanded."""
+    if poly.dim == 0:
+        return list(poly.vertices)  # none, or the one point ()
+    return [p + (x,) for p, lo, hi in _runs(poly) for x in range(lo, hi + 1)]
 
 
 def normalized_volume(poly: HPolytope) -> Fraction:
@@ -163,7 +184,7 @@ def _pulled_volume(poly: HPolytope) -> Fraction:
     of them at once and so is an interior point: P is full-dimensional.  A
     zero row is constant, holds on the nonempty P and bounds nothing.
     """
-    verts = _bounded_vertices(poly)
+    verts = poly.vertices
     if not verts:
         raise DegenerateVolume("polytope is empty")
     scaled = [clear_denominators(v) for v in verts]
@@ -209,20 +230,26 @@ def intersection_number(fan, coeffs) -> int:
     return int(vol)
 
 
-def divisor_monomials(rays, coeffs) -> list[tuple[int, ...]]:
-    """Sorted exponent vectors e_i = <m, ray_i> + a_i of the monomials of the
-    divisor sum a_i D_i, one per lattice point m of its polytope."""
-    poly = HPolytope(len(rays[0]), tuple(rays), tuple(Fraction(c) for c in coeffs))
-    return sorted(tuple(dot(m, ray) + a for ray, a in zip(rays, coeffs))
-                  for m in lattice_points(poly))
+def divisor_monomials(poly: HPolytope) -> list[tuple[int, ...]]:
+    """Sorted exponent vectors e_i = <m, normal_i> + a_i of the monomials of
+    the divisor sum a_i D_i (integer a_i), one per lattice point m.  Along a
+    run each e is the previous one plus the normals' last column, so a run
+    takes dot products only at its first point."""
+    out = []
+    for p, lo, hi in _runs(poly):
+        k = hi - lo + 1
+        starts = ((dot(p + (lo,), nr) + a, nr[-1]) for nr, a in poly._rows)
+        out.extend(zip(*(range(e, e + c * k, c) if c else itertools.repeat(e, k)
+                         for e, c in starts)))
+    return sorted(out)
 
 
 def monomial_basis(fan, grading, target) -> list[tuple[int, ...]]:
-    """All exponent vectors of the given degree class, deterministically ordered.
+    """All exponent vectors of the given degree class, in sorted order.
 
     Uses a divisor representative of the degree; monomials correspond to
-    lattice points of its polytope via e_i = <m, ray_i> + a_i.
+    lattice points of its ``divisor_polytope`` via e_i = <m, ray_i> + a_i.
     """
     from .grading import representative_divisor
 
-    return divisor_monomials(fan.rays, representative_divisor(grading, target))
+    return divisor_monomials(divisor_polytope(fan, representative_divisor(grading, target)))

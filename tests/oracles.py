@@ -15,7 +15,7 @@ numeric chart solver that read zeros from a lex basis in shape position,
 the chart solver and zero set the package once exported, the
 polytope volume by a pyramid recursion over facets, polytope vertices by
 elimination over Q, boundedness from rational kernels, lattice points by a
-bounding-box scan, ampleness by Fraction comparisons, and the Fraction
+bounding-box scan, exponent vectors by dot products per point, ampleness by Fraction comparisons, and the Fraction
 Gauss-Jordan elimination (``rref``, ``mat_rank``, ``solve_rational``,
 ``solve_integer``) with the cone functionals and the Cayley weight
 functional it once computed, the chart lift by a Smith form of the
@@ -802,6 +802,14 @@ def box_lattice_points(poly):
         hi = max(v[j] for v in verts)
         ranges.append(range(ceil(lo), floor(hi) + 1))
     return [pt for pt in itertools.product(*ranges) if poly.contains(pt)]
+
+
+def dot_divisor_monomials(rays, coeffs):
+    """Sorted exponent vectors e_i = <m, ray_i> + a_i, one per lattice point
+    m of the divisor's polytope, each built from its own dot products."""
+    poly = HPolytope(len(rays[0]), tuple(rays), tuple(Fraction(c) for c in coeffs))
+    return sorted(tuple(dot(m, ray) + a for ray, a in zip(rays, coeffs))
+                  for m in box_lattice_points(poly))
 
 
 def fraction_strictness_failures(fan, ms, coeffs):

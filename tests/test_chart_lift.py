@@ -5,10 +5,14 @@ rays from one representative exponent vector a of the target degree;
 ``oracles.smith_homogenize_to_degree`` solves the stacked degree system on
 the off-cone variables.  On every cone of every fixture fan, and on a thin
 and a dependent cone, both must give the same lift or raise the same error
-type with the same message, for free and torsion targets alike.
+type with the same message, for free and torsion targets alike.  The chart
+Jacobians of every fixture problem, and of random systems of its degrees,
+are lifted to the critical degree on every cone, as ``toric_jacobian``
+lifts them on sigma's.
 """
 
 import itertools
+from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,12 +21,16 @@ from toricres import (
     MultiPoly,
     ToricError,
     compute_grading,
+    degree_of,
+    dehomogenize,
     homogenize_to_degree,
     load_fan,
     make_fan,
+    monomial_basis,
+    poly_det,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load
 from oracles import smith_homogenize_to_degree
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -89,3 +97,50 @@ def test_lift_sweep_matches_and_reaches_every_outcome():
                     "no integral exponent pattern reaches the degree",
                     "degree gap needs a negative exponent"}
 
+
+
+PROBLEM_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json")
+                          if not p.name.endswith(".fan.json"))
+
+
+def chart_jacobian(fan, polys, k):
+    """det of the chart inputs over their partials on cone k."""
+    charts = [dehomogenize(p, fan, k) for p in polys]
+    return poly_det([charts] + [[f.partial(j) for f in charts] for j in range(fan.dim)])
+
+
+def assert_jacobians_lift_alike(problem, polys):
+    """Every cone's chart Jacobian lifts alike; returns how many lifted."""
+    lifted = 0
+    for k in range(len(problem.fan.max_cones)):
+        args = (chart_jacobian(problem.fan, polys, k), problem.fan, k, problem.critical,
+                problem.grading)
+        got = outcome(homogenize_to_degree, *args)
+        assert got == outcome(smith_homogenize_to_degree, *args)
+        lifted += isinstance(got, MultiPoly)
+    return lifted
+
+
+@cache
+def problem_fixture(name):
+    return load(name).problem
+
+
+def test_chart_jacobians_of_the_fixtures():
+    lifted = [assert_jacobians_lift_alike(problem_fixture(name), problem_fixture(name).polys)
+              for name in PROBLEM_FIXTURES]
+    assert all(lifted)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(PROBLEM_FIXTURES), st.data())
+def test_chart_jacobians_of_random_systems(name, data):
+    """The fixture's input degrees with random coefficients on every monomial."""
+    pb = problem_fixture(name)
+    polys = []
+    for p in pb.polys:
+        mons = monomial_basis(pb.fan, pb.grading, degree_of(p, pb.grading))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(mons),
+                                    max_size=len(mons)).filter(any))
+        polys.append(MultiPoly(pb.fan.nvars, dict(zip(mons, coeffs))))
+    assert_jacobians_lift_alike(pb, polys)

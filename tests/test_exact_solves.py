@@ -1,7 +1,8 @@
 """The integer solves against the Fraction elimination they replaced.
 
 ``lattice.cramer`` must give the solution ``oracles.solve_rational`` gives
-on every nonsingular square system and refuse every singular one, and
+on every nonsingular square system and refuse every singular one,
+``lattice.adjugate`` the same solutions over the determinant, and
 ``lattice.trace_of_solve`` the trace of the solutions for the columns of B;
 ``cone_functionals`` must return the tuples of
 ``oracles.fraction_cone_functionals`` wherever each maximal cone has dim
@@ -37,7 +38,8 @@ from toricres import (
 )
 from toricres import polytopes
 from toricres.cli import main
-from toricres.lattice import cramer, smith_normal_form, trace_of_solve
+from toricres.lattice import (adjugate, cramer, mat_det, mat_mul, mat_vec, smith_normal_form,
+                              trace_of_solve)
 
 from conftest import FIXTURES, load
 from oracles import (fraction_cone_functionals, fraction_jacobian_ideal_degree_check,
@@ -94,6 +96,29 @@ def test_cramer_reduces_and_fixes_the_sign():
     assert cramer([[-4]], [6]) == ((-3,), 2)
     assert cramer([[1, 2], [2, 4]], [1, 2]) is None
     assert cramer([], []) == ((), 1)
+
+
+@SETTINGS
+@given(square_systems())
+def test_adjugate_solves_as_cramer_does(system):
+    """adj(A)·A = det(A)·I, and adj(A)·b over det A is Cramer's solution."""
+    rows, rhs = system
+    adj, det = adjugate(rows), mat_det(rows)
+    n = len(rows)
+    assert mat_mul(adj, rows) == [[det * (i == j) for j in range(n)] for i in range(n)]
+    got = cramer(rows, rhs)
+    if det:
+        num, den = got
+        assert [Fraction(x, det) for x in mat_vec(adj, rhs)] == [Fraction(x, den) for x in num]
+    else:
+        assert got is None
+
+
+def test_adjugate_is_integer_only():
+    assert adjugate([[5]]) == [[1]]
+    assert adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
+    with pytest.raises(TypeError):
+        adjugate([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 # ---------------------------------------------------------------------------

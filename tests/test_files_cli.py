@@ -310,6 +310,17 @@ def test_exit_passing_checks(capsys):
 # report content
 
 
+def test_only_gtl_reports_its_seed(capsys):
+    """``--seed`` draws gtl's random admissible matrices; no other check
+    reads it, so no other report carries it."""
+    assert main(["check", "theorem04", fx("p1p1_numeric.json"), "--json"]) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)
+    assert main(["check", "gtl", fx("p1_numeric_b.json"), "--count", "2",
+                 "--seed", "7", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["check"] == "gtl" and report["seed"] == 7
+
+
 def test_grading_output(capsys):
     assert main(["grading", fx("pentagon.fan.json")]) == 0
     out = capsys.readouterr().out

@@ -2,8 +2,9 @@
 
 Every full-dimensional case must give the same Fraction as the old pyramid
 recursion over facets (``oracles.facet_recursion_volume``); polygons are
-also checked against the shoelace area.  The refusals and the single vertex
-enumeration per call are pinned separately.
+also checked against the shoelace area.  The refusals, and the vertex
+enumerations a call makes (none for a nef class on a complete fan), are
+pinned separately.
 """
 
 import itertools
@@ -178,6 +179,9 @@ def test_refusals():
 
 
 def test_vertices_are_enumerated_once(p2, pentagon, monkeypatch):
+    """A nef class on a complete fan reads its vertices from the fan and
+    enumerates no n-subset; a class that is not nef, and any class on an
+    incomplete fan, enumerates them once per polytope."""
     calls = []
     real = polytopes._vertices
 
@@ -188,19 +192,24 @@ def test_vertices_are_enumerated_once(p2, pentagon, monkeypatch):
     monkeypatch.setattr(polytopes, "_vertices", counted)
     p3 = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
                   [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    for fan, coeffs, want in ((p2[0], (2, 0, 0), 4), (pentagon[0], (1, 1, 1, 1, 1), 5),
-                              (p3, (0, 0, 0, 2), 8)):
+    for fan, coeffs, want, enumerations in (
+            (p2[0], (2, 0, 0), 4, []), (pentagon[0], (1, 1, 1, 1, 1), 5, []),
+            (p3, (0, 0, 0, 2), 8, []), (F1, (0, 3, 0, 1), 1, [2]),
+            (INCOMPLETE, (0, 0, 1), 1, [2])):
         calls.clear()
         vol = intersection_number(fan, coeffs)
         assert vol == want
-        assert calls == [fan.dim]
+        assert calls == enumerations
         calls.clear()
         lattice_points(divisor_polytope(fan, coeffs))
-        assert calls == [fan.dim]
+        assert calls == enumerations
 
 
 F1 = make_fan(2, [(1, 0), (1, 1), (0, 1), (-1, -1)],
               [(0, 1), (1, 2), (2, 3), (0, 3)])
+# the cone {0, 1} of the P^2 fan alone: P_D is still a triangle for
+# D = (0, 0, 1), but the one cone functional is one of its vertices
+INCOMPLETE = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1)])
 
 
 def test_intersection_number_is_the_volume_not_d_squared_off_the_nef_cone():
@@ -224,8 +233,10 @@ def test_a_flat_divisor_polytope_has_intersection_number_zero(p1p1, monkeypatch)
     assert intersection_number(F1, (1, 0, 0, 0)) == 0
     with pytest.raises(DegenerateVolume, match="empty"):
         intersection_number(fan, (-1, 0, 0, 0))
+    # the flat class is nef on a complete fan, so its vertices, the two
+    # distinct cone functionals, come from the fan with no enumeration
     calls = []
     real = polytopes._vertices
     monkeypatch.setattr(polytopes, "_vertices", lambda poly: calls.append(1) or real(poly))
-    intersection_number(fan, (1, 0, 0, 0))
-    assert calls == [1]
+    assert intersection_number(fan, (1, 0, 0, 0)) == 0
+    assert calls == []
