@@ -5,7 +5,8 @@ Covers the full pipeline on a handful of small fans: grading and critical
 degree, hypothesis checks, the distinguished cone determinant, exact residue
 values, the exact local residue sums, and the bundle lift construction.
 
-Run from anywhere:
+Run from anywhere; the script puts the checkout's ``src/`` on ``sys.path``,
+so neither an install nor ``PYTHONPATH`` is needed:
 
     python3 scripts/run_examples.py
     python3 scripts/run_examples.py --only pentagon
@@ -14,10 +15,14 @@ Run from anywhere:
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
-from toricres import (
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from toricres import (  # noqa: E402
     HypothesesFailed,
     InfiniteIntersection,
     NonSimpleZero,
@@ -43,7 +48,7 @@ from toricres import (
     toric_residue,
 )
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURES = ROOT / "fixtures"
 
 
 def banner(title: str):

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidFan
-from .lattice import FanData, cramer, dot
-from .polytopes import clear_denominators
+from .lattice import FanData, clear_denominators, cramer, dot
 
 
 @dataclass(frozen=True)

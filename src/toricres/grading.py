@@ -9,6 +9,7 @@ exponent vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NoIntegralLift, NotAGrading, NotSurjective
 from .lattice import (
@@ -89,6 +90,16 @@ class Grading:
         e = [0] * self.nvars
         e[i] = 1
         return self.degree(e)
+
+    @cached_property
+    def _divisor_system(self):
+        """Smith form of the degree system on all variables and right-aligned
+        Hermite basis of the pairing image, for ``representative_divisor``."""
+        nv = self.nvars
+        n = len(self.rays[0]) if self.rays else 0
+        image_rows = [tuple(r[j] for r in self.rays) for j in range(n)]
+        return (smith_normal_form(degree_system(self, range(nv))),
+                tuple(hnf_rows(image_rows, nv, align="right")))
 
 
 def _ray_matrix(rays) -> list[list[int]]:
@@ -195,15 +206,11 @@ def representative_divisor(grading: Grading, degree: DegreeClass) -> Vec:
 
     Solves the stacked integer system (free rows exactly, torsion rows up to
     their moduli), then reduces modulo the pairing image by right-aligned
-    Hermite division so equal degrees give equal representatives.
+    Hermite division so equal degrees give equal representatives.  Both
+    forms are built once per grading.
     """
-    nv = grading.nvars
-    rhs = list(degree.free) + list(degree.torsion)
-    sol = smith_normal_form(degree_system(grading, range(nv))).solve(rhs)
+    snf, basis = grading._divisor_system
+    sol = snf.solve(list(degree.free) + list(degree.torsion))
     if sol is None:
         raise NoIntegralLift("degree is not in the grading group image")
-    v = sol[:nv]
-    n = len(grading.rays[0]) if grading.rays else 0
-    image_rows = [tuple(r[j] for r in grading.rays) for j in range(n)]
-    basis = hnf_rows(image_rows, nv, align="right")
-    return reduce_mod_lattice(v, basis)
+    return reduce_mod_lattice(sol[:grading.nvars], basis)

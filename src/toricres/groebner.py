@@ -1,8 +1,13 @@
-"""Groebner bases over the rationals or over GF(p).
+"""Groebner bases over the rationals or over GF(p), in integer arithmetic.
 
-Over Q coefficients are ``Fraction``s.  Over GF(p), chosen by passing p as
-``modulus`` (0 means Q), they are plain ints, reduced into [0, p) when a
-division pops their term, so one algorithm serves both fields.
+Over Q a reducer is primitive over Z with a positive lead coefficient, its
+content removed once, when it joins a table.  Over GF(p), chosen by passing
+p as ``modulus`` (0 means Q), reducers are monic with coefficients in
+[0, p).  One pseudo-division serves both: it cancels c*x^e against lead
+coefficient lc by scaling the pending terms by lc/gcd(c, lc), 1 over GF(p).
+A nonzero scale changes no term's vanishing, so each step picks the reducer
+that division with Fractions would, and only the reduced monic basis over Q
+has Fractions.
 
 Buchberger with the Gebauer-Moeller pair update, normal selection strategy,
 and full inter-reduction to the unique reduced monic basis.  Orders are
@@ -12,21 +17,24 @@ precedence, so bases are reproducible across runs.
 Division is heap-ordered sparse division (Monagan-Pearce, JSC 2011) against
 a reducer table of (lead exponent, lead coefficient, tail terms) triples,
 built once per basis rather than once per division.  Buchberger keeps each
-basis element only as a monic reducer ``(lead, 1, tail)`` in one such
-table: S-polynomials shift two tails to the lcm of the leads, each S-pair
-carries the order key of its lcm from the moment it is made, and the final
-inter-reduction divides each minimal element's tail and keeps its lead.
+basis element only as a reducer in one such table: S-polynomials shift two
+tails to the lcm of the leads, each S-pair carries the order key of its lcm
+from the moment it is made, and the final inter-reduction divides each
+minimal element's tail and keeps its lead.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import ParseError
+from .lattice import clear_denominators
 from .poly import Exponent, MultiPoly
 
 
@@ -105,38 +113,50 @@ def _sub_exp(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x - y for x, y in zip(a, b))
 
 
-Reducer = tuple[Exponent, Fraction, tuple[tuple[Exponent, Fraction], ...]]
+Reducer = tuple[Exponent, int, tuple[tuple[Exponent, int], ...]]
 
 
-def reducer(g: MultiPoly, order: MonomialOrder) -> Reducer:
-    """(lead exponent, lead coefficient, tail terms) of a nonzero polynomial."""
-    le, lc = leading_term(g, order)
-    return le, lc, tuple((e, c) for e, c in g.terms.items() if e != le)
+def integer_terms(p: MultiPoly) -> tuple[int, dict[Exponent, int]]:
+    """d, the lcm of the denominators of p, and the integer terms of d*p."""
+    d, nums = clear_denominators(p.terms.values())
+    return d, dict(zip(p.terms, nums))
 
 
-def reducer_table(basis, order: MonomialOrder) -> list[Reducer]:
-    """Reducers of the nonzero elements of basis, in basis order."""
-    return [reducer(g, order) for g in basis if not g.is_zero()]
+def integer_reducer(terms: dict, order: MonomialOrder, modulus: int = 0) -> Reducer:
+    """(lead exponent, lead coefficient, tail terms) of nonzero integer
+    terms: primitive with lc > 0 over Q, monic over GF(p)."""
+    le = max(terms, key=order.key)
+    lc = terms[le]
+    if modulus:
+        inv = pow(lc, -1, modulus)
+        return le, 1, tuple((e, c * inv % modulus) for e, c in terms.items() if e != le)
+    g = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
+    return le, lc // g, tuple((e, c // g) for e, c in terms.items() if e != le)
 
 
-def divide(p: MultiPoly, table, order: MonomialOrder, modulus: int = 0) -> MultiPoly:
-    """Remainder of full division of p by a reducer table, in table order,
-    over Q or, with a prime ``modulus``, over GF(modulus).
+def divide(terms: dict, table, order: MonomialOrder, modulus: int = 0) -> tuple[int, dict]:
+    """Pseudo-division of integer terms by a reducer table, in table order,
+    over Q or, with a prime ``modulus``, over GF(modulus): ``(scale, r)``,
+    r the integer terms of scale > 0 times the remainder.
 
-    Pending terms live in a dict from exponent to coefficient; a min-heap of
-    ``order.heap_key`` holds each pending exponent once, so the greatest
-    term is popped without scanning.  A term that cancels stays in the dict
-    as zero and is skipped when popped.  Every term a reduction step adds is
-    below the term it reduces, so no exponent returns once popped.  Each
-    term is reduced by the first table entry whose lead divides it.
+    Pending terms live in a dict; a min-heap of ``order.heap_key`` holds
+    each pending exponent once, so the greatest term is popped without
+    scanning, and a term that cancels stays as zero until popped.  Every
+    term a step adds is below the term it reduces.  A term c*x^e is reduced
+    by the first reducer whose lead divides it: the pending terms are
+    multiplied by a = lc/gcd(c, lc) (1 over GF(p), where a popped
+    coefficient is reduced into [0, p)), and c/gcd(c, lc) times the shifted
+    tail is subtracted.  A remainder term keeps the scale it was emitted
+    at until the end.
     """
     hkey = order.heap_key
     le_, add, sub = operator.le, operator.add, operator.sub
     heappush, heappop = heapq.heappush, heapq.heappop
-    work = dict(p.terms)
+    work = dict(terms)
     heap = [(hkey(e), e) for e in work]
     heapq.heapify(heap)
-    rem = {}
+    rem = []
+    scale = 1
     while heap:
         e = heappop(heap)[1]
         c = work.pop(e)
@@ -148,52 +168,50 @@ def divide(p: MultiPoly, table, order: MonomialOrder, modulus: int = 0) -> Multi
             if all(map(le_, le, e)):
                 break
         else:
-            rem[e] = c
+            rem.append((e, c, scale))
             continue
+        g = gcd(c, lc)
+        if g != lc:
+            a = lc // g
+            scale *= a
+            work = {k: v * a for k, v in work.items()}
+        c //= g
         shift = tuple(map(sub, e, le))
-        factor = c if lc == 1 else c * pow(lc, -1, modulus) if modulus else c / lc
         for ge, gc in tail:
             ne = tuple(map(add, ge, shift))
             if ne in work:
-                work[ne] -= factor * gc
+                work[ne] -= c * gc
             else:
-                work[ne] = -factor * gc
+                work[ne] = -c * gc
                 heappush(heap, (hkey(ne), ne))
-    return MultiPoly.from_terms(p.nvars, rem)
+    return scale, {e: c * (scale // s) for e, c, s in rem}
 
 
 def normal_form(p: MultiPoly, basis, order: MonomialOrder) -> MultiPoly:
     """Remainder of full division by the (ordered) list of basis elements."""
-    return divide(p, reducer_table(basis, order), order)
+    return GroebnerBasis(tuple(basis), order).reduce(p)
 
 
-def s_polynomial(f: Reducer, g: Reducer, nvars: int) -> MultiPoly:
-    """S-polynomial of two monic reducers: both tails shifted to the lcm of
-    the leads, g's subtracted from f's.  The leads cancel, so they never
-    enter the sum.  Over GF(p) both tails are reduced into [0, p), so a
-    difference is zero exactly when it is zero mod p."""
-    fe, _, ftail = f
-    ge, _, gtail = g
+def s_polynomial(f: Reducer, g: Reducer) -> dict:
+    """Integer terms of (lc_g/h)*x^(L-lead_f)*f - (lc_f/h)*x^(L-lead_g)*g,
+    L the lcm of the leads and h = gcd(lc_f, lc_g): the shifted tails, as
+    the leads cancel."""
+    fe, fc, ftail = f
+    ge, gc, gtail = g
+    h = gcd(fc, gc)
+    a, b = gc // h, fc // h
     L = _lcm(fe, ge)
     sf, sg = _sub_exp(L, fe), _sub_exp(L, ge)
     add = operator.add
-    terms = {tuple(map(add, e, sf)): c for e, c in ftail}
+    terms = {tuple(map(add, e, sf)): a * c for e, c in ftail}
     for e, c in gtail:
         ne = tuple(map(add, e, sg))
-        s = terms.get(ne, 0) - c
+        s = terms.get(ne, 0) - b * c
         if s:
             terms[ne] = s
         else:
             del terms[ne]
-    return MultiPoly.from_terms(nvars, terms)
-
-
-def _monic(r: MultiPoly, order: MonomialOrder, modulus: int) -> Reducer:
-    le, lc, tail = reducer(r, order)
-    if modulus:
-        inv = pow(lc, -1, modulus)
-        return le, 1, tuple((e, c * inv % modulus) for e, c in tail)
-    return le, Fraction(1), tuple((e, c / lc) for e, c in tail)
+    return terms
 
 
 def _gm_update(table, pairs, new_lead, order: MonomialOrder):
@@ -227,9 +245,9 @@ def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[MultiPoly]:
     or, with a prime ``modulus``, over GF(modulus); there the coefficients
     of gens must be ints, and those of the basis are ints in [0, modulus).
 
-    Each element is kept only as a monic reducer in one table: the table
+    Each element is kept only as an integer reducer in one table: the table
     is the divisor list, the source of every S-polynomial and the list of
-    leads the pair update reads.
+    leads the pair update reads.  Only the reduced basis has Fractions.
     Returns ``[1]`` as soon as a remainder is a nonzero constant: that is
     the reduced basis of the unit ideal.
     """
@@ -241,19 +259,20 @@ def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[MultiPoly]:
     pairs: list[tuple] = []
 
     def candidates():
-        yield from sorted(G, key=lambda q: order.key(leading_term(q, order)[0]))
+        for q in sorted(G, key=lambda q: order.key(leading_term(q, order)[0])):
+            yield integer_terms(q)[1]
         while pairs:
             best = min(pairs, key=operator.itemgetter(0))
             pairs.remove(best)
-            yield s_polynomial(table[best[2]], table[best[3]], nv)
+            yield s_polynomial(table[best[2]], table[best[3]])
 
     for q in candidates():
-        r = divide(q, table, order, modulus)
-        if r.is_zero():
+        r = divide(q, table, order, modulus)[1]
+        if not r:
             continue
-        if r.is_constant():
+        if not any(map(any, r)):
             return [MultiPoly.constant(nv, 1)]
-        g = _monic(r, order, modulus)
+        g = integer_reducer(r, order, modulus)
         pairs = _gm_update(table, pairs, g[0], order)
         table.append(g)
     # minimalize: drop elements whose lead is divisible by another lead
@@ -261,13 +280,14 @@ def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[MultiPoly]:
                if not any(k != i and _divides(h[0], g[0]) and (h[0] != g[0] or k < i)
                           for k, h in enumerate(table))]
     minimal.sort(key=lambda g: order.key(g[0]))
-    # reduce tails; no other minimal lead divides a lead, which stays monic
+    # reduce tails; no other minimal lead divides a lead, which becomes 1
     reduced = []
     for g in minimal:
-        le, one, tail = g
-        rem = divide(MultiPoly.from_terms(nv, dict(tail)),
-                     [h for h in minimal if h is not g], order, modulus)
-        reduced.append(MultiPoly.from_terms(nv, {le: one, **rem.terms}))
+        le, lc, tail = g
+        scale, rem = divide(dict(tail), [h for h in minimal if h is not g], order, modulus)
+        terms = {le: 1, **rem} if modulus else \
+            {le: Fraction(1), **{e: Fraction(c, scale * lc) for e, c in rem.items()}}
+        reduced.append(MultiPoly.from_terms(nv, terms))
     return reduced
 
 
@@ -282,11 +302,17 @@ class GroebnerBasis:
 
     @cached_property
     def reducers(self) -> tuple[Reducer, ...]:
-        """Reducer table of the generators, built on first use."""
-        return tuple(reducer_table(self.generators, self.order))
+        """Primitive integer reducers of the nonzero generators, built on
+        first use."""
+        return tuple(integer_reducer(integer_terms(g)[1], self.order)
+                     for g in self.generators if not g.is_zero())
 
     def reduce(self, p: MultiPoly) -> MultiPoly:
-        return divide(p, self.reducers, self.order)
+        """Remainder of p: its denominators cleared once, by d, the integer
+        remainder r comes back as r/(scale*d)."""
+        d, terms = integer_terms(p)
+        scale, rem = divide(terms, self.reducers, self.order)
+        return MultiPoly.from_terms(p.nvars, {e: Fraction(c, scale * d) for e, c in rem.items()})
 
     def contains(self, p: MultiPoly) -> bool:
         return self.reduce(p).is_zero()
@@ -304,45 +330,23 @@ def ideal_member(p: MultiPoly, gens, order=None) -> bool:
     return GroebnerBasis.of(gens, order).contains(p)
 
 
+def _pure_powers(gb: GroebnerBasis, i: int) -> list[int]:
+    """The exponents of the leads that are pure powers of x_i."""
+    return [e[i] for e in gb.leading_exponents if e[i] and sum(e) == e[i]]
+
+
 def quotient_is_finite(gb: GroebnerBasis) -> bool:
     """Finite-dimensional quotient iff every variable has a pure-power lead."""
-    nv = gb.order.nvars
-    leads = gb.leading_exponents
-    if any(not any(e) for e in leads):
-        return True
-    for i in range(nv):
-        ok = False
-        for e in leads:
-            if e[i] and all(e[j] == 0 for j in range(nv) if j != i):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    return gb.is_unit_ideal() or all(_pure_powers(gb, i) for i in range(gb.order.nvars))
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Exponent]:
-    """All monomials outside the leading ideal; requires a finite quotient."""
-    nv = gb.order.nvars
-    leads = gb.leading_exponents
+    """All monomials outside the leading ideal, in ascending tuple order;
+    requires a finite quotient."""
     if not quotient_is_finite(gb):
         raise ValueError("quotient is not finite-dimensional")
     if gb.is_unit_ideal():
         return []
-    caps = []
-    for i in range(nv):
-        c = min(e[i] for e in leads
-                if e[i] and all(e[j] == 0 for j in range(nv) if j != i))
-        caps.append(c)
-    out = []
-    stack = [(0, tuple())]
-    while stack:
-        i, pref = stack.pop()
-        if i == nv:
-            if not any(_divides(le, pref) for le in leads):
-                out.append(pref)
-            continue
-        for k in range(caps[i] - 1, -1, -1):
-            stack.append((i + 1, pref + (k,)))
-    out.sort()
-    return out
+    leads = gb.leading_exponents
+    box = [range(min(_pure_powers(gb, i))) for i in range(gb.order.nvars)]
+    return [m for m in itertools.product(*box) if not any(_divides(le, m) for le in leads)]

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidFan
 
@@ -35,6 +35,14 @@ def vec_content(v) -> int:
     for a in v:
         g = gcd(g, abs(a))
     return g
+
+
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """d, the lcm of the denominators of the rationals ``values``, and the
+    integers d*v."""
+    values = list(values)
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def freeze(rows) -> Mat:

@@ -30,9 +30,8 @@ from .errors import (
     ZeroOnPolarLocus,
 )
 from .groebner import GroebnerBasis, grevlex, quotient_is_finite, standard_monomials
-from .lattice import mat_det, trace_of_solve
+from .lattice import clear_denominators, mat_det, trace_of_solve
 from .poly import MultiPoly, dehomogenize, poly_det
-from .polytopes import clear_denominators
 from .residues import no_common_zeros_on_x, require_critical_degree
 
 # how close a floating-point value of a local sum must come to the exact one;

@@ -402,19 +402,15 @@ def dehomogenize(p: MultiPoly, fan, cone_index: int) -> MultiPoly:
     """Set the variables outside the cone to 1 and keep the cone variables.
 
     The result lives in a ring with dim-many variables, ordered by ascending
-    ray index inside the cone.
+    ray index inside the cone.  Terms that meet are summed, and sums that
+    cancel are dropped.
     """
     cone = chart_variables(fan, cone_index)
-    pos = {ray: k for k, ray in enumerate(cone)}
     out = {}
     for e, c in p.terms.items():
-        ne = [0] * len(cone)
-        for i, k in enumerate(e):
-            if k and i in pos:
-                ne[pos[i]] = k
-        ne = tuple(ne)
-        out[ne] = out.get(ne, Fraction(0)) + c
-    return MultiPoly(len(cone), out)
+        ne = tuple([e[i] for i in cone])
+        out[ne] = out[ne] + c if ne in out else c
+    return MultiPoly.from_terms(len(cone), {e: c for e, c in out.items() if c})
 
 
 def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,

@@ -17,18 +17,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, factorial, floor, lcm, prod
+from math import ceil, factorial, floor, prod
 
 from .errors import DegenerateVolume, Unbounded
-from .lattice import cramer, dot, is_complete, mat_det
-
-
-def clear_denominators(values) -> tuple[int, list[int]]:
-    """d, the lcm of the denominators of the rationals ``values``, and the
-    integers d*v."""
-    values = list(values)
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+from .lattice import clear_denominators, cramer, dot, is_complete, mat_det
 
 
 @dataclass(frozen=True)

@@ -174,10 +174,10 @@ def residue_functional(grading: Grading, order: MonomialOrder,
     The functional l sends m to the coefficient of the pivot, the least
     standard monomial, in the normal form of m.  A standard m is its own
     normal form: l(m) is 1 at the pivot and 0 elsewhere.  Otherwise, with
-    (le, lc, tail) the first reducer dividing m, normal forms being linear
-    give l(m) = -sum c_t*l(t*m/le)/lc over the tail; each t*m/le is below m
-    and, the basis being homogeneous (checked with ``degree_of``), in the
-    slice.  The check passes with one standard monomial, since every normal
+    (le, lc, tail) the first of the basis's primitive integer reducers that
+    divides m, normal forms being linear give l(m) = -sum c_t*l(t*m/le)/lc
+    over the tail; each t*m/le is below m and, the basis being homogeneous
+    (checked with ``degree_of``), in the slice.  The check passes with one standard monomial, since every normal
     form in the slice is then a multiple of the pivot; otherwise the report
     names the pivot, the two least standard monomials and their count.
     """

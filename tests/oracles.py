@@ -3,16 +3,19 @@
 The residue values are derived by brute-force partial fractions, never by
 the package's own pipeline.  The slow paths are the straightforward forms
 of routines the package runs in a faster or different form: division by a
-linear scan for the greatest term, Buchberger over parallel lists with
-MultiPoly S-polynomials, the quotient dimension of a chart system from its
-grevlex basis, the zero-locus test that builds a basis over Q of every
+linear scan for the greatest term, the heap-ordered division over Fractions
+against monic reducers with its S-polynomials, Buchberger over parallel
+lists with MultiPoly S-polynomials, the quotient dimension of a chart
+system from its grevlex basis, the zero-locus test that builds a basis over Q of every
 chart ideal, the codimension check that reduces every critical-degree
 monomial, the residue read from normal forms with every degree check done
 by ``degree_of``, membership in the radical through a slack variable, the
 completeness test that compares every pair of cones, the rank as the size
 of the largest nonzero minor, the determinant by cofactor expansion, the
 numeric chart solver that read zeros from a lex basis in shape position,
-the chart solver and zero set the package once exported, the
+the chart solver and zero set the package once exported, the chart of a
+polynomial through the validating constructor, the representative divisor
+of a degree from a Smith form built per call, the
 polytope volume by a pyramid recursion over facets, polytope vertices by
 elimination over Q, boundedness from rational kernels, lattice points by a
 bounding-box scan, exponent vectors by dot products per point, ampleness by Fraction comparisons, and the Fraction
@@ -30,7 +33,9 @@ and the package's trace.  Tests compare engine output against them.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,11 +51,12 @@ from toricres import (AllReduceToZero, CodimNotOne, GroebnerBasis, HypothesesFai
                       monomial_basis, no_common_zeros_on_x, poly_det)
 from toricres.cayley import _lift_poly, critical_degree_lifted
 from toricres.grading import critical_degree, degree_system
-from toricres.groebner import (divide, grevlex, leading_term, lex, quotient_is_finite,
-                               reducer, standard_monomials)
-from toricres.lattice import FanData, dot, mat_det, mat_vec, smith_normal_form, vec_content
+from toricres.groebner import (_lcm, _sub_exp, grevlex, leading_term, lex, quotient_is_finite,
+                               standard_monomials)
+from toricres.lattice import (FanData, dot, hnf_rows, mat_det, mat_vec, reduce_mod_lattice,
+                              smith_normal_form, vec_content)
 from toricres.localres import _chart, _Quotient
-from toricres.poly import chart_variables, degree_of
+from toricres.poly import Exponent, chart_variables, degree_of
 from toricres.polytopes import HPolytope
 from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
 
@@ -416,6 +422,96 @@ def normal_form_sigma_independence(problem) -> bool:
                for k in range(len(problem.fan.max_cones)))
 
 
+# ---------------------------------------------------------------------------
+# division and S-polynomials over Fractions, as Buchberger ran them before its
+# arithmetic went to integers: monic reducers over Q, divided term by term
+
+Reducer = tuple[Exponent, Fraction, tuple[tuple[Exponent, Fraction], ...]]
+
+
+def reducer(g: MultiPoly, order: MonomialOrder) -> Reducer:
+    """(lead exponent, lead coefficient, tail terms) of a nonzero polynomial."""
+    le, lc = leading_term(g, order)
+    return le, lc, tuple((e, c) for e, c in g.terms.items() if e != le)
+
+
+def reducer_table(basis, order: MonomialOrder) -> list[Reducer]:
+    """Reducers of the nonzero elements of basis, in basis order."""
+    return [reducer(g, order) for g in basis if not g.is_zero()]
+
+
+def divide(p: MultiPoly, table, order: MonomialOrder, modulus: int = 0) -> MultiPoly:
+    """Remainder of full division of p by a reducer table, in table order,
+    over Q or, with a prime ``modulus``, over GF(modulus).
+
+    Pending terms live in a dict from exponent to coefficient; a min-heap of
+    ``order.heap_key`` holds each pending exponent once, so the greatest
+    term is popped without scanning.  A term that cancels stays in the dict
+    as zero and is skipped when popped.  Every term a reduction step adds is
+    below the term it reduces, so no exponent returns once popped.  Each
+    term is reduced by the first table entry whose lead divides it.
+    """
+    hkey = order.heap_key
+    le_, add, sub = operator.le, operator.add, operator.sub
+    heappush, heappop = heapq.heappush, heapq.heappop
+    work = dict(p.terms)
+    heap = [(hkey(e), e) for e in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e)
+        if modulus:
+            c %= modulus
+        if not c:
+            continue
+        for le, lc, tail in table:
+            if all(map(le_, le, e)):
+                break
+        else:
+            rem[e] = c
+            continue
+        shift = tuple(map(sub, e, le))
+        factor = c if lc == 1 else c * pow(lc, -1, modulus) if modulus else c / lc
+        for ge, gc in tail:
+            ne = tuple(map(add, ge, shift))
+            if ne in work:
+                work[ne] -= factor * gc
+            else:
+                work[ne] = -factor * gc
+                heappush(heap, (hkey(ne), ne))
+    return MultiPoly.from_terms(p.nvars, rem)
+
+
+def s_polynomial(f: Reducer, g: Reducer, nvars: int) -> MultiPoly:
+    """S-polynomial of two monic reducers: both tails shifted to the lcm of
+    the leads, g's subtracted from f's.  The leads cancel, so they never
+    enter the sum.  Over GF(p) both tails are reduced into [0, p), so a
+    difference is zero exactly when it is zero mod p."""
+    fe, _, ftail = f
+    ge, _, gtail = g
+    L = _lcm(fe, ge)
+    sf, sg = _sub_exp(L, fe), _sub_exp(L, ge)
+    add = operator.add
+    terms = {tuple(map(add, e, sf)): c for e, c in ftail}
+    for e, c in gtail:
+        ne = tuple(map(add, e, sg))
+        s = terms.get(ne, 0) - c
+        if s:
+            terms[ne] = s
+        else:
+            del terms[ne]
+    return MultiPoly.from_terms(nvars, terms)
+
+
+def _monic(r: MultiPoly, order: MonomialOrder, modulus: int) -> Reducer:
+    le, lc, tail = reducer(r, order)
+    if modulus:
+        inv = pow(lc, -1, modulus)
+        return le, 1, tuple((e, c * inv % modulus) for e, c in tail)
+    return le, Fraction(1), tuple((e, c / lc) for e, c in tail)
+
+
 def multipoly_s_polynomial(f, g, order):
     """S-polynomial through MultiPoly products: each input is scaled by the
     monomial that lifts its lead to the lcm over its lead coefficient."""
@@ -460,11 +556,12 @@ def _gm_update_by_index(G_leads, pairs, new_index, new_lead):
     return kept_old + [(i, t) for i in E]
 
 
-def parallel_list_buchberger(gens, order):
-    """Reduced monic Groebner basis, keeping each element three times: as a
-    MultiPoly, as a lead, and as a reducer.  S-polynomials are MultiPoly
-    products, and each pair's lcm and order key are recomputed whenever
-    the next pair is chosen."""
+def parallel_list_buchberger(gens, order, modulus=0):
+    """Reduced monic Groebner basis over Q or, with a prime ``modulus`` and
+    int coefficients, over GF(modulus), keeping each element three times:
+    as a MultiPoly, as a lead, and as a reducer.  S-polynomials are
+    MultiPoly products, and each pair's lcm and order key are recomputed
+    whenever the next pair is chosen."""
     G = [g for g in gens if not g.is_zero()]
     if not G:
         return []
@@ -473,6 +570,13 @@ def parallel_list_buchberger(gens, order):
     leads = []
     table = []
     pairs = []
+
+    def monic(r):
+        c = leading_term(r, order)[1]
+        if modulus:
+            inv = pow(int(c), -1, modulus)
+            return MultiPoly.from_terms(nv, {e: v * inv % modulus for e, v in r.terms.items()})
+        return r * (Fraction(1) / c)
 
     def pair_key(ij):
         i, j = ij
@@ -487,13 +591,13 @@ def parallel_list_buchberger(gens, order):
             yield multipoly_s_polynomial(basis[i], basis[j], order)
 
     for q in candidates():
-        r = divide(q, table, order)
+        r = divide(q, table, order, modulus)
         if r.is_zero():
             continue
         if r.is_constant():
             return [MultiPoly.constant(nv, 1)]
-        e, c = leading_term(r, order)
-        r = r * (Fraction(1) / c)
+        e = leading_term(r, order)[0]
+        r = monic(r)
         pairs = _gm_update_by_index(leads, pairs, len(basis), e)
         basis.append(r)
         leads.append(e)
@@ -503,13 +607,41 @@ def parallel_list_buchberger(gens, order):
                           and (leads[k] != e or k < i) for k in range(len(basis)))]
     reduced = []
     for i in minimal:
-        r = divide(basis[i], [table[k] for k in minimal if k != i], order)
+        r = divide(basis[i], [table[k] for k in minimal if k != i], order, modulus)
         if r.is_zero():
             continue
-        e, c = leading_term(r, order)
-        reduced.append(r * (Fraction(1) / c))
+        reduced.append(monic(r))
     reduced.sort(key=lambda q: order.key(leading_term(q, order)[0]))
     return reduced
+
+
+def per_call_representative_divisor(grading, degree):
+    """The canonical exponent vector of a degree, with the degree system put
+    in Smith form and the pairing image in Hermite form on every call."""
+    nv = grading.nvars
+    rhs = list(degree.free) + list(degree.torsion)
+    sol = smith_normal_form(degree_system(grading, range(nv))).solve(rhs)
+    if sol is None:
+        raise NoIntegralLift("degree is not in the grading group image")
+    n = len(grading.rays[0]) if grading.rays else 0
+    image_rows = [tuple(r[j] for r in grading.rays) for j in range(n)]
+    return reduce_mod_lattice(sol[:nv], hnf_rows(image_rows, nv, align="right"))
+
+
+def constructor_dehomogenize(p, fan, cone_index):
+    """The chart of p through the validating ``MultiPoly`` constructor,
+    which sums the terms that meet and drops zero sums."""
+    cone = chart_variables(fan, cone_index)
+    pos = {ray: k for k, ray in enumerate(cone)}
+    out = {}
+    for e, c in p.terms.items():
+        ne = [0] * len(cone)
+        for i, k in enumerate(e):
+            if k and i in pos:
+                ne[pos[i]] = k
+        ne = tuple(ne)
+        out[ne] = out.get(ne, Fraction(0)) + c
+    return MultiPoly(len(cone), out)
 
 
 def grevlex_chart_dimension(polys):

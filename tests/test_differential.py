@@ -1,9 +1,10 @@
 """Fast paths against the slow paths they replace (``oracles.py``).
 
 The heap-ordered division must give the same remainder, term for term, as
-the linear scan; Buchberger over one table of monic reducers must give the
-same basis, generator for generator, as Buchberger over parallel lists,
-and mod P the basis over Q reduced mod P; the chart solver's finiteness
+the linear scan, and the integer pseudo-division a positive scale times the
+division over Fractions; Buchberger over one table of integer reducers must
+give the same basis, generator for generator, as Buchberger over parallel
+lists, and mod P the basis over Q reduced mod P; the chart solver's finiteness
 and quotient dimension must match a grevlex basis built apart from it; the
 codimension check on the cached basis must give the same report as the
 check that reduces every critical-degree monomial; the linear-time
@@ -12,6 +13,7 @@ completeness test must agree with the pairwise overlap test.
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -45,13 +47,16 @@ from toricres import (
     toric_residue,
 )
 
-from toricres.groebner import divide, reducer, reducer_table, s_polynomial
-from toricres.residues import P, _mod_p
+from toricres.groebner import divide, integer_reducer, integer_terms, s_polynomial
+from toricres.residues import P, _mod_p, residue_functional
 
 from conftest import FIXTURES, load
 from oracles import (NotShapePosition, all_monomial_codim_check, grevlex_chart_dimension,
                      linear_scan_normal_form, multipoly_s_polynomial, pairwise_is_complete,
-                     parallel_list_buchberger, primitive, solve_chart_system)
+                     parallel_list_buchberger, primitive, reducer_table, solve_chart_system)
+from oracles import _monic
+from oracles import divide as fraction_divide
+from oracles import s_polynomial as fraction_s_polynomial
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -153,6 +158,8 @@ def test_cached_reducers_match_linear_scan_on_a_basis(case):
     fast = gb.reduce(p)
     slow = linear_scan_normal_form(p, gb.generators, order)
     assert list(fast.terms.items()) == list(slow.terms.items())
+    monic = fraction_divide(p, reducer_table(gb.generators, order), order)
+    assert list(fast.terms.items()) == list(monic.terms.items())
     assert gb.leading_exponents == tuple(
         max(g.terms, key=order.key) for g in gb.generators)
 
@@ -229,16 +236,65 @@ def test_buchberger_matches_oracle_on_fixture_ideals(name):
                     == term_lists(parallel_list_buchberger(dropped, order))
 
 
+def integer_table(basis, order, modulus=0):
+    return [integer_reducer(integer_terms(g)[1], order, modulus) for g in basis if not g.is_zero()]
+
+
+@st.composite
+def scaled_lead_cases(draw):
+    """A nonzero p and a table of nonzero polynomials, not a Groebner basis,
+    whose leads carry a factor of 2 to 5, so most divisions scale their
+    pending terms."""
+    nvars = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["grevlex", "lex"]))
+    order = MonomialOrder(kind, tuple(draw(st.permutations(range(nvars)))))
+
+    def nonzero(max_deg, max_terms):
+        exps = st.tuples(*[st.integers(0, max_deg) for _ in range(nvars)])
+        return st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms).map(
+            lambda d: MultiPoly(nvars, d))
+    p = draw(nonzero(4, 8))
+    basis = []
+    for g in draw(st.lists(nonzero(2, 3), min_size=1, max_size=4)):
+        le = max(g.terms, key=order.key)
+        basis.append(MultiPoly(nvars, {**g.terms, le: g.terms[le] * draw(st.integers(2, 5))}))
+    return p, basis, order
+
+
+@SETTINGS
+@given(st.one_of(division_cases(), scaled_lead_cases()))
+def test_pseudo_division_is_a_scale_times_the_fraction_division(case):
+    p, basis, order = case
+    d, terms = integer_terms(p)
+    scale, rem = divide(terms, integer_table(basis, order), order)
+    expected = fraction_divide(p * d, reducer_table(basis, order), order)
+    assert scale > 0
+    assert list(rem) == list(expected.terms)
+    assert all(rem[e] == scale * c for e, c in expected.terms.items())
+
+
+def test_pseudo_division_scales_the_pending_terms():
+    """x^2 + y^2 by 2x + y: cancelling x^2 scales the pending y^2 by 2."""
+    names = ("x", "y")
+    order = grevlex(2)
+    p = parse_poly("x^2 + y^2", names)
+    table = integer_table([parse_poly("2*x + y", names)], order)
+    assert divide(integer_terms(p)[1], table, order) == (4, {(0, 2): 5})
+    assert normal_form(p, [parse_poly("2*x + y", names)], order) == parse_poly("5/4*y^2", names)
+
+
 @SETTINGS
 @given(division_cases())
 def test_division_mod_p_is_division_over_q_reduced_mod_p(case):
     """Reduction mod P is a ring map on P-integral coefficients, and no
     lead coefficient here is 0 mod P, so each step over Q maps to the same
-    step mod P; the reducers need not be monic."""
+    step mod P; the reducers over GF(P) are monic, so the scale is 1."""
     p, basis, order = case
-    table_p = reducer_table([_mod_p(g) for g in basis], order)
-    assert divide(_mod_p(p), table_p, order, P) \
-        == _mod_p(divide(p, reducer_table(basis, order), order))
+    table_p = integer_table([_mod_p(g) for g in basis], order, P)
+    assert all(lc == 1 for _, lc, _ in table_p)
+    scale, rem = divide(_mod_p(p).terms, table_p, order, P)
+    assert scale == 1
+    assert MultiPoly.from_terms(p.nvars, rem) == _mod_p(normal_form(p, basis, order))
 
 
 @settings(SETTINGS, max_examples=60)
@@ -252,15 +308,74 @@ def test_buchberger_mod_p_is_the_basis_over_q_reduced_mod_p(case):
         == [_mod_p(g) for g in buchberger(gens, order)]
 
 
+@settings(SETTINGS, max_examples=60)
+@given(ideal_cases())
+def test_buchberger_mod_p_matches_parallel_list_oracle(case):
+    gens, order = case
+    gens = [_mod_p(g) for g in gens]
+    assert term_lists(buchberger(gens, order, P)) \
+        == term_lists(parallel_list_buchberger(gens, order, P))
+
+
 @SETTINGS
 @given(division_cases())
 def test_s_polynomial_of_monic_reducers_matches_multipoly_oracle(case):
+    """Over Q the S-polynomial of the primitive reducers is lc_f*lc_g/h
+    times that of the monic ones, h = gcd(lc_f, lc_g); over GF(P) the
+    reducers are monic and it is the oracle's reduced mod P."""
     _, polys, order = case
     polys = [p for p in polys if not p.is_zero()]
     assume(len(polys) >= 2)
     f, g = polys[:2]
-    monic = [reducer(p * (1 / reducer(p, order)[1]), order) for p in (f, g)]
-    assert s_polynomial(*monic, f.nvars) == multipoly_s_polynomial(f, g, order)
+    expected = multipoly_s_polynomial(f, g, order)
+    monic = [_monic(p, order, 0) for p in (f, g)]
+    assert fraction_s_polynomial(*monic, f.nvars) == expected
+    rf, rg = integer_table([f, g], order)
+    k = Fraction(rf[1] * rg[1], math.gcd(rf[1], rg[1]))
+    assert MultiPoly.from_terms(f.nvars, s_polynomial(rf, rg)) == expected * k
+    pf, pg = integer_table([_mod_p(f), _mod_p(g)], order, P)
+    s_p = {e: c % P for e, c in s_polynomial(pf, pg).items()}
+    assert {e: c for e, c in s_p.items() if c} == _mod_p(expected).terms
+
+
+@SETTINGS
+@given(ideal_cases())
+def test_basis_reducers_are_primitive_with_positive_lead(case):
+    gens, order = case
+    gb = GroebnerBasis.of(gens, order)
+    assert len(gb.reducers) == len(gb.generators)
+    for (le, lc, tail), g in zip(gb.reducers, gb.generators):
+        assert lc > 0 and math.gcd(lc, *(c for _, c in tail)) == 1
+        assert all(type(c) is int for _, c in tail)
+        assert {le: Fraction(1), **{e: Fraction(c, lc) for e, c in tail}} == g.terms
+
+
+class _FractionBasis:
+    """A basis read through the monic Fraction reducers of the oracle."""
+
+    def __init__(self, gb):
+        self.generators = gb.generators
+        self.reducers = reducer_table(gb.generators, gb.order)
+
+
+def functional_outcome(pb, basis):
+    try:
+        return residue_functional(pb.grading, pb.order, basis, pb.monomials)
+    except AllReduceToZero:
+        return "AllReduceToZero"
+
+
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
+def test_ell_and_reduce_match_fraction_reducers_on_fixtures(name):
+    pb = load(name).problem
+    gb = pb.groebner
+    fast = functional_outcome(pb, gb)
+    assert fast == functional_outcome(pb, _FractionBasis(gb))
+    assert fast == "AllReduceToZero" or all(type(v) is Fraction for v in fast[1].values())
+    table = reducer_table(gb.generators, pb.order)
+    for H in pb.polys + tuple(MultiPoly.monomial(m) for m in pb.monomials):
+        assert list(gb.reduce(H).terms.items()) \
+            == list(fraction_divide(H, table, pb.order).terms.items())
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,16 @@ def test_run_examples_script():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_run_examples_script_runs_from_a_plain_checkout(tmp_path):
+    """No install and no PYTHONPATH: the script finds the checkout's src/."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(PROJECT / "scripts" / "run_examples.py"),
+                           "--only", "p2"], capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "p2" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # exports
 

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import toricres.grading as grading_mod
 from toricres import (
     DegreeClass,
     NotAGrading,
@@ -8,8 +10,14 @@ from toricres import (
     compute_grading,
     critical_degree,
     representative_divisor,
+    load_fan,
     validate_user_grading,
 )
+
+from conftest import FIXTURES
+from oracles import per_call_representative_divisor
+
+FANS = sorted(p.name for p in FIXTURES.glob("*.fan.json"))
 
 PENTAGON_TABLE = [[1, 1, -1, 0, 0]]  # placeholder row, replaced in tests
 
@@ -126,3 +134,27 @@ def test_representative_divisor_is_canonical(p1p1):
     d1 = representative_divisor(g, g.degree((2, 0, 1, 0)))
     d2 = representative_divisor(g, g.degree((1, 1, 0, 1)))
     assert d1 == d2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(FANS), st.data())
+def test_representative_divisor_matches_a_smith_form_per_call(name, data):
+    fan, g = load_fan(FIXTURES / name)
+    for _ in range(3):
+        e = data.draw(st.lists(st.integers(-4, 6), min_size=fan.nvars, max_size=fan.nvars))
+        target = g.degree(e)
+        assert representative_divisor(g, target) == per_call_representative_divisor(g, target)
+
+
+@pytest.mark.parametrize("name", FANS)
+def test_one_grading_makes_one_smith_form(name, monkeypatch):
+    fan, _ = load_fan(FIXTURES / name)
+    g = compute_grading(fan)
+    calls = []
+    real = grading_mod.smith_normal_form
+    monkeypatch.setattr(grading_mod, "smith_normal_form",
+                        lambda A: calls.append(A) or real(A))
+    for e in ((0,) * fan.nvars, (1,) * fan.nvars, (3,) + (0,) * (fan.nvars - 1)):
+        target = g.degree(e)
+        assert representative_divisor(g, target) == per_call_representative_divisor(g, target)
+    assert len(calls) == 1

@@ -23,7 +23,8 @@ from toricres import (
 
 import toricres.poly as poly_module
 
-from conftest import poly
+from conftest import FIXTURES, load, poly
+from oracles import constructor_dehomogenize
 
 XYZ = ("x", "y", "z")
 
@@ -149,6 +150,27 @@ def test_dehomogenize(pentagon, p2):
     s2 = fan2.max_cones.index((1, 2))
     assert dehomogenize(poly("x0^2 + x1*x2", fan2), fan2, s2) \
         == parse_poly("1 + x1*x2", ("x1", "x2"))
+
+
+def test_dehomogenize_drops_terms_that_cancel(p2):
+    fan, _ = p2
+    s2 = fan.max_cones.index((1, 2))
+    chart = dehomogenize(poly("x0^2*x1 - x0*x1 + x2", fan), fan, s2)
+    assert chart.terms == {(0, 1): Fraction(1)}
+    assert all(type(c) is Fraction for c in chart.terms.values())
+    assert dehomogenize(poly("x0*x1 - x1", fan), fan, s2).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in FIXTURES.glob("*.json") if not p.name.endswith(".fan.json")))
+def test_dehomogenize_matches_the_validating_constructor_on_fixtures(name):
+    pb = load(name).problem
+    for p in pb.polys:
+        for k in range(len(pb.fan.max_cones)):
+            fast = dehomogenize(p, pb.fan, k)
+            slow = constructor_dehomogenize(p, pb.fan, k)
+            assert fast.nvars == slow.nvars
+            assert list(fast.terms.items()) == list(slow.terms.items())
 
 
 def test_homogenize_round_trip(p2):
