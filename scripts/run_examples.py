@@ -152,7 +152,7 @@ def run_cayley():
     pb = lp.problem
     divisors = [representative_divisor(lp.grading, d) for d in pb.degrees]
     cd = build_cayley(lp.fan, lp.grading, divisors)
-    print(f"  lift: {len(cd.lifted_rays)} rays in dimension {2 * cd.n}, "
+    print(f"  lift: {cd.bundle.nvars} rays in dimension {2 * cd.n}, "
           f"ring gains y0..y{cd.n}")
     print(f"  bundle class gamma = {bundle_class(cd).free}")
     print(f"  lifted forms share the bundle class: {equal_degree_check(cd, pb.polys)}")

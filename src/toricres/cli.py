@@ -247,7 +247,7 @@ def cmd_cayley(args) -> int:
     gamma = bundle_class(cd)
     rho = critical_degree_lifted(cd)
     report = {
-        "lifted_rays": [list(r) for r in cd.lifted_rays],
+        "lifted_rays": [list(r) for r in cd.bundle.rays],
         "variables": list(cd.variables),
         "bundle_class": _deg_dict(gamma),
         "lifted_critical": _deg_dict(rho),

@@ -1,13 +1,17 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms are stored as a dict from exponent tuples to nonzero Fractions.  The
-representation is deliberately tiny; Groebner machinery and residue code
-only need arithmetic, substitution, and exact degree bookkeeping.
+Terms are stored as a dict from exponent tuples to nonzero coefficients:
+Fractions, or ints in [1, P) for a polynomial over GF(P) built through
+``from_terms``, as ``residues._mod_p`` and ``buchberger(..., modulus)`` do;
+the arithmetic here is that of Q either way.  The representation is
+deliberately tiny; Groebner machinery and residue code only need
+arithmetic, substitution, and exact degree bookkeeping.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 
@@ -35,7 +39,7 @@ class MultiPoly:
             for e, c in terms.items():
                 c = Fraction(c)
                 if c:
-                    e = tuple(int(x) for x in e)
+                    e = tuple(map(operator.index, e))
                     if len(e) != nvars:
                         raise ValueError("exponent length mismatch")
                     clean[e] = clean.get(e, Fraction(0)) + c
@@ -48,8 +52,8 @@ class MultiPoly:
     @classmethod
     def from_terms(cls, nvars, terms):
         """Trusted constructor: terms must already map int exponent tuples
-        of length nvars to nonzero Fractions.  The dict is kept, not copied
-        or checked."""
+        of length nvars to nonzero Fractions, or over GF(P) to ints in
+        [1, P).  The dict is kept, not copied or checked."""
         p = cls.__new__(cls)
         p.nvars = nvars
         p.terms = terms

@@ -14,6 +14,7 @@ subset; vertices and volumes are exact Fractions.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +26,7 @@ from .lattice import clear_denominators, cramer, dot, is_complete, mat_det
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Intersection of half spaces <m, normal> + offset >= 0."""
+    """Intersection of half spaces <m, normal> + offset >= 0; normals are ints."""
 
     dim: int
     normals: tuple[tuple[int, ...], ...]
@@ -37,7 +38,7 @@ class HPolytope:
         if any(len(nr) != self.dim for nr in self.normals):
             raise ValueError("each normal needs one entry per dimension")
         object.__setattr__(self, "normals",
-                           tuple(tuple(int(x) for x in nr) for nr in self.normals))
+                           tuple(tuple(map(operator.index, nr)) for nr in self.normals))
         object.__setattr__(self, "offsets",
                            tuple(Fraction(o) for o in self.offsets))
 

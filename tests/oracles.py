@@ -18,7 +18,9 @@ polynomial through the validating constructor, the representative divisor
 of a degree from a Smith form built per call, the
 polytope volume by a pyramid recursion over facets, polytope vertices by
 elimination over Q, boundedness from rational kernels, lattice points by a
-bounding-box scan, exponent vectors by dot products per point, ampleness by Fraction comparisons, and the Fraction
+bounding-box scan, exponent vectors by dot products per point, the bundle
+lift's two polytopes as plain polytopes on its lifted rays, ampleness by
+Fraction comparisons, and the Fraction
 Gauss-Jordan elimination (``rref``, ``mat_rank``, ``solve_rational``,
 ``solve_integer``) with the cone functionals and the Cayley weight
 functional it once computed, the chart lift by a Smith form of the
@@ -43,21 +45,23 @@ from math import ceil, factorial, floor, gcd, lcm, prod
 
 import numpy as np
 
-from toricres import (AllReduceToZero, CodimNotOne, GroebnerBasis, HypothesesFailed,
+from toricres import (AllReduceToZero, CodimNotOne, DegreeMismatch, GroebnerBasis,
+                      HypothesesFailed,
                       InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NoIntegralLift,
                       NonSimpleZero, NonUniqueLift, NotHomogeneous, NotTorusZero,
                       NotZeroDimensional, ToricError, Unbounded, WrongDegree, ZeroOnPolarLocus,
                       cone_determinant, dehomogenize, homogenize_to_degree, is_simplicial,
                       monomial_basis, no_common_zeros_on_x, poly_det)
-from toricres.cayley import _lift_poly, critical_degree_lifted
-from toricres.grading import critical_degree, degree_system
+from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
+from toricres.grading import critical_degree, degree_system, representative_divisor
 from toricres.groebner import (_lcm, _sub_exp, grevlex, leading_term, lex, quotient_is_finite,
                                standard_monomials)
 from toricres.lattice import (FanData, dot, hnf_rows, mat_det, mat_vec, reduce_mod_lattice,
                               smith_normal_form, vec_content)
 from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, chart_variables, degree_of
-from toricres.polytopes import HPolytope
+from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
+                                lattice_points)
 from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
 
 
@@ -942,6 +946,74 @@ def dot_divisor_monomials(rays, coeffs):
     poly = HPolytope(len(rays[0]), tuple(rays), tuple(Fraction(c) for c in coeffs))
     return sorted(tuple(dot(m, ray) + a for ray, a in zip(rays, coeffs))
                   for m in box_lattice_points(poly))
+
+
+# ---------------------------------------------------------------------------
+# the bundle lift as it was before the bundle fan was built: both bundle
+# polytopes a plain HPolytope on the lifted rays, so that each takes the
+# boundedness test and the n-subset vertices
+
+
+def lifted_rays(fan, divisors):
+    """The bundle's rays: each base ray after an e-part of coefficient
+    differences against divisors[0], then y_0 = (-1, ..., -1, 0, ..., 0) and
+    y_j = e_j for j = 1..n."""
+    n = fan.dim
+    lifted = []
+    for i in range(fan.nvars):
+        epart = tuple(divisors[j][i] - divisors[0][i] for j in range(1, n + 1))
+        lifted.append(epart + fan.rays[i])
+    lifted.append(tuple([-1] * n + [0] * n))
+    for j in range(n):
+        e = [0] * (2 * n)
+        e[j] = 1
+        lifted.append(tuple(e))
+    return tuple(lifted)
+
+
+def hpolytope_lifted_slice(cd):
+    """Exponent vectors of the lifted critical degree, from a plain
+    HPolytope on the lifted rays."""
+    coeffs = representative_divisor(cd.grading, critical_degree_lifted(cd))
+    return divisor_monomials(HPolytope(2 * cd.n, lifted_rays(cd.fan, cd.divisors), coeffs))
+
+
+def hpolytope_bundle_points(cd):
+    """Lattice points of the bundle polytope, from a plain HPolytope on the
+    lifted rays with offsets x^{D_0} y_0."""
+    return lattice_points(HPolytope(2 * cd.n, lifted_rays(cd.fan, cd.divisors),
+                                    _bundle_exponent(cd)))
+
+
+def hpolytope_equal_degree_check(cd, polys) -> bool:
+    """``equal_degree_check`` with its lifted slice from a plain HPolytope."""
+    n = cd.n
+    if len(polys) != n + 1:
+        raise DegreeMismatch(f"need {n + 1} polynomials")
+    base_degrees = [cd.base_grading.degree(d) for d in cd.divisors]
+    for j, p in enumerate(polys):
+        if degree_of(p, cd.base_grading) != base_degrees[j]:
+            raise DegreeMismatch(
+                f"input {j} does not have the degree of divisor {j}")
+    degs = [degree_of(_lift_poly(cd, p, j), cd.grading)
+            for j, p in enumerate(polys)]
+    gamma = bundle_class(cd)
+    if any(d != gamma for d in degs):
+        return False
+    lifted = hpolytope_lifted_slice(cd)
+    if any(any(e[cd.base_count:]) for e in lifted):
+        return False
+    base = monomial_basis(cd.fan, cd.base_grading, critical_degree(cd.base_grading, base_degrees))
+    return sorted(e[:cd.base_count] for e in lifted) == base
+
+
+def hpolytope_cayley_polytope_check(cd) -> bool:
+    """``cayley_polytope_check`` with the bundle polytope a plain HPolytope
+    and one base polytope per divisor."""
+    n = cd.n
+    got = set(hpolytope_bundle_points(cd))
+    return got == {tuple(int(j == t + 1) for t in range(n)) + m for j in range(n + 1)
+                   for m in lattice_points(divisor_polytope(cd.fan, cd.divisors[j]))}
 
 
 def fraction_strictness_failures(fan, ms, coeffs):

@@ -22,7 +22,7 @@ def test_lifted_rays_line_equal_divisors(p1):
     fan, g = p1
     cd = build_cayley(fan, g, [(1, 0), (1, 0)])
     # equal divisors leave every base ray with a zero e-part
-    assert cd.lifted_rays == ((0, 1), (0, -1), (-1, 0), (1, 0))
+    assert cd.bundle.rays == ((0, 1), (0, -1), (-1, 0), (1, 0))
     assert cd.variables == ("x", "y", "y0", "y1")
     assert cd.n == 1 and cd.base_count == 2
 
@@ -30,7 +30,7 @@ def test_lifted_rays_line_equal_divisors(p1):
 def test_lifted_rays_record_coefficient_gaps(p1):
     fan, g = p1
     cd = build_cayley(fan, g, [(1, 0), (2, 0)])
-    assert cd.lifted_rays == ((1, 1), (0, -1), (-1, 0), (1, 0))
+    assert cd.bundle.rays == ((1, 1), (0, -1), (-1, 0), (1, 0))
 
 
 def test_bundle_grading_and_degrees(p1):
@@ -99,8 +99,8 @@ def test_bilinear_surface_bundle():
     divs = [representative_divisor(lp.grading, degree_of(p, lp.grading))
             for p in lp.problem.polys]
     cd = build_cayley(lp.fan, lp.grading, divs)
-    assert len(cd.lifted_rays) == 7
-    assert all(len(r) == 4 for r in cd.lifted_rays)
+    assert len(cd.bundle.rays) == 7
+    assert all(len(r) == 4 for r in cd.bundle.rays)
     assert bundle_class(cd).free == (1, 1, 1)
     assert equal_degree_check(cd, lp.problem.polys)
     assert cayley_polytope_check(cd)

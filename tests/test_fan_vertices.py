@@ -197,8 +197,10 @@ def test_an_incomplete_fan_keeps_the_n_subset_path():
                                   "torsion_fermat.json"])
 def test_fixture_monomials_and_cayley_base_points(name):
     """The critical slice and every input degree of each fixture, against
-    the per-point dot products; the bundle-lift check enumerates vertices
-    only for the lifted polytope, and reads its base polygons from the fan."""
+    the per-point dot products; the bundle-lift check reads the bundle
+    polytope from the bundle fan, and its base polygons, one per distinct
+    divisor, from the base fan: it enumerates vertices only for a class
+    that is not nef, and never tests boundedness."""
     lp = load(name)
     pb, fan, grading = lp.problem, lp.fan, lp.grading
     degrees = [pb.critical] + [degree_of(p, grading) for p in pb.polys]
@@ -208,10 +210,12 @@ def test_fixture_monomials_and_cayley_base_points(name):
         assert_same_as_n_subsets(fan, a)
     divs = [representative_divisor(grading, d) for d in degrees[1:]]
     cd = build_cayley(fan, grading, divs, require_ample=False)
-    with counted("_vertices") as enumerated:
+    with counted("_is_bounded") as bounded, counted("_vertices") as enumerated:
         cayley_polytope_check(cd)
-    not_nef = [d for d in divs if not is_nef(fan, d)]
-    assert sorted(enumerated) == [2] * len(not_nef) + [4]
+    not_nef = [d for d in dict.fromkeys(divs) if not is_nef(fan, d)]
+    bundle_nef = is_nef(cd.bundle, cd.divisors[0] + (1,) + (0,) * fan.dim)
+    assert bounded == []
+    assert sorted(enumerated) == [2] * len(not_nef) + ([] if bundle_nef else [4])
 
 
 def test_completeness_is_computed_once_per_fan(monkeypatch):

@@ -79,6 +79,15 @@ def test_poly_arithmetic():
     assert not p.terms
 
 
+def test_exponents_that_are_not_integers_are_refused():
+    # int() would truncate the exponent 1.5 to 1 and give x1*x2
+    with pytest.raises(TypeError):
+        MultiPoly.monomial((1.5, 1))
+    with pytest.raises(TypeError):
+        MultiPoly(2, {(Fraction(1, 2), 0): 1})
+    assert MultiPoly.monomial((2, 1)) == MultiPoly(2, {(2, 1): Fraction(1)})
+
+
 def test_poly_evaluate_and_partial():
     p = parse_poly("x^2*y + 3", ("x", "y"))
     assert p.evaluate((2, 5)) == 23

@@ -140,15 +140,17 @@ def test_hand_picked_polytopes():
                                   "torsion_fermat.json"])
 def test_cayley_polytopes_of_the_fixtures(name, monkeypatch):
     """Every polytope the bundle-lift check scans, the 4-D Cayley polytope
-    among them, for the degrees of each 2-D fixture's inputs."""
+    among them, for the degrees of each 2-D fixture's inputs: one base
+    polygon per distinct divisor."""
     lp = load(name)
     divs = [representative_divisor(lp.grading, degree_of(p, lp.grading))
             for p in lp.problem.polys]
     scanned = []
     real = cayley.lattice_points
     monkeypatch.setattr(cayley, "lattice_points", lambda poly: scanned.append(poly) or real(poly))
-    cayley_polytope_check(build_cayley(lp.fan, lp.grading, divs, require_ample=False))
-    assert [poly.dim for poly in scanned] == [4, 2, 2, 2]
+    cd = build_cayley(lp.fan, lp.grading, divs, require_ample=False)
+    cayley_polytope_check(cd)
+    assert [poly.dim for poly in scanned] == [4] + [2] * len(set(cd.divisors))
     for poly in scanned:
         assert_same_as_oracles(poly)
 

@@ -54,6 +54,16 @@ def test_normals_of_the_wrong_length_are_refused():
             HPolytope(2, normals, (1, 1, 1, 1))
 
 
+def test_normals_that_are_not_integers_are_refused():
+    # int() would truncate the normal 1/2 to 0, and the segment 0 <= x <= 2
+    # would read as unbounded
+    with pytest.raises(TypeError):
+        HPolytope(1, ((Fraction(1, 2),), (-1,)), (0, 2))
+    with pytest.raises(TypeError):
+        HPolytope(2, ((1.0, 0), (0, 1)), (0, 0))
+    assert HPolytope(1, ((True,), (-1,)), (0, 2)).normals == ((1,), (-1,))
+
+
 def test_segment_volume():
     poly = HPolytope(1, ((1,), (-1,)), (Fraction(0), Fraction(3)))
     assert polytope_volume(poly) == 3
