@@ -2,8 +2,9 @@
 
 A divisor is a coefficient vector over the rays.  Each full simplicial cone
 determines a unique rational linear functional matching the coefficients on
-its rays; integrality of those functionals is the Cartier condition and
-strict convexity across cones is ampleness.
+its rays; ``support_table`` solves every cone once, in integers.
+Integrality of the functionals is the Cartier condition, strict convexity
+across cones is ampleness, and convexity is nefness.
 """
 
 from __future__ import annotations
@@ -25,63 +26,60 @@ class PositivityReport:
         return self.ok
 
 
-def cone_functionals(fan: FanData, coeffs) -> list[tuple[Fraction, ...]]:
-    """Per-cone m with <m, ray_i> = -a_i on the cone's rays.
-
-    With d the lcm of the coefficients' denominators, each cone solves the
-    integer system <m, ray_i> = -d*a_i by Cramer's rule and divides by d.  A
-    cone without exactly dim independent rays has no unique m and raises.
+def support_table(fan: FanData, coeffs):
+    """``(d, meets, slack)``: d the lcm of the coefficients' denominators;
+    ``meets[k]`` the ``lattice.cramer`` meet ``(num, den)``, in lowest terms
+    with den > 0, of <x, ray_i> = -d*a_i on the rays of maximal cone k, so
+    that its functional m_k is num/(den*d); ``slack[k][j]`` = <num, ray_j>
+    + d*a_j*den, of the sign of <m_k, ray_j> + a_j.  A cone without exactly
+    dim independent rays raises.
     """
     if len(coeffs) != fan.nvars:
         raise InvalidFan("one coefficient per ray is required")
     d, scaled = clear_denominators(map(Fraction, coeffs))
-    out = []
+    meets, slack = [], []
     for k, cone in enumerate(fan.max_cones):
         meet = len(cone) == fan.dim and cramer([fan.rays[i] for i in cone],
                                                [-scaled[i] for i in cone])
         if not meet:
             raise InvalidFan(f"cone {k} does not have {fan.dim} independent rays")
         num, den = meet
-        out.append(tuple(Fraction(x, den * d) for x in num))
-    return out
+        meets.append(meet)
+        slack.append([dot(num, ray) + a * den for ray, a in zip(fan.rays, scaled)])
+    return d, meets, slack
 
 
-def _cartier_failures(ms) -> tuple[int, ...]:
-    return tuple(k for k, m in enumerate(ms) if any(x.denominator != 1 for x in m))
+def cone_functionals(fan: FanData, coeffs) -> list[tuple[Fraction, ...]]:
+    """Per-cone m with <m, ray_i> = -a_i on the cone's rays."""
+    d, meets, _ = support_table(fan, coeffs)
+    return [tuple(Fraction(x, den * d) for x in num) for num, den in meets]
+
+
+def _witnesses(fan: FanData, coeffs):
+    """From one support table: the cones whose functional is not integral,
+    and the (cone, ray) pairs, ray off the cone, with <m_cone, ray> <= -a_ray."""
+    d, meets, slack = support_table(fan, coeffs)
+    cartier = tuple(k for k, (num, den) in enumerate(meets) if any(x % (den * d) for x in num))
+    strict = tuple((k, j) for k, (cone, row) in enumerate(zip(fan.max_cones, slack))
+                   for j, s in enumerate(row) if s <= 0 and j not in cone)
+    return cartier, strict
 
 
 def is_cartier(fan: FanData, coeffs) -> PositivityReport:
     """Integral per-cone functionals exist."""
-    witnesses = _cartier_failures(cone_functionals(fan, coeffs))
-    ok = not witnesses
-    return PositivityReport(ok, ok, witnesses)
-
-
-def _strictness_failures(fan: FanData, ms, coeffs):
-    """(cone, ray) pairs, ray off the cone, with <m_cone, ray> <= -a_ray,
-    compared in integers: with L the lcm of m_cone's denominators and d that
-    of the a's, as d*<L*m_cone, ray> <= -(d*a_ray)*L."""
-    d, scaled = clear_denominators(map(Fraction, coeffs))
-    out = []
-    for k, cone in enumerate(fan.max_cones):
-        L, m = clear_denominators(ms[k])
-        out.extend((k, j) for j, ray in enumerate(fan.rays)
-                   if j not in cone and d * dot(m, ray) <= -scaled[j] * L)
-    return out
+    cartier, _ = _witnesses(fan, coeffs)
+    return PositivityReport(not cartier, not cartier, cartier)
 
 
 def is_q_ample(fan: FanData, coeffs) -> PositivityReport:
     """Strictly convex rational support function exists."""
-    ms = cone_functionals(fan, coeffs)
-    bad = _strictness_failures(fan, ms, coeffs)
-    return PositivityReport(not bad, not _cartier_failures(ms), tuple(bad))
+    cartier, strict = _witnesses(fan, coeffs)
+    return PositivityReport(not strict, not cartier, strict)
 
 
 def is_ample(fan: FanData, coeffs) -> PositivityReport:
     """Cartier with a strictly convex support function."""
-    ms = cone_functionals(fan, coeffs)
-    witnesses = _cartier_failures(ms)
-    if witnesses:
-        return PositivityReport(False, False, witnesses)
-    bad = _strictness_failures(fan, ms, coeffs)
-    return PositivityReport(not bad, True, tuple(bad))
+    cartier, strict = _witnesses(fan, coeffs)
+    if cartier:
+        return PositivityReport(False, False, cartier)
+    return PositivityReport(not strict, True, strict)

@@ -105,6 +105,14 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return all(map(operator.le, a, b))
 
 
+def first_divisor(table, e: Exponent):
+    """The first reducer of ``table`` whose lead exponent divides e, or None."""
+    for r in table:
+        if all(map(operator.le, r[0], e)):
+            return r
+    return None
+
+
 def _lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -150,7 +158,7 @@ def divide(terms: dict, table, order: MonomialOrder, modulus: int = 0) -> tuple[
     at until the end.
     """
     hkey = order.heap_key
-    le_, add, sub = operator.le, operator.add, operator.sub
+    add, sub = operator.add, operator.sub
     heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(terms)
     heap = [(hkey(e), e) for e in work]
@@ -164,12 +172,11 @@ def divide(terms: dict, table, order: MonomialOrder, modulus: int = 0) -> tuple[
             c %= modulus
         if not c:
             continue
-        for le, lc, tail in table:
-            if all(map(le_, le, e)):
-                break
-        else:
+        hit = first_divisor(table, e)
+        if hit is None:
             rem.append((e, c, scale))
             continue
+        le, lc, tail = hit
         g = gcd(c, lc)
         if g != lc:
             a = lc // g
@@ -347,6 +354,5 @@ def standard_monomials(gb: GroebnerBasis) -> list[Exponent]:
         raise ValueError("quotient is not finite-dimensional")
     if gb.is_unit_ideal():
         return []
-    leads = gb.leading_exponents
     box = [range(min(_pure_powers(gb, i))) for i in range(gb.order.nvars)]
-    return [m for m in itertools.product(*box) if not any(_divides(le, m) for le in leads)]
+    return [m for m in itertools.product(*box) if first_divisor(gb.reducers, m) is None]

@@ -2,13 +2,13 @@
 
 A polytope is stored by inequalities <m, normal_i> + offset_i >= 0 and
 worked on as integer rows, each scaled by its offset's denominator.  Its one
-vertex list is the cone functionals for a nef divisor on a complete fan, or
-else found by integer Cramer's rule on every n-subset of the rows.  Lattice
-points scan the vertices' bounding box in runs along the last coordinate,
-whose exact integer interval comes from the rows.  Volumes come from a
-pulling triangulation of the vertex list, whose faces are the sets of
-vertices where each row is tight.  No Fraction is built per point or per
-subset; vertices and volumes are exact Fractions.
+vertex list is the cone functionals of ``divisors.support_table`` for a
+nef divisor on a complete fan, or else found by integer Cramer's rule on
+every n-subset of the rows.  Lattice points scan the vertices' bounding box
+in runs along the last coordinate, whose exact integer interval comes from
+the rows.  Volumes come from a pulling triangulation of the vertex list,
+whose faces are the sets of vertices where each row is tight.  No Fraction
+is built per point or per subset; vertices and volumes are exact Fractions.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import ceil, factorial, floor, prod
 
+from .divisors import support_table
 from .errors import DegenerateVolume, Unbounded
+from .grading import representative_divisor
 from .lattice import clear_denominators, cramer, dot, is_complete, mat_det
 
 
@@ -68,14 +70,14 @@ def divisor_polytope(fan, coeffs) -> HPolytope:
     the distinct m_σ (Cox–Little–Schenck, *Toric Varieties*, §6.1); other D
     enumerate n-subsets, as ``HPolytope.vertices`` does on other fans.
     """
-    from .divisors import cone_functionals
-
     poly = HPolytope(fan.dim, fan.rays, tuple(Fraction(c) for c in coeffs))
     if is_complete(fan):
-        ms = set(cone_functionals(fan, poly.offsets))
-        nef = all(dot(nr, num) + off * d >= 0 for d, num in map(clear_denominators, ms)
-                  for nr, off in poly._rows)
-        object.__setattr__(poly, "vertices", sorted(ms) if nef else _vertices(poly))
+        d, meets, slack = support_table(fan, poly.offsets)
+        if all(s >= 0 for row in slack for s in row):
+            verts = sorted(tuple(Fraction(x, den * d) for x in num) for num, den in set(meets))
+        else:
+            verts = _vertices(poly)
+        object.__setattr__(poly, "vertices", verts)
     return poly
 
 
@@ -243,6 +245,4 @@ def monomial_basis(fan, grading, target) -> list[tuple[int, ...]]:
     Uses a divisor representative of the degree; monomials correspond to
     lattice points of its ``divisor_polytope`` via e_i = <m, ray_i> + a_i.
     """
-    from .grading import representative_divisor
-
     return divisor_monomials(divisor_polytope(fan, representative_divisor(grading, target)))

@@ -25,22 +25,21 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
-from .groebner import GroebnerBasis, MonomialOrder, _divides, buchberger, grevlex
+from .groebner import GroebnerBasis, MonomialOrder, _divides, buchberger, first_divisor, grevlex
 from .lattice import FanData, cone_det, cone_group_order
-from .poly import MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
+from .poly import Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
 
-Exponent = tuple[int, ...]
+
+def off_cone_exponent(fan: FanData, k: int) -> Exponent:
+    """The exponent of zhat, the product of the variables off maximal cone k."""
+    cone = fan.max_cones[k]
+    return tuple(0 if i in cone else 1 for i in range(fan.nvars))
 
 
 def irrelevant_ideal(fan: FanData) -> tuple[Exponent, ...]:
     """Monomial generators, one per maximal cone: product of off-cone variables."""
-    gens = []
-    for cone in fan.max_cones:
-        e = tuple(0 if i in cone else 1 for i in range(fan.nvars))
-        if e not in gens:
-            gens.append(e)
-    return tuple(gens)
+    return tuple(dict.fromkeys(off_cone_exponent(fan, k) for k in range(len(fan.max_cones))))
 
 
 def irrelevant_witness(p: MultiPoly, fan: FanData) -> Exponent | None:
@@ -120,8 +119,7 @@ def no_common_zeros_on_x(fan: FanData, polys) -> ZeroLocusReport:
     # a common zero exists: the first chart that fails over Q may be one
     # that was unit mod P
     k = next(k for k in cones if not unit_over_q(k))
-    e = tuple(0 if i in fan.max_cones[k] else 1 for i in range(fan.nvars))
-    return ZeroLocusReport(False, k, e, tuple(sorted(over_q)))
+    return ZeroLocusReport(False, k, off_cone_exponent(fan, k), tuple(sorted(over_q)))
 
 
 def decompose(F: MultiPoly, fan: FanData, cone_index: int):
@@ -132,8 +130,7 @@ def decompose(F: MultiPoly, fan: FanData, cone_index: int):
     the rest must be divisible by zhat.
     """
     cone = fan.max_cones[cone_index]
-    nv = fan.nvars
-    zhat = tuple(0 if i in cone else 1 for i in range(nv))
+    zhat = off_cone_exponent(fan, cone_index)
     parts = [dict() for _ in range(len(cone) + 1)]
     for e, c in F.terms.items():
         slot = None
@@ -152,7 +149,7 @@ def decompose(F: MultiPoly, fan: FanData, cone_index: int):
             slot = 0
         key = tuple(ne)
         parts[slot][key] = parts[slot].get(key, Fraction(0)) + c
-    return tuple(MultiPoly(nv, d) for d in parts)
+    return tuple(MultiPoly(fan.nvars, d) for d in parts)
 
 
 @dataclass(frozen=True)
@@ -185,17 +182,16 @@ def residue_functional(grading: Grading, order: MonomialOrder,
         raise AllReduceToZero("no monomials exist in the critical degree")
     for g in groebner.generators:
         degree_of(g, grading)
-    le_, add, sub = operator.le, operator.add, operator.sub
+    add, sub = operator.add, operator.sub
     ell = {}
     standard = []
     for m in sorted(monomials, key=order.key):
-        for le, lc, tail in groebner.reducers:
-            if all(map(le_, le, m)):
-                break
-        else:
+        hit = first_divisor(groebner.reducers, m)
+        if hit is None:
             ell[m] = Fraction(0) if standard else Fraction(1)
             standard.append(m)
             continue
+        le, lc, tail = hit
         shift = tuple(map(sub, m, le))
         total = sum((c * ell[tuple(map(add, t, shift))] for t, c in tail), Fraction(0))
         ell[m] = -total if lc == 1 else -total / lc
@@ -333,9 +329,14 @@ def _require_hypotheses(problem: ResidueProblem):
 
 
 def toric_residue(problem: ResidueProblem, H: MultiPoly) -> Fraction:
-    """Exact residue of H, normalized so the cone determinant has residue 1."""
-    c_h = _checked_coefficient(problem, H)
-    return c_h / problem.c_sigma if c_h else Fraction(0)
+    """Exact residue of H, normalized so the cone determinant has residue 1:
+    c(H)/c_sigma, once the degree of H and the hypotheses of the residue
+    hold; 0 for H = 0, which needs no hypothesis."""
+    require_critical_degree(problem, H)
+    if H.is_zero():
+        return Fraction(0)
+    _require_residue(problem)
+    return problem.normal_coefficient(H) / problem.c_sigma
 
 
 def require_critical_degree(problem: ResidueProblem, H: MultiPoly):
@@ -354,16 +355,6 @@ def require_critical_degree(problem: ResidueProblem, H: MultiPoly):
         raise WrongDegree(
             f"degree {dH.free}+t{dH.torsion} differs from the critical degree "
             f"{problem.critical.free}+t{problem.critical.torsion}")
-
-
-def _checked_coefficient(problem: ResidueProblem, H: MultiPoly) -> Fraction:
-    """c(H), once the degree of H and the hypotheses of the residue hold;
-    0 for H = 0, which needs no hypothesis.  Afterwards c_sigma is nonzero."""
-    require_critical_degree(problem, H)
-    if H.is_zero():
-        return Fraction(0)
-    _require_residue(problem)
-    return problem.normal_coefficient(H)
 
 
 def _require_residue(problem: ResidueProblem):
@@ -392,17 +383,19 @@ class ResidueReport:
 
 def residue_report(problem: ResidueProblem, H: MultiPoly) -> ResidueReport:
     """Res(H) with the objects it is read from.  The report holds Delta_sigma
-    and c_sigma, so even H = 0 must pass the checks that define them."""
-    c_h = _checked_coefficient(problem, H)
-    _require_residue(problem)
+    and c_sigma, so even H = 0 must pass the checks that define them; c(H)
+    is the residue times the nonzero c_sigma."""
+    residue = toric_residue(problem, H)
+    if H.is_zero():
+        _require_residue(problem)
     return ResidueReport(
         critical=problem.critical,
         monomials=tuple(problem.monomials),
         pivot=problem.pivot,
         delta=problem.delta,
         c_sigma=problem.c_sigma,
-        c_h=c_h,
-        residue=c_h / problem.c_sigma if c_h else Fraction(0),
+        c_h=residue * problem.c_sigma,
+        residue=residue,
         codim_ok=problem.codim.ok,
     )
 

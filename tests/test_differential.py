@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 import toricres.divisors as divisors_mod
 import toricres.groebner as groebner_mod
 import toricres.localres as localres_mod
+import toricres.polytopes as polytopes_mod
 import toricres.residues as residues_mod
 from toricres import (
     AllReduceToZero,
@@ -32,6 +33,7 @@ from toricres import (
     ResidueProblem,
     buchberger,
     dehomogenize,
+    divisor_polytope,
     grevlex,
     is_ample,
     is_complete,
@@ -514,18 +516,21 @@ def test_residues_never_reduce_h_and_build_ell_once(monkeypatch, name):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("test", [is_ample, is_q_ample])
+@pytest.mark.parametrize("test", [is_ample, is_q_ample, divisor_polytope])
 def test_positivity_solves_cone_functionals_once(monkeypatch, pentagon, test):
+    """One ``support_table`` per positivity test or divisor polytope on a
+    complete fan, for ample, nef-only and non-nef divisors alike."""
     calls = []
-    real = divisors_mod.cone_functionals
+    real = divisors_mod.support_table
 
     def counted(fan, coeffs):
-        calls.append(coeffs)
+        calls.append(tuple(coeffs))
         return real(fan, coeffs)
 
-    monkeypatch.setattr(divisors_mod, "cone_functionals", counted)
+    monkeypatch.setattr(divisors_mod, "support_table", counted)
+    monkeypatch.setattr(polytopes_mod, "support_table", counted)
     fan, _ = pentagon
-    for coeffs in ((0, 0, 1, 1, 1), (0, 0, 2, 3, 1), (0, 0, -1, -1, -1)):
+    for coeffs in ((1, 1, 1, 1, 1), (0, 0, 1, 1, 1), (0, 0, 2, 3, 1), (0, 0, -1, -1, -1)):
         calls.clear()
         test(fan, coeffs)
         assert calls == [coeffs]
