@@ -23,6 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from toricres import (  # noqa: E402
+    CodimNotOne,
     HypothesesFailed,
     InfiniteIntersection,
     NonSimpleZero,
@@ -133,12 +134,16 @@ def run_numeric():
 
 def run_refusals():
     banner("refused inputs: the engine names what broke")
-    lp = show_problem("pentagon_outside.json")
-    try:
-        toric_residue(lp.problem, lp.inputs[0])
-    except HypothesesFailed as exc:
-        print(f"  HypothesesFailed: {exc}")
-    print()
+    # p1p1_not_codim1 also has a two-dimensional critical quotient, but
+    # membership is checked first; pentagon_not_codim1 passes membership
+    # and the zero locus and is refused at the codimension
+    for name in ("pentagon_outside.json", "p1p1_not_codim1.json", "pentagon_not_codim1.json"):
+        lp = show_problem(name)
+        try:
+            residue_report(lp.problem, lp.inputs[0])
+        except (HypothesesFailed, CodimNotOne) as exc:
+            print(f"  {type(exc).__name__}: {exc}")
+        print()
     lp = show_problem("p1p1_infinite.json")
     try:
         sum_local_residues(lp.problem, lp.inputs[0], 0)

@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 a check reported failure, 2 parse problems
 basis (also a problem on a fan that is not complete and simplicial, or an
 unbounded polytope), 4 violated hypotheses (wrong degree, a zero or
 non-homogeneous input, membership, a refused local residue sum) and
-any other package error, 5 critical-degree quotient not of dimension one.
+any other package error, 5 a problem that passes membership and the zero
+locus but whose critical-degree quotient is not one-dimensional or has no
+monomial.
 Each code and its stderr prefix are attributes of the error class.
 """
 
@@ -27,7 +29,6 @@ from .cayley import (
 )
 from .divisors import is_ample, is_cartier, is_q_ample
 from .errors import (
-    CodimNotOne,
     HypothesesFailed,
     InfiniteIntersection,
     NonSimpleZero,
@@ -179,12 +180,6 @@ def cmd_residue(args) -> int:
         H = loaded.inputs[0]
     else:
         raise ParseError("no input polynomial: pass --H or list H in the file")
-    codim = problem.codim
-    if not codim.ok:
-        raise CodimNotOne(
-            f"critical-degree quotient has dimension {codim.quotient_dim}; "
-            f"witness monomials {codim.witness}")
-    zl = problem.zero_locus()
     rep = residue_report(problem, H)
     report = {
         "critical_degree": _deg_dict(rep.critical),
@@ -196,7 +191,7 @@ def cmd_residue(args) -> int:
         "residue": _rat(rep.residue),
         "codim_one": rep.codim_ok,
         "membership_ok": not problem.membership_failures,
-        "no_common_zeros": zl.ok,
+        "no_common_zeros": problem.zero_locus().ok,
         "ample_advisory": [
             is_q_ample(problem.fan,
                        representative_divisor(problem.grading, d)).ok

@@ -67,9 +67,6 @@ class MonomialOrder:
             return tuple([-e[i] for i in self.precedence])
         return (-sum(e), *[e[i] for i in reversed(self.precedence)])
 
-    def greater(self, a: Exponent, b: Exponent) -> bool:
-        return self.key(a) > self.key(b)
-
 
 def grevlex(nvars: int) -> MonomialOrder:
     return MonomialOrder("grevlex", tuple(range(nvars)))

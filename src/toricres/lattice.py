@@ -53,13 +53,6 @@ def mat_identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    if not A:
-        return []
-    cols = list(zip(*B)) if B else []
-    return [[dot(row, col) for col in cols] for row in A] if cols else [[] for _ in A]
-
-
 def mat_vec(A, v):
     return tuple(dot(row, v) for row in A)
 
@@ -159,24 +152,6 @@ class SmithDecomposition:
         m = len(self.S)
         n = len(self.S[0]) if m else 0
         return tuple(self.S[i][i] for i in range(min(m, n)))
-
-    def verify(self, A) -> bool:
-        prod = mat_mul(mat_mul([list(r) for r in self.U], [list(r) for r in A]),
-                       [list(r) for r in self.V])
-        if freeze(prod) != self.S:
-            return False
-        d = self.diagonal
-        for i in range(len(d) - 1):
-            if d[i] == 0 and d[i + 1] != 0:
-                return False
-            if d[i] and d[i + 1] % d[i] != 0:
-                return False
-        if any(x < 0 for x in d):
-            return False
-        m = len(self.S)
-        n = len(self.S[0]) if m else 0
-        off = all(self.S[i][j] == 0 for i in range(m) for j in range(n) if i != j)
-        return off and abs(mat_det(self.U)) == 1 and abs(mat_det(self.V)) == 1
 
     def solve(self, b):
         """One integer solution of A x = b, or None."""

@@ -83,9 +83,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other):
@@ -167,20 +164,6 @@ class MultiPoly:
 
     # -- queries -------------------------------------------------------------
 
-    def coefficient(self, exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
-
-    def evaluate(self, point):
-        """Exact evaluation at a tuple of Fractions (or floats/complex)."""
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = v * x ** k
-            total = total + v
-        return total
-
     def partial(self, i: int) -> "MultiPoly":
         out = {}
         for e, c in self.terms.items():
@@ -189,24 +172,6 @@ class MultiPoly:
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
         return MultiPoly(self.nvars, out)
-
-    def substitute(self, values: dict[int, "MultiPoly | int | Fraction"]):
-        """Replace selected variables by polynomials in the same ring."""
-        out = MultiPoly.zero(self.nvars)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(self.nvars, c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                if i in values:
-                    v = values[i]
-                    if not isinstance(v, MultiPoly):
-                        v = MultiPoly.constant(self.nvars, v)
-                    term = term * v ** k
-                else:
-                    term = term * MultiPoly.variable(self.nvars, i, k)
-            out = out + term
-        return out
 
 
 # ---------------------------------------------------------------------------

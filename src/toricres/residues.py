@@ -26,7 +26,7 @@ from .errors import (
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
 from .groebner import GroebnerBasis, MonomialOrder, _divides, buchberger, first_divisor, grevlex
-from .lattice import FanData, cone_det, cone_group_order
+from .lattice import FanData, cone_det, cone_group_order, is_complete
 from .poly import Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
 
@@ -85,8 +85,9 @@ def no_common_zeros_on_x(fan: FanData, polys) -> ZeroLocusReport:
     (the inputs with the off-cone variables set to 1) is the unit ideal;
     else the report names the first cone that fails.  A basis over Q is
     built only for charts that are not the unit ideal mod P, which is
-    enough.  Proof: with P-integral coefficients the inputs cut out Z in X
-    over Z_(P), proper as the fan is complete (Cox-Little-Schenck 3.4).
+    enough on a complete fan.  Proof: with P-integral coefficients the
+    inputs cut out Z in X over Z_(P), proper as the fan is complete
+    (Cox-Little-Schenck 3.4).
     Each chart A^n -> U_sigma is a finite quotient (Cox, JAG 1995), so it
     is surjective on points over Q-bar and over F_P-bar.  A point z of Z
     over Q-bar specializes to one over F_P-bar, which lies in some open
@@ -95,11 +96,13 @@ def no_common_zeros_on_x(fan: FanData, polys) -> ZeroLocusReport:
     empty over Q-bar and every chart ideal is unit over Q.  Alone, unit mod
     P proves nothing (P*x - 1: its zero leaves the chart mod P), nor does
     non-unit mod P (an input that is 0 mod P, or a zero only mod P).  With
-    a denominator divisible by P there is no model over Z_(P), and every
-    chart is decided over Q.
+    a denominator divisible by P there is no model over Z_(P), and on a fan
+    that is not complete Z need not be proper (a point over Q-bar may
+    reduce mod P to one off X); in both cases every chart is decided over Q.
     """
     order = grevlex(fan.dim)
-    integral = all(c.denominator % P for F in polys for c in F.terms.values())
+    integral = is_complete(fan).ok and all(
+        c.denominator % P for F in polys for c in F.terms.values())
     over_q = {}
 
     def unit(k, modulus):
@@ -383,19 +386,18 @@ class ResidueReport:
 
 def residue_report(problem: ResidueProblem, H: MultiPoly) -> ResidueReport:
     """Res(H) with the objects it is read from.  The report holds Delta_sigma
-    and c_sigma, so even H = 0 must pass the checks that define them; c(H)
-    is the residue times the nonzero c_sigma."""
-    residue = toric_residue(problem, H)
-    if H.is_zero():
-        _require_residue(problem)
+    and c_sigma, so even H = 0 must pass the checks that define them."""
+    require_critical_degree(problem, H)
+    _require_residue(problem)
+    c_h = problem.normal_coefficient(H)
     return ResidueReport(
         critical=problem.critical,
         monomials=tuple(problem.monomials),
         pivot=problem.pivot,
         delta=problem.delta,
         c_sigma=problem.c_sigma,
-        c_h=residue * problem.c_sigma,
-        residue=residue,
+        c_h=c_h,
+        residue=c_h / problem.c_sigma,
         codim_ok=problem.codim.ok,
     )
 

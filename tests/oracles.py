@@ -30,7 +30,10 @@ of M, and the floating-point local sum (an eigen-solve on the chart
 quotient, Newton polishing and tolerances).  The exact sum of local
 residues as a trace over the quotient ring, by linear-scan normal forms
 and Fraction elimination, is a reference value for both the exact residue
-and the package's trace.  Tests compare engine output against them.
+and the package's trace.  Tests compare engine output against them.  The
+queries only tests call (evaluation, substitution and coefficients of a
+polynomial, the order comparison, the Smith-form check with its matrix
+product) live here too.
 """
 
 from __future__ import annotations
@@ -56,13 +59,86 @@ from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical
 from toricres.grading import critical_degree, degree_system, representative_divisor
 from toricres.groebner import (_lcm, _sub_exp, grevlex, leading_term, lex, quotient_is_finite,
                                standard_monomials)
-from toricres.lattice import (FanData, dot, hnf_rows, mat_det, mat_vec, reduce_mod_lattice,
-                              smith_normal_form, vec_content)
+from toricres.lattice import (FanData, SmithDecomposition, dot, freeze, hnf_rows, mat_det,
+                              mat_vec, reduce_mod_lattice, smith_normal_form, vec_content)
 from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, chart_variables, degree_of
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
                                 lattice_points)
 from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
+
+
+# ---------------------------------------------------------------------------
+# queries the package once had as methods, which only tests call
+
+def is_constant(p: MultiPoly) -> bool:
+    return all(not any(e) for e in p.terms)
+
+
+def coefficient(p: MultiPoly, exponent) -> Fraction:
+    return p.terms.get(tuple(exponent), Fraction(0))
+
+
+def evaluate(p: MultiPoly, point):
+    """Exact evaluation at a tuple of Fractions (or floats/complex)."""
+    total = 0
+    for e, c in p.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            if k:
+                v = v * x ** k
+        total = total + v
+    return total
+
+
+def substitute(p: MultiPoly, values: dict[int, "MultiPoly | int | Fraction"]):
+    """Replace selected variables by polynomials in the same ring."""
+    out = MultiPoly.zero(p.nvars)
+    for e, c in p.terms.items():
+        term = MultiPoly.constant(p.nvars, c)
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            if i in values:
+                v = values[i]
+                if not isinstance(v, MultiPoly):
+                    v = MultiPoly.constant(p.nvars, v)
+                term = term * v ** k
+            else:
+                term = term * MultiPoly.variable(p.nvars, i, k)
+        out = out + term
+    return out
+
+
+def greater(order: MonomialOrder, a: Exponent, b: Exponent) -> bool:
+    return order.key(a) > order.key(b)
+
+
+def mat_mul(A, B):
+    if not A:
+        return []
+    cols = list(zip(*B)) if B else []
+    return [[dot(row, col) for col in cols] for row in A] if cols else [[] for _ in A]
+
+
+def smith_verify(dec: SmithDecomposition, A) -> bool:
+    """U A V = S with U, V unimodular and S diagonal with a divisibility chain."""
+    uav = mat_mul(mat_mul([list(r) for r in dec.U], [list(r) for r in A]),
+                  [list(r) for r in dec.V])
+    if freeze(uav) != dec.S:
+        return False
+    d = dec.diagonal
+    for i in range(len(d) - 1):
+        if d[i] == 0 and d[i + 1] != 0:
+            return False
+        if d[i] and d[i + 1] % d[i] != 0:
+            return False
+    if any(x < 0 for x in d):
+        return False
+    m = len(dec.S)
+    n = len(dec.S[0]) if m else 0
+    off = all(dec.S[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    return off and abs(mat_det(dec.U)) == 1 and abs(mat_det(dec.V)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +674,7 @@ def parallel_list_buchberger(gens, order, modulus=0):
         r = divide(q, table, order, modulus)
         if r.is_zero():
             continue
-        if r.is_constant():
+        if is_constant(r):
             return [MultiPoly.constant(nv, 1)]
         e = leading_term(r, order)[0]
         r = monic(r)
@@ -1267,7 +1343,7 @@ def shape_position_solve(polys, seed=0):
             subs = {i: sum((C[i][j] * MultiPoly.variable(nv, j) for j in range(nv) if C[i][j]),
                            MultiPoly.zero(nv)) for i in range(nv)}
             change = C
-            gb = GroebnerBasis.of([p.substitute(subs) for p in polys], lex(nv))
+            gb = GroebnerBasis.of([substitute(p, subs) for p in polys], lex(nv))
         parts = _shape_parts(gb, nv)
         if parts is None:
             continue
@@ -1278,7 +1354,7 @@ def shape_position_solve(polys, seed=0):
             coords = [0j] * nv
             coords[nv - 1] = r
             for i in range(nv - 1):
-                coords[i] = -complex(tails[i].evaluate(coords))
+                coords[i] = -complex(evaluate(tails[i], coords))
             if change is not None:
                 coords = [sum(change[i][j] * coords[j] for j in range(nv)) for i in range(nv)]
             pts.append(tuple(coords))

@@ -54,8 +54,9 @@ from toricres.residues import P, _mod_p, residue_functional
 
 from conftest import FIXTURES, load
 from oracles import (NotShapePosition, all_monomial_codim_check, grevlex_chart_dimension,
-                     linear_scan_normal_form, multipoly_s_polynomial, pairwise_is_complete,
-                     parallel_list_buchberger, primitive, reducer_table, solve_chart_system)
+                     is_constant, linear_scan_normal_form, multipoly_s_polynomial,
+                     pairwise_is_complete, parallel_list_buchberger, primitive, reducer_table,
+                     solve_chart_system)
 from oracles import _monic
 from oracles import divide as fraction_divide
 from oracles import s_polynomial as fraction_s_polynomial
@@ -191,7 +192,7 @@ def ideal_cases(draw):
     order = MonomialOrder(kind, tuple(draw(st.permutations(range(nvars)))))
     # at most nvars nonconstant generators, so that most ideals are proper
     gens = draw(st.lists(polys_st(nvars, max_deg=2, max_terms=4).filter(
-        lambda p: not p.is_constant()), min_size=nvars - 1, max_size=nvars))
+        lambda p: not is_constant(p)), min_size=nvars - 1, max_size=nvars))
     if draw(st.booleans()):
         gens.append(draw(st.sampled_from(gens)))
     for extra, odds in ((MultiPoly.zero(nvars), 3), (MultiPoly.constant(nvars, 3), 6)):
@@ -436,7 +437,7 @@ def square_systems(draw):
         lambda p: not p.is_zero()), min_size=nvars, max_size=nvars))
     if nvars == 2 and draw(st.booleans()):
         common = draw(polys_st(nvars, max_deg=1, max_terms=2).filter(
-            lambda p: not p.is_constant()))
+            lambda p: not is_constant(p)))
         system = [common * p for p in system]
     return system
 

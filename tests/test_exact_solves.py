@@ -38,12 +38,11 @@ from toricres import (
 )
 from toricres import polytopes
 from toricres.cli import main
-from toricres.lattice import (adjugate, cramer, mat_det, mat_mul, mat_vec, smith_normal_form,
-                              trace_of_solve)
+from toricres.lattice import adjugate, cramer, mat_det, mat_vec, smith_normal_form, trace_of_solve
 
 from conftest import FIXTURES, load
 from oracles import (fraction_cone_functionals, fraction_jacobian_ideal_degree_check,
-                     fraction_vertices, mat_rank, solve_rational, weight_system)
+                     fraction_vertices, mat_mul, mat_rank, solve_rational, weight_system)
 from test_differential import stellar_fans_3d
 from test_polytope_layer import cut_boxes
 from test_volume import complete_polygon_fans

@@ -16,6 +16,7 @@ import toricres
 from toricres import InvalidFan, ParseError, cli, errors
 from toricres.cli import main
 from toricres.files import load_fan, load_problem
+from toricres.residues import residue_report
 
 from conftest import FIXTURES
 
@@ -190,8 +191,31 @@ def test_exit_sigma_out_of_range(capsys):
 
 
 def test_exit_codim(capsys):
-    assert main(["residue", fx("p1p1_not_codim1.json")]) == 5
+    assert main(["residue", fx("pentagon_not_codim1.json")]) == 5
     assert "codimension failure" in capsys.readouterr().err
+    # a problem outside the irrelevant ideal is refused at membership first
+    assert main(["residue", fx("p1p1_not_codim1.json")]) == 4
+    assert "hypotheses violated" in capsys.readouterr().err
+
+
+PROBLEM_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json")
+                          if not p.name.endswith(".fan.json"))
+
+
+@pytest.mark.parametrize("name", PROBLEM_FIXTURES)
+def test_residue_command_refuses_as_residue_report_does(capsys, name):
+    """The CLI adds no check of its own: its exit code and stderr line, or
+    its residue, are those of ``residue_report`` on the file's first H."""
+    lp = load_problem(fx(name))
+    code = main(["residue", fx(name), "--json"])
+    out, err = capsys.readouterr()
+    try:
+        rep = residue_report(lp.problem, lp.inputs[0])
+    except errors.ToricError as exc:
+        assert (code, err) == (exc.exit_code, f"{exc.prefix}: {exc}\n")
+    else:
+        assert code == 0
+        assert json.loads(out)["residue"] == str(rep.residue)
 
 
 @pytest.mark.parametrize("F", [["x0^2 + x1", "x1^2", "x2^2"], ["0", "x1^2", "x2^2"]])
@@ -412,9 +436,13 @@ def _check_command(command):
     data = json.loads(proc.stdout)
     assert data["residue"] == "-1"
 
-    proc = _run(command + ["residue", fx("p1p1_not_codim1.json")])
+    proc = _run(command + ["residue", fx("pentagon_not_codim1.json")])
     assert proc.returncode == 5, proc.stderr
     assert "codimension failure" in proc.stderr
+
+    proc = _run(command + ["residue", fx("p1p1_not_codim1.json")])
+    assert proc.returncode == 4, proc.stderr
+    assert "hypotheses violated" in proc.stderr
 
 
 def test_console_script_subprocess():
@@ -431,8 +459,12 @@ def test_installed_console_script():
 
 def test_module_invocation_subprocess():
     proc = _run([sys.executable, "-m", "toricres.cli", "residue",
-                 fx("p1p1_not_codim1.json")])
+                 fx("pentagon_not_codim1.json")])
     assert proc.returncode == 5
+    proc = _run([sys.executable, "-m", "toricres.cli", "residue",
+                 fx("p1p1_not_codim1.json")])
+    assert proc.returncode == 4
+    assert "hypotheses violated" in proc.stderr
 
 
 def test_run_examples_script():

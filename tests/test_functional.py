@@ -8,8 +8,8 @@ torsion fan, the pentagon with its user grading and P(1,1,2).  The degree
 check of H is skipped when every term of H lies in S_rho, so S_rho must be
 complete and the errors must keep their type, message and precedence.  The
 floating-point local sum of ``oracles.py`` evaluates polynomials from
-precomputed complex term lists, which must give the values
-``MultiPoly.evaluate`` gives.
+precomputed complex term lists, which must give the values the plain
+evaluation ``oracles.evaluate`` gives.
 """
 
 import itertools
@@ -331,6 +331,7 @@ def off_degree_inputs(pb):
 # the report of H = 0 holds Delta_sigma and c_sigma, so it fails where they do
 REPORT_OF_ZERO = {"p1p1_infinite.json": "HypothesesFailed",
                   "p1p1_not_codim1.json": "HypothesesFailed",
+                  "pentagon_not_codim1.json": "CodimNotOne",
                   "pentagon_outside.json": "HypothesesFailed"}
 
 
@@ -353,7 +354,7 @@ def test_degree_errors_and_their_precedence_match_degree_of(name):
 def test_degree_cases_include_torsion_and_every_failure():
     kinds = set()
     for name in ["torsion_fermat.json", "pentagon_outside.json",
-                 "p1p1_infinite.json", "p1p1_not_codim1.json"]:
+                 "p1p1_infinite.json", "p1p1_not_codim1.json", "pentagon_not_codim1.json"]:
         lp = load(name)
         pb = lp.problem
         for H in off_degree_inputs(pb) + list(lp.inputs):
@@ -361,6 +362,7 @@ def test_degree_cases_include_torsion_and_every_failure():
     assert ("WrongDegree", "NotHomogeneous") in kinds
     assert ("WrongDegree", "NoneType") in kinds
     assert ("HypothesesFailed", "NoneType") in kinds
+    assert ("CodimNotOne", "NoneType") in kinds
     torsion = load("torsion_fermat.json").problem
     assert len(off_degree_inputs(torsion)) == 5
 
@@ -385,15 +387,15 @@ def test_complex_evaluation_matches_multipoly_evaluate(case):
     p = MultiPoly(nv, terms)
     x = tuple(np.array(pt, dtype=complex)) if as_numpy else tuple(pt)
     fast = oracles._evaluate(oracles._complex_terms(p), x)
-    slow = p.evaluate(x)
+    slow = oracles.evaluate(p, x)
     assert fast == slow
     assert complex(fast) == complex(slow)
 
 
 def evaluate_by_multipoly(monkeypatch):
-    """Route the floating-point sum's evaluation through MultiPoly.evaluate."""
+    """Route the floating-point sum's evaluation through oracles.evaluate."""
     monkeypatch.setattr(oracles, "_complex_terms", lambda p: p)
-    monkeypatch.setattr(oracles, "_evaluate", lambda p, pt: p.evaluate(pt))
+    monkeypatch.setattr(oracles, "_evaluate", oracles.evaluate)
 
 
 def numeric_outcomes():

@@ -38,10 +38,10 @@ from toricres import localres
 from toricres.localres import COMPARE_TOL
 
 from conftest import FIXTURES, load
-from oracles import (SEPARATION_TOL, NotShapePosition, chart_system, chart_zero_set,
+from oracles import (SEPARATION_TOL, NotShapePosition, chart_system, chart_zero_set, coefficient,
                      nullstellensatz_refusal, numeric_residue_sum, shape_position_chart_zeros,
                      shape_position_solve, shape_position_sum, solve_chart_system,
-                     solver_refusal, trace_residue_sum)
+                     solver_refusal, substitute, trace_residue_sum)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -352,8 +352,8 @@ def test_large_zeros_are_kept_by_the_relative_residual():
     # rounding alone leaves residuals above RESIDUAL_TOL in absolute terms
     f = up("3*x^3 - 5*x^2*y + 7*y^3 - 2*x*y - 9000000")
     zeros, qdim = solve_chart_system([f, up("y - 2*x + 1")])
-    line = f.substitute({1: up("2*x - 1")})
-    roots = np.roots([float(line.coefficient((d, 0))) for d in range(3, -1, -1)])
+    line = substitute(f, {1: up("2*x - 1")})
+    roots = np.roots([float(coefficient(line, (d, 0))) for d in range(3, -1, -1)])
     assert qdim == 3
     assert same_zeros([(z[0],) for z in zeros], [(r,) for r in roots])
     assert all(abs(z[1] - (2 * z[0] - 1)) < SEPARATION_TOL for z in zeros)

@@ -18,7 +18,7 @@ from toricres import (MultiPoly, buchberger, compute_grading, dehomogenize, grev
 from toricres.residues import P, _mod_p, irrelevant_ideal
 
 from conftest import FIXTURES, load
-from oracles import q_chart_zero_locus
+from oracles import evaluate, q_chart_zero_locus
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -136,7 +136,7 @@ def vanish_at(polys, point):
     out = []
     for F in polys:
         m = min(F.terms)
-        value = F.evaluate(point) / MultiPoly.monomial(m).evaluate(point)
+        value = evaluate(F, point) / evaluate(MultiPoly.monomial(m), point)
         out.append(F - MultiPoly.monomial(m, value))
     return out
 
@@ -179,6 +179,21 @@ def test_a_zero_that_leaves_its_chart_mod_p():
     assert chart_is_unit(fan, [F, F], 0, P) and not chart_is_unit(fan, [F, F], 0, 0)
     report = both(fan, [F, F])
     assert not report.ok and report.witness_cone == 0 and report.q_charts == (0, 1)
+
+
+@pytest.mark.parametrize("q", [P, 3], ids=["P", "3"])
+def test_a_fan_that_is_not_complete_decides_every_chart_over_q(q):
+    """On the fan of P^2 without cone (x, z), x - q*y, z - q*y and x - z
+    vanish at [q : 1 : q].  For q = P that zero is [0 : 1 : 0] mod P, on
+    neither chart, and both chart ideals are the unit ideal mod P; with no
+    proper model the mod-P shortcut proves nothing, and cone 0 must fail
+    over Q for either q."""
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)], variables=("x", "y", "z"))
+    x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+    polys = [x - y * q, z - y * q, x - z]
+    assert (q == P) == all(chart_is_unit(fan, polys, k, P) for k in (0, 1))
+    report = both(fan, polys)
+    assert not report.ok and report.witness_cone == 0
 
 
 @SETTINGS
