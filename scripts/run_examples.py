@@ -31,7 +31,6 @@ from toricres import (  # noqa: E402
     build_cayley,
     bundle_class,
     cayley_polytope_check,
-    cone_determinant,
     degree_of,
     equal_degree_check,
     intersection_number,

@@ -13,6 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import (
     AllReduceToZero,
@@ -25,7 +26,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
-from .groebner import GroebnerBasis, MonomialOrder, _divides, buchberger, first_divisor, grevlex
+from .groebner import (GroebnerBasis, MonomialOrder, _divides, buchberger, divide, first_divisor,
+                       grevlex)
 from .lattice import FanData, cone_det, cone_group_order, is_complete
 from .poly import Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
@@ -58,7 +60,8 @@ def in_irrelevant_ideal(p: MultiPoly, fan: FanData) -> bool:
 @dataclass(frozen=True)
 class ZeroLocusReport:
     """``q_charts`` lists, ascending, the cones whose chart ideal needed a
-    basis over Q; it is empty when every chart is the unit ideal mod P."""
+    basis over Q; it is empty when every chart is certified from the given
+    basis or is the unit ideal mod P."""
 
     ok: bool
     witness_cone: int | None = None
@@ -70,6 +73,11 @@ class ZeroLocusReport:
 
 
 P = 2**61 - 1  # the prime of the modular zero-locus test
+# cost guards of the zhat^N certificate, never of its answer: the largest N
+# tried and the most terms a remainder may keep (they grow with N on a
+# common zero of positive dimension)
+CERTIFICATE_STEPS = 64
+CERTIFICATE_TERMS = 64
 
 
 def _mod_p(q: MultiPoly) -> MultiPoly:
@@ -78,27 +86,58 @@ def _mod_p(q: MultiPoly) -> MultiPoly:
     return MultiPoly.from_terms(q.nvars, {e: r for e, r in terms.items() if r})
 
 
-def no_common_zeros_on_x(fan: FanData, polys) -> ZeroLocusReport:
+def _certified(groebner: GroebnerBasis, zhat: Exponent) -> bool:
+    """Whether zhat^N reduces to zero modulo ``groebner`` for some
+    N <= CERTIFICATE_STEPS: r runs through the normal forms of zhat,
+    zhat*r, ..., in integer terms with their content removed, and gives up
+    once it has more than CERTIFICATE_TERMS terms."""
+    add = operator.add
+    r = {zhat: 1}
+    for _ in range(CERTIFICATE_STEPS):
+        r = divide(r, groebner.reducers, groebner.order)[1]
+        if not r:
+            return True
+        if len(r) > CERTIFICATE_TERMS:
+            break
+        g = gcd(*r.values())
+        r = {tuple(map(add, e, zhat)): c // g for e, c in r.items()}
+    return False
+
+
+def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = None
+                         ) -> ZeroLocusReport:
     """Whether the polynomials have no common zero away from the excluded locus.
 
     The answer is the chart test's over Q: each maximal cone's chart ideal
     (the inputs with the off-cone variables set to 1) is the unit ideal;
-    else the report names the first cone that fails.  A basis over Q is
-    built only for charts that are not the unit ideal mod P, which is
-    enough on a complete fan.  Proof: with P-integral coefficients the
-    inputs cut out Z in X over Z_(P), proper as the fan is complete
-    (Cox-Little-Schenck 3.4).
+    else the report names the first cone that fails.
+
+    Given ``groebner``, a Groebner basis of the ideal I of the inputs, a
+    chart is first certified from it: if zhat^N lies in I, zhat the
+    product of the off-cone variables, then setting those variables to 1
+    in zhat^N = sum A_j F_j writes 1 in the chart ideal, so it is the unit
+    ideal over Q; by Cox's toric Nullstellensatz every chart that is the
+    unit ideal has such an N.  The caps on N and on the size of the
+    remainders bound the cost only: a chart that is not certified takes
+    the route below, which alone decides a failure.
+
+    A basis over Q is built only for uncertified charts that are not the
+    unit ideal mod P, which is enough on a complete fan.  Proof: with
+    P-integral coefficients the inputs cut out Z in X over Z_(P), proper
+    as the fan is complete (Cox-Little-Schenck 3.4).
     Each chart A^n -> U_sigma is a finite quotient (Cox, JAG 1995), so it
     is surjective on points over Q-bar and over F_P-bar.  A point z of Z
     over Q-bar specializes to one over F_P-bar, which lies in some open
     U_tau; so z does too, and tau's chart ideal is unit neither mod P nor
-    over Q.  So if every chart that is not unit mod P is unit over Q, Z is
-    empty over Q-bar and every chart ideal is unit over Q.  Alone, unit mod
-    P proves nothing (P*x - 1: its zero leaves the chart mod P), nor does
-    non-unit mod P (an input that is 0 mod P, or a zero only mod P).  With
+    over Q, so tau is not certified either.  So if every chart that is
+    neither certified nor unit mod P is unit over Q, Z is empty over Q-bar
+    and every chart ideal is unit over Q.  Alone, unit mod P proves
+    nothing (P*x - 1: its zero leaves the chart mod P), nor does non-unit
+    mod P (an input that is 0 mod P, or a zero only mod P).  With
     a denominator divisible by P there is no model over Z_(P), and on a fan
     that is not complete Z need not be proper (a point over Q-bar may
-    reduce mod P to one off X); in both cases every chart is decided over Q.
+    reduce mod P to one off X); in both cases every uncertified chart is
+    decided over Q.
     """
     order = grevlex(fan.dim)
     integral = is_complete(fan).ok and all(
@@ -116,7 +155,9 @@ def no_common_zeros_on_x(fan: FanData, polys) -> ZeroLocusReport:
             over_q[k] = unit(k, 0)
         return over_q[k]
 
-    cones = range(len(fan.max_cones))
+    # a certified chart is unit over Q, so neither loop below needs it
+    cones = [k for k in range(len(fan.max_cones))
+             if groebner is None or not _certified(groebner, off_cone_exponent(fan, k))]
     if all(unit_over_q(k) for k in cones if not (integral and unit(k, P))):
         return ZeroLocusReport(True, q_charts=tuple(over_q))
     # a common zero exists: the first chart that fails over Q may be one
@@ -216,7 +257,9 @@ class ResidueProblem:
     caches nothing and raises again on the next access.  The functional
     and the report come from one pass over the cached monomials against
     the cached basis; the residue of every H and the normalizing
-    coefficient are dot products with the functional.
+    coefficient are dot products with the functional.  The zero-locus
+    report reads the cached basis too: it certifies each chart by a power
+    of zhat reducing to zero, so building it builds the basis.
     Construction only validates shapes, homogeneity and the rays of sigma,
     so non-conforming inputs can still be probed.
     """
@@ -283,7 +326,7 @@ class ResidueProblem:
 
     @cached_property
     def _zero_locus(self) -> ZeroLocusReport:
-        return no_common_zeros_on_x(self.fan, self.polys)
+        return no_common_zeros_on_x(self.fan, self.polys, self.groebner)
 
     def zero_locus(self) -> ZeroLocusReport:
         return self._zero_locus

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from toricres import load_fan, load_problem, make_fan, parse_poly
+from toricres import load_fan, load_problem, parse_poly
 
 TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS.parent / "fixtures"

@@ -1,5 +1,3 @@
-import pytest
-
 from toricres import (
     MultiPoly,
     cone_functionals,

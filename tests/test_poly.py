@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from toricres import (
-    DegreeClass,
     MultiPoly,
     NoIntegralLift,
     NonSquare,

@@ -7,8 +7,9 @@ bounding box tested), and refuse alike; volumes must match the facet
 recursion.  Lattice polygons are also counted by Pick's theorem, ampleness
 witnesses are compared with ``oracles.fraction_strictness_failures``, and a
 guard pins that neither routine tests a point with ``HPolytope.contains``,
-that no ``toricres`` module binds a Fraction eliminator, and that none
-imports inside a function.
+that no ``toricres`` module binds a Fraction eliminator, that none
+imports inside a function, and that no module of the repository imports a
+name it never uses.
 """
 
 import ast
@@ -223,6 +224,39 @@ def test_no_module_imports_inside_a_function():
                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
         assert nested == [], (path.name, nested)
+
+
+def _top_level_imports(tree):
+    """(bound name, line) of each module-level import but ``__future__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """No linter is installed, so this is the check: every name a module
+    of the package, its tests, its scripts or its benchmark imports at
+    module level is read somewhere in it; the package's ``__init__``
+    re-exports the names in its ``__all__``."""
+    root = Path(toricres.__file__).parent.parent.parent
+    init = ast.parse((root / "src" / "toricres" / "__init__.py").read_text())
+    exported = next(ast.literal_eval(node.value) for node in init.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"])
+    paths = sorted(p for d in ("src", "tests", "scripts", "perfbench")
+                   for p in (root / d).rglob("*.py"))
+    assert len(paths) > 40
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(exported)
+        unused += [(str(path.relative_to(root)), name, line)
+                   for name, line in _top_level_imports(tree) if name not in read]
+    assert unused == []
 
 
 def _assert_strictness_as_oracle(fan, coeffs):

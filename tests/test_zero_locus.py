@@ -5,20 +5,31 @@ not the unit ideal mod P; ``oracles.q_chart_zero_locus`` builds one for
 every chart.  Their ``ok``, ``witness_cone`` and ``witness_monomial`` must
 agree on every input, including inputs that vanish mod P, inputs with a
 denominator P and common zeros that exist only over Q or only mod P.
+
+Given a basis of the inputs, ``no_common_zeros_on_x`` first certifies each
+chart by zhat^N reducing to zero; the report must then be the one without a
+basis apart from ``q_charts``, which may only shrink.  The caps are cost
+guards only: with the cap on N at 0 the report is the one without a basis,
+and with the cap on the size of a remainder at 0 only ``q_charts`` may
+change.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricres import (MultiPoly, buchberger, compute_grading, dehomogenize, grevlex,
-                      load_fan, make_fan, monomial_basis, no_common_zeros_on_x)
+from toricres import (GroebnerBasis, MultiPoly, ZeroLocusReport, buchberger, compute_grading,
+                      dehomogenize, grevlex, load_fan, make_fan, monomial_basis,
+                      no_common_zeros_on_x, residues)
+from toricres.groebner import divide
 from toricres.residues import P, _mod_p, irrelevant_ideal
 
 from conftest import FIXTURES, load
 from oracles import evaluate, q_chart_zero_locus
+from test_quotient import SYSTEM_FANS, square_systems
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -37,6 +48,24 @@ def both(fan, polys):
     return report
 
 
+def with_basis(fan, polys, groebner=None):
+    """The report with a basis of the inputs (by default a grevlex one),
+    checked against the report without one and against the Q oracle."""
+    plain = both(fan, polys)
+    groebner = groebner or GroebnerBasis.of(list(polys), grevlex(fan.nvars))
+    report = no_common_zeros_on_x(fan, polys, groebner)
+    assert replace(report, q_charts=()) == replace(plain, q_charts=())
+    assert set(report.q_charts) <= set(plain.q_charts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residues, "CERTIFICATE_STEPS", 0)
+        assert no_common_zeros_on_x(fan, polys, groebner) == plain
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residues, "CERTIFICATE_TERMS", 0)
+        capped = no_common_zeros_on_x(fan, polys, groebner)
+    assert replace(capped, q_charts=()) == replace(plain, q_charts=())
+    return report
+
+
 def chart_is_unit(fan, polys, k, modulus):
     charts = [dehomogenize(F, fan, k) for F in polys]
     if modulus:
@@ -51,7 +80,23 @@ def chart_is_unit(fan, polys, k, modulus):
 @pytest.mark.parametrize("name", RESIDUE_FIXTURES)
 def test_zero_locus_matches_q_oracle_on_fixtures(name):
     pb = load(name).problem
-    both(pb.fan, pb.polys)
+    with_basis(pb.fan, pb.polys, pb.groebner)
+
+
+def test_fixtures_are_certified_from_their_basis(monkeypatch):
+    """Every chart of every fixture is certified from the problem's own
+    basis, so its zero-locus report builds no chart basis at all."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(residues, "buchberger", counted)
+    for name in RESIDUE_FIXTURES:
+        pb = load(name).problem
+        assert pb.zero_locus() == ZeroLocusReport(True)
+        assert calls == [], name
 
 
 def test_fixtures_are_decided_mod_p_alone():
@@ -83,10 +128,10 @@ DENSE_FANS = {
 
 
 @st.composite
-def dense_systems(draw, coeffs=st.integers(-3, 3)):
+def dense_systems(draw, coeffs=st.integers(-3, 3), fans=tuple(sorted(DENSE_FANS))):
     """(fan, n+1 forms) with each form's degree drawn from the fan's list
     and its coefficients, zeros included, drawn from ``coeffs``."""
-    (fan, grading), degrees = DENSE_FANS[draw(st.sampled_from(sorted(DENSE_FANS)))]
+    (fan, grading), degrees = DENSE_FANS[draw(st.sampled_from(fans))]
     polys = []
     for _ in range(fan.dim + 1):
         mons = monomial_basis(fan, grading, grading.degree(draw(st.sampled_from(degrees))))
@@ -98,7 +143,14 @@ def dense_systems(draw, coeffs=st.integers(-3, 3)):
 @SETTINGS
 @given(dense_systems())
 def test_zero_locus_matches_q_oracle_on_dense_systems(system):
-    both(*system)
+    with_basis(*system)
+
+
+@SETTINGS
+@given(square_systems(sorted(SYSTEM_FANS)))
+def test_the_certificate_keeps_the_report_on_random_systems(case):
+    pb = case[0]
+    with_basis(pb.fan, pb.polys, pb.groebner)
 
 
 @SETTINGS
@@ -131,13 +183,15 @@ def test_unit_mod_p_implies_unit_over_q_on_chart_ideals(system, data):
 
 
 def vanish_at(polys, point):
-    """Each form minus a multiple of its first monomial, so it vanishes at
-    the point; all coordinates of the point are nonzero."""
+    """Each form minus a multiple of its first monomial that is nonzero at
+    the point, so it vanishes there."""
     out = []
     for F in polys:
-        m = min(F.terms)
-        value = evaluate(F, point) / evaluate(MultiPoly.monomial(m), point)
-        out.append(F - MultiPoly.monomial(m, value))
+        value = evaluate(F, point)
+        if value:
+            m = min(e for e in F.terms if evaluate(MultiPoly.monomial(e), point))
+            F = F - MultiPoly.monomial(m, value / evaluate(MultiPoly.monomial(m), point))
+        out.append(F)
     return out
 
 
@@ -151,6 +205,68 @@ def test_a_common_zero_on_the_torus_fails_at_the_first_cone(system, data):
     assume(all(not F.is_zero() for F in polys))
     report = both(fan, polys)
     assert not report.ok and report.witness_cone == 0 and report.q_charts == (0,)
+    with_basis(fan, polys)
+
+
+@pytest.mark.parametrize("point, witness", [((1, 1, 1), 0), ((0, 1, 1), 1)],
+                         ids=["torus", "off-torus"])
+@SETTINGS
+@given(dense_systems(st.integers(1, 9), fans=("p2",)))
+def test_a_common_zero_on_p2_fails_the_charts_that_hold_it(point, witness, system):
+    """[0 : 1 : 1] lies in the charts of cones 1 and 2 of P^2, not in that
+    of cone 0, which the basis certifies unless the forms have another
+    common zero there."""
+    fan, polys = system
+    polys = vanish_at(polys, tuple(map(Fraction, point)))
+    assume(all(not F.is_zero() for F in polys))
+    assume(all(chart_is_unit(fan, polys, k, 0) for k in range(witness)))
+    report = with_basis(fan, polys)
+    assert not report.ok and report.witness_cone == witness
+    assert report.q_charts == (witness,)
+
+
+@SETTINGS
+@given(st.lists(st.integers(-3, 3), min_size=32, max_size=32))
+def test_a_common_line_on_p3_fails_the_charts_that_meet_it(coeffs):
+    """Forms x3*A_j + x4*B_j vanish on the line x3 = x4 = 0, which meets
+    the charts of cones 2 and 3 only; cones 0 and 1 are certified unless
+    the forms have another common zero there."""
+    x = [MultiPoly.variable(4, i) for i in range(4)]
+    rows = [coeffs[i:i + 4] for i in range(0, 32, 4)]
+    linear = [sum((x[i] * c for i, c in enumerate(row)), MultiPoly.zero(4)) for row in rows]
+    polys = [x[2] * linear[2 * j] + x[3] * linear[2 * j + 1] for j in range(4)]
+    assume(all(not F.is_zero() for F in polys))
+    assume(chart_is_unit(P3, polys, 0, 0) and chart_is_unit(P3, polys, 1, 0))
+    report = with_basis(P3, polys)
+    assert not report.ok and report.witness_cone == 2 and report.q_charts == (2,)
+
+
+def test_a_common_plane_on_p3_ends_its_certificate_at_the_term_cap(monkeypatch):
+    """Forms L*Q_j share the plane L = 0, which meets every chart of P^3.
+    In the chart of the lead variable of L the remainders of zhat^N grow
+    like N^2; the term cap ends that certificate, and no remainder longer
+    than the cap is multiplied by zhat again."""
+    sizes = []
+
+    def counted(terms, *args):
+        scale, rem = divide(terms, *args)
+        sizes.append((len(terms), len(rem)))
+        return scale, rem
+
+    monkeypatch.setattr(residues, "divide", counted)
+    rng = random.Random(0)
+    (fan, grading), _ = DENSE_FANS["p3"]
+
+    def form(d):
+        mons = monomial_basis(fan, grading, grading.degree((d, 0, 0, 0)))
+        return MultiPoly(fan.nvars, {m: rng.randint(1, 9) for m in mons})
+
+    L = form(1)
+    polys = [L * form(2) for _ in range(4)]
+    report = with_basis(fan, polys)
+    assert not report.ok and report.witness_cone == 0
+    assert max(size for size, _ in sizes) <= residues.CERTIFICATE_TERMS
+    assert max(size for _, size in sizes) > residues.CERTIFICATE_TERMS
 
 
 @SETTINGS
@@ -167,6 +283,7 @@ def test_a_common_zero_at_a_torus_fixed_point_fails_over_q(system, data):
     report = both(fan, polys)
     assert not report.ok and report.witness_cone <= k
     assert report.witness_cone in report.q_charts
+    with_basis(fan, polys)
 
 
 def test_a_zero_that_leaves_its_chart_mod_p():
