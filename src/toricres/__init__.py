@@ -59,9 +59,7 @@ from .groebner import (
     MonomialOrder,
     buchberger,
     grevlex,
-    ideal_member,
     lex,
-    normal_form,
     parse_order,
     quotient_is_finite,
     standard_monomials,
@@ -136,8 +134,8 @@ __all__ = [
     "DegreeClass", "Grading", "anticanonical_class", "compute_grading",
     "critical_degree", "grading_from_rays", "representative_divisor",
     "validate_user_grading",
-    "GroebnerBasis", "MonomialOrder", "buchberger", "grevlex", "ideal_member", "lex",
-    "normal_form", "parse_order", "quotient_is_finite", "standard_monomials",
+    "GroebnerBasis", "MonomialOrder", "buchberger", "grevlex", "lex",
+    "parse_order", "quotient_is_finite", "standard_monomials",
     "CompletenessReport", "FanData", "SmithDecomposition", "cone_det", "cone_group_order",
     "is_complete", "is_simplicial", "make_fan", "smith_normal_form",
     "euler_jacobi_check", "sum_local_residues",

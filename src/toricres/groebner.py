@@ -1,16 +1,17 @@
 """Groebner bases over the rationals or over GF(p), in integer arithmetic.
 
-Over Q a reducer is primitive over Z with a positive lead coefficient, its
-content removed once, when it joins a table.  Over GF(p), chosen by passing
-p as ``modulus`` (0 means Q), reducers are monic with coefficients in
-[0, p).  One pseudo-division serves both: it cancels c*x^e against lead
-coefficient lc by scaling the pending terms by lc/gcd(c, lc), 1 over GF(p).
-A nonzero scale changes no term's vanishing, so each step picks the reducer
-that division with Fractions would, and only the reduced monic basis over Q
-has Fractions.
+A basis is its reducer table: over Q each reducer is primitive over Z with
+a positive lead coefficient, its content removed once, when it joins a
+table.  Over GF(p), chosen by passing p as ``modulus`` (0 means Q),
+reducers are monic with coefficients in [0, p).  One pseudo-division
+serves both: it cancels c*x^e against lead coefficient lc by scaling the
+pending terms by lc/gcd(c, lc), 1 over GF(p).  A nonzero scale changes no
+term's vanishing, so each step picks the reducer that division with
+Fractions would.  Fractions appear only where ``GroebnerBasis`` hands its
+basis or a remainder to a caller as polynomials.
 
 Buchberger with the Gebauer-Moeller pair update, normal selection strategy,
-and full inter-reduction to the unique reduced monic basis.  Orders are
+and full inter-reduction to the reduced basis.  Orders are
 graded reverse lexicographic and lexicographic with an explicit variable
 precedence, so bases are reproducible across runs.
 
@@ -89,13 +90,6 @@ def parse_order(text: str, names) -> MonomialOrder:
     if sorted(listed) != sorted(index):
         raise ParseError(f"precedence {chain!r} must list every variable once")
     return MonomialOrder(kind, tuple(index[nm] for nm in listed))
-
-
-def leading_term(p: MultiPoly, order: MonomialOrder):
-    if p.is_zero():
-        raise ValueError("leading term of zero")
-    e = max(p.terms, key=order.key)
-    return e, p.terms[e]
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -191,11 +185,6 @@ def divide(terms: dict, table, order: MonomialOrder, modulus: int = 0) -> tuple[
     return scale, {e: c * (scale // s) for e, c, s in rem}
 
 
-def normal_form(p: MultiPoly, basis, order: MonomialOrder) -> MultiPoly:
-    """Remainder of full division by the (ordered) list of basis elements."""
-    return GroebnerBasis(tuple(basis), order).reduce(p)
-
-
 def s_polynomial(f: Reducer, g: Reducer) -> dict:
     """Integer terms of (lc_g/h)*x^(L-lead_f)*f - (lc_f/h)*x^(L-lead_g)*g,
     L the lcm of the leads and h = gcd(lc_f, lc_g): the shifted tails, as
@@ -244,27 +233,26 @@ def _gm_update(table, pairs, new_lead, order: MonomialOrder):
     return kept_old + [(order.key(lcms[i]), lcms[i], i, t) for i in D if not coprime[i]]
 
 
-def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[MultiPoly]:
-    """Reduced monic Groebner basis of the ideal generated by gens, over Q
-    or, with a prime ``modulus``, over GF(modulus); there the coefficients
-    of gens must be ints, and those of the basis are ints in [0, modulus).
+def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
+    """Reduced Groebner basis of the ideal generated by ``gens``, integer
+    term dicts as ``divide`` reads them, over Q or, with a prime
+    ``modulus``, over GF(modulus): its reducer table, ascending by lead,
+    primitive with lc > 0 over Q and monic over GF(modulus).
 
     Each element is kept only as an integer reducer in one table: the table
     is the divisor list, the source of every S-polynomial and the list of
-    leads the pair update reads.  Only the reduced basis has Fractions.
-    Returns ``[1]`` as soon as a remainder is a nonzero constant: that is
-    the reduced basis of the unit ideal.
+    leads the pair update reads.  Returns ``[((0,)*n, 1, ())]`` as soon as
+    a remainder is a nonzero constant: that is the reduced basis of the
+    unit ideal.
     """
-    G = [g for g in gens if not g.is_zero()]
+    G = [g for g in gens if g]
     if not G:
         return []
-    nv = G[0].nvars
     table: list[Reducer] = []
     pairs: list[tuple] = []
 
     def candidates():
-        for q in sorted(G, key=lambda q: order.key(leading_term(q, order)[0])):
-            yield integer_terms(q)[1]
+        yield from sorted(G, key=lambda q: order.key(max(q, key=order.key)))
         while pairs:
             best = min(pairs, key=operator.itemgetter(0))
             pairs.remove(best)
@@ -275,7 +263,7 @@ def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[MultiPoly]:
         if not r:
             continue
         if not any(map(any, r)):
-            return [MultiPoly.constant(nv, 1)]
+            return [((0,) * order.nvars, 1, ())]
         g = integer_reducer(r, order, modulus)
         pairs = _gm_update(table, pairs, g[0], order)
         table.append(g)
@@ -284,32 +272,36 @@ def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[MultiPoly]:
                if not any(k != i and _divides(h[0], g[0]) and (h[0] != g[0] or k < i)
                           for k, h in enumerate(table))]
     minimal.sort(key=lambda g: order.key(g[0]))
-    # reduce tails; no other minimal lead divides a lead, which becomes 1
+    # reduce tails; no other minimal lead divides a lead, which keeps its
+    # coefficient times the scale of the division
     reduced = []
     for g in minimal:
         le, lc, tail = g
         scale, rem = divide(dict(tail), [h for h in minimal if h is not g], order, modulus)
-        terms = {le: 1, **rem} if modulus else \
-            {le: Fraction(1), **{e: Fraction(c, scale * lc) for e, c in rem.items()}}
-        reduced.append(MultiPoly.from_terms(nv, terms))
+        reduced.append(integer_reducer({le: scale * lc, **rem}, order, modulus))
     return reduced
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    generators: tuple[MultiPoly, ...]
+    """A reduced Groebner basis over Q as its reducer table: primitive
+    integer reducers, ascending by lead, as ``buchberger`` returns them."""
+
+    reducers: tuple[Reducer, ...]
     order: MonomialOrder
 
     @classmethod
     def of(cls, gens, order):
-        return cls(tuple(buchberger(gens, order)), order)
+        """The basis of the ideal of the MultiPolys ``gens``."""
+        return cls(tuple(buchberger([integer_terms(g)[1] for g in gens], order)), order)
 
     @cached_property
-    def reducers(self) -> tuple[Reducer, ...]:
-        """Primitive integer reducers of the nonzero generators, built on
-        first use."""
-        return tuple(integer_reducer(integer_terms(g)[1], self.order)
-                     for g in self.generators if not g.is_zero())
+    def generators(self) -> tuple[MultiPoly, ...]:
+        """The reduced monic basis as Fraction polynomials, built on first
+        use; the package itself reads only the reducers."""
+        return tuple(MultiPoly.from_terms(self.order.nvars, {
+            le: Fraction(1), **{e: Fraction(c, lc) for e, c in tail}})
+            for le, lc, tail in self.reducers)
 
     def reduce(self, p: MultiPoly) -> MultiPoly:
         """Remainder of p: its denominators cleared once, by d, the integer
@@ -318,20 +310,12 @@ class GroebnerBasis:
         scale, rem = divide(terms, self.reducers, self.order)
         return MultiPoly.from_terms(p.nvars, {e: Fraction(c, scale * d) for e, c in rem.items()})
 
-    def contains(self, p: MultiPoly) -> bool:
-        return self.reduce(p).is_zero()
-
     @property
     def leading_exponents(self) -> tuple[Exponent, ...]:
         return tuple(r[0] for r in self.reducers)
 
     def is_unit_ideal(self) -> bool:
         return any(not any(e) for e in self.leading_exponents)
-
-
-def ideal_member(p: MultiPoly, gens, order=None) -> bool:
-    order = order or grevlex(p.nvars)
-    return GroebnerBasis.of(gens, order).contains(p)
 
 
 def _pure_powers(gb: GroebnerBasis, i: int) -> list[int]:

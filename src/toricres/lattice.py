@@ -30,13 +30,6 @@ def dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_content(v) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
-
-
 def clear_denominators(values) -> tuple[int, list[int]]:
     """d, the lcm of the denominators of the rationals ``values``, and the
     integers d*v."""
@@ -326,7 +319,7 @@ class FanData:
                 raise InvalidFan(f"ray {k} has wrong length")
             if not any(ray):
                 raise InvalidFan(f"ray {k} is zero")
-            if vec_content(ray) != 1:
+            if gcd(*ray) != 1:
                 raise InvalidFan(f"ray {k} is not primitive")
             if ray in seen:
                 raise InvalidFan(f"ray {k} repeats an earlier ray")

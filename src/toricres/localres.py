@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     InfiniteIntersection,
@@ -29,8 +29,9 @@ from .errors import (
     NotZeroDimensional,
     ZeroOnPolarLocus,
 )
-from .groebner import GroebnerBasis, grevlex, quotient_is_finite, standard_monomials
-from .lattice import clear_denominators, mat_det, trace_of_solve
+from .groebner import (GroebnerBasis, divide, grevlex, integer_terms, quotient_is_finite,
+                       standard_monomials)
+from .lattice import mat_det, trace_of_solve
 from .poly import MultiPoly, dehomogenize, poly_det
 from .residues import no_common_zeros_on_x, require_critical_degree
 
@@ -55,6 +56,14 @@ class _Quotient:
             raise NotZeroDimensional("chart system has positive-dimensional zeros")
         self.basis = standard_monomials(self.gb)
 
+    def _normal_form(self, terms: dict, d: int):
+        """(d', r): the normal form of terms/d is r/d', with d' > 0 the least
+        common denominator of its coefficients.  ``divide`` returns s times
+        it over d, and one gcd with its content lowers s*d to d'."""
+        scale, rem = divide(terms, self.gb.reducers, self.gb.order)
+        g = gcd(scale * d, *rem.values())
+        return scale * d // g, {e: c // g for e, c in rem.items()}
+
     @cached_property
     def _times_variable(self):
         """For each variable x_j, (D_j, table): table[b] is the normal form of
@@ -62,12 +71,11 @@ class _Quotient:
         lcm of the denominators of those normal forms."""
         out = []
         for j in range(self.polys[0].nvars):
-            forms = {b: self.gb.reduce(MultiPoly.monomial(
-                        tuple(k + (i == j) for i, k in enumerate(b)))).terms
+            forms = {b: self._normal_form({tuple(k + (i == j) for i, k in enumerate(b)): 1}, 1)
                      for b in self.basis}
-            D = lcm(*(c.denominator for nf in forms.values() for c in nf.values()))
-            out.append((D, {b: {e: c.numerator * (D // c.denominator) for e, c in nf.items()}
-                            for b, nf in forms.items()}))
+            D = lcm(*(d for d, _ in forms.values()))
+            out.append((D, {b: {e: c * (D // d) for e, c in nf.items()}
+                            for b, (d, nf) in forms.items()}))
         return out
 
     @cached_property
@@ -82,9 +90,9 @@ class _Quotient:
         times the column of c, reduced term by term through
         ``_times_variable``.  The s_b depend on b alone, so they scale the G
         of every g by one similarity, and leave det G = 0 as it is."""
-        nf = self.gb.reduce(g).terms
-        d, nums = clear_denominators(nf.values())
-        cols = {b: dict(zip(nf, nums)) for b in self.basis[:1]}
+        d, terms = integer_terms(g)
+        d, nf = self._normal_form(terms, d)
+        cols = {b: nf for b in self.basis[:1]}
         for b in self.basis[1:]:
             j = next(i for i, k in enumerate(b) if k)
             table = self._times_variable[j][1]

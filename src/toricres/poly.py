@@ -1,9 +1,8 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms are stored as a dict from exponent tuples to nonzero coefficients:
-Fractions, or ints in [1, P) for a polynomial over GF(P) built through
-``from_terms``, as ``residues._mod_p`` and ``buchberger(..., modulus)`` do;
-the arithmetic here is that of Q either way.  The representation is
+Terms are stored as a dict from exponent tuples to nonzero Fractions.
+Integer work, over Z or GF(p), reads and writes plain term dicts instead
+(``groebner.integer_terms``, ``residues._mod_p``).  The representation is
 deliberately tiny; Groebner machinery and residue code only need
 arithmetic, substitution, and exact degree bookkeeping.
 """
@@ -52,8 +51,8 @@ class MultiPoly:
     @classmethod
     def from_terms(cls, nvars, terms):
         """Trusted constructor: terms must already map int exponent tuples
-        of length nvars to nonzero Fractions, or over GF(P) to ints in
-        [1, P).  The dict is kept, not copied or checked."""
+        of length nvars to nonzero Fractions.  The dict is kept, not copied
+        or checked."""
         p = cls.__new__(cls)
         p.nvars = nvars
         p.terms = terms

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
 from .groebner import (GroebnerBasis, MonomialOrder, _divides, buchberger, divide, first_divisor,
-                       grevlex)
+                       grevlex, integer_terms)
 from .lattice import FanData, cone_det, cone_group_order, is_complete
 from .poly import Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
@@ -80,10 +80,11 @@ CERTIFICATE_STEPS = 64
 CERTIFICATE_TERMS = 64
 
 
-def _mod_p(q: MultiPoly) -> MultiPoly:
-    """q with its P-integral coefficients reduced to ints in [1, P)."""
+def _mod_p(q: MultiPoly) -> dict[Exponent, int]:
+    """The integer terms of q mod P: its P-integral coefficients reduced to
+    ints in [1, P), the terms that vanish mod P dropped."""
     terms = {e: c.numerator * pow(c.denominator, -1, P) % P for e, c in q.terms.items()}
-    return MultiPoly.from_terms(q.nvars, {e: r for e, r in terms.items() if r})
+    return {e: r for e, r in terms.items() if r}
 
 
 def _certified(groebner: GroebnerBasis, zhat: Exponent) -> bool:
@@ -146,9 +147,8 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
 
     def unit(k, modulus):
         charts = [dehomogenize(F, fan, k) for F in polys]
-        if modulus:
-            charts = [_mod_p(q) for q in charts]
-        return buchberger(charts, order, modulus) == [1]
+        terms = [_mod_p(q) if modulus else integer_terms(q)[1] for q in charts]
+        return buchberger(terms, order, modulus) == [((0,) * fan.dim, 1, ())]
 
     def unit_over_q(k):
         if k not in over_q:
@@ -218,14 +218,18 @@ def residue_functional(grading: Grading, order: MonomialOrder,
     (le, lc, tail) the first of the basis's primitive integer reducers that
     divides m, normal forms being linear give l(m) = -sum c_t*l(t*m/le)/lc
     over the tail; each t*m/le is below m and, the basis being homogeneous
-    (checked with ``degree_of``), in the slice.  The check passes with one standard monomial, since every normal
-    form in the slice is then a multiple of the pivot; otherwise the report
-    names the pivot, the two least standard monomials and their count.
+    (checked on each reducer), in the slice.  The check passes with one
+    standard monomial, since every normal form in the slice is then a
+    multiple of the pivot; otherwise the report names the pivot, the two
+    least standard monomials and their count.
     """
     if not monomials:
         raise AllReduceToZero("no monomials exist in the critical degree")
-    for g in groebner.generators:
-        degree_of(g, grading)
+    for le, _, tail in groebner.reducers:
+        d = grading.degree(le)
+        for e, _ in tail:
+            if grading.degree(e) != d:
+                raise NotHomogeneous("terms of different degree", witness=(le, e))
     add, sub = operator.add, operator.sub
     ell = {}
     standard = []
@@ -424,7 +428,6 @@ class ResidueReport:
     c_sigma: Fraction
     c_h: Fraction
     residue: Fraction
-    codim_ok: bool
 
 
 def residue_report(problem: ResidueProblem, H: MultiPoly) -> ResidueReport:
@@ -441,7 +444,6 @@ def residue_report(problem: ResidueProblem, H: MultiPoly) -> ResidueReport:
         c_sigma=problem.c_sigma,
         c_h=c_h,
         residue=c_h / problem.c_sigma,
-        codim_ok=problem.codim.ok,
     )
 
 
@@ -522,7 +524,7 @@ def variable_annihilation_check(problem: ResidueProblem) -> AnnihilationReport:
         for m in problem.monomials:
             e = list(m)
             e[i] += 1
-            if not gb.reduce(MultiPoly.monomial(e)).is_zero():
+            if divide({tuple(e): 1}, gb.reducers, gb.order)[1]:
                 return AnnihilationReport(False, (i, m))
     return AnnihilationReport(True)
 

@@ -4,8 +4,10 @@ The residue values are derived by brute-force partial fractions, never by
 the package's own pipeline.  The slow paths are the straightforward forms
 of routines the package runs in a faster or different form: division by a
 linear scan for the greatest term, the heap-ordered division over Fractions
-against monic reducers with its S-polynomials, Buchberger over parallel
-lists with MultiPoly S-polynomials, the quotient dimension of a chart
+against monic reducers with its S-polynomials, the integer reducers read
+back from a monic Fraction basis, Buchberger over parallel lists with
+MultiPoly S-polynomials, the multiplication tables of a chart quotient
+from Fraction normal forms, the quotient dimension of a chart
 system from its grevlex basis, the zero-locus test that builds a basis over Q of every
 chart ideal, the codimension check that reduces every critical-degree
 monomial, the residue read from normal forms with every degree check done
@@ -57,10 +59,10 @@ from toricres import (AllReduceToZero, CodimNotOne, DegreeMismatch, GroebnerBasi
                       monomial_basis, no_common_zeros_on_x, poly_det)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
 from toricres.grading import critical_degree, degree_system, representative_divisor
-from toricres.groebner import (_lcm, _sub_exp, grevlex, leading_term, lex, quotient_is_finite,
-                               standard_monomials)
-from toricres.lattice import (FanData, SmithDecomposition, dot, freeze, hnf_rows, mat_det,
-                              mat_vec, reduce_mod_lattice, smith_normal_form, vec_content)
+from toricres.groebner import (_lcm, _sub_exp, grevlex, integer_reducer, integer_terms, lex,
+                               quotient_is_finite, standard_monomials)
+from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, dot, freeze,
+                              hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form)
 from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, chart_variables, degree_of
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
@@ -73,6 +75,13 @@ from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
 
 def is_constant(p: MultiPoly) -> bool:
     return all(not any(e) for e in p.terms)
+
+
+def leading_term(p: MultiPoly, order: MonomialOrder):
+    if p.is_zero():
+        raise ValueError("leading term of zero")
+    e = max(p.terms, key=order.key)
+    return e, p.terms[e]
 
 
 def coefficient(p: MultiPoly, exponent) -> Fraction:
@@ -520,6 +529,15 @@ def reducer_table(basis, order: MonomialOrder) -> list[Reducer]:
     return [reducer(g, order) for g in basis if not g.is_zero()]
 
 
+def integer_table(basis, order: MonomialOrder, modulus: int = 0):
+    """The integer reducers of the nonzero elements of basis, read back
+    from their coefficients, as ``GroebnerBasis`` once derived its table
+    from its monic Fraction generators: primitive with lc > 0 over Q, monic
+    over GF(modulus) for int coefficients."""
+    return [integer_reducer(integer_terms(g)[1], order, modulus)
+            for g in basis if not g.is_zero()]
+
+
 def divide(p: MultiPoly, table, order: MonomialOrder, modulus: int = 0) -> MultiPoly:
     """Remainder of full division of p by a reducer table, in table order,
     over Q or, with a prime ``modulus``, over GF(modulus).
@@ -731,6 +749,40 @@ def grevlex_chart_dimension(polys):
     if not quotient_is_finite(gb):
         return False, None
     return True, len(standard_monomials(gb))
+
+
+def fraction_times_variable(quotient):
+    """``_Quotient._times_variable`` from Fraction normal forms: each
+    x_j*x^b reduced by ``GroebnerBasis.reduce``, the lcm D_j of their
+    denominators, and D_j times each form as integers."""
+    out = []
+    for j in range(quotient.polys[0].nvars):
+        forms = {b: quotient.gb.reduce(MultiPoly.monomial(
+                    tuple(k + (i == j) for i, k in enumerate(b)))).terms
+                 for b in quotient.basis}
+        D = lcm(*(c.denominator for nf in forms.values() for c in nf.values()))
+        out.append((D, {b: {e: c.numerator * (D // c.denominator) for e, c in nf.items()}
+                        for b, nf in forms.items()}))
+    return out
+
+
+def fraction_matrix(quotient, g):
+    """``_Quotient.matrix`` from the Fraction normal form of g, its
+    denominators cleared by ``clear_denominators``, each later column
+    built by the tables of ``fraction_times_variable``."""
+    nf = quotient.gb.reduce(g).terms
+    d, nums = clear_denominators(nf.values())
+    tables = fraction_times_variable(quotient)
+    B = quotient.basis
+    cols = {b: dict(zip(nf, nums)) for b in B[:1]}
+    for b in B[1:]:
+        j = next(i for i, k in enumerate(b) if k)
+        col = {}
+        for e, c in cols[tuple(k - (i == j) for i, k in enumerate(b))].items():
+            for f, x in tables[j][1][e].items():
+                col[f] = col.get(f, 0) + c * x
+        cols[b] = col
+    return d, [[cols[b].get(e, 0) for b in B] for e in B]
 
 
 def q_chart_zero_locus(fan, polys) -> ZeroLocusReport:
@@ -955,7 +1007,7 @@ def fraction_vertices(poly):
 
 def primitive(v):
     """v divided by the gcd of its entries."""
-    g = vec_content(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(a // g for a in v)

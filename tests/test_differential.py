@@ -4,13 +4,16 @@ The heap-ordered division must give the same remainder, term for term, as
 the linear scan, and the integer pseudo-division a positive scale times the
 division over Fractions; Buchberger over one table of integer reducers must
 give the same basis, generator for generator, as Buchberger over parallel
-lists, and mod P the basis over Q reduced mod P; the chart solver's finiteness
-and quotient dimension must match a grevlex basis built apart from it; the
-codimension check on the cached basis must give the same report as the
-check that reduces every critical-degree monomial; the linear-time
-completeness test must agree with the pairwise overlap test.
+lists, and as its reducer table the integer reducers read back from that
+basis, over Q and mod P, where it is the basis over Q reduced mod P; the
+chart solver's finiteness and quotient dimension must match a grevlex
+basis built apart from it; the codimension check on the cached basis must
+give the same report as the check that reduces every critical-degree
+monomial; the linear-time completeness test must agree with the pairwise
+overlap test.
 """
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -31,6 +34,7 @@ from toricres import (
     NonSimpleZero,
     NotZeroDimensional,
     ResidueProblem,
+    ToricError,
     buchberger,
     dehomogenize,
     divisor_polytope,
@@ -42,10 +46,10 @@ from toricres import (
     load_fan,
     make_fan,
     monomial_basis,
-    normal_form,
     parse_poly,
     residue_report,
     sigma_independence_check,
+    sum_local_residues,
     toric_residue,
 )
 
@@ -54,12 +58,13 @@ from toricres.residues import P, _mod_p, residue_functional
 
 from conftest import FIXTURES, load
 from oracles import (NotShapePosition, all_monomial_codim_check, grevlex_chart_dimension,
-                     is_constant, linear_scan_normal_form, multipoly_s_polynomial,
-                     pairwise_is_complete, parallel_list_buchberger, primitive, reducer_table,
-                     solve_chart_system)
+                     integer_table, is_constant, linear_scan_normal_form,
+                     multipoly_s_polynomial, pairwise_is_complete, parallel_list_buchberger,
+                     primitive, reducer_table, solve_chart_system)
 from oracles import _monic
 from oracles import divide as fraction_divide
 from oracles import s_polynomial as fraction_s_polynomial
+from test_quotient import square_systems
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -148,7 +153,7 @@ def division_cases(draw):
 @given(division_cases())
 def test_heap_division_matches_linear_scan(case):
     p, basis, order = case
-    fast = normal_form(p, basis, order)
+    fast = GroebnerBasis(tuple(integer_table(basis, order)), order).reduce(p)
     slow = linear_scan_normal_form(p, basis, order)
     assert list(fast.terms.items()) == list(slow.terms.items())
 
@@ -183,6 +188,28 @@ def term_lists(basis):
     return [list(g.terms.items()) for g in basis]
 
 
+def assert_basis_matches_oracle(gens, order):
+    """The reducer table is the one read back from the oracle's monic
+    basis, and the generators are that basis, term for term."""
+    gb = GroebnerBasis.of(gens, order)
+    expected = parallel_list_buchberger(gens, order)
+    assert gb.reducers == tuple(integer_table(expected, order))
+    assert term_lists(gb.generators) == term_lists(expected)
+
+
+def assert_mod_p_basis_matches_oracle(gens, order):
+    """The table of the inputs mod P is the one read back from the
+    oracle's basis of them over GF(P)."""
+    mod_p = [MultiPoly.from_terms(g.nvars, _mod_p(g)) for g in gens]
+    assert buchberger([g.terms for g in mod_p], order, P) \
+        == integer_table(parallel_list_buchberger(mod_p, order, P), order, P)
+
+
+def assert_bases_match_oracle(gens, order):
+    assert_basis_matches_oracle(gens, order)
+    assert_mod_p_basis_matches_oracle(gens, order)
+
+
 @st.composite
 def ideal_cases(draw):
     """Generators under a permuted order, possibly with zero generators,
@@ -204,9 +231,7 @@ def ideal_cases(draw):
 @settings(SETTINGS, max_examples=60)
 @given(ideal_cases())
 def test_buchberger_matches_parallel_list_oracle(case):
-    gens, order = case
-    assert term_lists(buchberger(gens, order)) \
-        == term_lists(parallel_list_buchberger(gens, order))
+    assert_basis_matches_oracle(*case)
 
 
 def test_buchberger_edge_ideals_match_oracle():
@@ -216,31 +241,34 @@ def test_buchberger_edge_ideals_match_oracle():
     f, g = parse_poly("x^2 - y", names), parse_poly("x*y - 1", names)
     for gens in ([], [zero, zero], [zero, f, zero], [f, f, g, g], [g, f, g],
                  [f, MultiPoly.constant(2, -2)]):
-        assert term_lists(buchberger(gens, order)) \
-            == term_lists(parallel_list_buchberger(gens, order))
-    assert buchberger([zero, zero], order) == []
-    assert buchberger([f, MultiPoly.constant(2, -2)], order) == [MultiPoly.constant(2, 1)]
+        assert_basis_matches_oracle(gens, order)
+    assert GroebnerBasis.of([zero, zero], order).reducers == ()
+    unit = GroebnerBasis.of([f, MultiPoly.constant(2, -2)], order)
+    assert unit.reducers == (((0, 0), 1, ()),)
+    assert unit.generators == (MultiPoly.constant(2, 1),)
 
 
 @pytest.mark.parametrize("name", RESIDUE_FIXTURES)
 def test_buchberger_matches_oracle_on_fixture_ideals(name):
     pb = load(name).problem
-    assert term_lists(buchberger(pb.polys, pb.order)) \
-        == term_lists(parallel_list_buchberger(pb.polys, pb.order))
+    assert_bases_match_oracle(pb.polys, pb.order)
     dim = pb.fan.dim
     for k in range(len(pb.fan.max_cones)):
         charts = [dehomogenize(p, pb.fan, k) for p in pb.polys]
         for order in (grevlex(dim), lex(dim)):
-            assert term_lists(buchberger(charts, order)) \
-                == term_lists(parallel_list_buchberger(charts, order))
+            assert_bases_match_oracle(charts, order)
             for j in range(len(charts)):
-                dropped = charts[:j] + charts[j + 1:]
-                assert term_lists(buchberger(dropped, order)) \
-                    == term_lists(parallel_list_buchberger(dropped, order))
+                assert_bases_match_oracle(charts[:j] + charts[j + 1:], order)
 
 
-def integer_table(basis, order, modulus=0):
-    return [integer_reducer(integer_terms(g)[1], order, modulus) for g in basis if not g.is_zero()]
+@settings(SETTINGS, max_examples=25)
+@given(square_systems(["p2", "p1p1", "p3", "p112", "pentagon"]))
+def test_buchberger_matches_oracle_on_random_systems_and_their_charts(case):
+    pb = case[0]
+    assert_bases_match_oracle(pb.polys, pb.order)
+    for k in range(len(pb.fan.max_cones)):
+        assert_bases_match_oracle([dehomogenize(p, pb.fan, k) for p in pb.polys],
+                                  grevlex(pb.fan.dim))
 
 
 @st.composite
@@ -283,7 +311,9 @@ def test_pseudo_division_scales_the_pending_terms():
     p = parse_poly("x^2 + y^2", names)
     table = integer_table([parse_poly("2*x + y", names)], order)
     assert divide(integer_terms(p)[1], table, order) == (4, {(0, 2): 5})
-    assert normal_form(p, [parse_poly("2*x + y", names)], order) == parse_poly("5/4*y^2", names)
+    gb = GroebnerBasis.of([parse_poly("2*x + y", names)], order)
+    assert gb.reducers == tuple(table)
+    assert gb.reduce(p) == parse_poly("5/4*y^2", names)
 
 
 @SETTINGS
@@ -293,11 +323,12 @@ def test_division_mod_p_is_division_over_q_reduced_mod_p(case):
     lead coefficient here is 0 mod P, so each step over Q maps to the same
     step mod P; the reducers over GF(P) are monic, so the scale is 1."""
     p, basis, order = case
-    table_p = integer_table([_mod_p(g) for g in basis], order, P)
+    table_p = [integer_reducer(t, order, P) for t in map(_mod_p, basis) if t]
     assert all(lc == 1 for _, lc, _ in table_p)
-    scale, rem = divide(_mod_p(p).terms, table_p, order, P)
+    scale, rem = divide(_mod_p(p), table_p, order, P)
     assert scale == 1
-    assert MultiPoly.from_terms(p.nvars, rem) == _mod_p(normal_form(p, basis, order))
+    over_q = GroebnerBasis(tuple(integer_table(basis, order)), order).reduce(p)
+    assert rem == _mod_p(over_q)
 
 
 @settings(SETTINGS, max_examples=60)
@@ -307,17 +338,15 @@ def test_buchberger_mod_p_is_the_basis_over_q_reduced_mod_p(case):
     many nonzero integers formed from its coefficients; with coefficients
     this small none of them is near P in size."""
     gens, order = case
+    over_q = GroebnerBasis.of(gens, order).generators
     assert buchberger([_mod_p(g) for g in gens], order, P) \
-        == [_mod_p(g) for g in buchberger(gens, order)]
+        == [integer_reducer(_mod_p(g), order, P) for g in over_q]
 
 
 @settings(SETTINGS, max_examples=60)
 @given(ideal_cases())
 def test_buchberger_mod_p_matches_parallel_list_oracle(case):
-    gens, order = case
-    gens = [_mod_p(g) for g in gens]
-    assert term_lists(buchberger(gens, order, P)) \
-        == term_lists(parallel_list_buchberger(gens, order, P))
+    assert_mod_p_basis_matches_oracle(*case)
 
 
 @SETTINGS
@@ -336,9 +365,9 @@ def test_s_polynomial_of_monic_reducers_matches_multipoly_oracle(case):
     rf, rg = integer_table([f, g], order)
     k = Fraction(rf[1] * rg[1], math.gcd(rf[1], rg[1]))
     assert MultiPoly.from_terms(f.nvars, s_polynomial(rf, rg)) == expected * k
-    pf, pg = integer_table([_mod_p(f), _mod_p(g)], order, P)
+    pf, pg = (integer_reducer(_mod_p(q), order, P) for q in (f, g))
     s_p = {e: c % P for e, c in s_polynomial(pf, pg).items()}
-    assert {e: c for e, c in s_p.items() if c} == _mod_p(expected).terms
+    assert {e: c for e, c in s_p.items() if c} == _mod_p(expected)
 
 
 @SETTINGS
@@ -357,7 +386,6 @@ class _FractionBasis:
     """A basis read through the monic Fraction reducers of the oracle."""
 
     def __init__(self, gb):
-        self.generators = gb.generators
         self.reducers = reducer_table(gb.generators, gb.order)
 
 
@@ -517,6 +545,20 @@ def test_residues_never_reduce_h_and_build_ell_once(monkeypatch, name):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
+def test_residues_and_local_sums_read_only_the_reducer_table(name):
+    """The package never builds the Fraction generators of its basis."""
+    lp = load(name)
+    pb = lp.problem
+    H = lp.inputs[0]
+    calls = [lambda: toric_residue(pb, H), lambda: residue_report(pb, H)]
+    calls += [lambda k=k: sum_local_residues(pb, H, k) for k in range(len(pb.polys))]
+    for call in calls:
+        with contextlib.suppress(ToricError):
+            call()
+    assert "generators" not in pb.groebner.__dict__
+
+
 @pytest.mark.parametrize("test", [is_ample, is_q_ample, divisor_polytope])
 def test_positivity_solves_cone_functionals_once(monkeypatch, pentagon, test):
     """One ``support_table`` per positivity test or divisor polytope on a
@@ -543,8 +585,9 @@ def test_constant_in_the_ideal_gives_the_unit_basis():
     for texts in (["x*y - 1", "y"], ["x^2 + y*z", "x*y*z - 2", "y^2*z", "z^2"],
                   ["3"]):
         gens = [parse_poly(t, names) for t in texts]
-        assert buchberger(gens, MonomialOrder("grevlex", (0, 1, 2))) == [one]
-        assert buchberger(gens, MonomialOrder("lex", (2, 0, 1))) == [one]
+        for order in (MonomialOrder("grevlex", (0, 1, 2)), MonomialOrder("lex", (2, 0, 1))):
+            gb = GroebnerBasis.of(gens, order)
+            assert gb.reducers == (((0, 0, 0), 1, ()),) and gb.generators == (one,)
         assert GroebnerBasis.of(gens, MonomialOrder("grevlex", (1, 2, 0))).is_unit_ideal()
 
 
@@ -554,7 +597,7 @@ def test_chart_ideals_of_a_valid_problem_are_unit(name):
     one = MultiPoly.constant(pb.fan.dim, 1)
     for k in range(len(pb.fan.max_cones)):
         charts = [dehomogenize(p, pb.fan, k) for p in pb.polys]
-        assert buchberger(charts, grevlex(pb.fan.dim)) == [one]
+        assert GroebnerBasis.of(charts, grevlex(pb.fan.dim)).generators == (one,)
     assert pb.zero_locus().ok
 
 

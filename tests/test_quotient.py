@@ -26,6 +26,7 @@ from toricres import (
     ToricError,
     ZeroOnPolarLocus,
     compute_grading,
+    dehomogenize,
     euler_jacobi_check,
     load_fan,
     make_fan,
@@ -39,9 +40,10 @@ from toricres.localres import COMPARE_TOL
 
 from conftest import FIXTURES, load
 from oracles import (SEPARATION_TOL, NotShapePosition, chart_system, chart_zero_set, coefficient,
-                     nullstellensatz_refusal, numeric_residue_sum, shape_position_chart_zeros,
-                     shape_position_solve, shape_position_sum, solve_chart_system,
-                     solver_refusal, substitute, trace_residue_sum)
+                     fraction_matrix, fraction_times_variable, nullstellensatz_refusal,
+                     numeric_residue_sum, shape_position_chart_zeros, shape_position_solve,
+                     shape_position_sum, solve_chart_system, solver_refusal, substitute,
+                     trace_residue_sum)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -219,6 +221,33 @@ def test_local_sums_match_on_orbifold_and_pentagon_systems(case):
     # orbifold charts included
     pb, H, k = case
     assert_sums_agree(pb, H, k)
+
+
+def assert_tables_match_the_fraction_route(pb, H):
+    """In sigma's chart, for each dropped input whose quotient is finite,
+    the multiplication tables and the matrices of h, f_k*J and J equal
+    the ones built from Fraction normal forms, least denominators and all."""
+    h = dehomogenize(H, pb.fan, pb.sigma)
+    for k in range(len(pb.polys)):
+        try:
+            fk, quotient = localres._chart(pb, k, pb.sigma)
+        except InfiniteIntersection:
+            continue
+        assert quotient._times_variable == fraction_times_variable(quotient)
+        for g in (h, fk * quotient.jacobian, quotient.jacobian):
+            assert quotient.matrix(g) == fraction_matrix(quotient, g)
+
+
+@pytest.mark.parametrize("name", NUMERIC_FIXTURES)
+def test_quotient_tables_match_the_fraction_route_on_fixtures(name):
+    lp = load(name)
+    assert_tables_match_the_fraction_route(lp.problem, lp.inputs[0])
+
+
+@SETTINGS
+@given(square_systems(["p2", "p1p1", "p3", "p112", "pentagon"]))
+def test_quotient_tables_match_the_fraction_route_on_random_systems(case):
+    assert_tables_match_the_fraction_route(*case[:2])
 
 
 def linear_problem(name, texts):

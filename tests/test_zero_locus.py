@@ -69,8 +69,10 @@ def with_basis(fan, polys, groebner=None):
 def chart_is_unit(fan, polys, k, modulus):
     charts = [dehomogenize(F, fan, k) for F in polys]
     if modulus:
-        charts = [_mod_p(q) for q in charts]
-    return buchberger(charts, grevlex(fan.dim), modulus) == [MultiPoly.constant(fan.dim, 1)]
+        return buchberger([_mod_p(q) for q in charts], grevlex(fan.dim), modulus) \
+            == [((0,) * fan.dim, 1, ())]
+    return GroebnerBasis.of(charts, grevlex(fan.dim)).generators \
+        == (MultiPoly.constant(fan.dim, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,29 @@ def test_fixtures_are_certified_from_their_basis(monkeypatch):
         pb = load(name).problem
         assert pb.zero_locus() == ZeroLocusReport(True)
         assert calls == [], name
+
+
+def test_the_mod_p_route_builds_no_polynomial_over_gf_p(monkeypatch):
+    """The chart route mod P hands integer term dicts to ``buchberger``:
+    every ``MultiPoly`` it builds has Fraction coefficients."""
+    problems = [load(name).problem for name in RESIDUE_FIXTURES]
+    real_from_terms = MultiPoly.from_terms
+    real_buchberger = residues.buchberger
+    moduli = []
+
+    def checked(cls, nvars, terms):
+        assert all(type(c) is Fraction for c in terms.values())
+        return real_from_terms(nvars, terms)
+
+    def counted(gens, order, modulus=0):
+        moduli.append(modulus)
+        return real_buchberger(gens, order, modulus)
+
+    monkeypatch.setattr(MultiPoly, "from_terms", classmethod(checked))
+    monkeypatch.setattr(residues, "buchberger", counted)
+    for pb in problems:
+        assert no_common_zeros_on_x(pb.fan, pb.polys).ok
+    assert set(moduli) == {P}
 
 
 def test_fixtures_are_decided_mod_p_alone():
