@@ -73,8 +73,10 @@ def build_cayley(fan: FanData, base_grading: Grading, divisors,
 
 def _lift_poly(cd: CayleyData, p: MultiPoly, y_index: int | None = None) -> MultiPoly:
     """Embed a base polynomial into the bundle ring, optionally times y_j."""
+    if p.nvars != cd.base_count:
+        raise DegreeMismatch("polynomial ring does not match the base fan")
     y = tuple(int(j == y_index) for j in range(cd.n + 1))
-    return MultiPoly(cd.bundle.nvars, {e + y: c for e, c in p.terms.items()})
+    return MultiPoly.from_terms(cd.bundle.nvars, {e + y: c for e, c in p.terms.items()})
 
 
 def _bundle_exponent(cd: CayleyData) -> tuple[int, ...]:

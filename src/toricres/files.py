@@ -6,6 +6,8 @@ Fan file:
      "variables": ["x","y","z"],               # optional
      "degree_basis": [[1,1,1]]}                # optional free grading rows
     dim, ray entries, cone indices and degree_basis entries are JSON integers.
+    A valid degree_basis is a unimodular change of the computed free rows;
+    the torsion part is always the computed one.
 
 Problem file:
     {"fan": "p2.fan.json",                     # path relative to this file

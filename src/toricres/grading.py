@@ -19,6 +19,7 @@ from .lattice import (
     freeze,
     hnf_reduced_rows,
     hnf_rows,
+    mat_det,
     reduce_mod_lattice,
     smith_normal_form,
 )
@@ -134,10 +135,15 @@ def compute_grading(fan) -> Grading:
 
 
 def validate_user_grading(fan, free_rows) -> Grading:
-    """Accept user free rows iff they present the same free quotient.
+    """Accept user free rows R iff they are a unimodular change of the
+    computed free rows C.
 
-    Rows must kill every ray pairing column and, together with the image of
-    the pairing map and the torsion part, generate the full exponent lattice.
+    Each row must have one entry per ray and vanish on the image of the ray
+    pairing map.  Such a row kills the saturation of that image too, the
+    kernel of C, so R = T·C with T = R·S for any integer right inverse S of
+    C (C·S = I, one Smith solve per column).  R presents the same free
+    quotient exactly when it has rank-many rows and |det T| = 1; the torsion
+    rows and moduli are the computed ones.
     """
     rays = freeze(fan.rays)
     free_rows = freeze(free_rows)
@@ -155,21 +161,11 @@ def validate_user_grading(fan, free_rows) -> Grading:
     if len(free_rows) != computed.rank:
         raise NotSurjective(
             f"expected {computed.rank} free rows, got {len(free_rows)}")
-    # user rows must span the same free quotient: the change of basis between
-    # user rows and computed rows (mod image + torsion) must be unimodular.
-    # Equivalent check: stacking user rows with the pairing image and torsion
-    # lift lattice must give the same lattice as with computed rows.
-    image_rows = [tuple(rays[i][j] for i in range(cols)) for j in range(n)]
-
-    def span_rows(rows):
-        return tuple(hnf_reduced_rows([list(r) for r in rows], cols))
-    base = list(image_rows) + [list(t) for t in computed.torsion_rows]
-    lat_user = span_rows(list(free_rows) + base)
-    lat_comp = span_rows(list(computed.free_rows) + base)
-    if lat_user != lat_comp:
+    snf = smith_normal_form(computed.free_rows)
+    inverse = [snf.solve([int(i == k) for i in range(computed.rank)])
+               for k in range(computed.rank)]
+    if abs(mat_det([[dot(row, s) for s in inverse] for row in free_rows])) != 1:
         raise NotSurjective("rows do not generate the free quotient")
-    if len(hnf_rows(free_rows, cols)) != len(free_rows):
-        raise NotSurjective("rows are linearly dependent")
     return Grading(rays, free_rows, computed.torsion_rows, computed.moduli,
                    provenance="user")
 

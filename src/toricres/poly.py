@@ -41,9 +41,8 @@ class MultiPoly:
                     e = tuple(map(operator.index, e))
                     if len(e) != nvars:
                         raise ValueError("exponent length mismatch")
-                    clean[e] = clean.get(e, Fraction(0)) + c
-                    if not clean[e]:
-                        del clean[e]
+                    # equal exponents are one dict key: no two terms meet
+                    clean[e] = c
         self.terms = clean
 
     # -- construction -----------------------------------------------------
@@ -170,7 +169,7 @@ class MultiPoly:
                 ne = list(e)
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
-        return MultiPoly(self.nvars, out)
+        return MultiPoly.from_terms(self.nvars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +392,8 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     a_i + <m, ray_i> on every ray.  det R = 0 leaves m, so the lift,
     undetermined; an m that det R does not divide means no exponent vector
     of the degree restricts to e, and a negative off-cone entry that the
-    degree gap needs a negative exponent.
+    degree gap needs a negative exponent.  The lift keeps e on the cone's
+    rays, so distinct terms lift to distinct terms.
     """
     if not q.terms:
         return MultiPoly.zero(fan.nvars)
@@ -412,5 +412,5 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
         key = tuple(ai + dot(m, ray) for ai, ray in zip(a, fan.rays))
         if any(x < 0 for x in key):
             raise NoIntegralLift("degree gap needs a negative exponent")
-        out[key] = out.get(key, Fraction(0)) + c
-    return MultiPoly(fan.nvars, out)
+        out[key] = c
+    return MultiPoly.from_terms(fan.nvars, out)

@@ -171,8 +171,11 @@ def decompose(F: MultiPoly, fan: FanData, cone_index: int):
 
     zhat is the product of off-cone variables; i_1 < .. < i_n are the cone's
     rays.  Terms divisible by a cone variable go to the lowest such variable;
-    the rest must be divisible by zhat.
+    the rest must be divisible by zhat.  Each slot divides its terms by one
+    monomial, so no two of them meet.
     """
+    if F.nvars != fan.nvars:
+        raise DegreeMismatch("polynomial ring does not match the fan")
     cone = fan.max_cones[cone_index]
     zhat = off_cone_exponent(fan, cone_index)
     parts = [dict() for _ in range(len(cone) + 1)]
@@ -191,9 +194,8 @@ def decompose(F: MultiPoly, fan: FanData, cone_index: int):
                     witness=e)
             ne = [a - b for a, b in zip(e, zhat)]
             slot = 0
-        key = tuple(ne)
-        parts[slot][key] = parts[slot].get(key, Fraction(0)) + c
-    return tuple(MultiPoly(fan.nvars, d) for d in parts)
+        parts[slot][tuple(ne)] = c
+    return tuple(MultiPoly.from_terms(fan.nvars, d) for d in parts)
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,8 @@ class CodimReport:
         return self.ok
 
 
-def residue_functional(grading: Grading, order: MonomialOrder,
-                       groebner: GroebnerBasis, monomials) -> tuple[CodimReport, dict]:
+def residue_functional(order: MonomialOrder, groebner: GroebnerBasis,
+                       monomials) -> tuple[CodimReport, dict]:
     """Codimension report and residue functional of the critical slice, from
     one ascending pass over its ``monomials`` against ``groebner``.
 
@@ -217,19 +219,15 @@ def residue_functional(grading: Grading, order: MonomialOrder,
     normal form: l(m) is 1 at the pivot and 0 elsewhere.  Otherwise, with
     (le, lc, tail) the first of the basis's primitive integer reducers that
     divides m, normal forms being linear give l(m) = -sum c_t*l(t*m/le)/lc
-    over the tail; each t*m/le is below m and, the basis being homogeneous
-    (checked on each reducer), in the slice.  The check passes with one
-    standard monomial, since every normal form in the slice is then a
-    multiple of the pivot; otherwise the report names the pivot, the two
-    least standard monomials and their count.
+    over the tail; each t*m/le is below m and in the slice, since the basis
+    of homogeneous inputs is homogeneous (S-polynomials and reductions keep
+    every term in one degree class, torsion part included).  The check
+    passes with one standard monomial, since every normal form in the slice
+    is then a multiple of the pivot; otherwise the report names the pivot,
+    the two least standard monomials and their count.
     """
     if not monomials:
         raise AllReduceToZero("no monomials exist in the critical degree")
-    for le, _, tail in groebner.reducers:
-        d = grading.degree(le)
-        for e, _ in tail:
-            if grading.degree(e) != d:
-                raise NotHomogeneous("terms of different degree", witness=(le, e))
     add, sub = operator.add, operator.sub
     ell = {}
     standard = []
@@ -308,7 +306,7 @@ class ResidueProblem:
 
     @cached_property
     def _functional(self):
-        return residue_functional(self.grading, self.order, self.groebner, self.monomials)
+        return residue_functional(self.order, self.groebner, self.monomials)
 
     @property
     def codim(self) -> CodimReport:
@@ -461,7 +459,10 @@ def sigma_independence_check(problem: ResidueProblem) -> bool:
 
 def verify_gtl(problem: ResidueProblem, A, H: MultiPoly) -> bool:
     """Transformed inputs G_j = sum_i A_ij F_i leave the residue invariant
-    once H is multiplied by det(A)."""
+    once H is multiplied by det(A).  A must be nonsingular with a column
+    degree pattern, deg A_ij + deg F_i = beta_j on each nonzero entry, so
+    each term of det(A) has degree sum beta_j - sum deg F_i and the G have
+    the critical degree of the F plus deg det(A)."""
     n1 = len(problem.polys)
     if len(A) != n1 or any(len(row) != n1 for row in A):
         raise DegreeMismatch("transformation matrix has the wrong shape")
@@ -497,10 +498,6 @@ def verify_gtl(problem: ResidueProblem, A, H: MultiPoly) -> bool:
         raise DegreeMismatch("transformation matrix is singular")
     transformed = ResidueProblem(problem.fan, G, order=problem.order,
                                  sigma=problem.sigma, grading=problem.grading)
-    rho_f = problem.critical
-    rho_g = transformed.critical
-    if rho_g != rho_f + degree_of(det_a, problem.grading):
-        raise DegreeMismatch("critical degrees do not differ by det degree")
     lhs = toric_residue(problem, H)
     rhs = toric_residue(transformed, H * det_a)
     return lhs == rhs

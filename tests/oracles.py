@@ -16,7 +16,9 @@ completeness test that compares every pair of cones, the rank as the size
 of the largest nonzero minor, the determinant by cofactor expansion, the
 numeric chart solver that read zeros from a lex basis in shape position,
 the chart solver and zero set the package once exported, the chart of a
-polynomial through the validating constructor, the representative divisor
+polynomial, its partials, its cone decomposition, its lift to a degree and
+to the bundle ring through the validating constructor, a user degree basis
+accepted when the degree map it defines is onto, the representative divisor
 of a degree from a Smith form built per call, the
 polytope volume by a pyramid recursion over facets, polytope vertices by
 elimination over Q, boundedness from rational kernels, lattice points by a
@@ -50,18 +52,18 @@ from math import ceil, factorial, floor, gcd, lcm, prod
 
 import numpy as np
 
-from toricres import (AllReduceToZero, CodimNotOne, DegreeMismatch, GroebnerBasis,
-                      HypothesesFailed,
+from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeMismatch,
+                      GroebnerBasis, HypothesesFailed,
                       InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NoIntegralLift,
                       NonSimpleZero, NonUniqueLift, NotHomogeneous, NotTorusZero,
                       NotZeroDimensional, ToricError, Unbounded, WrongDegree, ZeroOnPolarLocus,
-                      cone_determinant, dehomogenize, homogenize_to_degree, is_simplicial,
-                      monomial_basis, no_common_zeros_on_x, poly_det)
+                      compute_grading, cone_determinant, dehomogenize, homogenize_to_degree,
+                      is_simplicial, monomial_basis, no_common_zeros_on_x, poly_det)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
-from toricres.grading import critical_degree, degree_system, representative_divisor
+from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
 from toricres.groebner import (_lcm, _sub_exp, grevlex, integer_reducer, integer_terms, lex,
                                quotient_is_finite, standard_monomials)
-from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, dot, freeze,
+from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cramer, dot, freeze,
                               hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form)
 from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, chart_variables, degree_of
@@ -740,6 +742,79 @@ def constructor_dehomogenize(p, fan, cone_index):
         ne = tuple(ne)
         out[ne] = out.get(ne, Fraction(0)) + c
     return MultiPoly(len(cone), out)
+
+
+def _summed(nvars, pairs):
+    """The validating ``MultiPoly`` of (exponent, coefficient) pairs, with
+    the coefficients of equal exponents summed first."""
+    out = {}
+    for e, c in pairs:
+        out[e] = out.get(e, Fraction(0)) + c
+    return MultiPoly(nvars, out)
+
+
+def constructor_partial(p, i):
+    """dp/dx_i through the validating constructor."""
+    return _summed(p.nvars, ((e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+                             for e, c in p.terms.items() if e[i]))
+
+
+def constructor_decompose(F, fan, cone_index):
+    """``decompose`` through the validating constructor: a term goes to the
+    slot of the first cone variable that divides it, else to zhat's."""
+    cone = fan.max_cones[cone_index]
+    zhat = tuple(0 if i in cone else 1 for i in range(fan.nvars))
+    slots = [[] for _ in range(len(cone) + 1)]
+    for e, c in F.terms.items():
+        pos = next((k for k, i in enumerate(cone) if e[i]), None)
+        shift = zhat if pos is None else tuple(int(j == cone[pos]) for j in range(fan.nvars))
+        if any(a < b for a, b in zip(e, shift)):
+            raise DecompositionFailed("term outside the irrelevant ideal for this cone",
+                                      witness=e)
+        slots[0 if pos is None else pos + 1].append((tuple(map(operator.sub, e, shift)), c))
+    return tuple(_summed(fan.nvars, pairs) for pairs in slots)
+
+
+def constructor_homogenize_to_degree(q, fan, cone_index, target, grading):
+    """``homogenize_to_degree`` through the validating constructor, with
+    each term's m solved by Cramer's rule on the cone's rays."""
+    if not q.terms:
+        return MultiPoly.zero(fan.nvars)
+    a = representative_divisor(grading, target)
+    cone = fan.max_cones[cone_index]
+    pairs = []
+    for e, c in q.terms.items():
+        solved = cramer(fan.cone_rays(cone_index), [x - a[i] for x, i in zip(e, cone)])
+        if solved is None:
+            raise NonUniqueLift("off-cone exponents are not determined by the degree")
+        m, den = solved
+        if den != 1:
+            raise NoIntegralLift("no integral exponent pattern reaches the degree")
+        key = tuple(ai + dot(m, ray) for ai, ray in zip(a, fan.rays))
+        if any(x < 0 for x in key):
+            raise NoIntegralLift("degree gap needs a negative exponent")
+        pairs.append((key, c))
+    return _summed(fan.nvars, pairs)
+
+
+def constructor_lift_poly(cd, p, y_index=None):
+    """``cayley._lift_poly`` through the validating constructor."""
+    y = tuple(int(j == y_index) for j in range(cd.n + 1))
+    return _summed(cd.bundle.nvars, ((e + y, c) for e, c in p.terms.items()))
+
+
+def onto_degree_basis(fan, rows) -> bool:
+    """Whether user free rows that vanish on the ray image present the
+    grading group: as many rows as its rank, and the degree map they define
+    with the computed torsion rows onto, the Smith diagonal of its
+    ``degree_system`` all ones.  A map of Z^r + torsion onto itself is an
+    isomorphism."""
+    computed = compute_grading(fan)
+    if len(rows) != computed.rank:
+        return False
+    user = Grading(computed.rays, freeze(rows), computed.torsion_rows, computed.moduli)
+    system = degree_system(user, range(fan.nvars))
+    return smith_normal_form(system).diagonal == (1,) * len(system)
 
 
 def grevlex_chart_dimension(polys):

@@ -391,7 +391,7 @@ class _FractionBasis:
 
 def functional_outcome(pb, basis):
     try:
-        return residue_functional(pb.grading, pb.order, basis, pb.monomials)
+        return residue_functional(pb.order, basis, pb.monomials)
     except AllReduceToZero:
         return "AllReduceToZero"
 

@@ -237,6 +237,21 @@ def test_exit_rejected_degree_basis(tmp_path, capsys, rows, message):
     assert "invalid fan" in err and message in err
 
 
+@pytest.mark.parametrize("rows, code", [([[2, 2, 2]], 3), ([[-1, -1, -1]], 0)])
+def test_torsion_fan_degree_basis_is_a_change_of_basis(tmp_path, capsys, rows, code):
+    # the torsion row and the ray image reach [1, 1, 1] from [2, 2, 2], but
+    # only a unimodular change of the computed row presents the class group
+    p = tmp_path / "fan.json"
+    p.write_text(json.dumps(dict(json.loads((FIXTURES / "torsion.fan.json").read_text()),
+                                 degree_basis=rows)))
+    assert main(["grading", str(p)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "invalid fan" in err and "do not generate" in err
+    else:
+        assert "deg x = (-1) torsion (2 mod 3)" in out
+
+
 # every error type of the package, with the exit code and the stderr prefix
 # the command line gives it
 EXIT_CODES = {

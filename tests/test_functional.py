@@ -9,7 +9,9 @@ check of H is skipped when every term of H lies in S_rho, so S_rho must be
 complete and the errors must keep their type, message and precedence.  The
 floating-point local sum of ``oracles.py`` evaluates polynomials from
 precomputed complex term lists, which must give the values the plain
-evaluation ``oracles.evaluate`` gives.
+evaluation ``oracles.evaluate`` gives.  Every reducer of the basis is
+homogeneous, under grevlex and lex, so the pass that builds the functional
+stays in S_rho without a degree check of its own.
 """
 
 import itertools
@@ -29,7 +31,9 @@ from toricres import (
     ResidueProblem,
     compute_grading,
     cone_determinant,
+    grevlex,
     jacobian_residue_check,
+    lex,
     load_fan,
     make_fan,
     monomial_basis,
@@ -43,6 +47,7 @@ from toricres import (
 from conftest import FIXTURES, load
 from oracles import (normal_form_coefficient, normal_form_residue,
                      normal_form_sigma_independence)
+from test_quotient import SYSTEM_FANS, square_systems
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -420,3 +425,31 @@ def test_numeric_outcomes_and_refusals_match_multipoly_evaluate(monkeypatch):
     slow = numeric_outcomes()
     assert fast == slow
     assert {o[0] for o in fast} >= {"value", "NotTorusZero", "InfiniteIntersection"}
+
+
+# ---------------------------------------------------------------------------
+# the functional reads t*m/le inside the slice without a degree check: the
+# basis of homogeneous inputs is homogeneous in the full grading group
+
+
+def assert_reducers_homogeneous(pb, order):
+    basis = ResidueProblem(pb.fan, pb.polys, order=order, sigma=pb.sigma,
+                           grading=pb.grading).groebner
+    assert basis.reducers
+    for le, _, tail in basis.reducers:
+        d = pb.grading.degree(le)
+        assert all(pb.grading.degree(e) == d for e, _ in tail), (le, tail)
+
+
+@pytest.mark.parametrize("order", [grevlex, lex])
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
+def test_every_reducer_is_homogeneous_on_fixtures(name, order):
+    pb = load(name).problem
+    assert_reducers_homogeneous(pb, order(pb.fan.nvars))
+
+
+@SETTINGS
+@given(square_systems(list(SYSTEM_FANS)), st.sampled_from([grevlex, lex]))
+def test_every_reducer_is_homogeneous_on_random_systems(case, order):
+    pb, _, _ = case
+    assert_reducers_homogeneous(pb, order(pb.fan.nvars))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import toricres.grading as grading_mod
 from toricres import (
@@ -15,7 +15,8 @@ from toricres import (
 )
 
 from conftest import FIXTURES
-from oracles import per_call_representative_divisor
+from oracles import onto_degree_basis, per_call_representative_divisor
+from test_volume import complete_polygon_fans
 
 FANS = sorted(p.name for p in FIXTURES.glob("*.fan.json"))
 
@@ -158,3 +159,70 @@ def test_one_grading_makes_one_smith_form(name, monkeypatch):
         target = g.degree(e)
         assert representative_divisor(g, target) == per_call_representative_divisor(g, target)
     assert len(calls) == 1
+
+
+def test_torsion_fan_accepts_the_negated_basis(torsion_fan):
+    fan, g = torsion_fan
+    user = validate_user_grading(fan, [[-1, -1, -1]])
+    for i in range(fan.nvars):
+        d = g.variable_degree(i)
+        assert user.variable_degree(i) == DegreeClass(tuple(-x for x in d.free),
+                                                      d.torsion, d.moduli)
+
+
+def test_torsion_fan_refuses_the_doubled_basis(torsion_fan):
+    # with the torsion row and the ray image, [2, 2, 2] spans the lattice
+    # that [1, 1, 1] spans, yet it maps the class group onto 2Z only
+    fan, _ = torsion_fan
+    with pytest.raises(NotSurjective, match="do not generate"):
+        validate_user_grading(fan, [[2, 2, 2]])
+
+
+TORSION_FAN = load_fan(FIXTURES / "torsion.fan.json")[0]
+
+
+@st.composite
+def changes_of_basis(draw):
+    """A fixture fan or a random complete polygon fan, and a matrix T with
+    rank - 1 to rank + 1 rows, rank rows half the time: with rank rows, half
+    the time a product of elementary moves and sign flips, so unimodular,
+    else any small entries."""
+    fan = draw(st.one_of(st.sampled_from(FANS).map(lambda name: load_fan(FIXTURES / name)[0]),
+                         complete_polygon_fans()))
+    r = compute_grading(fan).rank
+    k = draw(st.sampled_from([r, r, max(r - 1, 0), r + 1]))
+    if k == r and draw(st.booleans()):
+        T = [[int(i == j) for j in range(r)] for i in range(r)]
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            q = draw(st.integers(-2, 2))
+            if i != j:
+                T[i] = [a + q * b for a, b in zip(T[i], T[j])]
+            elif q < 0:
+                T[i] = [-a for a in T[i]]
+    else:
+        T = [draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)) for _ in range(k)]
+    return fan, tuple(map(tuple, T))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(changes_of_basis())
+@example((TORSION_FAN, ((2,),)))
+@example((TORSION_FAN, ((-1,),)))
+def test_user_rows_are_accepted_exactly_when_their_degree_map_is_onto(case):
+    fan, T = case
+    g = compute_grading(fan)
+    rows = [[sum(t * row[j] for t, row in zip(trow, g.free_rows)) for j in range(fan.nvars)]
+            for trow in T]
+    onto = onto_degree_basis(fan, rows)
+    try:
+        user = validate_user_grading(fan, rows)
+    except NotSurjective as exc:
+        assert not onto
+        assert "do not generate" in str(exc) or len(rows) != g.rank
+        return
+    assert onto
+    for i in range(fan.nvars):
+        d = g.variable_degree(i)
+        assert user.variable_degree(i) == DegreeClass(
+            tuple(sum(t * x for t, x in zip(trow, d.free)) for trow in T), d.torsion, d.moduli)

@@ -1,0 +1,91 @@
+"""Repository-wide lints over the syntax trees of the sources.
+
+No linter is installed, so these are the checks: every import in
+``src/toricres`` sits at module level, no module of the repository imports
+a name it never uses, and every function and class the package defines at
+module level is read or exported.
+"""
+
+import ast
+from pathlib import Path
+
+import toricres
+
+
+def test_no_module_imports_inside_a_function():
+    """Every import in ``src/toricres`` sits at module level, where an
+    import cycle shows at once."""
+    paths = sorted(Path(toricres.__file__).parent.glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        nested = [(fn.name, node.lineno) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert nested == [], (path.name, nested)
+
+
+def _top_level_imports(tree):
+    """(bound name, line) of each module-level import but ``__future__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+
+
+ROOT = Path(toricres.__file__).parent.parent.parent
+
+
+def _exported():
+    """The names in the package's ``__all__``."""
+    init = ast.parse((ROOT / "src" / "toricres" / "__init__.py").read_text())
+    return next(ast.literal_eval(node.value) for node in init.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"])
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """No linter is installed, so this is the check: every name a module
+    of the package, its tests, its scripts or its benchmark imports at
+    module level is read somewhere in it; the package's ``__init__``
+    re-exports the names in its ``__all__``."""
+    exported = _exported()
+    paths = sorted(p for d in ("src", "tests", "scripts", "perfbench")
+                   for p in (ROOT / d).rglob("*.py"))
+    assert len(paths) > 40
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(exported)
+        unused += [(str(path.relative_to(ROOT)), name, line)
+                   for name, line in _top_level_imports(tree) if name not in read]
+    assert unused == []
+
+
+def test_every_module_level_definition_is_read_or_exported():
+    """Every module-level function and class of ``src/toricres`` is read by
+    its own module, imported or read as an attribute by another module of
+    ``src``, ``scripts`` or ``perfbench``, or listed in ``__all__``; tests
+    do not count, so a helper left behind when its last caller goes fails
+    here."""
+    exported = set(_exported())
+    paths = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    package = sorted((ROOT / "src" / "toricres").glob("*.py"))
+    assert len(package) > 10
+    unread = []
+    for path in package:
+        tree = trees[path]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {a.name for other, t in trees.items() if other != path for node in ast.walk(t)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[-1] == path.stem for a in node.names}
+        unread += [(path.name, node.name, node.lineno) for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and node.name not in read | attributes | exported]
+    assert unread == []

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from toricres import (
+    DecompositionFailed,
+    DegreeMismatch,
     MultiPoly,
     NoIntegralLift,
     NonSquare,
@@ -10,6 +13,8 @@ from toricres import (
     NotHomogeneous,
     ParseError,
     ZeroPolynomial,
+    build_cayley,
+    decompose,
     degree_of,
     dehomogenize,
     homogenize_to_degree,
@@ -18,12 +23,18 @@ from toricres import (
     parse_poly,
     poly_det,
     poly_to_string,
+    representative_divisor,
+    toric_jacobian,
 )
 
 import toricres.poly as poly_module
+from toricres.cayley import _lift_poly
 
 from conftest import FIXTURES, load, poly
-from oracles import constructor_dehomogenize, evaluate, is_constant, substitute
+from oracles import (constructor_decompose, constructor_dehomogenize,
+                     constructor_homogenize_to_degree, constructor_lift_poly, constructor_partial,
+                     evaluate, is_constant, substitute)
+from test_quotient import SYSTEM_FANS, square_systems
 
 XYZ = ("x", "y", "z")
 
@@ -228,3 +239,81 @@ def test_substitute():
     p = parse_poly("x^2*y", ("x", "y"))
     q = substitute(p, {0: MultiPoly.constant(2, 1)})
     assert q == parse_poly("y", ("x", "y"))
+
+
+# ---------------------------------------------------------------------------
+# builders that map exponents injectively build through ``from_terms``; each
+# must equal its validating construction, which sums terms that meet
+
+
+def assert_same_poly(fast, slow):
+    assert fast.nvars == slow.nvars
+    assert list(fast.terms.items()) == list(slow.terms.items())
+    assert all(type(c) is Fraction and c for c in fast.terms.values())
+    assert all(len(e) == fast.nvars and all(type(x) is int for x in e) for e in fast.terms)
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except (DecompositionFailed, NoIntegralLift, NonUniqueLift) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_builders_match_the_validating_constructor(fan, grading, polys):
+    divisors = [representative_divisor(grading, degree_of(p, grading)) for p in polys[:fan.dim + 1]]
+    cd = build_cayley(fan, grading, divisors, require_ample=False)
+    for p in polys:
+        for i in range(fan.nvars):
+            assert_same_poly(p.partial(i), constructor_partial(p, i))
+        for j in (None, *range(fan.dim + 1)):
+            assert_same_poly(_lift_poly(cd, p, j), constructor_lift_poly(cd, p, j))
+        degree = degree_of(p, grading)
+        for k in range(len(fan.max_cones)):
+            fast = outcome(lambda: decompose(p, fan, k))
+            slow = outcome(lambda: constructor_decompose(p, fan, k))
+            if isinstance(slow[0], MultiPoly):
+                for a, b in zip(fast, slow, strict=True):
+                    assert_same_poly(a, b)
+            else:
+                assert fast == slow
+            q = dehomogenize(p, fan, k)
+            fast = outcome(lambda: homogenize_to_degree(q, fan, k, degree, grading))
+            slow = outcome(lambda: constructor_homogenize_to_degree(q, fan, k, degree, grading))
+            if isinstance(slow, MultiPoly):
+                assert_same_poly(fast, slow)
+                assert fast == p
+            else:
+                assert fast == slow
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in FIXTURES.glob("*.json") if not p.name.endswith(".fan.json")))
+def test_from_terms_builders_match_the_validating_constructor_on_fixtures(name):
+    lp = load(name)
+    pb = lp.problem
+    assert_builders_match_the_validating_constructor(
+        pb.fan, pb.grading, pb.polys + tuple(H for H in lp.inputs if not H.is_zero()))
+    if len(set(pb.degrees)) == 1:
+        J, k = toric_jacobian(pb), pb.sigma
+        assert J.is_zero() or J == constructor_homogenize_to_degree(
+            dehomogenize(J, pb.fan, k), pb.fan, k, pb.critical, pb.grading)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(square_systems(list(SYSTEM_FANS)))
+def test_from_terms_builders_match_the_validating_constructor_on_random_systems(case):
+    pb, H, _ = case
+    assert_builders_match_the_validating_constructor(
+        pb.fan, pb.grading, pb.polys + ((H,) if not H.is_zero() else ()))
+
+
+def test_builders_refuse_a_polynomial_of_another_ring(p2):
+    # the exponents are trusted once the ring matches, so the ring is checked
+    fan, g = p2
+    other = MultiPoly(2, {(1, 1): 1})
+    with pytest.raises(DegreeMismatch):
+        decompose(other, fan, 0)
+    cd = build_cayley(fan, g, [(1, 0, 0)] * 3)
+    with pytest.raises(DegreeMismatch):
+        _lift_poly(cd, other, 0)

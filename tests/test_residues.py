@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricres import (
     AllReduceToZero,
@@ -17,13 +19,17 @@ from toricres import (
     degree_of,
     in_irrelevant_ideal,
     irrelevant_ideal,
+    poly_det,
     residue_report,
     sigma_independence_check,
     toric_residue,
     variable_annihilation_check,
 )
 
-from conftest import load, poly, polys
+from toricres.cli import _random_admissible
+
+from conftest import FIXTURES, load, poly, polys
+from test_quotient import SYSTEM_FANS, square_systems
 
 
 def exponents_to_names(gens, names):
@@ -261,3 +267,28 @@ def test_swap_flips_sign():
                              order=pb.order, sigma=pb.sigma,
                              grading=lp.grading)
     assert toric_residue(swapped, h) == -toric_residue(pb, h)
+
+
+def assert_transformed_critical_degree(pb, rng):
+    """verify_gtl no longer compares critical degrees: the column degree
+    pattern of an admissible A makes rho_G = rho_F + deg det A."""
+    A = _random_admissible(pb, rng)
+    n1 = len(pb.polys)
+    G = [sum((A[i][j] * pb.polys[i] for i in range(n1)), MultiPoly.zero(pb.fan.nvars))
+         for j in range(n1)]
+    transformed = ResidueProblem(pb.fan, G, order=pb.order, sigma=pb.sigma, grading=pb.grading)
+    assert transformed.critical == pb.critical + degree_of(poly_det(A), pb.grading)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in FIXTURES.glob("*.json") if not p.name.endswith(".fan.json")))
+def test_transformed_critical_degree_adds_deg_det_a_on_fixtures(name):
+    rng = random.Random(name)
+    for _ in range(5):
+        assert_transformed_critical_degree(load(name).problem, rng)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(square_systems(list(SYSTEM_FANS)), st.integers(0, 2**16))
+def test_transformed_critical_degree_adds_deg_det_a_on_random_systems(case, seed):
+    assert_transformed_critical_degree(case[0], random.Random(seed))
