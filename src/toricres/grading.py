@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NoIntegralLift, NotAGrading, NotSurjective
+from .errors import DegreeMismatch, NoIntegralLift, NotAGrading, NotSurjective
 from .lattice import (
     Mat,
     Vec,
@@ -81,7 +81,10 @@ class Grading:
         return len(self.free_rows)
 
     def degree(self, exponent) -> DegreeClass:
+        """Degree class of an exponent with one entry per variable, else DegreeMismatch."""
         e = tuple(int(x) for x in exponent)
+        if len(e) != self.nvars:
+            raise DegreeMismatch(f"exponent has {len(e)} entries for {self.nvars} variables")
         return DegreeClass(
             tuple(dot(row, e) for row in self.free_rows),
             tuple(dot(row, e) for row in self.torsion_rows),

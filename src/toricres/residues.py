@@ -4,7 +4,8 @@ Given n+1 homogeneous polynomials with no common zeros on the variety, the
 residue of a critical-degree input H is l(H) / l(Delta_sigma), where l sends
 each critical-degree monomial to the coefficient of one standard monomial in
 its normal form modulo a Groebner basis of the input ideal, and Delta_sigma
-is the distinguished cone determinant.  l is built once per problem.
+is the distinguished cone determinant.  l is built once per problem, in
+integers, and held as one integer vector over a common denominator.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
 from .groebner import (GroebnerBasis, MonomialOrder, _divides, buchberger, divide, first_divisor,
                        grevlex, integer_terms)
-from .lattice import FanData, cone_det, cone_group_order, is_complete
+from .lattice import FanData, clear_denominators, cone_det, cone_group_order, dot, is_complete
 from .poly import Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
 
@@ -210,56 +211,69 @@ class CodimReport:
 
 
 def residue_functional(order: MonomialOrder, groebner: GroebnerBasis,
-                       monomials) -> tuple[CodimReport, dict]:
+                       monomials) -> tuple[CodimReport, tuple[int, dict]]:
     """Codimension report and residue functional of the critical slice, from
     one ascending pass over its ``monomials`` against ``groebner``.
 
     The functional l sends m to the coefficient of the pivot, the least
-    standard monomial, in the normal form of m.  A standard m is its own
-    normal form: l(m) is 1 at the pivot and 0 elsewhere.  Otherwise, with
-    (le, lc, tail) the first of the basis's primitive integer reducers that
-    divides m, normal forms being linear give l(m) = -sum c_t*l(t*m/le)/lc
-    over the tail; each t*m/le is below m and in the slice, since the basis
-    of homogeneous inputs is homogeneous (S-polynomials and reductions keep
-    every term in one degree class, torsion part included).  The check
-    passes with one standard monomial, since every normal form in the slice
-    is then a multiple of the pivot; otherwise the report names the pivot,
-    the two least standard monomials and their count.
+    standard monomial, in the normal form of m.  It is returned as one
+    integer vector over a common denominator, ``(D, num)`` with D > 0 and
+    num[m] = D*l(m), in lowest terms.  A standard m is its own normal form:
+    l(m) is 1 at the pivot and 0 elsewhere.  Otherwise, with (le, lc, tail)
+    the first of the basis's primitive integer reducers that divides m,
+    normal forms being linear give l(m) = total/(D*lc) with
+    total = -sum c_t*num[t*m/le] over the tail; each t*m/le is below m and
+    in the slice, since the basis of homogeneous inputs is homogeneous
+    (S-polynomials and reductions keep every term in one degree class,
+    torsion part included).  As ``divide`` keeps its scale, D runs: when lc
+    does not divide total, D and every stored value are multiplied by
+    a = lc/gcd(total, lc), and num[m] = total/gcd(total, lc) is prime to a,
+    so (D, num), which holds num[pivot] = D, stays in lowest terms.  The
+    check passes with one standard monomial, since every normal form in the
+    slice is then a multiple of the pivot; otherwise the report names the
+    pivot, the two least standard monomials and their count.
     """
     if not monomials:
         raise AllReduceToZero("no monomials exist in the critical degree")
     add, sub = operator.add, operator.sub
-    ell = {}
+    D = 1
+    num = {}
     standard = []
     for m in sorted(monomials, key=order.key):
         hit = first_divisor(groebner.reducers, m)
         if hit is None:
-            ell[m] = Fraction(0) if standard else Fraction(1)
+            num[m] = 0 if standard else D
             standard.append(m)
             continue
         le, lc, tail = hit
         shift = tuple(map(sub, m, le))
-        total = sum((c * ell[tuple(map(add, t, shift))] for t, c in tail), Fraction(0))
-        ell[m] = -total if lc == 1 else -total / lc
+        total = -sum(c * num[tuple(map(add, t, shift))] for t, c in tail)
+        g = gcd(total, lc)
+        if g != lc:
+            a = lc // g
+            D *= a
+            num = {k: v * a for k, v in num.items()}
+        num[m] = total // g
     if not standard:
         raise AllReduceToZero(
             "every critical-degree monomial reduces to zero")
     if len(standard) > 1:
-        return CodimReport(False, standard[0], tuple(standard[:2]), len(standard)), ell
-    return CodimReport(True, standard[0], None, 1), ell
+        return CodimReport(False, standard[0], tuple(standard[:2]), len(standard)), (D, num)
+    return CodimReport(True, standard[0], None, 1), (D, num)
 
 
 class ResidueProblem:
     """Immutable bundle: fan, grading, the n+1 forms, order, cone.
 
     Heavy artifacts (critical degree, monomials of the critical degree,
-    Groebner basis with its reducer table, residue functional ``ell`` with
-    the codimension report, zero-locus report, cone determinant) are
-    cached properties, computed once on first use; a stage that raises
-    caches nothing and raises again on the next access.  The functional
-    and the report come from one pass over the cached monomials against
-    the cached basis; the residue of every H and the normalizing
-    coefficient are dot products with the functional.  The zero-locus
+    Groebner basis with its reducer table, residue functional with the
+    codimension report, zero-locus report, cone determinant) are cached
+    properties, computed once on first use; a stage that raises caches
+    nothing and raises again on the next access.  The functional and the
+    report come from one pass over the cached monomials against the cached
+    basis, and the functional is held once, as one integer vector over a
+    common denominator; the residue of every H and the normalizing
+    coefficient are integer dot products with it.  The zero-locus
     report reads the cached basis too: it certifies each chart by a power
     of zhat reducing to zero, so building it builds the basis.
     Construction only validates shapes, homogeneity and the rays of sigma,
@@ -314,8 +328,10 @@ class ResidueProblem:
 
     @property
     def ell(self) -> dict:
-        """Critical-degree monomial -> coefficient of the pivot in its normal form."""
-        return self._functional[1]
+        """Critical-degree monomial -> coefficient of the pivot in its normal
+        form: the integer functional read as Fractions on each access."""
+        D, num = self._functional[1]
+        return {m: Fraction(v, D) for m, v in num.items()}
 
     @property
     def pivot(self) -> Exponent:
@@ -348,10 +364,15 @@ class ResidueProblem:
         return (d > 0) - (d < 0)
 
     def normal_coefficient(self, H: MultiPoly) -> Fraction:
-        """Coefficient of the pivot in the normal form of H: ``ell`` applied
-        to H, where terms outside the critical degree give 0."""
-        ell = self.ell
-        return sum((c * ell[e] for e, c in H.terms.items() if e in ell), Fraction(0))
+        """Coefficient of the pivot in the normal form of H: the functional
+        applied to H, where terms outside the critical degree give 0.  The
+        coefficients of H's terms in the slice are cleared of denominators
+        once, so the value is one integer dot product with D*l over d*D, d
+        the lcm of their denominators."""
+        D, num = self._functional[1]
+        inside = [(num[e], c) for e, c in H.terms.items() if e in num]
+        d, coeffs = clear_denominators(c for _, c in inside)
+        return Fraction(dot([v for v, _ in inside], coeffs), d * D)
 
 
 def cone_determinant(problem: ResidueProblem, cone_index: int | None = None) -> MultiPoly:

@@ -10,8 +10,9 @@ MultiPoly S-polynomials, the multiplication tables of a chart quotient
 from Fraction normal forms, the quotient dimension of a chart
 system from its grevlex basis, the zero-locus test that builds a basis over Q of every
 chart ideal, the codimension check that reduces every critical-degree
-monomial, the residue read from normal forms with every degree check done
-by ``degree_of``, membership in the radical through a slack variable, the
+monomial, the residue functional built and applied in Fractions, the
+residue read from normal forms with every degree check done by
+``degree_of``, membership in the radical through a slack variable, the
 completeness test that compares every pair of cones, the rank as the size
 of the largest nonzero minor, the determinant by cofactor expansion, the
 numeric chart solver that read zeros from a lex basis in shape position,
@@ -61,8 +62,8 @@ from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeM
                       is_simplicial, monomial_basis, no_common_zeros_on_x, poly_det)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
 from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
-from toricres.groebner import (_lcm, _sub_exp, grevlex, integer_reducer, integer_terms, lex,
-                               quotient_is_finite, standard_monomials)
+from toricres.groebner import (_lcm, _sub_exp, first_divisor, grevlex, integer_reducer,
+                               integer_terms, lex, quotient_is_finite, standard_monomials)
 from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cramer, dot, freeze,
                               hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form)
 from toricres.localres import _chart, _Quotient
@@ -511,6 +512,45 @@ def normal_form_sigma_independence(problem) -> bool:
     return all(normal_form_coefficient(problem, cone_determinant(problem, k))
                == problem.cone_sign(k) * c_sigma
                for k in range(len(problem.fan.max_cones)))
+
+
+# ---------------------------------------------------------------------------
+# the residue functional over Fractions, as ``residues.residue_functional``
+# built it before it held one integer vector over a common denominator
+
+
+def fraction_functional(order: MonomialOrder, groebner, monomials) -> tuple[CodimReport, dict]:
+    """Codimension report and the functional as a dict of Fractions, from
+    one ascending pass over ``monomials``: 1 at the pivot, 0 at every other
+    standard monomial, -sum c_t*l(t*m/le)/lc at a monomial that the first
+    dividing reducer (le, lc, tail) of ``groebner`` reduces."""
+    if not monomials:
+        raise AllReduceToZero("no monomials exist in the critical degree")
+    add, sub = operator.add, operator.sub
+    ell = {}
+    standard = []
+    for m in sorted(monomials, key=order.key):
+        hit = first_divisor(groebner.reducers, m)
+        if hit is None:
+            ell[m] = Fraction(0) if standard else Fraction(1)
+            standard.append(m)
+            continue
+        le, lc, tail = hit
+        shift = tuple(map(sub, m, le))
+        total = sum((c * ell[tuple(map(add, t, shift))] for t, c in tail), Fraction(0))
+        ell[m] = -total if lc == 1 else -total / lc
+    if not standard:
+        raise AllReduceToZero(
+            "every critical-degree monomial reduces to zero")
+    if len(standard) > 1:
+        return CodimReport(False, standard[0], tuple(standard[:2]), len(standard)), ell
+    return CodimReport(True, standard[0], None, 1), ell
+
+
+def fraction_normal_coefficient(ell: dict, H: MultiPoly) -> Fraction:
+    """The Fraction functional applied to H term by term; terms outside
+    the critical slice give 0."""
+    return sum((c * ell[e] for e, c in H.terms.items() if e in ell), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

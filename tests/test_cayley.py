@@ -4,6 +4,7 @@ import pytest
 
 from toricres import (
     DegreeMismatch,
+    MultiPoly,
     NotAmple,
     build_cayley,
     bundle_class,
@@ -105,3 +106,17 @@ def test_bilinear_surface_bundle():
     assert equal_degree_check(cd, lp.problem.polys)
     assert cayley_polytope_check(cd)
     assert jacobian_ideal_degree_check(cd, lp.problem.polys)
+
+
+def test_equal_degree_check_refuses_an_input_of_another_ring(p2):
+    """An input with fewer or more variables than the base fan is refused
+    for its ring, before any degree is compared: x^2 in two variables must
+    not be read, truncated, as an input of the wrong degree."""
+    fan, g = p2
+    cd = build_cayley(fan, g, [(1, 0, 0)] * 3)
+    good = [poly(v, fan) for v in fan.variables]
+    assert equal_degree_check(cd, good)
+    for bad in [MultiPoly(2, {(2, 0): 1}), MultiPoly(2, {(1, 0): 1}),
+                MultiPoly(4, {(1, 0, 0, 0): 1})]:
+        with pytest.raises(DegreeMismatch, match="entries for 3 variables"):
+            equal_degree_check(cd, [bad, *good[1:]])

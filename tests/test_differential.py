@@ -9,8 +9,9 @@ basis, over Q and mod P, where it is the basis over Q reduced mod P; the
 chart solver's finiteness and quotient dimension must match a grevlex
 basis built apart from it; the codimension check on the cached basis must
 give the same report as the check that reduces every critical-degree
-monomial; the linear-time completeness test must agree with the pairwise
-overlap test.
+monomial, and the integer functional in lowest terms the values of the
+Fraction pass on the integer reducers and on the monic Fraction ones; the
+linear-time completeness test must agree with the pairwise overlap test.
 """
 
 import contextlib
@@ -57,8 +58,8 @@ from toricres.groebner import divide, integer_reducer, integer_terms, s_polynomi
 from toricres.residues import P, _mod_p, residue_functional
 
 from conftest import FIXTURES, load
-from oracles import (NotShapePosition, all_monomial_codim_check, grevlex_chart_dimension,
-                     integer_table, is_constant, linear_scan_normal_form,
+from oracles import (NotShapePosition, all_monomial_codim_check, fraction_functional,
+                     grevlex_chart_dimension, integer_table, is_constant, linear_scan_normal_form,
                      multipoly_s_polynomial, pairwise_is_complete, parallel_list_buchberger,
                      primitive, reducer_table, solve_chart_system)
 from oracles import _monic
@@ -389,20 +390,31 @@ class _FractionBasis:
         self.reducers = reducer_table(gb.generators, gb.order)
 
 
-def functional_outcome(pb, basis):
+def functional_outcome(functional, pb, basis):
     try:
-        return residue_functional(pb.order, basis, pb.monomials)
+        return functional(pb.order, basis, pb.monomials)
     except AllReduceToZero:
         return "AllReduceToZero"
 
 
 @pytest.mark.parametrize("name", RESIDUE_FIXTURES)
 def test_ell_and_reduce_match_fraction_reducers_on_fixtures(name):
+    """The functional is one integer vector over a positive denominator, in
+    lowest terms, whose Fraction view is the Fraction pass of the oracle on
+    the integer reducers and on the monic Fraction ones."""
     pb = load(name).problem
     gb = pb.groebner
-    fast = functional_outcome(pb, gb)
-    assert fast == functional_outcome(pb, _FractionBasis(gb))
-    assert fast == "AllReduceToZero" or all(type(v) is Fraction for v in fast[1].values())
+    fast = functional_outcome(residue_functional, pb, gb)
+    oracle = functional_outcome(fraction_functional, pb, gb)
+    assert oracle == functional_outcome(fraction_functional, pb, _FractionBasis(gb))
+    if fast == "AllReduceToZero":
+        assert oracle == fast
+    else:
+        report, (D, num) = fast
+        assert type(D) is int and D > 0
+        assert all(type(v) is int for v in num.values())
+        assert math.gcd(D, *num.values()) == 1
+        assert (report, {m: Fraction(v, D) for m, v in num.items()}) == oracle
     table = reducer_table(gb.generators, pb.order)
     for H in pb.polys + tuple(MultiPoly.monomial(m) for m in pb.monomials):
         assert list(gb.reduce(H).terms.items()) \

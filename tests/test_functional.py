@@ -1,20 +1,28 @@
 """The residue functional against the normal-form residue it replaces.
 
-``ResidueProblem.ell`` is built in one ascending pass over the critical
-slice S_rho; every coefficient the package reads from it must equal the
-pivot coefficient of the linear-scan normal form (``oracles.py``), on every
-fixture (codimension failures included) and on dense H over P^2, P^3, the
-torsion fan, the pentagon with its user grading and P(1,1,2).  The degree
-check of H is skipped when every term of H lies in S_rho, so S_rho must be
-complete and the errors must keep their type, message and precedence.  The
-floating-point local sum of ``oracles.py`` evaluates polynomials from
-precomputed complex term lists, which must give the values the plain
-evaluation ``oracles.evaluate`` gives.  Every reducer of the basis is
-homogeneous, under grevlex and lex, so the pass that builds the functional
-stays in S_rho without a degree check of its own.
+The functional is built in one ascending pass over the critical slice
+S_rho, in integers over one running denominator, and held as one integer
+vector (D, D*l) in lowest terms; every coefficient the package reads from
+it must equal the pivot coefficient of the linear-scan normal form
+(``oracles.py``), on every fixture (codimension failures included) and on
+dense H over P^2, P^3, the torsion fan, the pentagon with its user grading
+and P(1,1,2).  Its Fraction view ``ResidueProblem.ell``, the codimension
+report and ``normal_coefficient`` must equal the Fraction pass it replaced
+(``oracles.fraction_functional``) on every fixture, on random systems over
+the fans of ``test_quotient`` under grevlex and lex and on dense septics
+over P^2, for H = 0, H with rational coefficients and H with terms outside
+the slice.  The degree check of H is skipped when every term of H lies in
+S_rho, so S_rho must be complete and the errors must keep their type,
+message and precedence.  The floating-point local sum of ``oracles.py``
+evaluates polynomials from precomputed complex term lists, which must give
+the values the plain evaluation ``oracles.evaluate`` gives.  Every reducer
+of the basis is homogeneous, under grevlex and lex, so the pass that builds
+the functional stays in S_rho without a degree check of its own.
 """
 
+import contextlib
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -27,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from toricres import (
     AllReduceToZero,
+    DecompositionFailed,
     MultiPoly,
     ResidueProblem,
     compute_grading,
@@ -44,10 +53,13 @@ from toricres import (
     toric_residue,
 )
 
+from toricres.residues import residue_functional
+
 from conftest import FIXTURES, load
-from oracles import (normal_form_coefficient, normal_form_residue,
-                     normal_form_sigma_independence)
-from test_quotient import SYSTEM_FANS, square_systems
+from oracles import (fraction_functional, fraction_normal_coefficient, normal_form_coefficient,
+                     normal_form_residue, normal_form_sigma_independence)
+import test_quotient
+from test_quotient import square_systems
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -259,6 +271,118 @@ def test_codim_failures_keep_ell_and_c_sigma():
 
 
 # ---------------------------------------------------------------------------
+# the integer functional against the Fraction pass it replaced
+
+
+def probe_inputs(pb):
+    """H = 0, a slice monomial with a rational coefficient, a dense H over
+    the slice with rational coefficients, and the same H with a monomial
+    one variable up added; that monomial alone, which has no term in the
+    slice; the inputs and every cone determinant that exists."""
+    nv = pb.fan.nvars
+    rng = random.Random(len(pb.monomials))
+    m = pb.monomials[0]
+    up = MultiPoly.monomial(tuple(a + (i == 0) for i, a in enumerate(m)), Fraction(5, 7))
+    dense = MultiPoly(nv, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                           for e in pb.monomials})
+    out = [MultiPoly.zero(nv), MultiPoly.monomial(m, Fraction(-3, 4)), dense, dense + up,
+           up, *pb.polys]
+    for k in range(len(pb.fan.max_cones)):
+        with contextlib.suppress(DecompositionFailed):
+            out.append(cone_determinant(pb, k))
+    return out
+
+
+def assert_functional_matches_oracle(pb):
+    """(D, num) is an integer vector over D > 0 in lowest terms; the report,
+    the Fraction view ``ell`` and the value of every probe H equal those of
+    the oracle's Fraction pass, and a value is a Fraction; a pass that
+    fails fails as the oracle's does."""
+    expected = outcome(lambda: fraction_functional(pb.order, pb.groebner, pb.monomials))
+    got = outcome(lambda: residue_functional(pb.order, pb.groebner, pb.monomials))
+    if expected[0] != "value":
+        assert got == expected
+        return
+    report, (D, num) = got[1]
+    assert type(D) is int and D > 0
+    assert all(type(v) is int for v in num.values())
+    assert math.gcd(D, *num.values()) == 1
+    expected_report, ell = expected[1]
+    assert report == pb.codim == expected_report
+    assert pb.ell == ell
+    for H in probe_inputs(pb):
+        value = pb.normal_coefficient(H)
+        assert type(value) is Fraction
+        assert value == fraction_normal_coefficient(ell, H)
+
+
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
+def test_integer_functional_matches_the_fraction_pass_on_fixtures(name):
+    assert_functional_matches_oracle(load(name).problem)
+
+
+@pytest.mark.parametrize("name", ["p2_fermat.json", "torsion_fermat.json", "pentagon_main.json"])
+def test_the_functional_makes_no_fraction_and_a_value_makes_one(monkeypatch, name):
+    """Building the functional makes no Fraction, and ``normal_coefficient``
+    makes only the one it returns, whatever H's coefficients."""
+    pb = load(name).problem
+    basis, monomials = pb.groebner, pb.monomials
+    probes = probe_inputs(pb)
+    pb.codim
+    made = []
+    real_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    residue_functional(pb.order, basis, monomials)
+    assert made == []
+    for H in probes:
+        pb.normal_coefficient(H)
+        assert len(made) == 1
+        made.clear()
+
+
+def test_fixture_probes_cover_every_kind_of_h():
+    """Among the fixtures some fail codimension one, and the probes hold H
+    = 0, H with rational coefficients and H with terms outside the slice."""
+    codim_ok = {load(name).problem.codim.ok for name in RESIDUE_FIXTURES}
+    assert codim_ok == {False, True}
+    pb = load("p2_fermat.json").problem
+    probes = probe_inputs(pb)
+    inside = pb._monomial_set
+    assert any(H.is_zero() for H in probes)
+    assert any(any(c.denominator > 1 for c in H.terms.values()) for H in probes)
+    assert any(H.terms and not inside.issuperset(H.terms) and inside & set(H.terms)
+               for H in probes)
+    assert any(H.terms and not inside & set(H.terms) for H in probes)
+
+
+@SETTINGS
+@given(square_systems(list(test_quotient.SYSTEM_FANS)), st.sampled_from([grevlex, lex]))
+def test_integer_functional_matches_the_fraction_pass_on_random_systems(case, order):
+    pb, _, _ = case
+    assert_functional_matches_oracle(ResidueProblem(
+        pb.fan, pb.polys, order=order(pb.fan.nvars), sigma=pb.sigma, grading=pb.grading))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_integer_functional_matches_the_fraction_pass_on_p2_septics(seed):
+    """Three dense septics on P^2: 190 slice monomials, the largest
+    denominators of the functional."""
+    fan, grading = system_fan("p2")
+    septics = monomial_basis(fan, grading, grading.degree((7, 0, 0)))
+    rng = random.Random(seed)
+    polys = [MultiPoly(fan.nvars, {m: rng.choice([c for c in range(-9, 10) if c])
+                                   for m in septics}) for _ in range(3)]
+    pb = ResidueProblem(fan, polys, grading=grading)
+    assert len(pb.monomials) == 190 and pb.codim.ok
+    assert_functional_matches_oracle(pb)
+
+
+# ---------------------------------------------------------------------------
 # S_rho is complete, and the degree shortcut keeps every error
 
 
@@ -449,7 +573,7 @@ def test_every_reducer_is_homogeneous_on_fixtures(name, order):
 
 
 @SETTINGS
-@given(square_systems(list(SYSTEM_FANS)), st.sampled_from([grevlex, lex]))
+@given(square_systems(list(test_quotient.SYSTEM_FANS)), st.sampled_from([grevlex, lex]))
 def test_every_reducer_is_homogeneous_on_random_systems(case, order):
     pb, _, _ = case
     assert_reducers_homogeneous(pb, order(pb.fan.nvars))

@@ -4,11 +4,14 @@ from hypothesis import example, given, settings, strategies as st
 import toricres.grading as grading_mod
 from toricres import (
     DegreeClass,
+    DegreeMismatch,
+    MultiPoly,
     NotAGrading,
     NotSurjective,
     anticanonical_class,
     compute_grading,
     critical_degree,
+    degree_of,
     representative_divisor,
     load_fan,
     validate_user_grading,
@@ -21,6 +24,18 @@ from test_volume import complete_polygon_fans
 FANS = sorted(p.name for p in FIXTURES.glob("*.fan.json"))
 
 PENTAGON_TABLE = [[1, 1, -1, 0, 0]]  # placeholder row, replaced in tests
+
+
+def test_degree_refuses_an_exponent_of_another_length(p2):
+    """A degree reads one entry per variable: a shorter or longer exponent,
+    or a polynomial of another ring, is refused, not truncated or padded."""
+    g = p2[1]
+    assert g.degree((1, 1, 0)).free == (2,)
+    for e in [(1, 1), (1, 1, 0, 5), ()]:
+        with pytest.raises(DegreeMismatch, match=f"exponent has {len(e)} entries for 3"):
+            g.degree(e)
+    with pytest.raises(DegreeMismatch):
+        degree_of(MultiPoly(2, {(1, 1): 1}), g)
 
 
 def test_p2_grading(p2):

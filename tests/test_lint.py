@@ -2,8 +2,9 @@
 
 No linter is installed, so these are the checks: every import in
 ``src/toricres`` sits at module level, no module of the repository imports
-a name it never uses, and every function and class the package defines at
-module level is read or exported.
+a name it never uses, every function and class the package defines at
+module level is read or exported, and no sum on the residue path starts
+from a Fraction.
 """
 
 import ast
@@ -89,3 +90,20 @@ def test_every_module_level_definition_is_read_or_exported():
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                    and node.name not in read | attributes | exported]
     assert unread == []
+
+
+def test_no_fraction_accumulator_on_the_residue_path():
+    """No ``sum(...)`` in ``residues.py`` starts from a Fraction: the
+    functional is one integer vector, and a residue is one integer dot
+    product with one Fraction built at the end."""
+    path = ROOT / "src" / "toricres" / "residues.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sums = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+    assert sums
+    starts = [(node.lineno, start) for node in sums
+              for start in node.args[1:] + [k.value for k in node.keywords if k.arg == "start"]]
+    fraction_starts = [line for line, start in starts
+                       if any(isinstance(n, ast.Name) and n.id == "Fraction"
+                              for n in ast.walk(start))]
+    assert fraction_starts == []
