@@ -38,9 +38,9 @@ from .errors import (
 )
 from .files import load_fan, load_problem
 from .grading import DegreeClass, anticanonical_class, representative_divisor
-from .lattice import is_complete, is_simplicial
+from .lattice import is_complete, is_simplicial, mat_det
 from .localres import sum_local_residues
-from .poly import MultiPoly, parse_poly, poly_det, poly_to_string
+from .poly import MultiPoly, parse_poly, poly_to_string
 from .polytopes import monomial_basis
 from .residues import (
     cone_determinant,
@@ -209,10 +209,8 @@ def cmd_delta(args) -> int:
     loaded = _problem_from_args(args)
     problem = loaded.problem
     names = problem.fan.variables
-    per_cone = []
-    for k in range(len(problem.fan.max_cones)):
-        d = cone_determinant(problem, k)
-        per_cone.append(poly_to_string(d, names))
+    per_cone = [poly_to_string(cone_determinant(problem, k), names)
+                for k in range(len(problem.fan.max_cones))]
     report = {"sigma": problem.sigma + 1, "delta": per_cone[problem.sigma],
               "per_cone": per_cone}
     lines = [f"cone {k + 1}: {s}" for k, s in enumerate(per_cone)]
@@ -266,27 +264,21 @@ def cmd_cone_xalpha(args) -> int:
 def _random_admissible(problem, rng):
     n1 = len(problem.polys)
     nv = problem.fan.nvars
-    same = all(d == problem.degrees[0] for d in problem.degrees)
-    while True:
-        M = [[MultiPoly.zero(nv) for _ in range(n1)] for _ in range(n1)]
-        if same:
+    if all(d == problem.degrees[0] for d in problem.degrees):
+        while True:
             vals = [[rng.randint(-3, 3) for _ in range(n1)] for _ in range(n1)]
-            for i in range(n1):
-                for j in range(n1):
-                    if vals[i][j]:
-                        M[i][j] = MultiPoly.constant(nv, vals[i][j])
-        else:
-            for j in range(n1):
-                M[j][j] = MultiPoly.constant(nv, rng.choice([-2, -1, 1, 2]))
-            for j in range(n1):
-                for i in range(j):
-                    gap = problem.degrees[j] - problem.degrees[i]
-                    mons = monomial_basis(problem.fan, problem.grading, gap)
-                    if mons and rng.random() < 0.5:
-                        M[i][j] = MultiPoly.monomial(
-                            rng.choice(mons), rng.randint(1, 2))
-        if not poly_det(M).is_zero():
-            return M
+            if mat_det(vals):
+                return [[MultiPoly.constant(nv, v) for v in row] for row in vals]
+    # upper triangular with a nonzero constant diagonal: nonsingular as drawn
+    M = [[MultiPoly.constant(nv, rng.choice([-2, -1, 1, 2]) if i == j else 0)
+          for j in range(n1)] for i in range(n1)]
+    for j in range(n1):
+        for i in range(j):
+            gap = problem.degrees[j] - problem.degrees[i]
+            mons = monomial_basis(problem.fan, problem.grading, gap)
+            if mons and rng.random() < 0.5:
+                M[i][j] = MultiPoly.monomial(rng.choice(mons), rng.randint(1, 2))
+    return M
 
 
 def cmd_check(args) -> int:

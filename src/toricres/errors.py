@@ -6,9 +6,13 @@ a class that sets neither inherits those of ``ToricError``.
 
 
 class ToricError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; some carry a ``witness``."""
 
     exit_code, prefix = 4, "hypotheses violated"
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class ParseError(ToricError):
@@ -42,10 +46,6 @@ class ZeroPolynomial(ToricError):
 class NotHomogeneous(ToricError):
     """Polynomial mixes degrees; carries a witness pair of exponents."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NonSquare(ToricError):
     """Determinant of a non-square matrix."""
@@ -74,11 +74,8 @@ class NotAmple(ToricError):
 
 
 class DecompositionFailed(ToricError):
-    """A term is divisible neither by a cone variable nor by the cone's complement monomial."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A term is divisible neither by a cone variable nor by the cone's
+    complement monomial; carries the term's exponent as witness."""
 
 
 class WrongDegree(ToricError):

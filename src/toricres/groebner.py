@@ -30,7 +30,6 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -299,16 +298,15 @@ class GroebnerBasis:
     def generators(self) -> tuple[MultiPoly, ...]:
         """The reduced monic basis as Fraction polynomials, built on first
         use; the package itself reads only the reducers."""
-        return tuple(MultiPoly.from_terms(self.order.nvars, {
-            le: Fraction(1), **{e: Fraction(c, lc) for e, c in tail}})
-            for le, lc, tail in self.reducers)
+        return tuple(MultiPoly.from_integer_terms(self.order.nvars, lc, {le: lc, **dict(tail)})
+                     for le, lc, tail in self.reducers)
 
     def reduce(self, p: MultiPoly) -> MultiPoly:
         """Remainder of p: its denominators cleared once, by d, the integer
         remainder r comes back as r/(scale*d)."""
         d, terms = integer_terms(p)
         scale, rem = divide(terms, self.reducers, self.order)
-        return MultiPoly.from_terms(p.nvars, {e: Fraction(c, scale * d) for e, c in rem.items()})
+        return MultiPoly.from_integer_terms(p.nvars, scale * d, rem)
 
     @property
     def leading_exponents(self) -> tuple[Exponent, ...]:

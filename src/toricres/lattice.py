@@ -338,8 +338,14 @@ class FanData:
     def nvars(self) -> int:
         return len(self.rays)
 
+    def cone(self, k) -> tuple[int, ...]:
+        """Ray indices of maximal cone k; ValueError unless 0 <= k < count."""
+        if not 0 <= k < len(self.max_cones):
+            raise ValueError(f"no maximal cone with index {k}")
+        return self.max_cones[k]
+
     def cone_rays(self, k):
-        return tuple(self.rays[i] for i in self.max_cones[k])
+        return tuple(self.rays[i] for i in self.cone(k))
 
     @cached_property
     def completeness(self) -> CompletenessReport:
@@ -349,20 +355,18 @@ class FanData:
 
 def make_fan(dim, rays, max_cones, variables=None, one_based=False):
     rays = freeze(rays)
-    cones = []
-    for cone in max_cones:
-        idx = [int(i) - 1 for i in cone] if one_based else [int(i) for i in cone]
-        cones.append(tuple(sorted(set(idx))))
+    shift = 1 if one_based else 0
+    cones = tuple(tuple(sorted({int(i) - shift for i in cone})) for cone in max_cones)
     if variables is None:
         variables = tuple(f"x{i + 1}" for i in range(len(rays)))
-    return FanData(int(dim), rays, tuple(cones), tuple(variables))
+    return FanData(int(dim), rays, cones, tuple(variables))
 
 
 def cone_det(fan: FanData, k: int) -> int:
     """Signed determinant of cone k's rays in ascending order, or 0 when the
     cone lacks dim independent rays.  Its sign orients the cone and its
     absolute value is the index of the sublattice the rays span."""
-    return mat_det(fan.cone_rays(k)) if len(fan.max_cones[k]) == fan.dim else 0
+    return mat_det(fan.cone_rays(k)) if len(fan.cone(k)) == fan.dim else 0
 
 
 def is_simplicial(fan: FanData) -> bool:

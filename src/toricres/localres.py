@@ -32,7 +32,7 @@ from .errors import (
 from .groebner import (GroebnerBasis, divide, grevlex, integer_terms, quotient_is_finite,
                        standard_monomials)
 from .lattice import mat_det, trace_of_solve
-from .poly import MultiPoly, dehomogenize, poly_det
+from .poly import MultiPoly, dehomogenize, integer_det, product_sum
 from .residues import no_common_zeros_on_x, require_critical_degree
 
 # how close a floating-point value of a local sum must come to the exact one;
@@ -79,18 +79,19 @@ class _Quotient:
         return out
 
     @cached_property
-    def jacobian(self) -> MultiPoly:
-        return poly_det([[p.partial(j) for j in range(p.nvars)] for p in self.polys])
+    def jacobian(self) -> tuple[int, dict]:
+        """The Jacobian determinant J in integers, as ``integer_det``'s (d, terms)."""
+        return integer_det([[p.partial(j) for j in range(p.nvars)] for p in self.polys])
 
-    def matrix(self, g: MultiPoly):
-        """(d, G): G is the integer matrix whose column b is column b of M_g
-        times d*s_b, where d clears the denominators of the normal form of g
-        and s_b = prod_j D_j^(b_j).  B is sorted and closed under division,
-        so x^b = x_j*x^c for a c earlier in B, and the column of b is x_j
-        times the column of c, reduced term by term through
-        ``_times_variable``.  The s_b depend on b alone, so they scale the G
-        of every g by one similarity, and leave det G = 0 as it is."""
-        d, terms = integer_terms(g)
+    def matrix(self, d: int, terms: dict):
+        """(d', G) for g = terms/d, terms integer: G is the integer matrix
+        whose column b is column b of M_g times d'*s_b, where d' clears the
+        denominators of the normal form of g and s_b = prod_j D_j^(b_j).  B
+        is sorted and closed under division, so x^b = x_j*x^c for a c
+        earlier in B, and the column of b is x_j times the column of c,
+        reduced term by term through ``_times_variable``.  The s_b depend on
+        b alone, so they scale the G of every g by one similarity, and leave
+        det G = 0 as it is."""
         d, nf = self._normal_form(terms, d)
         cols = {b: nf for b in self.basis[:1]}
         for b in self.basis[1:]:
@@ -105,15 +106,17 @@ class _Quotient:
 
     def require_simple(self):
         """NonSimpleZero unless det M_J != 0, J the Jacobian determinant."""
-        if mat_det(self.matrix(self.jacobian)[1]) == 0:
+        if mat_det(self.matrix(*self.jacobian)[1]) == 0:
             raise NonSimpleZero("the Jacobian vanishes at a zero (det M_J = 0)")
 
     def trace(self, h: MultiPoly, g: MultiPoly) -> Fraction | None:
         """The sum of h/(g*J) over the zeros, or None when M_{g*J} is
         singular.  It is (d_{gJ}/d_h) * Tr(G_{gJ}^-1 G_h): the similarity of
         ``matrix`` cancels in the trace, its scalars d do not."""
-        d_gj, A = self.matrix(g * self.jacobian)
-        d_h, B = self.matrix(h)
+        d_j, jac = self.jacobian
+        d_g, g = integer_terms(g)
+        d_gj, A = self.matrix(d_g * d_j, product_sum([(g, jac, 1)]))
+        d_h, B = self.matrix(*integer_terms(h))
         t = trace_of_solve(A, B)
         return None if t is None else t * d_gj / d_h
 

@@ -2,9 +2,10 @@
 
 Terms are stored as a dict from exponent tuples to nonzero Fractions.
 Integer work, over Z or GF(p), reads and writes plain term dicts instead
-(``groebner.integer_terms``, ``residues._mod_p``).  The representation is
-deliberately tiny; Groebner machinery and residue code only need
-arithmetic, substitution, and exact degree bookkeeping.
+(``groebner.integer_terms``, ``residues._mod_p``), as does every
+determinant of polynomials (``integer_det``, over one denominator).  The
+representation is deliberately tiny; Groebner machinery and residue code
+only need arithmetic, substitution, and exact degree bookkeeping.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import representative_divisor
-from .lattice import adjugate, cone_det, dot, mat_vec
+from .lattice import adjugate, clear_denominators, cone_det, dot, mat_vec
 
 Exponent = tuple[int, ...]
 
@@ -56,6 +57,11 @@ class MultiPoly:
         p.nvars = nvars
         p.terms = terms
         return p
+
+    @classmethod
+    def from_integer_terms(cls, nvars, d, terms):
+        """The polynomial terms/d, for integer terms and a nonzero int d."""
+        return cls.from_terms(nvars, {e: Fraction(c, d) for e, c in terms.items()})
 
     @classmethod
     def zero(cls, nvars):
@@ -327,43 +333,57 @@ def is_homogeneous(p: MultiPoly, grading) -> bool:
     return True
 
 
-def poly_det(M: list[list[MultiPoly]]) -> MultiPoly:
-    """Determinant of a matrix of polynomials.
+def integer_det(M: list[list[MultiPoly]]) -> tuple[int, dict[Exponent, int]]:
+    """(d, terms) with d > 0 and integer terms: the determinant of a square
+    matrix of polynomials is terms/d.
 
-    Expands from the last row up: the minor of the bottom k rows on each
-    k-set of columns is found once, from the row above's entries and the
-    (k-1)-minors already found, skipping zero factors.  That is at most
-    n·2^(n-1) - n products for an n×n matrix.
+    Each column is cleared of denominators once, and d is the product of
+    those scales.  The integer matrix is expanded from the last row up: the
+    minor of the bottom k rows on each k-set of columns is found once, from
+    the row above's entries and the (k-1)-minors already found, skipping
+    zero factors.  That is at most n·2^(n-1) - n products for an n×n matrix.
     """
     n = len(M)
     if n == 0:
         raise ValueError("empty determinant")
     if any(len(row) != n for row in M):
         raise NonSquare("determinant needs a square matrix")
-    minors = {(j,): M[-1][j] for j in range(n)}
+    d, cols = 1, []
+    for col in zip(*M):
+        scale, nums = clear_denominators(c for p in col for c in p.terms.values())
+        d, nums = d * scale, iter(nums)
+        cols.append([dict(zip(p.terms, nums)) for p in col])
+    minors = {(j,): cols[j][-1] for j in range(n)}
     for r in range(n - 2, -1, -1):
-        row = M[r]
         below = minors
-        minors = {}
-        for cols in itertools.combinations(range(n), n - r):
-            total = MultiPoly.zero(row[0].nvars)
-            for k, j in enumerate(cols):
-                minor = below[cols[:k] + cols[k + 1:]]
-                if row[j].is_zero() or minor.is_zero():
-                    continue
-                term = row[j] * minor
-                total = total - term if k % 2 else total + term
-            minors[cols] = total
-    return minors[tuple(range(n))]
+        minors = {js: product_sum((cols[j][r], below[js[:k] + js[k + 1:]], (-1) ** k)
+                                  for k, j in enumerate(js))
+                  for js in itertools.combinations(range(n), n - r)}
+    return d, minors[tuple(range(n))]
+
+
+def product_sum(triples) -> dict[Exponent, int]:
+    """The integer terms of the sum of s*a*b over the triples (a, b, s) of
+    integer term dicts a, b and ints s."""
+    add = operator.add
+    out = {}
+    for a, b, s in triples:
+        for e1, c1 in a.items():
+            c1 *= s
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_det(M: list[list[MultiPoly]]) -> MultiPoly:
+    """``integer_det`` read as a polynomial."""
+    d, terms = integer_det(M)
+    return MultiPoly.from_integer_terms(M[0][0].nvars, d, terms)
 
 
 # ---------------------------------------------------------------------------
 # chart moves
-
-def chart_variables(fan, cone_index: int) -> tuple[int, ...]:
-    """Ray indices of the cone in ascending order; these become chart coords."""
-    return tuple(fan.max_cones[cone_index])
-
 
 def dehomogenize(p: MultiPoly, fan, cone_index: int) -> MultiPoly:
     """Set the variables outside the cone to 1 and keep the cone variables.
@@ -372,7 +392,7 @@ def dehomogenize(p: MultiPoly, fan, cone_index: int) -> MultiPoly:
     ray index inside the cone.  Terms that meet are summed, and sums that
     cancel are dropped.
     """
-    cone = chart_variables(fan, cone_index)
+    cone = fan.cone(cone_index)
     out = {}
     for e, c in p.terms.items():
         ne = tuple([e[i] for i in cone])
@@ -400,7 +420,7 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     det = cone_det(fan, cone_index)
     if det == 0:
         raise NonUniqueLift("off-cone exponents are not determined by the degree")
-    cone = chart_variables(fan, cone_index)
+    cone = fan.cone(cone_index)
     a = representative_divisor(grading, target)
     adj = adjugate(fan.cone_rays(cone_index))
     out = {}

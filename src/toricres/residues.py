@@ -29,14 +29,15 @@ from .errors import (
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
 from .groebner import (GroebnerBasis, MonomialOrder, _divides, buchberger, divide, first_divisor,
                        grevlex, integer_terms)
-from .lattice import FanData, clear_denominators, cone_det, cone_group_order, dot, is_complete
-from .poly import Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
+from .lattice import FanData, cone_det, cone_group_order, is_complete
+from .poly import (Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree,
+                   integer_det, poly_det)
 from .polytopes import intersection_number, monomial_basis
 
 
 def off_cone_exponent(fan: FanData, k: int) -> Exponent:
     """The exponent of zhat, the product of the variables off maximal cone k."""
-    cone = fan.max_cones[k]
+    cone = fan.cone(k)
     return tuple(0 if i in cone else 1 for i in range(fan.nvars))
 
 
@@ -48,10 +49,7 @@ def irrelevant_ideal(fan: FanData) -> tuple[Exponent, ...]:
 def irrelevant_witness(p: MultiPoly, fan: FanData) -> Exponent | None:
     """A term of p outside the irrelevant ideal, or None when p lies inside."""
     gens = irrelevant_ideal(fan)
-    for e in sorted(p.terms):
-        if not any(_divides(g, e) for g in gens):
-            return e
-    return None
+    return next((e for e in sorted(p.terms) if not any(_divides(g, e) for g in gens)), None)
 
 
 def in_irrelevant_ideal(p: MultiPoly, fan: FanData) -> bool:
@@ -177,7 +175,7 @@ def decompose(F: MultiPoly, fan: FanData, cone_index: int):
     """
     if F.nvars != fan.nvars:
         raise DegreeMismatch("polynomial ring does not match the fan")
-    cone = fan.max_cones[cone_index]
+    cone = fan.cone(cone_index)
     zhat = off_cone_exponent(fan, cone_index)
     parts = [dict() for _ in range(len(cone) + 1)]
     for e, c in F.terms.items():
@@ -272,10 +270,12 @@ class ResidueProblem:
     nothing and raises again on the next access.  The functional and the
     report come from one pass over the cached monomials against the cached
     basis, and the functional is held once, as one integer vector over a
-    common denominator; the residue of every H and the normalizing
-    coefficient are integer dot products with it.  The zero-locus
-    report reads the cached basis too: it certifies each chart by a power
-    of zhat reducing to zero, so building it builds the basis.
+    common denominator; the residue of every H is an integer dot product
+    with it.  Delta_sigma is held in integers too, as ``integer_det``'s
+    (d, terms), so c_sigma is one integer dot product and one Fraction;
+    ``delta`` is its Fraction view, built only when asked for.  The
+    zero-locus report reads the cached basis too: it certifies each chart
+    by a power of zhat reducing to zero, so building it builds the basis.
     Construction only validates shapes, homogeneity and the rays of sigma,
     so non-conforming inputs can still be probed.
     """
@@ -292,8 +292,7 @@ class ResidueProblem:
                 raise DegreeMismatch("polynomial ring does not match the fan")
             if p.is_zero():
                 raise ZeroPolynomial("input polynomials must be nonzero")
-        if not 0 <= sigma < len(fan.max_cones):
-            raise ValueError(f"no maximal cone with index {sigma}")
+        fan.cone(sigma)  # ValueError when no maximal cone has the index
         self.sigma = sigma
         self.order = order if order is not None else grevlex(fan.nvars)
         self.grading = grading if grading is not None else compute_grading(fan)
@@ -349,13 +348,23 @@ class ResidueProblem:
     def zero_locus(self) -> ZeroLocusReport:
         return self._zero_locus
 
+    def _delta_terms(self, k: int) -> tuple[int, dict]:
+        """Delta_k in integers: ``integer_det``'s (d, terms) of the
+        decomposition matrix at cone k, column j holding input j's parts."""
+        cols = [decompose(F, self.fan, k) for F in self.polys]
+        return integer_det([list(row) for row in zip(*cols)])
+
+    @cached_property
+    def _delta(self) -> tuple[int, dict]:
+        return self._delta_terms(self.sigma)
+
     @cached_property
     def delta(self) -> MultiPoly:
-        return cone_determinant(self)
+        return MultiPoly.from_integer_terms(self.fan.nvars, *self._delta)
 
     @cached_property
     def c_sigma(self) -> Fraction:
-        return self.normal_coefficient(self.delta)
+        return self._pairing(*self._delta)
 
     def cone_sign(self, cone_index: int) -> int:
         """+1 or -1 as the rays of the cone, in ascending order, are oriented
@@ -363,26 +372,24 @@ class ResidueProblem:
         d = cone_det(self.fan, cone_index) * self._sigma_det
         return (d > 0) - (d < 0)
 
+    def _pairing(self, d: int, terms: dict) -> Fraction:
+        """The functional at terms/d, terms integer: one integer dot product
+        with D*l over d*D; terms outside the critical degree give 0."""
+        D, num = self._functional[1]
+        return Fraction(sum(num[e] * c for e, c in terms.items() if e in num), d * D)
+
     def normal_coefficient(self, H: MultiPoly) -> Fraction:
         """Coefficient of the pivot in the normal form of H: the functional
-        applied to H, where terms outside the critical degree give 0.  The
-        coefficients of H's terms in the slice are cleared of denominators
-        once, so the value is one integer dot product with D*l over d*D, d
-        the lcm of their denominators."""
-        D, num = self._functional[1]
-        inside = [(num[e], c) for e, c in H.terms.items() if e in num]
-        d, coeffs = clear_denominators(c for _, c in inside)
-        return Fraction(dot([v for v, _ in inside], coeffs), d * D)
+        applied to H, its denominators cleared once."""
+        return self._pairing(*integer_terms(H))
 
 
 def cone_determinant(problem: ResidueProblem, cone_index: int | None = None) -> MultiPoly:
-    """Determinant of the decomposition matrix at a cone (default: the
-    problem's distinguished cone); the zhat coefficients form the first row."""
+    """Determinant of the decomposition matrix at a cone (default: sigma),
+    zhat's coefficients in the first row, read from its integer form;
+    ValueError when no maximal cone has the index."""
     k = problem.sigma if cone_index is None else cone_index
-    cols = [decompose(F, problem.fan, k) for F in problem.polys]
-    n1 = len(problem.polys)
-    M = [[cols[j][i] for j in range(n1)] for i in range(n1)]
-    return poly_det(M)
+    return MultiPoly.from_integer_terms(problem.fan.nvars, *problem._delta_terms(k))
 
 
 def _require_hypotheses(problem: ResidueProblem):
@@ -470,12 +477,8 @@ def sigma_independence_check(problem: ResidueProblem) -> bool:
     """Across all maximal cones, the normalizing coefficients agree up to the
     sign of each cone's orientation relative to sigma (``cone_sign``)."""
     c_sigma = problem.c_sigma
-    for k in range(len(problem.fan.max_cones)):
-        delta_k = cone_determinant(problem, k)
-        c_k = problem.normal_coefficient(delta_k)
-        if c_k != problem.cone_sign(k) * c_sigma:
-            return False
-    return True
+    return all(problem._pairing(*problem._delta_terms(k)) == problem.cone_sign(k) * c_sigma
+               for k in range(len(problem.fan.max_cones)))
 
 
 def verify_gtl(problem: ResidueProblem, A, H: MultiPoly) -> bool:
@@ -487,33 +490,20 @@ def verify_gtl(problem: ResidueProblem, A, H: MultiPoly) -> bool:
     n1 = len(problem.polys)
     if len(A) != n1 or any(len(row) != n1 for row in A):
         raise DegreeMismatch("transformation matrix has the wrong shape")
-    M = []
-    for row in A:
-        out = []
-        for entry in row:
-            if not isinstance(entry, MultiPoly):
-                entry = MultiPoly.constant(problem.fan.nvars, entry)
-            out.append(entry)
-        M.append(out)
-    beta = [None] * n1
+    nv = problem.fan.nvars
+    M = [[e if isinstance(e, MultiPoly) else MultiPoly.constant(nv, e) for e in row] for row in A]
     for j in range(n1):
+        beta = None
         for i in range(n1):
-            if M[i][j].is_zero():
-                continue
-            d = degree_of(M[i][j], problem.grading) + problem.degrees[i]
-            if beta[j] is None:
-                beta[j] = d
-            elif beta[j] != d:
-                raise DegreeMismatch(
-                    f"entry ({i},{j}) breaks the column degree pattern")
-        if beta[j] is None:
+            if M[i][j].terms:
+                d = degree_of(M[i][j], problem.grading) + problem.degrees[i]
+                if beta not in (None, d):
+                    raise DegreeMismatch(f"entry ({i},{j}) breaks the column degree pattern")
+                beta = d
+        if beta is None:
             raise DegreeMismatch(f"column {j} of the transformation is zero")
-    G = []
-    for j in range(n1):
-        g = MultiPoly.zero(problem.fan.nvars)
-        for i in range(n1):
-            g = g + M[i][j] * problem.polys[i]
-        G.append(g)
+    G = [sum((M[i][j] * F for i, F in enumerate(problem.polys)), MultiPoly.zero(nv))
+         for j in range(n1)]
     det_a = poly_det(M)
     if det_a.is_zero():
         raise DegreeMismatch("transformation matrix is singular")
@@ -550,21 +540,17 @@ def variable_annihilation_check(problem: ResidueProblem) -> AnnihilationReport:
 def toric_jacobian(problem: ResidueProblem) -> MultiPoly:
     """Chart determinant of values stacked over partials, lifted back to the
     critical degree.  Requires all inputs to share one degree class."""
-    for d in problem.degrees[1:]:
-        if d != problem.degrees[0]:
-            raise DegreeMismatch("inputs must share a single degree class")
-    fan = problem.fan
-    k = problem.sigma
+    if len(set(problem.degrees)) > 1:
+        raise DegreeMismatch("inputs must share a single degree class")
+    fan, k = problem.fan, problem.sigma
     charts = [dehomogenize(p, fan, k) for p in problem.polys]
     n = fan.dim
-    rows = [charts]
-    for j in range(n):
-        rows.append([f.partial(j) for f in charts])
+    d, terms = integer_det([charts] + [[f.partial(j) for f in charts] for j in range(n)])
+    if not terms:
+        return MultiPoly.zero(fan.nvars)
     # the chart trivialization of the Euler form carries the index of the
     # cone, so the determinant overcounts by it on orbifold charts
-    det = poly_det(rows) * Fraction(1, cone_group_order(fan, k))
-    if det.is_zero():
-        return MultiPoly.zero(fan.nvars)
+    det = MultiPoly.from_integer_terms(n, d * cone_group_order(fan, k), terms)
     return homogenize_to_degree(det, fan, k, problem.critical, problem.grading)
 
 

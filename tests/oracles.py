@@ -31,7 +31,8 @@ Gauss-Jordan elimination (``rref``, ``mat_rank``, ``solve_rational``,
 functional it once computed, the chart lift by a Smith form of the
 off-cone degree system, the determinant over Q by row scaling, and the
 cone orientations and chart Jacobian read from a positively oriented basis
-of M, and the floating-point local sum (an eigen-solve on the chart
+of M, the determinant of a matrix of polynomials by minor expansion over
+Fractions, and the floating-point local sum (an eigen-solve on the chart
 quotient, Newton polishing and tolerances).  The exact sum of local
 residues as a trace over the quotient ring, by linear-scan normal forms
 and Fraction elimination, is a reference value for both the exact residue
@@ -56,10 +57,10 @@ import numpy as np
 from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeMismatch,
                       GroebnerBasis, HypothesesFailed,
                       InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NoIntegralLift,
-                      NonSimpleZero, NonUniqueLift, NotHomogeneous, NotTorusZero,
+                      NonSimpleZero, NonSquare, NonUniqueLift, NotHomogeneous, NotTorusZero,
                       NotZeroDimensional, ToricError, Unbounded, WrongDegree, ZeroOnPolarLocus,
                       compute_grading, cone_determinant, dehomogenize, homogenize_to_degree,
-                      is_simplicial, monomial_basis, no_common_zeros_on_x, poly_det)
+                      is_simplicial, monomial_basis, no_common_zeros_on_x)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
 from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
 from toricres.groebner import (_lcm, _sub_exp, first_divisor, grevlex, integer_reducer,
@@ -67,7 +68,7 @@ from toricres.groebner import (_lcm, _sub_exp, first_divisor, grevlex, integer_r
 from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cramer, dot, freeze,
                               hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form)
 from toricres.localres import _chart, _Quotient
-from toricres.poly import Exponent, chart_variables, degree_of
+from toricres.poly import Exponent, degree_of
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
                                 lattice_points)
 from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
@@ -297,7 +298,7 @@ def smith_homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     the pattern is then not unique; each term's degree gap is then one
     integer solve against the form.
     """
-    cone = chart_variables(fan, cone_index)
+    cone = fan.cone(cone_index)
     others = [i for i in range(fan.nvars) if i not in cone]
     nv = fan.nvars
     snf = smith_normal_form(degree_system(grading, others))
@@ -771,7 +772,7 @@ def per_call_representative_divisor(grading, degree):
 def constructor_dehomogenize(p, fan, cone_index):
     """The chart of p through the validating ``MultiPoly`` constructor,
     which sums the terms that meet and drops zero sums."""
-    cone = chart_variables(fan, cone_index)
+    cone = fan.cone(cone_index)
     pos = {ray: k for k, ray in enumerate(cone)}
     out = {}
     for e, c in p.terms.items():
@@ -813,6 +814,19 @@ def constructor_decompose(F, fan, cone_index):
                                       witness=e)
         slots[0 if pos is None else pos + 1].append((tuple(map(operator.sub, e, shift)), c))
     return tuple(_summed(fan.nvars, pairs) for pairs in slots)
+
+
+def fraction_cone_determinant(problem, k) -> MultiPoly:
+    """Delta_k as the package built it before its determinants were integer:
+    the Fraction minor expansion (``poly_det``) of the decomposition matrix
+    from ``constructor_decompose``, whose column j holds input j's parts."""
+    cols = [constructor_decompose(F, problem.fan, k) for F in problem.polys]
+    return poly_det([list(row) for row in zip(*cols)])
+
+
+def fraction_jacobian(polys) -> MultiPoly:
+    """The Jacobian determinant of a square chart system over Fractions."""
+    return poly_det([[constructor_partial(p, j) for j in range(p.nvars)] for p in polys])
 
 
 def constructor_homogenize_to_degree(q, fan, cone_index, target, grading):
@@ -1026,8 +1040,9 @@ def cofactor_det(A):
 
 # ---------------------------------------------------------------------------
 # determinants as the package ran them before every determinant was an
-# integer one: Bareiss over Q after row scaling, and each cone's orientation
-# and index read from a basis of M oriented positively on a cone
+# integer one: Bareiss over Q after row scaling, the determinant of a matrix
+# of polynomials expanded over Fractions, and each cone's orientation and
+# index read from a basis of M oriented positively on a cone
 
 
 def fraction_mat_det(A) -> int | Fraction:
@@ -1057,6 +1072,36 @@ def fraction_mat_det(A) -> int | Fraction:
         prev = M[k][k]
     det, scale = sign * M[n - 1][n - 1], prod(scales)
     return det if scale == 1 else Fraction(det, scale)
+
+
+def poly_det(M: list[list[MultiPoly]]) -> MultiPoly:
+    """Determinant of a matrix of polynomials, over Fractions.
+
+    Expands from the last row up: the minor of the bottom k rows on each
+    k-set of columns is found once, from the row above's entries and the
+    (k-1)-minors already found, skipping zero factors.  That is at most
+    n·2^(n-1) - n products for an n×n matrix.
+    """
+    n = len(M)
+    if n == 0:
+        raise ValueError("empty determinant")
+    if any(len(row) != n for row in M):
+        raise NonSquare("determinant needs a square matrix")
+    minors = {(j,): M[-1][j] for j in range(n)}
+    for r in range(n - 2, -1, -1):
+        row = M[r]
+        below = minors
+        minors = {}
+        for cols in itertools.combinations(range(n), n - r):
+            total = MultiPoly.zero(row[0].nvars)
+            for k, j in enumerate(cols):
+                minor = below[cols[:k] + cols[k + 1:]]
+                if row[j].is_zero() or minor.is_zero():
+                    continue
+                term = row[j] * minor
+                total = total - term if k % 2 else total + term
+            minors[cols] = total
+    return minors[tuple(range(n))]
 
 
 def pairing_det(fan: FanData, basis, ray_indices) -> int:
@@ -1782,7 +1827,7 @@ def numeric_torus_total(nvars: int, f_list, g: MultiPoly, seed: int = 0) -> comp
     with the refusals of ``euler_jacobi_check`` in its order."""
     quotient = _Quotient(list(f_list))
     quotient.require_simple()
-    if mat_det(quotient.matrix(MultiPoly.monomial((1,) * nvars))[1]) == 0:
+    if mat_det(quotient.matrix(1, {(1,) * nvars: 1})[1]) == 0:
         raise NotTorusZero("zero off the torus")
     g_terms = _complex_terms(g)
     return sum((complex(_evaluate(g_terms, z)) / (prod(z) * det)

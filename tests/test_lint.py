@@ -3,8 +3,9 @@
 No linter is installed, so these are the checks: every import in
 ``src/toricres`` sits at module level, no module of the repository imports
 a name it never uses, every function and class the package defines at
-module level is read or exported, and no sum on the residue path starts
-from a Fraction.
+module level is read or exported, and no sum on the residue path (the
+residue, the determinants of polynomials and the local sums) starts from
+a Fraction.
 """
 
 import ast
@@ -93,17 +94,20 @@ def test_every_module_level_definition_is_read_or_exported():
 
 
 def test_no_fraction_accumulator_on_the_residue_path():
-    """No ``sum(...)`` in ``residues.py`` starts from a Fraction: the
-    functional is one integer vector, and a residue is one integer dot
-    product with one Fraction built at the end."""
-    path = ROOT / "src" / "toricres" / "residues.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    sums = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name) and node.func.id == "sum"]
-    assert sums
-    starts = [(node.lineno, start) for node in sums
-              for start in node.args[1:] + [k.value for k in node.keywords if k.arg == "start"]]
-    fraction_starts = [line for line, start in starts
-                       if any(isinstance(n, ast.Name) and n.id == "Fraction"
-                              for n in ast.walk(start))]
-    assert fraction_starts == []
+    """No ``sum(...)`` in ``residues.py``, ``poly.py`` or ``localres.py``
+    starts from a Fraction: the functional is one integer vector, every
+    determinant of polynomials is an integer one, and a residue or a local
+    sum is integer work with Fractions built at the end.  A file with no
+    sum passes."""
+    for name in ("residues.py", "poly.py", "localres.py"):
+        path = ROOT / "src" / "toricres" / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sums = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+        starts = [(node.lineno, start) for node in sums
+                  for start in node.args[1:] + [k.value for k in node.keywords
+                                                if k.arg == "start"]]
+        fraction_starts = [line for line, start in starts
+                           if any(isinstance(n, ast.Name) and n.id == "Fraction"
+                                  for n in ast.walk(start))]
+        assert fraction_starts == [], (name, fraction_starts)

@@ -133,14 +133,20 @@ def test_poly_det_small():
 
 def test_poly_det_products_are_bounded(monkeypatch):
     # each minor of the bottom rows is built once: a dense 5x5 needs
-    # 5*2^4 - 5 = 75 products
+    # 5*2^4 - 5 = 75 products, all of integer term dicts
     nv = 5
     M = [[MultiPoly.variable(nv, (i + j) % nv) + (i * nv + j + 1)
           for j in range(nv)] for i in range(nv)]
     products = []
-    mul = MultiPoly.__mul__
-    monkeypatch.setattr(MultiPoly, "__mul__",
-                        lambda a, b: products.append(1) or mul(a, b))
+    product_sum = poly_module.product_sum
+
+    def counted(triples):
+        triples = list(triples)
+        products.extend(1 for a, b, _ in triples if a and b)
+        return product_sum(triples)
+
+    monkeypatch.setattr(poly_module, "product_sum", counted)
+    monkeypatch.setattr(MultiPoly, "__mul__", None)
     poly_det(M)
     assert len(products) <= 80
 

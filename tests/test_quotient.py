@@ -36,8 +36,10 @@ from toricres import (
     toric_residue,
 )
 from toricres import localres
+from toricres.groebner import integer_terms
 from toricres.localres import COMPARE_TOL
 
+import oracles
 from conftest import FIXTURES, load
 from oracles import (SEPARATION_TOL, NotShapePosition, chart_system, chart_zero_set, coefficient,
                      fraction_matrix, fraction_times_variable, nullstellensatz_refusal,
@@ -225,8 +227,9 @@ def test_local_sums_match_on_orbifold_and_pentagon_systems(case):
 
 def assert_tables_match_the_fraction_route(pb, H):
     """In sigma's chart, for each dropped input whose quotient is finite,
-    the multiplication tables and the matrices of h, f_k*J and J equal
-    the ones built from Fraction normal forms, least denominators and all."""
+    the integer Jacobian is the oracle's Fraction determinant, and the
+    multiplication tables and the matrices of h, f_k*J and J equal the ones
+    built from Fraction normal forms, least denominators and all."""
     h = dehomogenize(H, pb.fan, pb.sigma)
     for k in range(len(pb.polys)):
         try:
@@ -234,8 +237,10 @@ def assert_tables_match_the_fraction_route(pb, H):
         except InfiniteIntersection:
             continue
         assert quotient._times_variable == fraction_times_variable(quotient)
-        for g in (h, fk * quotient.jacobian, quotient.jacobian):
-            assert quotient.matrix(g) == fraction_matrix(quotient, g)
+        J = oracles.fraction_jacobian(quotient.polys)
+        assert MultiPoly.from_integer_terms(J.nvars, *quotient.jacobian) == J
+        for g in (h, fk * J, J):
+            assert quotient.matrix(*integer_terms(g)) == fraction_matrix(quotient, g)
 
 
 @pytest.mark.parametrize("name", NUMERIC_FIXTURES)
