@@ -1,4 +1,20 @@
-"""Groebner bases over the rationals or over GF(p), in integer arithmetic.
+"""Groebner bases over the rationals or over GF(p), in integer arithmetic,
+on packed monomials.
+
+Inside the kernel a monomial is one int (Monagan-Pearce, CASC 2007):
+``Packing`` gives each variable a field of ``width`` bits topped by a guard
+bit, 0 in every valid monomial, so a field holds 0 to M = 2^(width-1) - 1.
+Lex puts e_i in its field, the first variable of the precedence highest;
+grevlex puts M - e_i, the last variable highest, and the total degree
+above every field.  So integer order is the monomial order, a product of
+monomials is their sum less the packing of 1 (0 under lex), a quotient is
+a difference, and a | e is one guard-bit test.  Every exponent a shift
+makes is tested for a guard bit, which one above M sets, and ``pack``
+refuses an exponent above M; either raises ``Overflow``, and the whole
+call restarts on fields twice as wide, with the same answer, as no step
+reads the width.  Lex division can raise exponents above all of its
+inputs', so no width suffices in advance.  Exponent tuples appear only
+where a caller hands monomials in or reads them out.
 
 A basis is its reducer table: over Q each reducer is primitive over Z with
 a positive lead coefficient, its content removed once, when it joins a
@@ -13,14 +29,12 @@ basis or a remainder to a caller as polynomials.
 Buchberger with the Gebauer-Moeller pair update, normal selection strategy,
 and full inter-reduction to the reduced basis.  Orders are
 graded reverse lexicographic and lexicographic with an explicit variable
-precedence, so bases are reproducible across runs.
-
-Division is heap-ordered sparse division (Monagan-Pearce, JSC 2011) against
-a reducer table of (lead exponent, lead coefficient, tail terms) triples,
-built once per basis rather than once per division.  Buchberger keeps each
-basis element only as a reducer in one such table: S-polynomials shift two
-tails to the lcm of the leads, each S-pair carries the order key of its lcm
-from the moment it is made, and the final inter-reduction divides each
+precedence, so bases are reproducible across runs.  Division is
+heap-ordered sparse division (Monagan-Pearce, JSC 2011) against a reducer
+table of (lead, lead coefficient, descending tail) triples, built once per
+basis.  Buchberger keeps each element only as a reducer in one such table:
+S-polynomials shift two tails to the lcm of the leads, the pairs wait in a
+heap keyed by their lcm, and the final inter-reduction divides each
 minimal element's tail and keeps its lead.
 """
 
@@ -33,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import ParseError
+from .errors import DegreeMismatch, ParseError
 from .lattice import clear_denominators
 from .poly import Exponent, MultiPoly
 
@@ -59,13 +73,6 @@ class MonomialOrder:
         if self.kind == "lex":
             return tuple(e[i] for i in self.precedence)
         return (sum(e), tuple(-e[i] for i in reversed(self.precedence)))
-
-    def heap_key(self, e: Exponent):
-        """Key that ascends as the order descends: a min-heap of heap keys
-        pops the greatest monomial first."""
-        if self.kind == "lex":
-            return tuple([-e[i] for i in self.precedence])
-        return (-sum(e), *[e[i] for i in reversed(self.precedence)])
 
 
 def grevlex(nvars: int) -> MonomialOrder:
@@ -95,23 +102,107 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return all(map(operator.le, a, b))
 
 
-def first_divisor(table, e: Exponent):
-    """The first reducer of ``table`` whose lead exponent divides e, or None."""
-    for r in table:
-        if all(map(operator.le, r[0], e)):
-            return r
-    return None
+WIDTH = 16  # bits per field of the first packing a call tries
 
 
-def _lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+class Overflow(Exception):
+    """A packed exponent outgrew its field."""
 
 
-def _sub_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+class Packing:
+    """The monomials of ``order`` as ints, one field of ``width`` bits per
+    variable, laid out as the module docstring says."""
+
+    def __init__(self, order: MonomialOrder, width: int):
+        n, lex_ = order.nvars, order.kind == "lex"
+        self.order, self.width, self.lex = order, width, lex_
+        self.max = (1 << (width - 1)) - 1
+        self.mask = (1 << width) - 1
+        rank = {v: j for j, v in enumerate(order.precedence)}
+        self.shifts = tuple(width * (n - 1 - rank[i] if lex_ else rank[i]) for i in range(n))
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.one = 0 if lex_ else sum(self.max << s for s in self.shifts)
+        self.top = n * width  # the shift of grevlex's degree
+        self.weights = tuple(1 << s if lex_ else (1 << self.top) - (1 << s) for s in self.shifts)
+        self.fields = (1 << self.top) - 1
+        self.pairs = sum(self.mask << s for s in range(0, self.top, 2 * width))
+
+    def __repr__(self):
+        return f"Packing({self.order!r}, {self.width})"
+
+    def wider(self) -> Packing:
+        return Packing(self.order, 2 * self.width)
+
+    def pack(self, e: Exponent) -> int:
+        """x^e packed; Overflow when an exponent is above M."""
+        if max(e) > self.max:
+            raise Overflow
+        return self.one + sum(map(operator.mul, e, self.weights))
+
+    def unpack(self, x: int) -> Exponent:
+        x ^= self.one
+        mask = self.mask
+        return tuple([(x >> s) & mask for s in self.shifts])
+
+    def pack_terms(self, terms: dict) -> dict:
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        return {self.unpack(x): c for x, c in terms.items()}
+
+    def pack_table(self, table) -> list[Reducer]:
+        return [(self.pack(le), lc, tuple(self.pack_terms(dict(tail)).items()))
+                for le, lc, tail in table]
+
+    def unpack_table(self, table) -> list[Reducer]:
+        return [(self.unpack(le), lc, tuple(self.unpack_terms(dict(tail)).items()))
+                for le, lc, tail in table]
+
+    def check(self, exps):
+        """Overflow unless every packed monomial of ``exps`` is valid."""
+        if any(x & self.guard for x in exps):
+            raise Overflow
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise the larger exponent: a guard-bit comparison marks the
+        fields where a's is at least b's (a's M - e_i, under grevlex).  The
+        grevlex degree adds the e_i two to a slot of 2*width bits; the sum
+        and each slot are below 2^(2*width) - 1, so mod it they agree."""
+        G, w = self.guard, self.width
+        d = ((a | G) - b) & G
+        m = d - (d >> (w - 1))  # the value bits of the marked fields
+        if self.lex:
+            return b ^ ((a ^ b) & m)
+        f = (a ^ ((a ^ b) & m)) & self.fields
+        e, pairs = f ^ self.one, self.pairs  # the fields e_i
+        degree = ((e & pairs) + ((e >> w) & pairs)) % ((1 << 2 * w) - 1)
+        return (degree << self.top) | f
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether x^a divides x^b: b's fields at least a's (at most, under
+        grevlex), so that each difference leaves its guard bit set."""
+        G = self.guard
+        return ((b | G) - a if self.lex else (a | G) - b) & G == G
+
+    def first_divisor(self, table, x: int):
+        """The first reducer of ``table`` whose lead divides x, or None."""
+        G = self.guard
+        if self.lex:
+            t = x | G
+            for r in table:
+                if (t - r[0]) & G == G:
+                    return r
+        else:
+            t = G - x
+            for r in table:
+                if (r[0] + t) & G == G:
+                    return r
+        return None
 
 
-Reducer = tuple[Exponent, int, tuple[tuple[Exponent, int], ...]]
+# (lead, lead coefficient, tail terms): packed monomials in the kernel,
+# exponent tuples in a table handed to a caller
+Reducer = tuple[int | Exponent, int, tuple[tuple[int | Exponent, int], ...]]
 
 
 def integer_terms(p: MultiPoly) -> tuple[int, dict[Exponent, int]]:
@@ -120,51 +211,53 @@ def integer_terms(p: MultiPoly) -> tuple[int, dict[Exponent, int]]:
     return d, dict(zip(p.terms, nums))
 
 
-def integer_reducer(terms: dict, order: MonomialOrder, modulus: int = 0) -> Reducer:
-    """(lead exponent, lead coefficient, tail terms) of nonzero integer
-    terms: primitive with lc > 0 over Q, monic over GF(p)."""
-    le = max(terms, key=order.key)
-    lc = terms[le]
+def integer_reducer(terms: dict, modulus: int = 0) -> Reducer:
+    """(lead, lead coefficient, tail terms) of nonzero integer terms listed
+    in descending order, as ``divide`` returns them: primitive with lc > 0
+    over Q, monic over GF(p)."""
+    items = iter(terms.items())
+    le, lc = next(items)
     if modulus:
         inv = pow(lc, -1, modulus)
-        return le, 1, tuple((e, c * inv % modulus) for e, c in terms.items() if e != le)
+        return le, 1, tuple((x, c * inv % modulus) for x, c in items)
     g = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
-    return le, lc // g, tuple((e, c // g) for e, c in terms.items() if e != le)
+    return le, lc // g, tuple((x, c // g) for x, c in items)
 
 
-def divide(terms: dict, table, order: MonomialOrder, modulus: int = 0) -> tuple[int, dict]:
-    """Pseudo-division of integer terms by a reducer table, in table order,
-    over Q or, with a prime ``modulus``, over GF(modulus): ``(scale, r)``,
-    r the integer terms of scale > 0 times the remainder.
+def divide(terms: dict, table, packing: Packing, modulus: int = 0) -> tuple[int, dict]:
+    """Pseudo-division of packed integer terms by a packed reducer table, in
+    table order, over Q or, with a prime ``modulus``, over GF(modulus):
+    ``(scale, r)``, r the integer terms of scale > 0 times the remainder,
+    in descending order.
 
-    Pending terms live in a dict; a min-heap of ``order.heap_key`` holds
-    each pending exponent once, so the greatest term is popped without
+    Pending terms live in a dict; a min-heap of negated monomials holds
+    each pending monomial once, so the greatest term is popped without
     scanning, and a term that cancels stays as zero until popped.  Every
     term a step adds is below the term it reduces.  A term c*x^e is reduced
     by the first reducer whose lead divides it: the pending terms are
     multiplied by a = lc/gcd(c, lc) (1 over GF(p), where a popped
-    coefficient is reduced into [0, p)), and c/gcd(c, lc) times the shifted
-    tail is subtracted.  A remainder term keeps the scale it was emitted
-    at until the end.
+    coefficient is reduced into [0, p)), and c/gcd(c, lc) times the tail,
+    shifted by adding e - lead, is subtracted.  A shifted monomial is tested
+    for a guard bit when it joins the pending terms, so all of them are
+    valid.  A remainder term keeps its scale until the end.
     """
-    hkey = order.heap_key
-    add, sub = operator.add, operator.sub
+    first, guard = packing.first_divisor, packing.guard
     heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(terms)
-    heap = [(hkey(e), e) for e in work]
+    heap = [-x for x in work]
     heapq.heapify(heap)
     rem = []
     scale = 1
     while heap:
-        e = heappop(heap)[1]
-        c = work.pop(e)
+        x = -heappop(heap)
+        c = work.pop(x)
         if modulus:
             c %= modulus
         if not c:
             continue
-        hit = first_divisor(table, e)
+        hit = first(table, x)
         if hit is None:
-            rem.append((e, c, scale))
+            rem.append((x, c, scale))
             continue
         le, lc, tail = hit
         g = gcd(c, lc)
@@ -173,139 +266,205 @@ def divide(terms: dict, table, order: MonomialOrder, modulus: int = 0) -> tuple[
             scale *= a
             work = {k: v * a for k, v in work.items()}
         c //= g
-        shift = tuple(map(sub, e, le))
-        for ge, gc in tail:
-            ne = tuple(map(add, ge, shift))
-            if ne in work:
-                work[ne] -= c * gc
+        shift = x - le
+        for y, gc in tail:
+            y += shift
+            if y in work:
+                work[y] -= c * gc
             else:
-                work[ne] = -c * gc
-                heappush(heap, (hkey(ne), ne))
-    return scale, {e: c * (scale // s) for e, c, s in rem}
+                if y & guard:
+                    raise Overflow
+                work[y] = -c * gc
+                heappush(heap, -y)
+    return scale, {x: c * (scale // s) for x, c, s in rem}
 
 
-def s_polynomial(f: Reducer, g: Reducer) -> dict:
-    """Integer terms of (lc_g/h)*x^(L-lead_f)*f - (lc_f/h)*x^(L-lead_g)*g,
+def s_polynomial(f: Reducer, g: Reducer, packing: Packing) -> dict:
+    """Packed integer terms of (lc_g/h)*x^(L-lead_f)*f - (lc_f/h)*x^(L-lead_g)*g,
     L the lcm of the leads and h = gcd(lc_f, lc_g): the shifted tails, as
-    the leads cancel."""
+    the leads cancel, tested for guard bits once summed (packing is
+    one-to-one on them, so two that meet are one monomial)."""
     fe, fc, ftail = f
     ge, gc, gtail = g
     h = gcd(fc, gc)
     a, b = gc // h, fc // h
-    L = _lcm(fe, ge)
-    sf, sg = _sub_exp(L, fe), _sub_exp(L, ge)
-    add = operator.add
-    terms = {tuple(map(add, e, sf)): a * c for e, c in ftail}
-    for e, c in gtail:
-        ne = tuple(map(add, e, sg))
-        s = terms.get(ne, 0) - b * c
+    L = packing.lcm(fe, ge)
+    sf, sg = L - fe, L - ge
+    terms = {x + sf: a * c for x, c in ftail}
+    for x, c in gtail:
+        x += sg
+        s = terms.get(x, 0) - b * c
         if s:
-            terms[ne] = s
+            terms[x] = s
         else:
-            del terms[ne]
+            del terms[x]
+    packing.check(terms)
     return terms
 
 
-def _gm_update(table, pairs, new_lead, order: MonomialOrder):
-    """Gebauer-Moeller pair list update for a new element with lead
-    new_lead, to be appended to the reducer table.
-
-    A pair is ``(order key of lcm, lcm, i, j)``, keyed once when it is made.
-    Coprime pairs survive the divisibility sieve so they can knock out other
-    candidates, then are dropped at the end; old pairs whose lcm the new lead
-    properly refines are discarded.
+def _gm_update(table, pairs, new_lead: int, packing: Packing, serial):
+    """Gebauer-Moeller pair update for a new element with lead new_lead, to
+    be appended to the reducer table: the new heap of pairs, each
+    ``(lcm, serial number, i, j)``, so the least lcm pops first and, among
+    equal ones, the pair made first.  Coprime pairs survive the sieve to
+    knock out other candidates, then are dropped; old pairs whose lcm the
+    new lead properly refines are discarded.
     """
     t = len(table)
-    lt = new_lead
-    lcms = [_lcm(le, lt) for le, _, _ in table]
-    coprime = [L == tuple(map(operator.add, le, lt))
-               for (le, _, _), L in zip(table, lcms)]
-    C = list(range(t))
-    D = []
-    while C:
-        i = C.pop(0)
-        li = lcms[i]
-        if coprime[i] or not any(_divides(lcms[j], li) for j in C + D):
-            D.append(i)
-    kept_old = [p for p in pairs
-                if not (_divides(lt, p[1]) and lcms[p[2]] != p[1] and lcms[p[3]] != p[1])]
-    return kept_old + [(order.key(lcms[i]), lcms[i], i, t) for i in D if not coprime[i]]
+    lcm, divides = packing.lcm, packing.divides
+    lcms = [lcm(le, new_lead) for le, _, _ in table]
+    product = new_lead - packing.one
+    coprime = [L == le + product for (le, _, _), L in zip(table, lcms)]
+    kept = []
+    for i, L in enumerate(lcms):
+        # the candidates after i, and those before i that were kept
+        if coprime[i] or not any(divides(lcms[j], L)
+                                 for j in itertools.chain(range(i + 1, t), kept)):
+            kept.append(i)
+    new = [p for p in pairs
+           if not (divides(new_lead, p[0]) and lcms[p[2]] != p[0] and lcms[p[3]] != p[0])]
+    new += [(lcms[i], next(serial), i, t) for i in kept if not coprime[i]]
+    heapq.heapify(new)
+    return new
 
 
-def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
-    """Reduced Groebner basis of the ideal generated by ``gens``, integer
-    term dicts as ``divide`` reads them, over Q or, with a prime
-    ``modulus``, over GF(modulus): its reducer table, ascending by lead,
-    primitive with lc > 0 over Q and monic over GF(modulus).
-
-    Each element is kept only as an integer reducer in one table: the table
-    is the divisor list, the source of every S-polynomial and the list of
-    leads the pair update reads.  Returns ``[((0,)*n, 1, ())]`` as soon as
-    a remainder is a nonzero constant: that is the reduced basis of the
-    unit ideal.
-    """
-    G = [g for g in gens if g]
-    if not G:
-        return []
+def _buchberger(gens, packing: Packing, modulus: int) -> list[Reducer]:
+    """``buchberger`` on packed integer term dicts."""
     table: list[Reducer] = []
     pairs: list[tuple] = []
+    serial = itertools.count()
 
     def candidates():
-        yield from sorted(G, key=lambda q: order.key(max(q, key=order.key)))
+        yield from sorted(gens, key=max)
         while pairs:
-            best = min(pairs, key=operator.itemgetter(0))
-            pairs.remove(best)
-            yield s_polynomial(table[best[2]], table[best[3]])
+            _, _, i, j = heapq.heappop(pairs)
+            yield s_polynomial(table[i], table[j], packing)
 
     for q in candidates():
-        r = divide(q, table, order, modulus)[1]
+        r = divide(q, table, packing, modulus)[1]
         if not r:
             continue
-        if not any(map(any, r)):
-            return [((0,) * order.nvars, 1, ())]
-        g = integer_reducer(r, order, modulus)
-        pairs = _gm_update(table, pairs, g[0], order)
+        if next(iter(r)) == packing.one:
+            return [(packing.one, 1, ())]
+        g = integer_reducer(r, modulus)
+        pairs = _gm_update(table, pairs, g[0], packing, serial)
         table.append(g)
     # minimalize: drop elements whose lead is divisible by another lead
+    divides = packing.divides
     minimal = [g for i, g in enumerate(table)
-               if not any(k != i and _divides(h[0], g[0]) and (h[0] != g[0] or k < i)
+               if not any(k != i and divides(h[0], g[0]) and (h[0] != g[0] or k < i)
                           for k, h in enumerate(table))]
-    minimal.sort(key=lambda g: order.key(g[0]))
+    minimal.sort(key=operator.itemgetter(0))
     # reduce tails; no other minimal lead divides a lead, which keeps its
     # coefficient times the scale of the division
     reduced = []
     for g in minimal:
         le, lc, tail = g
-        scale, rem = divide(dict(tail), [h for h in minimal if h is not g], order, modulus)
-        reduced.append(integer_reducer({le: scale * lc, **rem}, order, modulus))
+        scale, rem = divide(dict(tail), [h for h in minimal if h is not g], packing, modulus)
+        reduced.append(integer_reducer({le: scale * lc, **rem}, modulus))
     return reduced
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A reduced Groebner basis over Q as its reducer table: primitive
-    integer reducers, ascending by lead, as ``buchberger`` returns them."""
+def widened(packing: Packing, work):
+    """``work(packing)``, again on fields twice as wide on each Overflow."""
+    while True:
+        try:
+            return work(packing)
+        except Overflow:
+            packing = packing.wider()
 
-    reducers: tuple[Reducer, ...]
-    order: MonomialOrder
+
+def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> tuple[Packing, list[Reducer]]:
+    """The packing, from fields of ``WIDTH`` bits, and packed table of
+    ``buchberger``."""
+    return widened(Packing(order, WIDTH), lambda packing: (packing, _buchberger(
+        [packing.pack_terms(g) for g in gens if g], packing, modulus)))
+
+
+def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
+    """Reduced Groebner basis of the ideal generated by ``gens``, integer
+    term dicts keyed by exponent tuples, over Q or, with a prime
+    ``modulus``, over GF(modulus): its reducer table, ascending by lead,
+    tails descending, primitive with lc > 0 over Q and monic over
+    GF(modulus).
+
+    The generators are packed once, the pair loop, the divisions and the
+    inter-reduction run on packed monomials, and the table is unpacked once.
+    Each element is only a reducer in one table: the divisor list, the
+    source of every S-polynomial and the leads the pair update reads.
+    Returns ``[((0,)*n, 1, ())]`` once a remainder is a nonzero constant:
+    the reduced basis of the unit ideal.
+    """
+    if any(len(e) != order.nvars for g in gens for e in g):
+        raise DegreeMismatch("exponents do not match the order's variables")
+    packing, table = packed_basis(gens, order, modulus)
+    return packing.unpack_table(table)
+
+
+@dataclass(frozen=True, eq=False)
+class GroebnerBasis:
+    """A reduced Groebner basis over Q as its packed reducer table, as
+    ``buchberger`` builds it, on ``packing``: the one stored form, of which
+    ``reducers`` and ``generators`` are views built on first use.  Two
+    bases are equal when their orders and reducers are, whatever the
+    widths of their packings."""
+
+    table: tuple[Reducer, ...]
+    packing: Packing
 
     @classmethod
     def of(cls, gens, order):
         """The basis of the ideal of the MultiPolys ``gens``."""
-        return cls(tuple(buchberger([integer_terms(g)[1] for g in gens], order)), order)
+        if any(g.nvars != order.nvars for g in gens):
+            raise DegreeMismatch("polynomial ring does not match the order")
+        packing, table = packed_basis([integer_terms(g)[1] for g in gens], order)
+        return cls(tuple(table), packing)
+
+    def __eq__(self, other):
+        return isinstance(other, GroebnerBasis) \
+            and (self.order, self.reducers) == (other.order, other.reducers)
+
+    def __hash__(self):
+        return hash((self.order, self.reducers))
+
+    @property
+    def order(self) -> MonomialOrder:
+        return self.packing.order
+
+    @cached_property
+    def reducers(self) -> tuple[Reducer, ...]:
+        """The table with its monomials as exponent tuples."""
+        return tuple(self.packing.unpack_table(self.table))
 
     @cached_property
     def generators(self) -> tuple[MultiPoly, ...]:
-        """The reduced monic basis as Fraction polynomials, built on first
-        use; the package itself reads only the reducers."""
+        """The reduced monic basis as Fraction polynomials; the package
+        itself reads only the table."""
         return tuple(MultiPoly.from_integer_terms(self.order.nvars, lc, {le: lc, **dict(tail)})
                      for le, lc, tail in self.reducers)
+
+    def run(self, work):
+        """``work(packing, table)`` on the packed table, repacked on wider
+        fields on each Overflow."""
+        def on(packing):
+            table = self.table if packing is self.packing else packing.pack_table(self.reducers)
+            return work(packing, table)
+        return widened(self.packing, on)
+
+    def remainder(self, terms: dict) -> tuple[int, dict]:
+        """``divide`` on integer terms keyed by exponent tuples."""
+        def work(packing, table):
+            scale, rem = divide(packing.pack_terms(terms), table, packing)
+            return scale, packing.unpack_terms(rem)
+        return self.run(work)
 
     def reduce(self, p: MultiPoly) -> MultiPoly:
         """Remainder of p: its denominators cleared once, by d, the integer
         remainder r comes back as r/(scale*d)."""
+        if p.nvars != self.order.nvars:
+            raise DegreeMismatch("polynomial ring does not match the basis")
         d, terms = integer_terms(p)
-        scale, rem = divide(terms, self.reducers, self.order)
+        scale, rem = self.remainder(terms)
         return MultiPoly.from_integer_terms(p.nvars, scale * d, rem)
 
     @property
@@ -334,4 +493,5 @@ def standard_monomials(gb: GroebnerBasis) -> list[Exponent]:
     if gb.is_unit_ideal():
         return []
     box = [range(min(_pure_powers(gb, i))) for i in range(gb.order.nvars)]
-    return [m for m in itertools.product(*box) if first_divisor(gb.reducers, m) is None]
+    leads = gb.leading_exponents
+    return [m for m in itertools.product(*box) if not any(_divides(le, m) for le in leads)]

@@ -23,13 +23,14 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import (
+    DegreeMismatch,
     InfiniteIntersection,
     NonSimpleZero,
     NotTorusZero,
     NotZeroDimensional,
     ZeroOnPolarLocus,
 )
-from .groebner import (GroebnerBasis, divide, grevlex, integer_terms, quotient_is_finite,
+from .groebner import (GroebnerBasis, grevlex, integer_terms, quotient_is_finite,
                        standard_monomials)
 from .lattice import mat_det, trace_of_solve
 from .poly import MultiPoly, dehomogenize, integer_det, product_sum
@@ -58,9 +59,10 @@ class _Quotient:
 
     def _normal_form(self, terms: dict, d: int):
         """(d', r): the normal form of terms/d is r/d', with d' > 0 the least
-        common denominator of its coefficients.  ``divide`` returns s times
-        it over d, and one gcd with its content lowers s*d to d'."""
-        scale, rem = divide(terms, self.gb.reducers, self.gb.order)
+        common denominator of its coefficients.  The basis's ``remainder``
+        returns s times it over d, and one gcd with its content lowers s*d
+        to d'."""
+        scale, rem = self.gb.remainder(terms)
         g = gcd(scale * d, *rem.values())
         return scale * d // g, {e: c // g for e, c in rem.items()}
 
@@ -181,8 +183,11 @@ def euler_jacobi_check(nvars: int, f_list, g: MultiPoly):
 
     Refuses with NotZeroDimensional when the zeros are not finite, with
     NonSimpleZero when det M_J = 0 (a multiple zero), and with NotTorusZero
-    when some zero has a vanishing coordinate.
+    when some zero has a vanishing coordinate, and with DegreeMismatch when
+    a polynomial does not have nvars variables.
     """
+    if any(p.nvars != nvars for p in (*f_list, g)):
+        raise DegreeMismatch(f"polynomials must have {nvars} variables")
     quotient = _Quotient(list(f_list))
     total = quotient.trace(g, MultiPoly.monomial((1,) * nvars))
     if total is None:

@@ -10,7 +10,6 @@ integers, and held as one integer vector over a common denominator.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,8 +26,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
-from .groebner import (GroebnerBasis, MonomialOrder, _divides, buchberger, divide, first_divisor,
-                       grevlex, integer_terms)
+from .groebner import (GroebnerBasis, MonomialOrder, _divides, buchberger, divide, grevlex,
+                       integer_terms)
 from .lattice import FanData, cone_det, cone_group_order, is_complete
 from .poly import (Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree,
                    integer_det, poly_det)
@@ -89,19 +88,25 @@ def _mod_p(q: MultiPoly) -> dict[Exponent, int]:
 def _certified(groebner: GroebnerBasis, zhat: Exponent) -> bool:
     """Whether zhat^N reduces to zero modulo ``groebner`` for some
     N <= CERTIFICATE_STEPS: r runs through the normal forms of zhat,
-    zhat*r, ..., in integer terms with their content removed, and gives up
-    once it has more than CERTIFICATE_TERMS terms."""
-    add = operator.add
-    r = {zhat: 1}
-    for _ in range(CERTIFICATE_STEPS):
-        r = divide(r, groebner.reducers, groebner.order)[1]
-        if not r:
-            return True
-        if len(r) > CERTIFICATE_TERMS:
-            break
-        g = gcd(*r.values())
-        r = {tuple(map(add, e, zhat)): c // g for e, c in r.items()}
-    return False
+    zhat*r, ..., in packed integer terms with their content removed, and
+    gives up once it has more than CERTIFICATE_TERMS terms.  zhat is packed
+    once; each product zhat*r is a sum of packed monomials, tested for a
+    guard bit, and the basis's ``run`` widens the packing on Overflow."""
+    def certify(packing, table):
+        z = packing.pack(zhat)
+        step = z - packing.one
+        r = {z: 1}
+        for _ in range(CERTIFICATE_STEPS):
+            r = divide(r, table, packing)[1]
+            if not r:
+                return True
+            if len(r) > CERTIFICATE_TERMS:
+                break
+            g = gcd(*r.values())
+            r = {x + step: c // g for x, c in r.items()}
+            packing.check(r)
+        return False
+    return groebner.run(certify)
 
 
 def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = None
@@ -208,8 +213,7 @@ class CodimReport:
         return self.ok
 
 
-def residue_functional(order: MonomialOrder, groebner: GroebnerBasis,
-                       monomials) -> tuple[CodimReport, tuple[int, dict]]:
+def residue_functional(groebner: GroebnerBasis, monomials) -> tuple[CodimReport, tuple[int, dict]]:
     """Codimension report and residue functional of the critical slice, from
     one ascending pass over its ``monomials`` against ``groebner``.
 
@@ -229,29 +233,38 @@ def residue_functional(order: MonomialOrder, groebner: GroebnerBasis,
     so (D, num), which holds num[pivot] = D, stays in lowest terms.  The
     check passes with one standard monomial, since every normal form in the
     slice is then a multiple of the pivot; otherwise the report names the
-    pivot, the two least standard monomials and their count.
+    pivot, the two least standard monomials and their count.  The pass
+    runs on the basis's packed table: the monomials are packed and sorted
+    as ints, t*m/le is the sum t + (m - le), and num is keyed by exponent
+    tuples again at the end.
     """
     if not monomials:
         raise AllReduceToZero("no monomials exist in the critical degree")
-    add, sub = operator.add, operator.sub
-    D = 1
-    num = {}
-    standard = []
-    for m in sorted(monomials, key=order.key):
-        hit = first_divisor(groebner.reducers, m)
-        if hit is None:
-            num[m] = 0 if standard else D
-            standard.append(m)
-            continue
-        le, lc, tail = hit
-        shift = tuple(map(sub, m, le))
-        total = -sum(c * num[tuple(map(add, t, shift))] for t, c in tail)
-        g = gcd(total, lc)
-        if g != lc:
-            a = lc // g
-            D *= a
-            num = {k: v * a for k, v in num.items()}
-        num[m] = total // g
+
+    def functional(packing, table):
+        first = packing.first_divisor
+        D = 1
+        num = {}
+        standard = []
+        for x in sorted(map(packing.pack, monomials)):
+            hit = first(table, x)
+            if hit is None:
+                num[x] = 0 if standard else D
+                standard.append(x)
+                continue
+            le, lc, tail = hit
+            shift = x - le
+            total = -sum(c * num[t + shift] for t, c in tail)
+            g = gcd(total, lc)
+            if g != lc:
+                a = lc // g
+                D *= a
+                num = {k: v * a for k, v in num.items()}
+            num[x] = total // g
+        unpack = packing.unpack
+        return D, {unpack(x): v for x, v in num.items()}, [unpack(x) for x in standard]
+
+    D, num, standard = groebner.run(functional)
     if not standard:
         raise AllReduceToZero(
             "every critical-degree monomial reduces to zero")
@@ -295,6 +308,8 @@ class ResidueProblem:
         fan.cone(sigma)  # ValueError when no maximal cone has the index
         self.sigma = sigma
         self.order = order if order is not None else grevlex(fan.nvars)
+        if self.order.nvars != fan.nvars:
+            raise DegreeMismatch("monomial order does not match the fan's variables")
         self.grading = grading if grading is not None else compute_grading(fan)
         self.degrees = tuple(degree_of(p, self.grading) for p in self.polys)
         self._sigma_det = cone_det(fan, sigma)
@@ -319,7 +334,7 @@ class ResidueProblem:
 
     @cached_property
     def _functional(self):
-        return residue_functional(self.order, self.groebner, self.monomials)
+        return residue_functional(self.groebner, self.monomials)
 
     @property
     def codim(self) -> CodimReport:
@@ -527,12 +542,11 @@ def variable_annihilation_check(problem: ResidueProblem) -> AnnihilationReport:
     """Every variable times every critical-degree monomial must lie in the
     ideal; the witness names the first product that does not."""
     gb = problem.groebner
-    nv = problem.fan.nvars
-    for i in range(nv):
+    for i in range(problem.fan.nvars):
         for m in problem.monomials:
             e = list(m)
             e[i] += 1
-            if divide({tuple(e): 1}, gb.reducers, gb.order)[1]:
+            if gb.remainder({tuple(e): 1})[1]:
                 return AnnihilationReport(False, (i, m))
     return AnnihilationReport(True)
 

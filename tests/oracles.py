@@ -3,7 +3,9 @@
 The residue values are derived by brute-force partial fractions, never by
 the package's own pipeline.  The slow paths are the straightforward forms
 of routines the package runs in a faster or different form: division by a
-linear scan for the greatest term, the heap-ordered division over Fractions
+linear scan for the greatest term, the integer division, S-polynomials and
+Buchberger on exponent tuples with a tuple heap key, as they ran before
+each monomial was one packed int, the heap-ordered division over Fractions
 against monic reducers with its S-polynomials, the integer reducers read
 back from a monic Fraction basis, Buchberger over parallel lists with
 MultiPoly S-polynomials, the multiplication tables of a chart quotient
@@ -63,8 +65,8 @@ from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeM
                       is_simplicial, monomial_basis, no_common_zeros_on_x)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
 from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
-from toricres.groebner import (_lcm, _sub_exp, first_divisor, grevlex, integer_reducer,
-                               integer_terms, lex, quotient_is_finite, standard_monomials)
+from toricres.groebner import (grevlex, integer_terms, lex, quotient_is_finite,
+                               standard_monomials)
 from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cramer, dot, freeze,
                               hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form)
 from toricres.localres import _chart, _Quotient
@@ -555,6 +557,195 @@ def fraction_normal_coefficient(ell: dict, H: MultiPoly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the tuple kernel: division, S-polynomials and Buchberger as the package ran
+# them on exponent tuples before each monomial was one packed int, with the
+# heap key of a tuple and the integer reducer that scans for its lead
+
+def heap_key(order: MonomialOrder, e: Exponent):
+    """Key that ascends as the order descends: a min-heap of heap keys
+    pops the greatest monomial first."""
+    if order.kind == "lex":
+        return tuple([-e[i] for i in order.precedence])
+    return (-sum(e), *[e[i] for i in reversed(order.precedence)])
+
+
+def first_divisor(table, e: Exponent):
+    """The first reducer of ``table`` whose lead exponent divides e, or None."""
+    for r in table:
+        if all(map(operator.le, r[0], e)):
+            return r
+    return None
+
+
+def _lcm(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _sub_exp(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def integer_reducer(terms: dict, order: MonomialOrder, modulus: int = 0):
+    """(lead exponent, lead coefficient, tail terms) of nonzero integer
+    terms: primitive with lc > 0 over Q, monic over GF(p)."""
+    le = max(terms, key=order.key)
+    lc = terms[le]
+    if modulus:
+        inv = pow(lc, -1, modulus)
+        return le, 1, tuple((e, c * inv % modulus) for e, c in terms.items() if e != le)
+    g = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
+    return le, lc // g, tuple((e, c // g) for e, c in terms.items() if e != le)
+
+
+def tuple_divide(terms: dict, table, order: MonomialOrder, modulus: int = 0) -> tuple[int, dict]:
+    """Pseudo-division of integer terms by a reducer table, in table order,
+    over Q or, with a prime ``modulus``, over GF(modulus): ``(scale, r)``,
+    r the integer terms of scale > 0 times the remainder.
+
+    Pending terms live in a dict; a min-heap of ``heap_key`` holds each
+    pending exponent once, so the greatest term is popped without scanning,
+    and a term that cancels stays as zero until popped.  Every term a step
+    adds is below the term it reduces.  A term c*x^e is reduced by the
+    first reducer whose lead divides it: the pending terms are multiplied
+    by a = lc/gcd(c, lc) (1 over GF(p), where a popped coefficient is
+    reduced into [0, p)), and c/gcd(c, lc) times the shifted tail is
+    subtracted.  A remainder term keeps the scale it was emitted at until
+    the end.
+    """
+    add, sub = operator.add, operator.sub
+    heappush, heappop = heapq.heappush, heapq.heappop
+    work = dict(terms)
+    heap = [(heap_key(order, e), e) for e in work]
+    heapq.heapify(heap)
+    rem = []
+    scale = 1
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e)
+        if modulus:
+            c %= modulus
+        if not c:
+            continue
+        hit = first_divisor(table, e)
+        if hit is None:
+            rem.append((e, c, scale))
+            continue
+        le, lc, tail = hit
+        g = gcd(c, lc)
+        if g != lc:
+            a = lc // g
+            scale *= a
+            work = {k: v * a for k, v in work.items()}
+        c //= g
+        shift = tuple(map(sub, e, le))
+        for ge, gc in tail:
+            ne = tuple(map(add, ge, shift))
+            if ne in work:
+                work[ne] -= c * gc
+            else:
+                work[ne] = -c * gc
+                heappush(heap, (heap_key(order, ne), ne))
+    return scale, {e: c * (scale // s) for e, c, s in rem}
+
+
+def tuple_s_polynomial(f, g) -> dict:
+    """Integer terms of (lc_g/h)*x^(L-lead_f)*f - (lc_f/h)*x^(L-lead_g)*g,
+    L the lcm of the leads and h = gcd(lc_f, lc_g): the shifted tails, as
+    the leads cancel."""
+    fe, fc, ftail = f
+    ge, gc, gtail = g
+    h = gcd(fc, gc)
+    a, b = gc // h, fc // h
+    L = _lcm(fe, ge)
+    sf, sg = _sub_exp(L, fe), _sub_exp(L, ge)
+    add = operator.add
+    terms = {tuple(map(add, e, sf)): a * c for e, c in ftail}
+    for e, c in gtail:
+        ne = tuple(map(add, e, sg))
+        s = terms.get(ne, 0) - b * c
+        if s:
+            terms[ne] = s
+        else:
+            del terms[ne]
+    return terms
+
+
+def _tuple_gm_update(table, pairs, new_lead, order: MonomialOrder):
+    """Gebauer-Moeller pair list update for a new element with lead
+    new_lead, to be appended to the reducer table.
+
+    A pair is ``(order key of lcm, lcm, i, j)``, keyed once when it is made.
+    Coprime pairs survive the divisibility sieve so they can knock out other
+    candidates, then are dropped at the end; old pairs whose lcm the new lead
+    properly refines are discarded.
+    """
+    t = len(table)
+    lt = new_lead
+    lcms = [_lcm(le, lt) for le, _, _ in table]
+    coprime = [L == tuple(map(operator.add, le, lt))
+               for (le, _, _), L in zip(table, lcms)]
+    C = list(range(t))
+    D = []
+    while C:
+        i = C.pop(0)
+        li = lcms[i]
+        if coprime[i] or not any(_divides(lcms[j], li) for j in C + D):
+            D.append(i)
+    kept_old = [p for p in pairs
+                if not (_divides(lt, p[1]) and lcms[p[2]] != p[1] and lcms[p[3]] != p[1])]
+    return kept_old + [(order.key(lcms[i]), lcms[i], i, t) for i in D if not coprime[i]]
+
+
+def tuple_buchberger(gens, order: MonomialOrder, modulus: int = 0):
+    """Reduced Groebner basis of the ideal generated by ``gens``, integer
+    term dicts as ``tuple_divide`` reads them, over Q or, with a prime
+    ``modulus``, over GF(modulus): its reducer table, ascending by lead,
+    primitive with lc > 0 over Q and monic over GF(modulus).
+
+    Each element is kept only as an integer reducer in one table: the table
+    is the divisor list, the source of every S-polynomial and the list of
+    leads the pair update reads.  Returns ``[((0,)*n, 1, ())]`` as soon as
+    a remainder is a nonzero constant: that is the reduced basis of the
+    unit ideal.
+    """
+    G = [g for g in gens if g]
+    if not G:
+        return []
+    table = []
+    pairs = []
+
+    def candidates():
+        yield from sorted(G, key=lambda q: order.key(max(q, key=order.key)))
+        while pairs:
+            best = min(pairs, key=operator.itemgetter(0))
+            pairs.remove(best)
+            yield tuple_s_polynomial(table[best[2]], table[best[3]])
+
+    for q in candidates():
+        r = tuple_divide(q, table, order, modulus)[1]
+        if not r:
+            continue
+        if not any(map(any, r)):
+            return [((0,) * order.nvars, 1, ())]
+        g = integer_reducer(r, order, modulus)
+        pairs = _tuple_gm_update(table, pairs, g[0], order)
+        table.append(g)
+    # minimalize: drop elements whose lead is divisible by another lead
+    minimal = [g for i, g in enumerate(table)
+               if not any(k != i and _divides(h[0], g[0]) and (h[0] != g[0] or k < i)
+                          for k, h in enumerate(table))]
+    minimal.sort(key=lambda g: order.key(g[0]))
+    # reduce tails; no other minimal lead divides a lead, which keeps its
+    # coefficient times the scale of the division
+    reduced = []
+    for g in minimal:
+        le, lc, tail = g
+        scale, rem = tuple_divide(dict(tail), [h for h in minimal if h is not g], order, modulus)
+        reduced.append(integer_reducer({le: scale * lc, **rem}, order, modulus))
+    return reduced
+
+
+# ---------------------------------------------------------------------------
 # division and S-polynomials over Fractions, as Buchberger ran them before its
 # arithmetic went to integers: monic reducers over Q, divided term by term
 
@@ -586,13 +777,14 @@ def divide(p: MultiPoly, table, order: MonomialOrder, modulus: int = 0) -> Multi
     over Q or, with a prime ``modulus``, over GF(modulus).
 
     Pending terms live in a dict from exponent to coefficient; a min-heap of
-    ``order.heap_key`` holds each pending exponent once, so the greatest
+    ``heap_key`` holds each pending exponent once, so the greatest
     term is popped without scanning.  A term that cancels stays in the dict
     as zero and is skipped when popped.  Every term a reduction step adds is
     below the term it reduces, so no exponent returns once popped.  Each
     term is reduced by the first table entry whose lead divides it.
     """
-    hkey = order.heap_key
+    def hkey(e):
+        return heap_key(order, e)
     le_, add, sub = operator.le, operator.add, operator.sub
     heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(p.terms)

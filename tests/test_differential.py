@@ -54,12 +54,13 @@ from toricres import (
     toric_residue,
 )
 
-from toricres.groebner import divide, integer_reducer, integer_terms, s_polynomial
+from toricres.groebner import WIDTH, Packing, divide, integer_terms, s_polynomial
 from toricres.residues import P, _mod_p, residue_functional
 
 from conftest import FIXTURES, load
 from oracles import (NotShapePosition, all_monomial_codim_check, fraction_functional,
-                     grevlex_chart_dimension, integer_table, is_constant, linear_scan_normal_form,
+                     grevlex_chart_dimension, heap_key, integer_reducer, integer_table,
+                     is_constant, linear_scan_normal_form,
                      multipoly_s_polynomial, pairwise_is_complete, parallel_list_buchberger,
                      primitive, reducer_table, solve_chart_system)
 from oracles import _monic
@@ -71,6 +72,27 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 RESIDUE_FIXTURES = sorted(
     p.name for p in FIXTURES.glob("*.json") if not p.name.endswith(".fan.json"))
+
+
+def table_basis(table, order):
+    """A ``GroebnerBasis`` on any integer reducer table, packed as the
+    package packs a basis it builds."""
+    packing = Packing(order, WIDTH)
+    return GroebnerBasis(tuple(packing.pack_table(table)), packing)
+
+
+def packed_divide(terms, table, order, modulus=0):
+    """``divide`` on the packed forms of tuple-keyed terms and a tuple
+    table, its remainder read back as tuples."""
+    packing = Packing(order, WIDTH)
+    scale, rem = divide(packing.pack_terms(terms), packing.pack_table(table), packing, modulus)
+    return scale, packing.unpack_terms(rem)
+
+
+def packed_s_polynomial(f, g, order):
+    """``s_polynomial`` of two tuple reducers, read back as tuples."""
+    packing = Packing(order, WIDTH)
+    return packing.unpack_terms(s_polynomial(*packing.pack_table([f, g]), packing))
 
 
 def codim_outcome(check):
@@ -154,7 +176,7 @@ def division_cases(draw):
 @given(division_cases())
 def test_heap_division_matches_linear_scan(case):
     p, basis, order = case
-    fast = GroebnerBasis(tuple(integer_table(basis, order)), order).reduce(p)
+    fast = table_basis(integer_table(basis, order), order).reduce(p)
     slow = linear_scan_normal_form(p, basis, order)
     assert list(fast.terms.items()) == list(slow.terms.items())
 
@@ -178,7 +200,8 @@ def test_cached_reducers_match_linear_scan_on_a_basis(case):
        st.lists(st.tuples(*[st.integers(0, 4)] * 3), unique=True, max_size=12))
 def test_heap_key_ascends_as_the_order_descends(kind, prec, exps):
     order = MonomialOrder(kind, tuple(prec))
-    assert sorted(exps, key=order.heap_key) == sorted(exps, key=order.key, reverse=True)
+    assert sorted(exps, key=lambda e: heap_key(order, e)) \
+        == sorted(exps, key=order.key, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +321,7 @@ def scaled_lead_cases(draw):
 def test_pseudo_division_is_a_scale_times_the_fraction_division(case):
     p, basis, order = case
     d, terms = integer_terms(p)
-    scale, rem = divide(terms, integer_table(basis, order), order)
+    scale, rem = packed_divide(terms, integer_table(basis, order), order)
     expected = fraction_divide(p * d, reducer_table(basis, order), order)
     assert scale > 0
     assert list(rem) == list(expected.terms)
@@ -311,7 +334,7 @@ def test_pseudo_division_scales_the_pending_terms():
     order = grevlex(2)
     p = parse_poly("x^2 + y^2", names)
     table = integer_table([parse_poly("2*x + y", names)], order)
-    assert divide(integer_terms(p)[1], table, order) == (4, {(0, 2): 5})
+    assert packed_divide(integer_terms(p)[1], table, order) == (4, {(0, 2): 5})
     gb = GroebnerBasis.of([parse_poly("2*x + y", names)], order)
     assert gb.reducers == tuple(table)
     assert gb.reduce(p) == parse_poly("5/4*y^2", names)
@@ -326,9 +349,9 @@ def test_division_mod_p_is_division_over_q_reduced_mod_p(case):
     p, basis, order = case
     table_p = [integer_reducer(t, order, P) for t in map(_mod_p, basis) if t]
     assert all(lc == 1 for _, lc, _ in table_p)
-    scale, rem = divide(_mod_p(p), table_p, order, P)
+    scale, rem = packed_divide(_mod_p(p), table_p, order, P)
     assert scale == 1
-    over_q = GroebnerBasis(tuple(integer_table(basis, order)), order).reduce(p)
+    over_q = table_basis(integer_table(basis, order), order).reduce(p)
     assert rem == _mod_p(over_q)
 
 
@@ -365,9 +388,9 @@ def test_s_polynomial_of_monic_reducers_matches_multipoly_oracle(case):
     assert fraction_s_polynomial(*monic, f.nvars) == expected
     rf, rg = integer_table([f, g], order)
     k = Fraction(rf[1] * rg[1], math.gcd(rf[1], rg[1]))
-    assert MultiPoly.from_terms(f.nvars, s_polynomial(rf, rg)) == expected * k
+    assert MultiPoly.from_terms(f.nvars, packed_s_polynomial(rf, rg, order)) == expected * k
     pf, pg = (integer_reducer(_mod_p(q), order, P) for q in (f, g))
-    s_p = {e: c % P for e, c in s_polynomial(pf, pg).items()}
+    s_p = {e: c % P for e, c in packed_s_polynomial(pf, pg, order).items()}
     assert {e: c for e, c in s_p.items() if c} == _mod_p(expected)
 
 
@@ -404,7 +427,8 @@ def test_ell_and_reduce_match_fraction_reducers_on_fixtures(name):
     the integer reducers and on the monic Fraction ones."""
     pb = load(name).problem
     gb = pb.groebner
-    fast = functional_outcome(residue_functional, pb, gb)
+    fast = functional_outcome(lambda order, basis, monomials: residue_functional(basis, monomials),
+                              pb, gb)
     oracle = functional_outcome(fraction_functional, pb, gb)
     assert oracle == functional_outcome(fraction_functional, pb, _FractionBasis(gb))
     if fast == "AllReduceToZero":
@@ -493,14 +517,16 @@ def test_chart_solver_dimension_matches_oracle_on_random_systems(system):
 
 
 def counting_buchberger(monkeypatch):
+    """Record each basis the package builds: ``packed_basis`` runs
+    Buchberger for ``GroebnerBasis.of`` and ``buchberger`` alike."""
     calls = []
-    real = groebner_mod.buchberger
+    real = groebner_mod.packed_basis
 
-    def counted(gens, order):
+    def counted(gens, order, modulus=0):
         calls.append(order)
-        return real(gens, order)
+        return real(gens, order, modulus)
 
-    monkeypatch.setattr(groebner_mod, "buchberger", counted)
+    monkeypatch.setattr(groebner_mod, "packed_basis", counted)
     return calls
 
 

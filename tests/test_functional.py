@@ -299,7 +299,7 @@ def assert_functional_matches_oracle(pb):
     the oracle's Fraction pass, and a value is a Fraction; a pass that
     fails fails as the oracle's does."""
     expected = outcome(lambda: fraction_functional(pb.order, pb.groebner, pb.monomials))
-    got = outcome(lambda: residue_functional(pb.order, pb.groebner, pb.monomials))
+    got = outcome(lambda: residue_functional(pb.groebner, pb.monomials))
     if expected[0] != "value":
         assert got == expected
         return
@@ -337,7 +337,7 @@ def test_the_functional_makes_no_fraction_and_a_value_makes_one(monkeypatch, nam
         return real_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    residue_functional(pb.order, basis, monomials)
+    residue_functional(basis, monomials)
     assert made == []
     for H in probes:
         pb.normal_coefficient(H)

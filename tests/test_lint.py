@@ -3,9 +3,9 @@
 No linter is installed, so these are the checks: every import in
 ``src/toricres`` sits at module level, no module of the repository imports
 a name it never uses, every function and class the package defines at
-module level is read or exported, and no sum on the residue path (the
+module level is read or exported, no sum on the residue path (the
 residue, the determinants of polynomials and the local sums) starts from
-a Fraction.
+a Fraction, and the Groebner kernel builds no exponent tuple.
 """
 
 import ast
@@ -111,3 +111,22 @@ def test_no_fraction_accumulator_on_the_residue_path():
                            if any(isinstance(n, ast.Name) and n.id == "Fraction"
                                   for n in ast.walk(start))]
         assert fraction_starts == [], (name, fraction_starts)
+
+
+def test_the_groebner_kernel_builds_no_exponent_tuple():
+    """Division, S-polynomials, the pair loop and the zero-locus
+    certificate run on packed monomials alone: none of them calls
+    ``tuple``, as ``tuple(map(add, e, shift))`` once did in every step.
+    Tuples are packed where they enter a call and unpacked where they
+    leave it."""
+    kernel = {"groebner.py": ("divide", "s_polynomial", "_gm_update", "_buchberger"),
+              "residues.py": ("_certified",)}
+    for name, functions in kernel.items():
+        path = ROOT / "src" / "toricres" / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for function in functions:
+            calls = [node.lineno for node in ast.walk(defs[function])
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "tuple"]
+            assert calls == [], (name, function, calls)
