@@ -23,6 +23,7 @@ from .errors import (
     DecompositionFailed,
     DegenerateVolume,
     DegreeMismatch,
+    ExponentTooLarge,
     HypothesesFailed,
     InfiniteIntersection,
     InvalidFan,
@@ -125,9 +126,9 @@ __all__ = [
     "critical_degree_lifted", "equal_degree_check", "jacobian_ideal_degree_check",
     "PositivityReport", "cone_functionals", "is_ample", "is_cartier", "is_q_ample",
     "AllReduceToZero", "CodimNotOne", "DecompositionFailed", "DegenerateVolume",
-    "DegreeMismatch", "HypothesesFailed", "InfiniteIntersection", "InvalidFan",
-    "NoIntegralLift", "NonSimpleZero", "NonSquare", "NotAGrading", "NotAmple",
-    "NotHomogeneous", "NotSurjective", "NotTorusZero",
+    "DegreeMismatch", "ExponentTooLarge", "HypothesesFailed", "InfiniteIntersection",
+    "InvalidFan", "NoIntegralLift", "NonSimpleZero", "NonSquare", "NotAGrading",
+    "NotAmple", "NotHomogeneous", "NotSurjective", "NotTorusZero",
     "NotZeroDimensional", "NonUniqueLift", "ParseError", "ToricError", "Unbounded",
     "WrongDegree", "ZeroOnPolarLocus", "ZeroPolynomial",
     "LoadedProblem", "load_fan", "load_problem",

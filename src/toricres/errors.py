@@ -120,3 +120,8 @@ class NotTorusZero(ToricError):
 
 class InfiniteIntersection(ToricError):
     """Partial intersection of the divisors is not finite."""
+
+
+class ExponentTooLarge(ToricError):
+    """An exponent is above 2^31 - 1, the largest a packed monomial's field
+    holds: refused, not computed."""

@@ -2,19 +2,18 @@
 on packed monomials.
 
 Inside the kernel a monomial is one int (Monagan-Pearce, CASC 2007):
-``Packing`` gives each variable a field of ``width`` bits topped by a guard
-bit, 0 in every valid monomial, so a field holds 0 to M = 2^(width-1) - 1.
+``Packing`` gives each variable a field of ``WIDTH`` = 32 bits topped by a
+guard bit, 0 in every valid monomial, so a field holds 0 to M = 2^31 - 1.
 Lex puts e_i in its field, the first variable of the precedence highest;
 grevlex puts M - e_i, the last variable highest, and the total degree
 above every field.  So integer order is the monomial order, a product of
 monomials is their sum less the packing of 1 (0 under lex), a quotient is
 a difference, and a | e is one guard-bit test.  Every exponent a shift
 makes is tested for a guard bit, which one above M sets, and ``pack``
-refuses an exponent above M; either raises ``Overflow``, and the whole
-call restarts on fields twice as wide, with the same answer, as no step
-reads the width.  Lex division can raise exponents above all of its
-inputs', so no width suffices in advance.  Exponent tuples appear only
-where a caller hands monomials in or reads them out.
+refuses an exponent above M; either raises ``ExponentTooLarge``, and the
+call returns nothing.  Lex division can raise exponents above all of its
+inputs', so the refusal can come from inside a call.  Exponent tuples
+appear only where a caller hands monomials in or reads them out.
 
 A basis is its reducer table: over Q each reducer is primitive over Z with
 a positive lead coefficient, its content removed once, when it joins a
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import DegreeMismatch, ParseError
+from .errors import DegreeMismatch, ExponentTooLarge, ParseError
 from .lattice import clear_denominators
 from .poly import Exponent, MultiPoly
 
@@ -102,47 +101,46 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return all(map(operator.le, a, b))
 
 
-WIDTH = 16  # bits per field of the first packing a call tries
-
-
-class Overflow(Exception):
-    """A packed exponent outgrew its field."""
+WIDTH = 32  # bits per field of a packed monomial, its guard bit included
+MAX = (1 << (WIDTH - 1)) - 1  # M, the largest exponent a field holds
+MASK = (1 << WIDTH) - 1
+TOO_LARGE = f"an exponent is above {MAX}, the largest a packed field holds"
 
 
 class Packing:
-    """The monomials of ``order`` as ints, one field of ``width`` bits per
+    """The monomials of ``order`` as ints, one field of ``WIDTH`` bits per
     variable, laid out as the module docstring says."""
 
-    def __init__(self, order: MonomialOrder, width: int):
+    def __init__(self, order: MonomialOrder):
         n, lex_ = order.nvars, order.kind == "lex"
-        self.order, self.width, self.lex = order, width, lex_
-        self.max = (1 << (width - 1)) - 1
-        self.mask = (1 << width) - 1
+        self.order, self.lex = order, lex_
         rank = {v: j for j, v in enumerate(order.precedence)}
-        self.shifts = tuple(width * (n - 1 - rank[i] if lex_ else rank[i]) for i in range(n))
-        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-        self.one = 0 if lex_ else sum(self.max << s for s in self.shifts)
-        self.top = n * width  # the shift of grevlex's degree
+        self.shifts = tuple(WIDTH * (n - 1 - rank[i] if lex_ else rank[i]) for i in range(n))
+        self.guard = sum(1 << (s + WIDTH - 1) for s in self.shifts)
+        self.one = 0 if lex_ else sum(MAX << s for s in self.shifts)
+        self.top = n * WIDTH  # the shift of grevlex's degree
         self.weights = tuple(1 << s if lex_ else (1 << self.top) - (1 << s) for s in self.shifts)
         self.fields = (1 << self.top) - 1
-        self.pairs = sum(self.mask << s for s in range(0, self.top, 2 * width))
+        self.pairs = sum(MASK << s for s in range(0, self.top, 2 * WIDTH))
 
     def __repr__(self):
-        return f"Packing({self.order!r}, {self.width})"
-
-    def wider(self) -> Packing:
-        return Packing(self.order, 2 * self.width)
+        return f"Packing({self.order!r})"
 
     def pack(self, e: Exponent) -> int:
-        """x^e packed; Overflow when an exponent is above M."""
-        if max(e) > self.max:
-            raise Overflow
+        """x^e packed; DegreeMismatch when e has another length than the
+        order, ValueError when an exponent is negative and ExponentTooLarge
+        when one is above M."""
+        if len(e) != len(self.weights):
+            raise DegreeMismatch("exponents do not match the order's variables")
+        if min(e) < 0:
+            raise ValueError(f"negative exponent in {e}")
+        if max(e) > MAX:
+            raise ExponentTooLarge(TOO_LARGE)
         return self.one + sum(map(operator.mul, e, self.weights))
 
     def unpack(self, x: int) -> Exponent:
         x ^= self.one
-        mask = self.mask
-        return tuple([(x >> s) & mask for s in self.shifts])
+        return tuple([(x >> s) & MASK for s in self.shifts])
 
     def pack_terms(self, terms: dict) -> dict:
         return {self.pack(e): c for e, c in terms.items()}
@@ -150,25 +148,21 @@ class Packing:
     def unpack_terms(self, terms: dict) -> dict:
         return {self.unpack(x): c for x, c in terms.items()}
 
-    def pack_table(self, table) -> list[Reducer]:
-        return [(self.pack(le), lc, tuple(self.pack_terms(dict(tail)).items()))
-                for le, lc, tail in table]
-
     def unpack_table(self, table) -> list[Reducer]:
         return [(self.unpack(le), lc, tuple(self.unpack_terms(dict(tail)).items()))
                 for le, lc, tail in table]
 
     def check(self, exps):
-        """Overflow unless every packed monomial of ``exps`` is valid."""
+        """ExponentTooLarge unless every packed monomial of ``exps`` is valid."""
         if any(x & self.guard for x in exps):
-            raise Overflow
+            raise ExponentTooLarge(TOO_LARGE)
 
     def lcm(self, a: int, b: int) -> int:
         """Fieldwise the larger exponent: a guard-bit comparison marks the
         fields where a's is at least b's (a's M - e_i, under grevlex).  The
-        grevlex degree adds the e_i two to a slot of 2*width bits; the sum
-        and each slot are below 2^(2*width) - 1, so mod it they agree."""
-        G, w = self.guard, self.width
+        grevlex degree adds the e_i two to a slot of 2*WIDTH bits; the sum
+        and each slot are below 2^(2*WIDTH) - 1, so mod it they agree."""
+        G, w = self.guard, WIDTH
         d = ((a | G) - b) & G
         m = d - (d >> (w - 1))  # the value bits of the marked fields
         if self.lex:
@@ -273,7 +267,7 @@ def divide(terms: dict, table, packing: Packing, modulus: int = 0) -> tuple[int,
                 work[y] -= c * gc
             else:
                 if y & guard:
-                    raise Overflow
+                    raise ExponentTooLarge(TOO_LARGE)
                 work[y] = -c * gc
                 heappush(heap, -y)
     return scale, {x: c * (scale // s) for x, c, s in rem}
@@ -365,20 +359,10 @@ def _buchberger(gens, packing: Packing, modulus: int) -> list[Reducer]:
     return reduced
 
 
-def widened(packing: Packing, work):
-    """``work(packing)``, again on fields twice as wide on each Overflow."""
-    while True:
-        try:
-            return work(packing)
-        except Overflow:
-            packing = packing.wider()
-
-
-def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> tuple[Packing, list[Reducer]]:
-    """The packing, from fields of ``WIDTH`` bits, and packed table of
-    ``buchberger``."""
-    return widened(Packing(order, WIDTH), lambda packing: (packing, _buchberger(
-        [packing.pack_terms(g) for g in gens if g], packing, modulus)))
+def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
+    """The table of ``buchberger``, packed on ``Packing(order)``."""
+    packing = Packing(order)
+    return _buchberger([packing.pack_terms(g) for g in gens if g], packing, modulus)
 
 
 def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
@@ -395,41 +379,30 @@ def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
     Returns ``[((0,)*n, 1, ())]`` once a remainder is a nonzero constant:
     the reduced basis of the unit ideal.
     """
-    if any(len(e) != order.nvars for g in gens for e in g):
-        raise DegreeMismatch("exponents do not match the order's variables")
-    packing, table = packed_basis(gens, order, modulus)
-    return packing.unpack_table(table)
+    return Packing(order).unpack_table(packed_basis(gens, order, modulus))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis over Q as its packed reducer table, as
-    ``buchberger`` builds it, on ``packing``: the one stored form, of which
-    ``reducers`` and ``generators`` are views built on first use.  Two
-    bases are equal when their orders and reducers are, whatever the
-    widths of their packings."""
+    ``buchberger`` builds it, on the packing of ``order``: the one stored
+    form, of which ``reducers`` and ``generators`` are views built on first
+    use.  A packing is fixed by its order, so two bases are equal when
+    their tables and orders are."""
 
     table: tuple[Reducer, ...]
-    packing: Packing
+    order: MonomialOrder
 
     @classmethod
     def of(cls, gens, order):
         """The basis of the ideal of the MultiPolys ``gens``."""
         if any(g.nvars != order.nvars for g in gens):
             raise DegreeMismatch("polynomial ring does not match the order")
-        packing, table = packed_basis([integer_terms(g)[1] for g in gens], order)
-        return cls(tuple(table), packing)
+        return cls(tuple(packed_basis([integer_terms(g)[1] for g in gens], order)), order)
 
-    def __eq__(self, other):
-        return isinstance(other, GroebnerBasis) \
-            and (self.order, self.reducers) == (other.order, other.reducers)
-
-    def __hash__(self):
-        return hash((self.order, self.reducers))
-
-    @property
-    def order(self) -> MonomialOrder:
-        return self.packing.order
+    @cached_property
+    def packing(self) -> Packing:
+        return Packing(self.order)
 
     @cached_property
     def reducers(self) -> tuple[Reducer, ...]:
@@ -443,20 +416,11 @@ class GroebnerBasis:
         return tuple(MultiPoly.from_integer_terms(self.order.nvars, lc, {le: lc, **dict(tail)})
                      for le, lc, tail in self.reducers)
 
-    def run(self, work):
-        """``work(packing, table)`` on the packed table, repacked on wider
-        fields on each Overflow."""
-        def on(packing):
-            table = self.table if packing is self.packing else packing.pack_table(self.reducers)
-            return work(packing, table)
-        return widened(self.packing, on)
-
     def remainder(self, terms: dict) -> tuple[int, dict]:
         """``divide`` on integer terms keyed by exponent tuples."""
-        def work(packing, table):
-            scale, rem = divide(packing.pack_terms(terms), table, packing)
-            return scale, packing.unpack_terms(rem)
-        return self.run(work)
+        packing = self.packing
+        scale, rem = divide(packing.pack_terms(terms), self.table, packing)
+        return scale, packing.unpack_terms(rem)
 
     def reduce(self, p: MultiPoly) -> MultiPoly:
         """Remainder of p: its denominators cleared once, by d, the integer

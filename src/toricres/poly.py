@@ -44,6 +44,9 @@ class MultiPoly:
                         raise ValueError("exponent length mismatch")
                     # equal exponents are one dict key: no two terms meet
                     clean[e] = c
+        # one pass over every exponent: a test per term slows building an H
+        if min(itertools.chain.from_iterable(clean), default=0) < 0:
+            raise ValueError("negative exponent")
         self.terms = clean
 
     # -- construction -----------------------------------------------------

@@ -91,22 +91,22 @@ def _certified(groebner: GroebnerBasis, zhat: Exponent) -> bool:
     zhat*r, ..., in packed integer terms with their content removed, and
     gives up once it has more than CERTIFICATE_TERMS terms.  zhat is packed
     once; each product zhat*r is a sum of packed monomials, tested for a
-    guard bit, and the basis's ``run`` widens the packing on Overflow."""
-    def certify(packing, table):
-        z = packing.pack(zhat)
-        step = z - packing.one
-        r = {z: 1}
-        for _ in range(CERTIFICATE_STEPS):
-            r = divide(r, table, packing)[1]
-            if not r:
-                return True
-            if len(r) > CERTIFICATE_TERMS:
-                break
-            g = gcd(*r.values())
-            r = {x + step: c // g for x, c in r.items()}
-            packing.check(r)
-        return False
-    return groebner.run(certify)
+    guard bit, and an exponent above the field maximum raises
+    ExponentTooLarge."""
+    packing, table = groebner.packing, groebner.table
+    z = packing.pack(zhat)
+    step = z - packing.one
+    r = {z: 1}
+    for _ in range(CERTIFICATE_STEPS):
+        r = divide(r, table, packing)[1]
+        if not r:
+            return True
+        if len(r) > CERTIFICATE_TERMS:
+            break
+        g = gcd(*r.values())
+        r = {x + step: c // g for x, c in r.items()}
+        packing.check(r)
+    return False
 
 
 def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = None
@@ -236,35 +236,35 @@ def residue_functional(groebner: GroebnerBasis, monomials) -> tuple[CodimReport,
     pivot, the two least standard monomials and their count.  The pass
     runs on the basis's packed table: the monomials are packed and sorted
     as ints, t*m/le is the sum t + (m - le), and num is keyed by exponent
-    tuples again at the end.
+    tuples again at the end.  A monomial with an exponent above the field
+    maximum is refused by ``pack`` with ExponentTooLarge.
     """
     if not monomials:
         raise AllReduceToZero("no monomials exist in the critical degree")
 
-    def functional(packing, table):
-        first = packing.first_divisor
-        D = 1
-        num = {}
-        standard = []
-        for x in sorted(map(packing.pack, monomials)):
-            hit = first(table, x)
-            if hit is None:
-                num[x] = 0 if standard else D
-                standard.append(x)
-                continue
-            le, lc, tail = hit
-            shift = x - le
-            total = -sum(c * num[t + shift] for t, c in tail)
-            g = gcd(total, lc)
-            if g != lc:
-                a = lc // g
-                D *= a
-                num = {k: v * a for k, v in num.items()}
-            num[x] = total // g
-        unpack = packing.unpack
-        return D, {unpack(x): v for x, v in num.items()}, [unpack(x) for x in standard]
-
-    D, num, standard = groebner.run(functional)
+    packing, table = groebner.packing, groebner.table
+    first = packing.first_divisor
+    D = 1
+    num = {}
+    standard = []
+    for x in sorted(map(packing.pack, monomials)):
+        hit = first(table, x)
+        if hit is None:
+            num[x] = 0 if standard else D
+            standard.append(x)
+            continue
+        le, lc, tail = hit
+        shift = x - le
+        total = -sum(c * num[t + shift] for t, c in tail)
+        g = gcd(total, lc)
+        if g != lc:
+            a = lc // g
+            D *= a
+            num = {k: v * a for k, v in num.items()}
+        num[x] = total // g
+    unpack = packing.unpack
+    num = {unpack(x): v for x, v in num.items()}
+    standard = [unpack(x) for x in standard]
     if not standard:
         raise AllReduceToZero(
             "every critical-degree monomial reduces to zero")

@@ -54,7 +54,7 @@ from toricres import (
     toric_residue,
 )
 
-from toricres.groebner import WIDTH, Packing, divide, integer_terms, s_polynomial
+from toricres.groebner import Packing, divide, integer_terms, s_polynomial
 from toricres.residues import P, _mod_p, residue_functional
 
 from conftest import FIXTURES, load
@@ -74,25 +74,30 @@ RESIDUE_FIXTURES = sorted(
     p.name for p in FIXTURES.glob("*.json") if not p.name.endswith(".fan.json"))
 
 
+def pack_table(packing, table):
+    """A reducer table keyed by exponent tuples, its monomials packed."""
+    return [(packing.pack(le), lc, tuple(packing.pack_terms(dict(tail)).items()))
+            for le, lc, tail in table]
+
+
 def table_basis(table, order):
     """A ``GroebnerBasis`` on any integer reducer table, packed as the
     package packs a basis it builds."""
-    packing = Packing(order, WIDTH)
-    return GroebnerBasis(tuple(packing.pack_table(table)), packing)
+    return GroebnerBasis(tuple(pack_table(Packing(order), table)), order)
 
 
 def packed_divide(terms, table, order, modulus=0):
     """``divide`` on the packed forms of tuple-keyed terms and a tuple
     table, its remainder read back as tuples."""
-    packing = Packing(order, WIDTH)
-    scale, rem = divide(packing.pack_terms(terms), packing.pack_table(table), packing, modulus)
+    packing = Packing(order)
+    scale, rem = divide(packing.pack_terms(terms), pack_table(packing, table), packing, modulus)
     return scale, packing.unpack_terms(rem)
 
 
 def packed_s_polynomial(f, g, order):
     """``s_polynomial`` of two tuple reducers, read back as tuples."""
-    packing = Packing(order, WIDTH)
-    return packing.unpack_terms(s_polynomial(*packing.pack_table([f, g]), packing))
+    packing = Packing(order)
+    return packing.unpack_terms(s_polynomial(*pack_table(packing, [f, g]), packing))
 
 
 def codim_outcome(check):

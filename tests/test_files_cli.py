@@ -263,6 +263,7 @@ EXIT_CODES = {
     "DecompositionFailed": 4, "WrongDegree": 4, "HypothesesFailed": 4,
     "DegreeMismatch": 4, "NotZeroDimensional": 4, "NonSimpleZero": 4,
     "ZeroOnPolarLocus": 4, "NotTorusZero": 4, "InfiniteIntersection": 4,
+    "ExponentTooLarge": 4,
 }
 PREFIXES = {2: "parse error", 3: "invalid fan", 4: "hypotheses violated",
             5: "codimension failure"}

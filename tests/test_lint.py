@@ -5,7 +5,8 @@ No linter is installed, so these are the checks: every import in
 a name it never uses, every function and class the package defines at
 module level is read or exported, no sum on the residue path (the
 residue, the determinants of polynomials and the local sums) starts from
-a Fraction, and the Groebner kernel builds no exponent tuple.
+a Fraction, the Groebner kernel builds no exponent tuple, and no ``except``
+clause can catch an exponent refusal.
 """
 
 import ast
@@ -130,3 +131,24 @@ def test_the_groebner_kernel_builds_no_exponent_tuple():
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                      and node.func.id == "tuple"]
             assert calls == [], (name, function, calls)
+
+
+def test_no_except_clause_can_catch_an_exponent_refusal():
+    """No ``except`` clause in ``src/toricres`` names ``ExponentTooLarge``,
+    ``Exception``, ``BaseException`` or nothing, so an exponent that
+    outgrows its packed field always reaches the caller as a refusal, and
+    no path can catch it to run again on wider fields."""
+    banned = {"ExponentTooLarge", "Exception", "BaseException"}
+    paths = sorted((ROOT / "src" / "toricres").glob("*.py"))
+    assert len(paths) > 10
+    caught = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for handler in ast.walk(tree):
+            if not isinstance(handler, ast.ExceptHandler):
+                continue
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            names = {getattr(t, "id", None) or getattr(t, "attr", None) for t in types}
+            if handler.type is None or names & banned:
+                caught.append((path.name, handler.lineno))
+    assert caught == []

@@ -2,14 +2,16 @@
 
 ``groebner.Packing`` must keep the monomial order as integer order, make a
 product of monomials a sum and divisibility one guard-bit test, and unpack
-what it packed.  Buchberger, division and ``GroebnerBasis`` on packed
-monomials must return the tables and remainders of the tuple kernel
-(``oracles.tuple_buchberger``, ``oracles.tuple_divide``) tuple for tuple,
-tail order included, over Q and mod P.  A call whose exponents outgrow
-their fields must widen them and return the same answer: at ``pack``,
-inside an S-polynomial tail under lex and inside a division, for
-Buchberger over Q and GF(P), for ``GroebnerBasis.reduce`` and for the
-zero-locus certificate.
+what it packed, up to the field maximum M = 2^31 - 1.  Buchberger, division
+and ``GroebnerBasis`` on packed monomials must return the tables and
+remainders of the tuple kernel (``oracles.tuple_buchberger``,
+``oracles.tuple_divide``) tuple for tuple, tail order included, over Q and
+mod P.  A call whose exponents outgrow their fields must raise
+``ExponentTooLarge`` and return nothing: at ``pack``, inside an S-polynomial
+tail under lex, inside a division under lex and grevlex, for Buchberger
+over Q and GF(P), for ``GroebnerBasis.reduce`` and ``remainder``, in the
+residue functional and in the zero-locus certificate.  A negative exponent
+or one of another length is refused where it enters.
 """
 
 import operator
@@ -20,12 +22,11 @@ from hypothesis import given, settings, strategies as st
 
 import toricres.groebner as groebner_mod
 import toricres.residues as residues_mod
-from toricres import (DegreeMismatch, GroebnerBasis, MonomialOrder, MultiPoly, ResidueProblem,
-                      ToricError, buchberger, dehomogenize, euler_jacobi_check, grevlex, lex,
-                      load_fan, no_common_zeros_on_x, parse_poly, residue_report,
-                      variable_annihilation_check)
-from toricres.groebner import WIDTH, Overflow, Packing, integer_terms
-from toricres.residues import P, _mod_p
+from toricres import (DegreeMismatch, ExponentTooLarge, GroebnerBasis, MonomialOrder, MultiPoly,
+                      ResidueProblem, buchberger, dehomogenize, euler_jacobi_check, grevlex,
+                      lex, load_fan, parse_poly)
+from toricres.groebner import MAX, Packing, integer_terms
+from toricres.residues import P, _mod_p, residue_functional
 
 from conftest import FIXTURES, load
 from oracles import tuple_buchberger, tuple_divide
@@ -37,7 +38,8 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 RESIDUE_FIXTURES = sorted(
     p.name for p in FIXTURES.glob("*.json") if not p.name.endswith(".fan.json"))
 
-FIELD_MAX = (1 << (WIDTH - 1)) - 1  # the largest exponent of the first packing
+HALF = (MAX + 1) // 2  # an exponent whose double is above the field maximum
+XY = ("x", "y")
 XYZ = ("x", "y", "z")
 
 
@@ -47,15 +49,14 @@ XYZ = ("x", "y", "z")
 
 @st.composite
 def packed_exponents(draw):
-    """A packing of a random order and width, and exponents that reach the
-    field maximum often."""
+    """The packing of a random order, and exponents that reach the field
+    maximum M = 2^31 - 1 often."""
     n = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(["grevlex", "lex"]))
     order = MonomialOrder(kind, tuple(draw(st.permutations(range(n)))))
-    packing = Packing(order, draw(st.sampled_from([2, 3, 4, 8, WIDTH])))
-    field = st.one_of(st.just(0), st.just(packing.max), st.integers(0, packing.max))
+    field = st.one_of(st.just(0), st.just(MAX), st.integers(0, 8), st.integers(0, MAX))
     exps = draw(st.lists(st.tuples(*[field] * n), min_size=1, max_size=8))
-    return packing, exps
+    return Packing(order), exps
 
 
 @SETTINGS
@@ -71,12 +72,12 @@ def test_packing_keeps_order_products_divisibility_and_exponents(case):
             assert packing.divides(x, y) == all(map(operator.le, a, b))
             assert packing.lcm(x, y) == packing.pack(tuple(map(max, a, b)))
             total = tuple(map(operator.add, a, b))
-            if max(total) <= packing.max:
+            if max(total) <= MAX:
                 assert x + y - packing.one == packing.pack(total)
             else:
-                with pytest.raises(Overflow):
+                with pytest.raises(ExponentTooLarge):
                     packing.pack(total)
-                with pytest.raises(Overflow):
+                with pytest.raises(ExponentTooLarge):
                     packing.check([x + y - packing.one])
     table = [(x, 1, ()) for x in xs]
     for e, x in zip(exps, xs):
@@ -85,12 +86,41 @@ def test_packing_keeps_order_products_divisibility_and_exponents(case):
 
 
 def test_pack_refuses_an_exponent_above_the_field_maximum():
-    packing = Packing(grevlex(2), WIDTH)
-    assert packing.unpack(packing.pack((FIELD_MAX, 0))) == (FIELD_MAX, 0)
-    with pytest.raises(Overflow):
-        packing.pack((FIELD_MAX + 1, 0))
-    wider = packing.wider()
-    assert wider.unpack(wider.pack((FIELD_MAX + 1, 0))) == (FIELD_MAX + 1, 0)
+    """and a negative exponent, or an exponent of another length."""
+    for packing in (Packing(grevlex(2)), Packing(lex(2))):
+        assert packing.unpack(packing.pack((MAX, 0))) == (MAX, 0)
+        with pytest.raises(ExponentTooLarge):
+            packing.pack((MAX + 1, 0))
+        with pytest.raises(ValueError, match="negative"):
+            packing.pack((1, -1))
+        for e in ((1,), (1, 0, 0)):
+            with pytest.raises(DegreeMismatch):
+                packing.pack(e)
+
+
+def test_a_negative_exponent_is_refused_where_it_enters():
+    """x^-1 once packed as x^M under lex and borrowed from the next field."""
+    with pytest.raises(ValueError, match="negative"):
+        MultiPoly(2, {(0, -1): 1, (1, 0): 1})
+    for terms, order in (({(0, -1): 1, (1, 0): 1}, lex(2)),
+                         ({(1, -1): 1, (0, 0): -1}, grevlex(2))):
+        with pytest.raises(ValueError, match="negative"):
+            buchberger([terms], order)
+        with pytest.raises(ValueError, match="negative"):
+            GroebnerBasis.of([MultiPoly.from_terms(2, terms)], order)
+    gb = GroebnerBasis.of([parse_poly("x^2 - y", XY)], lex(2))
+    with pytest.raises(ValueError, match="negative"):
+        gb.remainder({(2, -1): 1})
+
+
+def test_remainder_refuses_exponents_of_another_length():
+    """Packing once zipped an exponent against its weights, so x^2 and
+    x^2*z^5 both reduced to y modulo x^2 - y in Q[x, y]."""
+    gb = GroebnerBasis.of([parse_poly("x^2 - y", XY)], grevlex(2))
+    assert gb.remainder({(2, 0): 1}) == (1, {(0, 1): 1})
+    for e in ((2,), (2, 0, 5)):
+        with pytest.raises(DegreeMismatch):
+            gb.remainder({e: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -150,141 +180,128 @@ def test_kernels_agree_on_seeded_p2_degree_7_systems(seed):
     assert_kernels_agree(polys, grevlex(3))
 
 
-# ---------------------------------------------------------------------------
-# widening
+def test_the_same_ideal_gives_equal_bases_and_another_precedence_unequal_ones():
+    """A basis is its packed table and its order: the same ideal from
+    permuted and scaled generators gives an equal, hash-equal basis."""
+    gens = [parse_poly(t, XYZ) for t in ("x^2 - y*z", "x*y - z^2", "y^3 - x*z")]
+    gb = GroebnerBasis.of(gens, grevlex(3))
+    scaled = [parse_poly(t, XYZ) for t in ("3*y^3 - 3*x*z", "1/2*x^2 - 1/2*y*z", "z^2 - x*y")]
+    same = GroebnerBasis.of(scaled, grevlex(3))
+    assert same.table is not gb.table
+    assert same == gb and hash(same) == hash(gb)
+    assert GroebnerBasis.of(gens, MonomialOrder("grevlex", (2, 1, 0))) != gb
+    assert GroebnerBasis.of(gens[:2], grevlex(3)) != gb
 
 
-def record_overflows(monkeypatch):
-    """(where, width) of each Overflow that ``divide`` or ``s_polynomial``
-    raises; one that ``pack`` raises is not recorded."""
-    seen = []
-    for name in ("divide", "s_polynomial"):
-        real = getattr(groebner_mod, name)
-
-        def recorded(*args, _real=real, _name=name, **kwargs):
-            try:
-                return _real(*args, **kwargs)
-            except Overflow:
-                seen.append((_name, args[2].width))
-                raise
-        monkeypatch.setattr(groebner_mod, name, recorded)
-    return seen
-
-
-@pytest.mark.parametrize("gens, order, where", [
-    # x^40000 is refused by pack
-    (["x^40000 - y*z", "y^2 - z^2"], grevlex(3), []),
-    # z * z^FIELD_MAX is made by the S-polynomial of the two inputs
-    ([f"x*y - z^{FIELD_MAX}", "x*z - 1"], lex(3), [("s_polynomial", WIDTH)]),
-    # x^2 - 1 divided by x - y^20000 makes y^40000
-    (["x - y^20000", "x^2 - 1"], lex(3), [("divide", WIDTH)]),
-    # x*y^FIELD_MAX - z divided by x - y makes y^(FIELD_MAX + 1)
-    (["x - y", f"x*y^{FIELD_MAX} - z"], grevlex(3), [("divide", WIDTH)]),
-])
-def test_buchberger_widens_where_an_exponent_outgrows_its_field(monkeypatch, gens, order, where):
-    seen = record_overflows(monkeypatch)
-    assert_kernels_agree([parse_poly(t, XYZ) for t in gens], order)
-    # once over Q, once for the basis, once mod P
-    assert seen == where * 3
-
-
-@pytest.mark.parametrize("basis, order, text, remainder, where", [
-    # x^2 makes x*y^20000, then y^40000
-    ("x - y^20000", lex(3), "x^2 + 3*z", "y^40000 + 3*z", [("divide", WIDTH)]),
-    # the quotient's x*y^FIELD_MAX makes y^(FIELD_MAX + 1)
-    ("x - y", grevlex(3), f"x*y^{FIELD_MAX} + z", f"y^{FIELD_MAX + 1} + z", [("divide", WIDTH)]),
-    # z^40000 is refused by pack
-    ("x - y^20000", lex(3), "z^40000 + x*z", "z^40000 + y^20000*z", []),
-])
-def test_reduce_widens_where_an_exponent_outgrows_its_field(monkeypatch, basis, order, text,
-                                                            remainder, where):
-    seen = record_overflows(monkeypatch)
-    gb = GroebnerBasis.of([parse_poly(basis, XYZ)], order)
-    p = parse_poly(text, XYZ)
-    assert_remainders_agree(gb, integer_terms(p)[1])
-    assert gb.reduce(p) == parse_poly(remainder, XYZ)
-    assert seen == where * 2
-    assert gb.packing.width == WIDTH
-
-
-def test_bases_on_packings_of_different_widths_are_equal():
-    narrow = GroebnerBasis.of([parse_poly("x - y", XYZ)], lex(3))
-    wide = GroebnerBasis.of([parse_poly(t, XYZ) for t in ("x - y", "x^40000 - y^40000")], lex(3))
-    assert wide.packing.width > narrow.packing.width
-    assert wide == narrow and hash(wide) == hash(narrow)
-    assert wide != GroebnerBasis.of([parse_poly("x - y", XYZ)], grevlex(3))
-
-
-def record_widenings(monkeypatch):
-    """Fields of 2 bits from here on: (the width of each packing widened,
-    for each certificate whether it widened one)."""
-    widened, certificates = [], []
-    real_wider, real_certified = Packing.wider, residues_mod._certified
-
-    def wider(self):
-        widened.append(self.width)
-        return real_wider(self)
-
-    def certified(gb, zhat):
-        before = len(widened)
-        out = real_certified(gb, zhat)
-        certificates.append(len(widened) > before)
-        return out
-
-    monkeypatch.setattr(Packing, "wider", wider)
-    monkeypatch.setattr(residues_mod, "_certified", certified)
-    monkeypatch.setattr(groebner_mod, "WIDTH", 2)
-    return widened, certificates
-
-
-def fixture_outputs(name):
-    lp = load(name)
-    pb = lp.problem
-    try:
-        reports = [residue_report(pb, H) for H in lp.inputs]
-    except ToricError as exc:
-        reports = type(exc).__name__
-    return (pb.groebner.reducers, pb.zero_locus(), pb.codim, pb._functional[1],
-            variable_annihilation_check(pb), reports)
-
-
-def test_two_bit_fields_give_every_fixture_the_same_outputs(monkeypatch):
-    """Every basis, functional, certificate and annihilation check of a
-    fixture widens 2-bit fields, and every report and residue is the one
-    made on fields of WIDTH bits."""
-    expected = {name: fixture_outputs(name) for name in RESIDUE_FIXTURES}
-    widened, _ = record_widenings(monkeypatch)
-    for name in RESIDUE_FIXTURES:
-        assert fixture_outputs(name) == expected[name], name
-    assert 2 in widened
-
-
-@pytest.mark.parametrize("fan_name, texts", [("p1", ["x", "x"]), ("p2", ["x0", "x1", "x0 + x1"])])
-def test_a_certificate_widens_inside_its_loop(monkeypatch, fan_name, texts):
-    """Inputs with a common zero: the certificate of a chart through it
-    runs all CERTIFICATE_STEPS steps, its remainders zhat^N outgrow 2-bit
-    fields, and the report is the one made on fields of WIDTH bits."""
-    fan, _ = load_fan(FIXTURES / f"{fan_name}.fan.json")
-    polys = [parse_poly(t, fan.variables) for t in texts]
-
-    def report():
-        return no_common_zeros_on_x(fan, polys, GroebnerBasis.of(polys, grevlex(fan.nvars)))
-
-    expected = report()
-    assert not expected.ok
-    _, certificates = record_widenings(monkeypatch)
-    assert report() == expected
-    assert any(certificates)
-
-
-def test_random_widths_agree_with_the_tuple_kernel(monkeypatch):
+def test_random_lex_precedences_agree_with_the_tuple_kernel():
     rng = random.Random(3)
-    monkeypatch.setattr(groebner_mod, "WIDTH", 3)
     for name in ("p2_fermat.json", "pentagon_main.json", "torsion_fermat.json"):
         pb = load(name).problem
         precedence = list(range(pb.fan.nvars))
         rng.shuffle(precedence)
         assert_kernels_agree(pb.polys, MonomialOrder("lex", tuple(precedence)))
+
+
+# ---------------------------------------------------------------------------
+# an exponent above the field maximum is refused
+
+
+@pytest.mark.parametrize("gens, order", [
+    # the S-polynomial of the two inputs makes y - z^MAX
+    ([f"x*y - z^{MAX - 1}", "x*z - 1"], lex(3)),
+    # x*y^(MAX - 1) - z divided by x - y makes y^MAX
+    (["x - y", f"x*y^{MAX - 1} - z"], grevlex(3)),
+], ids=["lex-s-polynomial", "grevlex-divide"])
+def test_exponents_at_the_field_maximum_are_computed(gens, order):
+    polys = [parse_poly(t, XYZ) for t in gens]
+    assert_kernels_agree(polys, order)
+    assert MAX in (e for g in GroebnerBasis.of(polys, order).generators for m in g.terms
+                   for e in m)
+
+
+def record_refusals(monkeypatch):
+    """The name of each function an ExponentTooLarge passes out of,
+    innermost first, among ``Packing.pack``, ``Packing.check`` and the
+    ``divide`` and ``s_polynomial`` of the kernel and the certificate."""
+    seen = []
+
+    def recording(real, name):
+        def recorded(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except ExponentTooLarge:
+                seen.append(name)
+                raise
+        return recorded
+
+    for owner, name in ((Packing, "pack"), (Packing, "check"), (groebner_mod, "divide"),
+                        (groebner_mod, "s_polynomial"), (residues_mod, "divide")):
+        monkeypatch.setattr(owner, name, recording(getattr(owner, name), name))
+    return seen
+
+
+@pytest.mark.parametrize("gens, order, where", [
+    # x^(MAX + 1) is refused by pack
+    ([f"x^{MAX + 1} - y*z", "y^2 - z^2"], grevlex(3), ["pack"]),
+    # z * z^MAX is made by the S-polynomial of the two inputs
+    ([f"x*y - z^{MAX}", "x*z - 1"], lex(3), ["check", "s_polynomial"]),
+    # x^2 - 1 divided by x - y^HALF makes y^(2*HALF)
+    ([f"x - y^{HALF}", "x^2 - 1"], lex(3), ["divide"]),
+    # x*y^MAX - z divided by x - y makes y^(MAX + 1)
+    (["x - y", f"x*y^{MAX} - z"], grevlex(3), ["divide"]),
+], ids=["pack", "lex-s-polynomial", "lex-divide", "grevlex-divide"])
+def test_buchberger_refuses_where_an_exponent_outgrows_its_field(monkeypatch, gens, order, where):
+    polys = [parse_poly(t, XYZ) for t in gens]
+    seen = record_refusals(monkeypatch)
+    builds = (lambda: buchberger([integer_terms(g)[1] for g in polys], order),
+              lambda: GroebnerBasis.of(polys, order),
+              lambda: buchberger([_mod_p(g) for g in polys], order, P))
+    for build in builds:
+        with pytest.raises(ExponentTooLarge):
+            build()
+    # once over Q, once for the basis, once mod P
+    assert seen == where * 3
+
+
+@pytest.mark.parametrize("basis, order, text, where", [
+    # x^2 makes x*y^HALF, then y^(2*HALF)
+    (f"x - y^{HALF}", lex(3), "x^2 + 3*z", ["divide"]),
+    # the quotient's x*y^MAX makes y^(MAX + 1)
+    ("x - y", grevlex(3), f"x*y^{MAX} + z", ["divide"]),
+    # z^(MAX + 1) is refused by pack
+    (f"x - y^{HALF}", lex(3), f"z^{MAX + 1} + x*z", ["pack"]),
+], ids=["lex-divide", "grevlex-divide", "pack"])
+def test_reduce_refuses_where_an_exponent_outgrows_its_field(monkeypatch, basis, order, text,
+                                                             where):
+    gb = GroebnerBasis.of([parse_poly(basis, XYZ)], order)
+    p = parse_poly(text, XYZ)
+    seen = record_refusals(monkeypatch)
+    with pytest.raises(ExponentTooLarge):
+        gb.reduce(p)
+    with pytest.raises(ExponentTooLarge):
+        gb.remainder(integer_terms(p)[1])
+    assert seen == where * 2
+
+
+@pytest.mark.parametrize("order", [grevlex(2), lex(2)], ids=["grevlex", "lex"])
+def test_a_certificate_refuses_inside_its_loop(monkeypatch, order):
+    """Modulo x - y, x^N is y^N for every N, so the certificate of x runs
+    all its steps; zhat = y^MAX is standard, so the first product zhat*r
+    is y^(2*MAX), which the certificate's own guard-bit test refuses."""
+    gb = GroebnerBasis.of([parse_poly("x - y", XY)], order)
+    assert not residues_mod._certified(gb, (1, 0))
+    seen = record_refusals(monkeypatch)
+    with pytest.raises(ExponentTooLarge):
+        residues_mod._certified(gb, (0, MAX))
+    assert seen == ["check"]
+
+
+def test_the_functional_refuses_a_monomial_above_the_field_maximum(monkeypatch):
+    gb = GroebnerBasis.of([parse_poly("x - y", XYZ)], grevlex(3))
+    seen = record_refusals(monkeypatch)
+    with pytest.raises(ExponentTooLarge):
+        residue_functional(gb, [(0, 0, 1), (0, 0, MAX + 1)])
+    assert seen == ["pack"]
 
 
 # ---------------------------------------------------------------------------
