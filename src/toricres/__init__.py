@@ -58,7 +58,6 @@ from .grading import (
 from .groebner import (
     GroebnerBasis,
     MonomialOrder,
-    buchberger,
     grevlex,
     lex,
     parse_order,
@@ -135,7 +134,7 @@ __all__ = [
     "DegreeClass", "Grading", "anticanonical_class", "compute_grading",
     "critical_degree", "grading_from_rays", "representative_divisor",
     "validate_user_grading",
-    "GroebnerBasis", "MonomialOrder", "buchberger", "grevlex", "lex",
+    "GroebnerBasis", "MonomialOrder", "grevlex", "lex",
     "parse_order", "quotient_is_finite", "standard_monomials",
     "CompletenessReport", "FanData", "SmithDecomposition", "cone_det", "cone_group_order",
     "is_complete", "is_simplicial", "make_fan", "smith_normal_form",

@@ -11,6 +11,7 @@ polytope's offsets, and both critical degrees are ``critical_degree``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .divisors import is_ample
@@ -53,7 +54,7 @@ def build_cayley(fan: FanData, base_grading: Grading, divisors,
     base cone's rays plus every fiber ray but one.  Distinct divisors are
     tested once each, in order."""
     n = fan.dim
-    divisors = tuple(tuple(int(c) for c in d) for d in divisors)
+    divisors = tuple(tuple(map(operator.index, d)) for d in divisors)
     if len(divisors) != n + 1:
         raise DegreeMismatch(f"need {n + 1} divisors, got {len(divisors)}")
     for d in dict.fromkeys(divisors):

@@ -8,6 +8,7 @@ exponent vectors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,11 +37,11 @@ class DegreeClass:
     def __post_init__(self):
         if len(self.torsion) != len(self.moduli):
             raise ValueError("torsion and moduli lengths differ")
-        object.__setattr__(self, "free", tuple(int(x) for x in self.free))
-        object.__setattr__(
-            self, "torsion",
-            tuple(int(t) % int(m) for t, m in zip(self.torsion, self.moduli)))
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
+        moduli = tuple(map(operator.index, self.moduli))
+        object.__setattr__(self, "free", tuple(map(operator.index, self.free)))
+        object.__setattr__(self, "torsion", tuple(
+            operator.index(t) % m for t, m in zip(self.torsion, moduli)))
+        object.__setattr__(self, "moduli", moduli)
 
     def __add__(self, other):
         if self.moduli != other.moduli or len(self.free) != len(other.free):
@@ -82,7 +83,7 @@ class Grading:
 
     def degree(self, exponent) -> DegreeClass:
         """Degree class of an exponent with one entry per variable, else DegreeMismatch."""
-        e = tuple(int(x) for x in exponent)
+        e = tuple(map(operator.index, exponent))
         if len(e) != self.nvars:
             raise DegreeMismatch(f"exponent has {len(e)} entries for {self.nvars} variables")
         return DegreeClass(

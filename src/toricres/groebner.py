@@ -148,10 +148,6 @@ class Packing:
     def unpack_terms(self, terms: dict) -> dict:
         return {self.unpack(x): c for x, c in terms.items()}
 
-    def unpack_table(self, table) -> list[Reducer]:
-        return [(self.unpack(le), lc, tuple(self.unpack_terms(dict(tail)).items()))
-                for le, lc, tail in table]
-
     def check(self, exps):
         """ExponentTooLarge unless every packed monomial of ``exps`` is valid."""
         if any(x & self.guard for x in exps):
@@ -322,8 +318,18 @@ def _gm_update(table, pairs, new_lead: int, packing: Packing, serial):
     return new
 
 
-def _buchberger(gens, packing: Packing, modulus: int) -> list[Reducer]:
-    """``buchberger`` on packed integer term dicts."""
+def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
+    """Reduced Groebner basis of the ideal generated by ``gens``, integer
+    term dicts keyed by exponent tuples, over Q or, with a prime
+    ``modulus``, over GF(modulus): its reducer table on ``Packing(order)``,
+    ascending by lead, tails descending, primitive with lc > 0 over Q and
+    monic over GF(modulus).  Coefficients need not be reduced mod the
+    modulus: ``divide`` reduces each one it pops, so a term that is 0 there
+    cancels.  Returns ``[(Packing(order).one, 1, ())]`` once a remainder is
+    a nonzero constant: the reduced basis of the unit ideal.
+    """
+    packing = Packing(order)
+    gens = [packing.pack_terms(g) for g in gens if g]
     table: list[Reducer] = []
     pairs: list[tuple] = []
     serial = itertools.count()
@@ -359,33 +365,10 @@ def _buchberger(gens, packing: Packing, modulus: int) -> list[Reducer]:
     return reduced
 
 
-def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
-    """The table of ``buchberger``, packed on ``Packing(order)``."""
-    packing = Packing(order)
-    return _buchberger([packing.pack_terms(g) for g in gens if g], packing, modulus)
-
-
-def buchberger(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
-    """Reduced Groebner basis of the ideal generated by ``gens``, integer
-    term dicts keyed by exponent tuples, over Q or, with a prime
-    ``modulus``, over GF(modulus): its reducer table, ascending by lead,
-    tails descending, primitive with lc > 0 over Q and monic over
-    GF(modulus).
-
-    The generators are packed once, the pair loop, the divisions and the
-    inter-reduction run on packed monomials, and the table is unpacked once.
-    Each element is only a reducer in one table: the divisor list, the
-    source of every S-polynomial and the leads the pair update reads.
-    Returns ``[((0,)*n, 1, ())]`` once a remainder is a nonzero constant:
-    the reduced basis of the unit ideal.
-    """
-    return Packing(order).unpack_table(packed_basis(gens, order, modulus))
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis over Q as its packed reducer table, as
-    ``buchberger`` builds it, on the packing of ``order``: the one stored
+    ``packed_basis`` builds it, on the packing of ``order``: the one stored
     form, of which ``reducers`` and ``generators`` are views built on first
     use.  A packing is fixed by its order, so two bases are equal when
     their tables and orders are."""
@@ -407,7 +390,9 @@ class GroebnerBasis:
     @cached_property
     def reducers(self) -> tuple[Reducer, ...]:
         """The table with its monomials as exponent tuples."""
-        return tuple(self.packing.unpack_table(self.table))
+        unpack, unpack_terms = self.packing.unpack, self.packing.unpack_terms
+        return tuple((unpack(le), lc, tuple(unpack_terms(dict(tail)).items()))
+                     for le, lc, tail in self.table)
 
     @cached_property
     def generators(self) -> tuple[MultiPoly, ...]:

@@ -39,7 +39,9 @@ def clear_denominators(values) -> tuple[int, list[int]]:
 
 
 def freeze(rows) -> Mat:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Rows of integers as a tuple of tuples; each entry is read through
+    ``operator.index``, so a float or a Fraction raises TypeError."""
+    return tuple(tuple(map(operator.index, row)) for row in rows)
 
 
 def mat_identity(n):
@@ -168,7 +170,7 @@ def smith_normal_form(A) -> SmithDecomposition:
     """Smith normal form with transforms, by pivoting on least-magnitude entries."""
     m = len(A)
     n = len(A[0]) if m else 0
-    S = [[int(x) for x in row] for row in A]
+    S = [list(map(operator.index, row)) for row in A]
     U = mat_identity(m)
     V = mat_identity(n)
 
@@ -241,7 +243,7 @@ def hnf_rows(vectors, ncols, align="right"):
     ``align="right"`` scans columns right to left, which is the form used
     for canonical coset representatives; ``"left"`` scans left to right.
     """
-    work = [[int(x) for x in v] for v in vectors if any(v)]
+    work = [list(map(operator.index, v)) for v in vectors if any(v)]
     cols = range(ncols - 1, -1, -1) if align == "right" else range(ncols)
     out = []
     for c in cols:
@@ -269,7 +271,7 @@ def hnf_rows(vectors, ncols, align="right"):
 
 def reduce_mod_lattice(v, hnf_basis):
     """Canonical representative of v modulo the row span described by hnf_rows."""
-    a = [int(x) for x in v]
+    a = list(map(operator.index, v))
     for row, c in hnf_basis:
         q = a[c] // row[c]
         if q:
@@ -356,10 +358,10 @@ class FanData:
 def make_fan(dim, rays, max_cones, variables=None, one_based=False):
     rays = freeze(rays)
     shift = 1 if one_based else 0
-    cones = tuple(tuple(sorted({int(i) - shift for i in cone})) for cone in max_cones)
+    cones = tuple(tuple(sorted({operator.index(i) - shift for i in cone})) for cone in max_cones)
     if variables is None:
         variables = tuple(f"x{i + 1}" for i in range(len(rays)))
-    return FanData(int(dim), rays, cones, tuple(variables))
+    return FanData(operator.index(dim), rays, cones, tuple(variables))
 
 
 def cone_det(fan: FanData, k: int) -> int:

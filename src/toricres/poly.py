@@ -2,10 +2,10 @@
 
 Terms are stored as a dict from exponent tuples to nonzero Fractions.
 Integer work, over Z or GF(p), reads and writes plain term dicts instead
-(``groebner.integer_terms``, ``residues._mod_p``), as does every
-determinant of polynomials (``integer_det``, over one denominator).  The
-representation is deliberately tiny; Groebner machinery and residue code
-only need arithmetic, substitution, and exact degree bookkeeping.
+(``groebner.integer_terms``), as does every determinant of polynomials
+(``integer_det``, over one denominator).  The representation is
+deliberately tiny; Groebner machinery and residue code only need
+arithmetic, substitution, and exact degree bookkeeping.
 """
 
 from __future__ import annotations
@@ -263,6 +263,8 @@ class _PolyParser:
                 m2 = _NUM.match(self.s, self.pos + 1)
                 if not m2:
                     self.fail("bad rational")
+                if not int(m2.group()):
+                    self.fail("zero denominator")
                 num /= int(m2.group())
                 self.pos = m2.end()
             return MultiPoly.constant(self.nv, num)

@@ -26,8 +26,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
-from .groebner import (GroebnerBasis, MonomialOrder, _divides, buchberger, divide, grevlex,
-                       integer_terms)
+from .groebner import (GroebnerBasis, MonomialOrder, Packing, _divides, divide, grevlex,
+                       integer_terms, packed_basis)
 from .lattice import FanData, cone_det, cone_group_order, is_complete
 from .poly import (Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree,
                    integer_det, poly_det)
@@ -76,13 +76,6 @@ P = 2**61 - 1  # the prime of the modular zero-locus test
 # common zero of positive dimension)
 CERTIFICATE_STEPS = 64
 CERTIFICATE_TERMS = 64
-
-
-def _mod_p(q: MultiPoly) -> dict[Exponent, int]:
-    """The integer terms of q mod P: its P-integral coefficients reduced to
-    ints in [1, P), the terms that vanish mod P dropped."""
-    terms = {e: c.numerator * pow(c.denominator, -1, P) % P for e, c in q.terms.items()}
-    return {e: r for e, r in terms.items() if r}
 
 
 def _certified(groebner: GroebnerBasis, zhat: Exponent) -> bool:
@@ -142,17 +135,20 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
     a denominator divisible by P there is no model over Z_(P), and on a fan
     that is not complete Z need not be proper (a point over Q-bar may
     reduce mod P to one off X); in both cases every uncertified chart is
-    decided over Q.
+    decided over Q.  Both fields read each chart polynomial q as the integer
+    terms of d*q, d the lcm of its denominators: where P divides no input's
+    denominator, it divides none of q's, sums of the inputs' coefficients,
+    nor d, so d*q spans the same chart ideal mod P as q.
     """
     order = grevlex(fan.dim)
+    unit_table = [(Packing(order).one, 1, ())]
     integral = is_complete(fan).ok and all(
         c.denominator % P for F in polys for c in F.terms.values())
     over_q = {}
 
     def unit(k, modulus):
-        charts = [dehomogenize(F, fan, k) for F in polys]
-        terms = [_mod_p(q) if modulus else integer_terms(q)[1] for q in charts]
-        return buchberger(terms, order, modulus) == [((0,) * fan.dim, 1, ())]
+        terms = [integer_terms(dehomogenize(F, fan, k))[1] for F in polys]
+        return packed_basis(terms, order, modulus) == unit_table
 
     def unit_over_q(k):
         if k not in over_q:

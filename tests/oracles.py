@@ -41,7 +41,9 @@ and Fraction elimination, is a reference value for both the exact residue
 and the package's trace.  Tests compare engine output against them.  The
 queries only tests call (evaluation, substitution and coefficients of a
 polynomial, the order comparison, the Smith-form check with its matrix
-product) live here too.
+product, a packed basis unpacked to exponent tuples and a polynomial's
+integer terms mod P) live here too, as does a generator of random complete
+surfaces with an ample class.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, floor, gcd, lcm, prod
+from math import atan2, ceil, factorial, floor, gcd, lcm, prod
 
 import numpy as np
 
@@ -62,18 +64,18 @@ from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeM
                       NonSimpleZero, NonSquare, NonUniqueLift, NotHomogeneous, NotTorusZero,
                       NotZeroDimensional, ToricError, Unbounded, WrongDegree, ZeroOnPolarLocus,
                       compute_grading, cone_determinant, dehomogenize, homogenize_to_degree,
-                      is_simplicial, monomial_basis, no_common_zeros_on_x)
+                      is_simplicial, make_fan, monomial_basis, no_common_zeros_on_x)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
 from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
-from toricres.groebner import (grevlex, integer_terms, lex, quotient_is_finite,
-                               standard_monomials)
+from toricres.groebner import (Packing, grevlex, integer_terms, lex, packed_basis,
+                               quotient_is_finite, standard_monomials)
 from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cramer, dot, freeze,
                               hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form)
 from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, degree_of
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
                                 lattice_points)
-from toricres.residues import CodimReport, ZeroLocusReport, _require_hypotheses
+from toricres.residues import P, CodimReport, ZeroLocusReport, _require_hypotheses
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +745,22 @@ def tuple_buchberger(gens, order: MonomialOrder, modulus: int = 0):
         scale, rem = tuple_divide(dict(tail), [h for h in minimal if h is not g], order, modulus)
         reduced.append(integer_reducer({le: scale * lc, **rem}, order, modulus))
     return reduced
+
+
+def unpacked_basis(gens, order: MonomialOrder, modulus: int = 0):
+    """The table of ``packed_basis`` with its monomials unpacked to exponent
+    tuples, as the package's public ``buchberger`` once returned it."""
+    packing = Packing(order)
+    return [(packing.unpack(le), lc, tuple(packing.unpack_terms(dict(tail)).items()))
+            for le, lc, tail in packed_basis(gens, order, modulus)]
+
+
+def mod_p(q: MultiPoly) -> dict[Exponent, int]:
+    """The integer terms of q mod P: its P-integral coefficients reduced to
+    ints in [1, P), the terms that vanish mod P dropped, as the zero-locus
+    test once converted each chart polynomial."""
+    terms = {e: c.numerator * pow(c.denominator, -1, P) % P for e, c in q.terms.items()}
+    return {e: r for e, r in terms.items() if r}
 
 
 # ---------------------------------------------------------------------------
@@ -2059,3 +2077,63 @@ def chart_zero_set(problem, k: int, cone_index: int | None = None,
     quotient.require_simple()
     zeros, dets = quotient_zeros(quotient, seed)
     return NumericZeroSet(cone, tuple(zeros), tuple(dets), len(quotient.basis))
+
+
+# ---------------------------------------------------------------------------
+# random complete surfaces with an ample class
+
+
+def _cross(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def polygon_divisor(rays) -> list[int]:
+    """An ample Cartier divisor of the complete surface whose rays, sorted
+    by angle, are ``rays``: a_i = -<p_i, v_i>, p_i the vertices of a lattice
+    polygon with the rays as inner edge normals.
+
+    Edge i has direction v_i turned by -pi/2 and integer length l_i >= 1,
+    so the polygon closes when sum l_i*v_i = 0.  l is k*(1, .., 1) plus a
+    nonnegative integer combination a*e_i + b*e_j with a*v_i + b*v_j =
+    -k*sum v, for the least k that admits one and, at that k, the least
+    a + b.  The polygon starts at the origin, so every a_i is >= 0.
+    """
+    total = (sum(v[0] for v in rays), sum(v[1] for v in rays))
+    for k in itertools.count(1):
+        t = (-k * total[0], -k * total[1])
+        best = None
+        for i, j in itertools.combinations(range(len(rays)), 2):
+            det = _cross(rays[i], rays[j])
+            if det:
+                a, ra = divmod(_cross(t, rays[j]), det)
+                b, rb = divmod(_cross(rays[i], t), det)
+                if not (ra or rb) and a >= 0 and b >= 0 and (best is None or a + b < best[0]):
+                    best = (a + b, i, j, a, b)
+        if best is not None:
+            break
+    _, i, j, a, b = best
+    lengths = [k] * len(rays)
+    lengths[i] += a
+    lengths[j] += b
+    p, divisor = (0, 0), []
+    for v, length in zip(rays, lengths):
+        divisor.append(-(p[0] * v[0] + p[1] * v[1]))
+        p = (p[0] + length * v[1], p[1] - length * v[0])
+    assert p == (0, 0)
+    return divisor
+
+
+def random_surface(rng: random.Random, nrays: int, box: int = 2):
+    """(fan, divisor): a random complete simplicial surface whose rays are
+    ``nrays`` distinct primitive vectors of [-box, box]^2, and an ample
+    Cartier divisor on it from ``polygon_divisor``.  The rays are sorted by
+    angle and redrawn until every turn between neighbours is under pi, so
+    consecutive rays span the maximal cones."""
+    cands = [(x, y) for x in range(-box, box + 1) for y in range(-box, box + 1)
+             if gcd(x, y) == 1]
+    while True:
+        rays = sorted(rng.sample(cands, nrays), key=lambda v: atan2(v[1], v[0]))
+        if all(_cross(u, v) > 0 for u, v in zip(rays, rays[1:] + rays[:1])):
+            break
+    fan = make_fan(2, rays, [(i, (i + 1) % nrays) for i in range(nrays)])
+    return fan, polygon_divisor(rays)

@@ -1,5 +1,7 @@
 """Bundle lift: ray layout, shared degree, polytope gluing, weight check."""
 
+from fractions import Fraction
+
 import pytest
 
 from toricres import (
@@ -120,3 +122,11 @@ def test_equal_degree_check_refuses_an_input_of_another_ring(p2):
                 MultiPoly(4, {(1, 0, 0, 0): 1})]:
         with pytest.raises(DegreeMismatch, match="entries for 3 variables"):
             equal_degree_check(cd, [bad, *good[1:]])
+
+
+def test_build_cayley_refuses_a_divisor_entry_that_is_not_an_integer(p2):
+    """int() once read 3/2 as 1, and the bundle was built for D_0 = (1, 0, 0)."""
+    fan, g = p2
+    for entry in (Fraction(3, 2), 1.5):
+        with pytest.raises(TypeError):
+            build_cayley(fan, g, [(entry, 0, 0), (1, 0, 0), (1, 0, 0)])

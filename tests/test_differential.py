@@ -36,7 +36,6 @@ from toricres import (
     NotZeroDimensional,
     ResidueProblem,
     ToricError,
-    buchberger,
     dehomogenize,
     divisor_polytope,
     grevlex,
@@ -55,14 +54,15 @@ from toricres import (
 )
 
 from toricres.groebner import Packing, divide, integer_terms, s_polynomial
-from toricres.residues import P, _mod_p, residue_functional
+from toricres.residues import P, residue_functional
 
 from conftest import FIXTURES, load
 from oracles import (NotShapePosition, all_monomial_codim_check, fraction_functional,
                      grevlex_chart_dimension, heap_key, integer_reducer, integer_table,
                      is_constant, linear_scan_normal_form,
-                     multipoly_s_polynomial, pairwise_is_complete, parallel_list_buchberger,
-                     primitive, reducer_table, solve_chart_system)
+                     mod_p, multipoly_s_polynomial, pairwise_is_complete,
+                     parallel_list_buchberger, primitive, reducer_table, solve_chart_system,
+                     unpacked_basis)
 from oracles import _monic
 from oracles import divide as fraction_divide
 from oracles import s_polynomial as fraction_s_polynomial
@@ -229,9 +229,9 @@ def assert_basis_matches_oracle(gens, order):
 def assert_mod_p_basis_matches_oracle(gens, order):
     """The table of the inputs mod P is the one read back from the
     oracle's basis of them over GF(P)."""
-    mod_p = [MultiPoly.from_terms(g.nvars, _mod_p(g)) for g in gens]
-    assert buchberger([g.terms for g in mod_p], order, P) \
-        == integer_table(parallel_list_buchberger(mod_p, order, P), order, P)
+    gens_p = [MultiPoly.from_terms(g.nvars, mod_p(g)) for g in gens]
+    assert unpacked_basis([g.terms for g in gens_p], order, P) \
+        == integer_table(parallel_list_buchberger(gens_p, order, P), order, P)
 
 
 def assert_bases_match_oracle(gens, order):
@@ -352,12 +352,12 @@ def test_division_mod_p_is_division_over_q_reduced_mod_p(case):
     lead coefficient here is 0 mod P, so each step over Q maps to the same
     step mod P; the reducers over GF(P) are monic, so the scale is 1."""
     p, basis, order = case
-    table_p = [integer_reducer(t, order, P) for t in map(_mod_p, basis) if t]
+    table_p = [integer_reducer(t, order, P) for t in map(mod_p, basis) if t]
     assert all(lc == 1 for _, lc, _ in table_p)
-    scale, rem = packed_divide(_mod_p(p), table_p, order, P)
+    scale, rem = packed_divide(mod_p(p), table_p, order, P)
     assert scale == 1
     over_q = table_basis(integer_table(basis, order), order).reduce(p)
-    assert rem == _mod_p(over_q)
+    assert rem == mod_p(over_q)
 
 
 @settings(SETTINGS, max_examples=60)
@@ -368,8 +368,8 @@ def test_buchberger_mod_p_is_the_basis_over_q_reduced_mod_p(case):
     this small none of them is near P in size."""
     gens, order = case
     over_q = GroebnerBasis.of(gens, order).generators
-    assert buchberger([_mod_p(g) for g in gens], order, P) \
-        == [integer_reducer(_mod_p(g), order, P) for g in over_q]
+    assert unpacked_basis([mod_p(g) for g in gens], order, P) \
+        == [integer_reducer(mod_p(g), order, P) for g in over_q]
 
 
 @settings(SETTINGS, max_examples=60)
@@ -394,9 +394,9 @@ def test_s_polynomial_of_monic_reducers_matches_multipoly_oracle(case):
     rf, rg = integer_table([f, g], order)
     k = Fraction(rf[1] * rg[1], math.gcd(rf[1], rg[1]))
     assert MultiPoly.from_terms(f.nvars, packed_s_polynomial(rf, rg, order)) == expected * k
-    pf, pg = (integer_reducer(_mod_p(q), order, P) for q in (f, g))
+    pf, pg = (integer_reducer(mod_p(q), order, P) for q in (f, g))
     s_p = {e: c % P for e, c in packed_s_polynomial(pf, pg, order).items()}
-    assert {e: c for e, c in s_p.items() if c} == _mod_p(expected)
+    assert {e: c for e, c in s_p.items() if c} == mod_p(expected)
 
 
 @SETTINGS
@@ -523,7 +523,8 @@ def test_chart_solver_dimension_matches_oracle_on_random_systems(system):
 
 def counting_buchberger(monkeypatch):
     """Record each basis the package builds: ``packed_basis`` runs
-    Buchberger for ``GroebnerBasis.of`` and ``buchberger`` alike."""
+    Buchberger for ``GroebnerBasis.of`` and the zero-locus chart test
+    alike."""
     calls = []
     real = groebner_mod.packed_basis
 
@@ -531,7 +532,8 @@ def counting_buchberger(monkeypatch):
         calls.append(order)
         return real(gens, order, modulus)
 
-    monkeypatch.setattr(groebner_mod, "packed_basis", counted)
+    for module in (groebner_mod, residues_mod):
+        monkeypatch.setattr(module, "packed_basis", counted)
     return calls
 
 

@@ -171,6 +171,13 @@ def test_exit_parse_error(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_exit_parse_error_on_a_zero_denominator(capsys):
+    """1/0 in an H once ended in a ZeroDivisionError traceback and exit 1,
+    the code of a failed check."""
+    assert main(["residue", fx("p2_fermat.json"), "--H", "1/0*x0*x1*x2"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_exit_invalid_fan(tmp_path, capsys):
     p = tmp_path / "dup.json"
     p.write_text(json.dumps(

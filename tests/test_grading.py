@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -241,3 +243,23 @@ def test_user_rows_are_accepted_exactly_when_their_degree_map_is_onto(case):
         d = g.variable_degree(i)
         assert user.variable_degree(i) == DegreeClass(
             tuple(sum(t * x for t, x in zip(trow, d.free)) for trow in T), d.torsion, d.moduli)
+
+
+def test_degrees_refuse_values_that_are_not_integers(p2):
+    """int() once read each of these as 1: the user row (1.7, 1, 1) was
+    stored as (1, 1, 1), and the degrees of (1.5, 0, 0) and (1.9,) were
+    those of 1."""
+    fan, grading = p2
+    with pytest.raises(TypeError):
+        validate_user_grading(fan, [[1.7, 1, 1]])
+    with pytest.raises(TypeError):
+        grading.degree((1.5, 0, 0))
+    with pytest.raises(TypeError):
+        grading.degree((Fraction(3, 2), 0, 0))
+    with pytest.raises(TypeError):
+        DegreeClass((1.9,))
+    with pytest.raises(TypeError):
+        DegreeClass((1,), (Fraction(1, 2),), (2,))
+    with pytest.raises(TypeError):
+        DegreeClass((1,), (1,), (2.0,))
+    assert grading.degree((1, 0, 0)) == DegreeClass((1,))

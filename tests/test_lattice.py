@@ -124,3 +124,26 @@ def test_hnf_reduction_is_canonical():
     r1 = reduce_mod_lattice([5, 5], basis)
     r2 = reduce_mod_lattice([5 + 2, 5 + 1], basis)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("dim, rays, cones", [
+    (2, [(1.5, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+    (2, [(Fraction(3, 2), 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+    (2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1.7, 2), (0, 2)]),
+    (2.0, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+], ids=["float-ray", "fraction-ray", "float-cone-index", "float-dim"])
+def test_make_fan_refuses_values_that_are_not_integers(dim, rays, cones):
+    """int() once read the ray (1.5, 0) as (1, 0) and the cone index 1.7
+    as 1, so each of these built the fan of P^2."""
+    with pytest.raises(TypeError):
+        make_fan(dim, rays, cones)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: smith_normal_form([[1.5, 0], [0, 1]]),
+    lambda: hnf_rows([(Fraction(1, 2), 1)], 2),
+    lambda: reduce_mod_lattice((1.5, 0), [((1, 0), 0)]),
+], ids=["smith", "hnf", "reduce"])
+def test_integer_forms_refuse_entries_that_are_not_integers(call):
+    with pytest.raises(TypeError):
+        call()

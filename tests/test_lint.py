@@ -5,8 +5,9 @@ No linter is installed, so these are the checks: every import in
 a name it never uses, every function and class the package defines at
 module level is read or exported, no sum on the residue path (the
 residue, the determinants of polynomials and the local sums) starts from
-a Fraction, the Groebner kernel builds no exponent tuple, and no ``except``
-clause can catch an exponent refusal.
+a Fraction, the Groebner kernel builds no exponent tuple, no ``except``
+clause can catch an exponent refusal, and the lattice, grading and bundle
+layers truncate no value with ``int``.
 """
 
 import ast
@@ -120,7 +121,7 @@ def test_the_groebner_kernel_builds_no_exponent_tuple():
     ``tuple``, as ``tuple(map(add, e, shift))`` once did in every step.
     Tuples are packed where they enter a call and unpacked where they
     leave it."""
-    kernel = {"groebner.py": ("divide", "s_polynomial", "_gm_update", "_buchberger"),
+    kernel = {"groebner.py": ("divide", "s_polynomial", "_gm_update", "packed_basis"),
               "residues.py": ("_certified",)}
     for name, functions in kernel.items():
         path = ROOT / "src" / "toricres" / name
@@ -152,3 +153,21 @@ def test_no_except_clause_can_catch_an_exponent_refusal():
             if handler.type is None or names & banned:
                 caught.append((path.name, handler.lineno))
     assert caught == []
+
+
+def test_no_int_call_truncates_a_value_in_the_lattice_layers():
+    """No ``int(...)`` in ``lattice.py``, ``grading.py`` or ``cayley.py``
+    reads a name, an attribute or a subscript: ``int`` reads 1.5 and
+    Fraction(3, 2) as 1, so these layers read their integers through
+    ``operator.index``, which refuses both with TypeError.  ``int`` of a
+    comparison, as in ``int(i == j)``, stays allowed."""
+    calls = []
+    for name in ("lattice.py", "grading.py", "cayley.py"):
+        path = ROOT / "src" / "toricres" / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "int"
+                  and any(isinstance(a, (ast.Name, ast.Attribute, ast.Subscript))
+                          for a in node.args)]
+    assert calls == []

@@ -23,13 +23,13 @@ from hypothesis import given, settings, strategies as st
 import toricres.groebner as groebner_mod
 import toricres.residues as residues_mod
 from toricres import (DegreeMismatch, ExponentTooLarge, GroebnerBasis, MonomialOrder, MultiPoly,
-                      ResidueProblem, buchberger, dehomogenize, euler_jacobi_check, grevlex,
-                      lex, load_fan, parse_poly)
+                      ResidueProblem, dehomogenize, euler_jacobi_check, grevlex, lex, load_fan,
+                      parse_poly)
 from toricres.groebner import MAX, Packing, integer_terms
-from toricres.residues import P, _mod_p, residue_functional
+from toricres.residues import P, residue_functional
 
 from conftest import FIXTURES, load
-from oracles import tuple_buchberger, tuple_divide
+from oracles import mod_p, tuple_buchberger, tuple_divide, unpacked_basis
 from test_quotient import square_systems
 from test_zero_locus import seeded_dense_system
 
@@ -105,7 +105,7 @@ def test_a_negative_exponent_is_refused_where_it_enters():
     for terms, order in (({(0, -1): 1, (1, 0): 1}, lex(2)),
                          ({(1, -1): 1, (0, 0): -1}, grevlex(2))):
         with pytest.raises(ValueError, match="negative"):
-            buchberger([terms], order)
+            unpacked_basis([terms], order)
         with pytest.raises(ValueError, match="negative"):
             GroebnerBasis.of([MultiPoly.from_terms(2, terms)], order)
     gb = GroebnerBasis.of([parse_poly("x^2 - y", XY)], lex(2))
@@ -132,10 +132,10 @@ def assert_kernels_agree(gens, order):
     basis's reducers are it over Q."""
     terms = [integer_terms(g)[1] for g in gens]
     expected = tuple_buchberger(terms, order)
-    assert buchberger(terms, order) == expected
+    assert unpacked_basis(terms, order) == expected
     assert GroebnerBasis.of(gens, order).reducers == tuple(expected)
-    mod_p = [_mod_p(g) for g in gens]
-    assert buchberger(mod_p, order, P) == tuple_buchberger(mod_p, order, P)
+    terms_p = [mod_p(g) for g in gens]
+    assert unpacked_basis(terms_p, order, P) == tuple_buchberger(terms_p, order, P)
 
 
 def assert_remainders_agree(gb, terms):
@@ -253,9 +253,9 @@ def record_refusals(monkeypatch):
 def test_buchberger_refuses_where_an_exponent_outgrows_its_field(monkeypatch, gens, order, where):
     polys = [parse_poly(t, XYZ) for t in gens]
     seen = record_refusals(monkeypatch)
-    builds = (lambda: buchberger([integer_terms(g)[1] for g in polys], order),
+    builds = (lambda: unpacked_basis([integer_terms(g)[1] for g in polys], order),
               lambda: GroebnerBasis.of(polys, order),
-              lambda: buchberger([_mod_p(g) for g in polys], order, P))
+              lambda: unpacked_basis([mod_p(g) for g in polys], order, P))
     for build in builds:
         with pytest.raises(ExponentTooLarge):
             build()
@@ -322,7 +322,7 @@ def test_the_basis_refuses_a_ring_of_another_size():
     with pytest.raises(DegreeMismatch):
         GroebnerBasis.of(F, grevlex(2))
     with pytest.raises(DegreeMismatch):
-        buchberger([integer_terms(f)[1] for f in F], grevlex(2))
+        unpacked_basis([integer_terms(f)[1] for f in F], grevlex(2))
     gb = GroebnerBasis.of(F, grevlex(3))
     for p in (parse_poly("x*y", ("x", "y")), MultiPoly.variable(4, 3)):
         with pytest.raises(DegreeMismatch):

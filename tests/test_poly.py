@@ -1,7 +1,9 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from toricres import (
     DecompositionFailed,
@@ -77,6 +79,34 @@ def test_parse_errors():
     for bad in ("", "x +", "x^", "(x", "x^-2", "w", "3//2", "x 2 +"):
         with pytest.raises(ParseError):
             parse_poly(bad, XYZ)
+
+
+def test_a_zero_denominator_is_a_parse_error():
+    """1/0 once raised ZeroDivisionError out of the parser."""
+    for bad in ("1/0*x", "x + 3/00", "(2/0)^2", "-0/0"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_poly(bad, XYZ)
+    assert parse_poly("0/5*x + 1/10", XYZ) == MultiPoly.constant(3, Fraction(1, 10))
+
+
+# the parser's alphabet: names, digits, operators, parentheses and spaces
+GRAMMAR = "xy0123456789+-*/^() "
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.text(GRAMMAR, max_size=16))
+def test_every_string_over_the_grammar_parses_or_is_a_parse_error(text):
+    """Any string over the alphabet either parses to a MultiPoly or raises
+    ParseError; no other exception escapes.  Exponents stay at one digit
+    and their product at most 30, so no draw expands past a few hundred
+    terms."""
+    exponents = [int(e) for e in re.findall(r"(?:\^|\*\*)(\d+)", text.replace(" ", ""))]
+    assume(all(e <= 9 for e in exponents) and math.prod(exponents) <= 30)
+    try:
+        p = parse_poly(text, ("x", "y"))
+    except ParseError:
+        return
+    assert isinstance(p, MultiPoly) and p.nvars == 2
 
 
 def test_poly_arithmetic():

@@ -21,14 +21,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricres import (GroebnerBasis, MultiPoly, ZeroLocusReport, buchberger, compute_grading,
-                      dehomogenize, grevlex, load_fan, make_fan, monomial_basis,
-                      no_common_zeros_on_x, residues)
+from toricres import (GroebnerBasis, MultiPoly, ZeroLocusReport, compute_grading, dehomogenize,
+                      grevlex, load_fan, make_fan, monomial_basis, no_common_zeros_on_x,
+                      residues)
 from toricres.groebner import divide
-from toricres.residues import P, _mod_p, irrelevant_ideal
+from toricres.residues import P, irrelevant_ideal
 
 from conftest import FIXTURES, load
-from oracles import evaluate, q_chart_zero_locus
+from oracles import evaluate, mod_p, q_chart_zero_locus, unpacked_basis
 from test_quotient import SYSTEM_FANS, square_systems
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -69,7 +69,7 @@ def with_basis(fan, polys, groebner=None):
 def chart_is_unit(fan, polys, k, modulus):
     charts = [dehomogenize(F, fan, k) for F in polys]
     if modulus:
-        return buchberger([_mod_p(q) for q in charts], grevlex(fan.dim), modulus) \
+        return unpacked_basis([mod_p(q) for q in charts], grevlex(fan.dim), modulus) \
             == [((0,) * fan.dim, 1, ())]
     return GroebnerBasis.of(charts, grevlex(fan.dim)).generators \
         == (MultiPoly.constant(fan.dim, 1),)
@@ -89,12 +89,13 @@ def test_fixtures_are_certified_from_their_basis(monkeypatch):
     """Every chart of every fixture is certified from the problem's own
     basis, so its zero-locus report builds no chart basis at all."""
     calls = []
+    real_packed_basis = residues.packed_basis
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return buchberger(*args, **kwargs)
+        return real_packed_basis(*args, **kwargs)
 
-    monkeypatch.setattr(residues, "buchberger", counted)
+    monkeypatch.setattr(residues, "packed_basis", counted)
     for name in RESIDUE_FIXTURES:
         pb = load(name).problem
         assert pb.zero_locus() == ZeroLocusReport(True)
@@ -102,11 +103,11 @@ def test_fixtures_are_certified_from_their_basis(monkeypatch):
 
 
 def test_the_mod_p_route_builds_no_polynomial_over_gf_p(monkeypatch):
-    """The chart route mod P hands integer term dicts to ``buchberger``:
+    """The chart route mod P hands integer term dicts to ``packed_basis``:
     every ``MultiPoly`` it builds has Fraction coefficients."""
     problems = [load(name).problem for name in RESIDUE_FIXTURES]
     real_from_terms = MultiPoly.from_terms
-    real_buchberger = residues.buchberger
+    real_packed_basis = residues.packed_basis
     moduli = []
 
     def checked(cls, nvars, terms):
@@ -115,10 +116,10 @@ def test_the_mod_p_route_builds_no_polynomial_over_gf_p(monkeypatch):
 
     def counted(gens, order, modulus=0):
         moduli.append(modulus)
-        return real_buchberger(gens, order, modulus)
+        return real_packed_basis(gens, order, modulus)
 
     monkeypatch.setattr(MultiPoly, "from_terms", classmethod(checked))
-    monkeypatch.setattr(residues, "buchberger", counted)
+    monkeypatch.setattr(residues, "packed_basis", counted)
     for pb in problems:
         assert no_common_zeros_on_x(pb.fan, pb.polys).ok
     assert set(moduli) == {P}
