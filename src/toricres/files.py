@@ -39,8 +39,10 @@ def _load_json(path: Path) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    # ValueError: a JSONDecodeError, or an integer of more digits than int()
+    # converts; RecursionError: arrays nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path} cannot be read as JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path} must contain a JSON object")
     return data

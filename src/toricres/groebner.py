@@ -47,8 +47,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import DegreeMismatch, ExponentTooLarge, ParseError
-from .lattice import clear_denominators
-from .poly import Exponent, MultiPoly
+from .poly import Exponent, MultiPoly, integer_terms
 
 
 @dataclass(frozen=True)
@@ -193,12 +192,6 @@ class Packing:
 # (lead, lead coefficient, tail terms): packed monomials in the kernel,
 # exponent tuples in a table handed to a caller
 Reducer = tuple[int | Exponent, int, tuple[tuple[int | Exponent, int], ...]]
-
-
-def integer_terms(p: MultiPoly) -> tuple[int, dict[Exponent, int]]:
-    """d, the lcm of the denominators of p, and the integer terms of d*p."""
-    d, nums = clear_denominators(p.terms.values())
-    return d, dict(zip(p.terms, nums))
 
 
 def integer_reducer(terms: dict, modulus: int = 0) -> Reducer:

@@ -30,10 +30,9 @@ from .errors import (
     NotZeroDimensional,
     ZeroOnPolarLocus,
 )
-from .groebner import (GroebnerBasis, grevlex, integer_terms, quotient_is_finite,
-                       standard_monomials)
+from .groebner import GroebnerBasis, grevlex, quotient_is_finite, standard_monomials
 from .lattice import mat_det, trace_of_solve
-from .poly import MultiPoly, dehomogenize, integer_det, product_sum
+from .poly import MultiPoly, dehomogenize, integer_det, integer_terms, product_sum
 from .residues import no_common_zeros_on_x, require_critical_degree
 
 # how close a floating-point value of a local sum must come to the exact one;

@@ -1,11 +1,12 @@
 """Sparse multivariate polynomials over the rationals.
 
 Terms are stored as a dict from exponent tuples to nonzero Fractions.
-Integer work, over Z or GF(p), reads and writes plain term dicts instead
-(``groebner.integer_terms``), as does every determinant of polynomials
-(``integer_det``, over one denominator).  The representation is
-deliberately tiny; Groebner machinery and residue code only need
-arithmetic, substitution, and exact degree bookkeeping.
+Integer work, over Z or GF(p), reads and writes plain term dicts instead,
+converted by ``integer_terms`` and ``MultiPoly.from_integer_terms``.
+Products and determinants of polynomials both run on integer terms in this
+module (``product_sum``; ``integer_det`` over one denominator).  The
+representation is deliberately tiny; Groebner machinery and residue code
+only need arithmetic, substitution, and exact degree bookkeeping.
 """
 
 from __future__ import annotations
@@ -130,16 +131,9 @@ class MultiPoly:
                 return MultiPoly.zero(self.nvars)
             return MultiPoly.from_terms(self.nvars, {e: c * v for e, v in self.terms.items()})
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiPoly.from_terms(self.nvars, out)
+        d1, a = integer_terms(self)
+        d2, b = integer_terms(other)
+        return MultiPoly.from_integer_terms(self.nvars, d1 * d2, product_sum([(a, b, 1)]))
 
     def __rmul__(self, other):
         return self * other
@@ -152,8 +146,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -179,6 +174,12 @@ class MultiPoly:
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
         return MultiPoly.from_terms(self.nvars, out)
+
+
+def integer_terms(p: MultiPoly) -> tuple[int, dict[Exponent, int]]:
+    """d, the lcm of the denominators of p, and the integer terms of d*p."""
+    d, nums = clear_denominators(p.terms.values())
+    return d, dict(zip(p.terms, nums))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,12 @@ def parse_poly(text: str, names) -> MultiPoly:
     parser = _PolyParser(text, list(names))
     if not parser.s:
         raise ParseError("empty polynomial string")
-    result = parser.expr()
+    try:
+        result = parser.expr()
+    # parentheses nested past the recursion limit, or an integer literal of
+    # more digits than int() converts from a string
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"cannot parse {text!r}: {exc}") from exc
     if parser.pos != len(parser.s):
         parser.fail("trailing input")
     return result

@@ -27,10 +27,10 @@ from .errors import (
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
 from .groebner import (GroebnerBasis, MonomialOrder, Packing, _divides, divide, grevlex,
-                       integer_terms, packed_basis)
+                       packed_basis)
 from .lattice import FanData, cone_det, cone_group_order, is_complete
 from .poly import (Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree,
-                   integer_det, poly_det)
+                   integer_det, integer_terms, poly_det)
 from .polytopes import intersection_number, monomial_basis
 
 

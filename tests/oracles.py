@@ -34,7 +34,8 @@ functional it once computed, the chart lift by a Smith form of the
 off-cone degree system, the determinant over Q by row scaling, and the
 cone orientations and chart Jacobian read from a positively oriented basis
 of M, the determinant of a matrix of polynomials by minor expansion over
-Fractions, and the floating-point local sum (an eigen-solve on the chart
+Fractions, the product of two polynomials as a double loop over their
+Fraction terms, and the floating-point local sum (an eigen-solve on the chart
 quotient, Newton polishing and tolerances).  The exact sum of local
 residues as a trace over the quotient ring, by linear-scan normal forms
 and Fraction elimination, is a reference value for both the exact residue
@@ -67,12 +68,12 @@ from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeM
                       is_simplicial, make_fan, monomial_basis, no_common_zeros_on_x)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
 from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
-from toricres.groebner import (Packing, grevlex, integer_terms, lex, packed_basis,
+from toricres.groebner import (Packing, grevlex, lex, packed_basis,
                                quotient_is_finite, standard_monomials)
 from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cramer, dot, freeze,
                               hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form)
 from toricres.localres import _chart, _Quotient
-from toricres.poly import Exponent, degree_of
+from toricres.poly import Exponent, degree_of, integer_terms
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
                                 lattice_points)
 from toricres.residues import P, CodimReport, ZeroLocusReport, _require_hypotheses
@@ -1252,7 +1253,8 @@ def cofactor_det(A):
 # determinants as the package ran them before every determinant was an
 # integer one: Bareiss over Q after row scaling, the determinant of a matrix
 # of polynomials expanded over Fractions, and each cone's orientation and
-# index read from a basis of M oriented positively on a cone
+# index read from a basis of M oriented positively on a cone; and the
+# product of polynomials as it ran before it was an integer one
 
 
 def fraction_mat_det(A) -> int | Fraction:
@@ -1308,10 +1310,26 @@ def poly_det(M: list[list[MultiPoly]]) -> MultiPoly:
                 minor = below[cols[:k] + cols[k + 1:]]
                 if row[j].is_zero() or minor.is_zero():
                     continue
-                term = row[j] * minor
+                term = fraction_product(row[j], minor)
                 total = total - term if k % 2 else total + term
             minors[cols] = total
     return minors[tuple(range(n))]
+
+
+def fraction_product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """p*q by a double loop over the Fraction terms, adding each product of
+    two terms into its exponent and dropping a sum that cancels."""
+    p._check(q)
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return MultiPoly.from_terms(p.nvars, out)
 
 
 def pairing_det(fan: FanData, basis, ray_indices) -> int:

@@ -53,7 +53,8 @@ from toricres import (
     toric_residue,
 )
 
-from toricres.groebner import Packing, divide, integer_terms, s_polynomial
+from toricres.groebner import Packing, divide, s_polynomial
+from toricres.poly import integer_terms
 from toricres.residues import P, residue_functional
 
 from conftest import FIXTURES, load

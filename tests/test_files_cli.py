@@ -52,6 +52,20 @@ def test_non_object_json(tmp_path):
         load_fan(p)
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"dim": 2, "rays": [[' + "9" * 5000 + ', 0]], "max_cones": [[1]]}',
+], ids=["deep-array", "long-integer"])
+def test_json_that_python_cannot_read_is_a_parse_error(tmp_path, text):
+    """An array nested past the recursion limit once escaped as
+    RecursionError, and an integer of more digits than int() converts as a
+    ValueError that is no JSONDecodeError."""
+    p = tmp_path / "hostile.json"
+    p.write_text(text)
+    with pytest.raises(ParseError, match="cannot be read as JSON"):
+        load_fan(p)
+
+
 def test_missing_fan_keys(tmp_path):
     p = tmp_path / "partial.json"
     p.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]]}))
@@ -176,6 +190,26 @@ def test_exit_parse_error_on_a_zero_denominator(capsys):
     the code of a failed check."""
     assert main(["residue", fx("p2_fermat.json"), "--H", "1/0*x0*x1*x2"]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("residue", "(" * 400 + "x0" + ")" * 400, id="H-parentheses"),
+    pytest.param("residue", "1" * 5000 + "*x0*x1*x2", id="H-long-integer"),
+    pytest.param("fan", "[" * 100_000 + "]" * 100_000, id="fan-deep-array"),
+    pytest.param("fan", '{"dim": 2, "rays": [[' + "9" * 5000 + ', 0]]}', id="fan-long-integer"),
+])
+def test_exit_parse_error_on_hostile_input(tmp_path, capsys, command, text):
+    """Deep nesting and integers of more digits than int() converts, in an
+    H or in a JSON file, once ended in a traceback and exit 1, the code of
+    a failed check."""
+    if command == "residue":
+        argv = ["residue", fx("p2_fermat.json"), "--H", text]
+    else:
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        argv = ["fan", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
 
 
 def test_exit_invalid_fan(tmp_path, capsys):

@@ -171,3 +171,28 @@ def test_no_int_call_truncates_a_value_in_the_lattice_layers():
                   and any(isinstance(a, (ast.Name, ast.Attribute, ast.Subscript))
                           for a in node.args)]
     assert calls == []
+
+
+def _over_items(loop):
+    """Whether a ``for`` loop or comprehension clause runs over a
+    ``.items()`` call."""
+    return isinstance(loop.iter, ast.Call) and isinstance(loop.iter.func, ast.Attribute) \
+        and loop.iter.func.attr == "items"
+
+
+def test_poly_has_one_product_loop():
+    """No function in ``poly.py`` but ``product_sum`` nests a loop over
+    ``….items()`` inside another: ``MultiPoly.__mul__`` once kept its own
+    Fraction double loop beside ``product_sum``, and every product of
+    polynomials now runs on integer terms through ``product_sum``."""
+    path = ROOT / "src" / "toricres" / "poly.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    nested = [(fn.name, node.lineno) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and fn.name != "product_sum"
+              for node in ast.walk(fn) if isinstance(node, loops)
+              and any(map(_over_items, getattr(node, "generators", [node])))
+              and sum(isinstance(n, (ast.For, ast.comprehension)) and _over_items(n)
+                      for n in ast.walk(node)) > 1]
+    assert nested == []

@@ -25,7 +25,8 @@ import toricres.residues as residues_mod
 from toricres import (DegreeMismatch, ExponentTooLarge, GroebnerBasis, MonomialOrder, MultiPoly,
                       ResidueProblem, dehomogenize, euler_jacobi_check, grevlex, lex, load_fan,
                       parse_poly)
-from toricres.groebner import MAX, Packing, integer_terms
+from toricres.groebner import MAX, Packing
+from toricres.poly import integer_terms
 from toricres.residues import P, residue_functional
 
 from conftest import FIXTURES, load

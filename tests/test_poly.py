@@ -35,7 +35,7 @@ from toricres.cayley import _lift_poly
 from conftest import FIXTURES, load, poly
 from oracles import (constructor_decompose, constructor_dehomogenize,
                      constructor_homogenize_to_degree, constructor_lift_poly, constructor_partial,
-                     evaluate, is_constant, substitute)
+                     evaluate, fraction_product, is_constant, substitute)
 from test_quotient import SYSTEM_FANS, square_systems
 
 XYZ = ("x", "y", "z")
@@ -89,6 +89,23 @@ def test_a_zero_denominator_is_a_parse_error():
     assert parse_poly("0/5*x + 1/10", XYZ) == MultiPoly.constant(3, Fraction(1, 10))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(" * 400 + "x" + ")" * 400, "recursion depth"),
+    ("1" * 5000 + "*x", "integer string conversion"),
+    ("x + 1/" + "7" * 5000, "integer string conversion"),
+    ("x^" + "2" * 5000, "integer string conversion"),
+], ids=["parentheses", "coefficient", "denominator", "exponent"])
+def test_hostile_strings_are_parse_errors(text, message):
+    """Deep parentheses once escaped as RecursionError, and a literal of
+    more digits than int() converts from a string as ValueError."""
+    with pytest.raises(ParseError, match=f"cannot parse .*{message}"):
+        parse_poly(text, XYZ)
+
+
+def test_deep_parentheses_within_the_recursion_limit_still_parse():
+    assert parse_poly("(" * 100 + "x+1" + ")" * 100, XYZ) == parse_poly("x+1", XYZ)
+
+
 # the parser's alphabet: names, digits, operators, parentheses and spaces
 GRAMMAR = "xy0123456789+-*/^() "
 
@@ -117,6 +134,93 @@ def test_poly_arithmetic():
     p = x * y - x * y
     assert p.is_zero()
     assert not p.terms
+
+
+@st.composite
+def rational_polys(draw, nvars, max_terms=6, max_exponent=3):
+    """A polynomial in nvars variables with rational coefficients, possibly
+    zero."""
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_exponent)] * nvars),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=max_terms))
+    return MultiPoly(nvars, terms)
+
+
+def fraction_power(p, k):
+    out = MultiPoly.constant(p.nvars, 1)
+    for _ in range(k):
+        out = fraction_product(out, p)
+    return out
+
+
+def assert_is_the_fraction_product(product, p, q):
+    slow = fraction_product(p, q)
+    assert product.nvars == slow.nvars
+    assert product.terms == slow.terms
+    assert all(type(c) is Fraction and c for c in product.terms.values())
+    assert all(type(x) is int for e in product.terms for x in e)
+
+
+def test_products_that_cancel_match_the_fraction_product():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    p, q = x - y, x + y
+    assert_is_the_fraction_product(p * q, p, q)
+    assert (p * q).terms == {(2, 0): 1, (0, 2): -1}
+    half = x * Fraction(1, 2) - y * Fraction(2, 3)
+    assert_is_the_fraction_product(half * (x * 2 + y * 3), half, x * 2 + y * 3)
+    assert (half * 6 * half).terms == {(2, 0): Fraction(3, 2), (1, 1): -4,
+                                       (0, 2): Fraction(8, 3)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(rational_polys(n), rational_polys(n))))
+def test_products_match_the_fraction_product(pair):
+    """p*q is the double loop over Fraction terms, and so is (p+q)(p-q),
+    whose cross terms cancel."""
+    p, q = pair
+    zero = MultiPoly.zero(p.nvars)
+    assert_is_the_fraction_product(p * q, p, q)
+    assert_is_the_fraction_product((p + q) * (p - q), p + q, p - q)
+    assert (p + q) * (p - q) == fraction_product(p, p) - fraction_product(q, q)
+    assert (p * zero).is_zero() and (zero * q).is_zero()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(rational_polys(2), rational_polys(3))
+def test_a_product_across_rings_is_refused(p, q):
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(ValueError, match="different rings"):
+            a * b
+        with pytest.raises(ValueError, match="different rings"):
+            fraction_product(a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: rational_polys(n, max_terms=4, max_exponent=2)),
+       st.integers(0, 6))
+def test_powers_match_repeated_fraction_products(p, k):
+    power = p ** k
+    assert power.nvars == p.nvars
+    assert power.terms == fraction_power(p, k).terms
+    assert all(type(c) is Fraction and c for c in power.terms.values())
+
+
+def test_a_power_takes_one_product_per_square_and_per_set_bit(monkeypatch):
+    """p ** k squares k.bit_length() - 1 times and multiplies once per set
+    bit of k; a square after the last bit was once taken and thrown away."""
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    p = MultiPoly.variable(2, 0) + 1
+    for k in range(21):
+        products.clear()
+        assert p ** k == fraction_power(p, k)
+        assert len(products) == max(k.bit_length() - 1, 0) + bin(k).count("1"), k
 
 
 def test_exponents_that_are_not_integers_are_refused():

@@ -36,8 +36,8 @@ from toricres import (
     toric_residue,
 )
 from toricres import localres
-from toricres.groebner import integer_terms
 from toricres.localres import COMPARE_TOL
+from toricres.poly import integer_terms
 
 import oracles
 from conftest import FIXTURES, load
