@@ -2,18 +2,20 @@
 
 A divisor is a coefficient vector over the rays.  Each full simplicial cone
 determines a unique rational linear functional matching the coefficients on
-its rays; ``support_table`` solves every cone once, in integers.
+its rays, read off the fan's ``cone_table`` by ``support_meets``.
 Integrality of the functionals is the Cartier condition, strict convexity
-across cones is ampleness, and convexity is nefness.
+across cones is ampleness, and convexity is nefness, both decided on the
+walls of a complete fan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import InvalidFan
-from .lattice import FanData, clear_denominators, cramer, dot
+from .lattice import FanData, clear_denominators, dot, is_complete, mat_vec
 
 
 @dataclass(frozen=True)
@@ -26,48 +28,66 @@ class PositivityReport:
         return self.ok
 
 
-def support_table(fan: FanData, coeffs):
-    """``(d, meets, slack)``: d the lcm of the coefficients' denominators;
-    ``meets[k]`` the ``lattice.cramer`` meet ``(num, den)``, in lowest terms
-    with den > 0, of <x, ray_i> = -d*a_i on the rays of maximal cone k, so
-    that its functional m_k is num/(den*d); ``slack[k][j]`` = <num, ray_j>
-    + d*a_j*den, of the sign of <m_k, ray_j> + a_j.  A cone without exactly
-    dim independent rays raises.
-    """
+def support_meets(fan: FanData, coeffs):
+    """``(d, scaled, meets)``: d the lcm of the coefficients' denominators,
+    ``scaled`` the d*a_i, and ``meets[k]`` the meet ``(num, den)`` of
+    <x, ray_i> = -d*a_i on the rays of maximal cone k, adj*rhs over det from
+    ``fan.cone_table`` in ``lattice.cramer``'s lowest terms with den > 0, so
+    that m_k = num/(den*d).  A cone without dim independent rays raises."""
     if len(coeffs) != fan.nvars:
         raise InvalidFan("one coefficient per ray is required")
     d, scaled = clear_denominators(map(Fraction, coeffs))
-    meets, slack = [], []
-    for k, cone in enumerate(fan.max_cones):
-        meet = len(cone) == fan.dim and cramer([fan.rays[i] for i in cone],
-                                               [-scaled[i] for i in cone])
-        if not meet:
+    meets = []
+    for k, (cone, (det, adj)) in enumerate(zip(fan.max_cones, fan.cone_table)):
+        if not det:
             raise InvalidFan(f"cone {k} does not have {fan.dim} independent rays")
-        num, den = meet
-        meets.append(meet)
-        slack.append([dot(num, ray) + a * den for ray, a in zip(fan.rays, scaled)])
-    return d, meets, slack
+        num = mat_vec(adj, [-scaled[i] for i in cone])
+        g = gcd(det, *num) if det > 0 else -gcd(det, *num)
+        meets.append((tuple(x // g for x in num), det // g))
+    return d, scaled, meets
+
+
+def slacks(fan: FanData, scaled, meets, pairs):
+    """<num_k, ray_j> + d*a_j*den_k, of the sign of <m_k, ray_j> + a_j, for
+    each (k, j) of ``pairs``.  On a complete fan every slack is >= 0 (nef),
+    or > 0 off its cone (strictly convex), when every slack at ``fan.walls``
+    is (Cox–Little–Schenck, *Toric Varieties*, §6.1, §6.4): along a generic
+    segment from inside cone k to ray_j, crossing a wall changes the slope
+    of the support function ψ by a negative multiple of the wall's slack, so
+    ψ <= m_k there, strictly once a strict wall is crossed, as one must be
+    to leave cone k; and ψ(ray_j) = -a_j.
+    """
+    return [dot(meets[k][0], fan.rays[j]) + scaled[j] * meets[k][1] for k, j in pairs]
 
 
 def cone_functionals(fan: FanData, coeffs) -> list[tuple[Fraction, ...]]:
     """Per-cone m with <m, ray_i> = -a_i on the cone's rays."""
-    d, meets, _ = support_table(fan, coeffs)
+    d, _, meets = support_meets(fan, coeffs)
     return [tuple(Fraction(x, den * d) for x in num) for num, den in meets]
 
 
+def _cartier(d, meets):
+    """The cones whose functional is not integral."""
+    return tuple(k for k, (num, den) in enumerate(meets) if any(x % (den * d) for x in num))
+
+
 def _witnesses(fan: FanData, coeffs):
-    """From one support table: the cones whose functional is not integral,
-    and the (cone, ray) pairs, ray off the cone, with <m_cone, ray> <= -a_ray."""
-    d, meets, slack = support_table(fan, coeffs)
-    cartier = tuple(k for k, (num, den) in enumerate(meets) if any(x % (den * d) for x in num))
-    strict = tuple((k, j) for k, (cone, row) in enumerate(zip(fan.max_cones, slack))
-                   for j, s in enumerate(row) if s <= 0 and j not in cone)
-    return cartier, strict
+    """The cones whose functional is not integral, and the (cone, ray)
+    pairs, ray off the cone, with <m_cone, ray> <= -a_ray: none, read off
+    the walls alone, when every wall is strict on a complete fan."""
+    d, scaled, meets = support_meets(fan, coeffs)
+    if is_complete(fan) and all(s > 0 for s in slacks(fan, scaled, meets, fan.walls)):
+        return _cartier(d, meets), ()
+    off = [(k, j) for k, cone in enumerate(fan.max_cones) for j in range(fan.nvars)
+           if j not in cone]
+    return _cartier(d, meets), tuple(
+        kj for kj, s in zip(off, slacks(fan, scaled, meets, off)) if s <= 0)
 
 
 def is_cartier(fan: FanData, coeffs) -> PositivityReport:
     """Integral per-cone functionals exist."""
-    cartier, _ = _witnesses(fan, coeffs)
+    d, _, meets = support_meets(fan, coeffs)
+    cartier = _cartier(d, meets)
     return PositivityReport(not cartier, not cartier, cartier)
 
 

@@ -4,16 +4,16 @@ Matrices are nested tuples/lists of Python ints, so nothing overflows and
 every normal form (Smith, Hermite) carries unimodular transforms that can
 be replayed and verified in tests.  There is one integer path for each
 job and no arithmetic over Q: determinants are Bareiss eliminations of
-integer matrices (``mat_det``, and ``cone_det`` for a cone's rays), a
-square system is solved by Cramer's rule (``cramer``) or its ``adjugate``,
-a system over the integers by the Smith form (``SmithDecomposition.solve``),
-the trace of A^-1 B by one Bareiss elimination of A + tB
-(``trace_of_solve``), and a rank or a lattice by the Smith or Hermite form.
+integer matrices (``mat_det``), a square system is solved by Cramer's rule
+(``cramer``), a system over the integers by the Smith form
+(``SmithDecomposition.solve``), the trace of A^-1 B by one Bareiss
+elimination of A + tB (``trace_of_solve``), and a rank or a lattice by the
+Smith or Hermite form.  A fan solves each maximal cone once, in its
+``cone_table``, and finds its ``facets`` and ``walls`` once.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +27,7 @@ Mat = tuple[Vec, ...]
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def clear_denominators(values) -> tuple[int, list[int]]:
@@ -350,6 +350,33 @@ class FanData:
         return tuple(self.rays[i] for i in self.cone(k))
 
     @cached_property
+    def cone_table(self) -> tuple[tuple[int, Mat | None], ...]:
+        """(det R, adj R) of each maximal cone's rays R, or (0, None) when the
+        cone lacks dim independent rays: x = adj(R) b / det R solves R x = b."""
+        table = []
+        for k in range(len(self.max_cones)):
+            rays = self.cone_rays(k)
+            det = mat_det(rays) if len(rays) == self.dim else 0
+            table.append((det, freeze(adjugate(rays))) if det else (0, None))
+        return tuple(table)
+
+    @cached_property
+    def facets(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+        """Each facet, a maximal cone's rays but the p-th, to its (cone, p) pairs."""
+        facets = {}
+        for k, cone in enumerate(self.max_cones):
+            for p in range(len(cone)):
+                facets.setdefault(cone[:p] + cone[p + 1:], []).append((k, p))
+        return facets
+
+    @cached_property
+    def walls(self) -> tuple[tuple[int, int], ...]:
+        """(k, j) for each facet of cone k shared with one cone k', j the apex of k'."""
+        return tuple((k, self.max_cones[k2][p2])
+                     for pairs in self.facets.values() if len(pairs) == 2
+                     for (k, _), (k2, p2) in (pairs, pairs[::-1]))
+
+    @cached_property
     def completeness(self) -> CompletenessReport:
         """``is_complete``'s report, computed once per fan."""
         return _completeness(self)
@@ -366,14 +393,15 @@ def make_fan(dim, rays, max_cones, variables=None, one_based=False):
 
 def cone_det(fan: FanData, k: int) -> int:
     """Signed determinant of cone k's rays in ascending order, or 0 when the
-    cone lacks dim independent rays.  Its sign orients the cone and its
-    absolute value is the index of the sublattice the rays span."""
-    return mat_det(fan.cone_rays(k)) if len(fan.cone(k)) == fan.dim else 0
+    cone lacks dim independent rays (``fan.cone_table``).  Its sign orients
+    the cone and its absolute value is the index of the sublattice spanned."""
+    fan.cone(k)  # ValueError unless 0 <= k < count
+    return fan.cone_table[k][0]
 
 
 def is_simplicial(fan: FanData) -> bool:
     """Every maximal cone is generated by dim-many independent rays."""
-    return all(cone_det(fan, k) for k in range(len(fan.max_cones)))
+    return all(det for det, _ in fan.cone_table)
 
 
 def cone_group_order(fan: FanData, k: int) -> int:
@@ -409,48 +437,33 @@ def _completeness(fan: FanData) -> CompletenessReport:
     The facet conditions make the number of cones that contain a generic
     vector the same everywhere, and a point inside cone 0 lies in a second
     closed cone exactly when that number exceeds one; together the checks
-    say that the cones cover the space exactly once.  The cost is one
-    determinant per cone and facet, and one Cramer solve per cone, whose
-    positive denominator lets λ >= 0 be read off the numerators.
-    """
+    say that the cones cover the space exactly once.  No determinant is
+    taken: cone k lies on the side of a facet given by the sign of det R_k
+    times (-1)^(n-1-p), p its apex's position, and λ = adj(R_k)^T inner /
+    det R_k writes cone 0's ray sum as sum λ_i r_i on cone k."""
     n = fan.dim
     if not fan.max_cones:
         return CompletenessReport(False, "no maximal cones")
     if not is_simplicial(fan):
         return CompletenessReport(False, "a maximal cone is not simplicial of full dimension")
-    used = set()
-    for cone in fan.max_cones:
-        used.update(cone)
-    if used != set(range(fan.nvars)):
-        missing = sorted(set(range(fan.nvars)) - used)
+    if missing := sorted(set(range(fan.nvars)).difference(*fan.max_cones)):
         return CompletenessReport(False, f"rays {missing} lie in no maximal cone")
     if len(set(fan.max_cones)) != len(fan.max_cones):
         return CompletenessReport(False, "duplicate maximal cone")
-    if n == 1:
-        dirs = {fan.rays[cone[0]][0] for cone in fan.max_cones}
-        if dirs == {1, -1} and len(fan.max_cones) == 2:
-            return CompletenessReport(True)
-        return CompletenessReport(False, "the two half-lines are not both covered exactly once")
-    facet_cones = {}
-    for k, cone in enumerate(fan.max_cones):
-        for facet in itertools.combinations(cone, n - 1):
-            facet_cones.setdefault(facet, []).append(k)
-    for facet, cones in sorted(facet_cones.items()):
-        if len(cones) != 2:
+    table = fan.cone_table
+    for facet, pairs in sorted(fan.facets.items()):
+        if len(pairs) != 2:
             return CompletenessReport(
-                False, f"facet {facet} lies in {len(cones)} maximal cones")
-        sides = []
-        for k in cones:
-            apex = next(i for i in fan.max_cones[k] if i not in facet)
-            sides.append(mat_det([fan.rays[i] for i in facet + (apex,)]) > 0)
+                False, f"facet {facet} lies in {len(pairs)} maximal cones")
+        sides = [(table[k][0] > 0) != ((n - 1 - p) % 2) for k, p in pairs]
         if sides[0] == sides[1]:
             return CompletenessReport(
-                False, f"cones {cones[0]} and {cones[1]} lie on the same side "
+                False, f"cones {pairs[0][0]} and {pairs[1][0]} lie on the same side "
                        f"of facet {facet}")
     inner = tuple(sum(col) for col in zip(*fan.cone_rays(0)))
     for k in range(1, len(fan.max_cones)):
-        num, _ = cramer(list(zip(*fan.cone_rays(k))), inner)
-        if all(x >= 0 for x in num):
+        det, adj = table[k]
+        if all(det * dot(col, inner) >= 0 for col in zip(*adj)):
             return CompletenessReport(
                 False, f"cone {k} contains {inner}, an interior point of cone 0")
     return CompletenessReport(True)

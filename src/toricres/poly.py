@@ -15,6 +15,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
+from math import comb
 
 from .errors import (
     NoIntegralLift,
@@ -25,7 +26,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import representative_divisor
-from .lattice import adjugate, clear_denominators, cone_det, dot, mat_vec
+from .lattice import clear_denominators, dot, mat_vec
 
 Exponent = tuple[int, ...]
 
@@ -188,6 +189,13 @@ def integer_terms(p: MultiPoly) -> tuple[int, dict[Exponent, int]]:
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _NUM = re.compile(r"\d+")
 
+# Bounds on a power in a polynomial string, checked before it is expanded.
+# The k-th power of a t-term base, d the lcm of its denominators and L the
+# sum of its |d*c|, has coefficients of at most k*log2(L*d) bits and at most
+# C(t+k-1, k) >= max(t, k+1) terms (t > 1, k > 0), so no large C is built.
+MAX_POWER_TERMS = 10_000
+MAX_POWER_BITS = 1_000
+
 
 class _PolyParser:
     """Recursive descent over ``+ - * ^ **``, parentheses, rationals p/q,
@@ -245,7 +253,15 @@ class _PolyParser:
             if not m:
                 self.fail("bad exponent")
             self.pos = m.end()
-            return base ** int(m.group())
+            k = int(m.group())
+            d, nums = integer_terms(base)
+            norm, t = sum(map(abs, nums.values())), len(nums)
+            if norm and k * ((norm - 1).bit_length() + (d - 1).bit_length()) > MAX_POWER_BITS:
+                self.fail(f"power too large: coefficients over {MAX_POWER_BITS} bits")
+            if t > 1 and k and (max(t, k) > MAX_POWER_TERMS
+                                or comb(t + k - 1, k) > MAX_POWER_TERMS):
+                self.fail(f"power too large: over {MAX_POWER_TERMS} terms")
+            return base ** k
         return base
 
     def base(self) -> MultiPoly:
@@ -419,8 +435,8 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     m in M, with a = ``representative_divisor(grading, target)`` (taken once
     per call, and only when q has terms).  A chart term x^e fixes m by
     <m, ray_i> = e_i - a_i on the cone's rays R: m = adj(R)(e - a)/det R,
-    with adj(R) and det R built once per call, and x^e lifts to the exponent
-    a_i + <m, ray_i> on every ray.  det R = 0 leaves m, so the lift,
+    with adj(R) and det R from ``fan.cone_table``, and x^e lifts to the
+    exponent a_i + <m, ray_i> on every ray.  det R = 0 leaves m, so the lift,
     undetermined; an m that det R does not divide means no exponent vector
     of the degree restricts to e, and a negative off-cone entry that the
     degree gap needs a negative exponent.  The lift keeps e on the cone's
@@ -428,12 +444,11 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     """
     if not q.terms:
         return MultiPoly.zero(fan.nvars)
-    det = cone_det(fan, cone_index)
+    cone = fan.cone(cone_index)
+    det, adj = fan.cone_table[cone_index]
     if det == 0:
         raise NonUniqueLift("off-cone exponents are not determined by the degree")
-    cone = fan.cone(cone_index)
     a = representative_divisor(grading, target)
-    adj = adjugate(fan.cone_rays(cone_index))
     out = {}
     for e, c in q.terms.items():
         m = mat_vec(adj, [x - a[i] for x, i in zip(e, cone)])

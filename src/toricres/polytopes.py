@@ -2,7 +2,7 @@
 
 A polytope is stored by inequalities <m, normal_i> + offset_i >= 0 and
 worked on as integer rows, each scaled by its offset's denominator.  Its one
-vertex list is the cone functionals of ``divisors.support_table`` for a
+vertex list is the cone functionals of ``divisors.support_meets`` for a
 nef divisor on a complete fan, or else found by integer Cramer's rule on
 every n-subset of the rows.  Lattice points scan the vertices' bounding box
 in runs along the last coordinate, whose exact integer interval comes from
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import ceil, factorial, floor, prod
 
-from .divisors import support_table
+from .divisors import slacks, support_meets
 from .errors import DegenerateVolume, Unbounded
 from .grading import representative_divisor
 from .lattice import clear_denominators, cramer, dot, is_complete, mat_det
@@ -66,14 +66,14 @@ def divisor_polytope(fan, coeffs) -> HPolytope:
     """Sections polytope P_D of the divisor D with the given ray coefficients.
 
     On a complete fan the rays positively span N_R, so P_D is bounded, and D
-    is nef iff every cone functional m_σ lies in P_D, whose vertices are then
-    the distinct m_σ (Cox–Little–Schenck, *Toric Varieties*, §6.1); other D
-    enumerate n-subsets, as ``HPolytope.vertices`` does on other fans.
+    is nef iff every cone functional m_σ lies in P_D, read on the walls,
+    and its vertices are then the distinct m_σ (Cox–Little–Schenck, *Toric
+    Varieties*, §6.1); other D enumerate n-subsets, as on other fans.
     """
     poly = HPolytope(fan.dim, fan.rays, tuple(Fraction(c) for c in coeffs))
     if is_complete(fan):
-        d, meets, slack = support_table(fan, poly.offsets)
-        if all(s >= 0 for row in slack for s in row):
+        d, scaled, meets = support_meets(fan, poly.offsets)
+        if all(s >= 0 for s in slacks(fan, scaled, meets, fan.walls)):
             verts = sorted(tuple(Fraction(x, den * d) for x in num) for num, den in set(meets))
         else:
             verts = _vertices(poly)

@@ -27,7 +27,8 @@ polytope volume by a pyramid recursion over facets, polytope vertices by
 elimination over Q, boundedness from rational kernels, lattice points by a
 bounding-box scan, exponent vectors by dot products per point, the bundle
 lift's two polytopes as plain polytopes on its lifted rays, ampleness by
-Fraction comparisons, and the Fraction
+Fraction comparisons, the Cartier, Q-ample, ample and nef answers read
+from a full slack table of one Cramer solve per cone, and the Fraction
 Gauss-Jordan elimination (``rref``, ``mat_rank``, ``solve_rational``,
 ``solve_integer``) with the cone functionals and the Cayley weight
 functional it once computed, the chart lift by a Smith form of the
@@ -60,7 +61,7 @@ from math import atan2, ceil, factorial, floor, gcd, lcm, prod
 import numpy as np
 
 from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeMismatch,
-                      GroebnerBasis, HypothesesFailed,
+                      GroebnerBasis, HypothesesFailed, PositivityReport,
                       InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NoIntegralLift,
                       NonSimpleZero, NonSquare, NonUniqueLift, NotHomogeneous, NotTorusZero,
                       NotZeroDimensional, ToricError, Unbounded, WrongDegree, ZeroOnPolarLocus,
@@ -1543,6 +1544,61 @@ def fraction_strictness_failures(fan, ms, coeffs):
             if dot(ms[k], fan.rays[j]) <= -Fraction(coeffs[j]):
                 out.append((k, j))
     return out
+
+
+# ---------------------------------------------------------------------------
+# positivity as it was before the fan's cone table: one Cramer solve per cone
+# and call, and every answer read from the full cones x rays slack table
+
+
+def slack_table(fan, coeffs):
+    """``(d, meets, slack)``: each cone's meet ``lattice.cramer`` gives for
+    <x, ray_i> = -d*a_i on its rays, and slack[k][j] = <num_k, ray_j> +
+    d*a_j*den_k for every cone and ray."""
+    if len(coeffs) != fan.nvars:
+        raise InvalidFan("one coefficient per ray is required")
+    d, scaled = clear_denominators(map(Fraction, coeffs))
+    meets, slack = [], []
+    for k, cone in enumerate(fan.max_cones):
+        meet = len(cone) == fan.dim and cramer([fan.rays[i] for i in cone],
+                                               [-scaled[i] for i in cone])
+        if not meet:
+            raise InvalidFan(f"cone {k} does not have {fan.dim} independent rays")
+        num, den = meet
+        meets.append(meet)
+        slack.append([dot(num, ray) + a * den for ray, a in zip(fan.rays, scaled)])
+    return d, meets, slack
+
+
+def slack_table_positivity(fan, coeffs):
+    """``(is_cartier, is_q_ample, is_ample, nef)`` read from ``slack_table``:
+    the three reports as the package gave them before it read walls, and
+    whether every slack is >= 0."""
+    d, meets, slack = slack_table(fan, coeffs)
+    cartier = tuple(k for k, (num, den) in enumerate(meets) if any(x % (den * d) for x in num))
+    strict = tuple((k, j) for k, (cone, row) in enumerate(zip(fan.max_cones, slack))
+                   for j, s in enumerate(row) if s <= 0 and j not in cone)
+    ample = (PositivityReport(False, False, cartier) if cartier
+             else PositivityReport(not strict, True, strict))
+    return (PositivityReport(not cartier, not cartier, cartier),
+            PositivityReport(not strict, not cartier, strict), ample,
+            all(s >= 0 for row in slack for s in row))
+
+
+def nef_boundary(fan, D, E):
+    """D + t*E at the largest t >= 0 with every slack >= 0, or None when no
+    slack of E is negative.  Each slack <m_k, ray_j> + a_j is linear in the
+    divisor, so t is the least s(D)/-s(E) over the pairs with s(E) < 0; for
+    an ample D the result is nef, with some slack off its cone zero."""
+    def values(coeffs):
+        d, meets, slack = slack_table(fan, coeffs)
+        return [Fraction(s, den * d) for (_, den), row in zip(meets, slack) for s in row]
+
+    ts = [sd / -se for sd, se in zip(values(D), values(E)) if se < 0]
+    if not ts:
+        return None
+    t = min(ts)
+    return [Fraction(a) + t * b for a, b in zip(D, E)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import toricres.divisors as divisors_mod
 import toricres.groebner as groebner_mod
+import toricres.lattice as lattice_mod
 import toricres.localres as localres_mod
 import toricres.polytopes as polytopes_mod
 import toricres.residues as residues_mod
@@ -40,6 +41,7 @@ from toricres import (
     divisor_polytope,
     grevlex,
     is_ample,
+    is_cartier,
     is_complete,
     is_q_ample,
     lex,
@@ -605,24 +607,42 @@ def test_residues_and_local_sums_read_only_the_reducer_table(name):
     assert "generators" not in pb.groebner.__dict__
 
 
-@pytest.mark.parametrize("test", [is_ample, is_q_ample, divisor_polytope])
-def test_positivity_solves_cone_functionals_once(monkeypatch, pentagon, test):
-    """One ``support_table`` per positivity test or divisor polytope on a
-    complete fan, for ample, nef-only and non-nef divisors alike."""
-    calls = []
-    real = divisors_mod.support_table
+def test_positivity_reads_the_cone_table_and_the_walls(monkeypatch):
+    """After a fan's first positivity test no determinant is taken on its
+    cones: every later Cartier, Q-ample and ample test and every nef
+    divisor polytope reads the cached cone table.  Slacks are formed at the
+    walls only, and at every ray off every cone only for a divisor that
+    fails a wall."""
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, 1), (-1, -1), (1, -1)],
+                   [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert is_ample(fan, (1, 1, 1, 1, 1))
+    dets, reads = [], []
+    real_det, real_slacks = lattice_mod.mat_det, divisors_mod.slacks
 
-    def counted(fan, coeffs):
-        calls.append(tuple(coeffs))
-        return real(fan, coeffs)
+    def counted(*args):
+        reads.append("walls" if args[3] == fan.walls else len(args[3]))
+        return real_slacks(*args)
 
-    monkeypatch.setattr(divisors_mod, "support_table", counted)
-    monkeypatch.setattr(polytopes_mod, "support_table", counted)
-    fan, _ = pentagon
-    for coeffs in ((1, 1, 1, 1, 1), (0, 0, 1, 1, 1), (0, 0, 2, 3, 1), (0, 0, -1, -1, -1)):
-        calls.clear()
-        test(fan, coeffs)
-        assert calls == [coeffs]
+    monkeypatch.setattr(lattice_mod, "mat_det", lambda A: dets.append(A) or real_det(A))
+    monkeypatch.setattr(divisors_mod, "slacks", counted)
+    monkeypatch.setattr(polytopes_mod, "slacks", counted)
+    ample, q_ample, nef_only, not_nef = ((1, 1, 1, 1, 1), (0, 0, 1, 3, 2), (0, 0, 1, 1, 1),
+                                         (0, 0, -1, -1, -1))
+    for coeffs in (ample, q_ample):
+        reads.clear()
+        assert is_q_ample(fan, coeffs) and is_cartier(fan, coeffs).ok == (coeffs == ample)
+        assert is_ample(fan, coeffs).ok == (coeffs == ample)
+        divisor_polytope(fan, coeffs)
+        assert reads == ["walls"] * 3
+    reads.clear()
+    divisor_polytope(fan, nef_only)
+    assert reads == ["walls"]
+    for coeffs in (nef_only, not_nef):
+        for test in (is_q_ample, is_ample):
+            reads.clear()
+            assert not test(fan, coeffs)
+            assert reads == ["walls", 5 * 3]
+    assert dets == []
 
 
 def test_constant_in_the_ideal_gives_the_unit_basis():

@@ -212,6 +212,14 @@ def test_exit_parse_error_on_hostile_input(tmp_path, capsys, command, text):
     assert capsys.readouterr().err.startswith("parse error: ")
 
 
+def test_exit_parse_error_on_a_power_past_its_bounds(capsys):
+    """An H with a power that expands past the parser's bounds once ran
+    without end; it is refused before expanding."""
+    assert main(["residue", fx("p2_fermat.json"), "--H", "(x0+x1+x2+1)^100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "power too large" in err
+
+
 def test_exit_invalid_fan(tmp_path, capsys):
     p = tmp_path / "dup.json"
     p.write_text(json.dumps(

@@ -12,12 +12,19 @@ from toricres import (
     smith_normal_form,
 )
 from toricres.lattice import (
+    dot,
     hnf_rows,
     mat_det,
     reduce_mod_lattice,
 )
 
 from oracles import mat_rank, smith_verify, solve_integer, solve_rational
+
+
+def test_dot_of_integers_and_fractions():
+    assert dot((2, -3), (4, 5)) == -7 and type(dot((2, -3), (4, 5))) is int
+    assert dot((Fraction(1, 2), 3), (4, Fraction(1, 3))) == 3
+    assert dot((), ()) == 0
 
 
 def test_smith_diag_2_3():

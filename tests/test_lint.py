@@ -6,8 +6,9 @@ a name it never uses, every function and class the package defines at
 module level is read or exported, no sum on the residue path (the
 residue, the determinants of polynomials and the local sums) starts from
 a Fraction, the Groebner kernel builds no exponent tuple, no ``except``
-clause can catch an exponent refusal, and the lattice, grading and bundle
-layers truncate no value with ``int``.
+clause can catch an exponent refusal, the lattice, grading and bundle
+layers truncate no value with ``int``, ``poly.py`` has one product loop,
+and every cone solve outside ``lattice.py`` reads the fan's cone table.
 """
 
 import ast
@@ -196,3 +197,24 @@ def test_poly_has_one_product_loop():
               and sum(isinstance(n, (ast.For, ast.comprehension)) and _over_items(n)
                       for n in ast.walk(node)) > 1]
     assert nested == []
+
+
+def test_cone_solves_read_the_cone_table():
+    """``adjugate`` is called only inside ``lattice.py``, where
+    ``FanData.cone_table`` is built, and neither ``divisors.py`` nor
+    ``poly.py`` imports ``cramer`` or ``adjugate``: the meets of the
+    positivity tests and the chart lift read det R and adj R of each cone
+    from the table, which solves each maximal cone once per fan."""
+    found = []
+    for path in sorted((ROOT / "src" / "toricres").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "lattice.py":
+            found += [(path.name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and "adjugate" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))]
+        if path.name in ("divisors.py", "poly.py"):
+            found += [(path.name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      and {a.name for a in node.names} & {"cramer", "adjugate"}]
+    assert found == []

@@ -106,6 +106,40 @@ def test_deep_parentheses_within_the_recursion_limit_still_parse():
     assert parse_poly("(" * 100 + "x+1" + ")" * 100, XYZ) == parse_poly("x+1", XYZ)
 
 
+def test_a_power_past_its_bounds_is_a_parse_error():
+    """A power in a string once expanded without bound: (x+y+z+1)^100 did
+    not finish and 2^1000000000 built a 10^9-bit integer.  Both bounds are
+    checked before expanding, so these refusals allocate nothing."""
+    for text in ("(x+y+z+1)^100", "(x+y+z+1)^50", "2^1000000000", "(x+y)^1000000000"):
+        with pytest.raises(ParseError, match="power too large"):
+            parse_poly(text, XYZ)
+    assert parse_poly("x^100000", XYZ) == MultiPoly.variable(3, 0, 100000)
+
+
+def test_the_power_bounds_at_their_edges(monkeypatch):
+    """With small caps: a t-term base to the k has at most C(t+k-1, k)
+    terms, and its coefficients k times the bits of the sum of the base's
+    |d*c| over its denominator d."""
+    monkeypatch.setattr(poly_module, "MAX_POWER_TERMS", 10)
+    monkeypatch.setattr(poly_module, "MAX_POWER_BITS", 8)
+    assert len(parse_poly("(x+y+z)^3", XYZ).terms) == 10
+    with pytest.raises(ParseError, match="power too large: over 10 terms"):
+        parse_poly("(x+y+z)^4", XYZ)
+    for ok, bad in (("2^8", "2^9"), ("(1/2)^8", "(1/2)^9"), ("(3x)^4", "(3x)^5"),
+                    ("(x-y)^8", "(x-y)^9"), ("(1/2x+1/2y)^4", "(1/2x+1/2y)^5")):
+        parse_poly(ok, XYZ)
+        with pytest.raises(ParseError, match="power too large: coefficients over 8 bits"):
+            parse_poly(bad, XYZ)
+    assert parse_poly("x^100000 + 0^100000 + (x+y)^0", XYZ) == \
+        MultiPoly.variable(3, 0, 100000) + 1
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")
+                                        if not p.name.endswith(".fan.json")))
+def test_every_fixture_parses_within_the_power_bounds(name):
+    assert load(name).problem.polys
+
+
 # the parser's alphabet: names, digits, operators, parentheses and spaces
 GRAMMAR = "xy0123456789+-*/^() "
 
