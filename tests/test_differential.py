@@ -607,6 +607,34 @@ def test_residues_and_local_sums_read_only_the_reducer_table(name):
     assert "generators" not in pb.groebner.__dict__
 
 
+@pytest.mark.parametrize("test", [is_ample, is_q_ample, divisor_polytope])
+def test_positivity_solves_cone_functionals_once(monkeypatch, pentagon, test):
+    """One ``support_meets`` per positivity test or divisor polytope on a
+    complete fan, for ample, nef-only and non-nef divisors alike, and no
+    determinant on the fan's cones once its cone table is built."""
+    fan, _ = pentagon
+    assert fan.cone_table
+    calls, dets = [], []
+    real, real_det = divisors_mod.support_meets, lattice_mod.mat_det
+
+    def counted(fan, coeffs):
+        calls.append(tuple(coeffs))
+        return real(fan, coeffs)
+
+    monkeypatch.setattr(divisors_mod, "support_meets", counted)
+    monkeypatch.setattr(polytopes_mod, "support_meets", counted)
+    monkeypatch.setattr(lattice_mod, "mat_det", lambda A: dets.append(A) or real_det(A))
+    for coeffs in ((1, 1, 1, 1, 1), (0, 0, 1, 1, 1), (0, 0, 2, 3, 1)):
+        calls.clear()
+        test(fan, coeffs)
+        assert calls == [coeffs]
+    assert dets == []
+    # a non-nef polytope enumerates vertices off the cone functionals
+    calls.clear()
+    test(fan, (0, 0, -1, -1, -1))
+    assert calls == [(0, 0, -1, -1, -1)]
+
+
 def test_positivity_reads_the_cone_table_and_the_walls(monkeypatch):
     """After a fan's first positivity test no determinant is taken on its
     cones: every later Cartier, Q-ample and ample test and every nef
