@@ -3,13 +3,13 @@
 Matrices are nested tuples/lists of Python ints, so nothing overflows and
 every normal form (Smith, Hermite) carries unimodular transforms that can
 be replayed and verified in tests.  There is one integer path for each
-job and no arithmetic over Q: determinants are Bareiss eliminations of
-integer matrices (``mat_det``), a square system is solved by Cramer's rule
-(``cramer``), a system over the integers by the Smith form
-(``SmithDecomposition.solve``), the trace of A^-1 B by one Bareiss
-elimination of A + tB (``trace_of_solve``), and a rank or a lattice by the
-Smith or Hermite form.  A fan solves each maximal cone once, in its
-``cone_table``, and finds its ``facets`` and ``walls`` once.
+job and no arithmetic over Q: one fraction-free elimination of [A | B]
+(``bareiss``) gives det A (``mat_det``), square solves (``cramer``) and
+det R and adj R of each maximal cone (a fan's ``cone_table``, built once
+with its ``facets`` and ``walls``); the Smith form solves over the
+integers (``SmithDecomposition.solve``), one Bareiss elimination of
+A + tB gives Tr(A^-1 B) (``trace_of_solve``), and the Smith or Hermite
+form gives a rank or a lattice.
 """
 
 from __future__ import annotations
@@ -52,31 +52,42 @@ def mat_vec(A, v):
     return tuple(dot(row, v) for row in A)
 
 
-def mat_det(A) -> int:
-    """Exact determinant of an integer matrix by fraction-free Bareiss
-    elimination.  Entries must be integers: each is read through
-    ``operator.index``, so a Fraction raises TypeError."""
+def bareiss(A, B=()) -> tuple[int, list[list[int]] | None]:
+    """(det A, X) with A·X = det(A)·B, so X = adj(A)·B, for a square integer
+    matrix A and an integer matrix B of as many rows; (0, None) if det A = 0.
+
+    One fraction-free elimination of [A | B] (Bareiss, Math. Comp. 22, 1968)
+    leaves [U | C] with last pivot d = det(PA), P the row swaps.  Back
+    substitution solves U·X = d·C, whose solution adj(PA)·PB is integral, so
+    every division is exact; only then does the swaps' sign make it adj(A)·B.
+    Entries are read through ``operator.index``: a Fraction raises TypeError.
+    """
     n = len(A)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant of a non-square matrix")
-    M = [list(map(operator.index, row)) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    if any(len(row) != n for row in A) or (B and len(B) != n):
+        raise ValueError("elimination of a non-square matrix")
+    M = [[*map(operator.index, a), *map(operator.index, b)] for a, b in zip(A, B or [()] * n)]
+    sign = prev = 1
+    for k in range(n):
         if M[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if M[i][k]), None)
             if swap is None:
-                return 0
+                return 0, None
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+        Mk, pk = M[k], M[k][k]
+        for Mi in M[k + 1:]:
+            for j in range(k + 1, len(Mi)):
+                Mi[j] = (Mi[j] * pk - Mi[k] * Mk[j]) // prev
+        prev = pk
+    for i in reversed(range(n)):
+        for c in range(n, len(M[i])):
+            M[i][c] = (prev * M[i][c] - sum(M[i][j] * M[j][c] for j in range(i + 1, n))) // M[i][i]
+    return sign * prev, [[sign * x for x in row[n:]] for row in M]
+
+
+def mat_det(A) -> int:
+    """Exact determinant of an integer matrix: ``bareiss`` with no B."""
+    return bareiss(A)[0]
 
 
 def trace_of_solve(A, B) -> Fraction | None:
@@ -112,26 +123,15 @@ def trace_of_solve(A, B) -> Fraction | None:
 
 
 def cramer(rows, rhs):
-    """The one solution of the square integer system rows·x = rhs, or None
-    when det(rows) is 0.
-
-    Returns ``(num, den)`` with x = num/den: the Cramer numerators over the
-    determinant, divided by their common gcd so that ``den`` is positive.
-    """
-    den = mat_det(rows)
+    """The one solution of the square integer system rows·x = rhs as
+    ``(num, den)``, x = num/den in lowest terms with den > 0, from one
+    ``bareiss``; None when det(rows) is 0."""
+    den, X = bareiss(rows, [[b] for b in rhs])
     if den == 0:
         return None
-    num = [mat_det([[*row[:j], b, *row[j + 1:]] for row, b in zip(rows, rhs)])
-           for j in range(len(rows))]
+    num = [x for x, in X]
     g = gcd(den, *num) if den > 0 else -gcd(den, *num)
     return tuple(x // g for x in num), den // g
-
-
-def adjugate(A) -> list[list[int]]:
-    """adj(A) of a square integer matrix, adj(A)·A = det(A)·I, its entries
-    the signed minors of A, each a ``mat_det``."""
-    return [[(-1) ** (i + j) * mat_det([r[:j] + r[j + 1:] for k, r in enumerate(A) if k != i])
-             for i in range(len(A))] for j in range(len(A))]
 
 
 @dataclass(frozen=True)
@@ -353,11 +353,11 @@ class FanData:
     def cone_table(self) -> tuple[tuple[int, Mat | None], ...]:
         """(det R, adj R) of each maximal cone's rays R, or (0, None) when the
         cone lacks dim independent rays: x = adj(R) b / det R solves R x = b."""
-        table = []
-        for k in range(len(self.max_cones)):
-            rays = self.cone_rays(k)
-            det = mat_det(rays) if len(rays) == self.dim else 0
-            table.append((det, freeze(adjugate(rays))) if det else (0, None))
+        table = [(0, None)] * len(self.max_cones)
+        for k, cone in enumerate(self.max_cones):
+            if len(cone) == self.dim:
+                det, adj = bareiss(self.cone_rays(k), mat_identity(self.dim))
+                table[k] = (det, freeze(adj)) if det else (0, None)
         return tuple(table)
 
     @cached_property

@@ -193,6 +193,8 @@ _NUM = re.compile(r"\d+")
 # The k-th power of a t-term base, d the lcm of its denominators and L the
 # sum of its |d*c|, has coefficients of at most k*log2(L*d) bits and at most
 # C(t+k-1, k) >= max(t, k+1) terms (t > 1, k > 0), so no large C is built.
+# A product of an a-term and a b-term factor is refused when a*b exceeds
+# the same term bound, before it is multiplied.
 MAX_POWER_TERMS = 10_000
 MAX_POWER_BITS = 1_000
 
@@ -236,12 +238,13 @@ class _PolyParser:
         while True:
             if self.peek() == "*" and not self.s.startswith("**", self.pos):
                 self.pos += 1
-                p = p * self.factor()
-            elif self.peek() == "(" or _NAME.match(self.s, self.pos) \
-                    or _NUM.match(self.s, self.pos):
-                p = p * self.factor()
-            else:
+            elif not (self.peek() == "(" or _NAME.match(self.s, self.pos)
+                      or _NUM.match(self.s, self.pos)):
                 return p
+            q = self.factor()
+            if len(p.terms) * len(q.terms) > MAX_POWER_TERMS:
+                self.fail(f"product too large: over {MAX_POWER_TERMS} terms")
+            p = p * q
 
     def factor(self) -> MultiPoly:
         base = self.base()

@@ -23,7 +23,7 @@ from math import ceil, factorial, floor, prod
 from .divisors import slacks, support_meets
 from .errors import DegenerateVolume, Unbounded
 from .grading import representative_divisor
-from .lattice import clear_denominators, cramer, dot, is_complete, mat_det
+from .lattice import clear_denominators, cramer, dot, hnf_rows, is_complete, mat_det
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,11 @@ def _vertices(poly: HPolytope):
 
 def _is_bounded(poly: HPolytope) -> bool:
     """Exact recession cone test: only the origin may satisfy all
-    <v, normal> >= 0, exactly when the normals have rank n and no kernel
-    line of n-1 of them, spanned by its signed maximal minors, satisfies
-    them all in either direction."""
+    <v, normal> >= 0, exactly when the normals have rank n, read from one
+    ``hnf_rows`` echelon form, and no kernel line of n-1 of them, spanned by
+    its signed maximal minors, satisfies them all in either direction."""
     n, normals = poly.dim, poly.normals
-    if not any(mat_det(sub) for sub in itertools.combinations(normals, n)):
+    if len(hnf_rows(normals, n)) < n:
         return False
     for sub in itertools.combinations(normals, n - 1):
         v = [(-1) ** j * mat_det([nr[:j] + nr[j + 1:] for nr in sub]) for j in range(n)]

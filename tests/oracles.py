@@ -17,6 +17,7 @@ residue read from normal forms with every degree check done by
 ``degree_of``, membership in the radical through a slack variable, the
 completeness test that compares every pair of cones, the rank as the size
 of the largest nonzero minor, the determinant by cofactor expansion, the
+adjugate as n^2 signed minors and Cramer's rule as n+1 determinants, the
 numeric chart solver that read zeros from a lex basis in shape position,
 the chart solver and zero set the package once exported, the chart of a
 polynomial, its partials, its cone decomposition, its lift to a degree and
@@ -71,7 +72,7 @@ from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical
 from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
 from toricres.groebner import (Packing, grevlex, lex, packed_basis,
                                quotient_is_finite, standard_monomials)
-from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cramer, dot, freeze,
+from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, dot, freeze,
                               hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form)
 from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, degree_of, integer_terms
@@ -161,8 +162,33 @@ def smith_verify(dec: SmithDecomposition, A) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# elimination over Q, as the package ran it before every solve went through
-# integer Cramer or the Smith form
+# Cramer's rule and the adjugate by separate determinants, as the package ran
+# them before one elimination of [A | B] gave both; and elimination over Q,
+# as the package ran it before every solve went through integer Cramer or
+# the Smith form
+
+
+def cramer(rows, rhs):
+    """The one solution of the square integer system rows·x = rhs, or None
+    when det(rows) is 0.
+
+    Returns ``(num, den)`` with x = num/den: the Cramer numerators over the
+    determinant, divided by their common gcd so that ``den`` is positive.
+    """
+    den = mat_det(rows)
+    if den == 0:
+        return None
+    num = [mat_det([[*row[:j], b, *row[j + 1:]] for row, b in zip(rows, rhs)])
+           for j in range(len(rows))]
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    return tuple(x // g for x in num), den // g
+
+
+def adjugate(A) -> list[list[int]]:
+    """adj(A) of a square integer matrix, adj(A)·A = det(A)·I, its entries
+    the signed minors of A, each a ``mat_det``."""
+    return [[(-1) ** (i + j) * mat_det([r[:j] + r[j + 1:] for k, r in enumerate(A) if k != i])
+             for i in range(len(A))] for j in range(len(A))]
 
 
 def transpose(A):
@@ -1552,7 +1578,7 @@ def fraction_strictness_failures(fan, ms, coeffs):
 
 
 def slack_table(fan, coeffs):
-    """``(d, meets, slack)``: each cone's meet ``lattice.cramer`` gives for
+    """``(d, meets, slack)``: each cone's meet ``cramer`` gives for
     <x, ray_i> = -d*a_i on its rays, and slack[k][j] = <num_k, ray_j> +
     d*a_j*den_k for every cone and ray."""
     if len(coeffs) != fan.nvars:

@@ -1,9 +1,11 @@
 """The fan's cone table and walls against the solves they replace.
 
 ``FanData.cone_table`` holds det R and adj R of every maximal cone's rays
-R, and must agree cone by cone with ``mat_det``, ``adjugate`` and
-``cramer``; ``FanData.walls`` must be the ordered pairs of neighbouring
-cones found by comparing every pair of cones.  The Cartier, Q-ample and
+R, from one ``lattice.bareiss`` per cone, and must agree cone by cone with
+the Fraction determinant and the n^2 minors of ``oracles.adjugate``, and
+its meets with the n+1 determinants of ``oracles.cramer``, on random,
+fixture and bundle fans; ``FanData.walls`` must be the ordered pairs of
+neighbouring cones found by comparing every pair of cones.  The Cartier, Q-ample and
 ample reports, and the nef decision of ``divisor_polytope``, read wall
 slacks on a complete fan; they must agree with the answers read from the
 full slack table of one Cramer solve per cone
@@ -36,10 +38,11 @@ from toricres import (
 )
 from toricres.cayley import _bundle_exponent
 from toricres.divisors import support_meets
-from toricres.lattice import adjugate, cramer, freeze, mat_det
+from toricres.lattice import freeze
 
 from conftest import FIXTURES
-from oracles import nef_boundary, random_surface, slack_table_positivity
+from oracles import (adjugate, cramer, fraction_mat_det, nef_boundary, random_surface,
+                     slack_table_positivity)
 from test_differential import stellar_fans_3d
 from test_volume import complete_polygon_fans
 
@@ -70,7 +73,7 @@ def any_fans(draw):
 
 def expected_entry(fan, k):
     rays = fan.cone_rays(k)
-    det = mat_det(rays) if len(rays) == fan.dim else 0
+    det = fraction_mat_det(rays) if len(rays) == fan.dim else 0
     return (det, freeze(adjugate(rays))) if det else (0, None)
 
 
@@ -112,6 +115,11 @@ def bundle_fans():
 def complete_fans():
     fans = [load_fan(FIXTURES / f"{name}.fan.json")[0] for name in FAN_FILES]
     return fans + [P3] + [cd.bundle for cd in bundle_fans()]
+
+
+@pytest.mark.parametrize("fan", complete_fans() + [HALF_PLANE, DEPENDENT])
+def test_cone_tables_of_fixture_and_bundle_fans_match_the_minors(fan):
+    assert list(fan.cone_table) == [expected_entry(fan, k) for k in range(len(fan.max_cones))]
 
 
 @pytest.mark.parametrize("fan", complete_fans())

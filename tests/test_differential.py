@@ -607,15 +607,26 @@ def test_residues_and_local_sums_read_only_the_reducer_table(name):
     assert "generators" not in pb.groebner.__dict__
 
 
+def count_eliminations(monkeypatch, calls):
+    """Append the matrix of every ``lattice.mat_det`` and ``lattice.bareiss``
+    call to ``calls``; a ``mat_det`` appends it twice, as itself and as its
+    ``bareiss``."""
+    real_det, real_bareiss = lattice_mod.mat_det, lattice_mod.bareiss
+    monkeypatch.setattr(lattice_mod, "mat_det", lambda A: calls.append(A) or real_det(A))
+    monkeypatch.setattr(lattice_mod, "bareiss",
+                        lambda A, B=(): calls.append(A) or real_bareiss(A, B))
+
+
 @pytest.mark.parametrize("test", [is_ample, is_q_ample, divisor_polytope])
 def test_positivity_solves_cone_functionals_once(monkeypatch, pentagon, test):
     """One ``support_meets`` per positivity test or divisor polytope on a
     complete fan, for ample, nef-only and non-nef divisors alike, and no
-    determinant on the fan's cones once its cone table is built."""
+    determinant or elimination on the fan's cones once its cone table is
+    built."""
     fan, _ = pentagon
     assert fan.cone_table
     calls, dets = [], []
-    real, real_det = divisors_mod.support_meets, lattice_mod.mat_det
+    real = divisors_mod.support_meets
 
     def counted(fan, coeffs):
         calls.append(tuple(coeffs))
@@ -623,7 +634,7 @@ def test_positivity_solves_cone_functionals_once(monkeypatch, pentagon, test):
 
     monkeypatch.setattr(divisors_mod, "support_meets", counted)
     monkeypatch.setattr(polytopes_mod, "support_meets", counted)
-    monkeypatch.setattr(lattice_mod, "mat_det", lambda A: dets.append(A) or real_det(A))
+    count_eliminations(monkeypatch, dets)
     for coeffs in ((1, 1, 1, 1, 1), (0, 0, 1, 1, 1), (0, 0, 2, 3, 1)):
         calls.clear()
         test(fan, coeffs)
@@ -636,8 +647,8 @@ def test_positivity_solves_cone_functionals_once(monkeypatch, pentagon, test):
 
 
 def test_positivity_reads_the_cone_table_and_the_walls(monkeypatch):
-    """After a fan's first positivity test no determinant is taken on its
-    cones: every later Cartier, Q-ample and ample test and every nef
+    """After a fan's first positivity test no determinant or elimination is
+    taken on its cones: every later Cartier, Q-ample and ample test and every nef
     divisor polytope reads the cached cone table.  Slacks are formed at the
     walls only, and at every ray off every cone only for a divisor that
     fails a wall."""
@@ -645,13 +656,13 @@ def test_positivity_reads_the_cone_table_and_the_walls(monkeypatch):
                    [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert is_ample(fan, (1, 1, 1, 1, 1))
     dets, reads = [], []
-    real_det, real_slacks = lattice_mod.mat_det, divisors_mod.slacks
+    real_slacks = divisors_mod.slacks
 
     def counted(*args):
         reads.append("walls" if args[3] == fan.walls else len(args[3]))
         return real_slacks(*args)
 
-    monkeypatch.setattr(lattice_mod, "mat_det", lambda A: dets.append(A) or real_det(A))
+    count_eliminations(monkeypatch, dets)
     monkeypatch.setattr(divisors_mod, "slacks", counted)
     monkeypatch.setattr(polytopes_mod, "slacks", counted)
     ample, q_ample, nef_only, not_nef = ((1, 1, 1, 1, 1), (0, 0, 1, 3, 2), (0, 0, 1, 1, 1),

@@ -1,9 +1,12 @@
 """The integer solves against the Fraction elimination they replaced.
 
 ``lattice.cramer`` must give the solution ``oracles.solve_rational`` gives
-on every nonsingular square system and refuse every singular one,
-``lattice.adjugate`` the same solutions over the determinant, and
-``lattice.trace_of_solve`` the trace of the solutions for the columns of B;
+on every nonsingular square system and refuse every singular one;
+``lattice.bareiss`` must give the determinant ``oracles.fraction_mat_det``
+gives and, as X with A·X = det(A)·B, the product of the minors adjugate
+``oracles.adjugate`` with B, with Cramer's solutions ``oracles.cramer``
+over the determinant; ``lattice.trace_of_solve`` must give the trace of
+the solutions for the columns of B;
 ``cone_functionals`` must return the tuples of
 ``oracles.fraction_cone_functionals`` wherever each maximal cone has dim
 independent rays, and refuse the other fans by naming the cone; the
@@ -38,11 +41,13 @@ from toricres import (
 )
 from toricres import polytopes
 from toricres.cli import main
-from toricres.lattice import adjugate, cramer, mat_det, mat_vec, smith_normal_form, trace_of_solve
+from toricres.lattice import bareiss, cramer, mat_identity, smith_normal_form, trace_of_solve
 
 from conftest import FIXTURES, load
-from oracles import (fraction_cone_functionals, fraction_jacobian_ideal_degree_check,
-                     fraction_vertices, mat_mul, mat_rank, solve_rational, weight_system)
+import oracles
+from oracles import (adjugate, fraction_cone_functionals, fraction_jacobian_ideal_degree_check,
+                     fraction_mat_det, fraction_vertices, mat_mul, mat_rank, solve_rational,
+                     weight_system)
 from test_differential import stellar_fans_3d
 from test_polytope_layer import cut_boxes
 from test_volume import complete_polygon_fans
@@ -100,24 +105,127 @@ def test_cramer_reduces_and_fixes_the_sign():
 @SETTINGS
 @given(square_systems())
 def test_adjugate_solves_as_cramer_does(system):
-    """adj(A)·A = det(A)·I, and adj(A)·b over det A is Cramer's solution."""
+    """``bareiss`` against I is the minors adjugate, adj(A)·A = det(A)·I, and
+    against b it is adj(A)·b, over det A Cramer's solution."""
     rows, rhs = system
-    adj, det = adjugate(rows), mat_det(rows)
     n = len(rows)
-    assert mat_mul(adj, rows) == [[det * (i == j) for j in range(n)] for i in range(n)]
+    det, adj = bareiss(rows, mat_identity(n))
     got = cramer(rows, rhs)
+    assert got == oracles.cramer(rows, rhs)
     if det:
+        assert adj == adjugate(rows)
+        assert mat_mul(adj, rows) == [[det * (i == j) for j in range(n)] for i in range(n)]
         num, den = got
-        assert [Fraction(x, det) for x in mat_vec(adj, rhs)] == [Fraction(x, den) for x in num]
+        column = bareiss(rows, [[b] for b in rhs])[1]
+        assert [Fraction(x, det) for x, in column] == [Fraction(x, den) for x in num]
     else:
-        assert got is None
+        assert adj is None and got is None
 
 
 def test_adjugate_is_integer_only():
-    assert adjugate([[5]]) == [[1]]
-    assert adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
+    assert bareiss([[5]], [[1]]) == (5, [[1]])
+    assert bareiss([[1, 2], [3, 4]], mat_identity(2)) == (-2, [[4, -2], [-3, 1]])
     with pytest.raises(TypeError):
-        adjugate([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+        bareiss([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(TypeError):
+        bareiss([[1, 0], [0, 1]], [[1], [Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        bareiss([[Fraction(2)]], [[1]])
+
+
+# ---------------------------------------------------------------------------
+# bareiss
+
+
+@st.composite
+def eliminations(draw):
+    """A square integer A of size 0-7 and an integer B of as many rows with
+    0, 1 or n columns.  A is random, singular by a row that is an integer
+    combination of the others, or an upper triangular matrix with a nonzero
+    diagonal under a random row permutation: its k-th pivot column is zero
+    at row k unless the permutation fixes that row, so the elimination
+    swaps rows, an odd or an even number of times as the permutation's
+    sign."""
+    n = draw(st.integers(0, 7))
+    entry = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["random", "singular", "permuted"]))
+    A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if kind == "singular" and n > 1:
+        k = draw(st.integers(0, n - 1))
+        mult = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        A[k] = [sum(m * row[j] for m, (i, row) in zip(mult, enumerate(A)) if i != k)
+                for j in range(n)]
+    elif kind == "permuted":
+        pivots = draw(st.lists(st.integers(1, 3).flatmap(lambda x: st.sampled_from([x, -x])),
+                               min_size=n, max_size=n))
+        U = [[0] * i + [p] + row[i + 1:] for i, (p, row) in enumerate(zip(pivots, A))]
+        A = [U[i] for i in draw(st.permutations(range(n)))]
+    m = draw(st.sampled_from(sorted({0, 1, n})))
+    B = [draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m)) for _ in range(n)]
+    return A, B
+
+
+def swap_parity(A):
+    """The parity of the row swaps of an elimination that swaps a zero
+    pivot with the first row below it that is nonzero in its column,
+    counted over Q."""
+    M = [[Fraction(x) for x in row] for row in A]
+    parity = 0
+    for k in range(len(M)):
+        i = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if i is None:
+            return parity
+        if i != k:
+            M[k], M[i] = M[i], M[k]
+            parity ^= 1
+        for r in M[k + 1:]:
+            f = r[k] / M[k][k]
+            r[:] = [x - f * y for x, y in zip(r, M[k])]
+    return parity
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(eliminations())
+def test_bareiss_solves_against_the_minors_adjugate(pair):
+    """det A is the Fraction determinant, and X is adj(A)·B with A·X =
+    det(A)·B, through odd and even swap counts alike; no B gives no
+    columns."""
+    A, B = pair
+    det, X = bareiss(A, B)
+    assert det == fraction_mat_det(A)
+    if det == 0:
+        assert X is None
+        assert bareiss(A) == (0, None)
+        return
+    assert X == mat_mul(adjugate(A), B)
+    assert mat_mul(A, X) == [[det * b for b in row] for row in B]
+    assert bareiss(A) == (det, [[] for _ in A])
+
+
+def test_bareiss_swaps_rows_an_odd_and_an_even_number_of_times():
+    """Permutation matrices: one swap, then two, then three; each X is the
+    adjugate against B, which is det A times the transposed permutation."""
+    B = [[1, 2], [3, 4], [5, 6]]
+    for A, parity, det in (([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 1, -1),
+                           ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 0, 1),
+                           ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], 1, -1)):
+        n = len(A)
+        assert swap_parity(A) == parity
+        got, X = bareiss(A, B + [[7, 8]] * (n - 3))
+        assert got == det
+        assert X == mat_mul(adjugate(A), B + [[7, 8]] * (n - 3))
+        assert bareiss(A, mat_identity(n)) == (det, adjugate(A))
+    # a zero pivot met after the first step: only rows 2 and 3 swap
+    A = [[2, 1, 0], [4, 2, 1], [1, 0, 3]]
+    assert swap_parity(A) == 1
+    assert bareiss(A, mat_identity(3)) == (fraction_mat_det(A), adjugate(A))
+
+
+def test_bareiss_refuses_a_non_square_matrix():
+    for A, B in (([[1, 2]], ()), ([[1], [2]], ()), ([[1, 0], [0, 1]], [[1]])):
+        with pytest.raises(ValueError, match="non-square"):
+            bareiss(A, B)
+    assert bareiss([]) == bareiss([], []) == (1, [])
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,14 @@ def test_exit_parse_error_on_a_power_past_its_bounds(capsys):
     assert err.startswith("parse error: ") and "power too large" in err
 
 
+def test_exit_parse_error_on_a_product_past_its_bound(capsys):
+    """An H whose product expands past the term bound once took seconds to
+    multiply; it is refused before multiplying."""
+    assert main(["residue", fx("p2_fermat.json"), "--H", "(x0+1)^300*(x1+1)^300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "product too large" in err
+
+
 def test_exit_invalid_fan(tmp_path, capsys):
     p = tmp_path / "dup.json"
     p.write_text(json.dumps(

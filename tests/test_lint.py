@@ -200,21 +200,22 @@ def test_poly_has_one_product_loop():
 
 
 def test_cone_solves_read_the_cone_table():
-    """``adjugate`` is called only inside ``lattice.py``, where
-    ``FanData.cone_table`` is built, and neither ``divisors.py`` nor
-    ``poly.py`` imports ``cramer`` or ``adjugate``: the meets of the
-    positivity tests and the chart lift read det R and adj R of each cone
-    from the table, which solves each maximal cone once per fan."""
+    """``bareiss`` is called only inside ``lattice.py``, where
+    ``FanData.cone_table``, ``mat_det`` and ``cramer`` read it, and neither
+    ``divisors.py`` nor ``poly.py`` imports ``bareiss`` or ``cramer``: the
+    meets of the positivity tests and the chart lift read det R and adj R
+    of each cone from the table, which solves each maximal cone once per
+    fan."""
     found = []
     for path in sorted((ROOT / "src" / "toricres").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.name != "lattice.py":
             found += [(path.name, node.lineno) for node in ast.walk(tree)
                       if isinstance(node, ast.Call)
-                      and "adjugate" in (getattr(node.func, "id", None),
-                                         getattr(node.func, "attr", None))]
+                      and "bareiss" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))]
         if path.name in ("divisors.py", "poly.py"):
             found += [(path.name, node.lineno) for node in ast.walk(tree)
                       if isinstance(node, ast.ImportFrom)
-                      and {a.name for a in node.names} & {"cramer", "adjugate"}]
+                      and {a.name for a in node.names} & {"bareiss", "cramer"}]
     assert found == []

@@ -134,10 +134,38 @@ def test_the_power_bounds_at_their_edges(monkeypatch):
         MultiPoly.variable(3, 0, 100000) + 1
 
 
+def test_a_product_past_the_term_bound_is_a_parse_error():
+    """A product in a string once multiplied without bound:
+    (x+1)^300*(y+1)^300 built 90,601 terms.  An a-term factor times a
+    b-term factor is refused when a*b exceeds MAX_POWER_TERMS, before it is
+    multiplied, whether the product is written or implicit."""
+    for text in ("(x+1)^300*(y+1)^300", "(x+1)^300(y+1)^300", "(x+1)^100*(y+1)^100",
+                 "(x+y+z+1)^10*(x+y+z+1)^10", "(x+1)^99*(y+1)^99*(z+1)"):
+        with pytest.raises(ParseError, match="product too large: over 10000 terms"):
+            parse_poly(text, XYZ)
+    assert len(parse_poly("(x+1)^99*(y+1)^99", XYZ).terms) == 10000
+
+
+def test_the_product_bound_at_its_edge(monkeypatch):
+    """With a cap of 10: the running product's terms times the next
+    factor's, never the terms of a sum inside a factor."""
+    monkeypatch.setattr(poly_module, "MAX_POWER_TERMS", 10)
+    assert len(parse_poly("(x+1)*(y+1)*(z+1)", XYZ).terms) == 8
+    assert len(parse_poly("(x+z+1+x^2+z^2)*(y+1)", XYZ).terms) == 10
+    assert len(parse_poly("x*y*2z(x+y+z+1+x^2+y^2+z^2+x*y+x*z+y*z)", XYZ).terms) == 10
+    for text in ("(x+1)*(y+1)*(z+1)*(x+2)", "(x+y+z+1+x^2+y^2)*(y+1)", "(y+1)(x+y+z+1+x^2+y^2)"):
+        with pytest.raises(ParseError, match="product too large: over 10 terms"):
+            parse_poly(text, XYZ)
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")
                                         if not p.name.endswith(".fan.json")))
 def test_every_fixture_parses_within_the_power_bounds(name):
-    assert load(name).problem.polys
+    """Every problem fixture, its system and its H alike, parses within the
+    power bounds and the product bound."""
+    lp = load(name)
+    assert lp.problem.polys
+    assert all(isinstance(H, MultiPoly) for H in lp.inputs)
 
 
 # the parser's alphabet: names, digits, operators, parentheses and spaces
