@@ -164,10 +164,8 @@ def cmd_monomials(args) -> int:
 
 
 def _problem_from_args(args):
-    sigma = getattr(args, "sigma", None)
-    order = getattr(args, "order", None)
-    return load_problem(args.problemfile, sigma_override=sigma,
-                        order_override=order)
+    return load_problem(args.problemfile, sigma_override=args.sigma,
+                        order_override=args.order)
 
 
 def cmd_residue(args) -> int:
@@ -345,7 +343,7 @@ def cmd_check(args) -> int:
             raise HypothesesFailed("no admissible index: every zero set was refused")
         worst = max(deltas)
         ok = worst == 0
-        report["max_deviation"] = float(worst)
+        report["max_deviation"] = _rat(worst)
         report["skipped"] = [{"k": k, "reason": r} for k, r in skipped]
         lines.append(f"max |local sum - residue| = {_rat(worst)}")
         for k, r in skipped:
@@ -391,6 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         return p
 
+    def add_problem(p):
+        p.add_argument("problemfile")
+        p.add_argument("--sigma", type=int, help="1-based cone index")
+        p.add_argument("--order", help="monomial order, e.g. grevlex:x>y>z")
+
     p = add("fan", cmd_fan, help="validate a fan file")
     p.add_argument("fanfile")
     p = add("grading", cmd_grading, help="variable degrees and torsion")
@@ -405,27 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--free", required=True, help="free part, comma separated")
     p.add_argument("--torsion", help="torsion part, comma separated")
     p = add("residue", cmd_residue, help="full residue report")
-    p.add_argument("problemfile")
+    add_problem(p)
     p.add_argument("--H", help="input polynomial (defaults to the file's H)")
-    p.add_argument("--sigma", type=int, help="1-based cone index")
-    p.add_argument("--order", help="monomial order, e.g. grevlex:x>y>z")
     p = add("delta", cmd_delta, help="cone determinants")
-    p.add_argument("problemfile")
-    p.add_argument("--sigma", type=int)
-    p.add_argument("--order", help="monomial order override")
+    add_problem(p)
     p = add("check", cmd_check, help="run a named verification")
     p.add_argument("which", choices=["gtl", "theorem04", "jacobian", "codim1",
                                      "annihilation", "cayley"])
-    p.add_argument("problemfile")
+    add_problem(p)
     p.add_argument("--H", help="input polynomial override")
-    p.add_argument("--sigma", type=int)
-    p.add_argument("--order")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=20, help="random trials for gtl")
     p = add("cayley", cmd_cayley, help="bundle lift report and checks")
-    p.add_argument("problemfile")
-    p.add_argument("--sigma", type=int)
-    p.add_argument("--order")
+    add_problem(p)
     p = add("cone-xalpha", cmd_cone_xalpha, help="lifted cone generators for a divisor")
     p.add_argument("fanfile")
     p.add_argument("--coeffs", required=True)

@@ -74,8 +74,7 @@ class Grading:
 
     @property
     def nvars(self) -> int:
-        return len(self.free_rows[0]) if self.free_rows else (
-            len(self.torsion_rows[0]) if self.torsion_rows else 0)
+        return len(self.rays)
 
     @property
     def rank(self) -> int:
@@ -103,7 +102,7 @@ class Grading:
         nv = self.nvars
         n = len(self.rays[0]) if self.rays else 0
         image_rows = [tuple(r[j] for r in self.rays) for j in range(n)]
-        return (smith_normal_form(degree_system(self, range(nv))),
+        return (smith_normal_form(degree_system(self, range(nv)), nv + len(self.moduli)),
                 tuple(hnf_rows(image_rows, nv, align="right")))
 
 

@@ -166,10 +166,11 @@ class SmithDecomposition:
         return tuple(sum(self.V[i][j] * y[j] for j in range(n)) for i in range(n))
 
 
-def smith_normal_form(A) -> SmithDecomposition:
-    """Smith normal form with transforms, by pivoting on least-magnitude entries."""
+def smith_normal_form(A, ncols: int = 0) -> SmithDecomposition:
+    """Smith normal form with transforms, by pivoting on least-magnitude
+    entries; ``ncols`` is the column count of an A with no rows."""
     m = len(A)
-    n = len(A[0]) if m else 0
+    n = len(A[0]) if m else ncols
     S = [list(map(operator.index, row)) for row in A]
     U = mat_identity(m)
     V = mat_identity(n)

@@ -159,6 +159,10 @@ class MultiPoly:
             and self.terms == other.terms
 
     def __hash__(self):
+        # a constant, zero included, equals its value, so it hashes as one
+        one = (0,) * self.nvars
+        if self.terms.keys() <= {one}:
+            return hash(self.terms.get(one, 0))
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):

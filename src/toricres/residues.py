@@ -57,14 +57,9 @@ def in_irrelevant_ideal(p: MultiPoly, fan: FanData) -> bool:
 
 @dataclass(frozen=True)
 class ZeroLocusReport:
-    """``q_charts`` lists, ascending, the cones whose chart ideal needed a
-    basis over Q; it is empty when every chart is certified from the given
-    basis or is the unit ideal mod P."""
-
     ok: bool
     witness_cone: int | None = None
     witness_monomial: Exponent | None = None
-    q_charts: tuple[int, ...] = ()
 
     def __bool__(self):
         return self.ok
@@ -106,23 +101,28 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
                          ) -> ZeroLocusReport:
     """Whether the polynomials have no common zero away from the excluded locus.
 
-    The answer is the chart test's over Q: each maximal cone's chart ideal
-    (the inputs with the off-cone variables set to 1) is the unit ideal;
-    else the report names the first cone that fails.
+    One pass over the maximal cones in index order decides it.  A cone's
+    chart ideal (the inputs with the off-cone variables set to 1) passes
+    when it is certified from ``groebner``, else (on a complete fan with
+    P-integral inputs only) when it is the unit ideal mod P, else when it
+    is the unit ideal over Q.  The first chart that passes none of the
+    three holds a common zero and is the report's witness.  It is the
+    first cone whose chart fails over Q, unless an earlier chart is the
+    unit ideal mod P but not over Q (the P*x - 1 case below); that one is
+    passed, and the proof below shows that a later witness exists.
 
     Given ``groebner``, a Groebner basis of the ideal I of the inputs, a
-    chart is first certified from it: if zhat^N lies in I, zhat the
-    product of the off-cone variables, then setting those variables to 1
-    in zhat^N = sum A_j F_j writes 1 in the chart ideal, so it is the unit
+    chart is certified from it when zhat^N lies in I, zhat the product of
+    the off-cone variables: setting those variables to 1 in
+    zhat^N = sum A_j F_j writes 1 in the chart ideal, so it is the unit
     ideal over Q; by Cox's toric Nullstellensatz every chart that is the
     unit ideal has such an N.  The caps on N and on the size of the
     remainders bound the cost only: a chart that is not certified takes
-    the route below, which alone decides a failure.
+    the fields below, which alone decide a failure.
 
-    A basis over Q is built only for uncertified charts that are not the
-    unit ideal mod P, which is enough on a complete fan.  Proof: with
-    P-integral coefficients the inputs cut out Z in X over Z_(P), proper
-    as the fan is complete (Cox-Little-Schenck 3.4).
+    Passing a chart that is the unit ideal mod P is sound on a complete
+    fan.  Proof: with P-integral coefficients the inputs cut out Z in X
+    over Z_(P), proper as the fan is complete (Cox-Little-Schenck 3.4).
     Each chart A^n -> U_sigma is a finite quotient (Cox, JAG 1995), so it
     is surjective on points over Q-bar and over F_P-bar.  A point z of Z
     over Q-bar specializes to one over F_P-bar, which lies in some open
@@ -135,35 +135,26 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
     a denominator divisible by P there is no model over Z_(P), and on a fan
     that is not complete Z need not be proper (a point over Q-bar may
     reduce mod P to one off X); in both cases every uncertified chart is
-    decided over Q.  Both fields read each chart polynomial q as the integer
-    terms of d*q, d the lcm of its denominators: where P divides no input's
-    denominator, it divides none of q's, sums of the inputs' coefficients,
-    nor d, so d*q spans the same chart ideal mod P as q.
+    decided over Q.  Each chart's polynomials q are built once, as the
+    integer terms of d*q, d the lcm of its denominators, and both fields
+    read them: where P divides no input's denominator, it divides none of
+    q's, sums of the inputs' coefficients, nor d, so d*q spans the same
+    chart ideal mod P as q.
     """
     order = grevlex(fan.dim)
     unit_table = [(Packing(order).one, 1, ())]
     integral = is_complete(fan).ok and all(
         c.denominator % P for F in polys for c in F.terms.values())
-    over_q = {}
-
-    def unit(k, modulus):
+    for k in range(len(fan.max_cones)):
+        zhat = off_cone_exponent(fan, k)
+        if groebner is not None and _certified(groebner, zhat):
+            continue
         terms = [integer_terms(dehomogenize(F, fan, k))[1] for F in polys]
-        return packed_basis(terms, order, modulus) == unit_table
-
-    def unit_over_q(k):
-        if k not in over_q:
-            over_q[k] = unit(k, 0)
-        return over_q[k]
-
-    # a certified chart is unit over Q, so neither loop below needs it
-    cones = [k for k in range(len(fan.max_cones))
-             if groebner is None or not _certified(groebner, off_cone_exponent(fan, k))]
-    if all(unit_over_q(k) for k in cones if not (integral and unit(k, P))):
-        return ZeroLocusReport(True, q_charts=tuple(over_q))
-    # a common zero exists: the first chart that fails over Q may be one
-    # that was unit mod P
-    k = next(k for k in cones if not unit_over_q(k))
-    return ZeroLocusReport(False, k, off_cone_exponent(fan, k), tuple(sorted(over_q)))
+        if integral and packed_basis(terms, order, P) == unit_table:
+            continue
+        if packed_basis(terms, order, 0) != unit_table:
+            return ZeroLocusReport(False, k, zhat)
+    return ZeroLocusReport(True)
 
 
 def decompose(F: MultiPoly, fan: FanData, cone_index: int):

@@ -418,6 +418,35 @@ def test_only_gtl_reports_its_seed(capsys):
     assert report["check"] == "gtl" and report["seed"] == 7
 
 
+def test_theorem04_reports_its_deviation_exactly(capsys):
+    """The deviation is a rational, emitted as a string like every other
+    exact value."""
+    assert main(["check", "theorem04", fx("p1p1_numeric.json"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_deviation"] == "0"
+
+
+def test_a_trivial_class_group_grades_and_refuses_its_monomials(tmp_path, capsys):
+    """Rays forming a lattice basis leave no free and no torsion rows: the
+    grading reports two variables of the trivial class, and the monomials
+    of that class are the lattice points of an unbounded polytope."""
+    path = tmp_path / "plane.fan.json"
+    path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[1, 2]]}))
+    assert main(["grading", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "grading rank 0" in out and "deg x2 = ()" in out
+    assert main(["monomials", str(path), "--free", ""]) == 3
+    assert "unbounded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("head", [["residue"], ["delta"], ["check", "codim1"], ["cayley"]])
+def test_every_problem_command_reads_sigma_and_order(head):
+    args = cli.build_parser().parse_args(
+        head + ["p.json", "--sigma", "2", "--order", "lex:x>y"])
+    assert (args.problemfile, args.sigma, args.order) == ("p.json", 2, "lex:x>y")
+    args = cli.build_parser().parse_args(head + ["p.json"])
+    assert (args.sigma, args.order) == (None, None)
+
+
 def test_grading_output(capsys):
     assert main(["grading", fx("pentagon.fan.json")]) == 0
     out = capsys.readouterr().out

@@ -10,12 +10,15 @@ from toricres import (
     MultiPoly,
     NotAGrading,
     NotSurjective,
+    Unbounded,
     anticanonical_class,
     compute_grading,
     critical_degree,
     degree_of,
     representative_divisor,
     load_fan,
+    make_fan,
+    monomial_basis,
     validate_user_grading,
 )
 
@@ -38,6 +41,20 @@ def test_degree_refuses_an_exponent_of_another_length(p2):
             g.degree(e)
     with pytest.raises(DegreeMismatch):
         degree_of(MultiPoly(2, {(1, 1): 1}), g)
+
+
+def test_a_trivial_class_group_has_one_variable_per_ray():
+    """Rays that form a lattice basis give no free and no torsion rows; the
+    grading still has a variable per ray, every degree is the trivial class,
+    and its only exponent vector lifts to an unbounded polytope."""
+    fan = make_fan(2, [(1, 0), (0, 1)], [(0, 1)])
+    g = compute_grading(fan)
+    trivial = DegreeClass((), (), ())
+    assert g.nvars == 2 and g.rank == 0 and g.moduli == ()
+    assert g.degree((1, 0)) == anticanonical_class(g) == trivial
+    assert representative_divisor(g, trivial) == (0, 0)
+    with pytest.raises(Unbounded):
+        monomial_basis(fan, g, trivial)
 
 
 def test_p2_grading(p2):
@@ -171,7 +188,7 @@ def test_one_grading_makes_one_smith_form(name, monkeypatch):
     calls = []
     real = grading_mod.smith_normal_form
     monkeypatch.setattr(grading_mod, "smith_normal_form",
-                        lambda A: calls.append(A) or real(A))
+                        lambda A, *cols: calls.append(A) or real(A, *cols))
     for e in ((0,) * fan.nvars, (1,) * fan.nvars, (3,) + (0,) * (fan.nvars - 1)):
         target = g.degree(e)
         assert representative_divisor(g, target) == per_call_representative_divisor(g, target)

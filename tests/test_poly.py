@@ -519,3 +519,14 @@ def test_builders_refuse_a_polynomial_of_another_ring(p2):
     cd = build_cayley(fan, g, [(1, 0, 0)] * 3)
     with pytest.raises(DegreeMismatch):
         _lift_poly(cd, other, 0)
+
+
+@pytest.mark.parametrize("value", [0, 3, -2, Fraction(0), Fraction(3), Fraction(1, 2)])
+def test_a_constant_hashes_as_the_value_it_equals(value):
+    """Equal objects hash equally: a constant or zero polynomial equals its
+    value, so sets and dicts find either through the other."""
+    c = MultiPoly.constant(2, value)
+    assert c == value and hash(c) == hash(value)
+    assert value in {c} and c in {value}
+    assert {c: 1}[value] == 1 and {value: 1}[c] == 1
+    assert MultiPoly.variable(2, 0) + c != value

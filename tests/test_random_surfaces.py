@@ -93,11 +93,11 @@ def test_the_zero_locus_report_is_the_q_oracles(seed):
     """Also on the forms moved to vanish at a point of the torus, which
     lies in every chart, so the first cone fails."""
     pb, _ = dense_surface_system(seed)
-    report = with_basis(pb.fan, pb.polys, pb.groebner)
+    report, _ = with_basis(pb.fan, pb.polys, pb.groebner)
     event(f"common zero on X: {not report.ok}")
     rng = random.Random(seed)
     point = tuple(Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(pb.fan.nvars))
     polys = vanish_at(pb.polys, point)
     assume(all(not F.is_zero() for F in polys))
-    report = with_basis(pb.fan, polys)
+    report, _ = with_basis(pb.fan, polys)
     assert not report.ok and report.witness_cone == 0

@@ -1,21 +1,28 @@
 """The zero-locus test mod P against the test over Q alone.
 
-``no_common_zeros_on_x`` builds a basis over Q only for the charts that are
-not the unit ideal mod P; ``oracles.q_chart_zero_locus`` builds one for
-every chart.  Their ``ok``, ``witness_cone`` and ``witness_monomial`` must
-agree on every input, including inputs that vanish mod P, inputs with a
-denominator P and common zeros that exist only over Q or only mod P.
+``no_common_zeros_on_x`` passes over the charts in cone order and builds a
+basis over Q only for a chart that is not the unit ideal mod P;
+``oracles.q_chart_zero_locus`` builds one for every chart.  Their ``ok``,
+``witness_cone`` and ``witness_monomial`` must agree on every input,
+including inputs that vanish mod P, inputs with a denominator P and common
+zeros that exist only over Q or only mod P.  The one exception is a chart
+that is the unit ideal mod P but not over Q, because P divides a
+coefficient (``test_a_zero_that_leaves_its_chart_mod_p``): the pass goes
+on past it, and names a later chart.
 
 Given a basis of the inputs, ``no_common_zeros_on_x`` first certifies each
 chart by zhat^N reducing to zero; the report must then be the one without a
-basis apart from ``q_charts``, which may only shrink.  The caps are cost
-guards only: with the cap on N at 0 the report is the one without a basis,
-and with the cap on the size of a remainder at 0 only ``q_charts`` may
-change.
+basis, and the chart bases built, counted per modulus by ``chart_bases``,
+may only fall.  The caps are cost guards only: with the cap on N at 0 the
+report and the counts are the ones without a basis, and with the cap on
+the size of a remainder at 0 only the counts may change.  ``chart_bases``
+also fails any call that builds a basis over Q of a chart already found to
+be the unit ideal mod P.
 """
 
 import random
-from dataclasses import replace
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -24,8 +31,8 @@ from hypothesis import assume, given, settings, strategies as st
 from toricres import (GroebnerBasis, MultiPoly, ZeroLocusReport, compute_grading, dehomogenize,
                       grevlex, load_fan, make_fan, monomial_basis, no_common_zeros_on_x,
                       residues)
-from toricres.groebner import divide
-from toricres.residues import P, irrelevant_ideal
+from toricres.groebner import Packing, divide
+from toricres.residues import P, _certified, irrelevant_ideal, off_cone_exponent
 
 from conftest import FIXTURES, load
 from oracles import evaluate, mod_p, q_chart_zero_locus, unpacked_basis
@@ -41,29 +48,61 @@ def outcome(report):
     return report.ok, report.witness_cone, report.witness_monomial
 
 
+@contextmanager
+def chart_bases():
+    """Counts the calls of ``residues.packed_basis`` per modulus, 0 for Q,
+    into the Counter it yields.  A call that builds a basis over Q of
+    chart polynomials already found to be the unit ideal mod P fails."""
+    counts = Counter()
+    unit_mod_p = set()
+    real_packed_basis = residues.packed_basis
+
+    def counted(gens, order, modulus=0):
+        key = tuple(tuple(sorted(g.items())) for g in gens)
+        if not modulus and key in unit_mod_p:
+            raise AssertionError("a basis over Q of a chart that is unit mod P")
+        counts[modulus] += 1
+        table = real_packed_basis(gens, order, modulus)
+        if modulus and table == [(Packing(order).one, 1, ())]:
+            unit_mod_p.add(key)
+        return table
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residues, "packed_basis", counted)
+        yield counts
+
+
+def decide(fan, polys, groebner=None):
+    """The report of the package and the chart bases it built per modulus."""
+    with chart_bases() as counts:
+        report = no_common_zeros_on_x(fan, polys, groebner)
+    return report, counts
+
+
 def both(fan, polys):
-    """The report of the package and the outcome of the Q oracle."""
-    report = no_common_zeros_on_x(fan, polys)
+    """The report of the package without a basis, and its chart bases per
+    modulus, checked against the outcome of the Q oracle."""
+    report, counts = decide(fan, polys)
     assert outcome(report) == outcome(q_chart_zero_locus(fan, polys))
-    return report
+    return report, counts
 
 
 def with_basis(fan, polys, groebner=None):
-    """The report with a basis of the inputs (by default a grevlex one),
-    checked against the report without one and against the Q oracle."""
-    plain = both(fan, polys)
+    """The report with a basis of the inputs (by default a grevlex one) and
+    its chart bases per modulus, checked against the report without a
+    basis and against the Q oracle."""
+    plain, plain_counts = both(fan, polys)
     groebner = groebner or GroebnerBasis.of(list(polys), grevlex(fan.nvars))
-    report = no_common_zeros_on_x(fan, polys, groebner)
-    assert replace(report, q_charts=()) == replace(plain, q_charts=())
-    assert set(report.q_charts) <= set(plain.q_charts)
+    report, counts = decide(fan, polys, groebner)
+    assert report == plain
+    assert all(counts[m] <= plain_counts[m] for m in counts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residues, "CERTIFICATE_STEPS", 0)
-        assert no_common_zeros_on_x(fan, polys, groebner) == plain
+        assert decide(fan, polys, groebner) == (plain, plain_counts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residues, "CERTIFICATE_TERMS", 0)
-        capped = no_common_zeros_on_x(fan, polys, groebner)
-    assert replace(capped, q_charts=()) == replace(plain, q_charts=())
-    return report
+        assert decide(fan, polys, groebner)[0] == plain
+    return report, counts
 
 
 def chart_is_unit(fan, polys, k, modulus):
@@ -85,21 +124,14 @@ def test_zero_locus_matches_q_oracle_on_fixtures(name):
     with_basis(pb.fan, pb.polys, pb.groebner)
 
 
-def test_fixtures_are_certified_from_their_basis(monkeypatch):
+def test_fixtures_are_certified_from_their_basis():
     """Every chart of every fixture is certified from the problem's own
     basis, so its zero-locus report builds no chart basis at all."""
-    calls = []
-    real_packed_basis = residues.packed_basis
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real_packed_basis(*args, **kwargs)
-
-    monkeypatch.setattr(residues, "packed_basis", counted)
     for name in RESIDUE_FIXTURES:
         pb = load(name).problem
-        assert pb.zero_locus() == ZeroLocusReport(True)
-        assert calls == [], name
+        with chart_bases() as counts:
+            assert pb.zero_locus() == ZeroLocusReport(True)
+        assert counts == {}, name
 
 
 def test_the_mod_p_route_builds_no_polynomial_over_gf_p(monkeypatch):
@@ -107,22 +139,15 @@ def test_the_mod_p_route_builds_no_polynomial_over_gf_p(monkeypatch):
     every ``MultiPoly`` it builds has Fraction coefficients."""
     problems = [load(name).problem for name in RESIDUE_FIXTURES]
     real_from_terms = MultiPoly.from_terms
-    real_packed_basis = residues.packed_basis
-    moduli = []
 
     def checked(cls, nvars, terms):
         assert all(type(c) is Fraction for c in terms.values())
         return real_from_terms(nvars, terms)
 
-    def counted(gens, order, modulus=0):
-        moduli.append(modulus)
-        return real_packed_basis(gens, order, modulus)
-
     monkeypatch.setattr(MultiPoly, "from_terms", classmethod(checked))
-    monkeypatch.setattr(residues, "packed_basis", counted)
     for pb in problems:
-        assert no_common_zeros_on_x(pb.fan, pb.polys).ok
-    assert set(moduli) == {P}
+        report, counts = decide(pb.fan, pb.polys)
+        assert report.ok and set(counts) == {P}
 
 
 def test_fixtures_are_decided_mod_p_alone():
@@ -132,8 +157,8 @@ def test_fixtures_are_decided_mod_p_alone():
     assert {"p1p1_infinite.json", "pentagon_outside.json"} <= set(RESIDUE_FIXTURES)
     for name in RESIDUE_FIXTURES:
         pb = load(name).problem
-        report = no_common_zeros_on_x(pb.fan, pb.polys)
-        assert report.ok and report.q_charts == ()
+        report, counts = both(pb.fan, pb.polys)
+        assert report.ok and counts == {P: len(pb.fan.max_cones)}
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +212,7 @@ def test_every_chart_unit_mod_p_makes_every_chart_unit_over_q(system):
     cones = range(len(fan.max_cones))
     if all(chart_is_unit(fan, polys, k, P) for k in cones):
         assert all(chart_is_unit(fan, polys, k, 0) for k in cones)
-        assert no_common_zeros_on_x(fan, polys).q_charts == ()
+        assert decide(fan, polys) == (ZeroLocusReport(True), {P: len(cones)})
 
 
 @SETTINGS
@@ -229,8 +254,8 @@ def test_a_common_zero_on_the_torus_fails_at_the_first_cone(system, data):
                   for _ in range(fan.nvars))
     polys = vanish_at(polys, point)
     assume(all(not F.is_zero() for F in polys))
-    report = both(fan, polys)
-    assert not report.ok and report.witness_cone == 0 and report.q_charts == (0,)
+    report, counts = both(fan, polys)
+    assert not report.ok and report.witness_cone == 0 and counts == {P: 1, 0: 1}
     with_basis(fan, polys)
 
 
@@ -246,9 +271,8 @@ def test_a_common_zero_on_p2_fails_the_charts_that_hold_it(point, witness, syste
     polys = vanish_at(polys, tuple(map(Fraction, point)))
     assume(all(not F.is_zero() for F in polys))
     assume(all(chart_is_unit(fan, polys, k, 0) for k in range(witness)))
-    report = with_basis(fan, polys)
-    assert not report.ok and report.witness_cone == witness
-    assert report.q_charts == (witness,)
+    report, counts = with_basis(fan, polys)
+    assert not report.ok and report.witness_cone == witness and counts[0] == 1
 
 
 @SETTINGS
@@ -263,15 +287,16 @@ def test_a_common_line_on_p3_fails_the_charts_that_meet_it(coeffs):
     polys = [x[2] * linear[2 * j] + x[3] * linear[2 * j + 1] for j in range(4)]
     assume(all(not F.is_zero() for F in polys))
     assume(chart_is_unit(P3, polys, 0, 0) and chart_is_unit(P3, polys, 1, 0))
-    report = with_basis(P3, polys)
-    assert not report.ok and report.witness_cone == 2 and report.q_charts == (2,)
+    report, counts = with_basis(P3, polys)
+    assert not report.ok and report.witness_cone == 2 and counts[0] == 1
 
 
 def test_a_common_plane_on_p3_ends_its_certificate_at_the_term_cap(monkeypatch):
-    """Forms L*Q_j share the plane L = 0, which meets every chart of P^3.
-    In the chart of the lead variable of L the remainders of zhat^N grow
-    like N^2; the term cap ends that certificate, and no remainder longer
-    than the cap is multiplied by zhat again."""
+    """Forms L*Q_j share the plane L = 0, which meets every chart of P^3,
+    so the report names cone 0.  In the chart of cone 3, whose zhat is x1,
+    the lead variable of L, the remainders of zhat^N grow like N^2; the
+    term cap ends that certificate, and no remainder longer than the cap
+    is multiplied by zhat again."""
     sizes = []
 
     def counted(terms, *args):
@@ -289,8 +314,12 @@ def test_a_common_plane_on_p3_ends_its_certificate_at_the_term_cap(monkeypatch):
 
     L = form(1)
     polys = [L * form(2) for _ in range(4)]
-    report = with_basis(fan, polys)
+    groebner = GroebnerBasis.of(polys, grevlex(fan.nvars))
+    report, _ = with_basis(fan, polys, groebner)
     assert not report.ok and report.witness_cone == 0
+    assert off_cone_exponent(fan, 3) == (1, 0, 0, 0)
+    sizes.clear()
+    assert not _certified(groebner, off_cone_exponent(fan, 3))
     assert max(size for size, _ in sizes) <= residues.CERTIFICATE_TERMS
     assert max(size for _, size in sizes) > residues.CERTIFICATE_TERMS
 
@@ -306,22 +335,40 @@ def test_a_common_zero_at_a_torus_fixed_point_fails_over_q(system, data):
     polys = [MultiPoly(fan.nvars, {e: c for e, c in F.terms.items()
                                    if any(e[i] for i in cone)}) for F in polys]
     assume(all(not F.is_zero() for F in polys))
-    report = both(fan, polys)
-    assert not report.ok and report.witness_cone <= k
-    assert report.witness_cone in report.q_charts
+    report, counts = both(fan, polys)
+    assert not report.ok and report.witness_cone <= k and counts[0] == 1
     with_basis(fan, polys)
 
 
 def test_a_zero_that_leaves_its_chart_mod_p():
     """x - P*y vanishes at [P : 1], in both charts of P^1 over Q; mod P the
     zero is [0 : 1], outside the chart of cone 0, whose ideal (1 - P*y) is
-    the unit ideal mod P.  The failure found at cone 1 must still name
-    cone 0, the first cone that fails over Q."""
+    the unit ideal mod P.  The pass goes on past cone 0 and names cone 1,
+    which fails both mod P and over Q, though the Q oracle names cone 0,
+    the first cone that fails over Q."""
     fan, _ = load_fan(FIXTURES / "p1.fan.json")
     F = MultiPoly(2, {(1, 0): 1, (0, 1): -P})
     assert chart_is_unit(fan, [F, F], 0, P) and not chart_is_unit(fan, [F, F], 0, 0)
-    report = both(fan, [F, F])
-    assert not report.ok and report.witness_cone == 0 and report.q_charts == (0, 1)
+    assert outcome(q_chart_zero_locus(fan, [F, F])) == (False, 0, (1, 0))
+    report, counts = decide(fan, [F, F])
+    assert report == ZeroLocusReport(False, 1, (0, 1)) and counts == {P: 2, 0: 1}
+
+
+def test_each_chart_is_built_once_for_both_fields(monkeypatch):
+    """On x - P*y on P^1 the pass reads cone 0 mod P and cone 1 mod P and
+    over Q, from one dehomogenization of each input per chart."""
+    fan, _ = load_fan(FIXTURES / "p1.fan.json")
+    F = MultiPoly(2, {(1, 0): 1, (0, 1): -P})
+    charts = []
+    real_dehomogenize = residues.dehomogenize
+
+    def counted(p, fan, k):
+        charts.append(k)
+        return real_dehomogenize(p, fan, k)
+
+    monkeypatch.setattr(residues, "dehomogenize", counted)
+    assert decide(fan, [F, F])[1] == {P: 2, 0: 1}
+    assert charts == [0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("q", [P, 3], ids=["P", "3"])
@@ -335,8 +382,8 @@ def test_a_fan_that_is_not_complete_decides_every_chart_over_q(q):
     x, y, z = (MultiPoly.variable(3, i) for i in range(3))
     polys = [x - y * q, z - y * q, x - z]
     assert (q == P) == all(chart_is_unit(fan, polys, k, P) for k in (0, 1))
-    report = both(fan, polys)
-    assert not report.ok and report.witness_cone == 0
+    report, counts = both(fan, polys)
+    assert not report.ok and report.witness_cone == 0 and counts == {0: 1}
 
 
 @SETTINGS
@@ -345,9 +392,9 @@ def test_an_input_that_is_zero_mod_p_falls_back_to_q(system, data):
     fan, polys = system
     j = data.draw(st.integers(0, len(polys) - 1))
     polys[j] = polys[j] * P
-    report = both(fan, polys)
+    report, counts = both(fan, polys)
     assume(report.ok)
-    assert report.q_charts
+    assert counts[0]
 
 
 @SETTINGS
@@ -357,9 +404,9 @@ def test_a_denominator_p_sends_every_chart_to_q(system, data):
     j = data.draw(st.integers(0, len(polys) - 1))
     e = data.draw(st.sampled_from(sorted(polys[j].terms)))
     polys[j] = polys[j] + MultiPoly.monomial(e, Fraction(1, P))
-    report = both(fan, polys)
+    report, counts = both(fan, polys)
     assume(report.ok)
-    assert report.q_charts == tuple(range(len(fan.max_cones)))
+    assert counts == {0: len(fan.max_cones)}
 
 
 # ---------------------------------------------------------------------------
@@ -384,5 +431,25 @@ def seeded_dense_system(fan, grading, degree, seed):
 def test_cliff_rungs_are_decided_without_q(name, exponent, seed):
     fan, grading = load_fan(FIXTURES / f"{name}.fan.json")
     polys = seeded_dense_system(fan, grading, grading.degree(exponent), seed)
-    report = no_common_zeros_on_x(fan, polys)
-    assert report.ok and report.q_charts == ()
+    report, counts = decide(fan, polys)
+    assert report.ok and counts == {P: len(fan.max_cones)}
+
+
+def test_a_zero_on_a_surface_divisor_is_found_without_a_q_basis_of_a_unit_chart():
+    """Forms of the class (0,2,3,1,0) on a five-ray surface moved to vanish
+    at (1,1,1,0,1), on the divisor of ray 3, which meets the charts of
+    cones 2 and 3.  Cones 0 and 1 are the unit ideal mod P, and the Q basis
+    of cone 0 takes minutes, so the pass must not build it: cone 2 fails
+    mod P and over Q after one basis over Q."""
+    fan = make_fan(2, [(-2, -1), (0, -1), (1, 2), (0, 1), (-1, 0)],
+                   [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    grading = compute_grading(fan)
+    mons = monomial_basis(fan, grading, grading.degree((0, 2, 3, 1, 0)))
+    assert len(mons) == 18
+    rng = random.Random(0)
+    polys = [MultiPoly(fan.nvars, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in mons})
+             for _ in range(3)]
+    polys = vanish_at(polys, tuple(map(Fraction, (1, 1, 1, 0, 1))))
+    report, counts = decide(fan, polys)
+    assert report == ZeroLocusReport(False, 2, (1, 1, 0, 0, 1))
+    assert counts == {P: 3, 0: 1}
