@@ -77,7 +77,8 @@ def _lift_poly(cd: CayleyData, p: MultiPoly, y_index: int | None = None) -> Mult
     if p.nvars != cd.base_count:
         raise DegreeMismatch("polynomial ring does not match the base fan")
     y = tuple(int(j == y_index) for j in range(cd.n + 1))
-    return MultiPoly.from_terms(cd.bundle.nvars, {e + y: c for e, c in p.terms.items()})
+    return MultiPoly.from_integer_terms(cd.bundle.nvars, p.d,
+                                        {e + y: c for e, c in p.num.items()})
 
 
 def _bundle_exponent(cd: CayleyData) -> tuple[int, ...]:
@@ -152,7 +153,7 @@ def jacobian_ideal_degree_check(cd: CayleyData, polys) -> bool:
                   MultiPoly.zero(cd.bundle.nvars))
     for i in range(cd.base_count):
         partial = bundled.partial(i)
-        for e in partial.terms:
+        for e in partial.num:
             if not any(e[cd.base_count:]):
                 return False
     return True

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 a check reported failure, 2 parse problems
 (also non-integer or wrong-length options), 3 invalid fan data or degree
-basis (also a problem on a fan that is not complete and simplicial, or an
-unbounded polytope), 4 violated hypotheses (wrong degree, a zero or
+basis (also a problem on a fan that is not complete and simplicial) or an
+unbounded polytope, 4 violated hypotheses (wrong degree, a zero or
 non-homogeneous input, membership, a refused local residue sum) and
 any other package error, 5 a problem that passes membership and the zero
 locus but whose critical-degree quotient is not one-dimensional or has no

@@ -60,9 +60,10 @@ class NonUniqueLift(ToricError):
 
 
 class Unbounded(ToricError):
-    """Polyhedron is unbounded; enumeration refused."""
+    """Polyhedron is unbounded; enumeration refused.  The fan may be valid,
+    so the prefix is its own."""
 
-    exit_code, prefix = 3, "invalid fan"
+    exit_code, prefix = 3, "unbounded polytope"
 
 
 class DegenerateVolume(ToricError):

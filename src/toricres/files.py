@@ -83,13 +83,11 @@ def load_fan(path) -> tuple[FanData, Grading]:
         fan = make_fan(data["dim"], data["rays"], data["max_cones"],
                        variables=tuple(data["variables"]) if "variables" in data else None,
                        one_based=True)
+        if "degree_basis" in data:
+            return fan, validate_user_grading(fan, data["degree_basis"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if "degree_basis" in data:
-        grading = validate_user_grading(fan, data["degree_basis"])
-    else:
-        grading = compute_grading(fan)
-    return fan, grading
+    return fan, compute_grading(fan)
 
 
 @dataclass(frozen=True)

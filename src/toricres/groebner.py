@@ -22,8 +22,8 @@ reducers are monic with coefficients in [0, p).  One pseudo-division
 serves both: it cancels c*x^e against lead coefficient lc by scaling the
 pending terms by lc/gcd(c, lc), 1 over GF(p).  A nonzero scale changes no
 term's vanishing, so each step picks the reducer that division with
-Fractions would.  Fractions appear only where ``GroebnerBasis`` hands its
-basis or a remainder to a caller as polynomials.
+Fractions would.  ``GroebnerBasis`` hands its basis and every remainder
+to a caller as polynomials, integer terms over one denominator.
 
 Buchberger with the Gebauer-Moeller pair update, normal selection strategy,
 and full inter-reduction to the reduced basis.  Orders are
@@ -47,7 +47,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import DegreeMismatch, ExponentTooLarge, ParseError
-from .poly import Exponent, MultiPoly, integer_terms
+from .poly import Exponent, MultiPoly
 
 
 @dataclass(frozen=True)
@@ -374,7 +374,7 @@ class GroebnerBasis:
         """The basis of the ideal of the MultiPolys ``gens``."""
         if any(g.nvars != order.nvars for g in gens):
             raise DegreeMismatch("polynomial ring does not match the order")
-        return cls(tuple(packed_basis([integer_terms(g)[1] for g in gens], order)), order)
+        return cls(tuple(packed_basis([g.num for g in gens], order)), order)
 
     @cached_property
     def packing(self) -> Packing:
@@ -394,20 +394,15 @@ class GroebnerBasis:
         return tuple(MultiPoly.from_integer_terms(self.order.nvars, lc, {le: lc, **dict(tail)})
                      for le, lc, tail in self.reducers)
 
-    def remainder(self, terms: dict) -> tuple[int, dict]:
-        """``divide`` on integer terms keyed by exponent tuples."""
-        packing = self.packing
-        scale, rem = divide(packing.pack_terms(terms), self.table, packing)
-        return scale, packing.unpack_terms(rem)
-
     def reduce(self, p: MultiPoly) -> MultiPoly:
-        """Remainder of p: its denominators cleared once, by d, the integer
-        remainder r comes back as r/(scale*d)."""
+        """Remainder of p: ``divide`` on its integer terms returns the integer
+        remainder r of scale*p.num, and the normal form is r/(scale*p.d),
+        brought to lowest terms."""
         if p.nvars != self.order.nvars:
             raise DegreeMismatch("polynomial ring does not match the basis")
-        d, terms = integer_terms(p)
-        scale, rem = self.remainder(terms)
-        return MultiPoly.from_integer_terms(p.nvars, scale * d, rem)
+        packing = self.packing
+        scale, rem = divide(packing.pack_terms(p.num), self.table, packing)
+        return MultiPoly.from_integer_terms(p.nvars, scale * p.d, packing.unpack_terms(rem))
 
     @property
     def leading_exponents(self) -> tuple[Exponent, ...]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     DegreeMismatch,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis, grevlex, quotient_is_finite, standard_monomials
 from .lattice import mat_det, trace_of_solve
-from .poly import MultiPoly, dehomogenize, integer_det, integer_terms, product_sum
+from .poly import MultiPoly, dehomogenize, poly_det
 from .residues import no_common_zeros_on_x, require_critical_degree
 
 # how close a floating-point value of a local sum must come to the exact one;
@@ -56,15 +56,6 @@ class _Quotient:
             raise NotZeroDimensional("chart system has positive-dimensional zeros")
         self.basis = standard_monomials(self.gb)
 
-    def _normal_form(self, terms: dict, d: int):
-        """(d', r): the normal form of terms/d is r/d', with d' > 0 the least
-        common denominator of its coefficients.  The basis's ``remainder``
-        returns s times it over d, and one gcd with its content lowers s*d
-        to d'."""
-        scale, rem = self.gb.remainder(terms)
-        g = gcd(scale * d, *rem.values())
-        return scale * d // g, {e: c // g for e, c in rem.items()}
-
     @cached_property
     def _times_variable(self):
         """For each variable x_j, (D_j, table): table[b] is the normal form of
@@ -72,29 +63,28 @@ class _Quotient:
         lcm of the denominators of those normal forms."""
         out = []
         for j in range(self.polys[0].nvars):
-            forms = {b: self._normal_form({tuple(k + (i == j) for i, k in enumerate(b)): 1}, 1)
+            forms = {b: self.gb.reduce(MultiPoly.monomial([k + (i == j) for i, k in enumerate(b)]))
                      for b in self.basis}
-            D = lcm(*(d for d, _ in forms.values()))
-            out.append((D, {b: {e: c * (D // d) for e, c in nf.items()}
-                            for b, (d, nf) in forms.items()}))
+            D = lcm(*(nf.d for nf in forms.values()))
+            out.append((D, {b: {e: c * (D // nf.d) for e, c in nf.num.items()}
+                            for b, nf in forms.items()}))
         return out
 
     @cached_property
-    def jacobian(self) -> tuple[int, dict]:
-        """The Jacobian determinant J in integers, as ``integer_det``'s (d, terms)."""
-        return integer_det([[p.partial(j) for j in range(p.nvars)] for p in self.polys])
+    def jacobian(self) -> MultiPoly:
+        """The Jacobian determinant J."""
+        return poly_det([[p.partial(j) for j in range(p.nvars)] for p in self.polys])
 
-    def matrix(self, d: int, terms: dict):
-        """(d', G) for g = terms/d, terms integer: G is the integer matrix
-        whose column b is column b of M_g times d'*s_b, where d' clears the
-        denominators of the normal form of g and s_b = prod_j D_j^(b_j).  B
-        is sorted and closed under division, so x^b = x_j*x^c for a c
-        earlier in B, and the column of b is x_j times the column of c,
-        reduced term by term through ``_times_variable``.  The s_b depend on
-        b alone, so they scale the G of every g by one similarity, and leave
-        det G = 0 as it is."""
-        d, nf = self._normal_form(terms, d)
-        cols = {b: nf for b in self.basis[:1]}
+    def matrix(self, g: MultiPoly):
+        """(d, G): G is the integer matrix whose column b is column b of M_g
+        times d*s_b, where d is the denominator of the normal form of g and
+        s_b = prod_j D_j^(b_j).  B is sorted and closed under division, so
+        x^b = x_j*x^c for a c earlier in B, and the column of b is x_j times
+        the column of c, reduced term by term through ``_times_variable``.
+        The s_b depend on b alone, so they scale the G of every g by one
+        similarity, and leave det G = 0 as it is."""
+        nf = self.gb.reduce(g)
+        cols = {b: nf.num for b in self.basis[:1]}
         for b in self.basis[1:]:
             j = next(i for i, k in enumerate(b) if k)
             table = self._times_variable[j][1]
@@ -103,21 +93,19 @@ class _Quotient:
                 for f, x in table[e].items():
                     col[f] = col.get(f, 0) + c * x
             cols[b] = col
-        return d, [[cols[b].get(e, 0) for b in self.basis] for e in self.basis]
+        return nf.d, [[cols[b].get(e, 0) for b in self.basis] for e in self.basis]
 
     def require_simple(self):
         """NonSimpleZero unless det M_J != 0, J the Jacobian determinant."""
-        if mat_det(self.matrix(*self.jacobian)[1]) == 0:
+        if mat_det(self.matrix(self.jacobian)[1]) == 0:
             raise NonSimpleZero("the Jacobian vanishes at a zero (det M_J = 0)")
 
     def trace(self, h: MultiPoly, g: MultiPoly) -> Fraction | None:
         """The sum of h/(g*J) over the zeros, or None when M_{g*J} is
         singular.  It is (d_{gJ}/d_h) * Tr(G_{gJ}^-1 G_h): the similarity of
         ``matrix`` cancels in the trace, its scalars d do not."""
-        d_j, jac = self.jacobian
-        d_g, g = integer_terms(g)
-        d_gj, A = self.matrix(d_g * d_j, product_sum([(g, jac, 1)]))
-        d_h, B = self.matrix(*integer_terms(h))
+        d_gj, A = self.matrix(g * self.jacobian)
+        d_h, B = self.matrix(h)
         t = trace_of_solve(A, B)
         return None if t is None else t * d_gj / d_h
 

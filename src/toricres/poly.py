@@ -1,12 +1,15 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms are stored as a dict from exponent tuples to nonzero Fractions.
-Integer work, over Z or GF(p), reads and writes plain term dicts instead,
-converted by ``integer_terms`` and ``MultiPoly.from_integer_terms``.
-Products and determinants of polynomials both run on integer terms in this
-module (``product_sum``; ``integer_det`` over one denominator).  The
-representation is deliberately tiny; Groebner machinery and residue code
-only need arithmetic, substitution, and exact degree bookkeeping.
+A polynomial is the pair (d, num): integer terms ``num``, a dict from
+exponent tuples to nonzero ints, over one denominator d > 0, in lowest
+terms (gcd(d, *num) = 1).  Equal polynomials have equal pairs.  Every
+kernel, over Z or GF(p), reads ``num`` and ``d`` directly and builds its
+result through ``MultiPoly.from_integer_terms``; ``terms`` is the Fraction
+view, built on each access.  Products and determinants of polynomials both
+run on integer terms in this module (``product_sum``; ``poly_det`` over one
+denominator).  The representation is deliberately tiny; Groebner machinery
+and residue code only need arithmetic, substitution, and exact degree
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import (
     NoIntegralLift,
@@ -32,14 +35,17 @@ Exponent = tuple[int, ...]
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "d", "num")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
         clean = {}
+        rational = False
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
+                    rational = True
                 if c:
                     e = tuple(map(operator.index, e))
                     if len(e) != nvars:
@@ -49,48 +55,63 @@ class MultiPoly:
         # one pass over every exponent: a test per term slows building an H
         if min(itertools.chain.from_iterable(clean), default=0) < 0:
             raise ValueError("negative exponent")
-        self.terms = clean
+        self.d = 1
+        if rational:
+            # the lcm of the denominators leaves d and the numerators coprime
+            self.d, nums = clear_denominators(clean.values())
+            clean = dict(zip(clean, nums))
+        self.num = clean
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_terms(cls, nvars, terms):
-        """Trusted constructor: terms must already map int exponent tuples
-        of length nvars to nonzero Fractions.  The dict is kept, not copied
-        or checked."""
+    def from_integer_terms(cls, nvars, d, terms):
+        """The polynomial terms/d, for nonzero integer terms keyed by int
+        exponent tuples of length nvars and a nonzero int d: brought to
+        lowest terms with one gcd.  The dict is kept, not copied or checked,
+        when no reduction is needed."""
+        g = gcd(d, *terms.values())
+        if d < 0:
+            g = -g
         p = cls.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        if g == 1:
+            p.d, p.num = d, terms
+        else:
+            p.d, p.num = d // g, {e: c // g for e, c in terms.items()}
         return p
 
     @classmethod
-    def from_integer_terms(cls, nvars, d, terms):
-        """The polynomial terms/d, for integer terms and a nonzero int d."""
-        return cls.from_terms(nvars, {e: Fraction(c, d) for e, c in terms.items()})
-
-    @classmethod
     def zero(cls, nvars):
-        return cls(nvars, {})
+        return cls.from_integer_terms(nvars, 1, {})
 
     @classmethod
     def constant(cls, nvars, c):
         c = Fraction(c)
-        return cls(nvars, {tuple([0] * nvars): c} if c else {})
+        return cls.from_integer_terms(nvars, c.denominator,
+                                      {(0,) * nvars: c.numerator} if c else {})
 
     @classmethod
     def variable(cls, nvars, i, power=1):
         e = [0] * nvars
         e[i] = power
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, exponent, coef=1):
-        return cls(len(exponent), {tuple(exponent): Fraction(coef)})
+        return cls(len(exponent), {tuple(exponent): coef})
+
+    @property
+    def terms(self) -> dict:
+        """Exponent -> nonzero Fraction coefficient: a view of (d, num),
+        built on each access."""
+        d = self.d
+        return {e: Fraction(c, d) for e, c in self.num.items()}
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -102,20 +123,23 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
+        d = lcm(self.d, other.d)
+        s, t = d // self.d, d // other.d
+        out = {e: c * s for e, c in self.num.items()}
+        for e, c in other.num.items():
+            c = out.get(e, 0) + c * t
+            if c:
+                out[e] = c
             else:
-                out.pop(e, None)
-        return MultiPoly.from_terms(self.nvars, out)
+                del out[e]
+        return MultiPoly.from_integer_terms(self.nvars, d, out)
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self):
-        return MultiPoly.from_terms(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly.from_integer_terms(self.nvars, self.d,
+                                            {e: -c for e, c in self.num.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -130,11 +154,12 @@ class MultiPoly:
             c = Fraction(other)
             if not c:
                 return MultiPoly.zero(self.nvars)
-            return MultiPoly.from_terms(self.nvars, {e: c * v for e, v in self.terms.items()})
+            n = c.numerator
+            return MultiPoly.from_integer_terms(self.nvars, self.d * c.denominator,
+                                                {e: n * v for e, v in self.num.items()})
         self._check(other)
-        d1, a = integer_terms(self)
-        d2, b = integer_terms(other)
-        return MultiPoly.from_integer_terms(self.nvars, d1 * d2, product_sum([(a, b, 1)]))
+        return MultiPoly.from_integer_terms(self.nvars, self.d * other.d,
+                                            product_sum([(self.num, other.num, 1)]))
 
     def __rmul__(self, other):
         return self * other
@@ -156,14 +181,14 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
         return isinstance(other, MultiPoly) and self.nvars == other.nvars \
-            and self.terms == other.terms
+            and self.d == other.d and self.num == other.num
 
     def __hash__(self):
         # a constant, zero included, equals its value, so it hashes as one
         one = (0,) * self.nvars
-        if self.terms.keys() <= {one}:
-            return hash(self.terms.get(one, 0))
-        return hash((self.nvars, frozenset(self.terms.items())))
+        if self.num.keys() <= {one}:
+            return hash(Fraction(self.num.get(one, 0), self.d))
+        return hash((self.nvars, self.d, frozenset(self.num.items())))
 
     def __repr__(self):
         names = tuple(f"x{i + 1}" for i in range(self.nvars))
@@ -173,18 +198,12 @@ class MultiPoly:
 
     def partial(self, i: int) -> "MultiPoly":
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             if e[i]:
                 ne = list(e)
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
-        return MultiPoly.from_terms(self.nvars, out)
-
-
-def integer_terms(p: MultiPoly) -> tuple[int, dict[Exponent, int]]:
-    """d, the lcm of the denominators of p, and the integer terms of d*p."""
-    d, nums = clear_denominators(p.terms.values())
-    return d, dict(zip(p.terms, nums))
+        return MultiPoly.from_integer_terms(self.nvars, self.d, out)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +265,7 @@ class _PolyParser:
                       or _NUM.match(self.s, self.pos)):
                 return p
             q = self.factor()
-            if len(p.terms) * len(q.terms) > MAX_POWER_TERMS:
+            if len(p.num) * len(q.num) > MAX_POWER_TERMS:
                 self.fail(f"product too large: over {MAX_POWER_TERMS} terms")
             p = p * q
 
@@ -261,9 +280,8 @@ class _PolyParser:
                 self.fail("bad exponent")
             self.pos = m.end()
             k = int(m.group())
-            d, nums = integer_terms(base)
-            norm, t = sum(map(abs, nums.values())), len(nums)
-            if norm and k * ((norm - 1).bit_length() + (d - 1).bit_length()) > MAX_POWER_BITS:
+            norm, t = sum(map(abs, base.num.values())), len(base.num)
+            if norm and k * ((norm - 1).bit_length() + (base.d - 1).bit_length()) > MAX_POWER_BITS:
                 self.fail(f"power too large: coefficients over {MAX_POWER_BITS} bits")
             if t > 1 and k and (max(t, k) > MAX_POWER_TERMS
                                 or comb(t + k - 1, k) > MAX_POWER_TERMS):
@@ -349,7 +367,7 @@ def degree_of(p: MultiPoly, grading):
     """Common degree class of all terms; raises when terms disagree."""
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no degree")
-    it = iter(p.terms)
+    it = iter(p.num)
     first = next(it)
     d0 = grading.degree(first)
     for e in it:
@@ -367,15 +385,16 @@ def is_homogeneous(p: MultiPoly, grading) -> bool:
     return True
 
 
-def integer_det(M: list[list[MultiPoly]]) -> tuple[int, dict[Exponent, int]]:
-    """(d, terms) with d > 0 and integer terms: the determinant of a square
-    matrix of polynomials is terms/d.
+def poly_det(M: list[list[MultiPoly]]) -> MultiPoly:
+    """The determinant of a square matrix of polynomials, in integers over
+    one denominator.
 
-    Each column is cleared of denominators once, and d is the product of
-    those scales.  The integer matrix is expanded from the last row up: the
-    minor of the bottom k rows on each k-set of columns is found once, from
-    the row above's entries and the (k-1)-minors already found, skipping
-    zero factors.  That is at most n·2^(n-1) - n products for an n×n matrix.
+    Each column is brought to the lcm of its entries' denominators once,
+    and the determinant's denominator is the product of those scales.  The
+    integer matrix is expanded from the last row up: the minor of the
+    bottom k rows on each k-set of columns is found once, from the row
+    above's entries and the (k-1)-minors already found, skipping zero
+    factors.  That is at most n·2^(n-1) - n products for an n×n matrix.
     """
     n = len(M)
     if n == 0:
@@ -384,16 +403,16 @@ def integer_det(M: list[list[MultiPoly]]) -> tuple[int, dict[Exponent, int]]:
         raise NonSquare("determinant needs a square matrix")
     d, cols = 1, []
     for col in zip(*M):
-        scale, nums = clear_denominators(c for p in col for c in p.terms.values())
-        d, nums = d * scale, iter(nums)
-        cols.append([dict(zip(p.terms, nums)) for p in col])
+        scale = lcm(*(p.d for p in col))
+        d *= scale
+        cols.append([{e: c * (scale // p.d) for e, c in p.num.items()} for p in col])
     minors = {(j,): cols[j][-1] for j in range(n)}
     for r in range(n - 2, -1, -1):
         below = minors
         minors = {js: product_sum((cols[j][r], below[js[:k] + js[k + 1:]], (-1) ** k)
                                   for k, j in enumerate(js))
                   for js in itertools.combinations(range(n), n - r)}
-    return d, minors[tuple(range(n))]
+    return MultiPoly.from_integer_terms(M[0][0].nvars, d, minors[tuple(range(n))])
 
 
 def product_sum(triples) -> dict[Exponent, int]:
@@ -410,12 +429,6 @@ def product_sum(triples) -> dict[Exponent, int]:
     return {e: c for e, c in out.items() if c}
 
 
-def poly_det(M: list[list[MultiPoly]]) -> MultiPoly:
-    """``integer_det`` read as a polynomial."""
-    d, terms = integer_det(M)
-    return MultiPoly.from_integer_terms(M[0][0].nvars, d, terms)
-
-
 # ---------------------------------------------------------------------------
 # chart moves
 
@@ -428,10 +441,10 @@ def dehomogenize(p: MultiPoly, fan, cone_index: int) -> MultiPoly:
     """
     cone = fan.cone(cone_index)
     out = {}
-    for e, c in p.terms.items():
+    for e, c in p.num.items():
         ne = tuple([e[i] for i in cone])
         out[ne] = out[ne] + c if ne in out else c
-    return MultiPoly.from_terms(len(cone), {e: c for e, c in out.items() if c})
+    return MultiPoly.from_integer_terms(len(cone), p.d, {e: c for e, c in out.items() if c})
 
 
 def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
@@ -449,7 +462,7 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     degree gap needs a negative exponent.  The lift keeps e on the cone's
     rays, so distinct terms lift to distinct terms.
     """
-    if not q.terms:
+    if not q.num:
         return MultiPoly.zero(fan.nvars)
     cone = fan.cone(cone_index)
     det, adj = fan.cone_table[cone_index]
@@ -457,7 +470,7 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
         raise NonUniqueLift("off-cone exponents are not determined by the degree")
     a = representative_divisor(grading, target)
     out = {}
-    for e, c in q.terms.items():
+    for e, c in q.num.items():
         m = mat_vec(adj, [x - a[i] for x, i in zip(e, cone)])
         if any(x % det for x in m):
             raise NoIntegralLift("no integral exponent pattern reaches the degree")
@@ -466,4 +479,4 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
         if any(x < 0 for x in key):
             raise NoIntegralLift("degree gap needs a negative exponent")
         out[key] = c
-    return MultiPoly.from_terms(fan.nvars, out)
+    return MultiPoly.from_integer_terms(fan.nvars, q.d, out)

@@ -29,8 +29,7 @@ from .grading import DegreeClass, Grading, compute_grading, critical_degree, rep
 from .groebner import (GroebnerBasis, MonomialOrder, Packing, _divides, divide, grevlex,
                        packed_basis)
 from .lattice import FanData, cone_det, cone_group_order, is_complete
-from .poly import (Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree,
-                   integer_det, integer_terms, poly_det)
+from .poly import Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
 
 
@@ -48,7 +47,7 @@ def irrelevant_ideal(fan: FanData) -> tuple[Exponent, ...]:
 def irrelevant_witness(p: MultiPoly, fan: FanData) -> Exponent | None:
     """A term of p outside the irrelevant ideal, or None when p lies inside."""
     gens = irrelevant_ideal(fan)
-    return next((e for e in sorted(p.terms) if not any(_divides(g, e) for g in gens)), None)
+    return next((e for e in sorted(p.num) if not any(_divides(g, e) for g in gens)), None)
 
 
 def in_irrelevant_ideal(p: MultiPoly, fan: FanData) -> bool:
@@ -135,21 +134,19 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
     a denominator divisible by P there is no model over Z_(P), and on a fan
     that is not complete Z need not be proper (a point over Q-bar may
     reduce mod P to one off X); in both cases every uncertified chart is
-    decided over Q.  Each chart's polynomials q are built once, as the
-    integer terms of d*q, d the lcm of its denominators, and both fields
-    read them: where P divides no input's denominator, it divides none of
-    q's, sums of the inputs' coefficients, nor d, so d*q spans the same
-    chart ideal mod P as q.
+    decided over Q.  Each chart's polynomials q = q.num/q.d are built
+    once, and both fields read their integer terms q.num: q.d divides F.d,
+    as q's coefficients are sums of F's, so where P divides no input's F.d
+    it divides no q.d, and q.num spans the same chart ideal mod P as q.
     """
     order = grevlex(fan.dim)
     unit_table = [(Packing(order).one, 1, ())]
-    integral = is_complete(fan).ok and all(
-        c.denominator % P for F in polys for c in F.terms.values())
+    integral = is_complete(fan).ok and all(F.d % P for F in polys)
     for k in range(len(fan.max_cones)):
         zhat = off_cone_exponent(fan, k)
         if groebner is not None and _certified(groebner, zhat):
             continue
-        terms = [integer_terms(dehomogenize(F, fan, k))[1] for F in polys]
+        terms = [dehomogenize(F, fan, k).num for F in polys]
         if integral and packed_basis(terms, order, P) == unit_table:
             continue
         if packed_basis(terms, order, 0) != unit_table:
@@ -170,7 +167,7 @@ def decompose(F: MultiPoly, fan: FanData, cone_index: int):
     cone = fan.cone(cone_index)
     zhat = off_cone_exponent(fan, cone_index)
     parts = [dict() for _ in range(len(cone) + 1)]
-    for e, c in F.terms.items():
+    for e, c in F.num.items():
         slot = None
         for pos, i in enumerate(cone):
             if e[i] > 0:
@@ -186,7 +183,7 @@ def decompose(F: MultiPoly, fan: FanData, cone_index: int):
             ne = [a - b for a, b in zip(e, zhat)]
             slot = 0
         parts[slot][tuple(ne)] = c
-    return tuple(MultiPoly.from_terms(fan.nvars, d) for d in parts)
+    return tuple(MultiPoly.from_integer_terms(fan.nvars, F.d, part) for part in parts)
 
 
 @dataclass(frozen=True)
@@ -271,13 +268,13 @@ class ResidueProblem:
     report come from one pass over the cached monomials against the cached
     basis, and the functional is held once, as one integer vector over a
     common denominator; the residue of every H is an integer dot product
-    with it.  Delta_sigma is held in integers too, as ``integer_det``'s
-    (d, terms), so c_sigma is one integer dot product and one Fraction;
-    ``delta`` is its Fraction view, built only when asked for.  The
-    zero-locus report reads the cached basis too: it certifies each chart
-    by a power of zhat reducing to zero, so building it builds the basis.
-    Construction only validates shapes, homogeneity and the rays of sigma,
-    so non-conforming inputs can still be probed.
+    with it.  Delta_sigma, ``delta``, is a polynomial like every other,
+    integer terms over one denominator, so c_sigma, the functional at it,
+    is one integer dot product and one Fraction.  The zero-locus report
+    reads the cached basis too: it certifies each chart by a power of zhat
+    reducing to zero, so building it builds the basis.  Construction only
+    validates shapes, homogeneity and the rays of sigma, so non-conforming
+    inputs can still be probed.
     """
 
     def __init__(self, fan: FanData, polys, order: MonomialOrder | None = None,
@@ -350,23 +347,13 @@ class ResidueProblem:
     def zero_locus(self) -> ZeroLocusReport:
         return self._zero_locus
 
-    def _delta_terms(self, k: int) -> tuple[int, dict]:
-        """Delta_k in integers: ``integer_det``'s (d, terms) of the
-        decomposition matrix at cone k, column j holding input j's parts."""
-        cols = [decompose(F, self.fan, k) for F in self.polys]
-        return integer_det([list(row) for row in zip(*cols)])
-
-    @cached_property
-    def _delta(self) -> tuple[int, dict]:
-        return self._delta_terms(self.sigma)
-
     @cached_property
     def delta(self) -> MultiPoly:
-        return MultiPoly.from_integer_terms(self.fan.nvars, *self._delta)
+        return cone_determinant(self)
 
     @cached_property
     def c_sigma(self) -> Fraction:
-        return self._pairing(*self._delta)
+        return self.normal_coefficient(self.delta)
 
     def cone_sign(self, cone_index: int) -> int:
         """+1 or -1 as the rays of the cone, in ascending order, are oriented
@@ -374,24 +361,21 @@ class ResidueProblem:
         d = cone_det(self.fan, cone_index) * self._sigma_det
         return (d > 0) - (d < 0)
 
-    def _pairing(self, d: int, terms: dict) -> Fraction:
-        """The functional at terms/d, terms integer: one integer dot product
-        with D*l over d*D; terms outside the critical degree give 0."""
-        D, num = self._functional[1]
-        return Fraction(sum(num[e] * c for e, c in terms.items() if e in num), d * D)
-
     def normal_coefficient(self, H: MultiPoly) -> Fraction:
         """Coefficient of the pivot in the normal form of H: the functional
-        applied to H, its denominators cleared once."""
-        return self._pairing(*integer_terms(H))
+        at H = H.num/H.d, one integer dot product of H.num with D*l over
+        H.d*D; terms outside the critical degree give 0."""
+        D, num = self._functional[1]
+        return Fraction(sum(num[e] * c for e, c in H.num.items() if e in num), H.d * D)
 
 
 def cone_determinant(problem: ResidueProblem, cone_index: int | None = None) -> MultiPoly:
     """Determinant of the decomposition matrix at a cone (default: sigma),
-    zhat's coefficients in the first row, read from its integer form;
+    column j holding input j's parts, zhat's coefficients in the first row;
     ValueError when no maximal cone has the index."""
     k = problem.sigma if cone_index is None else cone_index
-    return MultiPoly.from_integer_terms(problem.fan.nvars, *problem._delta_terms(k))
+    cols = [decompose(F, problem.fan, k) for F in problem.polys]
+    return poly_det([list(row) for row in zip(*cols)])
 
 
 def _require_hypotheses(problem: ResidueProblem):
@@ -423,7 +407,7 @@ def require_critical_degree(problem: ResidueProblem, H: MultiPoly):
     if H.nvars != problem.fan.nvars:
         raise DegreeMismatch("polynomial ring does not match the fan")
     # an H with every term in the critical slice has the critical degree
-    if H.is_zero() or problem._monomial_set.issuperset(H.terms):
+    if H.is_zero() or problem._monomial_set.issuperset(H.num):
         return
     try:
         dH = degree_of(H, problem.grading)
@@ -479,7 +463,8 @@ def sigma_independence_check(problem: ResidueProblem) -> bool:
     """Across all maximal cones, the normalizing coefficients agree up to the
     sign of each cone's orientation relative to sigma (``cone_sign``)."""
     c_sigma = problem.c_sigma
-    return all(problem._pairing(*problem._delta_terms(k)) == problem.cone_sign(k) * c_sigma
+    return all(problem.normal_coefficient(cone_determinant(problem, k))
+               == problem.cone_sign(k) * c_sigma
                for k in range(len(problem.fan.max_cones)))
 
 
@@ -497,7 +482,7 @@ def verify_gtl(problem: ResidueProblem, A, H: MultiPoly) -> bool:
     for j in range(n1):
         beta = None
         for i in range(n1):
-            if M[i][j].terms:
+            if M[i][j].num:
                 d = degree_of(M[i][j], problem.grading) + problem.degrees[i]
                 if beta not in (None, d):
                     raise DegreeMismatch(f"entry ({i},{j}) breaks the column degree pattern")
@@ -533,7 +518,7 @@ def variable_annihilation_check(problem: ResidueProblem) -> AnnihilationReport:
         for m in problem.monomials:
             e = list(m)
             e[i] += 1
-            if gb.remainder({tuple(e): 1})[1]:
+            if not gb.reduce(MultiPoly.monomial(e)).is_zero():
                 return AnnihilationReport(False, (i, m))
     return AnnihilationReport(True)
 
@@ -546,12 +531,12 @@ def toric_jacobian(problem: ResidueProblem) -> MultiPoly:
     fan, k = problem.fan, problem.sigma
     charts = [dehomogenize(p, fan, k) for p in problem.polys]
     n = fan.dim
-    d, terms = integer_det([charts] + [[f.partial(j) for f in charts] for j in range(n)])
-    if not terms:
+    det = poly_det([charts] + [[f.partial(j) for f in charts] for j in range(n)])
+    if det.is_zero():
         return MultiPoly.zero(fan.nvars)
     # the chart trivialization of the Euler form carries the index of the
     # cone, so the determinant overcounts by it on orbifold charts
-    det = MultiPoly.from_integer_terms(n, d * cone_group_order(fan, k), terms)
+    det = det * Fraction(1, cone_group_order(fan, k))
     return homogenize_to_degree(det, fan, k, problem.critical, problem.grading)
 
 

@@ -44,9 +44,10 @@ and Fraction elimination, is a reference value for both the exact residue
 and the package's trace.  Tests compare engine output against them.  The
 queries only tests call (evaluation, substitution and coefficients of a
 polynomial, the order comparison, the Smith-form check with its matrix
-product, a packed basis unpacked to exponent tuples and a polynomial's
-integer terms mod P) live here too, as does a generator of random complete
-surfaces with an ample class.
+product, a packed basis unpacked to exponent tuples, a polynomial built
+unchecked from Fraction terms and a polynomial's integer terms mod P) live
+here too, as does a generator of random complete surfaces with an ample
+class.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from toricres.groebner import (Packing, grevlex, lex, packed_basis,
 from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, dot, freeze,
                               hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form)
 from toricres.localres import _chart, _Quotient
-from toricres.poly import Exponent, degree_of, integer_terms
+from toricres.poly import Exponent, degree_of
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
                                 lattice_points)
 from toricres.residues import P, CodimReport, ZeroLocusReport, _require_hypotheses
@@ -783,6 +784,14 @@ def unpacked_basis(gens, order: MonomialOrder, modulus: int = 0):
             for le, lc, tail in packed_basis(gens, order, modulus)]
 
 
+def fraction_poly(nvars: int, terms: dict) -> MultiPoly:
+    """The polynomial of nonzero rational ``terms``, keyed by int exponent
+    tuples of length nvars, built unchecked with its denominators cleared
+    once."""
+    d, nums = clear_denominators(terms.values())
+    return MultiPoly.from_integer_terms(nvars, d, dict(zip(terms, nums)))
+
+
 def mod_p(q: MultiPoly) -> dict[Exponent, int]:
     """The integer terms of q mod P: its P-integral coefficients reduced to
     ints in [1, P), the terms that vanish mod P dropped, as the zero-locus
@@ -814,7 +823,7 @@ def integer_table(basis, order: MonomialOrder, modulus: int = 0):
     from their coefficients, as ``GroebnerBasis`` once derived its table
     from its monic Fraction generators: primitive with lc > 0 over Q, monic
     over GF(modulus) for int coefficients."""
-    return [integer_reducer(integer_terms(g)[1], order, modulus)
+    return [integer_reducer(g.num, order, modulus)
             for g in basis if not g.is_zero()]
 
 
@@ -859,7 +868,7 @@ def divide(p: MultiPoly, table, order: MonomialOrder, modulus: int = 0) -> Multi
             else:
                 work[ne] = -factor * gc
                 heappush(heap, (hkey(ne), ne))
-    return MultiPoly.from_terms(p.nvars, rem)
+    return fraction_poly(p.nvars, rem)
 
 
 def s_polynomial(f: Reducer, g: Reducer, nvars: int) -> MultiPoly:
@@ -880,7 +889,7 @@ def s_polynomial(f: Reducer, g: Reducer, nvars: int) -> MultiPoly:
             terms[ne] = s
         else:
             del terms[ne]
-    return MultiPoly.from_terms(nvars, terms)
+    return fraction_poly(nvars, terms)
 
 
 def _monic(r: MultiPoly, order: MonomialOrder, modulus: int) -> Reducer:
@@ -954,7 +963,7 @@ def parallel_list_buchberger(gens, order, modulus=0):
         c = leading_term(r, order)[1]
         if modulus:
             inv = pow(int(c), -1, modulus)
-            return MultiPoly.from_terms(nv, {e: v * inv % modulus for e, v in r.terms.items()})
+            return fraction_poly(nv, {e: v * inv % modulus for e, v in r.terms.items()})
         return r * (Fraction(1) / c)
 
     def pair_key(ij):
@@ -1356,7 +1365,7 @@ def fraction_product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                 out[e] = s
             else:
                 del out[e]
-    return MultiPoly.from_terms(p.nvars, out)
+    return fraction_poly(p.nvars, out)
 
 
 def pairing_det(fan: FanData, basis, ray_indices) -> int:
@@ -2013,8 +2022,8 @@ def quotient_zeros(quotient, seed: int):
     _, V = np.linalg.eig(sum(rng.randint(1, 99) * M for M in coords))
     diags = [np.diag(np.linalg.solve(V, M @ V)) for M in coords]
     system = [_complex_terms(p) for p in polys]
-    sizes = [_complex_terms(MultiPoly.from_terms(
-        p.nvars, {e: abs(c) for e, c in p.terms.items()})) for p in polys]
+    sizes = [_complex_terms(MultiPoly.from_integer_terms(
+        p.nvars, p.d, {e: abs(c) for e, c in p.num.items()})) for p in polys]
     jac = _jacobian_terms(polys)
     pts = _newton_refine(system, jac, list(zip(*diags)))
     pts = _dedupe([p for p in pts if _residual(system, sizes, p) < RESIDUAL_TOL])
@@ -2137,7 +2146,7 @@ def numeric_torus_total(nvars: int, f_list, g: MultiPoly, seed: int = 0) -> comp
     with the refusals of ``euler_jacobi_check`` in its order."""
     quotient = _Quotient(list(f_list))
     quotient.require_simple()
-    if mat_det(quotient.matrix(1, {(1,) * nvars: 1})[1]) == 0:
+    if mat_det(quotient.matrix(MultiPoly.monomial((1,) * nvars))[1]) == 0:
         raise NotTorusZero("zero off the torus")
     g_terms = _complex_terms(g)
     return sum((complex(_evaluate(g_terms, z)) / (prod(z) * det)

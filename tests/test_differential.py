@@ -56,7 +56,6 @@ from toricres import (
 )
 
 from toricres.groebner import Packing, divide, s_polynomial
-from toricres.poly import integer_terms
 from toricres.residues import P, residue_functional
 
 from conftest import FIXTURES, load
@@ -232,8 +231,8 @@ def assert_basis_matches_oracle(gens, order):
 def assert_mod_p_basis_matches_oracle(gens, order):
     """The table of the inputs mod P is the one read back from the
     oracle's basis of them over GF(P)."""
-    gens_p = [MultiPoly.from_terms(g.nvars, mod_p(g)) for g in gens]
-    assert unpacked_basis([g.terms for g in gens_p], order, P) \
+    gens_p = [MultiPoly.from_integer_terms(g.nvars, 1, mod_p(g)) for g in gens]
+    assert unpacked_basis([g.num for g in gens_p], order, P) \
         == integer_table(parallel_list_buchberger(gens_p, order, P), order, P)
 
 
@@ -328,7 +327,7 @@ def scaled_lead_cases(draw):
 @given(st.one_of(division_cases(), scaled_lead_cases()))
 def test_pseudo_division_is_a_scale_times_the_fraction_division(case):
     p, basis, order = case
-    d, terms = integer_terms(p)
+    d, terms = p.d, p.num
     scale, rem = packed_divide(terms, integer_table(basis, order), order)
     expected = fraction_divide(p * d, reducer_table(basis, order), order)
     assert scale > 0
@@ -342,7 +341,7 @@ def test_pseudo_division_scales_the_pending_terms():
     order = grevlex(2)
     p = parse_poly("x^2 + y^2", names)
     table = integer_table([parse_poly("2*x + y", names)], order)
-    assert packed_divide(integer_terms(p)[1], table, order) == (4, {(0, 2): 5})
+    assert packed_divide(p.num, table, order) == (4, {(0, 2): 5})
     gb = GroebnerBasis.of([parse_poly("2*x + y", names)], order)
     assert gb.reducers == tuple(table)
     assert gb.reduce(p) == parse_poly("5/4*y^2", names)
@@ -396,7 +395,8 @@ def test_s_polynomial_of_monic_reducers_matches_multipoly_oracle(case):
     assert fraction_s_polynomial(*monic, f.nvars) == expected
     rf, rg = integer_table([f, g], order)
     k = Fraction(rf[1] * rg[1], math.gcd(rf[1], rg[1]))
-    assert MultiPoly.from_terms(f.nvars, packed_s_polynomial(rf, rg, order)) == expected * k
+    assert MultiPoly.from_integer_terms(f.nvars, 1, packed_s_polynomial(rf, rg, order)) \
+        == expected * k
     pf, pg = (integer_reducer(mod_p(q), order, P) for q in (f, g))
     s_p = {e: c % P for e, c in packed_s_polynomial(pf, pg, order).items()}
     assert {e: c for e, c in s_p.items() if c} == mod_p(expected)

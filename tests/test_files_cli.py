@@ -294,6 +294,18 @@ def test_exit_rejected_degree_basis(tmp_path, capsys, rows, message):
     assert "invalid fan" in err and message in err
 
 
+@pytest.mark.parametrize("rows", [5, [1, 1, 1], [[[1], 1, 1]]])
+def test_exit_parse_error_on_a_degree_basis_that_is_not_a_matrix(tmp_path, capsys, rows):
+    """A degree basis of integers that is not a list of integer rows is
+    refused where the file is read, as the same shapes in rays are."""
+    p = tmp_path / "fan.json"
+    p.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                             "max_cones": [[1, 2], [2, 3], [1, 3]], "degree_basis": rows}))
+    assert main(["grading", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"parse error: {p}: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("rows, code", [([[2, 2, 2]], 3), ([[-1, -1, -1]], 0)])
 def test_torsion_fan_degree_basis_is_a_change_of_basis(tmp_path, capsys, rows, code):
     # the torsion row and the ray image reach [1, 1, 1] from [2, 2, 2], but
@@ -324,6 +336,8 @@ EXIT_CODES = {
 }
 PREFIXES = {2: "parse error", 3: "invalid fan", 4: "hypotheses violated",
             5: "codimension failure"}
+# an unbounded polytope can come from a valid fan, so it has a prefix of its own
+OWN_PREFIXES = {"Unbounded": "unbounded polytope"}
 
 
 def test_every_error_type_has_its_exit_code(monkeypatch, capsys):
@@ -336,7 +350,7 @@ def test_every_error_type_has_its_exit_code(monkeypatch, capsys):
         monkeypatch.setattr(cli, "cmd_fan", fail)
         code = EXIT_CODES[name]
         assert (name, main(["fan", fx("p2.fan.json")])) == (name, code)
-        assert capsys.readouterr().err == f"{PREFIXES[code]}: boom\n"
+        assert capsys.readouterr().err == f"{OWN_PREFIXES.get(name, PREFIXES[code])}: boom\n"
 
 
 # rays (1,0), (0,1), (-1,0) covering the upper half plane only, and a
@@ -350,7 +364,7 @@ def test_exit_unbounded_polytope_on_incomplete_fan(tmp_path, capsys):
     p = tmp_path / "half.fan.json"
     p.write_text(json.dumps(HALF_PLANE))
     assert main(["monomials", str(p), "--free", "1"]) == 3
-    assert capsys.readouterr().err.startswith("invalid fan: ")
+    assert capsys.readouterr().err.startswith("unbounded polytope: ")
 
 
 @pytest.mark.parametrize("fan, witness", [
@@ -435,7 +449,8 @@ def test_a_trivial_class_group_grades_and_refuses_its_monomials(tmp_path, capsys
     out = capsys.readouterr().out
     assert "grading rank 0" in out and "deg x2 = ()" in out
     assert main(["monomials", str(path), "--free", ""]) == 3
-    assert "unbounded" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "unbounded polytope: polytope has an unbounded direction\n"
 
 
 @pytest.mark.parametrize("head", [["residue"], ["delta"], ["check", "codim1"], ["cayley"]])

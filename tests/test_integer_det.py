@@ -1,9 +1,10 @@
 """Every determinant of polynomials in integers, against the Fraction one.
 
-``poly.integer_det`` clears each column's denominators once, expands the
-integer matrix and returns (d, terms) with the determinant terms/d.  Its
-readers are Delta_sigma (held as (d, terms) on ``ResidueProblem``, with
-c_sigma one integer dot product and one Fraction), each Delta_k of
+``poly.poly_det`` brings each column to one denominator once, expands the
+integer matrix and returns the determinant as integer terms over one
+denominator, in lowest terms.  Its readers are Delta_sigma
+(``ResidueProblem.delta``, with c_sigma one integer dot product and one
+Fraction), each Delta_k (``cone_determinant``) of
 ``sigma_independence_check``, the chart Jacobian of ``toric_jacobian``,
 ``verify_gtl``'s det A and the chart quotient's Jacobian.  Each must equal
 the Fraction minor expansion it replaced (``oracles.poly_det``) on every
@@ -13,6 +14,7 @@ cone's index is checked where it enters: -1 and the cone count are
 refused alike by every public entry point that takes one.
 """
 
+import math
 import random
 from fractions import Fraction
 from math import prod
@@ -37,7 +39,6 @@ from toricres import (
 )
 from toricres.cli import _random_admissible
 from toricres.localres import _Quotient
-from toricres.poly import integer_det
 
 from conftest import FIXTURES, load
 from oracles import (basis_toric_jacobian, fraction_cone_determinant, fraction_jacobian,
@@ -49,21 +50,20 @@ from test_quotient import square_systems
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
-def as_poly(nvars, det):
-    d, terms = det
-    assert type(d) is int and d > 0
-    assert all(type(c) is int and c for c in terms.values())
-    return MultiPoly.from_integer_terms(nvars, d, terms)
+def checked(p):
+    """p, once its pair (d, num) is seen to be in lowest terms in ints."""
+    assert type(p.d) is int and p.d > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert math.gcd(p.d, *p.num.values()) == 1
+    return p
 
 
 def assert_determinants_match_oracle(pb):
     """Delta_k on every cone, c_sigma, sigma-independence and the chart
     Jacobian equal the Fraction expansion's, errors included."""
-    nv = pb.fan.nvars
     for k in range(len(pb.fan.max_cones)):
         expected = outcome(lambda: fraction_cone_determinant(pb, k))
-        assert outcome(lambda: as_poly(nv, pb._delta_terms(k))) == expected
-        assert outcome(lambda: cone_determinant(pb, k)) == expected
+        assert outcome(lambda: checked(cone_determinant(pb, k))) == expected
     delta = outcome(lambda: fraction_cone_determinant(pb, pb.sigma))
     assert outcome(lambda: pb.delta) == delta
     if delta[0] != "value":
@@ -87,7 +87,7 @@ def assert_quotient_jacobians_match(pb):
         system = charts[:k] + charts[k + 1:]
         quotient = outcome(lambda: _Quotient(system))
         if quotient[0] == "value":
-            assert as_poly(pb.fan.dim, quotient[1].jacobian) == fraction_jacobian(system)
+            assert checked(quotient[1].jacobian) == fraction_jacobian(system)
 
 
 def scaled(pb, scales):
@@ -154,7 +154,7 @@ coefficients = st.one_of(st.integers(-9, 9).map(Fraction),
     min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_poly_det_matches_the_fraction_expansion_on_rational_matrices(rows):
     M = [[MultiPoly(2, t) for t in row] for row in rows]
-    assert as_poly(2, integer_det(M)) == poly_det(M) == oracles.poly_det(M)
+    assert checked(poly_det(M)) == oracles.poly_det(M)
 
 
 @pytest.mark.parametrize("name", RESIDUE_FIXTURES)
@@ -199,9 +199,9 @@ def test_integer_delta_makes_no_fraction_and_c_sigma_makes_one(monkeypatch, make
         return real_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    d, terms = pb._delta_terms(pb.sigma)
+    delta = pb.delta
     D, num = pb._functional[1]
-    sum(num[e] * c for e, c in terms.items() if e in num)
+    sum(num[e] * c for e, c in delta.num.items() if e in num)
     assert made == []
     pb.c_sigma
     assert len(made) == 1

@@ -8,7 +8,8 @@ residue, the determinants of polynomials and the local sums) starts from
 a Fraction, the Groebner kernel builds no exponent tuple, no ``except``
 clause can catch an exponent refusal, the lattice, grading and bundle
 layers truncate no value with ``int``, ``poly.py`` has one product loop,
-and every cone solve outside ``lattice.py`` reads the fan's cone table.
+every cone solve outside ``lattice.py`` reads the fan's cone table, and no
+module but ``poly.py`` reads a polynomial's Fraction view.
 """
 
 import ast
@@ -219,3 +220,16 @@ def test_cone_solves_read_the_cone_table():
                       if isinstance(node, ast.ImportFrom)
                       and {a.name for a in node.names} & {"bareiss", "cramer"}]
     assert found == []
+
+
+def test_only_poly_reads_the_fraction_view():
+    """No module of ``src/toricres`` but ``poly.py`` reads ``.terms``, the
+    Fraction view of a polynomial: every kernel path reads its integer
+    terms ``num`` over its denominator ``d``, as the zero-locus test once
+    read each input's Fraction coefficients to find a denominator P."""
+    paths = sorted((ROOT / "src" / "toricres").glob("*.py"))
+    assert len(paths) > 10
+    reads = [(path.name, node.lineno) for path in paths if path.name != "poly.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    assert reads == []

@@ -9,9 +9,9 @@ remainders of the tuple kernel (``oracles.tuple_buchberger``,
 mod P.  A call whose exponents outgrow their fields must raise
 ``ExponentTooLarge`` and return nothing: at ``pack``, inside an S-polynomial
 tail under lex, inside a division under lex and grevlex, for Buchberger
-over Q and GF(P), for ``GroebnerBasis.reduce`` and ``remainder``, in the
-residue functional and in the zero-locus certificate.  A negative exponent
-or one of another length is refused where it enters.
+over Q and GF(P), for ``GroebnerBasis.reduce``, in the residue functional
+and in the zero-locus certificate.  A negative exponent or one of another
+length is refused where it enters.
 """
 
 import operator
@@ -26,7 +26,6 @@ from toricres import (DegreeMismatch, ExponentTooLarge, GroebnerBasis, MonomialO
                       ResidueProblem, dehomogenize, euler_jacobi_check, grevlex, lex, load_fan,
                       parse_poly)
 from toricres.groebner import MAX, Packing
-from toricres.poly import integer_terms
 from toricres.residues import P, residue_functional
 
 from conftest import FIXTURES, load
@@ -108,20 +107,20 @@ def test_a_negative_exponent_is_refused_where_it_enters():
         with pytest.raises(ValueError, match="negative"):
             unpacked_basis([terms], order)
         with pytest.raises(ValueError, match="negative"):
-            GroebnerBasis.of([MultiPoly.from_terms(2, terms)], order)
+            GroebnerBasis.of([MultiPoly.from_integer_terms(2, 1, terms)], order)
     gb = GroebnerBasis.of([parse_poly("x^2 - y", XY)], lex(2))
     with pytest.raises(ValueError, match="negative"):
-        gb.remainder({(2, -1): 1})
+        gb.reduce(MultiPoly.from_integer_terms(2, 1, {(2, -1): 1}))
 
 
 def test_remainder_refuses_exponents_of_another_length():
     """Packing once zipped an exponent against its weights, so x^2 and
     x^2*z^5 both reduced to y modulo x^2 - y in Q[x, y]."""
     gb = GroebnerBasis.of([parse_poly("x^2 - y", XY)], grevlex(2))
-    assert gb.remainder({(2, 0): 1}) == (1, {(0, 1): 1})
+    assert gb.reduce(MultiPoly.monomial((2, 0))) == MultiPoly.monomial((0, 1))
     for e in ((2,), (2, 0, 5)):
         with pytest.raises(DegreeMismatch):
-            gb.remainder({e: 1})
+            gb.reduce(MultiPoly.from_integer_terms(2, 1, {e: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +130,7 @@ def test_remainder_refuses_exponents_of_another_length():
 def assert_kernels_agree(gens, order):
     """Over Q and mod P, the packed table is the tuple kernel's, and the
     basis's reducers are it over Q."""
-    terms = [integer_terms(g)[1] for g in gens]
+    terms = [g.num for g in gens]
     expected = tuple_buchberger(terms, order)
     assert unpacked_basis(terms, order) == expected
     assert GroebnerBasis.of(gens, order).reducers == tuple(expected)
@@ -140,10 +139,13 @@ def assert_kernels_agree(gens, order):
 
 
 def assert_remainders_agree(gb, terms):
-    scale, rem = gb.remainder(terms)
-    expected_scale, expected = tuple_divide(terms, gb.reducers, gb.order)
-    assert scale == expected_scale
-    assert list(rem.items()) == list(expected.items())
+    """``reduce`` of the integer terms is the tuple kernel's remainder over
+    its scale, in lowest terms, with its terms in the same order."""
+    nvars = gb.order.nvars
+    scale, expected = tuple_divide(terms, gb.reducers, gb.order)
+    nf = gb.reduce(MultiPoly.from_integer_terms(nvars, 1, terms))
+    assert nf == MultiPoly.from_integer_terms(nvars, scale, expected)
+    assert list(nf.num) == list(expected)
 
 
 @pytest.mark.parametrize("name", RESIDUE_FIXTURES)
@@ -161,7 +163,7 @@ def test_kernels_agree_on_fixture_ideals_and_remainders(name):
         for i in range(n):
             assert_remainders_agree(gb, {tuple(a + (j == i) for j, a in enumerate(m)): 1})
     for F in pb.polys:
-        assert_remainders_agree(gb, integer_terms(F * F)[1])
+        assert_remainders_agree(gb, (F * F).num)
 
 
 @settings(SETTINGS, max_examples=60)
@@ -254,7 +256,7 @@ def record_refusals(monkeypatch):
 def test_buchberger_refuses_where_an_exponent_outgrows_its_field(monkeypatch, gens, order, where):
     polys = [parse_poly(t, XYZ) for t in gens]
     seen = record_refusals(monkeypatch)
-    builds = (lambda: unpacked_basis([integer_terms(g)[1] for g in polys], order),
+    builds = (lambda: unpacked_basis([g.num for g in polys], order),
               lambda: GroebnerBasis.of(polys, order),
               lambda: unpacked_basis([mod_p(g) for g in polys], order, P))
     for build in builds:
@@ -279,9 +281,7 @@ def test_reduce_refuses_where_an_exponent_outgrows_its_field(monkeypatch, basis,
     seen = record_refusals(monkeypatch)
     with pytest.raises(ExponentTooLarge):
         gb.reduce(p)
-    with pytest.raises(ExponentTooLarge):
-        gb.remainder(integer_terms(p)[1])
-    assert seen == where * 2
+    assert seen == where
 
 
 @pytest.mark.parametrize("order", [grevlex(2), lex(2)], ids=["grevlex", "lex"])
@@ -323,7 +323,7 @@ def test_the_basis_refuses_a_ring_of_another_size():
     with pytest.raises(DegreeMismatch):
         GroebnerBasis.of(F, grevlex(2))
     with pytest.raises(DegreeMismatch):
-        unpacked_basis([integer_terms(f)[1] for f in F], grevlex(2))
+        unpacked_basis([f.num for f in F], grevlex(2))
     gb = GroebnerBasis.of(F, grevlex(3))
     for p in (parse_poly("x*y", ("x", "y")), MultiPoly.variable(4, 3)):
         with pytest.raises(DegreeMismatch):

@@ -444,8 +444,8 @@ def test_substitute():
 
 
 # ---------------------------------------------------------------------------
-# builders that map exponents injectively build through ``from_terms``; each
-# must equal its validating construction, which sums terms that meet
+# builders that map exponents injectively build through ``from_integer_terms``;
+# each must equal its validating construction, which sums terms that meet
 
 
 def assert_same_poly(fast, slow):

@@ -135,19 +135,26 @@ def test_fixtures_are_certified_from_their_basis():
 
 
 def test_the_mod_p_route_builds_no_polynomial_over_gf_p(monkeypatch):
-    """The chart route mod P hands integer term dicts to ``packed_basis``:
-    every ``MultiPoly`` it builds has Fraction coefficients."""
+    """The chart route mod P hands ``packed_basis`` the integer terms of the
+    chart polynomials as they are, int-valued dicts that the kernel reduces
+    mod P: no polynomial over GF(P) is built on the way."""
     problems = [load(name).problem for name in RESIDUE_FIXTURES]
-    real_from_terms = MultiPoly.from_terms
+    real_packed_basis = residues.packed_basis
+    calls = []
 
-    def checked(cls, nvars, terms):
-        assert all(type(c) is Fraction for c in terms.values())
-        return real_from_terms(nvars, terms)
+    def recorded(gens, order, modulus=0):
+        calls.append(gens)
+        return real_packed_basis(gens, order, modulus)
 
-    monkeypatch.setattr(MultiPoly, "from_terms", classmethod(checked))
+    monkeypatch.setattr(residues, "packed_basis", recorded)
     for pb in problems:
+        calls.clear()
         report, counts = decide(pb.fan, pb.polys)
         assert report.ok and set(counts) == {P}
+        charts = [[dehomogenize(F, pb.fan, k).num for F in pb.polys]
+                  for k in range(len(pb.fan.max_cones))]
+        assert calls and all(gens in charts for gens in calls)
+        assert all(type(c) is int for gens in calls for g in gens for c in g.values())
 
 
 def test_fixtures_are_decided_mod_p_alone():
