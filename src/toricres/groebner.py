@@ -34,7 +34,13 @@ table of (lead, lead coefficient, descending tail) triples, built once per
 basis.  Buchberger keeps each element only as a reducer in one such table:
 S-polynomials shift two tails to the lcm of the leads, the pairs wait in a
 heap keyed by their lcm, and the final inter-reduction divides each
-minimal element's tail and keeps its lead.
+minimal element's tail by the lower leads and keeps its lead.  The pair
+update is one pass over the new lcms in ascending order, each tested
+against the minimal lcms found before it.
+
+Forms under grevlex, at least as many as the variables, skip the S-pairs
+of a degree once the leads of the table fill it as far as the Hilbert
+function allows (Traverso, JSC 22, 1996); ``packed_basis`` gives the proof.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import comb, gcd
 
 from .errors import DegreeMismatch, ExponentTooLarge, ParseError
 from .poly import Exponent, MultiPoly
@@ -289,26 +295,102 @@ def _gm_update(table, pairs, new_lead: int, packing: Packing, serial):
     """Gebauer-Moeller pair update for a new element with lead new_lead, to
     be appended to the reducer table: the new heap of pairs, each
     ``(lcm, serial number, i, j)``, so the least lcm pops first and, among
-    equal ones, the pair made first.  Coprime pairs survive the sieve to
-    knock out other candidates, then are dropped; old pairs whose lcm the
-    new lead properly refines are discarded.
+    equal ones, the pair made first.  Of the candidates (i, new), one pass
+    in ascending lcm keeps, for each lcm minimal under divisibility, its
+    last candidate, and none from an equal-lcm group that holds a coprime
+    pair; a divisor precedes its multiple in any monomial order, so each
+    lcm is tested against the minimal lcms found so far alone.  Old pairs
+    whose lcm the new lead properly refines are discarded.
     """
     t = len(table)
     lcm, divides = packing.lcm, packing.divides
     lcms = [lcm(le, new_lead) for le, _, _ in table]
     product = new_lead - packing.one
-    coprime = [L == le + product for (le, _, _), L in zip(table, lcms)]
-    kept = []
-    for i, L in enumerate(lcms):
-        # the candidates after i, and those before i that were kept
-        if coprime[i] or not any(divides(lcms[j], L)
-                                 for j in itertools.chain(range(i + 1, t), kept)):
-            kept.append(i)
+    at = lcms.__getitem__
+    minimal, kept = [], []
+    # a stable sort: equal lcms keep index order, so the last is group[-1]
+    for L, group in itertools.groupby(sorted(range(t), key=at), key=at):
+        if any(divides(m, L) for m in minimal):
+            continue
+        minimal.append(L)
+        group = list(group)
+        if all(L != table[i][0] + product for i in group):
+            kept.append(group[-1])
+    kept.sort()
     new = [p for p in pairs
            if not (divides(new_lead, p[0]) and lcms[p[2]] != p[0] and lcms[p[3]] != p[0])]
-    new += [(lcms[i], next(serial), i, t) for i in kept if not coprime[i]]
+    new += [(lcms[i], next(serial), i, t) for i in kept]
     heapq.heapify(new)
     return new
+
+
+def _lead_count(gens, packing: Packing):
+    """The count behind ``packed_basis``'s skip, or None unless the packed
+    ``gens`` are forms (every term of one total degree) under grevlex, at
+    least as many as the m variables.
+
+    Otherwise ``filled(L, table, budget)``, called as each pair pops:
+    whether the leads of ``table`` cover dim S_D - h_D monomials of the
+    degree D of the lcm L.  h_D is read from the sparse numerator
+    prod(1 - t^d_i) as the sum of c_k * C(D - k + m - 1, m - 1), cut to 0
+    from the first degree where that sum is not positive.  The count holds
+    LT_D, the monomials of degree D that a lead divides, as packed ints:
+    LT_(D+1) is x_i * LT_D for every i (``weights[i]`` added) with the
+    leads of degree D + 1.  A step up one degree finishes the one below;
+    the first that finishes short switches the count off for good.  A
+    count that meets a target cut to 0 holds every monomial of its degree
+    and of every later one.  A step costs 1 + m * |LT_D| set operations,
+    and the count switches itself off before they pass ``budget``.
+    """
+    m, top = packing.order.nvars, packing.top
+    degrees = [{x >> top for x in g} for g in gens]
+    if packing.lex or not 0 < m <= len(gens) or any(len(ds) != 1 for ds in degrees):
+        return None
+    numerator = {0: 1}
+    for (d,) in degrees:
+        for k, c in list(numerator.items()):
+            numerator[k + d] = numerator.get(k + d, 0) - c
+    weights = packing.weights
+    positive = True  # no coefficient of the series so far is cut
+
+    def goal(D):
+        nonlocal positive
+        a = sum(c * comb(D - k + m - 1, m - 1) for k, c in numerator.items() if k <= D)
+        positive = positive and a > 0
+        return comb(D + m - 1, m - 1) - (a if positive else 0)
+
+    degree = min(d for (d,) in degrees)
+    target = goal(degree)
+    leads, later = set(), {}
+    seen = ops = 0
+    on = True
+
+    def filled(L, table, budget):
+        nonlocal degree, target, leads, seen, ops, on
+        if not on:
+            return False
+        for i in range(seen, len(table)):
+            later.setdefault(table[i][0] >> top, []).append(table[i][0])
+        seen = len(table)
+        leads.update(later.pop(degree, ()))
+        while degree < L >> top:
+            if len(leads) < target:  # the degree finished below its target
+                on = False
+                return False
+            if not positive:  # LT_degree is every monomial of its degree
+                return True
+            cost = 1 + m * len(leads)
+            if ops + cost > budget:
+                on = False
+                return False
+            ops += cost
+            degree += 1
+            leads = {x + w for x in leads for w in weights}
+            leads.update(later.pop(degree, ()))
+            target = goal(degree)
+        return len(leads) == target
+
+    return filled
 
 
 def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
@@ -320,21 +402,53 @@ def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
     modulus: ``divide`` reduces each one it pops, so a term that is 0 there
     cancels.  Returns ``[(Packing(order).one, 1, ())]`` once a remainder is
     a nonzero constant: the reduced basis of the unit ideal.
+
+    Forms under grevlex, at least as many as the m variables, have S-pairs
+    that are forms, popped in nondecreasing degree, and the Froeberg series
+    h = [prod(1 - t^d_i) / (1 - t)^m]_+ is a polynomial.  Once the leads of
+    the table cover dim S_D - h_D monomials of degree D (``_lead_count``),
+    the rest of that degree's pairs pop without reduction; generators are
+    never skipped.  The table is the one built without skipping, over Q
+    and GF(p) alike, as the reduced basis is unique and no skipped pair
+    has a nonzero remainder:
+
+    - The count never exceeds dim I_D: each monomial it holds is the lead
+      of an element of I.
+    - Let D* be the first degree where H(S/I) departs from h.  Below D*,
+      dim I_D = dim S_D - h_D, so a count that reaches it holds every lead
+      of I in degree D.  A finished degree's count is dim I_D, as the table
+      is a basis up to it: below D* it meets the target.
+    - At D*, Froeberg's lexicographic inequality (Math. Scand. 56, 1985),
+      H(S/I) >= h, which rests on exact sequences over any field, makes
+      H(S/I)_D* larger.  So the count cannot reach the target there, and
+      D* is the first degree that finishes short, where the count stops.
+      A form that vanishes mod p multiplies h by one more 1 - t^d, which
+      lowers it lexicographically, so the inequality still holds.
+
+    A count that holds every monomial of its degree skips soundly
+    whatever h is.
     """
     packing = Packing(order)
     gens = [packing.pack_terms(g) for g in gens if g]
+    filled = _lead_count(gens, packing)
     table: list[Reducer] = []
     pairs: list[tuple] = []
     serial = itertools.count()
+    # the count's budget, a floor on the kernel's work so far: packing took
+    # one step per exponent of the input, and divide pops every term handed
+    # to it and tests each remainder term against every reducer
+    work = order.nvars * sum(map(len, gens))
 
     def candidates():
         yield from sorted(gens, key=max)
         while pairs:
-            _, _, i, j = heapq.heappop(pairs)
-            yield s_polynomial(table[i], table[j], packing)
+            L, _, i, j = heapq.heappop(pairs)
+            if not (filled and filled(L, table, work)):
+                yield s_polynomial(table[i], table[j], packing)
 
     for q in candidates():
         r = divide(q, table, packing, modulus)[1]
+        work += len(q) + len(r) * len(table)
         if not r:
             continue
         if next(iter(r)) == packing.one:
@@ -342,18 +456,19 @@ def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
         g = integer_reducer(r, modulus)
         pairs = _gm_update(table, pairs, g[0], packing, serial)
         table.append(g)
-    # minimalize: drop elements whose lead is divisible by another lead
+    # minimalize: in ascending lead order, where a divisor comes first, drop
+    # an element whose lead a lead kept before it divides
     divides = packing.divides
-    minimal = [g for i, g in enumerate(table)
-               if not any(k != i and divides(h[0], g[0]) and (h[0] != g[0] or k < i)
-                          for k, h in enumerate(table))]
-    minimal.sort(key=operator.itemgetter(0))
-    # reduce tails; no other minimal lead divides a lead, which keeps its
+    minimal = []
+    for g in sorted(table, key=operator.itemgetter(0)):
+        if not any(divides(h[0], g[0]) for h in minimal):
+            minimal.append(g)
+    # reduce tails by the lower leads: a lead above g's divides no term
+    # below it; no other minimal lead divides a lead, which keeps its
     # coefficient times the scale of the division
     reduced = []
-    for g in minimal:
-        le, lc, tail = g
-        scale, rem = divide(dict(tail), [h for h in minimal if h is not g], packing, modulus)
+    for p, (le, lc, tail) in enumerate(minimal):
+        scale, rem = divide(dict(tail), minimal[:p], packing, modulus)
         reduced.append(integer_reducer({le: scale * lc, **rem}, modulus))
     return reduced
 

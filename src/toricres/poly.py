@@ -34,6 +34,17 @@ from .lattice import clear_denominators, dot, mat_vec
 Exponent = tuple[int, ...]
 
 
+def _rational(c):
+    """c as an int or a Fraction; TypeError on a float, str, Decimal or
+    complex, which would be read in binary or parsed."""
+    if isinstance(c, Fraction):
+        return c
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction") from None
+
+
 class MultiPoly:
     __slots__ = ("nvars", "d", "num")
 
@@ -44,8 +55,8 @@ class MultiPoly:
         if terms:
             for e, c in terms.items():
                 if type(c) is not int:
-                    c = Fraction(c)
-                    rational = True
+                    c = _rational(c)
+                    rational = rational or type(c) is not int
                 if c:
                     e = tuple(map(operator.index, e))
                     if len(e) != nvars:
@@ -87,7 +98,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars, c):
-        c = Fraction(c)
+        c = Fraction(_rational(c))
         return cls.from_integer_terms(nvars, c.denominator,
                                       {(0,) * nvars: c.numerator} if c else {})
 

@@ -118,12 +118,14 @@ def test_no_fraction_accumulator_on_the_residue_path():
 
 
 def test_the_groebner_kernel_builds_no_exponent_tuple():
-    """Division, S-polynomials, the pair loop and the zero-locus
-    certificate run on packed monomials alone: none of them calls
+    """Division, S-polynomials, the pair loop, the lead count of the
+    Hilbert-driven skip and the zero-locus certificate run on packed
+    monomials alone: none of them calls
     ``tuple``, as ``tuple(map(add, e, shift))`` once did in every step.
     Tuples are packed where they enter a call and unpacked where they
     leave it."""
-    kernel = {"groebner.py": ("divide", "s_polynomial", "_gm_update", "packed_basis"),
+    kernel = {"groebner.py": ("divide", "s_polynomial", "_gm_update", "_lead_count",
+                              "packed_basis"),
               "residues.py": ("_certified",)}
     for name, functions in kernel.items():
         path = ROOT / "src" / "toricres" / name

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,27 @@ def test_poly_arithmetic():
     p = x * y - x * y
     assert p.is_zero()
     assert not p.terms
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, "1/2", "3", Decimal("0.1"), 1 + 0j],
+                         ids=["float", "exact-float", "str", "int-str", "decimal", "complex"])
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(c):
+    """A float is not read in binary, a string is not parsed: only an int
+    (any ``operator.index`` type) or a Fraction is a coefficient."""
+    with pytest.raises(TypeError):
+        MultiPoly(1, {(1,): c})
+    with pytest.raises(TypeError):
+        MultiPoly(1, {(0,): 1, (1,): c})
+    with pytest.raises(TypeError):
+        MultiPoly.constant(1, c)
+
+
+def test_int_and_fraction_coefficients_are_kept_exactly():
+    p = MultiPoly(2, {(1, 0): Fraction(1, 10), (0, 1): 3, (0, 0): True})
+    assert p.terms == {(1, 0): Fraction(1, 10), (0, 1): 3, (0, 0): 1}
+    assert (p.d, p.num) == (10, {(1, 0): 1, (0, 1): 30, (0, 0): 10})
+    assert MultiPoly.constant(2, Fraction(-3, 4)).terms == {(0, 0): Fraction(-3, 4)}
+    assert MultiPoly.constant(2, 7) == 7
 
 
 @st.composite
