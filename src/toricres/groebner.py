@@ -102,10 +102,6 @@ def parse_order(text: str, names) -> MonomialOrder:
     return MonomialOrder(kind, tuple(index[nm] for nm in listed))
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(map(operator.le, a, b))
-
-
 WIDTH = 32  # bits per field of a packed monomial, its guard bit included
 MAX = (1 << (WIDTH - 1)) - 1  # M, the largest exponent a field holds
 MASK = (1 << WIDTH) - 1
@@ -519,31 +515,36 @@ class GroebnerBasis:
         scale, rem = divide(packing.pack_terms(p.num), self.table, packing)
         return MultiPoly.from_integer_terms(p.nvars, scale * p.d, packing.unpack_terms(rem))
 
-    @property
-    def leading_exponents(self) -> tuple[Exponent, ...]:
-        return tuple(r[0] for r in self.reducers)
 
-    def is_unit_ideal(self) -> bool:
-        return any(not any(e) for e in self.leading_exponents)
-
-
-def _pure_powers(gb: GroebnerBasis, i: int) -> list[int]:
-    """The exponents of the leads that are pure powers of x_i."""
-    return [e[i] for e in gb.leading_exponents if e[i] and sum(e) == e[i]]
+def _least_pure_powers(gb: GroebnerBasis) -> dict[int, int]:
+    """Variable -> the least exponent of a lead that is a power of it, read
+    on the packed table: a lead's fields, xor the packing of 1, are its
+    exponents, and a power of x_i has no field but i's.  The unit ideal's
+    lead 1 is a power of every variable."""
+    packing = gb.packing
+    least: dict[int, int] = {}
+    for le, _, _ in gb.table:
+        e = (le ^ packing.one) & packing.fields
+        for i, s in enumerate(packing.shifts):
+            if not e & ~(MASK << s):
+                least[i] = min(least.get(i, MAX), e >> s)
+    return least
 
 
 def quotient_is_finite(gb: GroebnerBasis) -> bool:
     """Finite-dimensional quotient iff every variable has a pure-power lead."""
-    return gb.is_unit_ideal() or all(_pure_powers(gb, i) for i in range(gb.order.nvars))
+    return len(_least_pure_powers(gb)) == gb.order.nvars
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Exponent]:
     """All monomials outside the leading ideal, in ascending tuple order;
-    requires a finite quotient."""
-    if not quotient_is_finite(gb):
+    requires a finite quotient.  They lie in the box below the least pure
+    powers, and each one there is packed and tested against the leads."""
+    least = _least_pure_powers(gb)
+    if len(least) != gb.order.nvars:
         raise ValueError("quotient is not finite-dimensional")
-    if gb.is_unit_ideal():
-        return []
-    box = [range(min(_pure_powers(gb, i))) for i in range(gb.order.nvars)]
-    leads = gb.leading_exponents
-    return [m for m in itertools.product(*box) if not any(_divides(le, m) for le in leads)]
+    packing, table = gb.packing, gb.table
+    one, weights = packing.one, packing.weights
+    box = itertools.product(*(range(least[i]) for i in range(gb.order.nvars)))
+    return [m for m in box
+            if packing.first_divisor(table, one + sum(map(operator.mul, m, weights))) is None]

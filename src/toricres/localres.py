@@ -3,7 +3,10 @@
 Dropping input k leaves a square system in each chart.  One grevlex basis
 gives its quotient A = Q[x]/I, finite exactly when every variable has a
 pure-power lead, with the standard monomials B as basis.  M_g, the exact
-matrix of multiplication by g on A, has the normal form of g*x^b as column b.
+matrix of multiplication by g on A, has the normal form of g*x^b as column
+b: it reduces g alone and composes the M_{x_j}, which one border pass over
+the packed basis builds, as in FGLM (Faugere, Gianni, Lazard and Mora, JSC
+16, 1993), with no division per monomial.
 
 By Stickelberger's theorem (Cox-Little-O'Shea, *Using Algebraic Geometry*,
 ch. 2 section 4) the eigenvalues of M_g are the values g(p) at the zeros p,
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DegreeMismatch,
@@ -45,7 +48,15 @@ COMPARE_TOL = 1e-8
 
 class _Quotient:
     """Q[x]/I for the ideal I of a square system with finitely many zeros,
-    on the basis B of standard monomials of its grevlex basis."""
+    on the basis B of standard monomials of its grevlex basis.
+
+    The border pass forms NF(u) for each u = x_i*x^b outside B, b in B, in
+    ascending order: a lead of the reduced basis has -tail/lc.  Another u
+    has a lead dividing it properly but not x^b, so for some i with
+    b_i > 0, w = u/x_i = x_j*x^(b - e_i) is in the leading ideal, with
+    b - e_i in B (closed under division): a border monomial below u, and
+    NF(u) = sum_c NF(w)_c * NF(x_i*x^c), each c below w, so each x_i*x^c
+    is standard or a border monomial below u, formed before it."""
 
     def __init__(self, polys):
         if not polys:
@@ -60,14 +71,39 @@ class _Quotient:
     def _times_variable(self):
         """For each variable x_j, (D_j, table): table[b] is the normal form of
         x_j*x^b times D_j, for each b in B, as a dict of integers; D_j is the
-        lcm of the denominators of those normal forms."""
+        lcm of the denominators of those normal forms.  The border pass
+        holds each as (d, packed integer terms) in lowest terms."""
+        packing = self.gb.packing
+        weights = packing.weights
+        leads = {le: (lc, tail) for le, lc, tail in self.gb.table}
+        packed = [packing.pack(b) for b in self.basis]
+        forms = {x: (1, {x: 1}) for x in packed}
+        standard = set(forms)
+        for u in sorted({x + w for x in packed for w in weights} - standard):
+            if u in leads:
+                lc, tail = leads[u]
+                forms[u] = (lc, {y: -c for y, c in tail})
+                continue
+            # where x_i does not divide u, u - s has a guard bit: no key
+            s = next(s for s in weights if u - s in forms and u - s not in standard)
+            dw, w = forms[u - s]
+            parts = [(c, forms[x + s]) for x, c in w.items()]
+            L = lcm(*(d for _, (d, _) in parts))
+            acc = {}
+            for c, (d, terms) in parts:
+                c *= L // d
+                for y, v in terms.items():
+                    acc[y] = acc.get(y, 0) + c * v
+            acc = {y: v for y, v in acc.items() if v}
+            g = gcd(dw * L, *acc.values())
+            forms[u] = (dw * L // g, {y: v // g for y, v in acc.items()})
+        unpack = packing.unpack
         out = []
-        for j in range(self.polys[0].nvars):
-            forms = {b: self.gb.reduce(MultiPoly.monomial([k + (i == j) for i, k in enumerate(b)]))
-                     for b in self.basis}
-            D = lcm(*(nf.d for nf in forms.values()))
-            out.append((D, {b: {e: c * (D // nf.d) for e, c in nf.num.items()}
-                            for b, nf in forms.items()}))
+        for s in weights:
+            cols = [forms[x + s] for x in packed]
+            D = lcm(*(d for d, _ in cols))
+            out.append((D, {b: {unpack(y): c * (D // d) for y, c in terms.items()}
+                            for b, (d, terms) in zip(self.basis, cols)}))
         return out
 
     @cached_property

@@ -126,14 +126,18 @@ class MultiPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other):
+    def _operand(self, other) -> "MultiPoly":
+        """other as a polynomial of this ring: a constant for an int or a
+        Fraction, TypeError for any other operand that is no MultiPoly, as
+        the constructor refuses it, ValueError for another ring's."""
+        if not isinstance(other, MultiPoly):
+            return MultiPoly.constant(self.nvars, other)
         if self.nvars != other.nvars:
             raise ValueError("polynomials in different rings")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        self._check(other)
+        other = self._operand(other)
         d = lcm(self.d, other.d)
         s, t = d // self.d, d // other.d
         out = {e: c * s for e, c in self.num.items()}
@@ -153,22 +157,20 @@ class MultiPoly:
                                             {e: -c for e, c in self.num.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, MultiPoly):
+            c = Fraction(_rational(other))
             if not c:
                 return MultiPoly.zero(self.nvars)
             n = c.numerator
             return MultiPoly.from_integer_terms(self.nvars, self.d * c.denominator,
                                                 {e: n * v for e, v in self.num.items()})
-        self._check(other)
+        other = self._operand(other)
         return MultiPoly.from_integer_terms(self.nvars, self.d * other.d,
                                             product_sum([(self.num, other.num, 1)]))
 

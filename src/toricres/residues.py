@@ -10,6 +10,7 @@ integers, and held as one integer vector over a common denominator.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,11 +27,14 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
-from .groebner import (GroebnerBasis, MonomialOrder, Packing, _divides, divide, grevlex,
-                       packed_basis)
+from .groebner import GroebnerBasis, MonomialOrder, Packing, divide, grevlex, packed_basis
 from .lattice import FanData, cone_det, cone_group_order, is_complete
 from .poly import Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
+
+
+def _divides(a: Exponent, b: Exponent) -> bool:
+    return all(map(operator.le, a, b))
 
 
 def off_cone_exponent(fan: FanData, k: int) -> Exponent:
@@ -110,6 +114,17 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
     unit ideal mod P but not over Q (the P*x - 1 case below); that one is
     passed, and the proof below shows that a later witness exists.
 
+    A chart with a single nonconstant term c*x^a among its polynomials
+    (in the local sums' screen, the product of the cone variables) is
+    decided on its pieces (``_pieces``): for each v with a_v > 0, the
+    other polynomials at x_v = 0.  It passes mod P when every piece is
+    unit mod P, else over Q when every piece is, the one that failed mod
+    P first.  Where c != 0 the zeros of J + (c*x^a), J the other
+    polynomials' ideal, are the union of those of J + (x_v), so by the
+    Nullstellensatz the chart is unit exactly when every piece is: over
+    Q, and mod P when P does not divide c, a chart is decided as it would
+    be whole, and the witness is the same.
+
     Given ``groebner``, a Groebner basis of the ideal I of the inputs, a
     chart is certified from it when zhat^N lies in I, zhat the product of
     the off-cone variables: setting those variables to 1 in
@@ -128,16 +143,26 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
     U_tau; so z does too, and tau's chart ideal is unit neither mod P nor
     over Q, so tau is not certified either.  So if every chart that is
     neither certified nor unit mod P is unit over Q, Z is empty over Q-bar
-    and every chart ideal is unit over Q.  Alone, unit mod P proves
-    nothing (P*x - 1: its zero leaves the chart mod P), nor does non-unit
-    mod P (an input that is 0 mod P, or a zero only mod P).  With
-    a denominator divisible by P there is no model over Z_(P), and on a fan
-    that is not complete Z need not be proper (a point over Q-bar may
-    reduce mod P to one off X); in both cases every uncertified chart is
-    decided over Q.  Each chart's polynomials q = q.num/q.d are built
-    once, and both fields read their integer terms q.num: q.d divides F.d,
-    as q's coefficients are sums of F's, so where P divides no input's F.d
-    it divides no q.d, and q.num spans the same chart ideal mod P as q.
+    and every chart ideal is unit over Q.  When P divides c, the chart
+    whole is J mod P, and its pieces may pass where it does not; the split
+    is still sound.  A point z of Z over Q-bar has, for each monomial
+    input c_j*x^(a_j), some x_(v_j) = 0 with (a_j)_(v_j) > 0, so it lies on
+    W, cut out by the inputs that are not monomials and these x_(v_j),
+    P-integral too.  The argument applies to W: z and its specialization
+    lie in some U_tau, each v_j in tau, as zeros of tau's piece v_j (of
+    its chart ideal, where that is not split), so tau fails.  A chart not
+    unit over Q is then passed only as for P*x - 1: a zero over Q on some
+    x_v = 0 leaves the chart mod P.  Alone, unit mod P proves nothing
+    (P*x - 1: its zero leaves the chart mod P), nor does non-unit mod P
+    (an input that is 0 mod P, or a zero only mod P).  With a denominator
+    divisible by P there is no model over Z_(P), and on a fan that is not
+    complete Z need not be proper (a point over Q-bar may reduce mod P to
+    one off X); in both cases every uncertified chart is decided over Q.
+    Each chart's polynomials q = q.num/q.d are built once, and both fields
+    read their integer terms q.num, or sub-dicts of them in a piece: q.d
+    divides F.d, as q's coefficients are sums of F's, so where P divides
+    no input's F.d it divides no q.d, and q.num spans the same chart ideal
+    mod P as q.
     """
     order = grevlex(fan.dim)
     unit_table = [(Packing(order).one, 1, ())]
@@ -146,12 +171,28 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
         zhat = off_cone_exponent(fan, k)
         if groebner is not None and _certified(groebner, zhat):
             continue
-        terms = [dehomogenize(F, fan, k).num for F in polys]
-        if integral and packed_basis(terms, order, P) == unit_table:
-            continue
-        if packed_basis(terms, order, 0) != unit_table:
+        pieces = _pieces([dehomogenize(F, fan, k).num for F in polys])
+        if integral:
+            i = next((i for i, t in enumerate(pieces) if packed_basis(t, order, P) != unit_table),
+                     None)
+            if i is None:
+                continue
+            pieces = pieces[i:] + pieces[:i]  # over Q, the pieces unit mod P come last
+        if any(packed_basis(t, order, 0) != unit_table for t in pieces):
             return ZeroLocusReport(False, k, zhat)
     return ZeroLocusReport(True)
+
+
+def _pieces(terms: list[dict]) -> list[list[dict]]:
+    """The systems a chart is decided on: with a single nonconstant term
+    c*x^a among its polynomials' terms, one system for each v with
+    a_v > 0, the other terms with x_v = 0; else the terms alone."""
+    i = next((i for i, t in enumerate(terms) if len(t) == 1 and any(next(iter(t)))), None)
+    if i is None:
+        return [terms]
+    others = terms[:i] + terms[i + 1:]
+    return [[{e: c for e, c in t.items() if not e[v]} for t in others]
+            for v, a in enumerate(next(iter(terms[i]))) if a]
 
 
 def decompose(F: MultiPoly, fan: FanData, cone_index: int):

@@ -9,11 +9,13 @@ each monomial was one packed int, the heap-ordered division over Fractions
 against monic reducers with its S-polynomials, the integer reducers read
 back from a monic Fraction basis, Buchberger over parallel lists with
 MultiPoly S-polynomials, the multiplication tables of a chart quotient
-from Fraction normal forms, the quotient dimension of a chart
-system from its grevlex basis, the zero-locus test that builds a basis over Q of every
-chart ideal, the codimension check that reduces every critical-degree
-monomial, the residue functional built and applied in Fractions, the
-residue read from normal forms with every degree check done by
+from Fraction normal forms, the finiteness test and the standard monomials
+of a quotient on exponent tuples, the quotient dimension of a chart system
+from its grevlex basis, the zero-locus test that builds a basis over Q of
+every chart ideal and the one that decides each chart ideal whole, the
+codimension check that reduces every critical-degree monomial, the
+residue functional built and applied in Fractions, the residue read from
+normal forms with every degree check done by
 ``degree_of``, membership in the radical through a slack variable, the
 completeness test that compares every pair of cones, the rank as the size
 of the largest nonzero minor, the determinant by cofactor expansion, the
@@ -68,7 +70,7 @@ from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeM
                       NonSimpleZero, NonSquare, NonUniqueLift, NotHomogeneous, NotTorusZero,
                       NotZeroDimensional, ToricError, Unbounded, WrongDegree, ZeroOnPolarLocus,
                       compute_grading, cone_determinant, dehomogenize, homogenize_to_degree,
-                      is_simplicial, make_fan, monomial_basis, no_common_zeros_on_x)
+                      is_complete, is_simplicial, make_fan, monomial_basis, no_common_zeros_on_x)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
 from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
 from toricres.groebner import (Packing, grevlex, lex, packed_basis,
@@ -432,6 +434,38 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def leading_exponents(gb) -> tuple:
+    """The leads of a basis's reducers, as exponent tuples."""
+    return tuple(le for le, _, _ in gb.reducers)
+
+
+def is_unit_ideal(gb) -> bool:
+    return any(not any(e) for e in leading_exponents(gb))
+
+
+def _pure_powers(gb, i: int) -> list[int]:
+    """The exponents of the leads that are pure powers of x_i."""
+    return [e[i] for e in leading_exponents(gb) if e[i] and sum(e) == e[i]]
+
+
+def tuple_quotient_is_finite(gb) -> bool:
+    """``groebner.quotient_is_finite`` on exponent tuples: every variable
+    has a pure-power lead, or the ideal is the unit ideal."""
+    return is_unit_ideal(gb) or all(_pure_powers(gb, i) for i in range(gb.order.nvars))
+
+
+def tuple_standard_monomials(gb) -> list:
+    """``groebner.standard_monomials`` on exponent tuples: the box below
+    the least pure powers, less every multiple of a lead."""
+    if not tuple_quotient_is_finite(gb):
+        raise ValueError("quotient is not finite-dimensional")
+    if is_unit_ideal(gb):
+        return []
+    box = [range(min(_pure_powers(gb, i))) for i in range(gb.order.nvars)]
+    leads = leading_exponents(gb)
+    return [m for m in itertools.product(*box) if not any(_divides(le, m) for le in leads)]
+
+
 def linear_scan_normal_form(p, basis, order):
     """Remainder of full division by the ordered basis: each step scans the
     pending terms for the greatest one and reduces it by the first basis
@@ -478,7 +512,7 @@ def all_monomial_codim_check(fan, grading, polys, order) -> CodimReport:
     if not mons:
         raise AllReduceToZero("no monomials exist in the critical degree")
     gb = GroebnerBasis.of(list(polys), order)
-    leads = gb.leading_exponents
+    leads = leading_exponents(gb)
     standard = [m for m in mons if not any(_divides(le, m) for le in leads)]
     if not standard:
         raise AllReduceToZero(
@@ -500,7 +534,7 @@ def normal_form_coefficient(problem, H) -> Fraction:
     the problem's basis; the pivot is the least critical-degree monomial
     outside the leading ideal."""
     gb = problem.groebner
-    leads = gb.leading_exponents
+    leads = leading_exponents(gb)
     standard = [m for m in problem.monomials
                 if not any(_divides(le, m) for le in leads)]
     if not standard:
@@ -1166,9 +1200,32 @@ def q_chart_zero_locus(fan, polys) -> ZeroLocusReport:
     chart ideal, in cone order, until one is not the unit ideal."""
     for k, cone in enumerate(fan.max_cones):
         charts = [dehomogenize(p, fan, k) for p in polys]
-        if not GroebnerBasis.of(charts, grevlex(fan.dim)).is_unit_ideal():
+        if not is_unit_ideal(GroebnerBasis.of(charts, grevlex(fan.dim))):
             e = tuple(0 if i in cone else 1 for i in range(fan.nvars))
             return ZeroLocusReport(False, k, e)
+    return ZeroLocusReport(True)
+
+
+def chart_is_unit(fan, polys, k, modulus) -> bool:
+    """Whether the chart ideal of cone k is the unit ideal over GF(modulus),
+    from its polynomials mod P, or over Q for modulus 0."""
+    charts = [dehomogenize(F, fan, k) for F in polys]
+    if modulus:
+        return unpacked_basis([mod_p(q) for q in charts], grevlex(fan.dim), modulus) \
+            == [((0,) * fan.dim, 1, ())]
+    return GroebnerBasis.of(charts, grevlex(fan.dim)).generators \
+        == (MultiPoly.constant(fan.dim, 1),)
+
+
+def whole_chart_zero_locus(fan, polys) -> ZeroLocusReport:
+    """The zero-locus test without a basis as it ran before a chart with a
+    monomial input was split: each chart ideal decided whole, in cone
+    order, by ``chart_is_unit`` mod P on a complete fan with P-integral
+    inputs, else over Q."""
+    integral = is_complete(fan).ok and all(F.d % P for F in polys)
+    for k, cone in enumerate(fan.max_cones):
+        if not (integral and chart_is_unit(fan, polys, k, P)) and not chart_is_unit(fan, polys, k, 0):
+            return ZeroLocusReport(False, k, tuple(0 if i in cone else 1 for i in range(fan.nvars)))
     return ZeroLocusReport(True)
 
 
@@ -1192,7 +1249,7 @@ def radical_member(p, gens, order=None) -> bool:
     else:
         prec = tuple(order.precedence) + (nv,)
     gb = GroebnerBasis.of(gens_big, MonomialOrder("grevlex", prec))
-    return gb.is_unit_ideal()
+    return is_unit_ideal(gb)
 
 
 def _dual_rows(fan, cone):
@@ -1355,7 +1412,7 @@ def poly_det(M: list[list[MultiPoly]]) -> MultiPoly:
 def fraction_product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """p*q by a double loop over the Fraction terms, adding each product of
     two terms into its exponent and dropping a sum that cancels."""
-    p._check(q)
+    p._operand(q)
     out = {}
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
@@ -1963,7 +2020,7 @@ def trace_residue_sum(problem, H, k):
 def vanishes_somewhere(system, g) -> bool:
     """Whether g vanishes at a common zero of the system: by the weak
     Nullstellensatz, whether the system and g generate a proper ideal."""
-    return not GroebnerBasis.of(list(system) + [g], grevlex(g.nvars)).is_unit_ideal()
+    return not is_unit_ideal(GroebnerBasis.of(list(system) + [g], grevlex(g.nvars)))
 
 
 def solver_refusal(system):

@@ -16,7 +16,7 @@ from toricres import (
     standard_monomials,
 )
 
-from oracles import greater, radical_member, unpacked_basis
+from oracles import greater, is_unit_ideal, leading_exponents, radical_member, unpacked_basis
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -84,7 +84,7 @@ def test_buchberger_reads_and_returns_integer_reducers():
 def test_reduced_basis_properties():
     gens = [P("x^2 + y"), P("x*y + x"), P("y^3 - y")]
     gb = GroebnerBasis.of(gens, grevlex(2))
-    leads = gb.leading_exponents
+    leads = leading_exponents(gb)
     for i, g in enumerate(gb.generators):
         assert g.terms[max(g.terms, key=gb.order.key)] == 1
         for e in g.terms:
@@ -115,13 +115,13 @@ def test_ideal_and_radical_membership():
 def test_permutation_stable_leading_ideal():
     gens = [P("x^2 - y", XYZ), P("y^2 - z", XYZ), P("x*z - y^2 + x", XYZ)]
     base = GroebnerBasis.of(gens, grevlex(3))
-    want = sorted(base.leading_exponents)
+    want = sorted(leading_exponents(base))
     rng = random.Random(7)
     for _ in range(3):
         shuffled = gens[:]
         rng.shuffle(shuffled)
         gb = GroebnerBasis.of(shuffled, grevlex(3))
-        assert sorted(gb.leading_exponents) == want
+        assert sorted(leading_exponents(gb)) == want
         assert sorted(map(str, gb.generators)) == sorted(map(str, base.generators))
 
 
@@ -135,7 +135,7 @@ def test_quotient_finiteness_and_standard_monomials():
 
 def test_unit_ideal():
     gb = GroebnerBasis.of([P("x"), P("x + 1")], grevlex(2))
-    assert gb.is_unit_ideal()
+    assert is_unit_ideal(gb)
 
 
 def test_no_common_zeros_on_variety(p1, pentagon, p1p1):

@@ -8,8 +8,9 @@ residue, the determinants of polynomials and the local sums) starts from
 a Fraction, the Groebner kernel builds no exponent tuple, no ``except``
 clause can catch an exponent refusal, the lattice, grading and bundle
 layers truncate no value with ``int``, ``poly.py`` has one product loop,
-every cone solve outside ``lattice.py`` reads the fan's cone table, and no
-module but ``poly.py`` reads a polynomial's Fraction view.
+every cone solve outside ``lattice.py`` reads the fan's cone table, no
+module but ``poly.py`` reads a polynomial's Fraction view, and no module
+but ``groebner.py`` reads the exponent-tuple views of a basis.
 """
 
 import ast
@@ -234,4 +235,16 @@ def test_only_poly_reads_the_fraction_view():
     reads = [(path.name, node.lineno) for path in paths if path.name != "poly.py"
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    assert reads == []
+
+
+def test_only_groebner_reads_the_tuple_views_of_a_basis():
+    """No module of ``src/toricres`` but ``groebner.py`` reads a basis's
+    ``reducers`` or ``generators``: the quotient, the local sums and the
+    zero-locus test read the packed table."""
+    paths = sorted((ROOT / "src" / "toricres").glob("*.py"))
+    assert len(paths) > 10
+    reads = [(path.name, node.lineno) for path in paths if path.name != "groebner.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in ("reducers", "generators")]
     assert reads == []

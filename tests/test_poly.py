@@ -212,6 +212,25 @@ def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(c):
         MultiPoly.constant(1, c)
 
 
+@pytest.mark.parametrize("c", [0.1, 0.5, "1/2", Decimal("0.5"), 1 + 0j, None],
+                         ids=["float", "exact-float", "str", "decimal", "complex", "none"])
+def test_arithmetic_with_an_operand_that_is_not_an_int_or_a_fraction_is_refused(c):
+    """Sums, differences and products take an int, a Fraction or a
+    polynomial of the same ring, either side of the operator; any other
+    operand is refused with TypeError, as a coefficient is."""
+    x = MultiPoly.variable(2, 0)
+    for op in (lambda: x + c, lambda: c + x, lambda: x - c, lambda: c - x,
+               lambda: x * c, lambda: c * x):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ValueError, match="different rings"):
+        x + MultiPoly.variable(3, 0)
+    with pytest.raises(ValueError, match="different rings"):
+        x * MultiPoly.variable(3, 0)
+    assert x + True == x + 1 and Fraction(1, 2) - x == -x + Fraction(1, 2)
+    assert 2 * x == x * 2 == x + x and x * Fraction(0) == 0
+
+
 def test_int_and_fraction_coefficients_are_kept_exactly():
     p = MultiPoly(2, {(1, 0): Fraction(1, 10), (0, 1): 3, (0, 0): True})
     assert p.terms == {(1, 0): Fraction(1, 10), (0, 1): 3, (0, 0): 1}

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toricres import (
+    GroebnerBasis,
     InfiniteIntersection,
     MultiPoly,
     NonSimpleZero,
@@ -28,14 +29,18 @@ from toricres import (
     compute_grading,
     dehomogenize,
     euler_jacobi_check,
+    grevlex,
+    lex,
     load_fan,
     make_fan,
     monomial_basis,
     parse_poly,
+    quotient_is_finite,
+    standard_monomials,
     sum_local_residues,
     toric_residue,
 )
-from toricres import localres
+from toricres import localres, residues
 from toricres.localres import COMPARE_TOL
 
 import oracles
@@ -50,6 +55,8 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 NUMERIC_FIXTURES = ["p1_numeric_a.json", "p1_numeric_b.json", "p1p1_numeric.json",
                     "p1p1_infinite.json", "pentagon_outside.json"]
+RESIDUE_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json")
+                          if not p.name.endswith(".fan.json"))
 
 
 def outcome(compute):
@@ -120,8 +127,7 @@ def message(compute):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")
-                                        if not p.name.endswith(".fan.json")))
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
 def test_exact_sums_and_refusals_on_every_fixture(name):
     """Every fixture and k: the refusal of the floating-point sum, type and
     message, or the value that the trace and the exact residue give."""
@@ -254,6 +260,111 @@ def test_quotient_tables_match_the_fraction_route_on_random_systems(case):
     assert_tables_match_the_fraction_route(*case[:2])
 
 
+# ---------------------------------------------------------------------------
+# the packed quotient: pure-power leads, standard monomials, the border pass
+
+
+def chart_systems(pb):
+    """Every chart system of a problem: all inputs, and each input dropped."""
+    for cone in range(len(pb.fan.max_cones)):
+        charts = [dehomogenize(F, pb.fan, cone) for F in pb.polys]
+        yield charts
+        for k in range(len(charts)):
+            yield charts[:k] + charts[k + 1:]
+
+
+def assert_packed_views_match_tuples(system):
+    """Finiteness and B read on the packed table are the tuple references,
+    under grevlex and lex."""
+    nv = system[0].nvars
+    for order in (grevlex(nv), lex(nv)):
+        gb = GroebnerBasis.of(system, order)
+        finite = quotient_is_finite(gb)
+        assert finite == oracles.tuple_quotient_is_finite(gb)
+        if finite:
+            assert standard_monomials(gb) == oracles.tuple_standard_monomials(gb)
+        else:
+            with pytest.raises(ValueError):
+                standard_monomials(gb)
+
+
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
+def test_packed_finiteness_and_basis_match_tuples_on_every_fixture_chart(name):
+    for system in chart_systems(load(name).problem):
+        assert_packed_views_match_tuples(system)
+
+
+@SETTINGS
+@given(square_systems(["p2", "p1p1", "p3", "p112", "pentagon"]))
+def test_packed_finiteness_and_basis_match_tuples_on_random_systems(case):
+    for system in chart_systems(case[0]):
+        assert_packed_views_match_tuples(system)
+
+
+def assert_variables_commute(quotient):
+    """M_{x_i} M_{x_j} = M_{x_j} M_{x_i}: the integer tables of
+    ``_times_variable``, each D_j times M_{x_j}, compose to equal columns."""
+    def apply(table, col):
+        out = {}
+        for e, c in col.items():
+            for f, x in table[e].items():
+                out[f] = out.get(f, 0) + c * x
+        return {f: x for f, x in out.items() if x}
+
+    tables = [table for _, table in quotient._times_variable]
+    for i, ti in enumerate(tables):
+        for tj in tables[:i]:
+            for b in quotient.basis:
+                assert apply(ti, tj[b]) == apply(tj, ti[b])
+
+
+def finite_quotients(pb):
+    for system in chart_systems(pb):
+        try:
+            yield localres._Quotient(system)
+        except NotZeroDimensional:
+            continue
+
+
+def test_the_multiplication_tables_commute_on_every_numeric_fixture_chart():
+    quotients = [q for name in NUMERIC_FIXTURES for q in finite_quotients(load(name).problem)]
+    assert any(len(q.basis) > 1 and len(q._times_variable) > 1 for q in quotients)
+    for quotient in quotients:
+        assert_variables_commute(quotient)
+
+
+@SETTINGS
+@given(square_systems(["p2", "p1p1", "p3", "p112", "pentagon"]))
+def test_the_multiplication_tables_commute_on_random_systems(case):
+    for quotient in finite_quotients(case[0]):
+        assert_variables_commute(quotient)
+
+
+def test_a_trace_reduces_two_polynomials_and_no_monomial(monkeypatch):
+    """The tables come from the border pass, so one trace reduces f_k*J and
+    h and nothing else."""
+    reduced = []
+    real = GroebnerBasis.reduce
+
+    def counted(self, p):
+        reduced.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(GroebnerBasis, "reduce", counted)
+    for name in NUMERIC_FIXTURES:
+        lp = load(name)
+        pb = lp.problem
+        h = dehomogenize(lp.inputs[0], pb.fan, pb.sigma)
+        for k in range(len(pb.polys)):
+            try:
+                fk, quotient = localres._chart(pb, k, pb.sigma)
+            except InfiniteIntersection:
+                continue
+            reduced.clear()
+            quotient.trace(h, fk)
+            assert reduced == [fk * quotient.jacobian, h]
+
+
 def linear_problem(name, texts):
     fan, grading = system_fan(name)
     return ResidueProblem(fan, [parse_poly(t, fan.variables) for t in texts],
@@ -280,6 +391,53 @@ def test_a_sum_builds_one_quotient_ring(monkeypatch):
             built.clear()
             assert sum_local_residues(pb, H, k) == exact
             assert built == [pb.fan.dim]
+
+
+def test_the_screen_decides_each_chart_on_its_coordinate_hyperplanes(monkeypatch):
+    """The screen's chart, n inputs and the product of the cone variables,
+    is decided as n systems in n - 1 variables, one for each coordinate
+    hyperplane: on P^2 and P^1 x P^1 each is univariate."""
+    calls = []
+    real = residues.packed_basis
+
+    def recorded(gens, order, modulus=0):
+        calls.append(gens)
+        return real(gens, order, modulus)
+
+    monkeypatch.setattr(residues, "packed_basis", recorded)
+    p2 = linear_problem("p2", ["x0 + 2*x1 + 3*x2", "x0 - x1 + 5*x2", "2*x0 + x1 - x2"])
+    p1p1 = load("p1p1_numeric.json")
+    for pb, H in ((p2, MultiPoly.constant(3, 1)), (p1p1.problem, p1p1.inputs[0])):
+        for k in range(len(pb.polys)):
+            calls.clear()
+            sum_local_residues(pb, H, k)
+            assert len(calls) == pb.fan.dim * len(pb.fan.max_cones)
+            for gens in calls:
+                assert len(gens) == pb.fan.dim
+                assert len({v for g in gens for e in g for v, a in enumerate(e) if a}) == 1
+
+
+def whole_screen_outcome(pb, H, k):
+    """The sum's value or refusal, type and message, with the screen's
+    charts decided whole."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localres, "no_common_zeros_on_x", oracles.whole_chart_zero_locus)
+        return message(lambda: sum_local_residues(pb, H, k))
+
+
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
+def test_the_split_screen_keeps_every_fixture_sum_and_refusal(name):
+    lp = load(name)
+    for k in range(len(lp.problem.polys)):
+        assert message(lambda: sum_local_residues(lp.problem, lp.inputs[0], k)) \
+            == whole_screen_outcome(lp.problem, lp.inputs[0], k)
+
+
+@SETTINGS
+@given(square_systems(["p2", "p1p1", "p3", "p112", "pentagon"]))
+def test_the_split_screen_keeps_every_sum_and_refusal(case):
+    pb, H, k = case
+    assert message(lambda: sum_local_residues(pb, H, k)) == whole_screen_outcome(pb, H, k)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +536,21 @@ def test_positive_dimensional_system_is_refused():
     assert nullstellensatz_refusal(lp.problem, 0) == "InfiniteIntersection"
     with pytest.raises(InfiniteIntersection):
         sum_local_residues(lp.problem, lp.inputs[0], 0)
+
+
+def test_the_split_screen_keeps_each_built_refusal():
+    """Each refusal above, type and message, is the one the sum gives with
+    the screen's charts decided whole."""
+    kinds = set()
+    for texts in (["x + 3*y", "(x - y)^2"], ["x + 3*y", "x^2 - x*y"],
+                  ["x - y", "(x - y)*(x + 2*y)"]):
+        pb, H = p1_problem(texts, "y")
+        for k in range(2):
+            split = message(lambda: sum_local_residues(pb, H, k))
+            assert split == whole_screen_outcome(pb, H, k)
+            if isinstance(split, tuple):
+                kinds.add(split[0])
+    assert kinds >= {"NonSimpleZero", "NotTorusZero", "ZeroOnPolarLocus"}
 
 
 def test_large_zeros_are_kept_by_the_relative_residual():

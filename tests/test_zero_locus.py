@@ -18,6 +18,10 @@ report and the counts are the ones without a basis, and with the cap on
 the size of a remainder at 0 only the counts may change.  ``chart_bases``
 also fails any call that builds a basis over Q of a chart already found to
 be the unit ideal mod P.
+
+A chart with a monomial input is decided on its coordinate hyperplanes;
+its report must be the one of every chart decided whole
+(``oracles.whole_chart_zero_locus``), witness included.
 """
 
 import random
@@ -35,7 +39,7 @@ from toricres.groebner import Packing, divide
 from toricres.residues import P, _certified, irrelevant_ideal, off_cone_exponent
 
 from conftest import FIXTURES, load
-from oracles import evaluate, mod_p, q_chart_zero_locus, unpacked_basis
+from oracles import chart_is_unit, evaluate, q_chart_zero_locus, whole_chart_zero_locus
 from test_quotient import SYSTEM_FANS, square_systems
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -105,15 +109,6 @@ def with_basis(fan, polys, groebner=None):
     return report, counts
 
 
-def chart_is_unit(fan, polys, k, modulus):
-    charts = [dehomogenize(F, fan, k) for F in polys]
-    if modulus:
-        return unpacked_basis([mod_p(q) for q in charts], grevlex(fan.dim), modulus) \
-            == [((0,) * fan.dim, 1, ())]
-    return GroebnerBasis.of(charts, grevlex(fan.dim)).generators \
-        == (MultiPoly.constant(fan.dim, 1),)
-
-
 # ---------------------------------------------------------------------------
 # fixtures
 
@@ -134,10 +129,18 @@ def test_fixtures_are_certified_from_their_basis():
         assert counts == {}, name
 
 
+def piece_count(fan, polys, k):
+    """How many systems the chart of cone k is decided on: one for each
+    variable of its first single nonconstant term, else one."""
+    charts = [dehomogenize(F, fan, k).num for F in polys]
+    term = next((e for t in charts if len(t) == 1 for e in t if any(e)), None)
+    return 1 if term is None else sum(1 for a in term if a)
+
+
 def test_the_mod_p_route_builds_no_polynomial_over_gf_p(monkeypatch):
-    """The chart route mod P hands ``packed_basis`` the integer terms of the
-    chart polynomials as they are, int-valued dicts that the kernel reduces
-    mod P: no polynomial over GF(P) is built on the way."""
+    """The chart route mod P hands ``packed_basis`` sub-dicts of the integer
+    terms of the chart polynomials, int-valued dicts that the kernel
+    reduces mod P: no polynomial over GF(P) is built on the way."""
     problems = [load(name).problem for name in RESIDUE_FIXTURES]
     real_packed_basis = residues.packed_basis
     calls = []
@@ -153,7 +156,8 @@ def test_the_mod_p_route_builds_no_polynomial_over_gf_p(monkeypatch):
         assert report.ok and set(counts) == {P}
         charts = [[dehomogenize(F, pb.fan, k).num for F in pb.polys]
                   for k in range(len(pb.fan.max_cones))]
-        assert calls and all(gens in charts for gens in calls)
+        assert calls and all(any(all(any(g.items() <= t.items() for t in chart) for g in gens)
+                                 for chart in charts) for gens in calls)
         assert all(type(c) is int for gens in calls for g in gens for c in g.values())
 
 
@@ -165,7 +169,8 @@ def test_fixtures_are_decided_mod_p_alone():
     for name in RESIDUE_FIXTURES:
         pb = load(name).problem
         report, counts = both(pb.fan, pb.polys)
-        assert report.ok and counts == {P: len(pb.fan.max_cones)}
+        pieces = sum(piece_count(pb.fan, pb.polys, k) for k in range(len(pb.fan.max_cones)))
+        assert report.ok and counts == {P: pieces}
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +419,100 @@ def test_a_denominator_p_sends_every_chart_to_q(system, data):
     report, counts = both(fan, polys)
     assume(report.ok)
     assert counts == {0: len(fan.max_cones)}
+
+
+# ---------------------------------------------------------------------------
+# a chart with a monomial input, decided on its coordinate hyperplanes
+
+
+def split_report(fan, polys):
+    """The report and chart bases of the package, whose charts with a
+    monomial input are decided piece by piece, checked against the report
+    of each chart decided whole, witness included, and against the Q
+    oracle's answer."""
+    report, counts = decide(fan, polys)
+    assert report == whole_chart_zero_locus(fan, polys)
+    assert report.ok == q_chart_zero_locus(fan, polys).ok
+    return report, counts
+
+
+@st.composite
+def monomial_inputs(draw, coeffs=st.integers(1, 3)):
+    """(fan, n inputs of a dense system and a monomial c*x^a with a != 0)."""
+    fan, polys = draw(dense_systems(st.integers(-3, 3)))
+    polys.pop(draw(st.integers(0, len(polys) - 1)))
+    a = draw(st.tuples(*[st.integers(0, 2)] * fan.nvars).filter(any))
+    c = draw(coeffs) * draw(st.sampled_from([1, -1]))
+    return fan, polys + [MultiPoly.monomial(a, c)]
+
+
+@SETTINGS
+@given(monomial_inputs())
+def test_a_split_chart_keeps_the_report_on_dense_systems(system):
+    split_report(*system)
+
+
+@SETTINGS
+@given(dense_systems(st.integers(1, 9)), st.data())
+def test_the_screen_keeps_the_report_on_dense_systems(system, data):
+    """The screen's inputs: a dense system less one input, and the product
+    of all variables."""
+    fan, polys = system
+    polys.pop(data.draw(st.integers(0, len(polys) - 1)))
+    split_report(fan, polys + [MultiPoly.monomial((1,) * fan.nvars)])
+
+
+@SETTINGS
+@given(dense_systems(st.integers(1, 9), fans=("p2",)))
+def test_a_zero_on_a_divisor_outside_the_first_chart_is_named_where_it_lies(system):
+    """Two forms vanishing at [0 : 1 : 1], on the divisor of x0, which lies
+    in the charts of cones 1 and 2 of P^2 and not in that of cone 0, with
+    the product of the variables: cone 1 is named, as a chart decided
+    whole names it."""
+    fan, polys = system
+    polys = vanish_at(polys[:2], (Fraction(0), Fraction(1), Fraction(1)))
+    assume(all(not F.is_zero() for F in polys))
+    polys.append(MultiPoly.monomial((1, 1, 1)))
+    assume(chart_is_unit(fan, polys, 0, 0))
+    report, _ = split_report(fan, polys)
+    assert report == ZeroLocusReport(False, 1, off_cone_exponent(fan, 1))
+
+
+@SETTINGS
+@given(monomial_inputs(), st.data())
+def test_a_zero_at_a_torus_fixed_point_is_named_by_a_split_chart(system, data):
+    """Forms without the terms free of cone k's variables all vanish at its
+    fixed point, as does the monomial, whose variables include one of the
+    cone's: the pass fails at cone k or before it."""
+    fan, polys = system
+    k = data.draw(st.integers(0, len(fan.max_cones) - 1))
+    cone = fan.max_cones[k]
+    *forms, monomial = polys
+    assume(any(next(iter(monomial.num))[i] for i in cone))
+    forms = [MultiPoly(fan.nvars, {e: c for e, c in F.terms.items() if any(e[i] for i in cone)})
+             for F in forms]
+    assume(all(not F.is_zero() for F in forms))
+    report, _ = split_report(fan, forms + [monomial])
+    assert not report.ok and report.witness_cone <= k
+
+
+@SETTINGS
+@given(monomial_inputs(st.just(P)), st.data())
+def test_a_monomial_that_vanishes_mod_p_is_still_split(system, data):
+    """With P | c the monomial is 0 mod P, and a chart decided whole is not
+    the unit ideal mod P where the other inputs meet; its pieces, the
+    other inputs on each coordinate hyperplane of x^a, still are, and the
+    report is the one of the charts decided whole (over Q where they fail
+    mod P), with or without a common zero on a hyperplane."""
+    fan, polys = system
+    *forms, monomial = polys
+    if data.draw(st.booleans()):
+        v = next(i for i, a in enumerate(next(iter(monomial.num))) if a)
+        point = tuple(Fraction(0 if i == v else data.draw(st.sampled_from([1, 2, -1])))
+                      for i in range(fan.nvars))
+        forms = vanish_at(forms, point)
+        assume(all(not F.is_zero() for F in forms))
+    split_report(fan, forms + [monomial])
 
 
 # ---------------------------------------------------------------------------
