@@ -49,7 +49,7 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, gcd
 
 from .errors import DegreeMismatch, ExponentTooLarge, ParseError
@@ -189,6 +189,13 @@ class Packing:
                 if (r[0] + t) & G == G:
                     return r
         return None
+
+
+@cache
+def packing_of(order: MonomialOrder) -> Packing:
+    """The one ``Packing`` of ``order``: a packing depends on its order
+    alone, so it is built once per order and shared."""
+    return Packing(order)
 
 
 # (lead, lead coefficient, tail terms): packed monomials in the kernel,
@@ -392,12 +399,13 @@ def _lead_count(gens, packing: Packing):
 def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
     """Reduced Groebner basis of the ideal generated by ``gens``, integer
     term dicts keyed by exponent tuples, over Q or, with a prime
-    ``modulus``, over GF(modulus): its reducer table on ``Packing(order)``,
-    ascending by lead, tails descending, primitive with lc > 0 over Q and
-    monic over GF(modulus).  Coefficients need not be reduced mod the
-    modulus: ``divide`` reduces each one it pops, so a term that is 0 there
-    cancels.  Returns ``[(Packing(order).one, 1, ())]`` once a remainder is
-    a nonzero constant: the reduced basis of the unit ideal.
+    ``modulus``, over GF(modulus): its reducer table on
+    ``packing_of(order)``, ascending by lead, tails descending, primitive
+    with lc > 0 over Q and monic over GF(modulus).  Coefficients need not
+    be reduced mod the modulus: ``divide`` reduces each one it pops, so a
+    term that is 0 there cancels.  Returns ``[(packing_of(order).one, 1,
+    ())]`` once a remainder is a nonzero constant: the reduced basis of the
+    unit ideal.
 
     Forms under grevlex, at least as many as the m variables, have S-pairs
     that are forms, popped in nondecreasing degree, and the Froeberg series
@@ -424,7 +432,7 @@ def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
     A count that holds every monomial of its degree skips soundly
     whatever h is.
     """
-    packing = Packing(order)
+    packing = packing_of(order)
     gens = [packing.pack_terms(g) for g in gens if g]
     filled = _lead_count(gens, packing)
     table: list[Reducer] = []
@@ -489,7 +497,7 @@ class GroebnerBasis:
 
     @cached_property
     def packing(self) -> Packing:
-        return Packing(self.order)
+        return packing_of(self.order)
 
     @cached_property
     def reducers(self) -> tuple[Reducer, ...]:

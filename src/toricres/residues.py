@@ -27,7 +27,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
-from .groebner import GroebnerBasis, MonomialOrder, Packing, divide, grevlex, packed_basis
+from .groebner import (GroebnerBasis, MonomialOrder, divide, grevlex, packed_basis, packing_of,
+                       quotient_is_finite)
 from .lattice import FanData, cone_det, cone_group_order, is_complete
 from .poly import Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
 from .polytopes import intersection_number, monomial_basis
@@ -100,12 +101,53 @@ def _certified(groebner: GroebnerBasis, zhat: Exponent) -> bool:
     return False
 
 
+def ray_relation(fan: FanData) -> tuple[int, ...] | None:
+    """lambda with sum lambda_j * ray_j = 0 and every lambda_j > 0, on a
+    complete fan with n+1 rays; None on any other fan.  lambda_j is
+    |cone_det| of the maximal cone that omits ray j, read from the fan's
+    cone table: by Cramer's rule the signed minors (-1)^j * det(rays but
+    j) are a relation, and as the rays of a complete fan positively span,
+    they all have one sign."""
+    if fan.nvars != fan.dim + 1 or not is_complete(fan).ok:
+        return None
+    weights = [0] * fan.nvars
+    for cone, (det, _) in zip(fan.max_cones, fan.cone_table):
+        (j,) = set(range(fan.nvars)).difference(cone)
+        weights[j] = abs(det)
+    return tuple(weights)
+
+
+def _is_weighted_form(F: MultiPoly, weights) -> bool:
+    """Whether every term of F has one degree sum(weights_j * e_j)."""
+    return len({sum(map(operator.mul, e, weights)) for e in F.num}) <= 1
+
+
 def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = None
                          ) -> ZeroLocusReport:
     """Whether the polynomials have no common zero away from the excluded locus.
 
-    One pass over the maximal cones in index order decides it.  A cone's
-    chart ideal (the inputs with the off-cone variables set to 1) passes
+    Given ``groebner``, a Groebner basis in any order of the ideal I of the
+    inputs, on a complete fan with n+1 rays and inputs homogeneous for its
+    ray relation lambda (``ray_relation``), the leads of the basis decide
+    it, with no division: the report is ok exactly when every variable has
+    a pure-power lead (``quotient_is_finite``), and otherwise the pass
+    below runs without the basis.  Proof: every maximal cone omits one
+    ray, so the irrelevant ideal B is generated by the variables, and X
+    has no common zero exactly when V(I) over Q-bar lies in V(B) = {0}.
+    lambda > 0, as the rays positively span.  Each input is a lambda-form,
+    so V(I) is stable under t*x = (t^(lambda_j) * x_j) for t != 0, and the
+    orbit of a point other than 0 is infinite: V(I) is finite exactly when
+    it lies in {0}.  V(I) is finite exactly when S/I is finite-dimensional,
+    which holds exactly when every variable has a pure-power lead, in any
+    order.  When it has a common zero, the pass names the same witness as
+    with the basis: the certificate below passes only charts that are the
+    unit ideal over Q, and the fields pass each of those too, mod P or
+    else over Q.  Inputs that are not lambda-forms, such as x0 - x1^2 and
+    x1 - x0^2 on P^1, can have a finite V(I) with a point other than 0,
+    here (1, 1), and are decided chart by chart.
+
+    Else one pass over the maximal cones in index order decides it.  A
+    cone's chart ideal (the inputs with the off-cone variables set to 1) passes
     when it is certified from ``groebner``, else (on a complete fan with
     P-integral inputs only) when it is the unit ideal mod P, else when it
     is the unit ideal over Q.  The first chart that passes none of the
@@ -164,8 +206,13 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
     no input's F.d it divides no q.d, and q.num spans the same chart ideal
     mod P as q.
     """
+    if groebner is not None and (weights := ray_relation(fan)) is not None \
+            and all(_is_weighted_form(F, weights) for F in polys):
+        if quotient_is_finite(groebner):
+            return ZeroLocusReport(True)
+        groebner = None
     order = grevlex(fan.dim)
-    unit_table = [(Packing(order).one, 1, ())]
+    unit_table = [(packing_of(order).one, 1, ())]
     integral = is_complete(fan).ok and all(F.d % P for F in polys)
     for k in range(len(fan.max_cones)):
         zhat = off_cone_exponent(fan, k)
@@ -312,10 +359,11 @@ class ResidueProblem:
     with it.  Delta_sigma, ``delta``, is a polynomial like every other,
     integer terms over one denominator, so c_sigma, the functional at it,
     is one integer dot product and one Fraction.  The zero-locus report
-    reads the cached basis too: it certifies each chart by a power of zhat
-    reducing to zero, so building it builds the basis.  Construction only
-    validates shapes, homogeneity and the rays of sigma, so non-conforming
-    inputs can still be probed.
+    reads the cached basis too, so building it builds the basis: on a
+    complete fan with n+1 rays the basis's pure-power leads decide it, and
+    on other fans it certifies each chart by a power of zhat reducing to
+    zero.  Construction only validates shapes, homogeneity and the rays of
+    sigma, so non-conforming inputs can still be probed.
     """
 
     def __init__(self, fan: FanData, polys, order: MonomialOrder | None = None,

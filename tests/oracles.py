@@ -1229,6 +1229,30 @@ def whole_chart_zero_locus(fan, polys) -> ZeroLocusReport:
     return ZeroLocusReport(True)
 
 
+def positive_ray_relation(fan):
+    """lambda > 0 with sum lambda_j * ray_j = 0, on a fan of n+1 rays that
+    positively span, from the signed maximal minors of the rays
+    (-1)^j * det(rays but j), which are a relation by Cramer's rule; None
+    on any other fan."""
+    if fan.nvars != fan.dim + 1:
+        return None
+    minors = [(-1) ** j * cofactor_det([list(r) for i, r in enumerate(fan.rays) if i != j])
+              for j in range(fan.nvars)]
+    if all(c < 0 for c in minors):
+        minors = [-c for c in minors]
+    return tuple(minors) if all(c > 0 for c in minors) else None
+
+
+def leads_decide(fan, polys) -> bool:
+    """Whether ``no_common_zeros_on_x`` reads its answer off the leads of a
+    basis: a complete fan with n+1 rays, and every input homogeneous for
+    the positive ray relation."""
+    weights = positive_ray_relation(fan)
+    return (weights is not None and is_complete(fan).ok
+            and all(len({sum(a * w for a, w in zip(e, weights)) for e in F.terms}) <= 1
+                    for F in polys))
+
+
 def radical_member(p, gens, order=None) -> bool:
     """Membership in the radical via a fresh slack variable.
 

@@ -85,6 +85,26 @@ def test_packing_keeps_order_products_divisibility_and_exponents(case):
         assert packing.first_divisor(table, x) is expected
 
 
+def test_one_packing_serves_every_call_on_an_order(monkeypatch):
+    """``packed_basis`` over Q and GF(P) and a basis's ``packing`` share
+    the packing of an order, built once however many calls read it."""
+    order = MonomialOrder("lex", (2, 0, 1))
+    built = []
+    real_init = Packing.__init__
+
+    def counted(self, order):
+        built.append(order)
+        real_init(self, order)
+
+    monkeypatch.setattr(Packing, "__init__", counted)
+    groebner_mod.packing_of.cache_clear()
+    gens = [{(1, 0, 0): 1, (0, 1, 0): -1}, {(0, 0, 2): 1, (0, 1, 0): 2}]
+    tables = [groebner_mod.packed_basis(gens, order, modulus) for modulus in (0, P, 0)]
+    assert tables[0] == tables[2] and built == [order]
+    basis = GroebnerBasis(tuple(tables[0]), order)
+    assert basis.packing is groebner_mod.packing_of(order) and built == [order]
+
+
 def test_pack_refuses_an_exponent_above_the_field_maximum():
     """and a negative exponent, or an exponent of another length."""
     for packing in (Packing(grevlex(2)), Packing(lex(2))):

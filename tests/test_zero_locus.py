@@ -19,6 +19,16 @@ the size of a remainder at 0 only the counts may change.  ``chart_bases``
 also fails any call that builds a basis over Q of a chart already found to
 be the unit ideal mod P.
 
+On a complete fan with n+1 rays and inputs homogeneous for its ray
+relation (``oracles.leads_decide``), the pure-power leads of the basis
+decide instead: an ok report reduces no zhat^N and builds no chart basis,
+with the cap on N at 0 too, and any other report is the one without a
+basis, counts included.  That holds for a lex basis as for a grevlex one,
+and for a grading whose free row the user negated; inputs that are not
+forms for the relation, and fans that are not complete, keep their
+reports.  On the fixtures of the pentagon and of P^1 x P^1 the
+certificate runs as before, with its divisions counted.
+
 A chart with a monomial input is decided on its coordinate hyperplanes;
 its report must be the one of every chart decided whole
 (``oracles.whole_chart_zero_locus``), witness included.
@@ -32,14 +42,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricres import (GroebnerBasis, MultiPoly, ZeroLocusReport, compute_grading, dehomogenize,
-                      grevlex, load_fan, make_fan, monomial_basis, no_common_zeros_on_x,
-                      residues)
+from toricres import (GroebnerBasis, MultiPoly, ResidueProblem, ZeroLocusReport, compute_grading,
+                      dehomogenize, grevlex, lex, load_fan, make_fan, monomial_basis,
+                      no_common_zeros_on_x, quotient_is_finite, residues, validate_user_grading)
 from toricres.groebner import Packing, divide
 from toricres.residues import P, _certified, irrelevant_ideal, off_cone_exponent
 
 from conftest import FIXTURES, load
-from oracles import chart_is_unit, evaluate, q_chart_zero_locus, whole_chart_zero_locus
+from oracles import (chart_is_unit, evaluate, leads_decide, q_chart_zero_locus,
+                     whole_chart_zero_locus)
 from test_quotient import SYSTEM_FANS, square_systems
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -94,7 +105,9 @@ def both(fan, polys):
 def with_basis(fan, polys, groebner=None):
     """The report with a basis of the inputs (by default a grevlex one) and
     its chart bases per modulus, checked against the report without a
-    basis and against the Q oracle."""
+    basis and against the Q oracle.  With the cap on N at 0 the counts are
+    the ones without a basis, except where the leads decide an ok report
+    (``oracles.leads_decide``): then no chart basis is built."""
     plain, plain_counts = both(fan, polys)
     groebner = groebner or GroebnerBasis.of(list(polys), grevlex(fan.nvars))
     report, counts = decide(fan, polys, groebner)
@@ -102,7 +115,11 @@ def with_basis(fan, polys, groebner=None):
     assert all(counts[m] <= plain_counts[m] for m in counts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residues, "CERTIFICATE_STEPS", 0)
-        assert decide(fan, polys, groebner) == (plain, plain_counts)
+        uncertified = decide(fan, polys, groebner)
+    if plain.ok and leads_decide(fan, polys):
+        assert uncertified == (plain, Counter())
+    else:
+        assert uncertified == (plain, plain_counts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residues, "CERTIFICATE_TERMS", 0)
         assert decide(fan, polys, groebner)[0] == plain
@@ -389,13 +406,14 @@ def test_a_fan_that_is_not_complete_decides_every_chart_over_q(q):
     vanish at [q : 1 : q].  For q = P that zero is [0 : 1 : 0] mod P, on
     neither chart, and both chart ideals are the unit ideal mod P; with no
     proper model the mod-P shortcut proves nothing, and cone 0 must fail
-    over Q for either q."""
+    over Q for either q, with a basis of the inputs too."""
     fan = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)], variables=("x", "y", "z"))
     x, y, z = (MultiPoly.variable(3, i) for i in range(3))
     polys = [x - y * q, z - y * q, x - z]
     assert (q == P) == all(chart_is_unit(fan, polys, k, P) for k in (0, 1))
     report, counts = both(fan, polys)
     assert not report.ok and report.witness_cone == 0 and counts == {0: 1}
+    assert with_basis(fan, polys)[0] == report
 
 
 @SETTINGS
@@ -559,3 +577,154 @@ def test_a_zero_on_a_surface_divisor_is_found_without_a_q_basis_of_a_unit_chart(
     report, counts = decide(fan, polys)
     assert report == ZeroLocusReport(False, 2, (1, 1, 0, 0, 1))
     assert counts == {P: 3, 0: 1}
+
+
+# ---------------------------------------------------------------------------
+# fans with n+1 rays: the leads of the basis decide
+
+
+R1_FIXTURES = [name for name in RESIDUE_FIXTURES if name.split("_")[0] in ("p1", "p2", "p112",
+                                                                          "torsion")]
+# the divisions of the certificate on the fixtures of fans with more rays
+CERTIFIED_DIVISIONS = {"pentagon_main.json": 23, "pentagon_not_codim1.json": 30,
+                       "pentagon_outside.json": 9, "pentagon_small.json": 9,
+                       "p1p1_bilinear.json": 6, "p1p1_infinite.json": 4,
+                       "p1p1_not_codim1.json": 6, "p1p1_numeric.json": 8}
+
+
+@contextmanager
+def certificate_calls():
+    """Counts the calls of ``residues._certified``, ``residues.divide`` and
+    ``residues.packed_basis`` by name into the Counter it yields."""
+    counts = Counter()
+
+    def counted(name):
+        real = getattr(residues, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_certified", "divide", "packed_basis"):
+            mp.setattr(residues, name, counted(name))
+        yield counts
+
+
+def test_the_fixtures_are_sorted_by_their_rays():
+    assert len(R1_FIXTURES) == 5
+    assert sorted(R1_FIXTURES + list(CERTIFIED_DIVISIONS)) == RESIDUE_FIXTURES
+    for name in RESIDUE_FIXTURES:
+        pb = load(name).problem
+        assert leads_decide(pb.fan, pb.polys) == (name in R1_FIXTURES), name
+
+
+@pytest.mark.parametrize("name", R1_FIXTURES)
+def test_a_fixture_on_n_plus_1_rays_is_decided_by_its_leads(name):
+    pb = load(name).problem
+    with certificate_calls() as calls:
+        assert pb.zero_locus() == ZeroLocusReport(True)
+    assert calls == {}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_DIVISIONS))
+def test_a_fixture_on_more_rays_is_certified_chart_by_chart(name):
+    pb = load(name).problem
+    with certificate_calls() as calls:
+        assert pb.zero_locus() == ZeroLocusReport(True)
+    assert calls == {"_certified": len(pb.fan.max_cones), "divide": CERTIFIED_DIVISIONS[name]}
+
+
+@SETTINGS
+@given(dense_systems(fans=("p2", "p3", "p112", "torsion")))
+def test_dense_systems_on_n_plus_1_rays_are_decided_by_their_leads(system):
+    """A report that is ok divides nothing and builds no chart basis; one
+    that is not is the report without a basis."""
+    fan, polys = system
+    pb = ResidueProblem(fan, polys)
+    with certificate_calls() as calls:
+        report = pb.zero_locus()
+    assert report == no_common_zeros_on_x(fan, polys)
+    assert calls["_certified"] == 0
+    if report.ok:
+        assert calls == {}
+
+
+def test_a_common_line_on_p2_is_refused_without_the_certificate():
+    """Quartics L*Q_j share the line L = 0, so the quotient is not finite:
+    the pass runs without the basis, and no zhat^N is reduced."""
+    rng = random.Random(0)
+    (fan, grading), _ = DENSE_FANS["p2"]
+
+    def form(d):
+        mons = monomial_basis(fan, grading, grading.degree((d, 0, 0)))
+        return MultiPoly(fan.nvars, {m: rng.randint(1, 9) for m in mons})
+
+    L = form(1)
+    polys = [L * form(3) for _ in range(3)]
+    pb = ResidueProblem(fan, polys)
+    with certificate_calls() as calls:
+        report = pb.zero_locus()
+    assert not report.ok and calls["_certified"] == 0
+    assert report == no_common_zeros_on_x(fan, polys)
+    with_basis(fan, polys, pb.groebner)
+
+
+def test_inputs_that_are_not_forms_are_decided_chart_by_chart():
+    """x0 - x1^2 and x1 - x0^2 on P^1 have a finite quotient and the
+    common zero (1, 1): the leads alone would pass it."""
+    fan, _ = load_fan(FIXTURES / "p1.fan.json")
+    x0, x1 = (MultiPoly.variable(2, i) for i in range(2))
+    polys = [x0 - x1 * x1, x1 - x0 * x0]
+    groebner = GroebnerBasis.of(polys, grevlex(2))
+    assert quotient_is_finite(groebner)
+    report, _ = with_basis(fan, polys, groebner)
+    assert not report.ok and report.witness_cone == 0
+
+
+def test_a_flat_cone_keeps_its_report_with_a_basis():
+    """Three rays whose cone 0 is flat: not complete.  x, y and z - 1 have
+    the one zero (0, 0, 1), in the chart of cone 0, which omits z; the
+    minors of the other cones give z the weight 0, so the inputs are forms
+    for them and their quotient is finite."""
+    fan = make_fan(2, [(1, 0), (-1, 0), (0, 1)], [(0, 1), (0, 2), (1, 2)],
+                   variables=("x", "y", "z"))
+    x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+    polys = [x, y, z - 1]
+    groebner = GroebnerBasis.of(polys, grevlex(3))
+    assert quotient_is_finite(groebner)
+    report, _ = with_basis(fan, polys, groebner)
+    assert report == ZeroLocusReport(False, 0, (0, 0, 1))
+
+
+@SETTINGS
+@given(dense_systems(fans=("p2", "p3", "p112", "torsion")))
+def test_a_lex_basis_decides_as_a_grevlex_one(system):
+    fan, polys = system
+    reports = []
+    for order in (grevlex(fan.nvars), lex(fan.nvars)):
+        groebner = GroebnerBasis.of(polys, order)
+        with certificate_calls() as calls:
+            reports.append(no_common_zeros_on_x(fan, polys, groebner))
+        assert calls["_certified"] == 0
+        if reports[-1].ok:
+            assert calls == {}
+    assert reports[0] == reports[1] == no_common_zeros_on_x(fan, polys)
+
+
+@SETTINGS
+@given(dense_systems(fans=("p2", "p112", "torsion")))
+def test_a_negated_degree_basis_keeps_the_decision(system):
+    """The free row of the grading negated by the user: the report and
+    its route are the ones of the computed grading."""
+    fan, polys = system
+    grading = compute_grading(fan)
+    negated = validate_user_grading(fan, [[-a for a in row] for row in grading.free_rows])
+    outcomes = []
+    for g in (grading, negated):
+        pb = ResidueProblem(fan, polys, grading=g)
+        with certificate_calls() as calls:
+            outcomes.append((pb.zero_locus(), calls))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1]["_certified"] == 0
