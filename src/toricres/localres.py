@@ -4,9 +4,9 @@ Dropping input k leaves a square system in each chart.  One grevlex basis
 gives its quotient A = Q[x]/I, finite exactly when every variable has a
 pure-power lead, with the standard monomials B as basis.  M_g, the exact
 matrix of multiplication by g on A, has the normal form of g*x^b as column
-b: it reduces g alone and composes the M_{x_j}, which one border pass over
-the packed basis builds, as in FGLM (Faugere, Gianni, Lazard and Mora, JSC
-16, 1993), with no division per monomial.
+b: it divides g alone and composes the M_{x_j}, which one border pass
+builds, as in FGLM (Faugere, Gianni, Lazard and Mora, JSC 16, 1993), with
+no division per monomial; every monomial is a packed int of the basis.
 
 By Stickelberger's theorem (Cox-Little-O'Shea, *Using Algebraic Geometry*,
 ch. 2 section 4) the eigenvalues of M_g are the values g(p) at the zeros p,
@@ -33,7 +33,7 @@ from .errors import (
     NotZeroDimensional,
     ZeroOnPolarLocus,
 )
-from .groebner import GroebnerBasis, grevlex, quotient_is_finite, standard_monomials
+from .groebner import GroebnerBasis, divide, grevlex, quotient_is_finite, standard_monomials
 from .lattice import mat_det, trace_of_solve
 from .poly import MultiPoly, dehomogenize, poly_det
 from .residues import no_common_zeros_on_x, require_critical_degree
@@ -48,7 +48,9 @@ COMPARE_TOL = 1e-8
 
 class _Quotient:
     """Q[x]/I for the ideal I of a square system with finitely many zeros,
-    on the basis B of standard monomials of its grevlex basis.
+    on B, the standard monomials of its grevlex basis packed, ascending.
+    Another order of B permutes the rows and columns of every M_g alike,
+    which leaves det M_g and Tr(M_g^-1 M_h), so every sum, as they are.
 
     The border pass forms NF(u) for each u = x_i*x^b outside B, b in B, in
     ascending order: a lead of the reduced basis has -tail/lc.  Another u
@@ -65,21 +67,18 @@ class _Quotient:
         self.gb = GroebnerBasis.of(polys, grevlex(polys[0].nvars))
         if not quotient_is_finite(self.gb):
             raise NotZeroDimensional("chart system has positive-dimensional zeros")
-        self.basis = standard_monomials(self.gb)
+        self.basis = sorted(map(self.gb.packing.pack, standard_monomials(self.gb)))
 
     @cached_property
     def _times_variable(self):
-        """For each variable x_j, (D_j, table): table[b] is the normal form of
-        x_j*x^b times D_j, for each b in B, as a dict of integers; D_j is the
-        lcm of the denominators of those normal forms.  The border pass
-        holds each as (d, packed integer terms) in lowest terms."""
-        packing = self.gb.packing
-        weights = packing.weights
+        """For each variable x_j, (D_j, table): table[b], b in B, is D_j times
+        the normal form of x_j*x^b in packed integer terms, D_j the lcm of
+        their denominators.  The border pass holds each form in lowest terms."""
+        weights = self.gb.packing.weights
         leads = {le: (lc, tail) for le, lc, tail in self.gb.table}
-        packed = [packing.pack(b) for b in self.basis]
-        forms = {x: (1, {x: 1}) for x in packed}
+        forms = {x: (1, {x: 1}) for x in self.basis}
         standard = set(forms)
-        for u in sorted({x + w for x in packed for w in weights} - standard):
+        for u in sorted({x + w for x in self.basis for w in weights} - standard):
             if u in leads:
                 lc, tail = leads[u]
                 forms[u] = (lc, {y: -c for y, c in tail})
@@ -97,12 +96,11 @@ class _Quotient:
             acc = {y: v for y, v in acc.items() if v}
             g = gcd(dw * L, *acc.values())
             forms[u] = (dw * L // g, {y: v // g for y, v in acc.items()})
-        unpack = packing.unpack
         out = []
         for s in weights:
-            cols = [forms[x + s] for x in packed]
+            cols = [forms[x + s] for x in self.basis]
             D = lcm(*(d for d, _ in cols))
-            out.append((D, {b: {unpack(y): c * (D // d) for y, c in terms.items()}
+            out.append((D, {b: {y: c * (D // d) for y, c in terms.items()}
                             for b, (d, terms) in zip(self.basis, cols)}))
         return out
 
@@ -113,23 +111,25 @@ class _Quotient:
 
     def matrix(self, g: MultiPoly):
         """(d, G): G is the integer matrix whose column b is column b of M_g
-        times d*s_b, where d is the denominator of the normal form of g and
-        s_b = prod_j D_j^(b_j).  B is sorted and closed under division, so
-        x^b = x_j*x^c for a c earlier in B, and the column of b is x_j times
-        the column of c, reduced term by term through ``_times_variable``.
-        The s_b depend on b alone, so they scale the G of every g by one
-        similarity, and leave det G = 0 as it is."""
-        nf = self.gb.reduce(g)
-        cols = {b: nf.num for b in self.basis[:1]}
-        for b in self.basis[1:]:
-            j = next(i for i, k in enumerate(b) if k)
-            table = self._times_variable[j][1]
-            col = {}
-            for e, c in cols[tuple(k - (i == j) for i, k in enumerate(b))].items():
+        times d*s_b, where d is the denominator of the normal form of g
+        (g.num divided on the table, over g.d in lowest terms) and
+        s_b = prod_j D_j^(b_j).  B ascends and is closed under division, so
+        x^b = x_j*x^c, c = b - weights[j] earlier in B, for the first j with
+        a key c (the others have a guard bit), and column b is x_j times
+        column c through ``_times_variable``.  The s_b depend on b alone, so
+        they scale the G of every g by one similarity, and leave det G = 0."""
+        packing, B = self.gb.packing, self.basis
+        scale, rem = divide(packing.pack_terms(g.num), self.gb.table, packing)
+        k = gcd(scale * g.d, *rem.values())
+        cols = {b: {y: c // k for y, c in rem.items()} for b in B[:1]}
+        for b in B[1:]:
+            j, c = next((j, b - s) for j, s in enumerate(packing.weights) if b - s in cols)
+            table, col = self._times_variable[j][1], {}
+            for e, v in cols[c].items():
                 for f, x in table[e].items():
-                    col[f] = col.get(f, 0) + c * x
+                    col[f] = col.get(f, 0) + v * x
             cols[b] = col
-        return nf.d, [[cols[b].get(e, 0) for b in self.basis] for e in self.basis]
+        return scale * g.d // k, [[cols[b].get(e, 0) for b in B] for e in B]
 
     def require_simple(self):
         """NonSimpleZero unless det M_J != 0, J the Jacobian determinant."""

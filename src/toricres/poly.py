@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .errors import (
+    DegreeMismatch,
     NoIntegralLift,
     NonSquare,
     NonUniqueLift,
@@ -450,8 +451,10 @@ def dehomogenize(p: MultiPoly, fan, cone_index: int) -> MultiPoly:
 
     The result lives in a ring with dim-many variables, ordered by ascending
     ray index inside the cone.  Terms that meet are summed, and sums that
-    cancel are dropped.
+    cancel are dropped.  DegreeMismatch unless p lies in the fan's ring.
     """
+    if p.nvars != fan.nvars:
+        raise DegreeMismatch("polynomial ring does not match the fan")
     cone = fan.cone(cone_index)
     out = {}
     for e, c in p.num.items():
@@ -473,11 +476,14 @@ def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     undetermined; an m that det R does not divide means no exponent vector
     of the degree restricts to e, and a negative off-cone entry that the
     degree gap needs a negative exponent.  The lift keeps e on the cone's
-    rays, so distinct terms lift to distinct terms.
+    rays, so distinct terms lift to distinct terms.  DegreeMismatch unless
+    q has one variable per ray of the cone, as its chart has.
     """
+    cone = fan.cone(cone_index)
+    if q.nvars != len(cone):
+        raise DegreeMismatch("chart polynomial ring does not match the cone")
     if not q.num:
         return MultiPoly.zero(fan.nvars)
-    cone = fan.cone(cone_index)
     det, adj = fan.cone_table[cone_index]
     if det == 0:
         raise NonUniqueLift("off-cone exponents are not determined by the degree")

@@ -50,7 +50,10 @@ def irrelevant_ideal(fan: FanData) -> tuple[Exponent, ...]:
 
 
 def irrelevant_witness(p: MultiPoly, fan: FanData) -> Exponent | None:
-    """A term of p outside the irrelevant ideal, or None when p lies inside."""
+    """A term of p outside the irrelevant ideal, or None when p lies inside;
+    DegreeMismatch unless p lies in the fan's ring."""
+    if p.nvars != fan.nvars:
+        raise DegreeMismatch("polynomial ring does not match the fan")
     gens = irrelevant_ideal(fan)
     return next((e for e in sorted(p.num) if not any(_divides(g, e) for g in gens)), None)
 
@@ -204,8 +207,10 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
     read their integer terms q.num, or sub-dicts of them in a piece: q.d
     divides F.d, as q's coefficients are sums of F's, so where P divides
     no input's F.d it divides no q.d, and q.num spans the same chart ideal
-    mod P as q.
+    mod P as q.  DegreeMismatch unless every input lies in the fan's ring.
     """
+    if any(F.nvars != fan.nvars for F in polys):
+        raise DegreeMismatch("polynomial ring does not match the fan")
     if groebner is not None and (weights := ray_relation(fan)) is not None \
             and all(_is_weighted_form(F, weights) for F in polys):
         if quotient_is_finite(groebner):

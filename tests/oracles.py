@@ -9,7 +9,8 @@ each monomial was one packed int, the heap-ordered division over Fractions
 against monic reducers with its S-polynomials, the integer reducers read
 back from a monic Fraction basis, Buchberger over parallel lists with
 MultiPoly S-polynomials, the multiplication tables of a chart quotient
-from Fraction normal forms, the finiteness test and the standard monomials
+from Fraction normal forms, the chart quotient on exponent tuples as it
+ran before its monomials were packed ints, the finiteness test and the standard monomials
 of a quotient on exponent tuples, the quotient dimension of a chart system
 from its grevlex basis, the zero-locus test that builds a basis over Q of
 every chart ideal and the one that decides each chart ideal whole, the
@@ -60,6 +61,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import atan2, ceil, factorial, floor, gcd, lcm, prod
 
 import numpy as np
@@ -76,9 +78,10 @@ from toricres.grading import Grading, critical_degree, degree_system, representa
 from toricres.groebner import (Packing, grevlex, lex, packed_basis,
                                quotient_is_finite, standard_monomials)
 from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, dot, freeze,
-                              hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form)
+                              hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form,
+                              trace_of_solve)
 from toricres.localres import _chart, _Quotient
-from toricres.poly import Exponent, degree_of
+from toricres.poly import Exponent, degree_of, poly_det as integer_poly_det
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
                                 lattice_points)
 from toricres.residues import P, CodimReport, ZeroLocusReport, _require_hypotheses
@@ -1163,15 +1166,18 @@ def grevlex_chart_dimension(polys):
 
 def fraction_times_variable(quotient):
     """``_Quotient._times_variable`` from Fraction normal forms: each
-    x_j*x^b reduced by ``GroebnerBasis.reduce``, the lcm D_j of their
-    denominators, and D_j times each form as integers."""
+    x_j*x^b, b in the packed B unpacked, reduced by ``GroebnerBasis.reduce``,
+    the lcm D_j of their denominators, and D_j times each form as integers,
+    keyed by packed monomials."""
+    packing = quotient.gb.packing
     out = []
     for j in range(quotient.polys[0].nvars):
         forms = {b: quotient.gb.reduce(MultiPoly.monomial(
-                    tuple(k + (i == j) for i, k in enumerate(b)))).terms
+                    tuple(k + (i == j) for i, k in enumerate(packing.unpack(b))))).terms
                  for b in quotient.basis}
         D = lcm(*(c.denominator for nf in forms.values() for c in nf.values()))
-        out.append((D, {b: {e: c.numerator * (D // c.denominator) for e, c in nf.items()}
+        out.append((D, {b: {packing.pack(e): c.numerator * (D // c.denominator)
+                            for e, c in nf.items()}
                         for b, nf in forms.items()}))
     return out
 
@@ -1179,20 +1185,101 @@ def fraction_times_variable(quotient):
 def fraction_matrix(quotient, g):
     """``_Quotient.matrix`` from the Fraction normal form of g, its
     denominators cleared by ``clear_denominators``, each later column
-    built by the tables of ``fraction_times_variable``."""
+    built by the tables of ``fraction_times_variable`` from the column of
+    b - e_j, j the first variable of the unpacked b."""
+    packing = quotient.gb.packing
     nf = quotient.gb.reduce(g).terms
     d, nums = clear_denominators(nf.values())
     tables = fraction_times_variable(quotient)
     B = quotient.basis
-    cols = {b: dict(zip(nf, nums)) for b in B[:1]}
+    cols = {b: dict(zip(map(packing.pack, nf), nums)) for b in B[:1]}
     for b in B[1:]:
-        j = next(i for i, k in enumerate(b) if k)
+        e = packing.unpack(b)
+        j = next(i for i, k in enumerate(e) if k)
         col = {}
-        for e, c in cols[tuple(k - (i == j) for i, k in enumerate(b))].items():
-            for f, x in tables[j][1][e].items():
-                col[f] = col.get(f, 0) + c * x
+        for x, c in cols[packing.pack(tuple(k - (i == j) for i, k in enumerate(e)))].items():
+            for f, y in tables[j][1][x].items():
+                col[f] = col.get(f, 0) + c * y
         cols[b] = col
     return d, [[cols[b].get(e, 0) for b in B] for e in B]
+
+
+class TupleQuotient:
+    """``localres._Quotient`` as it ran on exponent tuples: B the standard
+    monomials in ascending tuple order, the border pass's forms unpacked
+    into tables keyed by tuples, and each matrix reducing g through
+    ``GroebnerBasis.reduce``.  Its matrices are the package's with rows and
+    columns permuted alike, so every trace and determinant is the same."""
+
+    def __init__(self, polys):
+        if not polys:
+            raise ValueError("empty system")
+        self.polys = polys
+        self.gb = GroebnerBasis.of(polys, grevlex(polys[0].nvars))
+        if not quotient_is_finite(self.gb):
+            raise NotZeroDimensional("chart system has positive-dimensional zeros")
+        self.basis = standard_monomials(self.gb)
+
+    @cached_property
+    def _times_variable(self):
+        packing = self.gb.packing
+        weights = packing.weights
+        leads = {le: (lc, tail) for le, lc, tail in self.gb.table}
+        packed = [packing.pack(b) for b in self.basis]
+        forms = {x: (1, {x: 1}) for x in packed}
+        standard = set(forms)
+        for u in sorted({x + w for x in packed for w in weights} - standard):
+            if u in leads:
+                lc, tail = leads[u]
+                forms[u] = (lc, {y: -c for y, c in tail})
+                continue
+            s = next(s for s in weights if u - s in forms and u - s not in standard)
+            dw, w = forms[u - s]
+            parts = [(c, forms[x + s]) for x, c in w.items()]
+            L = lcm(*(d for _, (d, _) in parts))
+            acc = {}
+            for c, (d, terms) in parts:
+                c *= L // d
+                for y, v in terms.items():
+                    acc[y] = acc.get(y, 0) + c * v
+            acc = {y: v for y, v in acc.items() if v}
+            g = gcd(dw * L, *acc.values())
+            forms[u] = (dw * L // g, {y: v // g for y, v in acc.items()})
+        unpack = packing.unpack
+        out = []
+        for s in weights:
+            cols = [forms[x + s] for x in packed]
+            D = lcm(*(d for d, _ in cols))
+            out.append((D, {b: {unpack(y): c * (D // d) for y, c in terms.items()}
+                            for b, (d, terms) in zip(self.basis, cols)}))
+        return out
+
+    @cached_property
+    def jacobian(self) -> MultiPoly:
+        return integer_poly_det([[p.partial(j) for j in range(p.nvars)] for p in self.polys])
+
+    def matrix(self, g: MultiPoly):
+        nf = self.gb.reduce(g)
+        cols = {b: nf.num for b in self.basis[:1]}
+        for b in self.basis[1:]:
+            j = next(i for i, k in enumerate(b) if k)
+            table = self._times_variable[j][1]
+            col = {}
+            for e, c in cols[tuple(k - (i == j) for i, k in enumerate(b))].items():
+                for f, x in table[e].items():
+                    col[f] = col.get(f, 0) + c * x
+            cols[b] = col
+        return nf.d, [[cols[b].get(e, 0) for b in self.basis] for e in self.basis]
+
+    def require_simple(self):
+        if mat_det(self.matrix(self.jacobian)[1]) == 0:
+            raise NonSimpleZero("the Jacobian vanishes at a zero (det M_J = 0)")
+
+    def trace(self, h: MultiPoly, g: MultiPoly) -> Fraction | None:
+        d_gj, A = self.matrix(g * self.jacobian)
+        d_h, B = self.matrix(h)
+        t = trace_of_solve(A, B)
+        return None if t is None else t * d_gj / d_h
 
 
 def q_chart_zero_locus(fan, polys) -> ZeroLocusReport:
@@ -2093,8 +2180,9 @@ def quotient_zeros(quotient, seed: int):
     """The |B| zeros when all are simple, and the Jacobian determinant
     at each: eigenvectors of a seeded combination of the coordinate
     matrices M_{x_j}, then Newton.  ``_times_variable`` holds each column
-    of M_{x_j} times D_j; each entry is rounded once, from its Fraction."""
-    B, polys = quotient.basis, quotient.polys
+    of M_{x_j} times D_j; each entry is rounded once, from its Fraction.
+    The packed B is taken in ascending order of its exponent tuples."""
+    B, polys = sorted(quotient.basis, key=quotient.gb.packing.unpack), quotient.polys
     if not B:
         return [], []
     rng = random.Random(seed)

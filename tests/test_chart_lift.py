@@ -14,10 +14,12 @@ lifts them on sigma's.
 import itertools
 from functools import cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricres import (
     DegreeClass,
+    DegreeMismatch,
     MultiPoly,
     ToricError,
     compute_grading,
@@ -144,3 +146,25 @@ def test_chart_jacobians_of_random_systems(name, data):
                                     max_size=len(mons)).filter(any))
         polys.append(MultiPoly(pb.fan.nvars, dict(zip(mons, coeffs))))
     assert_jacobians_lift_alike(pb, polys)
+
+
+def test_a_chart_refuses_a_polynomial_of_another_ring():
+    """``dehomogenize`` reads each exponent at the cone's rays, so a
+    polynomial of more or fewer variables than the fan would be cut or
+    indexed past its end; it is refused like ``decompose`` refuses it."""
+    fan, _ = load_fan(FIXTURES / "p2.fan.json")
+    for nvars in (2, 4):
+        with pytest.raises(DegreeMismatch, match="polynomial ring does not match the fan"):
+            dehomogenize(MultiPoly.variable(nvars, 0), fan, 0)
+
+
+def test_a_lift_refuses_a_chart_polynomial_of_another_ring():
+    """``homogenize_to_degree`` reads a chart term on the cone's dim rays:
+    x0 of one variable on P^2 once lifted to x2 through that cut."""
+    fan, grading = load_fan(FIXTURES / "p2.fan.json")
+    target = grading.degree((1, 0, 0))
+    for q in (MultiPoly.variable(1, 0), MultiPoly.variable(3, 0), MultiPoly.zero(3)):
+        with pytest.raises(DegreeMismatch, match="chart polynomial ring does not match the cone"):
+            homogenize_to_degree(q, fan, 0, target, grading)
+    assert homogenize_to_degree(MultiPoly.variable(2, 0), fan, 0, target, grading) \
+        == MultiPoly.variable(3, 1)

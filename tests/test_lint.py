@@ -120,23 +120,31 @@ def test_no_fraction_accumulator_on_the_residue_path():
 
 def test_the_groebner_kernel_builds_no_exponent_tuple():
     """Division, S-polynomials, the pair loop, the lead count of the
-    Hilbert-driven skip and the zero-locus certificate run on packed
-    monomials alone: none of them calls
-    ``tuple``, as ``tuple(map(add, e, shift))`` once did in every step.
-    Tuples are packed where they enter a call and unpacked where they
-    leave it."""
+    Hilbert-driven skip, the zero-locus certificate and the chart
+    quotient's border pass and matrices run on packed monomials alone: none
+    of them calls ``tuple``, as ``tuple(map(add, e, shift))`` once did in
+    every step, and none reads ``unpack``, as the quotient's tables once
+    did to key them by exponent tuples.  Tuples are packed where they enter
+    a call and unpacked where they leave it."""
     kernel = {"groebner.py": ("divide", "s_polynomial", "_gm_update", "_lead_count",
                               "packed_basis"),
-              "residues.py": ("_certified",)}
+              "residues.py": ("_certified",),
+              "localres.py": ("_Quotient._times_variable", "_Quotient.matrix")}
     for name, functions in kernel.items():
         path = ROOT / "src" / "toricres" / name
         tree = ast.parse(path.read_text(), filename=str(path))
         defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        defs.update((f"{cls.name}.{node.name}", node) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef)
+                    for node in cls.body if isinstance(node, ast.FunctionDef))
         for function in functions:
             calls = [node.lineno for node in ast.walk(defs[function])
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                      and node.func.id == "tuple"]
             assert calls == [], (name, function, calls)
+            unpacks = [node.lineno for node in ast.walk(defs[function])
+                       if isinstance(node, ast.Attribute) and node.attr == "unpack"]
+            assert unpacks == [], (name, function, unpacks)
 
 
 def test_no_except_clause_can_catch_an_exponent_refusal():

@@ -4,13 +4,15 @@ Its values must equal the exact residue and the trace over the quotient
 ring by linear-scan normal forms and Fraction elimination
 (``oracles.trace_residue_sum``) as Fractions, and come within COMPARE_TOL
 of the floating-point sum it replaced (``oracles.numeric_residue_sum``),
-which must refuse the same inputs with the same errors.  The chart solver
+which must refuse the same inputs with the same errors, and equal the
+sum on the chart quotient keyed by exponent tuples (``oracles.TupleQuotient``),
+refusal messages and all.  The chart solver
 of that floating-point sum is compared with the shape-position chain it
 replaced (``oracles.shape_position_solve``).  Each refusal is also shown on
 a system built to need it.
 """
 
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -341,16 +343,16 @@ def test_the_multiplication_tables_commute_on_random_systems(case):
 
 
 def test_a_trace_reduces_two_polynomials_and_no_monomial(monkeypatch):
-    """The tables come from the border pass, so one trace reduces f_k*J and
-    h and nothing else."""
-    reduced = []
-    real = GroebnerBasis.reduce
+    """The tables come from the border pass, so one trace divides the
+    integer terms of f_k*J and h on the packed table and nothing else."""
+    divided = []
+    real = localres.divide
 
-    def counted(self, p):
-        reduced.append(p)
-        return real(self, p)
+    def counted(terms, table, packing, modulus=0):
+        divided.append(terms)
+        return real(terms, table, packing, modulus)
 
-    monkeypatch.setattr(GroebnerBasis, "reduce", counted)
+    monkeypatch.setattr(localres, "divide", counted)
     for name in NUMERIC_FIXTURES:
         lp = load(name)
         pb = lp.problem
@@ -360,9 +362,41 @@ def test_a_trace_reduces_two_polynomials_and_no_monomial(monkeypatch):
                 fk, quotient = localres._chart(pb, k, pb.sigma)
             except InfiniteIntersection:
                 continue
-            reduced.clear()
+            divided.clear()
             quotient.trace(h, fk)
-            assert reduced == [fk * quotient.jacobian, h]
+            pack = quotient.gb.packing.pack_terms
+            assert divided == [pack((fk * quotient.jacobian).num), pack(h.num)]
+
+
+def tuple_quotient_outcome(compute):
+    """The value, or the refusal's type and message, with the chart
+    quotient on exponent tuples (``oracles.TupleQuotient``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localres, "_Quotient", oracles.TupleQuotient)
+        return message(compute)
+
+
+def assert_sums_match_the_tuple_quotient(pb, H):
+    """Every k: the sum, or its refusal with its message, is the one the
+    tuple-keyed quotient gives, and so is the torus sum of each system."""
+    for k in range(len(pb.polys)):
+        sum_k = partial(sum_local_residues, pb, H, k)
+        assert message(sum_k) == tuple_quotient_outcome(sum_k)
+        torus = partial(euler_jacobi_check, pb.fan.dim, chart_system(pb, k, pb.sigma),
+                        dehomogenize(H, pb.fan, pb.sigma))
+        assert message(torus) == tuple_quotient_outcome(torus)
+
+
+@pytest.mark.parametrize("name", RESIDUE_FIXTURES)
+def test_sums_and_refusals_match_the_tuple_quotient_on_fixtures(name):
+    lp = load(name)
+    assert_sums_match_the_tuple_quotient(lp.problem, lp.inputs[0])
+
+
+@SETTINGS
+@given(square_systems(["p2", "p1p1", "p3", "p112", "pentagon"]))
+def test_sums_and_refusals_match_the_tuple_quotient_on_random_systems(case):
+    assert_sums_match_the_tuple_quotient(*case[:2])
 
 
 def linear_problem(name, texts):

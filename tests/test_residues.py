@@ -8,6 +8,7 @@ from toricres import (
     AllReduceToZero,
     CodimNotOne,
     DecompositionFailed,
+    DegreeMismatch,
     HypothesesFailed,
     MultiPoly,
     ResidueProblem,
@@ -51,6 +52,15 @@ def test_irrelevant_ideal_generators(pentagon, p1p1, p2):
     # variables themselves
     gens3 = irrelevant_ideal(fan3)
     assert sorted(gens3) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def test_membership_refuses_a_polynomial_of_another_ring(p2):
+    # x0 of two variables once read as lying in (x0, x1, x2) through a zip
+    fan, _ = p2
+    for nvars in (2, 4):
+        with pytest.raises(DegreeMismatch, match="polynomial ring does not match the fan"):
+            in_irrelevant_ideal(MultiPoly.variable(nvars, 0), fan)
+    assert in_irrelevant_ideal(MultiPoly.variable(3, 0), fan)
 
 
 def test_in_irrelevant_ideal(pentagon, p1p1):

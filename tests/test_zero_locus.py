@@ -42,8 +42,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricres import (GroebnerBasis, MultiPoly, ResidueProblem, ZeroLocusReport, compute_grading,
-                      dehomogenize, grevlex, lex, load_fan, make_fan, monomial_basis,
+from toricres import (DegreeMismatch, GroebnerBasis, MultiPoly, ResidueProblem, ZeroLocusReport,
+                      compute_grading, dehomogenize, grevlex, lex, load_fan, make_fan, monomial_basis,
                       no_common_zeros_on_x, quotient_is_finite, residues, validate_user_grading)
 from toricres.groebner import Packing, divide
 from toricres.residues import P, _certified, irrelevant_ideal, off_cone_exponent
@@ -134,6 +134,20 @@ def with_basis(fan, polys, groebner=None):
 def test_zero_locus_matches_q_oracle_on_fixtures(name):
     pb = load(name).problem
     with_basis(pb.fan, pb.polys, pb.groebner)
+
+
+def test_the_zero_locus_refuses_polynomials_of_another_ring():
+    """x0, x1, x2 of four variables once passed on P^2, their charts cut to
+    the cone's variables, with or without a basis whose leads decide it,
+    and x0, x1 of two variables raised IndexError."""
+    fan, _ = load_fan(FIXTURES / "p2.fan.json")
+    basis = GroebnerBasis.of([MultiPoly.variable(3, i) for i in range(3)], grevlex(3))
+    for nvars in (2, 4):
+        polys = [MultiPoly.variable(nvars, i) for i in range(min(nvars, 3))]
+        for groebner in (None, basis):
+            with pytest.raises(DegreeMismatch, match="polynomial ring does not match the fan"):
+                no_common_zeros_on_x(fan, polys, groebner)
+    assert not no_common_zeros_on_x(fan, [MultiPoly.variable(3, i) for i in range(2)])
 
 
 def test_fixtures_are_certified_from_their_basis():
