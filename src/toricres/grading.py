@@ -91,6 +91,8 @@ class Grading:
             self.moduli)
 
     def variable_degree(self, i: int) -> DegreeClass:
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"no variable with index {i}")
         e = [0] * self.nvars
         e[i] = 1
         return self.degree(e)
@@ -111,7 +113,7 @@ def _ray_matrix(rays) -> list[list[int]]:
     return [list(r) for r in rays]
 
 
-def grading_from_rays(rays, provenance="computed") -> Grading:
+def grading_from_rays(rays) -> Grading:
     """Cokernel presentation of the ray pairing map via Smith normal form."""
     rays = freeze(rays)
     n = len(rays[0])
@@ -129,8 +131,7 @@ def grading_from_rays(rays, provenance="computed") -> Grading:
             moduli.append(s)
     free_raw = [list(snf.U[i]) for i in range(n, cols)]
     free_rows = hnf_reduced_rows(free_raw, cols)
-    return Grading(rays, freeze(free_rows), freeze(torsion_rows), tuple(moduli),
-                   provenance)
+    return Grading(rays, freeze(free_rows), freeze(torsion_rows), tuple(moduli))
 
 
 def compute_grading(fan) -> Grading:
@@ -160,7 +161,7 @@ def validate_user_grading(fan, free_rows) -> Grading:
             if dot(row, col) != 0:
                 raise NotAGrading(
                     f"row {r} does not vanish on the ray pairing image")
-    computed = grading_from_rays(rays, provenance="computed")
+    computed = grading_from_rays(rays)
     if len(free_rows) != computed.rank:
         raise NotSurjective(
             f"expected {computed.rank} free rows, got {len(free_rows)}")
@@ -206,8 +207,11 @@ def representative_divisor(grading: Grading, degree: DegreeClass) -> Vec:
     Solves the stacked integer system (free rows exactly, torsion rows up to
     their moduli), then reduces modulo the pairing image by right-aligned
     Hermite division so equal degrees give equal representatives.  Both
-    forms are built once per grading.
+    forms are built once per grading.  DegreeMismatch unless the class has
+    the grading's rank of free entries and its moduli.
     """
+    if len(degree.free) != grading.rank or degree.moduli != grading.moduli:
+        raise DegreeMismatch("degree class is not of this grading's group")
     snf, basis = grading._divisor_system
     sol = snf.solve(list(degree.free) + list(degree.torsion))
     if sol is None:

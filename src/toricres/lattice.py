@@ -149,10 +149,14 @@ class SmithDecomposition:
         return tuple(self.S[i][i] for i in range(min(m, n)))
 
     def solve(self, b):
-        """One integer solution of A x = b, or None."""
+        """One integer solution of A x = b, or None; ValueError unless b has
+        one entry per row of A."""
         m = len(self.S)
         n = len(self.V)
-        ub = mat_vec(self.U, tuple(b))
+        b = tuple(b)
+        if len(b) != m:
+            raise ValueError(f"right-hand side has {len(b)} entries for {m} rows")
+        ub = mat_vec(self.U, b)
         d = self.diagonal
         y = [0] * n
         for i in range(m):

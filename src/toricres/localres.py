@@ -175,9 +175,10 @@ def sum_local_residues(problem, H: MultiPoly, k: int) -> Fraction:
     Z.  Refusals keep the order of the screen's pass over the charts: the
     charts up to its witness w are built, so an infinite one raises
     InfiniteIntersection before NotTorusZero names w.  w is the first cone
-    whose chart of the screen is the unit ideal neither mod P (on P-integral
-    inputs) nor over Q, so a chart with a zero off T that leaves it mod P
-    is passed and a later one named.
+    with a system of the screen, one piece per coordinate hyperplane, that
+    is the unit ideal neither mod P (on P-integral inputs) nor over Q, so a
+    piece with a zero off T that leaves it mod P is passed and a later cone
+    named.
     Then sigma's chart alone gets a quotient ring, and the sum is (-1)^k
     times the trace of h/(f_k*J) over it, where the index |cone_det| of
     sigma in the chart form cancels against the chart group order.  A

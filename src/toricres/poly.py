@@ -105,6 +105,8 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, nvars, i, power=1):
+        if not 0 <= i < nvars:
+            raise ValueError(f"no variable with index {i}")
         e = [0] * nvars
         e[i] = power
         return cls(nvars, {tuple(e): 1})
@@ -211,6 +213,8 @@ class MultiPoly:
     # -- queries -------------------------------------------------------------
 
     def partial(self, i: int) -> "MultiPoly":
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"no variable with index {i}")
         out = {}
         for e, c in self.num.items():
             if e[i]:

@@ -45,6 +45,10 @@ class HPolytope:
                            tuple(Fraction(o) for o in self.offsets))
 
     def contains(self, point) -> bool:
+        """Whether the point satisfies every inequality; ValueError unless it
+        has one entry per dimension."""
+        if len(point) != self.dim:
+            raise ValueError(f"point has {len(point)} entries in dimension {self.dim}")
         return all(dot(point, nr) + off >= 0
                    for nr, off in zip(self.normals, self.offsets))
 

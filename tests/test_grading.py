@@ -43,6 +43,34 @@ def test_degree_refuses_an_exponent_of_another_length(p2):
         degree_of(MultiPoly(2, {(1, 1): 1}), g)
 
 
+def test_a_degree_class_of_another_group_is_refused(p2, torsion_fan):
+    """A class with another count of free entries, or other moduli, is not
+    a degree of the grading, and is refused, not truncated or padded:
+    (1, 2) or () on P^2, whose group is Z, and a class of Z + Z/5 or of Z
+    alone on the torsion fan, whose group is Z + Z/3."""
+    fan, g = p2
+    tfan, tg = torsion_fan
+    assert tg.rank == 1 and tg.moduli == (3,)
+    for grading, degree in [(g, DegreeClass((1, 2))), (g, DegreeClass(())),
+                            (g, DegreeClass((1,), (0,), (2,))), (tg, DegreeClass((1,))),
+                            (tg, DegreeClass((1,), (1,), (5,)))]:
+        with pytest.raises(DegreeMismatch, match="not of this grading's group"):
+            representative_divisor(grading, degree)
+    with pytest.raises(DegreeMismatch):
+        monomial_basis(fan, g, DegreeClass((1, 2)))
+    degree = DegreeClass((1,), (1,), (3,))
+    assert tg.degree(representative_divisor(tg, degree)) == degree
+
+
+def test_a_variable_index_outside_the_ring_is_refused(p2):
+    """-1 is refused, not read as the last variable, and 3 as the index of
+    no variable."""
+    g = p2[1]
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"no variable with index {i}"):
+            g.variable_degree(i)
+
+
 def test_a_trivial_class_group_has_one_variable_per_ray():
     """Rays that form a lattice basis give no free and no torsion rows; the
     grading still has a variable per ray, every degree is the trivial class,

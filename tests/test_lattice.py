@@ -126,6 +126,16 @@ def test_solvers():
     assert mat_rank([[1, 2], [2, 4]]) == 1
 
 
+def test_a_smith_solve_refuses_a_right_hand_side_of_another_length():
+    """The right-hand side has one entry per row: [2] is refused, not solved
+    as (2, 0) or as any other vector of two entries."""
+    snf = smith_normal_form([[2, 0], [0, 3]])
+    assert snf.solve([2, 3]) == (1, 1)
+    for b in ([2], [2, 3, 0], []):
+        with pytest.raises(ValueError, match=f"right-hand side has {len(b)} entries for 2 rows"):
+            snf.solve(b)
+
+
 def test_hnf_reduction_is_canonical():
     basis = hnf_rows([[2, 1], [0, 3]], 2)
     r1 = reduce_mod_lattice([5, 5], basis)

@@ -231,6 +231,17 @@ def test_arithmetic_with_an_operand_that_is_not_an_int_or_a_fraction_is_refused(
     assert 2 * x == x * 2 == x + x and x * Fraction(0) == 0
 
 
+def test_a_variable_index_outside_the_ring_is_refused():
+    """-1 is refused, not read as the last variable, and 3 as the index of
+    no variable, in a variable and in a partial derivative."""
+    assert MultiPoly.variable(3, 2, 2).partial(2) == MultiPoly.variable(3, 2) * 2
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"no variable with index {i}"):
+            MultiPoly.variable(3, i)
+        with pytest.raises(ValueError, match=f"no variable with index {i}"):
+            MultiPoly.variable(3, 2, 2).partial(i)
+
+
 def test_int_and_fraction_coefficients_are_kept_exactly():
     p = MultiPoly(2, {(1, 0): Fraction(1, 10), (0, 1): 3, (0, 0): True})
     assert p.terms == {(1, 0): Fraction(1, 10), (0, 1): 3, (0, 0): 1}

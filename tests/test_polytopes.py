@@ -33,6 +33,16 @@ def test_p1p1_square(p1p1):
     assert polytope_volume(poly) == 1
 
 
+def test_contains_refuses_a_point_of_another_dimension():
+    """A point of another dimension is refused, not cut or padded to the
+    polytope's: (0, 0, 7) against a 2-D triangle."""
+    triangle = HPolytope(2, ((1, 0), (0, 1), (-1, -1)), (0, 0, 1))
+    assert triangle.contains((0, 0)) and not triangle.contains((1, 1))
+    for point in [(0, 0, 7), (0,), ()]:
+        with pytest.raises(ValueError, match=f"point has {len(point)} entries in dimension 2"):
+            triangle.contains(point)
+
+
 def test_point_polytope(p2):
     fan, _ = p2
     poly = divisor_polytope(fan, (0, 0, 0))

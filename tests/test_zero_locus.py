@@ -1,12 +1,13 @@
 """The zero-locus test mod P against the test over Q alone.
 
 ``no_common_zeros_on_x`` passes over the charts in cone order and builds a
-basis over Q only for a chart that is not the unit ideal mod P;
+basis over Q only for a chart, or a piece of one, that is not the unit
+ideal mod P;
 ``oracles.q_chart_zero_locus`` builds one for every chart.  Their ``ok``,
 ``witness_cone`` and ``witness_monomial`` must agree on every input,
 including inputs that vanish mod P, inputs with a denominator P and common
 zeros that exist only over Q or only mod P.  The one exception is a chart
-that is the unit ideal mod P but not over Q, because P divides a
+or a piece that is the unit ideal mod P but not over Q, because P divides a
 coefficient (``test_a_zero_that_leaves_its_chart_mod_p``): the pass goes
 on past it, and names a later chart.
 
@@ -16,8 +17,8 @@ basis, and the chart bases built, counted per modulus by ``chart_bases``,
 may only fall.  The caps are cost guards only: with the cap on N at 0 the
 report and the counts are the ones without a basis, and with the cap on
 the size of a remainder at 0 only the counts may change.  ``chart_bases``
-also fails any call that builds a basis over Q of a chart already found to
-be the unit ideal mod P.
+also fails any call that builds a basis over Q of a chart or a piece
+already found to be the unit ideal mod P.
 
 On a complete fan with n+1 rays and inputs homogeneous for its ray
 relation (``oracles.leads_decide``), the pure-power leads of the basis
@@ -29,9 +30,12 @@ forms for the relation, and fans that are not complete, keep their
 reports.  On the fixtures of the pentagon and of P^1 x P^1 the
 certificate runs as before, with its divisions counted.
 
-A chart with a monomial input is decided on its coordinate hyperplanes;
-its report must be the one of every chart decided whole
-(``oracles.whole_chart_zero_locus``), witness included.
+A chart with a monomial input is decided on its coordinate hyperplanes,
+each piece mod P or else over Q on its own.  With small coefficients its
+report must be the one of every chart decided whole
+(``oracles.whole_chart_zero_locus``), witness included; with coefficients
+divisible by P its ``ok`` must be the Q oracle's, and its witness never
+before the oracle's.
 """
 
 import random
@@ -545,6 +549,56 @@ def test_a_monomial_that_vanishes_mod_p_is_still_split(system, data):
         forms = vanish_at(forms, point)
         assume(all(not F.is_zero() for F in forms))
     split_report(fan, forms + [monomial])
+
+
+def test_a_piece_unit_mod_p_builds_no_basis_over_q():
+    """The screen of x0 + x1 + x2 and P*x0 + x1 + 2P*x2 on P^2, whose common
+    zero lies in the torus.  Mod P the second form is x1, so the piece on
+    x1 = 0, [1 : 0 : -1] mod P, fails mod P in the charts of cones 0 (its
+    first piece) and 2 (its second); over Q it is the unit ideal.  Every
+    other piece is unit mod P, so each of those charts builds one basis
+    over Q, of that piece alone."""
+    fan, _ = load_fan(FIXTURES / "p2.fan.json")
+    x0, x1, x2 = (MultiPoly.variable(3, i) for i in range(3))
+    polys = [x0 + x1 + x2, x0 * P + x1 + x2 * (2 * P), x0 * x1 * x2]
+    route = []
+    real_packed_basis = residues.packed_basis
+
+    def recorded(gens, order, modulus=0):
+        table = real_packed_basis(gens, order, modulus)
+        route.append((modulus, table == [(Packing(order).one, 1, ())]))
+        return table
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residues, "packed_basis", recorded)
+        assert no_common_zeros_on_x(fan, polys) == ZeroLocusReport(True)
+    assert route == [(P, False), (0, True), (P, True),  # cone 0
+                     (P, True), (P, True),              # cone 1
+                     (P, True), (P, False), (0, True)]  # cone 2
+    split_report(fan, polys)
+
+
+SCREEN_FANS = {name: (load_fan(FIXTURES / f"{name}.fan.json"), exponent)
+               for name, exponent in [("p2", (1, 0, 0)), ("p1p1", (1, 0, 1, 0)),
+                                      ("pentagon", (0, 0, 1, 1, 0))]}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(SCREEN_FANS)), st.data())
+def test_a_screen_with_coefficients_divisible_by_p_keeps_the_q_answer(name, data):
+    """The screen's inputs with coefficients in +-1, +-2, +-P and 2P, so
+    that a piece or a chart may be the unit ideal over Q but not mod P, or
+    mod P but not over Q: ``ok`` is the Q oracle's, and a refusal never
+    names a cone before the first chart that fails over Q."""
+    (fan, grading), exponent = SCREEN_FANS[name]
+    mons = monomial_basis(fan, grading, grading.degree(exponent))
+    coeffs = st.sampled_from([1, -1, 2, -2, P, -P, 2 * P])
+    polys = [MultiPoly(fan.nvars, {m: data.draw(coeffs) for m in mons}) for _ in range(fan.dim)]
+    polys.append(MultiPoly.monomial((1,) * fan.nvars))
+    report, _ = decide(fan, polys)
+    oracle = q_chart_zero_locus(fan, polys)
+    assert report.ok == oracle.ok
+    assert report.ok or report.witness_cone >= oracle.witness_cone
 
 
 # ---------------------------------------------------------------------------
