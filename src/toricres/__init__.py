@@ -21,7 +21,6 @@ from .errors import (
     AllReduceToZero,
     CodimNotOne,
     DecompositionFailed,
-    DegenerateVolume,
     DegreeMismatch,
     ExponentTooLarge,
     HypothesesFailed,
@@ -95,8 +94,6 @@ from .polytopes import (
     intersection_number,
     lattice_points,
     monomial_basis,
-    normalized_volume,
-    polytope_volume,
 )
 from .residues import (
     AnnihilationReport,
@@ -124,8 +121,8 @@ __all__ = [
     "CayleyData", "build_cayley", "bundle_class", "cayley_polytope_check",
     "critical_degree_lifted", "equal_degree_check", "jacobian_ideal_degree_check",
     "PositivityReport", "cone_functionals", "is_ample", "is_cartier", "is_q_ample",
-    "AllReduceToZero", "CodimNotOne", "DecompositionFailed", "DegenerateVolume",
-    "DegreeMismatch", "ExponentTooLarge", "HypothesesFailed", "InfiniteIntersection",
+    "AllReduceToZero", "CodimNotOne", "DecompositionFailed", "DegreeMismatch",
+    "ExponentTooLarge", "HypothesesFailed", "InfiniteIntersection",
     "InvalidFan", "NoIntegralLift", "NonSimpleZero", "NonSquare", "NotAGrading",
     "NotAmple", "NotHomogeneous", "NotSurjective", "NotTorusZero",
     "NotZeroDimensional", "NonUniqueLift", "ParseError", "ToricError", "Unbounded",
@@ -142,7 +139,7 @@ __all__ = [
     "MultiPoly", "degree_of", "dehomogenize", "homogenize_to_degree", "is_homogeneous",
     "parse_poly", "poly_det", "poly_to_string",
     "HPolytope", "divisor_polytope", "intersection_number", "lattice_points",
-    "monomial_basis", "normalized_volume", "polytope_volume",
+    "monomial_basis",
     "AnnihilationReport", "CodimReport", "ResidueProblem", "ResidueReport",
     "ZeroLocusReport", "cone_determinant", "decompose",
     "in_irrelevant_ideal", "irrelevant_ideal", "jacobian_residue_check",

@@ -27,7 +27,7 @@ from .cayley import (
     equal_degree_check,
     jacobian_ideal_degree_check,
 )
-from .divisors import is_ample, is_cartier, is_q_ample
+from .divisors import is_cartier, is_q_ample
 from .errors import (
     HypothesesFailed,
     InfiniteIntersection,
@@ -118,17 +118,17 @@ def cmd_ample(args) -> int:
     fan, _grading = load_fan(args.fanfile)
     coeffs = _parse_ints(args.coeffs, fan.nvars, "coefficients")
     cart = is_cartier(fan, coeffs)
-    amp = is_ample(fan, coeffs)
     qamp = is_q_ample(fan, coeffs)
+    ample = cart.ok and qamp.ok  # is_ample: Cartier and strictly convex
     report = {
         "coefficients": coeffs,
         "cartier": cart.ok,
         "cartier_witnesses": list(cart.witnesses),
-        "ample": amp.ok,
+        "ample": ample,
         "q_ample": qamp.ok,
         "strictness_witnesses": list(qamp.witnesses),
     }
-    lines = [f"cartier: {cart.ok}  ample: {amp.ok}  q-ample: {qamp.ok}"]
+    lines = [f"cartier: {cart.ok}  ample: {ample}  q-ample: {qamp.ok}"]
     if not cart.ok:
         lines.append(f"  non-integral on cones {list(cart.witnesses)}")
     if qamp.witnesses:

@@ -66,10 +66,6 @@ class Unbounded(ToricError):
     exit_code, prefix = 3, "unbounded polytope"
 
 
-class DegenerateVolume(ToricError):
-    """Polytope is not full-dimensional."""
-
-
 class NotAmple(ToricError):
     """Divisor or class fails the ampleness test."""
 

@@ -108,18 +108,12 @@ class Grading:
                 tuple(hnf_rows(image_rows, nv, align="right")))
 
 
-def _ray_matrix(rays) -> list[list[int]]:
-    """Rows are the rays: the pairing map sends m to (<m, ray_i>)_i."""
-    return [list(r) for r in rays]
-
-
 def grading_from_rays(rays) -> Grading:
     """Cokernel presentation of the ray pairing map via Smith normal form."""
     rays = freeze(rays)
     n = len(rays[0])
     cols = len(rays)
-    A = _ray_matrix(rays)  # cols x n, acting on lattice vectors of length n
-    snf = smith_normal_form(A)
+    snf = smith_normal_form(rays)  # rows are the rays: m maps to (<m, ray_i>)_i
     d = snf.diagonal
     if any(x == 0 for x in d) or len(d) < n:
         raise NotSurjective("rays do not span the ambient lattice")
@@ -179,6 +173,10 @@ def anticanonical_class(grading: Grading) -> DegreeClass:
 
 
 def critical_degree(grading: Grading, degrees) -> DegreeClass:
+    """The sum of the input degrees minus the anticanonical class;
+    DegreeMismatch for no degrees."""
+    if not degrees:
+        raise DegreeMismatch("a critical degree needs at least one input degree")
     total = degrees[0]
     for d in degrees[1:]:
         total = total + d

@@ -92,7 +92,7 @@ def mat_det(A) -> int:
 
 def trace_of_solve(A, B) -> Fraction | None:
     """Tr(A^-1 B) for square integer matrices of one size, or None when
-    det A = 0.
+    det A = 0; ValueError for other shapes, as in ``bareiss``.
 
     One Bareiss elimination of A + tB over Z[t]/(t^2), pivoting on constant
     terms, since det(A + tB) = det A * (1 + t Tr(A^-1 B)) mod t^2.  Every
@@ -102,6 +102,8 @@ def trace_of_solve(A, B) -> Fraction | None:
     means det A = 0.
     """
     n = len(A)
+    if len(B) != n or any(len(row) != n for row in (*A, *B)):
+        raise ValueError("trace of a non-square or mismatched pair")
     P = [list(map(operator.index, row)) for row in A]
     T = [list(map(operator.index, row)) for row in B]
     p0, p1 = 1, 0

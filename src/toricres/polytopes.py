@@ -1,4 +1,4 @@
-"""Rational polytopes from divisor data: lattice points and exact volumes.
+"""Rational polytopes from divisor data, and top intersection numbers.
 
 A polytope is stored by inequalities <m, normal_i> + offset_i >= 0 and
 worked on as integer rows, each scaled by its offset's denominator.  Its one
@@ -6,9 +6,9 @@ vertex list is the cone functionals of ``divisors.support_meets`` for a
 nef divisor on a complete fan, or else found by integer Cramer's rule on
 every n-subset of the rows.  Lattice points scan the vertices' bounding box
 in runs along the last coordinate, whose exact integer interval comes from
-the rows.  Volumes come from a pulling triangulation of the vertex list,
-whose faces are the sets of vertices where each row is tight.  No Fraction
-is built per point or per subset; vertices and volumes are exact Fractions.
+the rows.  No Fraction is built per point or per subset; vertices are exact
+Fractions.  The self-intersection D^n reads no polytope: it is one sum of
+the cone functionals over the fan's cone table.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, factorial, floor, prod
+from math import ceil, floor, prod
 
 from .divisors import slacks, support_meets
-from .errors import DegenerateVolume, Unbounded
+from .errors import InvalidFan, Unbounded
 from .grading import representative_divisor
-from .lattice import clear_denominators, cramer, dot, hnf_rows, is_complete, mat_det
+from .lattice import cramer, dot, hnf_rows, is_complete, mat_det
 
 
 @dataclass(frozen=True)
@@ -153,80 +153,38 @@ def lattice_points(poly: HPolytope) -> list[tuple[int, ...]]:
     return [p + (x,) for p, lo, hi in _runs(poly) for x in range(lo, hi + 1)]
 
 
-def normalized_volume(poly: HPolytope) -> Fraction:
-    """n!·vol(P), exactly; raises when P is not full-dimensional."""
-    if vol := _pulled_volume(poly):
-        return vol
-    raise DegenerateVolume("polytope is lower-dimensional")
+def intersection_number(fan, coeffs) -> Fraction:
+    """The top self-intersection D^n of the Q-divisor D = sum a_i D_i on a
+    complete simplicial fan, exactly, as one sum over the maximal cones σ:
 
+        D^n = sum_σ <-m_σ, ξ>^n / (|det R_σ| · prod_i <u_σ,i, ξ>)
 
-def _pulled_volume(poly: HPolytope) -> Fraction:
-    """n!·vol(P), exactly, by a pulling triangulation of the vertex list;
-    0 for a nonempty lower-dimensional P, DegenerateVolume for an empty one.
-
-    Faces are sets of vertex indices; each inequality contributes the set of
-    vertices where it is tight.  Pulling the apex a = min(F) cuts a face F
-    into the pyramids over its facets G with a not in G, and each G is
-    triangulated the same way, so every chain of apexes down to a vertex is
-    a simplex of the triangulation, and the result is the sum of their
-    |det [[d_i, num_i]]| / prod d_i over their vertices num_i/d_i.  The
-    facets not containing a are the inclusion-maximal nonempty sets F ∩ H
-    over the tight sets H without a: a face not containing a lies in a
-    facet not containing a, because a face is the intersection of the
-    facets that contain it.  Parallel, duplicate, redundant and zero
-    inequalities only add sets that are not maximal, or no set at all.
-
-    P is flat exactly when some row with a nonzero normal is tight at every
-    vertex, an implicit equality.  Such a row is tight on all of P, the hull
-    of its vertices, so P lies in its hyperplane.  If instead each such row
-    is slack at some point of P, the mean of those points is slack in all
-    of them at once and so is an interior point: P is full-dimensional.  A
-    zero row is constant, holds on the nonempty P and bounds nothing.
+    with m_σ the cone functional of ``support_meets`` (<m_σ, ray_i> = -a_i
+    on σ's rays) and u_σ,i the dual basis of σ's rays R_σ, the columns of
+    adj R_σ / det R_σ from ``fan.cone_table``.  For nef D it is Brion's
+    vertex formula for n!·vol(P_D) (Brion, *Points entiers dans les
+    polyèdres convexes*, Ann. Sci. ENS 21, 1988).  For every D it is the
+    Bott residue formula for the T-equivariant class of D (Edidin and
+    Graham, Amer. J. Math. 120, 1998): at the fixed point of σ the class
+    restricts to the character -m_σ, the tangent weights are the u_σ,i, and
+    1/|det R_σ| is the inverse order of the point's stabilizer.  The
+    equivariant sum is a constant, so any ξ with no <u_σ,i, ξ> = 0 reads
+    it: with ξ = (1, t, ..., t^(n-1)) each <adj column, ξ> is a nonzero
+    integer polynomial in t, and t = 2 + max |adj R_σ entry| lies past its
+    Cauchy root bound.  InvalidFan unless the fan is complete and simplicial.
     """
-    verts = poly.vertices
-    if not verts:
-        raise DegenerateVolume("polytope is empty")
-    scaled = [clear_denominators(v) for v in verts]
-    rows = [(nr, frozenset(i for i, (d, num) in enumerate(scaled)
-                           if dot(num, nr) + off * d == 0))
-            for nr, off in poly._rows]
-    if any(any(nr) and len(h) == len(verts) for nr, h in rows):
-        return Fraction(0)
-    tight = {h for _, h in rows}
-
-    def pull(face, chain):
-        a = min(face)
-        chain = chain + (scaled[a],)
-        if len(face) == 1:
-            return Fraction(abs(mat_det([[d, *num] for d, num in chain])),
-                            prod(d for d, _ in chain))
-        meets = {face & h for h in tight if a not in h} - {frozenset()}
-        return sum((pull(g, chain) for g in meets
-                    if not any(g < other for other in meets)), Fraction(0))
-
-    return pull(frozenset(range(len(verts))), ())
-
-
-def polytope_volume(poly: HPolytope) -> Fraction:
-    """Euclidean volume; raises when the polytope is not full-dimensional."""
-    return normalized_volume(poly) / factorial(poly.dim)
-
-
-def intersection_number(fan, coeffs) -> int:
-    """Lattice-normalized volume n!·vol(P_D) of the divisor's polytope.
-
-    This is the top self-intersection D^n only when D is nef.  Otherwise it
-    is the volume of D, the limit of n!·h^0(kD)/k^n, which can differ: on
-    the Hirzebruch surface F1 (rays (1,0), (1,1), (0,1), (-1,-1)),
-    D = (0,1,0,1) has D^2 = 0 and (0,3,0,1) has D^2 = -8, but both
-    polytopes are the unit triangle and both values are 1.  A flat P_D, as
-    for a nef D that is not big, gives 0; an empty one raises.
-    """
-    vol = _pulled_volume(divisor_polytope(fan, coeffs))
-    if vol.denominator != 1:
-        raise DegenerateVolume(
-            f"normalized volume {vol} is not an integer")
-    return int(vol)
+    complete = is_complete(fan)
+    if not complete:
+        raise InvalidFan(f"intersection numbers need a complete fan: {complete.witness}")
+    d, _, meets = support_meets(fan, coeffs)
+    n = fan.dim
+    t = 2 + max(abs(x) for _, adj in fan.cone_table for row in adj for x in row)
+    xi = [t ** j for j in range(n)]
+    total = Fraction(0)
+    for (num, den), (det, adj) in zip(meets, fan.cone_table):
+        weights = prod(dot(col, xi) for col in zip(*adj))
+        total += Fraction((-dot(num, xi) * det) ** n, den ** n * abs(det) * weights)
+    return total / d ** n
 
 
 def divisor_monomials(poly: HPolytope) -> list[tuple[int, ...]]:

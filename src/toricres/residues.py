@@ -625,11 +625,7 @@ def toric_jacobian(problem: ResidueProblem) -> MultiPoly:
 
 def jacobian_residue_check(problem: ResidueProblem) -> bool:
     """|residue of the chart Jacobian| equals the top self-intersection
-    number D^n of the shared degree class, read as n!·vol(P_D).
-
-    The volume is D^n only for nef D; here the hypotheses give n+1 sections
-    of O(D) with no common zero on X, so |D| is base-point-free, hence nef.
-    """
+    number D^n of the shared degree class."""
     J = toric_jacobian(problem)
     value = toric_residue(problem, J)
     coeffs = representative_divisor(problem.grading, problem.degrees[0])

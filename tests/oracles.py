@@ -27,7 +27,8 @@ polynomial, its partials, its cone decomposition, its lift to a degree and
 to the bundle ring through the validating constructor, a user degree basis
 accepted when the degree map it defines is onto, the representative divisor
 of a degree from a Smith form built per call, the
-polytope volume by a pyramid recursion over facets, polytope vertices by
+polytope volume by a pyramid recursion over facets, intersection numbers
+by a recursion in the intersection ring of the fan, polytope vertices by
 elimination over Q, boundedness from rational kernels, lattice points by a
 bounding-box scan, exponent vectors by dot products per point, the bundle
 lift's two polytopes as plain polytopes on its lifted rays, ampleness by
@@ -1879,6 +1880,48 @@ def facet_recursion_volume(poly) -> Fraction:
     """n!·vol(P) by the pyramid recursion over facets."""
     return factorial(poly.dim) * _volume_rec(list(poly.normals), list(poly.offsets),
                                              poly.dim)
+
+
+def ring_intersection(fan, divisors) -> Fraction:
+    """The intersection number D_1···D_n of n divisors (coefficient vectors
+    over the rays) on a complete simplicial fan, in the intersection ring.
+
+    The product expands multilinearly into products of the D_i.  A product
+    of n distinct D_i is 1/|det τ| when their rays are a maximal cone τ and
+    0 otherwise, and a product whose distinct rays lie in no maximal cone
+    is 0.  Otherwise a repeated D_j, its rays lying in a maximal cone τ, is
+    replaced by the linearly equivalent D_j + div(χ^m) = sum_k <m, ray_k> D_k
+    with <m, ray_i> = 0 on τ's other rays and <m, ray_j> = -1, which is
+    supported off τ, so each step lowers the count of repeated factors
+    (Fulton, *Introduction to Toric Varieties*, §5.1).
+    """
+    cones = [frozenset(c) for c in fan.max_cones]
+    rays = [[Fraction(x) for x in ray] for ray in fan.rays]
+    memo = {}
+
+    def product(factors):
+        if factors in memo:
+            return memo[factors]
+        support = frozenset(factors)
+        tau = next((c for c in cones if support <= c), None)
+        if tau is None:
+            value = Fraction(0)
+        elif len(support) == len(factors):
+            value = Fraction(1, abs(fraction_mat_det([rays[i] for i in sorted(tau)])))
+        else:
+            j = next(i for i in factors if factors.count(i) > 1)
+            rest = list(factors)
+            rest.remove(j)
+            order = sorted(tau)
+            m = solve_rational([rays[i] for i in order], [-int(i == j) for i in order])
+            value = sum((dot(m, rays[k]) * product(tuple(sorted(rest + [k])))
+                         for k in range(fan.nvars) if k not in tau), Fraction(0))
+        memo[factors] = value
+        return value
+
+    terms = [[(i, Fraction(a)) for i, a in enumerate(coeffs) if a] for coeffs in divisors]
+    return sum((prod(a for _, a in choice) * product(tuple(sorted(i for i, _ in choice)))
+                for choice in itertools.product(*terms)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,10 @@ import toricres.cayley as cayley_mod
 from toricres import polytopes
 from toricres.cayley import _bundle_exponent
 
-from conftest import FIXTURES
+from conftest import FIXTURES, complete_polygon_fans
 from oracles import (hpolytope_bundle_points, hpolytope_cayley_polytope_check,
                      hpolytope_equal_degree_check, hpolytope_lifted_slice, lifted_rays)
 from test_differential import stellar_fans_3d
-from test_volume import complete_polygon_fans
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 

@@ -26,10 +26,9 @@ from toricres import (
     toric_jacobian,
 )
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, load, complete_polygon_fans
 from oracles import basis_toric_jacobian, oriented_basis, pairing_det
 from test_functional import VALID_FIXTURES, outcome
-from test_volume import complete_polygon_fans
 
 FAN_FILES = ["p1", "p2", "p1p1", "p112", "pentagon", "torsion"]
 P3 = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],

@@ -40,11 +40,10 @@ from toricres.cayley import _bundle_exponent
 from toricres.divisors import support_meets
 from toricres.lattice import freeze
 
-from conftest import FIXTURES
+from conftest import FIXTURES, complete_polygon_fans
 from oracles import (adjugate, cramer, fraction_mat_det, nef_boundary, random_surface,
                      slack_table_positivity)
 from test_differential import stellar_fans_3d
-from test_volume import complete_polygon_fans
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 

@@ -6,14 +6,12 @@ on every nonsingular square system and refuse every singular one;
 gives and, as X with A·X = det(A)·B, the product of the minors adjugate
 ``oracles.adjugate`` with B, with Cramer's solutions ``oracles.cramer``
 over the determinant; ``lattice.trace_of_solve`` must give the trace of
-the solutions for the columns of B;
+the solutions for the columns of B, and refuse pairs of other shapes;
 ``cone_functionals`` must return the tuples of
 ``oracles.fraction_cone_functionals`` wherever each maximal cone has dim
-independent rays, and refuse the other fans by naming the cone; the
-flatness test of ``polytopes._pulled_volume`` must agree with the rank of
-the vertex differences over Q; and the Cayley weight functional of
-``jacobian_ideal_degree_check``, found by one Smith solve, must be the
-rational one.
+independent rays, and refuse the other fans by naming the cone; and the
+Cayley weight functional of ``jacobian_ideal_degree_check``, found by one
+Smith solve, must be the rational one.
 """
 
 import json
@@ -24,10 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricres import (
-    DegenerateVolume,
-    HPolytope,
     InvalidFan,
-    Unbounded,
     build_cayley,
     cone_functionals,
     degree_of,
@@ -39,18 +34,14 @@ from toricres import (
     make_fan,
     representative_divisor,
 )
-from toricres import polytopes
 from toricres.cli import main
 from toricres.lattice import bareiss, cramer, mat_identity, smith_normal_form, trace_of_solve
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, load, complete_polygon_fans
 import oracles
 from oracles import (adjugate, fraction_cone_functionals, fraction_jacobian_ideal_degree_check,
-                     fraction_mat_det, fraction_vertices, mat_mul, mat_rank, solve_rational,
-                     weight_system)
+                     fraction_mat_det, mat_mul, mat_rank, solve_rational, weight_system)
 from test_differential import stellar_fans_3d
-from test_polytope_layer import cut_boxes
-from test_volume import complete_polygon_fans
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -272,6 +263,14 @@ def test_trace_of_solve_pivots_on_constant_terms():
     assert trace_of_solve([], []) == 0
 
 
+def test_trace_of_solve_refuses_a_non_square_or_mismatched_pair():
+    # a B of another size was indexed past its end (IndexError) or cut short
+    for A, B in (([[1, 0], [0, 1]], [[1]]), ([[1, 2]], [[1, 2]]), ([[1]], [[1], [2]]),
+                 ([[1, 0], [0, 1]], [[1, 0], [0]]), ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]])):
+        with pytest.raises(ValueError, match="non-square or mismatched"):
+            trace_of_solve(A, B)
+
+
 # ---------------------------------------------------------------------------
 # cone functionals
 
@@ -339,50 +338,6 @@ def test_cli_ample_refuses_a_degenerate_cone(tmp_path, capsys):
     out = capsys.readouterr()
     assert "ample: True" not in out.out
     assert "invalid fan: cone 2 does not have 2 independent rays" in out.err
-
-
-# ---------------------------------------------------------------------------
-# flatness
-
-
-def assert_flatness_as_rank(poly):
-    """The volume is 0 exactly when the vertex differences have rank below
-    the dimension over Q; emptiness and unboundedness refuse as before."""
-    try:
-        vol = polytopes._pulled_volume(poly)
-    except (DegenerateVolume, Unbounded) as exc:
-        if isinstance(exc, DegenerateVolume):
-            assert fraction_vertices(poly) == []
-        return
-    verts = fraction_vertices(poly)
-    diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
-    assert (vol == 0) == (poly.dim > 0 and mat_rank(diffs) < poly.dim)
-
-
-@SETTINGS
-@given(st.integers(1, 3).flatmap(cut_boxes))
-def test_flatness_matches_the_rank_of_the_vertices(poly):
-    assert_flatness_as_rank(poly)
-
-
-def test_flatness_hand_picked():
-    square = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    cases = [
-        # full square with a zero row tight everywhere: not flat
-        HPolytope(2, square + ((0, 0),), (1, 1, 1, 1, 0)),
-        # a segment (y = 0) with a zero row: flat
-        HPolytope(2, square + ((0, 0),), (1, 1, 0, 0, 0)),
-        # a point, and a triangle in the plane x + y + z = 1
-        HPolytope(2, square, (0, 0, 0, 0)),
-        HPolytope(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, -1, -1), (0, 0, 0)),
-                  (0, 0, 0, -1, 1, 0)),
-        HPolytope(1, ((1,), (-1,), (0,)), (Fraction(1, 2), Fraction(1, 3), 0)),
-        HPolytope(0, ((),), (0,)),
-    ]
-    flat = [polytopes._pulled_volume(poly) == 0 for poly in cases]
-    assert flat == [False, True, True, True, False, False]
-    for poly in cases:
-        assert_flatness_as_rank(poly)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ distinct cone functionals m_σ when every m_σ satisfies all rows (D is nef),
 and otherwise to the n-subset enumeration without a boundedness test; on an
 incomplete fan it leaves the vertices to ``HPolytope.vertices``, the
 boundedness test and the enumeration.  Either way the vertex list, the
-lattice points, the exponent vectors and the volume must equal those of the
-plain ``HPolytope`` on the same rows (the n-subset path) and of the oracles
-(``fraction_vertices``, ``box_lattice_points``, ``dot_divisor_monomials``,
-``facet_recursion_volume``).  Random classes on complete polygon fans are
-seldom nef, so each polygon is also checked at the nef class with the same
-polytope, and each stellar 3-fold at classes pulled back from P^3.
+lattice points and the exponent vectors must equal those of the plain
+``HPolytope`` on the same rows (the n-subset path) and of the oracles
+(``fraction_vertices``, ``box_lattice_points``, ``dot_divisor_monomials``).
+On a complete fan the intersection number D^n must equal
+``oracles.ring_intersection``, and for a nef class the volume
+``facet_recursion_volume`` of the polytope as well; an incomplete fan has
+none.  Random classes on complete polygon fans are seldom nef, so each
+polygon is also checked at the nef class with the same polytope, and each
+stellar 3-fold at classes pulled back from P^3.
 """
 
 from contextlib import contextmanager
@@ -21,8 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricres import (
-    DegenerateVolume,
     HPolytope,
+    InvalidFan,
     Unbounded,
     build_cayley,
     cayley_polytope_check,
@@ -40,11 +43,10 @@ from toricres import (
 from toricres import lattice, polytopes
 from toricres.divisors import cone_functionals
 
-from conftest import FIXTURES, load
+from conftest import F1, FIXTURES, INCOMPLETE, complete_polygon_fans, load
 from oracles import (box_lattice_points, dot_divisor_monomials, facet_recursion_volume,
-                     fraction_vertices)
+                     fraction_vertices, ring_intersection)
 from test_differential import stellar_fans_3d
-from test_volume import F1, INCOMPLETE, complete_polygon_fans
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -56,7 +58,7 @@ P3 = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
 def outcome(fn, *args):
     try:
         return "value", fn(*args)
-    except (DegenerateVolume, Unbounded) as exc:
+    except Unbounded as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -93,13 +95,14 @@ def assert_same_as_n_subsets(fan, coeffs):
         assert got[1] == polytopes._vertices(plain) == fraction_vertices(plain)
     points = outcome(lattice_points, poly)
     assert points == outcome(lattice_points, plain) == outcome(box_lattice_points, plain)
-    vol = outcome(polytopes._pulled_volume, poly)
-    assert vol == outcome(polytopes._pulled_volume, plain)
-    if vol[0] == "value":
-        assert vol[1] == facet_recursion_volume(plain)
-        assert outcome(intersection_number, fan, coeffs) == (
-            ("value", vol[1]) if vol[1].denominator == 1 else
-            ("DegenerateVolume", f"normalized volume {vol[1]} is not an integer"))
+    if is_complete(fan).ok:
+        value = intersection_number(fan, coeffs)
+        assert value == ring_intersection(fan, [coeffs] * fan.dim)
+        if is_nef(fan, coeffs):
+            assert value == facet_recursion_volume(plain)
+    else:
+        with pytest.raises(InvalidFan, match="need a complete fan"):
+            intersection_number(fan, coeffs)
     if points[0] == "value" and all(Fraction(c).denominator == 1 for c in coeffs):
         want = dot_divisor_monomials(fan.rays, coeffs)
         assert polytopes.divisor_monomials(poly) == want
@@ -154,27 +157,29 @@ def test_stellar_three_folds(fan, data):
     assert path_calls(fan, pulled) == (([], []) if complete else ([3], [3]))
 
 
-@pytest.mark.parametrize("fan, coeffs, nef, want", [
+@pytest.mark.parametrize("fan, coeffs, nef, volume", [
     (P3, (0, 0, 0, 2), True, 8),
     (F1, (1, 0, 0, 1), True, 3),
-    (F1, (0, 3, 0, 1), False, 1),        # 3E + H: the polytope of H
-    (F1, (0, 1, 0, 1), False, 1),        # E + H
+    (F1, (0, 3, 0, 1), False, 1),        # 3E + H: the polytope of H, D^2 = -8
+    (F1, (0, 1, 0, 1), False, 1),        # E + H, D^2 = 0
     (P1P1, (1, 0, 0, 0), True, 0),       # flat: a segment
     (P1P1, (0, 0, 0, 0), True, 0),       # a point
-    (P1P1, (-1, 0, 0, 0), False, None),  # empty
+    (P1P1, (-1, 0, 0, 0), False, None),  # empty, D^2 = 0
 ])
-def test_named_classes(fan, coeffs, nef, want):
+def test_named_classes(fan, coeffs, nef, volume):
+    """``volume`` is n!·vol(P_D), None for an empty P_D; it is D^n exactly
+    when D is nef, and D^n is the ring's value either way."""
     verts = assert_same_as_n_subsets(fan, coeffs)
     assert is_nef(fan, coeffs) == nef
     assert path_calls(fan, coeffs) == ([], [] if nef else [fan.dim])
     if nef:
         assert verts == ("value", sorted(set(cone_functionals(fan, coeffs))))
-    if want is None:
+    if volume is None:
         assert verts == ("value", [])
-        with pytest.raises(DegenerateVolume, match="empty"):
-            intersection_number(fan, coeffs)
     else:
-        assert intersection_number(fan, coeffs) == want
+        assert facet_recursion_volume(divisor_polytope(fan, coeffs)) == volume
+    assert intersection_number(fan, coeffs) == ring_intersection(fan, [coeffs] * fan.dim)
+    assert (intersection_number(fan, coeffs) == volume) == nef
 
 
 def test_an_incomplete_fan_keeps_the_n_subset_path():
@@ -183,7 +188,8 @@ def test_an_incomplete_fan_keeps_the_n_subset_path():
     fan, coeffs = INCOMPLETE, (0, 0, 1)
     assert not is_complete(fan).ok
     assert cone_functionals(fan, coeffs) == [(0, 0)]
-    assert intersection_number(fan, coeffs) == 1
+    with pytest.raises(InvalidFan, match="need a complete fan"):
+        intersection_number(fan, coeffs)
     assert path_calls(fan, coeffs) == ([2], [2])
     assert divisor_polytope(fan, coeffs).vertices == [(0, 0), (0, 1), (1, 0)]
     grading = compute_grading(fan)

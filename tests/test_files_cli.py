@@ -13,7 +13,7 @@ from types import ModuleType
 import pytest
 
 import toricres
-from toricres import InvalidFan, ParseError, cli, errors
+from toricres import InvalidFan, ParseError, cli, divisors, errors, is_ample, is_cartier, is_q_ample
 from toricres.cli import main
 from toricres.files import load_fan, load_problem
 from toricres.residues import residue_report
@@ -328,7 +328,7 @@ EXIT_CODES = {
     "InvalidFan": 3, "NotAGrading": 3, "NotSurjective": 3, "Unbounded": 3,
     "CodimNotOne": 5, "AllReduceToZero": 5,
     "ToricError": 4, "ZeroPolynomial": 4, "NotHomogeneous": 4, "NonSquare": 4,
-    "NoIntegralLift": 4, "NonUniqueLift": 4, "DegenerateVolume": 4, "NotAmple": 4,
+    "NoIntegralLift": 4, "NonUniqueLift": 4, "NotAmple": 4,
     "DecompositionFailed": 4, "WrongDegree": 4, "HypothesesFailed": 4,
     "DegreeMismatch": 4, "NotZeroDimensional": 4, "NonSimpleZero": 4,
     "ZeroOnPolarLocus": 4, "NotTorusZero": 4, "InfiniteIntersection": 4,
@@ -483,6 +483,33 @@ def test_bsigma_output(capsys):
     out = capsys.readouterr().out
     for g in ("y*t", "y*z", "x*t", "x*z"):
         assert g in out
+
+
+@pytest.mark.parametrize("name, coeffs", [
+    ("p2.fan.json", (1, 0, 0)), ("p2.fan.json", (1, -1, 0)),
+    ("p112.fan.json", (1, 0, 0)), ("p112.fan.json", (0, 0, 1)),
+    ("pentagon.fan.json", (1, 3, 1, 0, 0)), ("pentagon.fan.json", (2, 3, 1, 0, 0)),
+    ("pentagon.fan.json", (1, 1, 1, 0, 0)), ("torsion.fan.json", (1, 1, 1)),
+])
+def test_ample_output_is_the_three_reports(capsys, monkeypatch, name, coeffs):
+    """``ample`` is ``is_ample``'s answer, read from the Cartier and Q-ample
+    reports with two support tables, not three."""
+    fan, _ = load_fan(fx(name))
+    cart, amp, qamp = (test(fan, coeffs) for test in (is_cartier, is_ample, is_q_ample))
+    calls = []
+    real = divisors.support_meets
+    monkeypatch.setattr(divisors, "support_meets", lambda *a: calls.append(1) or real(*a))
+    argv = ["ample", fx(name), "--coeffs", ",".join(map(str, coeffs))]
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "coefficients": list(coeffs), "cartier": cart.ok,
+        "cartier_witnesses": list(cart.witnesses),
+        "ample": amp.ok, "q_ample": qamp.ok,
+        "strictness_witnesses": [list(w) for w in qamp.witnesses]}
+    assert len(calls) == 2
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(
+        f"cartier: {cart.ok}  ample: {amp.ok}  q-ample: {qamp.ok}")
 
 
 def test_monomials_output(capsys):

@@ -22,9 +22,8 @@ from toricres import (
     validate_user_grading,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, complete_polygon_fans
 from oracles import onto_degree_basis, per_call_representative_divisor
-from test_volume import complete_polygon_fans
 
 FANS = sorted(p.name for p in FIXTURES.glob("*.fan.json"))
 
@@ -182,6 +181,12 @@ def test_critical_degrees(pentagon, p1p1):
              g2.degree((0, 1, 0, 1))]
     rho = critical_degree(g2, degs2)
     assert rho == g2.degree((2, 0, 0, 0))
+
+
+def test_a_critical_degree_of_no_degrees_is_refused(p2):
+    # degrees[0] of an empty list raised a bare IndexError
+    with pytest.raises(DegreeMismatch, match="at least one input degree"):
+        critical_degree(p2[1], [])
 
 
 def test_representative_divisor_round_trip(pentagon, p2, torsion_fan):

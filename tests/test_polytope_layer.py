@@ -3,8 +3,8 @@
 ``_vertices`` and ``lattice_points`` must return the same ordered lists, of
 the same types, as ``oracles.fraction_vertices`` (every n-subset eliminated
 over Q) and ``oracles.box_lattice_points`` (every point of the vertices'
-bounding box tested), and refuse alike; volumes must match the facet
-recursion.  Lattice polygons are also counted by Pick's theorem, ampleness
+bounding box tested), and refuse alike.  Lattice polygons are also counted
+by Pick's theorem, with the area from the facet recursion; ampleness
 witnesses are compared with ``oracles.fraction_strictness_failures``, and a
 guard pins that neither routine tests a point with ``HPolytope.contains``
 and that no ``toricres`` module binds a Fraction eliminator.
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toricres import (
-    DegenerateVolume,
     HPolytope,
     PositivityReport,
     Unbounded,
@@ -33,16 +32,14 @@ from toricres import (
     lattice_points,
     load_fan,
     make_fan,
-    normalized_volume,
     representative_divisor,
 )
 import toricres
 from toricres import cayley, divisors, polytopes
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, _cross, complete_polygon_fans, load
 from oracles import (box_lattice_points, facet_recursion_volume, fraction_strictness_failures,
                      fraction_vertices)
-from test_volume import _cross, complete_polygon_fans
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -53,24 +50,19 @@ P3 = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
 def outcome(fn, poly):
     try:
         return "value", fn(poly)
-    except (DegenerateVolume, Unbounded) as exc:
+    except Unbounded as exc:
         return type(exc).__name__, str(exc)
 
 
 def assert_same_as_oracles(poly):
     """Vertices and lattice points equal the oracles' as ordered lists, with
-    equal reprs (so Fractions stay Fractions and ints stay ints); the volume
-    equals the facet recursion, which reads 0 where the volume refuses."""
+    equal reprs (so Fractions stay Fractions and ints stay ints)."""
     got, want = polytopes._vertices(poly), fraction_vertices(poly)
     assert got == want
     assert repr(got) == repr(want)
     got, want = outcome(lattice_points, poly), outcome(box_lattice_points, poly)
     assert got == want
     assert repr(got) == repr(want)
-    if got[0] == "value":
-        want = facet_recursion_volume(poly)
-        vol = outcome(normalized_volume, poly)
-        assert vol == ("value", want) or (vol[0] == "DegenerateVolume" and want == 0)
 
 
 @SETTINGS
@@ -185,7 +177,7 @@ def test_lattice_polygon_counts_follow_picks_theorem(polygon):
     # #points = area + boundary/2 + 1, with twice the area the normalized volume
     poly, edges = polygon
     boundary = sum(gcd(q[0] - p[0], q[1] - p[1]) for p, q in edges)
-    assert 2 * len(lattice_points(poly)) == normalized_volume(poly) + boundary + 2
+    assert 2 * len(lattice_points(poly)) == facet_recursion_volume(poly) + boundary + 2
     assert lattice_points(poly) == box_lattice_points(poly)
 
 
