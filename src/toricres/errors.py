@@ -108,11 +108,13 @@ class NonSimpleZero(ToricError):
 
 
 class ZeroOnPolarLocus(ToricError):
-    """A zero of the partial system lies on the divisor of the omitted polynomial."""
+    """A zero of the partial system lies on the divisor of the omitted
+    polynomial: in the local sums, all inputs have a common zero on X."""
 
 
 class NotTorusZero(ToricError):
-    """A zero has a vanishing coordinate; outside the dense torus."""
+    """In the local sums, no single chart holds every zero of the partial
+    system; in the torus totals, a zero has a vanishing coordinate."""
 
 
 class InfiniteIntersection(ToricError):

@@ -17,6 +17,10 @@ M_{g*J}^-1 M_h (Cattani-Dickenstein-Sturmfels, *Computing multidimensional
 residues*, 1996): an exact Fraction from one integer elimination
 (``lattice.trace_of_solve``).  When M_{g*J} is singular the sum is refused:
 with NonSimpleZero when det M_J = 0, else because g vanishes at a zero.
+
+A residue is such a trace on one chart: the first whose dimension is the
+chart group order times the intersection number of the other n degrees,
+which holds every zero on X, off the torus too (``sum_local_residues``).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+from .divisors import is_q_ample
 from .errors import (
     DegreeMismatch,
     InfiniteIntersection,
@@ -33,10 +38,12 @@ from .errors import (
     NotZeroDimensional,
     ZeroOnPolarLocus,
 )
+from .grading import representative_divisor
 from .groebner import GroebnerBasis, divide, grevlex, quotient_is_finite, standard_monomials
-from .lattice import mat_det, trace_of_solve
+from .lattice import cone_det, mat_det, trace_of_solve
 from .poly import MultiPoly, dehomogenize, poly_det
-from .residues import no_common_zeros_on_x, require_critical_degree
+from .polytopes import intersection_number
+from .residues import require_critical_degree
 
 # how close a floating-point value of a local sum must come to the exact one;
 # perfbench/workloads.py compares with it
@@ -61,8 +68,6 @@ class _Quotient:
     is standard or a border monomial below u, formed before it."""
 
     def __init__(self, polys):
-        if not polys:
-            raise ValueError("empty system")
         self.polys = polys
         self.gb = GroebnerBasis.of(polys, grevlex(polys[0].nvars))
         if not quotient_is_finite(self.gb):
@@ -162,45 +167,51 @@ def _chart(problem, k: int, cone: int):
 
 
 def sum_local_residues(problem, H: MultiPoly, k: int) -> Fraction:
-    """Signed sum of the local residues over all zeros of the k-dropped
-    system, exactly.
+    """Signed sum of the local residues of H over the zeros
+    Z = V(F_i : i != k) on X, exactly: Res(H) under its hypotheses.
 
     H must have the critical degree, as for ``toric_residue``, and k must
-    name an input.  The zeros Z = V(F_i : i != k) must lie in the torus T,
-    and f_k must not vanish on Z.  ``no_common_zeros_on_x`` decides the
-    first on X: the F_i and the product of all variables have no common
-    zero.  As X is complete, Z in the affine T is finite; every chart
-    A^n -> U_tau is a finite quotient, so each chart system is then finite
-    with no zero on a coordinate hyperplane, and sigma's chart holds all of
-    Z.  Refusals keep the order of the screen's pass over the charts: the
-    charts up to its witness w are built, so an infinite one raises
-    InfiniteIntersection before NotTorusZero names w.  w is the first cone
-    with a system of the screen, one piece per coordinate hyperplane, that
-    is the unit ideal neither mod P (on P-integral inputs) nor over Q, so a
-    piece with a zero off T that leaves it mod P is passed and a later cone
-    named.
-    Then sigma's chart alone gets a quotient ring, and the sum is (-1)^k
-    times the trace of h/(f_k*J) over it, where the index |cone_det| of
-    sigma in the chart form cancels against the chart group order.  A
-    singular M_{f_k*J} raises NonSimpleZero when det M_J = 0, else
-    ZeroOnPolarLocus: f_k vanishes at a zero, a common zero of all inputs.
+    name an input.  A common zero of all inputs (``problem.zero_locus``)
+    lies on Z and on F_k: ZeroOnPolarLocus.  The sum is then
+    (-1)^k * cone_sign(tau) * Tr_tau(h/(f_k*J)) on the first chart tau,
+    sigma's and then the others in index order, with
+    dim A_tau = |det tau| * N_k, N_k = prod_{i != k} D_i the intersection
+    number of the other degrees; the index |det tau| in the chart form
+    cancels against the chart group order (Cattani-Dickenstein-Sturmfels,
+    *Computing multidimensional residues*, 1996).
+
+    Proof.  A finite Z is a proper intersection, so each zero p has a local
+    multiplicity i_p > 0 and N_k = sum_p i_p.  The chart A^n -> U_tau is
+    the quotient by a group of order |det tau| (Cox, JAG 1995), so
+    dim A_tau = |det tau| * sum_{p in U_tau} i_p, which is |det tau| * N_k
+    exactly when U_tau holds all of Z.  Z is finite when alpha_k is Q-ample
+    (``is_q_ample``): a power of F_k is a section of an ample bundle, which
+    meets every complete curve, so a curve in Z would hold a common zero;
+    the walk then stops at the first chart that passes.  Otherwise every
+    chart is built first, an infinite one raising InfiniteIntersection, as
+    every chart being finite is what makes Z finite.  No chart passing
+    raises NotTorusZero: no single chart holds Z.  As f_k vanishes at no
+    zero, a singular M_{f_k*J} means det M_J = 0: NonSimpleZero.
     """
     require_critical_degree(problem, H)
     if not 0 <= k < len(problem.polys):
         raise ValueError(f"no input with index {k}")
-    fan = problem.fan
-    torus = MultiPoly.monomial((1,) * fan.nvars)
-    screen = no_common_zeros_on_x(fan, problem.polys[:k] + problem.polys[k + 1:] + (torus,))
-    if not screen.ok:
-        for cone in range(screen.witness_cone + 1):
-            _chart(problem, k, cone)
-        raise NotTorusZero(f"zero with a vanishing coordinate in cone {cone}")
-    fk, quotient = _chart(problem, k, problem.sigma)
-    total = quotient.trace(dehomogenize(H, fan, problem.sigma), fk)
-    if total is None:
-        quotient.require_simple()
+    if not problem.zero_locus().ok:
         raise ZeroOnPolarLocus("dropped input vanishes at a zero: a common zero on X")
-    return (-1) ** k * total
+    fan, grading = problem.fan, problem.grading
+    divisors = [representative_divisor(grading, d) for d in problem.degrees]
+    count = intersection_number(fan, *divisors[:k], *divisors[k + 1:])
+    cones = [problem.sigma, *(c for c in range(len(fan.max_cones)) if c != problem.sigma)]
+    charts = ((cone, *_chart(problem, k, cone)) for cone in cones)
+    if not is_q_ample(fan, divisors[k]).ok:
+        charts = list(charts)
+    for cone, fk, quotient in charts:
+        if len(quotient.basis) == abs(cone_det(fan, cone)) * count:
+            total = quotient.trace(dehomogenize(H, fan, cone), fk)
+            if total is None:
+                raise NonSimpleZero("the Jacobian vanishes at a zero (det M_J = 0)")
+            return (-1) ** k * problem.cone_sign(cone) * total
+    raise NotTorusZero(f"no single chart holds every zero of the inputs but {k}")
 
 
 def euler_jacobi_check(nvars: int, f_list, g: MultiPoly):
@@ -208,13 +219,14 @@ def euler_jacobi_check(nvars: int, f_list, g: MultiPoly):
     determinant, exactly: the torus residues of g against the given divisor
     polynomials, weighted by the torus form.  Returns (total == 0, total).
 
-    Refuses with NotZeroDimensional when the zeros are not finite, with
+    Refuses with DegreeMismatch, before any basis is built, unless f_list
+    holds nvars >= 1 polynomials and every polynomial has nvars variables;
+    with NotZeroDimensional when the zeros are not finite, with
     NonSimpleZero when det M_J = 0 (a multiple zero), and with NotTorusZero
-    when some zero has a vanishing coordinate, and with DegreeMismatch when
-    a polynomial does not have nvars variables.
+    when some zero has a vanishing coordinate.
     """
-    if any(p.nvars != nvars for p in (*f_list, g)):
-        raise DegreeMismatch(f"polynomials must have {nvars} variables")
+    if nvars < 1 or len(f_list) != nvars or any(p.nvars != nvars for p in (*f_list, g)):
+        raise DegreeMismatch(f"need {nvars} polynomials in {nvars} variables")
     quotient = _Quotient(list(f_list))
     total = quotient.trace(g, MultiPoly.monomial((1,) * nvars))
     if total is None:

@@ -7,8 +7,8 @@ nef divisor on a complete fan, or else found by integer Cramer's rule on
 every n-subset of the rows.  Lattice points scan the vertices' bounding box
 in runs along the last coordinate, whose exact integer interval comes from
 the rows.  No Fraction is built per point or per subset; vertices are exact
-Fractions.  The self-intersection D^n reads no polytope: it is one sum of
-the cone functionals over the fan's cone table.
+Fractions.  Intersection numbers read no polytope: each is one sum of the
+cone functionals over the fan's cone table.
 """
 
 from __future__ import annotations
@@ -153,38 +153,44 @@ def lattice_points(poly: HPolytope) -> list[tuple[int, ...]]:
     return [p + (x,) for p, lo, hi in _runs(poly) for x in range(lo, hi + 1)]
 
 
-def intersection_number(fan, coeffs) -> Fraction:
-    """The top self-intersection D^n of the Q-divisor D = sum a_i D_i on a
-    complete simplicial fan, exactly, as one sum over the maximal cones σ:
+def intersection_number(fan, *divisors) -> Fraction:
+    """The intersection number D_1···D_n of n Q-divisors (coefficient
+    vectors over the rays) on a complete simplicial fan, exactly, or the
+    self-intersection D^n of one, as one sum over the maximal cones σ:
 
-        D^n = sum_σ <-m_σ, ξ>^n / (|det R_σ| · prod_i <u_σ,i, ξ>)
+        D_1···D_n = sum_σ prod_j <-m_σ^(j), ξ> / (|det R_σ| · prod_i <u_σ,i, ξ>)
 
-    with m_σ the cone functional of ``support_meets`` (<m_σ, ray_i> = -a_i
-    on σ's rays) and u_σ,i the dual basis of σ's rays R_σ, the columns of
-    adj R_σ / det R_σ from ``fan.cone_table``.  For nef D it is Brion's
-    vertex formula for n!·vol(P_D) (Brion, *Points entiers dans les
-    polyèdres convexes*, Ann. Sci. ENS 21, 1988).  For every D it is the
-    Bott residue formula for the T-equivariant class of D (Edidin and
-    Graham, Amer. J. Math. 120, 1998): at the fixed point of σ the class
-    restricts to the character -m_σ, the tangent weights are the u_σ,i, and
+    with m_σ^(j) the cone functional of D_j from ``support_meets``
+    (<m_σ, ray_i> = -a_i on σ's rays; one call for D^n) and u_σ,i the dual
+    basis of σ's rays R_σ, the columns of adj R_σ / det R_σ from
+    ``fan.cone_table``.  For nef D it is Brion's vertex formula for
+    n!·vol(P_D) (Brion, *Points entiers dans les polyèdres convexes*, Ann.
+    Sci. ENS 21, 1988).  For every D_j it is the Bott residue formula for
+    the product of the T-equivariant classes (Edidin and Graham, Amer. J.
+    Math. 120, 1998): at the fixed point of σ the class of D_j restricts to
+    the character -m_σ^(j), the tangent weights are the u_σ,i, and
     1/|det R_σ| is the inverse order of the point's stabilizer.  The
     equivariant sum is a constant, so any ξ with no <u_σ,i, ξ> = 0 reads
     it: with ξ = (1, t, ..., t^(n-1)) each <adj column, ξ> is a nonzero
     integer polynomial in t, and t = 2 + max |adj R_σ entry| lies past its
-    Cauchy root bound.  InvalidFan unless the fan is complete and simplicial.
+    Cauchy root bound.  InvalidFan unless the fan is complete and
+    simplicial; ValueError unless 1 or n divisors are given.
     """
     complete = is_complete(fan)
     if not complete:
         raise InvalidFan(f"intersection numbers need a complete fan: {complete.witness}")
-    d, _, meets = support_meets(fan, coeffs)
     n = fan.dim
+    if len(divisors) not in (1, n):
+        raise ValueError(f"an intersection number takes 1 or {n} divisors, got {len(divisors)}")
+    factors = [support_meets(fan, coeffs) for coeffs in divisors] * (n // len(divisors))
     t = 2 + max(abs(x) for _, adj in fan.cone_table for row in adj for x in row)
     xi = [t ** j for j in range(n)]
     total = Fraction(0)
-    for (num, den), (det, adj) in zip(meets, fan.cone_table):
+    for meets, (det, adj) in zip(zip(*(m for _, _, m in factors)), fan.cone_table):
         weights = prod(dot(col, xi) for col in zip(*adj))
-        total += Fraction((-dot(num, xi) * det) ** n, den ** n * abs(det) * weights)
-    return total / d ** n
+        total += Fraction(prod(-dot(num, xi) * det for num, _ in meets),
+                          prod(den for _, den in meets) * abs(det) * weights)
+    return total / prod(d for d, _, _ in factors)
 
 
 def divisor_monomials(poly: HPolytope) -> list[tuple[int, ...]]:

@@ -144,22 +144,18 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
     which holds exactly when every variable has a pure-power lead, in any
     order.  When it has a common zero, the pass names the same witness as
     with the basis: the certificate below passes only charts that are the
-    unit ideal over Q, and every system of such a chart is unit over Q too,
-    so passes mod P or else over Q.  Inputs that are not lambda-forms, such
-    as x0 - x1^2 and x1 - x0^2 on P^1, can have a finite V(I) with a point
-    other than 0, here (1, 1), and are decided chart by chart.
+    unit ideal over Q, which pass mod P or else over Q too.  Inputs that
+    are not lambda-forms, such as x0 - x1^2 and x1 - x0^2 on P^1, can have
+    a finite V(I) with a point other than 0, here (1, 1), and are decided
+    chart by chart.
 
     Else one pass over the maximal cones in index order decides it.  A
-    chart passes when it is certified from ``groebner``, else when each of
-    its systems (``_pieces``) is the unit ideal mod P (on a complete fan
-    with P-integral inputs only) or else over Q.  A system is the chart
-    ideal (the inputs with the off-cone variables set to 1), or, when one
-    chart polynomial is a single nonconstant term c*x^a (in the local sums'
-    screen, the product of the cone variables), a piece: for a v with
-    a_v > 0, the other chart polynomials at x_v = 0.  The first chart with
-    a system that passes neither holds a common zero and is the report's
-    witness.  It is the first cone whose chart fails over Q, unless an
-    earlier chart has a system that is the unit ideal mod P but not over Q
+    chart passes when it is certified from ``groebner``, else when its
+    chart ideal (the inputs with the off-cone variables set to 1) is the
+    unit ideal mod P (on a complete fan with P-integral inputs only) or
+    else over Q.  The first chart that passes neither holds a common zero
+    and is the report's witness.  It is the first cone whose chart fails
+    over Q, unless an earlier chart is the unit ideal mod P but not over Q
     (the P*x - 1 case below); that one is passed.
 
     Given ``groebner``, a Groebner basis of the ideal I of the inputs, a
@@ -171,37 +167,31 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
     remainders bound the cost only: a chart that is not certified takes
     the fields below, which alone decide a failure.
 
-    Proof.  A system s of cone tau cuts a closed W_s out of X, defined
-    over Z_(P) when the inputs are P-integral: Z, the common zeros of the
-    inputs, for a chart ideal, and V(other inputs, x_v) for a piece.  Each
-    term of the input that is c*x^a in the chart is divisible by
-    x_v^(a_v), so W_s lies in Z, over Q-bar and mod P alike, and the zeros
-    of s over either field are the points of the chart A^n -> U_tau over
-    W_s.  So a system not unit over Q puts a point of Z in U_tau: the
-    witness holds a common zero.  Conversely let z be a point of Z over
-    Q-bar.  On a complete fan with P-integral inputs Z is proper over
+    Proof.  The zeros of the chart ideal of a cone tau, over Q-bar or mod
+    P, are the points of the chart A^n -> U_tau over Z, the common zeros
+    of the inputs, which is defined over Z_(P) when the inputs are
+    P-integral.  So a chart not unit over Q puts a point of Z in U_tau:
+    the witness holds a common zero.  Conversely let z be a point of Z
+    over Q-bar.  On a complete fan with P-integral inputs Z is proper over
     Z_(P) (Cox-Little-Schenck 3.4), so z specializes to a point over
     F_P-bar; take tau with that point in the open U_tau, so z is in U_tau
     too (elsewhere, any tau with z in U_tau).  Each chart is a finite
     quotient (Cox, JAG 1995), so z lifts to a zero x of tau's chart ideal
     over the integers of Q-bar, and x mod P lifts the specialization; tau
-    is not certified.  Where tau is split, x_v = 0 for some v with
-    a_v > 0, as c != 0, and x is a zero of that piece.  That system holds
-    x, and x mod P, as a coordinate 0 stays 0 mod P: it fails over Q and
-    mod P, and so does tau.  So the pass is ok only when Z is empty, and
-    a chart it passes though it is not unit over Q (P*x - 1: its zero
-    leaves the chart mod P) leaves a later witness.  Alone, unit mod P
-    proves nothing, nor does non-unit mod P (an input that is 0 mod P, or
-    a zero only mod P).  A piece never reads c, so P | c needs no case of
-    its own.  With a denominator divisible by P there is no model over
-    Z_(P), and on a fan that is not complete Z need not be proper (a point
-    over Q-bar may reduce mod P to one off X); in both cases every system
-    of an uncertified chart is decided over Q.
+    is not certified, and its chart ideal holds x and x mod P: it fails
+    over Q and mod P.  So the pass is ok only when Z is empty, and a chart
+    it passes though it is not unit over Q (P*x - 1: its zero leaves the
+    chart mod P) leaves a later witness.  Alone, unit mod P proves
+    nothing, nor does non-unit mod P (an input that is 0 mod P, or a zero
+    only mod P).  With a denominator divisible by P there is no model
+    over Z_(P), and on a fan that is not complete Z need not be proper (a
+    point over Q-bar may reduce mod P to one off X); in both cases every
+    uncertified chart is decided over Q.
     Each chart's polynomials q = q.num/q.d are built once, and both fields
-    read their integer terms q.num, or sub-dicts of them in a piece: q.d
-    divides F.d, as q's coefficients are sums of F's, so where P divides
-    no input's F.d it divides no q.d, and q.num spans the same chart ideal
-    mod P as q.  DegreeMismatch unless every input lies in the fan's ring.
+    read their integer terms q.num: q.d divides F.d, as q's coefficients
+    are sums of F's, so where P divides no input's F.d it divides no q.d,
+    and q.num spans the same chart ideal mod P as q.  DegreeMismatch
+    unless every input lies in the fan's ring.
     """
     if any(F.nvars != fan.nvars for F in polys):
         raise DegreeMismatch("polynomial ring does not match the fan")
@@ -217,23 +207,11 @@ def no_common_zeros_on_x(fan: FanData, polys, groebner: GroebnerBasis | None = N
         zhat = off_cone_exponent(fan, k)
         if groebner is not None and _certified(groebner, zhat):
             continue
-        for t in _pieces([dehomogenize(F, fan, k).num for F in polys]):
-            if not (integral and packed_basis(t, order, P) == unit_table) \
-                    and packed_basis(t, order, 0) != unit_table:
-                return ZeroLocusReport(False, k, zhat)
+        chart = [dehomogenize(F, fan, k).num for F in polys]
+        if not (integral and packed_basis(chart, order, P) == unit_table) \
+                and packed_basis(chart, order, 0) != unit_table:
+            return ZeroLocusReport(False, k, zhat)
     return ZeroLocusReport(True)
-
-
-def _pieces(terms: list[dict]) -> list[list[dict]]:
-    """The systems a chart is decided on: with a single nonconstant term
-    c*x^a among its polynomials' terms, one system for each v with
-    a_v > 0, the other terms with x_v = 0; else the terms alone."""
-    i = next((i for i, t in enumerate(terms) if len(t) == 1 and any(next(iter(t)))), None)
-    if i is None:
-        return [terms]
-    others = terms[:i] + terms[i + 1:]
-    return [[{e: c for e, c in t.items() if not e[v]} for t in others]
-            for v, a in enumerate(next(iter(terms[i]))) if a]
 
 
 def decompose(F: MultiPoly, fan: FanData, cone_index: int):

@@ -13,7 +13,9 @@ from Fraction normal forms, the chart quotient on exponent tuples as it
 ran before its monomials were packed ints, the finiteness test and the standard monomials
 of a quotient on exponent tuples, the quotient dimension of a chart system
 from its grevlex basis, the zero-locus test that builds a basis over Q of
-every chart ideal and the one that decides each chart ideal whole, the
+every chart ideal, the one that decides each chart ideal whole and the
+one that split a chart with a monomial input on its coordinate
+hyperplanes, the
 codimension check that reduces every critical-degree monomial, the
 residue functional built and applied in Fractions, the residue read from
 normal forms with every degree check done by
@@ -22,7 +24,9 @@ completeness test that compares every pair of cones, the rank as the size
 of the largest nonzero minor, the determinant by cofactor expansion, the
 adjugate as n^2 signed minors and Cramer's rule as n+1 determinants, the
 numeric chart solver that read zeros from a lex basis in shape position,
-the chart solver and zero set the package once exported, the chart of a
+the chart solver and zero set the package once exported, the local sum
+on the distinguished chart behind a torus screen, as it ran before the
+chart that holds the zeros was found by a count, the chart of a
 polynomial, its partials, its cone decomposition, its lift to a degree and
 to the bundle ring through the validating constructor, a user degree basis
 accepted when the degree map it defines is onto, the representative divisor
@@ -45,7 +49,8 @@ Fraction terms, and the floating-point local sum (an eigen-solve on the chart
 quotient, Newton polishing and tolerances).  The exact sum of local
 residues as a trace over the quotient ring, by linear-scan normal forms
 and Fraction elimination, is a reference value for both the exact residue
-and the package's trace.  Tests compare engine output against them.  The
+and the package's trace, and the chart that holds those zeros is found
+by ideal membership.  Tests compare engine output against them.  The
 queries only tests call (evaluation, substitution and coefficients of a
 polynomial, the order comparison, the Smith-form check with its matrix
 product, a packed basis unpacked to exponent tuples, a polynomial built
@@ -73,14 +78,14 @@ from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeM
                       NonSimpleZero, NonSquare, NonUniqueLift, NotHomogeneous, NotTorusZero,
                       NotZeroDimensional, ToricError, Unbounded, WrongDegree, ZeroOnPolarLocus,
                       compute_grading, cone_determinant, dehomogenize, homogenize_to_degree,
-                      is_complete, is_simplicial, make_fan, monomial_basis, no_common_zeros_on_x)
+                      is_complete, is_simplicial, make_fan, monomial_basis)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
 from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
 from toricres.groebner import (Packing, grevlex, lex, packed_basis,
                                quotient_is_finite, standard_monomials)
-from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, dot, freeze,
-                              hnf_rows, mat_det, mat_vec, reduce_mod_lattice, smith_normal_form,
-                              trace_of_solve)
+from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cone_det, dot,
+                              freeze, hnf_rows, mat_det, mat_vec, reduce_mod_lattice,
+                              smith_normal_form, trace_of_solve)
 from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, degree_of, poly_det as integer_poly_det
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
@@ -1317,6 +1322,33 @@ def whole_chart_zero_locus(fan, polys) -> ZeroLocusReport:
     return ZeroLocusReport(True)
 
 
+def split_chart_zero_locus(fan, polys) -> ZeroLocusReport:
+    """The zero-locus test without a basis as it ran while a chart with a
+    monomial input was split: with a single nonconstant term c*x^a among
+    a chart's polynomials, one system for each v with a_v > 0, the other
+    polynomials at x_v = 0, else the chart ideal; the first chart with a
+    system that is the unit ideal neither mod P (complete fan, P-integral
+    inputs) nor over Q is the witness."""
+    order = grevlex(fan.dim)
+    unit_table = [(Packing(order).one, 1, ())]
+    integral = is_complete(fan).ok and all(F.d % P for F in polys)
+    for k, cone in enumerate(fan.max_cones):
+        terms = [dehomogenize(F, fan, k).num for F in polys]
+        i = next((i for i, t in enumerate(terms) if len(t) == 1 and any(next(iter(t)))), None)
+        if i is None:
+            systems = [terms]
+        else:
+            others = terms[:i] + terms[i + 1:]
+            systems = [[{e: c for e, c in t.items() if not e[v]} for t in others]
+                       for v, a in enumerate(next(iter(terms[i]))) if a]
+        for t in systems:
+            if not (integral and packed_basis(t, order, P) == unit_table) \
+                    and packed_basis(t, order, 0) != unit_table:
+                return ZeroLocusReport(False, k, tuple(0 if i in cone else 1
+                                                       for i in range(fan.nvars)))
+    return ZeroLocusReport(True)
+
+
 def positive_ray_relation(fan):
     """lambda > 0 with sum lambda_j * ray_j = 0, on a fan of n+1 rays that
     positively span, from the signed maximal minors of the rays
@@ -2143,14 +2175,16 @@ def shape_position_sum(problem, H, k, seed=0):
     return (-1) ** k * total
 
 
-def trace_residue_sum(problem, H, k):
-    """The sum over the zeros p of the k-dropped system in the distinguished
-    chart of h(p)/(f_k(p)*J(p)), exactly, as Tr(M_h * M_{f_k*J}^-1) on the
-    quotient by that system (Cattani-Dickenstein-Sturmfels, *Computing
-    multidimensional residues*, 1996).  Needs every zero simple and off
-    f_k, so that M_{f_k*J} is invertible.  Multiplication matrices come
-    from linear-scan normal forms on a grevlex basis, the inverse from rref."""
-    fan, cone = problem.fan, problem.sigma
+def trace_residue_sum(problem, H, k, cone=None):
+    """The sum over the zeros p of the k-dropped system in the chart of a
+    cone (default: the distinguished one) of h(p)/(f_k(p)*J(p)), exactly,
+    as Tr(M_h * M_{f_k*J}^-1) on the quotient by that system
+    (Cattani-Dickenstein-Sturmfels, *Computing multidimensional residues*,
+    1996).  Needs every zero simple and off f_k, so that M_{f_k*J} is
+    invertible.  Multiplication matrices come from linear-scan normal forms
+    on a grevlex basis, the inverse from rref."""
+    fan = problem.fan
+    cone = problem.sigma if cone is None else cone
     system = chart_system(problem, k, cone)
     order = grevlex(fan.dim)
     gb = GroebnerBasis.of(system, order)
@@ -2187,24 +2221,63 @@ def solver_refusal(system):
     return "NonSimpleZero" if vanishes_somewhere(system, J) else None
 
 
+def walk_order(problem):
+    """The distinguished cone, then the others in index order."""
+    cones = range(len(problem.fan.max_cones))
+    return [problem.sigma] + [c for c in cones if c != problem.sigma]
+
+
+def holding_cones(problem, k):
+    """The cones, in ``walk_order``, whose open set holds every zero of the
+    k-dropped system on X: by the weak Nullstellensatz on each chart
+    (``q_chart_zero_locus``), the cones whose zhat, with the other inputs,
+    has no common zero on X."""
+    others = list(problem.polys[:k] + problem.polys[k + 1:])
+    fan = problem.fan
+    return [cone for cone in walk_order(problem)
+            if q_chart_zero_locus(fan, others + [MultiPoly.monomial(
+                tuple(0 if i in fan.cone(cone) else 1 for i in range(fan.nvars)))]).ok]
+
+
 def nullstellensatz_refusal(problem, k):
     """The refusal of the local sum, by ideal membership in place of
-    determinants, in the order the sum tests them: in every chart a finite
-    zero set, then no zero off the torus; then, in the distinguished chart,
-    simple zeros and none on f_k.  None when the sum is defined."""
+    determinants, in the order the sum tests them: no common zero of all
+    inputs on X, then in every chart a finite zero set, then a chart that
+    holds every zero (``holding_cones``) and, in the first, simple zeros.
+    None when the sum is defined."""
     fan = problem.fan
-    for cone in range(len(fan.max_cones)):
-        system = chart_system(problem, k, cone)
-        if not quotient_is_finite(GroebnerBasis.of(system, grevlex(fan.dim))):
-            return "InfiniteIntersection"
-        if vanishes_somewhere(system, MultiPoly.monomial((1,) * fan.dim)):
-            return "NotTorusZero"
-    system = chart_system(problem, k, problem.sigma)
-    if solver_refusal(system):
-        return "NonSimpleZero"
-    if vanishes_somewhere(system, dehomogenize(problem.polys[k], fan, problem.sigma)):
+    if not q_chart_zero_locus(fan, problem.polys).ok:
         return "ZeroOnPolarLocus"
-    return None
+    for cone in walk_order(problem):
+        if not quotient_is_finite(GroebnerBasis.of(chart_system(problem, k, cone),
+                                                   grevlex(fan.dim))):
+            return "InfiniteIntersection"
+    cones = holding_cones(problem, k)
+    if not cones:
+        return "NotTorusZero"
+    return "NonSimpleZero" if solver_refusal(chart_system(problem, k, cones[0])) else None
+
+
+def screen_residue_sum(problem, H, k, zero_locus=split_chart_zero_locus):
+    """The exact local sum as it ran behind the torus screen: refused with
+    NotTorusZero, once every chart up to the screen's witness is built,
+    unless ``zero_locus`` finds no common zero of the other inputs and the
+    product of the variables; else the trace on the distinguished chart,
+    refused with NonSimpleZero or ZeroOnPolarLocus when M_{f_k*J} is
+    singular."""
+    fan = problem.fan
+    torus = MultiPoly.monomial((1,) * fan.nvars)
+    screen = zero_locus(fan, problem.polys[:k] + problem.polys[k + 1:] + (torus,))
+    if not screen.ok:
+        for cone in range(screen.witness_cone + 1):
+            _chart(problem, k, cone)
+        raise NotTorusZero(f"zero with a vanishing coordinate in cone {cone}")
+    fk, quotient = _chart(problem, k, problem.sigma)
+    total = quotient.trace(dehomogenize(H, fan, problem.sigma), fk)
+    if total is None:
+        quotient.require_simple()
+        raise ZeroOnPolarLocus("dropped input vanishes at a zero: a common zero on X")
+    return (-1) ** k * total
 
 
 # ---------------------------------------------------------------------------
@@ -2332,25 +2405,28 @@ def local_residue_simple(problem, H: MultiPoly, k: int, zero,
 
 def numeric_residue_sum(problem, H, k, seed: int = 0) -> complex:
     """The local sum in floating point, with the refusals of the exact sum
-    in its order: the torus screen, then NonSimpleZero (det M_J),
-    ZeroOnPolarLocus, and NonSimpleZero when the seeded eigen-solve
-    resolves fewer distinct zeros than dim Q[x]/I."""
-    fan = problem.fan
-    torus = MultiPoly.monomial((1,) * fan.nvars)
-    screen = no_common_zeros_on_x(fan, problem.polys[:k] + problem.polys[k + 1:] + (torus,))
-    if not screen.ok:
-        for cone in range(screen.witness_cone + 1):
-            _chart(problem, k, cone)
-        raise NotTorusZero(f"zero with a vanishing coordinate in cone {cone}")
-    fk, quotient = _chart(problem, k, problem.sigma)
-    quotient.require_simple()
+    in its order: ZeroOnPolarLocus, the walk over the charts for one whose
+    dimension is its group order times N_k (InfiniteIntersection,
+    NotTorusZero), then NonSimpleZero (det M_J), and NonSimpleZero when
+    the seeded eigen-solve resolves fewer distinct zeros than dim Q[x]/I."""
     if not problem.zero_locus().ok:
         raise ZeroOnPolarLocus("dropped input vanishes at a zero: a common zero on X")
-    h = _complex_terms(dehomogenize(H, fan, problem.sigma))
+    fan, grading = problem.fan, problem.grading
+    divisors = [representative_divisor(grading, d) for d in problem.degrees]
+    count = ring_intersection(fan, divisors[:k] + divisors[k + 1:])
+    charts = [(cone, *_chart(problem, k, cone)) for cone in walk_order(problem)]
+    cone, fk, quotient = next(
+        (chart for chart in charts
+         if len(chart[2].basis) == abs(cone_det(fan, chart[0])) * count),
+        (None, None, None))
+    if cone is None:
+        raise NotTorusZero(f"no single chart holds every zero of the inputs but {k}")
+    quotient.require_simple()
+    h = _complex_terms(dehomogenize(H, fan, cone))
     fk = _complex_terms(fk)
     total = sum((complex(_evaluate(h, z)) / (complex(_evaluate(fk, z)) * det)
                  for z, det in zip(*quotient_zeros(quotient, seed))), 0j)
-    return (-1) ** k * total
+    return (-1) ** k * problem.cone_sign(cone) * total
 
 
 def numeric_torus_total(nvars: int, f_list, g: MultiPoly, seed: int = 0) -> complex:

@@ -16,6 +16,7 @@ import toricres
 from toricres import InvalidFan, ParseError, cli, divisors, errors, is_ample, is_cartier, is_q_ample
 from toricres.cli import main
 from toricres.files import load_fan, load_problem
+from toricres.localres import sum_local_residues
 from toricres.residues import residue_report
 
 from conftest import FIXTURES
@@ -415,6 +416,22 @@ def test_exit_passing_checks(capsys):
     assert main(["check", "annihilation", fx("pentagon_small.json")]) == 0
     assert main(["check", "theorem04", fx("p1_numeric_a.json")]) == 0
     assert main(["check", "gtl", fx("p1_numeric_b.json"), "--count", "3"]) == 0
+
+
+def test_theorem04_sums_zeros_off_the_torus(capsys):
+    """pentagon_small's zeros with its monomial input kept lie off the
+    torus, on one chart: theorem04 sums them to the residue, -1, and skips
+    only the inputs whose zeros no single chart holds.  p1_numeric_a skips
+    nothing."""
+    lp = load_problem(fx("pentagon_small.json"))
+    assert sum_local_residues(lp.problem, lp.inputs[0], 0) == -1
+    assert main(["check", "theorem04", fx("pentagon_small.json"), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_deviation"] == "0"
+    assert report["skipped"] == [{"k": 1, "reason": "NotTorusZero"},
+                                 {"k": 2, "reason": "NotTorusZero"}]
+    assert main(["check", "theorem04", fx("p1_numeric_a.json"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["skipped"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -537,7 +537,7 @@ def numeric_outcomes():
     for texts, g in [(["x^2 - 1", "y^2 - 1"], "x*y"), (["x^2 - 1", "y^2 - 1"], "1/3"),
                      (["x^2 - 3*y", "y^2 - 2*x + 1"], "x + 2"),
                      (["x*y - 1", "x^2 - y"], "y^2"),
-                     (["x^2", "y - 1"], "1")]:
+                     (["x^2", "y - 1"], "1"), (["x^2 - x", "y - 1"], "1")]:
         system = [parse_poly(t, names) for t in texts]
         out.append(outcome(lambda: oracles.numeric_torus_total(2, system, parse_poly(g, names))))
     return out

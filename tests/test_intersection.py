@@ -1,4 +1,4 @@
-"""Top intersection numbers D^n from the fan's fixed points, against two oracles.
+"""Intersection numbers from the fan's fixed points, against two oracles.
 
 ``intersection_number`` is one sum over the maximal cones.  It must equal
 the recursion in the intersection ring (``oracles.ring_intersection``) on
@@ -7,7 +7,9 @@ coefficients, and the volume n!·vol(P_D) of the pyramid recursion over
 facets (``oracles.facet_recursion_volume``) on every nef divisor.  It must
 be unchanged by a principal divisor, polarize to the ring's mixed products,
 give the known values of Hirzebruch surfaces and weighted projective
-spaces, and refuse a fan that is not complete and simplicial.
+spaces, and refuse a fan that is not complete and simplicial.  Given n
+divisors it is their mixed product D_1···D_n, the ring's, symmetric in
+them, with one ``support_meets`` per divisor, and one for D^n.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricres import (InvalidFan, divisor_polytope, intersection_number, is_complete, load_fan,
-                      make_fan)
+                      make_fan, polytopes)
 
 from conftest import F1, FIXTURES, INCOMPLETE, complete_polygon_fans
 from oracles import facet_recursion_volume, ring_intersection
@@ -151,6 +153,62 @@ def test_polarization_gives_the_ring_mixed_products(name):
             fan, [sum(col) for col in zip(*S)])
             for k in range(1, n + 1) for S in itertools.combinations(divisors, k)), Fraction(0))
         assert polar / factorial(n) == ring_intersection(fan, divisors), divisors
+
+
+def small_divisors(fan):
+    """Each ray's divisor, the sum of all, and a Q-divisor."""
+    basis = [tuple(int(i == j) for j in range(fan.nvars)) for i in range(fan.nvars)]
+    return basis + [(1,) * fan.nvars, (Fraction(1, 2),) + (-1,) * (fan.nvars - 1)]
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_FANS))
+def test_mixed_products_are_the_ring_value(name):
+    """D_1···D_n on every choice of n divisors of ``small_divisors``, in
+    every order, and the self-product of one as D^n."""
+    fan = NAMED_FANS[name]
+    for divisors in itertools.combinations_with_replacement(small_divisors(fan), fan.dim):
+        value = intersection_number(fan, *divisors)
+        assert type(value) is Fraction
+        assert value == ring_intersection(fan, divisors), divisors
+        assert value == intersection_number(fan, *divisors[::-1])
+        if len(set(divisors)) == 1:
+            assert value == intersection_number(fan, divisors[0])
+
+
+@pytest.mark.parametrize("fan, divisors, want", [
+    (NAMED_FANS["p1p1"], [(1, 0, 0, 0), (0, 0, 1, 0)], 1),   # a fibre of each ruling
+    (NAMED_FANS["p1p1"], [(1, 0, 0, 0), (2, 0, 0, 0)], 0),   # two fibres of one ruling
+    (NAMED_FANS["p1p1"], [(2, 0, 1, 0), (1, 0, 1, 0)], 3),   # (2, 1)·(1, 1)
+    (F1, [(0, 1, 0, 0), (0, 0, 0, 1)], 0),                  # E·H
+    (NAMED_FANS["p112"], [(1, 0, 0), (0, 0, 1)], 1),         # weight 1 by weight 2
+    (P3, [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 3)], 6),
+])
+def test_known_mixed_values(fan, divisors, want):
+    assert intersection_number(fan, *divisors) == want
+    assert ring_intersection(fan, divisors) == want
+
+
+def test_one_support_meets_per_divisor(monkeypatch):
+    calls = []
+    real = polytopes.support_meets
+
+    def counted(fan, coeffs):
+        calls.append(coeffs)
+        return real(fan, coeffs)
+
+    monkeypatch.setattr(polytopes, "support_meets", counted)
+    assert intersection_number(P3, (0, 0, 0, 2)) == 8
+    assert calls == [(0, 0, 0, 2)]
+    calls.clear()
+    assert intersection_number(P3, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)) == 1
+    assert len(calls) == 3
+
+
+def test_a_count_of_divisors_other_than_1_or_n_is_refused():
+    with pytest.raises(ValueError, match="takes 1 or 3 divisors, got 2"):
+        intersection_number(P3, (1, 0, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(ValueError, match="takes 1 or 2 divisors, got 0"):
+        intersection_number(F1)
 
 
 def test_a_fan_that_is_not_complete_and_simplicial_is_refused():

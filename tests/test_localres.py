@@ -17,6 +17,7 @@ from toricres import (
     NonSimpleZero,
     NotTorusZero,
     NotZeroDimensional,
+    ResidueProblem,
     WrongDegree,
     ZeroOnPolarLocus,
     euler_jacobi_check,
@@ -30,6 +31,7 @@ from conftest import load
 from oracles import chart_zero_set, local_residue_simple, solve_chart_system
 
 TOL = 1e-8
+XY = ("x", "y")
 
 
 def up(text, names):
@@ -183,10 +185,16 @@ def test_sum_matches_exact_surface_all_k():
     assert [sum_local_residues(lp.problem, lp.inputs[0], k) for k in (0, 1, 2)] == [exact] * 3
 
 
-def test_zero_off_torus_is_refused():
+def test_a_zero_off_the_torus_is_summed_on_the_chart_that_holds_it():
+    """With x dropped the zero is [0 : 1], off the torus: the chart of
+    cone 1 holds it and the sum is the residue; x*y, whose zeros [0 : 1]
+    and [1 : 0] no single chart holds, is still refused."""
     lp = load("p1_numeric_a.json")
-    with pytest.raises(NotTorusZero):
-        sum_local_residues(lp.problem, lp.inputs[0], 1)
+    pb, H = lp.problem, lp.inputs[0]
+    assert sum_local_residues(pb, H, 1) == toric_residue(pb, H) == -1
+    pb = ResidueProblem(lp.fan, [up("x + 3*y", XY), up("x*y", XY)], grading=lp.grading)
+    with pytest.raises(NotTorusZero, match="no single chart holds every zero"):
+        sum_local_residues(pb, H, 0)
 
 
 def test_positive_dimensional_drop_is_refused():

@@ -360,3 +360,21 @@ def test_euler_jacobi_refuses_a_system_of_another_size():
     with pytest.raises(DegreeMismatch):
         euler_jacobi_check(2, system, parse_poly("x + y", XYZ))
     assert euler_jacobi_check(2, system, g) == (True, 0)
+
+
+def test_euler_jacobi_refuses_a_system_that_is_not_square_before_any_basis(monkeypatch):
+    """Three polynomials in two variables, and none, are refused before a
+    basis is built: a shape the quotient of a square system cannot take."""
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(GroebnerBasis, "of", no_basis)
+    names = ("x", "y")
+    system = [parse_poly(t, names) for t in ("x^2 - 1", "y^2 - 4", "x - y")]
+    g = parse_poly("x + y", names)
+    with pytest.raises(DegreeMismatch, match="need 2 polynomials in 2 variables"):
+        euler_jacobi_check(2, system, g)
+    with pytest.raises(DegreeMismatch, match="need 2 polynomials in 2 variables"):
+        euler_jacobi_check(2, [], g)
+    with pytest.raises(DegreeMismatch, match="need 0 polynomials in 0 variables"):
+        euler_jacobi_check(0, [], MultiPoly.constant(0, 1))

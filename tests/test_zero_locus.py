@@ -1,13 +1,12 @@
 """The zero-locus test mod P against the test over Q alone.
 
 ``no_common_zeros_on_x`` passes over the charts in cone order and builds a
-basis over Q only for a chart, or a piece of one, that is not the unit
-ideal mod P;
+basis over Q only for a chart that is not the unit ideal mod P;
 ``oracles.q_chart_zero_locus`` builds one for every chart.  Their ``ok``,
 ``witness_cone`` and ``witness_monomial`` must agree on every input,
 including inputs that vanish mod P, inputs with a denominator P and common
 zeros that exist only over Q or only mod P.  The one exception is a chart
-or a piece that is the unit ideal mod P but not over Q, because P divides a
+that is the unit ideal mod P but not over Q, because P divides a
 coefficient (``test_a_zero_that_leaves_its_chart_mod_p``): the pass goes
 on past it, and names a later chart.
 
@@ -17,8 +16,8 @@ basis, and the chart bases built, counted per modulus by ``chart_bases``,
 may only fall.  The caps are cost guards only: with the cap on N at 0 the
 report and the counts are the ones without a basis, and with the cap on
 the size of a remainder at 0 only the counts may change.  ``chart_bases``
-also fails any call that builds a basis over Q of a chart or a piece
-already found to be the unit ideal mod P.
+also fails any call that builds a basis over Q of a chart already found
+to be the unit ideal mod P.
 
 On a complete fan with n+1 rays and inputs homogeneous for its ray
 relation (``oracles.leads_decide``), the pure-power leads of the basis
@@ -30,12 +29,13 @@ forms for the relation, and fans that are not complete, keep their
 reports.  On the fixtures of the pentagon and of P^1 x P^1 the
 certificate runs as before, with its divisions counted.
 
-A chart with a monomial input is decided on its coordinate hyperplanes,
-each piece mod P or else over Q on its own.  With small coefficients its
-report must be the one of every chart decided whole
-(``oracles.whole_chart_zero_locus``), witness included; with coefficients
-divisible by P its ``ok`` must be the Q oracle's, and its witness never
-before the oracle's.
+A chart with a monomial input is decided whole, like every other chart.
+With small coefficients its report must be the one of the rule that split
+such a chart on its coordinate hyperplanes, each piece mod P or else over
+Q on its own (``oracles.split_chart_zero_locus``), witness included, and
+the one of ``oracles.whole_chart_zero_locus``; with coefficients divisible
+by P its ``ok`` must be the Q oracle's, and its witness never before the
+oracle's.
 """
 
 import random
@@ -54,7 +54,7 @@ from toricres.residues import P, _certified, irrelevant_ideal, off_cone_exponent
 
 from conftest import FIXTURES, load
 from oracles import (chart_is_unit, evaluate, leads_decide, q_chart_zero_locus,
-                     whole_chart_zero_locus)
+                     split_chart_zero_locus, whole_chart_zero_locus)
 from test_quotient import SYSTEM_FANS, square_systems
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -164,14 +164,6 @@ def test_fixtures_are_certified_from_their_basis():
         assert counts == {}, name
 
 
-def piece_count(fan, polys, k):
-    """How many systems the chart of cone k is decided on: one for each
-    variable of its first single nonconstant term, else one."""
-    charts = [dehomogenize(F, fan, k).num for F in polys]
-    term = next((e for t in charts if len(t) == 1 for e in t if any(e)), None)
-    return 1 if term is None else sum(1 for a in term if a)
-
-
 def test_the_mod_p_route_builds_no_polynomial_over_gf_p(monkeypatch):
     """The chart route mod P hands ``packed_basis`` sub-dicts of the integer
     terms of the chart polynomials, int-valued dicts that the kernel
@@ -204,8 +196,7 @@ def test_fixtures_are_decided_mod_p_alone():
     for name in RESIDUE_FIXTURES:
         pb = load(name).problem
         report, counts = both(pb.fan, pb.polys)
-        pieces = sum(piece_count(pb.fan, pb.polys, k) for k in range(len(pb.fan.max_cones)))
-        assert report.ok and counts == {P: pieces}
+        assert report.ok and counts == {P: len(pb.fan.max_cones)}
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +449,17 @@ def test_a_denominator_p_sends_every_chart_to_q(system, data):
 
 
 # ---------------------------------------------------------------------------
-# a chart with a monomial input, decided on its coordinate hyperplanes
+# a chart with a monomial input, decided whole as it was once split on its
+# coordinate hyperplanes
 
 
 def split_report(fan, polys):
-    """The report and chart bases of the package, whose charts with a
-    monomial input are decided piece by piece, checked against the report
-    of each chart decided whole, witness included, and against the Q
-    oracle's answer."""
+    """The report and chart bases of the package, which decides every
+    chart whole, checked against the report of the rule that split a chart
+    with a monomial input piece by piece and of each chart decided whole,
+    witness included, and against the Q oracle's answer."""
     report, counts = decide(fan, polys)
-    assert report == whole_chart_zero_locus(fan, polys)
+    assert report == split_chart_zero_locus(fan, polys) == whole_chart_zero_locus(fan, polys)
     assert report.ok == q_chart_zero_locus(fan, polys).ok
     return report, counts
 
@@ -491,8 +483,8 @@ def test_a_split_chart_keeps_the_report_on_dense_systems(system):
 @SETTINGS
 @given(dense_systems(st.integers(1, 9)), st.data())
 def test_the_screen_keeps_the_report_on_dense_systems(system, data):
-    """The screen's inputs: a dense system less one input, and the product
-    of all variables."""
+    """The inputs of the torus screen that the local sums once ran: a
+    dense system less one input, and the product of all variables."""
     fan, polys = system
     polys.pop(data.draw(st.integers(0, len(polys) - 1)))
     split_report(fan, polys + [MultiPoly.monomial((1,) * fan.nvars)])
@@ -536,10 +528,10 @@ def test_a_zero_at_a_torus_fixed_point_is_named_by_a_split_chart(system, data):
 @given(monomial_inputs(st.just(P)), st.data())
 def test_a_monomial_that_vanishes_mod_p_is_still_split(system, data):
     """With P | c the monomial is 0 mod P, and a chart decided whole is not
-    the unit ideal mod P where the other inputs meet; its pieces, the
-    other inputs on each coordinate hyperplane of x^a, still are, and the
-    report is the one of the charts decided whole (over Q where they fail
-    mod P), with or without a common zero on a hyperplane."""
+    the unit ideal mod P where the other inputs meet, so it is decided over
+    Q; the split rule's pieces, the other inputs on each coordinate
+    hyperplane of x^a, still are, and the report is the same, with or
+    without a common zero on a hyperplane."""
     fan, polys = system
     *forms, monomial = polys
     if data.draw(st.booleans()):
@@ -551,33 +543,6 @@ def test_a_monomial_that_vanishes_mod_p_is_still_split(system, data):
     split_report(fan, forms + [monomial])
 
 
-def test_a_piece_unit_mod_p_builds_no_basis_over_q():
-    """The screen of x0 + x1 + x2 and P*x0 + x1 + 2P*x2 on P^2, whose common
-    zero lies in the torus.  Mod P the second form is x1, so the piece on
-    x1 = 0, [1 : 0 : -1] mod P, fails mod P in the charts of cones 0 (its
-    first piece) and 2 (its second); over Q it is the unit ideal.  Every
-    other piece is unit mod P, so each of those charts builds one basis
-    over Q, of that piece alone."""
-    fan, _ = load_fan(FIXTURES / "p2.fan.json")
-    x0, x1, x2 = (MultiPoly.variable(3, i) for i in range(3))
-    polys = [x0 + x1 + x2, x0 * P + x1 + x2 * (2 * P), x0 * x1 * x2]
-    route = []
-    real_packed_basis = residues.packed_basis
-
-    def recorded(gens, order, modulus=0):
-        table = real_packed_basis(gens, order, modulus)
-        route.append((modulus, table == [(Packing(order).one, 1, ())]))
-        return table
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(residues, "packed_basis", recorded)
-        assert no_common_zeros_on_x(fan, polys) == ZeroLocusReport(True)
-    assert route == [(P, False), (0, True), (P, True),  # cone 0
-                     (P, True), (P, True),              # cone 1
-                     (P, True), (P, False), (0, True)]  # cone 2
-    split_report(fan, polys)
-
-
 SCREEN_FANS = {name: (load_fan(FIXTURES / f"{name}.fan.json"), exponent)
                for name, exponent in [("p2", (1, 0, 0)), ("p1p1", (1, 0, 1, 0)),
                                       ("pentagon", (0, 0, 1, 1, 0))]}
@@ -587,7 +552,7 @@ SCREEN_FANS = {name: (load_fan(FIXTURES / f"{name}.fan.json"), exponent)
 @given(st.sampled_from(sorted(SCREEN_FANS)), st.data())
 def test_a_screen_with_coefficients_divisible_by_p_keeps_the_q_answer(name, data):
     """The screen's inputs with coefficients in +-1, +-2, +-P and 2P, so
-    that a piece or a chart may be the unit ideal over Q but not mod P, or
+    that a chart may be the unit ideal over Q but not mod P, or
     mod P but not over Q: ``ok`` is the Q oracle's, and a refusal never
     names a cone before the first chart that fails over Q."""
     (fan, grading), exponent = SCREEN_FANS[name]
