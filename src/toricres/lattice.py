@@ -7,16 +7,14 @@ job and no arithmetic over Q: one fraction-free elimination of [A | B]
 (``bareiss``) gives det A (``mat_det``), square solves (``cramer``) and
 det R and adj R of each maximal cone (a fan's ``cone_table``, built once
 with its ``facets`` and ``walls``); the Smith form solves over the
-integers (``SmithDecomposition.solve``), one Bareiss elimination of
-A + tB gives Tr(A^-1 B) (``trace_of_solve``), and the Smith or Hermite
-form gives a rank or a lattice.
+integers (``SmithDecomposition.solve``), and the Smith or Hermite form
+gives a rank or a lattice.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -88,40 +86,6 @@ def bareiss(A, B=()) -> tuple[int, list[list[int]] | None]:
 def mat_det(A) -> int:
     """Exact determinant of an integer matrix: ``bareiss`` with no B."""
     return bareiss(A)[0]
-
-
-def trace_of_solve(A, B) -> Fraction | None:
-    """Tr(A^-1 B) for square integer matrices of one size, or None when
-    det A = 0; ValueError for other shapes, as in ``bareiss``.
-
-    One Bareiss elimination of A + tB over Z[t]/(t^2), pivoting on constant
-    terms, since det(A + tB) = det A * (1 + t Tr(A^-1 B)) mod t^2.  Every
-    Bareiss quotient is exact over Z[t], and its divisor, a previous pivot,
-    has a nonzero constant term, so the quotient's two low coefficients are
-    exact integer quotients.  A column with no nonzero constant term left
-    means det A = 0.
-    """
-    n = len(A)
-    if len(B) != n or any(len(row) != n for row in (*A, *B)):
-        raise ValueError("trace of a non-square or mismatched pair")
-    P = [list(map(operator.index, row)) for row in A]
-    T = [list(map(operator.index, row)) for row in B]
-    p0, p1 = 1, 0
-    for k in range(n):
-        swap = next((i for i in range(k, n) if P[i][k]), None)
-        if swap is None:
-            return None
-        P[k], P[swap], T[k], T[swap] = P[swap], P[k], T[swap], T[k]
-        a0, a1, Pk, Tk = P[k][k], T[k][k], P[k], T[k]
-        for i in range(k + 1, n):
-            Pi, Ti = P[i], T[i]
-            b0, b1 = Pi[k], Ti[k]
-            for j in range(k + 1, n):
-                q0 = (Pi[j] * a0 - b0 * Pk[j]) // p0
-                Ti[j] = (Pi[j] * a1 + Ti[j] * a0 - b0 * Tk[j] - b1 * Pk[j] - q0 * p1) // p0
-                Pi[j] = q0
-        p0, p1 = a0, a1
-    return Fraction(p1, p0)
 
 
 def cramer(rows, rhs):

@@ -14,9 +14,9 @@ each repeated by the multiplicity of p.  So det M_g = 0 exactly when g
 vanishes at a zero, and when every zero is simple and off g, the sum of
 h/(g*J) over the zeros, J the Jacobian determinant, is the trace of
 M_{g*J}^-1 M_h (Cattani-Dickenstein-Sturmfels, *Computing multidimensional
-residues*, 1996): an exact Fraction from one integer elimination
-(``lattice.trace_of_solve``).  When M_{g*J} is singular the sum is refused:
-with NonSimpleZero when det M_J = 0, else because g vanishes at a zero.
+residues*, 1996), Tr M_q for q = h/(g*J): one integer solve for q
+(``lattice.cramer``) and M_q's diagonal.  A singular M_{g*J} is refused:
+NonSimpleZero when det M_J = 0, else because g vanishes at a zero.
 
 A residue is such a trace on one chart: the first whose dimension is the
 chart group order times the intersection number of the other n degrees,
@@ -25,6 +25,7 @@ which holds every zero on X, off the torus too (``sum_local_residues``).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .grading import representative_divisor
 from .groebner import GroebnerBasis, divide, grevlex, quotient_is_finite, standard_monomials
-from .lattice import cone_det, mat_det, trace_of_solve
+from .lattice import cone_det, cramer, mat_det
 from .poly import MultiPoly, dehomogenize, poly_det
 from .polytopes import intersection_number
 from .residues import require_critical_degree
@@ -114,27 +115,44 @@ class _Quotient:
         """The Jacobian determinant J."""
         return poly_det([[p.partial(j) for j in range(p.nvars)] for p in self.polys])
 
-    def matrix(self, g: MultiPoly):
-        """(d, G): G is the integer matrix whose column b is column b of M_g
-        times d*s_b, where d is the denominator of the normal form of g
-        (g.num divided on the table, over g.d in lowest terms) and
-        s_b = prod_j D_j^(b_j).  B ascends and is closed under division, so
-        x^b = x_j*x^c, c = b - weights[j] earlier in B, for the first j with
-        a key c (the others have a guard bit), and column b is x_j times
-        column c through ``_times_variable``.  The s_b depend on b alone, so
-        they scale the G of every g by one similarity, and leave det G = 0."""
-        packing, B = self.gb.packing, self.basis
-        scale, rem = divide(packing.pack_terms(g.num), self.gb.table, packing)
+    @cached_property
+    def _steps(self):
+        """(b, c, D_j*M_{x_j}) for each b in B past the first: x^b = x_j*x^c, c =
+        b - weights[j] earlier in B, for the first such j (others have a guard bit)."""
+        standard, weights = set(self.basis), self.gb.packing.weights
+        return [next((b, b - s, self._times_variable[j][1]) for j, s in enumerate(weights)
+                     if b - s in standard) for b in self.basis[1:]]
+
+    @cached_property
+    def _scales(self):
+        """(s_b for b in B, their lcm): column b of the composed M_1 is s_b*e_b."""
+        scales = [c[b] for b, c in self._compose(dict.fromkeys(self.basis[:1], 1)).items()]
+        return scales, lcm(*scales)
+
+    def _reduce(self, g: MultiPoly):
+        """(d, v) with NF(g) = v/d, v packed integer terms in lowest terms."""
+        scale, rem = divide(self.gb.packing.pack_terms(g.num), self.gb.table, self.gb.packing)
         k = gcd(scale * g.d, *rem.values())
-        cols = {b: {y: c // k for y, c in rem.items()} for b in B[:1]}
-        for b in B[1:]:
-            j, c = next((j, b - s) for j, s in enumerate(packing.weights) if b - s in cols)
-            table, col = self._times_variable[j][1], {}
+        return scale * g.d // k, {y: c // k for y, c in rem.items()}
+
+    def _compose(self, first):
+        """{b: column b} from column 1 = ``first``: column b is table times column
+        c along ``_steps``, s_b*NF(x^b * first) for s_b = prod_j D_j^(b_j)."""
+        cols = dict(zip(self.basis[:1], [first]))
+        for b, c, table in self._steps:
+            col = {}
             for e, v in cols[c].items():
                 for f, x in table[e].items():
                     col[f] = col.get(f, 0) + v * x
             cols[b] = col
-        return scale * g.d // k, [[cols[b].get(e, 0) for b in B] for e in B]
+        return cols
+
+    def matrix(self, g: MultiPoly):
+        """(d, G), G = d*M_g*diag(s_b) composed from NF(g) = v/d (``_reduce``):
+        the s_b scale the G of every g by one similarity and keep det G = 0."""
+        d, first = self._reduce(g)
+        cols, B = self._compose(first), self.basis
+        return d, [[cols[b].get(e, 0) for b in B] for e in B]
 
     def require_simple(self):
         """NonSimpleZero unless det M_J != 0, J the Jacobian determinant."""
@@ -142,43 +160,48 @@ class _Quotient:
             raise NonSimpleZero("the Jacobian vanishes at a zero (det M_J = 0)")
 
     def trace(self, h: MultiPoly, g: MultiPoly) -> Fraction | None:
-        """The sum of h/(g*J) over the zeros, or None when M_{g*J} is
-        singular.  It is (d_{gJ}/d_h) * Tr(G_{gJ}^-1 G_h): the similarity of
-        ``matrix`` cancels in the trace, its scalars d do not."""
-        d_gj, A = self.matrix(g * self.jacobian)
-        d_h, B = self.matrix(h)
-        t = trace_of_solve(A, B)
-        return None if t is None else t * d_gj / d_h
+        """The sum of h/(g*J) over the zeros (0 if none), or None when M_{g*J} is singular:
+        Tr M_q for q = h/(g*J).  One ``cramer`` solves G*y = v, G = d*M_{g*J}*diag(s_b)
+        (``matrix``), NF(h) = v/d_h; q = (d/d_h)*(s_b*y_b), composed to s_b times M_q."""
+        d, G = self.matrix(g * self.jacobian)
+        d_h, v = self._reduce(h)
+        if (solved := cramer(G, [v.get(b, 0) for b in self.basis])) is None:
+            return None
+        (y, det), (scales, L) = solved, self._scales
+        cols = self._compose({b: s * x for b, s, x in zip(self.basis, scales, y) if x})
+        diagonal = sum(cols[b].get(b, 0) * (L // s) for b, s in zip(self.basis, scales))
+        return Fraction(diagonal * d, L * det * d_h)
 
 
 # ---------------------------------------------------------------------------
 # residue sums
 
 def _chart(problem, k: int, cone: int):
-    """f_k and the quotient of the system with input k dropped, in the
-    chart of a cone; InfiniteIntersection when its zeros are not finite."""
-    charts = [dehomogenize(p, problem.fan, cone) for p in problem.polys]
+    """f_k and the quotient of the system with input k dropped on a cone's chart,
+    from the chart's inputs kept on the problem; InfiniteIntersection if infinite."""
+    charts = problem.memo(("chart", cone), lambda: [
+        dehomogenize(p, problem.fan, cone) for p in problem.polys])
     try:
         return charts[k], _Quotient(charts[:k] + charts[k + 1:])
     except NotZeroDimensional as exc:
-        raise InfiniteIntersection(
-            f"inputs excluding {k} meet in positive dimension in cone {cone}"
-        ) from exc
+        raise InfiniteIntersection(f"inputs excluding {k} meet in positive "
+                                   f"dimension in cone {cone}") from exc
 
 
 def sum_local_residues(problem, H: MultiPoly, k: int) -> Fraction:
     """Signed sum of the local residues of H over the zeros
     Z = V(F_i : i != k) on X, exactly: Res(H) under its hypotheses.
 
-    H must have the critical degree, as for ``toric_residue``, and k must
-    name an input.  A common zero of all inputs (``problem.zero_locus``)
-    lies on Z and on F_k: ZeroOnPolarLocus.  The sum is then
-    (-1)^k * cone_sign(tau) * Tr_tau(h/(f_k*J)) on the first chart tau,
-    sigma's and then the others in index order, with
-    dim A_tau = |det tau| * N_k, N_k = prod_{i != k} D_i the intersection
-    number of the other degrees; the index |det tau| in the chart form
-    cancels against the chart group order (Cattani-Dickenstein-Sturmfels,
-    *Computing multidimensional residues*, 1996).
+    k must be an int naming an input (TypeError before any work when it is
+    not); H must have the critical degree, as for ``toric_residue``.  A
+    common zero of all inputs (``problem.zero_locus``) lies on Z and on F_k:
+    ZeroOnPolarLocus.  The sum is then (-1)^k * cone_sign(tau) *
+    Tr_tau(h/(f_k*J)) on the first chart tau, sigma's and then the others
+    in index order, with dim A_tau = |det tau| * N_k, N_k = prod_{i != k} D_i
+    the intersection number of the other degrees; the index |det tau| in
+    the chart form cancels against the chart group order
+    (Cattani-Dickenstein-Sturmfels, *Computing multidimensional residues*,
+    1996).  N_k, alpha_k's Q-ampleness and each chart's inputs are the problem's (``memo``).
 
     Proof.  A finite Z is a proper intersection, so each zero p has a local
     multiplicity i_p > 0 and N_k = sum_p i_p.  The chart A^n -> U_tau is
@@ -193,17 +216,23 @@ def sum_local_residues(problem, H: MultiPoly, k: int) -> Fraction:
     raises NotTorusZero: no single chart holds Z.  As f_k vanishes at no
     zero, a singular M_{f_k*J} means det M_J = 0: NonSimpleZero.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer input index, not {type(k).__name__}") from None
     require_critical_degree(problem, H)
     if not 0 <= k < len(problem.polys):
         raise ValueError(f"no input with index {k}")
     if not problem.zero_locus().ok:
         raise ZeroOnPolarLocus("dropped input vanishes at a zero: a common zero on X")
     fan, grading = problem.fan, problem.grading
-    divisors = [representative_divisor(grading, d) for d in problem.degrees]
-    count = intersection_number(fan, *divisors[:k], *divisors[k + 1:])
+    divisors = [problem.memo(("divisor", d), representative_divisor, grading, d)
+                for d in problem.degrees]
+    others = tuple(sorted(divisors[:k] + divisors[k + 1:]))
+    count = problem.memo(("count", others), intersection_number, fan, *others)
     cones = [problem.sigma, *(c for c in range(len(fan.max_cones)) if c != problem.sigma)]
     charts = ((cone, *_chart(problem, k, cone)) for cone in cones)
-    if not is_q_ample(fan, divisors[k]).ok:
+    if not problem.memo(("q-ample", divisors[k]), is_q_ample, fan, divisors[k]).ok:
         charts = list(charts)
     for cone, fk, quotient in charts:
         if len(quotient.basis) == abs(cone_det(fan, cone)) * count:

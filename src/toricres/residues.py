@@ -360,6 +360,7 @@ class ResidueProblem:
         self._sigma_det = cone_det(fan, sigma)
         if self._sigma_det == 0:
             raise ValueError("cone rays are dependent")
+        self._memo = {}
 
     @cached_property
     def critical(self) -> DegreeClass:
@@ -415,6 +416,12 @@ class ResidueProblem:
     @cached_property
     def c_sigma(self) -> Fraction:
         return self.normal_coefficient(self.delta)
+
+    def memo(self, key, build, *args):
+        """build(*args), kept for the key unless it raises (``localres``'s objects)."""
+        if key not in self._memo:
+            self._memo[key] = build(*args)
+        return self._memo[key]
 
     def cone_sign(self, cone_index: int) -> int:
         """+1 or -1 as the rays of the cone, in ascending order, are oriented

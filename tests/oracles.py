@@ -85,7 +85,7 @@ from toricres.groebner import (Packing, grevlex, lex, packed_basis,
                                quotient_is_finite, standard_monomials)
 from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cone_det, dot,
                               freeze, hnf_rows, mat_det, mat_vec, reduce_mod_lattice,
-                              smith_normal_form, trace_of_solve)
+                              smith_normal_form)
 from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, degree_of, poly_det as integer_poly_det
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
@@ -1208,6 +1208,42 @@ def fraction_matrix(quotient, g):
                 col[f] = col.get(f, 0) + c * y
         cols[b] = col
     return d, [[cols[b].get(e, 0) for b in B] for e in B]
+
+
+def trace_of_solve(A, B) -> Fraction | None:
+    """Tr(A^-1 B) for square integer matrices of one size, or None when
+    det A = 0; ValueError for other shapes.  The trace of the local sums as
+    ``localres`` took it before one solve for q = h/(g*J) replaced it, kept
+    as ``TupleQuotient``'s trace and as the reference of ``_Quotient.trace``.
+
+    One Bareiss elimination of A + tB over Z[t]/(t^2), pivoting on constant
+    terms, since det(A + tB) = det A * (1 + t Tr(A^-1 B)) mod t^2.  Every
+    Bareiss quotient is exact over Z[t], and its divisor, a previous pivot,
+    has a nonzero constant term, so the quotient's two low coefficients are
+    exact integer quotients.  A column with no nonzero constant term left
+    means det A = 0.
+    """
+    n = len(A)
+    if len(B) != n or any(len(row) != n for row in (*A, *B)):
+        raise ValueError("trace of a non-square or mismatched pair")
+    P = [list(map(operator.index, row)) for row in A]
+    T = [list(map(operator.index, row)) for row in B]
+    p0, p1 = 1, 0
+    for k in range(n):
+        swap = next((i for i in range(k, n) if P[i][k]), None)
+        if swap is None:
+            return None
+        P[k], P[swap], T[k], T[swap] = P[swap], P[k], T[swap], T[k]
+        a0, a1, Pk, Tk = P[k][k], T[k][k], P[k], T[k]
+        for i in range(k + 1, n):
+            Pi, Ti = P[i], T[i]
+            b0, b1 = Pi[k], Ti[k]
+            for j in range(k + 1, n):
+                q0 = (Pi[j] * a0 - b0 * Pk[j]) // p0
+                Ti[j] = (Pi[j] * a1 + Ti[j] * a0 - b0 * Tk[j] - b1 * Pk[j] - q0 * p1) // p0
+                Pi[j] = q0
+        p0, p1 = a0, a1
+    return Fraction(p1, p0)
 
 
 class TupleQuotient:

@@ -5,8 +5,9 @@ on every nonsingular square system and refuse every singular one;
 ``lattice.bareiss`` must give the determinant ``oracles.fraction_mat_det``
 gives and, as X with A·X = det(A)·B, the product of the minors adjugate
 ``oracles.adjugate`` with B, with Cramer's solutions ``oracles.cramer``
-over the determinant; ``lattice.trace_of_solve`` must give the trace of
-the solutions for the columns of B, and refuse pairs of other shapes;
+over the determinant; ``oracles.trace_of_solve``, the reference trace of
+the local sums, must give the trace of the solutions for the columns of
+B, and refuse pairs of other shapes;
 ``cone_functionals`` must return the tuples of
 ``oracles.fraction_cone_functionals`` wherever each maximal cone has dim
 independent rays, and refuse the other fans by naming the cone; and the
@@ -35,12 +36,13 @@ from toricres import (
     representative_divisor,
 )
 from toricres.cli import main
-from toricres.lattice import bareiss, cramer, mat_identity, smith_normal_form, trace_of_solve
+from toricres.lattice import bareiss, cramer, mat_identity, smith_normal_form
 
 from conftest import FIXTURES, load, complete_polygon_fans
 import oracles
 from oracles import (adjugate, fraction_cone_functionals, fraction_jacobian_ideal_degree_check,
-                     fraction_mat_det, mat_mul, mat_rank, solve_rational, weight_system)
+                     fraction_mat_det, mat_mul, mat_rank, solve_rational, trace_of_solve,
+                     weight_system)
 from test_differential import stellar_fans_3d
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)

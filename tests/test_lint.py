@@ -121,7 +121,7 @@ def test_no_fraction_accumulator_on_the_residue_path():
 def test_the_groebner_kernel_builds_no_exponent_tuple():
     """Division, S-polynomials, the pair loop, the lead count of the
     Hilbert-driven skip, the zero-locus certificate and the chart
-    quotient's border pass and matrices run on packed monomials alone: none
+    quotient's border pass, matrices and trace run on packed monomials alone: none
     of them calls ``tuple``, as ``tuple(map(add, e, shift))`` once did in
     every step, and none reads ``unpack``, as the quotient's tables once
     did to key them by exponent tuples.  Tuples are packed where they enter
@@ -129,7 +129,9 @@ def test_the_groebner_kernel_builds_no_exponent_tuple():
     kernel = {"groebner.py": ("divide", "s_polynomial", "_gm_update", "_lead_count",
                               "packed_basis"),
               "residues.py": ("_certified",),
-              "localres.py": ("_Quotient._times_variable", "_Quotient.matrix")}
+              "localres.py": ("_Quotient._times_variable", "_Quotient._steps",
+                              "_Quotient._scales", "_Quotient._reduce", "_Quotient._compose",
+                              "_Quotient.matrix", "_Quotient.trace")}
     for name, functions in kernel.items():
         path = ROOT / "src" / "toricres" / name
         tree = ast.parse(path.read_text(), filename=str(path))

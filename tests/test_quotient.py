@@ -416,6 +416,59 @@ def test_sums_and_refusals_match_the_tuple_quotient_on_random_systems(case):
     assert_sums_match_the_tuple_quotient(*case[:2])
 
 
+def assert_trace_is_the_reference(quotient, h, g):
+    """``_Quotient.trace`` is the Fraction that the old trace, one Z[t]/t^2
+    elimination of G_{g*J} + t*G_h (``oracles.trace_of_solve``), gives
+    from the full matrices, and None exactly where that one is.  Returns
+    the value."""
+    d_gj, A = quotient.matrix(g * quotient.jacobian)
+    d_h, B = quotient.matrix(h)
+    t = oracles.trace_of_solve(A, B)
+    got = quotient.trace(h, g)
+    assert got == (None if t is None else t * d_gj / d_h)
+    assert got is None or type(got) is Fraction
+    return got
+
+
+def assert_every_chart_trace_is_the_reference(pb, H):
+    """On every chart with input k dropped that is finite, h against f_k
+    and against the product of the variables."""
+    values = []
+    for cone in range(len(pb.fan.max_cones)):
+        h = dehomogenize(H, pb.fan, cone)
+        for k in range(len(pb.polys)):
+            try:
+                fk, quotient = localres._chart(pb, k, cone)
+            except InfiniteIntersection:
+                continue
+            torus = MultiPoly.monomial((1,) * pb.fan.dim)
+            values += [assert_trace_is_the_reference(quotient, h, g) for g in (fk, torus)]
+    return values
+
+
+def test_the_trace_is_the_reference_on_every_numeric_fixture_chart():
+    values = [v for name in NUMERIC_FIXTURES
+              for v in assert_every_chart_trace_is_the_reference(load(name).problem,
+                                                                 load(name).inputs[0])]
+    assert None in values and any(v for v in values) and 0 in values
+
+
+@SETTINGS
+@given(square_systems(["p2", "p1p1", "p3", "p112", "pentagon"]))
+def test_the_trace_is_the_reference_on_random_systems(case):
+    assert_every_chart_trace_is_the_reference(*case[:2])
+
+
+def test_a_quotient_with_no_standard_monomial_has_trace_0():
+    """A unit ideal leaves B empty: no zero, so the sum over them is 0, as
+    the reference gives from two empty matrices."""
+    quotient = localres._Quotient([MultiPoly.constant(1, 3)])
+    assert quotient.basis == []
+    one = MultiPoly.constant(1, 1)
+    assert assert_trace_is_the_reference(quotient, one, one) == 0
+    assert euler_jacobi_check(1, [MultiPoly.constant(1, 3)], one) == (True, 0)
+
+
 def linear_problem(name, texts):
     fan, grading = system_fan(name)
     return ResidueProblem(fan, [parse_poly(t, fan.variables) for t in texts],
