@@ -35,7 +35,6 @@ from .errors import (
     NotSurjective,
     NotTorusZero,
     NotZeroDimensional,
-    NonUniqueLift,
     ParseError,
     ToricError,
     Unbounded,
@@ -82,7 +81,6 @@ from .poly import (
     MultiPoly,
     degree_of,
     dehomogenize,
-    homogenize_to_degree,
     is_homogeneous,
     parse_poly,
     poly_det,
@@ -125,7 +123,7 @@ __all__ = [
     "ExponentTooLarge", "HypothesesFailed", "InfiniteIntersection",
     "InvalidFan", "NoIntegralLift", "NonSimpleZero", "NonSquare", "NotAGrading",
     "NotAmple", "NotHomogeneous", "NotSurjective", "NotTorusZero",
-    "NotZeroDimensional", "NonUniqueLift", "ParseError", "ToricError", "Unbounded",
+    "NotZeroDimensional", "ParseError", "ToricError", "Unbounded",
     "WrongDegree", "ZeroOnPolarLocus", "ZeroPolynomial",
     "LoadedProblem", "load_fan", "load_problem",
     "DegreeClass", "Grading", "anticanonical_class", "compute_grading",
@@ -136,7 +134,7 @@ __all__ = [
     "CompletenessReport", "FanData", "SmithDecomposition", "cone_det", "cone_group_order",
     "is_complete", "is_simplicial", "make_fan", "smith_normal_form",
     "euler_jacobi_check", "sum_local_residues",
-    "MultiPoly", "degree_of", "dehomogenize", "homogenize_to_degree", "is_homogeneous",
+    "MultiPoly", "degree_of", "dehomogenize", "is_homogeneous",
     "parse_poly", "poly_det", "poly_to_string",
     "HPolytope", "divisor_polytope", "intersection_number", "lattice_points",
     "monomial_basis",

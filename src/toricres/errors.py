@@ -52,11 +52,7 @@ class NonSquare(ToricError):
 
 
 class NoIntegralLift(ToricError):
-    """A chart monomial has no nonnegative integral homogenization."""
-
-
-class NonUniqueLift(ToricError):
-    """Chart homogenization is underdetermined."""
+    """No nonnegative integral exponent vector reaches a degree."""
 
 
 class Unbounded(ToricError):

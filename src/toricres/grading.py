@@ -20,7 +20,6 @@ from .lattice import (
     freeze,
     hnf_reduced_rows,
     hnf_rows,
-    mat_det,
     reduce_mod_lattice,
     smith_normal_form,
 )
@@ -104,7 +103,7 @@ class Grading:
         nv = self.nvars
         n = len(self.rays[0]) if self.rays else 0
         image_rows = [tuple(r[j] for r in self.rays) for j in range(n)]
-        return (smith_normal_form(degree_system(self, range(nv)), nv + len(self.moduli)),
+        return (smith_normal_form(degree_system(self), nv + len(self.moduli)),
                 tuple(hnf_rows(image_rows, nv, align="right")))
 
 
@@ -138,10 +137,11 @@ def validate_user_grading(fan, free_rows) -> Grading:
 
     Each row must have one entry per ray and vanish on the image of the ray
     pairing map.  Such a row kills the saturation of that image too, the
-    kernel of C, so R = T·C with T = R·S for any integer right inverse S of
-    C (C·S = I, one Smith solve per column).  R presents the same free
-    quotient exactly when it has rank-many rows and |det T| = 1; the torsion
-    rows and moduli are the computed ones.
+    kernel of C, so with rank-many rows R = T·C for an integer square T.
+    R presents the same free quotient exactly when |det T| = 1, that is when
+    R and C span one row lattice, and so exactly when the reduced Hermite
+    form of R is C, which is already reduced.  The torsion rows and moduli
+    are the computed ones.
     """
     rays = freeze(fan.rays)
     free_rows = freeze(free_rows)
@@ -159,10 +159,7 @@ def validate_user_grading(fan, free_rows) -> Grading:
     if len(free_rows) != computed.rank:
         raise NotSurjective(
             f"expected {computed.rank} free rows, got {len(free_rows)}")
-    snf = smith_normal_form(computed.free_rows)
-    inverse = [snf.solve([int(i == k) for i in range(computed.rank)])
-               for k in range(computed.rank)]
-    if abs(mat_det([[dot(row, s) for s in inverse] for row in free_rows])) != 1:
+    if freeze(hnf_reduced_rows(free_rows, cols)) != computed.free_rows:
         raise NotSurjective("rows do not generate the free quotient")
     return Grading(rays, free_rows, computed.torsion_rows, computed.moduli,
                    provenance="user")
@@ -183,19 +180,19 @@ def critical_degree(grading: Grading, degrees) -> DegreeClass:
     return total - anticanonical_class(grading)
 
 
-def degree_system(grading: Grading, columns) -> list[list[int]]:
-    """Integer rows of the degree map on the given exponent columns.
+def degree_system(grading: Grading) -> list[list[int]]:
+    """Integer rows of the degree map on the exponent vectors.
 
     The free rows come first, then each torsion row with one extra column
-    holding its modulus, so the first len(columns) entries of an integer
-    solution of rows·x = (free, torsion) are exponents of that degree.
+    holding its modulus, so the first nvars entries of an integer solution
+    of rows·x = (free, torsion) are exponents of that degree.
     """
     t = len(grading.torsion_rows)
-    rows = [[row[i] for i in columns] + [0] * t for row in grading.free_rows]
+    rows = [list(row) + [0] * t for row in grading.free_rows]
     for k, trow in enumerate(grading.torsion_rows):
         aux = [0] * t
         aux[k] = grading.moduli[k]
-        rows.append([trow[i] for i in columns] + aux)
+        rows.append(list(trow) + aux)
     return rows
 
 

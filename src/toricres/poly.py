@@ -9,7 +9,8 @@ view, built on each access.  Products and determinants of polynomials both
 run on integer terms in this module (``product_sum``; ``poly_det`` over one
 denominator).  The representation is deliberately tiny; Groebner machinery
 and residue code only need arithmetic, substitution, and exact degree
-bookkeeping.
+bookkeeping.  The one chart move is ``dehomogenize``, the restriction to a
+cone's chart; nothing here lifts back, so the module holds no degree map.
 """
 
 from __future__ import annotations
@@ -22,15 +23,12 @@ from math import comb, gcd, lcm
 
 from .errors import (
     DegreeMismatch,
-    NoIntegralLift,
     NonSquare,
-    NonUniqueLift,
     NotHomogeneous,
     ParseError,
     ZeroPolynomial,
 )
-from .grading import representative_divisor
-from .lattice import clear_denominators, dot, mat_vec
+from .lattice import clear_denominators
 
 Exponent = tuple[int, ...]
 
@@ -448,7 +446,7 @@ def product_sum(triples) -> dict[Exponent, int]:
 
 
 # ---------------------------------------------------------------------------
-# chart moves
+# chart restriction
 
 def dehomogenize(p: MultiPoly, fan, cone_index: int) -> MultiPoly:
     """Set the variables outside the cone to 1 and keep the cone variables.
@@ -465,41 +463,3 @@ def dehomogenize(p: MultiPoly, fan, cone_index: int) -> MultiPoly:
         ne = tuple([e[i] for i in cone])
         out[ne] = out[ne] + c if ne in out else c
     return MultiPoly.from_integer_terms(len(cone), p.d, {e: c for e, c in out.items() if c})
-
-
-def homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
-                         grading) -> MultiPoly:
-    """Rescale a chart polynomial into the full ring at an exact degree.
-
-    The exponent vectors of degree ``target`` are a + (<m, ray_i>)_i for
-    m in M, with a = ``representative_divisor(grading, target)`` (taken once
-    per call, and only when q has terms).  A chart term x^e fixes m by
-    <m, ray_i> = e_i - a_i on the cone's rays R: m = adj(R)(e - a)/det R,
-    with adj(R) and det R from ``fan.cone_table``, and x^e lifts to the
-    exponent a_i + <m, ray_i> on every ray.  det R = 0 leaves m, so the lift,
-    undetermined; an m that det R does not divide means no exponent vector
-    of the degree restricts to e, and a negative off-cone entry that the
-    degree gap needs a negative exponent.  The lift keeps e on the cone's
-    rays, so distinct terms lift to distinct terms.  DegreeMismatch unless
-    q has one variable per ray of the cone, as its chart has.
-    """
-    cone = fan.cone(cone_index)
-    if q.nvars != len(cone):
-        raise DegreeMismatch("chart polynomial ring does not match the cone")
-    if not q.num:
-        return MultiPoly.zero(fan.nvars)
-    det, adj = fan.cone_table[cone_index]
-    if det == 0:
-        raise NonUniqueLift("off-cone exponents are not determined by the degree")
-    a = representative_divisor(grading, target)
-    out = {}
-    for e, c in q.num.items():
-        m = mat_vec(adj, [x - a[i] for x, i in zip(e, cone)])
-        if any(x % det for x in m):
-            raise NoIntegralLift("no integral exponent pattern reaches the degree")
-        m = [x // det for x in m]
-        key = tuple(ai + dot(m, ray) for ai, ray in zip(a, fan.rays))
-        if any(x < 0 for x in key):
-            raise NoIntegralLift("degree gap needs a negative exponent")
-        out[key] = c
-    return MultiPoly.from_integer_terms(fan.nvars, q.d, out)

@@ -22,6 +22,7 @@ from .errors import (
     DecompositionFailed,
     DegreeMismatch,
     HypothesesFailed,
+    NoIntegralLift,
     NotHomogeneous,
     WrongDegree,
     ZeroPolynomial,
@@ -30,7 +31,7 @@ from .grading import DegreeClass, Grading, compute_grading, critical_degree, rep
 from .groebner import (GroebnerBasis, MonomialOrder, divide, grevlex, packed_basis, packing_of,
                        quotient_is_finite)
 from .lattice import FanData, cone_det, cone_group_order, is_complete
-from .poly import Exponent, MultiPoly, degree_of, dehomogenize, homogenize_to_degree, poly_det
+from .poly import Exponent, MultiPoly, degree_of, dehomogenize, poly_det
 from .polytopes import intersection_number, monomial_basis
 
 
@@ -592,24 +593,31 @@ def variable_annihilation_check(problem: ResidueProblem) -> AnnihilationReport:
 
 
 def toric_jacobian(problem: ResidueProblem) -> MultiPoly:
-    """Chart determinant of values stacked over partials, lifted back to the
-    critical degree.  Requires all inputs to share one degree class."""
+    """The toric Jacobian of inputs F_0..F_n of one degree, read on sigma:
+    J = det[F_i; dF_i/dx_j, j in sigma] / (|det sigma|·xhat), xhat the
+    product of the variables off sigma.  Setting those to 1 sends the
+    determinant, of degree rho + deg xhat, to the chart determinant, and is
+    one-to-one on a degree class: exponents of one degree differ by
+    (<m, ray_i>)_i for an m in M, and sigma's rays span M_Q.  So J is the
+    one lift of the chart determinant over |det sigma| to the critical
+    degree rho.  NoIntegralLift when xhat does not divide the determinant;
+    DegreeMismatch unless all inputs share one degree class."""
     if len(set(problem.degrees)) > 1:
         raise DegreeMismatch("inputs must share a single degree class")
-    fan, k = problem.fan, problem.sigma
-    charts = [dehomogenize(p, fan, k) for p in problem.polys]
-    n = fan.dim
-    det = poly_det([charts] + [[f.partial(j) for f in charts] for j in range(n)])
-    if det.is_zero():
-        return MultiPoly.zero(fan.nvars)
-    # the chart trivialization of the Euler form carries the index of the
-    # cone, so the determinant overcounts by it on orbifold charts
-    det = det * Fraction(1, cone_group_order(fan, k))
-    return homogenize_to_degree(det, fan, k, problem.critical, problem.grading)
+    fan, k, polys = problem.fan, problem.sigma, problem.polys
+    det = poly_det([polys] + [[F.partial(j) for F in polys] for j in fan.cone(k)])
+    zhat = off_cone_exponent(fan, k)
+    out = {}
+    for e, c in det.num.items():
+        e = tuple(map(operator.sub, e, zhat))
+        if min(e) < 0:
+            raise NoIntegralLift("degree gap needs a negative exponent")
+        out[e] = c
+    return MultiPoly.from_integer_terms(fan.nvars, det.d * cone_group_order(fan, k), out)
 
 
 def jacobian_residue_check(problem: ResidueProblem) -> bool:
-    """|residue of the chart Jacobian| equals the top self-intersection
+    """|residue of the toric Jacobian| equals the top self-intersection
     number D^n of the shared degree class."""
     J = toric_jacobian(problem)
     value = toric_residue(problem, J)

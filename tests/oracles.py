@@ -75,9 +75,9 @@ import numpy as np
 from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeMismatch,
                       GroebnerBasis, HypothesesFailed, PositivityReport,
                       InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NoIntegralLift,
-                      NonSimpleZero, NonSquare, NonUniqueLift, NotHomogeneous, NotTorusZero,
+                      NonSimpleZero, NonSquare, NotHomogeneous, NotTorusZero,
                       NotZeroDimensional, ToricError, Unbounded, WrongDegree, ZeroOnPolarLocus,
-                      compute_grading, cone_determinant, dehomogenize, homogenize_to_degree,
+                      compute_grading, cone_determinant, dehomogenize,
                       is_complete, is_simplicial, make_fan, monomial_basis)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
 from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
@@ -326,8 +326,15 @@ def fraction_jacobian_ideal_degree_check(cd, polys) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the chart lift as it was before it solved on the cone's rays: a Smith form
-# of the stacked degree system on the off-cone variables
+# the chart lift as the package once took it: a Smith form of the stacked
+# degree system on the off-cone variables.  ``toric_jacobian`` lifted its
+# chart determinant to the critical degree this way before it divided the
+# Cox-ring determinant by xhat_sigma, and ``basis_toric_jacobian`` still does
+
+
+class NonUniqueLift(ToricError):
+    """Chart homogenization is underdetermined: the cone's rays are too few
+    or dependent, so the degree leaves the off-cone exponents free."""
 
 
 def smith_homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
@@ -336,7 +343,8 @@ def smith_homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
 
     Each chart monomial must extend by a unique nonnegative exponent pattern
     on the off-cone variables so every term reaches ``target``.  The degree
-    system on those variables (``degree_system``) is put in Smith form once
+    system on those variables (the off-cone columns of ``degree_system``
+    and its modulus columns) is put in Smith form once
     per call.  A nonzero polynomial is refused when the form's rank, its
     count of nonzero diagonal entries, is below the number of unknowns, as
     the pattern is then not unique; each term's degree gap is then one
@@ -345,7 +353,8 @@ def smith_homogenize_to_degree(q: MultiPoly, fan, cone_index: int, target,
     cone = fan.cone(cone_index)
     others = [i for i in range(fan.nvars) if i not in cone]
     nv = fan.nvars
-    snf = smith_normal_form(degree_system(grading, others))
+    snf = smith_normal_form([[row[i] for i in others] + row[nv:]
+                             for row in degree_system(grading)])
     rank = sum(1 for s in snf.diagonal if s)
     if q.terms and rank < len(others) + len(grading.torsion_rows):
         raise NonUniqueLift("off-cone exponents are not determined by the degree")
@@ -1051,7 +1060,7 @@ def per_call_representative_divisor(grading, degree):
     in Smith form and the pairing image in Hermite form on every call."""
     nv = grading.nvars
     rhs = list(degree.free) + list(degree.torsion)
-    sol = smith_normal_form(degree_system(grading, range(nv))).solve(rhs)
+    sol = smith_normal_form(degree_system(grading)).solve(rhs)
     if sol is None:
         raise NoIntegralLift("degree is not in the grading group image")
     n = len(grading.rays[0]) if grading.rays else 0
@@ -1119,28 +1128,6 @@ def fraction_jacobian(polys) -> MultiPoly:
     return poly_det([[constructor_partial(p, j) for j in range(p.nvars)] for p in polys])
 
 
-def constructor_homogenize_to_degree(q, fan, cone_index, target, grading):
-    """``homogenize_to_degree`` through the validating constructor, with
-    each term's m solved by Cramer's rule on the cone's rays."""
-    if not q.terms:
-        return MultiPoly.zero(fan.nvars)
-    a = representative_divisor(grading, target)
-    cone = fan.max_cones[cone_index]
-    pairs = []
-    for e, c in q.terms.items():
-        solved = cramer(fan.cone_rays(cone_index), [x - a[i] for x, i in zip(e, cone)])
-        if solved is None:
-            raise NonUniqueLift("off-cone exponents are not determined by the degree")
-        m, den = solved
-        if den != 1:
-            raise NoIntegralLift("no integral exponent pattern reaches the degree")
-        key = tuple(ai + dot(m, ray) for ai, ray in zip(a, fan.rays))
-        if any(x < 0 for x in key):
-            raise NoIntegralLift("degree gap needs a negative exponent")
-        pairs.append((key, c))
-    return _summed(fan.nvars, pairs)
-
-
 def constructor_lift_poly(cd, p, y_index=None):
     """``cayley._lift_poly`` through the validating constructor."""
     y = tuple(int(j == y_index) for j in range(cd.n + 1))
@@ -1157,7 +1144,7 @@ def onto_degree_basis(fan, rows) -> bool:
     if len(rows) != computed.rank:
         return False
     user = Grading(computed.rays, freeze(rows), computed.torsion_rows, computed.moduli)
-    system = degree_system(user, range(fan.nvars))
+    system = degree_system(user)
     return smith_normal_form(system).diagonal == (1,) * len(system)
 
 
@@ -1625,8 +1612,12 @@ def oriented_basis(fan: FanData, cone_index: int):
 
 
 def basis_toric_jacobian(problem) -> MultiPoly:
-    """The chart Jacobian of ``residues.toric_jacobian``, divided by the
-    pairing determinant of sigma's oriented basis against sigma's rays."""
+    """The toric Jacobian as the package once took it: the chart Jacobian on
+    sigma, divided by the pairing determinant of sigma's oriented basis
+    against sigma's rays, lifted to the critical degree by the Smith-form
+    lift.  DegreeMismatch unless all inputs share one degree class."""
+    if len(set(problem.degrees)) > 1:
+        raise DegreeMismatch("inputs must share a single degree class")
     fan, k = problem.fan, problem.sigma
     charts = [dehomogenize(p, fan, k) for p in problem.polys]
     rows = [charts] + [[f.partial(j) for f in charts] for j in range(fan.dim)]
@@ -1634,7 +1625,7 @@ def basis_toric_jacobian(problem) -> MultiPoly:
                                                    fan.max_cones[k]))
     if det.is_zero():
         return MultiPoly.zero(fan.nvars)
-    return homogenize_to_degree(det, fan, k, problem.critical, problem.grading)
+    return smith_homogenize_to_degree(det, fan, k, problem.critical, problem.grading)
 
 
 # ---------------------------------------------------------------------------

@@ -1,126 +1,67 @@
-"""The chart lift against the Smith-form lift it replaced.
+"""The toric Jacobian against the chart lift it replaced.
 
-``poly.homogenize_to_degree`` solves <m, ray_i> = e_i - a_i on the cone's
-rays from one representative exponent vector a of the target degree;
-``oracles.smith_homogenize_to_degree`` solves the stacked degree system on
-the off-cone variables.  On every cone of every fixture fan, and on a thin
-and a dependent cone, both must give the same lift or raise the same error
-type with the same message, for free and torsion targets alike.  The chart
-Jacobians of every fixture problem, and of random systems of its degrees,
-are lifted to the critical degree on every cone, as ``toric_jacobian``
-lifts them on sigma's.
+``toric_jacobian`` divides the Cox-ring determinant det[F_i; dF_i/dx_j]
+(j on sigma's rays) by |det sigma|·xhat_sigma.  The package once took the
+determinant on sigma's chart instead and lifted it back to the critical
+degree; ``oracles.basis_toric_jacobian`` still does, through the Smith-form
+lift ``oracles.smith_homogenize_to_degree``.  On every cone
+of every fixture problem, and of random systems of its degrees, both routes
+must give the same polynomial or raise the same error type with the same
+message.  The division gives one Jacobian whatever sigma is: sign(det tau)
+·J_tau is one polynomial on every cone tau.  That the chart restriction is
+one-to-one on a degree class, which makes the division exact, is checked
+in ``test_properties``.
 """
 
-import itertools
 from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricres import (
-    DegreeClass,
     DegreeMismatch,
     MultiPoly,
+    ResidueProblem,
     ToricError,
-    compute_grading,
+    cone_det,
     degree_of,
     dehomogenize,
-    homogenize_to_degree,
     load_fan,
-    make_fan,
     monomial_basis,
-    poly_det,
+    toric_jacobian,
 )
 
 from conftest import FIXTURES, load
-from oracles import smith_homogenize_to_degree
-
-SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+from oracles import basis_toric_jacobian
 
 FAN_FIXTURES = ["p1", "p2", "p1p1", "p112", "pentagon", "torsion"]
-
-
-def _cases():
-    cases = []
-    for name in FAN_FIXTURES:
-        fan, grading = load_fan(FIXTURES / f"{name}.fan.json")
-        cases += [(name, fan, grading, k) for k in range(len(fan.max_cones))]
-    p2, g2 = load_fan(FIXTURES / "p2.fan.json")
-    cases.append(("p2 thin cone", make_fan(2, p2.rays, [(0,)]), g2, 0))
-    flat = make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 2), (0, 1), (1, 2)])
-    cases.append(("dependent cone", flat, compute_grading(flat), 0))
-    return cases
-
-
-CASES = _cases()
-
-
-def outcome(lift, q, fan, k, target, grading):
-    try:
-        return lift(q, fan, k, target, grading)
-    except ToricError as exc:
-        return type(exc), str(exc)
-
-
-@st.composite
-def lift_inputs(draw):
-    _, fan, grading, k = draw(st.sampled_from(CASES))
-    free = tuple(draw(st.integers(-2, 6)) for _ in range(grading.rank))
-    torsion = tuple(draw(st.integers(0, m - 1)) for m in grading.moduli)
-    target = DegreeClass(free, torsion, grading.moduli)
-    nchart = len(fan.max_cones[k])
-    exps = st.tuples(*[st.integers(0, 4) for _ in range(nchart)])
-    terms = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), max_size=4))
-    return MultiPoly(nchart, terms), fan, k, target, grading
-
-
-@SETTINGS
-@given(lift_inputs())
-def test_lift_matches_smith_lift(args):
-    assert outcome(homogenize_to_degree, *args) == outcome(smith_homogenize_to_degree, *args)
-
-
-def test_lift_sweep_matches_and_reaches_every_outcome():
-    """Every chart monomial with exponents at most 2 against every degree of
-    an exponent vector with entries at most 1, on every case: the lifts
-    agree, and each of the three refusals and a lift all occur."""
-    seen = set()
-    for _, fan, grading, k in CASES:
-        targets = {grading.degree(e)
-                   for e in itertools.product(range(2), repeat=fan.nvars)}
-        nchart = len(fan.max_cones[k])
-        for target in sorted(targets, key=lambda d: (d.free, d.torsion)):
-            for e in itertools.product(range(3), repeat=nchart):
-                q = MultiPoly.monomial(e)
-                got = outcome(homogenize_to_degree, q, fan, k, target, grading)
-                assert got == outcome(smith_homogenize_to_degree, q, fan, k, target, grading)
-                seen.add(got[1] if isinstance(got, tuple) else "lift")
-    assert seen == {"lift", "off-cone exponents are not determined by the degree",
-                    "no integral exponent pattern reaches the degree",
-                    "degree gap needs a negative exponent"}
-
-
-
 PROBLEM_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json")
                           if not p.name.endswith(".fan.json"))
 
 
-def chart_jacobian(fan, polys, k):
-    """det of the chart inputs over their partials on cone k."""
-    charts = [dehomogenize(p, fan, k) for p in polys]
-    return poly_det([charts] + [[f.partial(j) for f in charts] for j in range(fan.dim)])
+def outcome(compute, *args):
+    try:
+        return compute(*args)
+    except ToricError as exc:
+        return type(exc), str(exc)
 
 
-def assert_jacobians_lift_alike(problem, polys):
-    """Every cone's chart Jacobian lifts alike; returns how many lifted."""
-    lifted = 0
-    for k in range(len(problem.fan.max_cones)):
-        args = (chart_jacobian(problem.fan, polys, k), problem.fan, k, problem.critical,
-                problem.grading)
-        got = outcome(homogenize_to_degree, *args)
-        assert got == outcome(smith_homogenize_to_degree, *args)
-        lifted += isinstance(got, MultiPoly)
-    return lifted
+def on_every_cone(problem, polys):
+    """The problem of ``polys`` with sigma at each maximal cone in turn."""
+    return [ResidueProblem(problem.fan, polys, order=problem.order, sigma=k,
+                           grading=problem.grading)
+            for k in range(len(problem.fan.max_cones))]
+
+
+def assert_jacobians_match_the_lift(problem, polys):
+    """``toric_jacobian`` equals the lifted chart Jacobian on every cone;
+    returns how many cones gave a nonzero Jacobian."""
+    nonzero = 0
+    for pb in on_every_cone(problem, polys):
+        got = outcome(toric_jacobian, pb)
+        assert got == outcome(basis_toric_jacobian, pb)
+        nonzero += isinstance(got, MultiPoly) and not got.is_zero()
+    return nonzero
 
 
 @cache
@@ -129,23 +70,66 @@ def problem_fixture(name):
 
 
 def test_chart_jacobians_of_the_fixtures():
-    lifted = [assert_jacobians_lift_alike(problem_fixture(name), problem_fixture(name).polys)
-              for name in PROBLEM_FIXTURES]
-    assert all(lifted)
+    """Every equal-degree fixture has a cone with a nonzero Jacobian; the
+    others are refused alike on every cone."""
+    for name in PROBLEM_FIXTURES:
+        pb = problem_fixture(name)
+        nonzero = assert_jacobians_match_the_lift(pb, pb.polys)
+        assert bool(nonzero) == (len(set(pb.degrees)) == 1), name
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from(PROBLEM_FIXTURES), st.data())
-def test_chart_jacobians_of_random_systems(name, data):
+def random_system(pb, data):
     """The fixture's input degrees with random coefficients on every monomial."""
-    pb = problem_fixture(name)
     polys = []
     for p in pb.polys:
         mons = monomial_basis(pb.fan, pb.grading, degree_of(p, pb.grading))
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(mons),
                                     max_size=len(mons)).filter(any))
         polys.append(MultiPoly(pb.fan.nvars, dict(zip(mons, coeffs))))
-    assert_jacobians_lift_alike(pb, polys)
+    return polys
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(PROBLEM_FIXTURES), st.data())
+def test_chart_jacobians_of_random_systems(name, data):
+    pb = problem_fixture(name)
+    assert_jacobians_match_the_lift(pb, random_system(pb, data))
+
+
+def assert_signed_jacobians_agree(problem, polys):
+    """sign(det tau)·J_tau is the same polynomial on every cone tau."""
+    signed = {(1 if cone_det(pb.fan, pb.sigma) > 0 else -1) * toric_jacobian(pb)
+              for pb in on_every_cone(problem, polys)}
+    assert len(signed) == 1
+
+
+EQUAL_DEGREE_FIXTURES = [name for name in PROBLEM_FIXTURES
+                         if len(set(problem_fixture(name).degrees)) == 1]
+
+
+@pytest.mark.parametrize("name", EQUAL_DEGREE_FIXTURES)
+def test_signed_jacobians_agree_on_every_cone_of_the_fixtures(name):
+    pb = problem_fixture(name)
+    assert_signed_jacobians_agree(pb, pb.polys)
+
+
+@cache
+def fan_fixture(name):
+    return load_fan(FIXTURES / f"{name}.fan.json")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(FAN_FIXTURES), st.data())
+def test_signed_jacobians_agree_on_every_cone_of_random_systems(name, data):
+    """n+1 random inputs of the degree of a random exponent vector with
+    entries at most 2, torsion classes included."""
+    fan, grading = fan_fixture(name)
+    e = data.draw(st.tuples(*[st.integers(0, 2)] * fan.nvars).filter(any))
+    mons = monomial_basis(fan, grading, grading.degree(e))
+    polys = [MultiPoly(fan.nvars, dict(zip(mons, data.draw(
+        st.lists(st.integers(-3, 3), min_size=len(mons), max_size=len(mons)).filter(any)))))
+             for _ in range(fan.dim + 1)]
+    assert_signed_jacobians_agree(ResidueProblem(fan, polys, grading=grading), polys)
 
 
 def test_a_chart_refuses_a_polynomial_of_another_ring():
@@ -156,15 +140,3 @@ def test_a_chart_refuses_a_polynomial_of_another_ring():
     for nvars in (2, 4):
         with pytest.raises(DegreeMismatch, match="polynomial ring does not match the fan"):
             dehomogenize(MultiPoly.variable(nvars, 0), fan, 0)
-
-
-def test_a_lift_refuses_a_chart_polynomial_of_another_ring():
-    """``homogenize_to_degree`` reads a chart term on the cone's dim rays:
-    x0 of one variable on P^2 once lifted to x2 through that cut."""
-    fan, grading = load_fan(FIXTURES / "p2.fan.json")
-    target = grading.degree((1, 0, 0))
-    for q in (MultiPoly.variable(1, 0), MultiPoly.variable(3, 0), MultiPoly.zero(3)):
-        with pytest.raises(DegreeMismatch, match="chart polynomial ring does not match the cone"):
-            homogenize_to_degree(q, fan, 0, target, grading)
-    assert homogenize_to_degree(MultiPoly.variable(2, 0), fan, 0, target, grading) \
-        == MultiPoly.variable(3, 1)

@@ -329,7 +329,7 @@ EXIT_CODES = {
     "InvalidFan": 3, "NotAGrading": 3, "NotSurjective": 3, "Unbounded": 3,
     "CodimNotOne": 5, "AllReduceToZero": 5,
     "ToricError": 4, "ZeroPolynomial": 4, "NotHomogeneous": 4, "NonSquare": 4,
-    "NoIntegralLift": 4, "NonUniqueLift": 4, "NotAmple": 4,
+    "NoIntegralLift": 4, "NotAmple": 4,
     "DecompositionFailed": 4, "WrongDegree": 4, "HypothesesFailed": 4,
     "DegreeMismatch": 4, "NotZeroDimensional": 4, "NonSimpleZero": 4,
     "ZeroOnPolarLocus": 4, "NotTorusZero": 4, "InfiniteIntersection": 4,

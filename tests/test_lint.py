@@ -7,8 +7,9 @@ module level is read or exported, no sum on the residue path (the
 residue, the determinants of polynomials and the local sums) starts from
 a Fraction, the Groebner kernel builds no exponent tuple, no ``except``
 clause can catch an exponent refusal, the lattice, grading and bundle
-layers truncate no value with ``int``, ``poly.py`` has one product loop,
-every cone solve outside ``lattice.py`` reads the fan's cone table, no
+layers truncate no value with ``int``, ``poly.py`` has one product loop
+and imports nothing from ``grading``, every cone solve outside
+``lattice.py`` reads the fan's cone table, no
 module but ``poly.py`` reads a polynomial's Fraction view, and no module
 but ``groebner.py`` reads the exponent-tuple views of a basis.
 """
@@ -213,13 +214,26 @@ def test_poly_has_one_product_loop():
     assert nested == []
 
 
+def test_poly_holds_no_degree_map():
+    """``poly.py`` imports nothing from ``grading``: the polynomial layer
+    restricts to a chart and never lifts back to a degree, as its chart
+    lift once did through ``representative_divisor``.  ``toric_jacobian``
+    divides the Cox-ring determinant by xhat_sigma instead."""
+    path = ROOT / "src" / "toricres" / "poly.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "grading"
+             or isinstance(node, ast.Import)
+             and any(a.name.split(".")[-1] == "grading" for a in node.names)]
+    assert found == []
+
+
 def test_cone_solves_read_the_cone_table():
     """``bareiss`` is called only inside ``lattice.py``, where
     ``FanData.cone_table``, ``mat_det`` and ``cramer`` read it, and neither
     ``divisors.py`` nor ``poly.py`` imports ``bareiss`` or ``cramer``: the
-    meets of the positivity tests and the chart lift read det R and adj R
-    of each cone from the table, which solves each maximal cone once per
-    fan."""
+    meets of the positivity tests read det R and adj R of each cone from
+    the table, which solves each maximal cone once per fan."""
     found = []
     for path in sorted((ROOT / "src" / "toricres").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -10,9 +10,7 @@ from toricres import (
     DecompositionFailed,
     DegreeMismatch,
     MultiPoly,
-    NoIntegralLift,
     NonSquare,
-    NonUniqueLift,
     NotHomogeneous,
     ParseError,
     ZeroPolynomial,
@@ -20,14 +18,11 @@ from toricres import (
     decompose,
     degree_of,
     dehomogenize,
-    homogenize_to_degree,
     is_homogeneous,
-    make_fan,
     parse_poly,
     poly_det,
     poly_to_string,
     representative_divisor,
-    toric_jacobian,
 )
 
 import toricres.poly as poly_module
@@ -35,7 +30,7 @@ from toricres.cayley import _lift_poly
 
 from conftest import FIXTURES, load, poly
 from oracles import (constructor_decompose, constructor_dehomogenize,
-                     constructor_homogenize_to_degree, constructor_lift_poly, constructor_partial,
+                     constructor_lift_poly, constructor_partial,
                      evaluate, fraction_product, is_constant, substitute)
 from test_quotient import SYSTEM_FANS, square_systems
 
@@ -446,49 +441,6 @@ def test_dehomogenize_matches_the_validating_constructor_on_fixtures(name):
             assert list(fast.terms.items()) == list(slow.terms.items())
 
 
-def test_homogenize_round_trip(p2):
-    fan, g = p2
-    sigma = fan.max_cones.index((1, 2))
-    rho = g.degree((2, 0, 0))
-    q = parse_poly("x1*x2", ("x1", "x2"))
-    lifted = homogenize_to_degree(q, fan, sigma, rho, g)
-    assert lifted == poly("x1*x2", fan)
-    one = parse_poly("1", ("x1", "x2"))
-    assert homogenize_to_degree(one, fan, sigma, rho, g) == poly("x0^2", fan)
-    assert dehomogenize(lifted, fan, sigma) == q
-
-
-def test_homogenize_refuses_negative_exponents(p1p1):
-    fan, g = p1p1
-    sigma = 0
-    chart = [fan.variables[i] for i in fan.max_cones[sigma]]
-    q = parse_poly(chart[0] + "^2", chart)
-    rho = g.degree((1, 0, 0, 0))
-    with pytest.raises(NoIntegralLift):
-        homogenize_to_degree(q, fan, sigma, rho, g)
-
-
-
-def test_homogenize_lift_needs_a_unique_pattern(p2, monkeypatch):
-    fan, g = p2
-    # a one-ray "cone" leaves two off-cone exponents for one free degree
-    thin = make_fan(2, fan.rays, [(0,)])
-    rho = g.degree((2, 0, 0))
-    with pytest.raises(NonUniqueLift, match="not determined by the degree"):
-        homogenize_to_degree(parse_poly("x1", ("x1",)), thin, 0, rho, g)
-    # a zero polynomial lifts to zero without a rank check
-    assert homogenize_to_degree(MultiPoly.zero(1), thin, 0, rho, g).is_zero()
-    # the representative exponent vector of the target degree, from which
-    # every term's lift is read, is found once per call, not per term
-    reps = []
-    rep = poly_module.representative_divisor
-    monkeypatch.setattr(poly_module, "representative_divisor",
-                        lambda grading, degree: reps.append(degree) or rep(grading, degree))
-    sigma = fan.max_cones.index((1, 2))
-    homogenize_to_degree(parse_poly("1 + x1 + x2 + x1*x2", ("x1", "x2")),
-                         fan, sigma, rho, g)
-    assert reps == [rho]
-
 def test_substitute():
     p = parse_poly("x^2*y", ("x", "y"))
     q = substitute(p, {0: MultiPoly.constant(2, 1)})
@@ -510,7 +462,7 @@ def assert_same_poly(fast, slow):
 def outcome(compute):
     try:
         return compute()
-    except (DecompositionFailed, NoIntegralLift, NonUniqueLift) as exc:
+    except DecompositionFailed as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -522,21 +474,12 @@ def assert_builders_match_the_validating_constructor(fan, grading, polys):
             assert_same_poly(p.partial(i), constructor_partial(p, i))
         for j in (None, *range(fan.dim + 1)):
             assert_same_poly(_lift_poly(cd, p, j), constructor_lift_poly(cd, p, j))
-        degree = degree_of(p, grading)
         for k in range(len(fan.max_cones)):
             fast = outcome(lambda: decompose(p, fan, k))
             slow = outcome(lambda: constructor_decompose(p, fan, k))
             if isinstance(slow[0], MultiPoly):
                 for a, b in zip(fast, slow, strict=True):
                     assert_same_poly(a, b)
-            else:
-                assert fast == slow
-            q = dehomogenize(p, fan, k)
-            fast = outcome(lambda: homogenize_to_degree(q, fan, k, degree, grading))
-            slow = outcome(lambda: constructor_homogenize_to_degree(q, fan, k, degree, grading))
-            if isinstance(slow, MultiPoly):
-                assert_same_poly(fast, slow)
-                assert fast == p
             else:
                 assert fast == slow
 
@@ -548,10 +491,6 @@ def test_from_terms_builders_match_the_validating_constructor_on_fixtures(name):
     pb = lp.problem
     assert_builders_match_the_validating_constructor(
         pb.fan, pb.grading, pb.polys + tuple(H for H in lp.inputs if not H.is_zero()))
-    if len(set(pb.degrees)) == 1:
-        J, k = toric_jacobian(pb), pb.sigma
-        assert J.is_zero() or J == constructor_homogenize_to_degree(
-            dehomogenize(J, pb.fan, k), pb.fan, k, pb.critical, pb.grading)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

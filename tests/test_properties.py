@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricres import (
-    DegreeClass,
     GroebnerBasis,
     MonomialOrder,
     MultiPoly,
     ResidueProblem,
     dehomogenize,
     grevlex,
-    homogenize_to_degree,
+    load_fan,
     parse_poly,
     poly_det,
     toric_residue,
@@ -24,7 +23,7 @@ from toricres.divisors import is_ample, is_cartier, is_q_ample
 from toricres.lattice import dot, mat_det, smith_normal_form
 from toricres.polytopes import monomial_basis
 
-from conftest import load
+from conftest import FIXTURES, load
 from oracles import (cofactor_det, fraction_mat_det, mat_rank, minor_rank, rational_kernel,
                      rref, smith_verify, solve_rational)
 
@@ -223,21 +222,20 @@ def test_ring_axioms(a, b, c):
     assert a + MultiPoly.zero(2) == a
 
 
-@DEFAULTS
-@given(st.integers(0, 4), st.data())
-def test_chart_round_trip(d, data):
-    lp = load("p2_fermat.json")
-    fan, grading = lp.fan, lp.grading
-    target = DegreeClass((d,), (), ())
-    basis = monomial_basis(fan, grading, target)
-    cs = data.draw(st.lists(coeffs | st.just(Fraction(0)),
-                            min_size=len(basis), max_size=len(basis)))
-    p = MultiPoly(fan.nvars, {e: c for e, c in zip(basis, cs) if c})
-    if not p.terms:
-        return
-    q = dehomogenize(p, fan, 0)
-    back = homogenize_to_degree(q, fan, 0, target, grading)
-    assert back == p
+@pytest.mark.parametrize("name", ["p1", "p2", "p1p1", "p112", "pentagon", "torsion"])
+def test_a_chart_is_one_to_one_on_a_degree_class(name):
+    """``dehomogenize`` keeps every monomial of one degree apart on every
+    cone, orbifold and torsion cones included: two exponents of one degree
+    differ by (<m, ray_i>)_i for an m in M, and the cone's rays span M_Q.
+    ``toric_jacobian`` divides by xhat_sigma on this fact.  The sum of the
+    monomials of each degree of an exponent vector with entries at most 2
+    keeps all its terms on each chart."""
+    fan, grading = load_fan(FIXTURES / f"{name}.fan.json")
+    degrees = {grading.degree(e) for e in itertools.product(range(3), repeat=fan.nvars)}
+    for degree in degrees:
+        p = MultiPoly(fan.nvars, dict.fromkeys(monomial_basis(fan, grading, degree), 1))
+        for k in range(len(fan.max_cones)):
+            assert len(dehomogenize(p, fan, k).num) == len(p.num), (degree, k)
 
 
 @DEFAULTS

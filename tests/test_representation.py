@@ -19,14 +19,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from toricres import (GroebnerBasis, MultiPoly, ToricError, decompose, degree_of,
-                      dehomogenize, homogenize_to_degree, no_common_zeros_on_x, parse_poly,
-                      poly_det, sum_local_residues, toric_residue)
+from toricres import (GroebnerBasis, MultiPoly, ResidueProblem, ToricError, decompose,
+                      dehomogenize, no_common_zeros_on_x, parse_poly, poly_det,
+                      sum_local_residues, toric_jacobian, toric_residue)
 
 from conftest import FIXTURES, load
-from oracles import (constructor_decompose, constructor_dehomogenize,
-                     constructor_homogenize_to_degree, fraction_product,
-                     linear_scan_normal_form)
+from oracles import (basis_toric_jacobian, constructor_decompose, constructor_dehomogenize,
+                     fraction_product, linear_scan_normal_form)
 from test_functional import outcome
 from test_quotient import SYSTEM_FANS, square_systems
 
@@ -102,23 +101,17 @@ def test_parsed_polynomials_are_in_lowest_terms(terms):
 @given(square_systems(sorted(SYSTEM_FANS)), st.lists(scales, min_size=5, max_size=5))
 def test_chart_moves_normal_forms_and_determinants_return_lowest_terms(case, factors):
     """On each random system with its inputs scaled by rationals: the chart
-    of every input on every cone, its lift back to the input's degree, the
-    input's decomposition, the determinant of the decomposition matrix, and
-    the normal forms of the scaled H and of each input times a variable."""
+    of every input on every cone, the input's decomposition, the
+    determinant of the decomposition matrix, the toric Jacobian when the
+    inputs share a degree, and the normal forms of the scaled H and of each
+    input times a variable."""
     pb, H, _ = case
     fan, grading = pb.fan, pb.grading
     polys = [F * s for F, s in zip(pb.polys, factors)]
     for F in polys:
-        degree = degree_of(F, grading)
         for k in range(len(fan.max_cones)):
             q = dehomogenize(F, fan, k)
             assert_lowest(q, constructor_dehomogenize(F, fan, k).terms)
-            lifted = outcome(lambda: homogenize_to_degree(q, fan, k, degree, grading))
-            expected = outcome(lambda: constructor_homogenize_to_degree(q, fan, k, degree,
-                                                                       grading))
-            assert lifted == expected
-            if lifted[0] == "value":
-                assert_lowest(lifted[1], expected[1].terms)
             parts = outcome(lambda: decompose(F, fan, k))
             expected = outcome(lambda: constructor_decompose(F, fan, k))
             assert parts == expected
@@ -129,6 +122,13 @@ def test_chart_moves_normal_forms_and_determinants_return_lowest_terms(case, fac
     if cols[0] == "value":
         M = [list(row) for row in zip(*cols[1])]
         assert_lowest(poly_det(M), oracles.poly_det(M).terms)
+    if len(set(pb.degrees)) == 1:
+        scaled = ResidueProblem(fan, polys, order=pb.order, sigma=pb.sigma, grading=grading)
+        J = outcome(lambda: toric_jacobian(scaled))
+        expected = outcome(lambda: basis_toric_jacobian(scaled))
+        assert J == expected
+        if J[0] == "value":
+            assert_lowest(J[1], expected[1].terms)
     gb = GroebnerBasis.of(polys, pb.order)
     for p in [H * factors[-1]] + [F * MultiPoly.variable(fan.nvars, 0) for F in polys]:
         assert_lowest(gb.reduce(p), linear_scan_normal_form(p, gb.generators, pb.order).terms)
