@@ -1,14 +1,17 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a check reported failure, 2 parse problems
-(also non-integer or wrong-length options), 3 invalid fan data or degree
-basis (also a problem on a fan that is not complete and simplicial) or an
-unbounded polytope, 4 violated hypotheses (wrong degree, a zero or
-non-homogeneous input, membership, a refused local residue sum) and
-any other package error, 5 a problem that passes membership and the zero
-locus but whose critical-degree quotient is not one-dimensional or has no
-monomial.
+(also non-integer or wrong-length options, or an empty field in one), 3
+invalid fan data or degree basis (also a problem on a fan that is not
+complete and simplicial) or an unbounded polytope, 4 violated hypotheses
+(wrong degree, a zero or non-homogeneous input, membership, a refused
+local residue sum) and any other package error, 5 a problem that passes
+membership and the zero locus but whose critical-degree quotient is not
+one-dimensional or has no monomial.
 Each code and its stderr prefix are attributes of the error class.
+
+One table, ``COMMANDS``, defines every subcommand.  Each call of ``main``
+builds one parser: of the subcommand ``argv[0]`` names, else of them all.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ def _emit(report: dict, as_json: bool, lines) -> None:
 
 
 def _parse_ints(text: str, count: int, what: str):
+    if text.strip() and not all(f.strip() for f in text.split(",")):
+        raise ParseError(f"{what} have an empty field: {text!r}")
     try:
         values = [int(t) for t in text.replace(",", " ").split()]
     except ValueError as exc:
@@ -377,59 +382,58 @@ def cmd_fan(args) -> int:
     return 0 if comp.ok and report["simplicial"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (handler, --help line, arguments after --json as (flag, keywords)),
+# in the order --help lists them
+FANFILE = [("fanfile", {})]
+PROBLEMFILE = [("problemfile", {}), ("--sigma", dict(type=int, help="1-based cone index")),
+               ("--order", dict(help="monomial order, e.g. grevlex:x>y>z"))]
+COMMANDS = {
+    "fan": (cmd_fan, "validate a fan file", FANFILE),
+    "grading": (cmd_grading, "variable degrees and torsion", FANFILE),
+    "ample": (cmd_ample, "Cartier/ample/Q-ample tests", FANFILE + [
+        ("--coeffs", dict(required=True, help="ray coefficients, comma separated"))]),
+    "bsigma": (cmd_bsigma, "irrelevant ideal generators", FANFILE),
+    "monomials": (cmd_monomials, "monomials of a degree class", FANFILE + [
+        ("--free", dict(required=True, help="free part, comma separated")),
+        ("--torsion", dict(help="torsion part, comma separated"))]),
+    "residue": (cmd_residue, "full residue report", PROBLEMFILE + [
+        ("--H", dict(help="input polynomial (defaults to the file's H)"))]),
+    "delta": (cmd_delta, "cone determinants", PROBLEMFILE),
+    "check": (cmd_check, "run a named verification", [
+        ("which", dict(choices=["gtl", "theorem04", "jacobian", "codim1",
+                                "annihilation", "cayley"]))] + PROBLEMFILE + [
+        ("--H", dict(help="input polynomial override")),
+        ("--seed", dict(type=int, default=0)),
+        ("--count", dict(type=int, default=20, help="random trials for gtl"))]),
+    "cayley": (cmd_cayley, "bundle lift report and checks", PROBLEMFILE),
+    "cone-xalpha": (cmd_cone_xalpha, "lifted cone generators for a divisor",
+                    FANFILE + [("--coeffs", dict(required=True))]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.  The
+    subcommand metavar names the whole table either way, so both print the
+    same usage lines, help pages and errors for an argv led by ``command``."""
     ap = argparse.ArgumentParser(
         prog="toricres",
         description="Exact residue computations on complete simplicial fans")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(COMMANDS) + "}")
+    for name in [command] if command else COMMANDS:
+        fn, text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        return p
-
-    def add_problem(p):
-        p.add_argument("problemfile")
-        p.add_argument("--sigma", type=int, help="1-based cone index")
-        p.add_argument("--order", help="monomial order, e.g. grevlex:x>y>z")
-
-    p = add("fan", cmd_fan, help="validate a fan file")
-    p.add_argument("fanfile")
-    p = add("grading", cmd_grading, help="variable degrees and torsion")
-    p.add_argument("fanfile")
-    p = add("ample", cmd_ample, help="Cartier/ample/Q-ample tests")
-    p.add_argument("fanfile")
-    p.add_argument("--coeffs", required=True, help="ray coefficients, comma separated")
-    p = add("bsigma", cmd_bsigma, help="irrelevant ideal generators")
-    p.add_argument("fanfile")
-    p = add("monomials", cmd_monomials, help="monomials of a degree class")
-    p.add_argument("fanfile")
-    p.add_argument("--free", required=True, help="free part, comma separated")
-    p.add_argument("--torsion", help="torsion part, comma separated")
-    p = add("residue", cmd_residue, help="full residue report")
-    add_problem(p)
-    p.add_argument("--H", help="input polynomial (defaults to the file's H)")
-    p = add("delta", cmd_delta, help="cone determinants")
-    add_problem(p)
-    p = add("check", cmd_check, help="run a named verification")
-    p.add_argument("which", choices=["gtl", "theorem04", "jacobian", "codim1",
-                                     "annihilation", "cayley"])
-    add_problem(p)
-    p.add_argument("--H", help="input polynomial override")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20, help="random trials for gtl")
-    p = add("cayley", cmd_cayley, help="bundle lift report and checks")
-    add_problem(p)
-    p = add("cone-xalpha", cmd_cone_xalpha, help="lifted cone generators for a divisor")
-    p.add_argument("fanfile")
-    p.add_argument("--coeffs", required=True)
+        for flag, kw in arguments:
+            p.add_argument(flag, **kw)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except ToricError as exc:

@@ -138,7 +138,9 @@ class SmithDecomposition:
 
 def smith_normal_form(A, ncols: int = 0) -> SmithDecomposition:
     """Smith normal form with transforms, by pivoting on least-magnitude
-    entries; ``ncols`` is the column count of an A with no rows."""
+    entries; ``ncols`` is the column count of an A with no rows.  The pivot
+    is the first least entry in row-major order; the search for it ends
+    with the row of the first entry of magnitude 1, as none is smaller."""
     m = len(A)
     n = len(A[0]) if m else ncols
     S = [list(map(operator.index, row)) for row in A]
@@ -173,11 +175,13 @@ def smith_normal_form(A, ncols: int = 0) -> SmithDecomposition:
 
     for t in range(min(m, n)):
         while True:
-            best = None
+            best, least = None, 0
             for i in range(t, m):
-                for j in range(t, n):
-                    if S[i][j] and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                        best = (i, j)
+                for j, a in enumerate(S[i][t:], t):
+                    if a and (best is None or abs(a) < least):
+                        best, least = (i, j), abs(a)
+                if least == 1:
+                    break
             if best is None:
                 break
             row_swap(t, best[0])

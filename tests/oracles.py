@@ -53,7 +53,7 @@ and the package's trace, and the chart that holds those zeros is found
 by ideal membership.  Tests compare engine output against them.  The
 queries only tests call (evaluation, substitution and coefficients of a
 polynomial, the order comparison, the Smith-form check with its matrix
-product, a packed basis unpacked to exponent tuples, a polynomial built
+product, the Smith form that scans every entry for each pivot, a packed basis unpacked to exponent tuples, a polynomial built
 unchecked from Fraction terms and a polynomial's integer terms mod P) live
 here too, as does a generator of random complete surfaces with an ample
 class.
@@ -171,6 +171,62 @@ def smith_verify(dec: SmithDecomposition, A) -> bool:
     n = len(dec.S[0]) if m else 0
     off = all(dec.S[i][j] == 0 for i in range(m) for j in range(n) if i != j)
     return off and abs(mat_det(dec.U)) == 1 and abs(mat_det(dec.V)) == 1
+
+
+def full_scan_smith_normal_form(A, ncols: int = 0) -> SmithDecomposition:
+    """``smith_normal_form`` as it ran before its pivot search stopped at
+    the first unit: every entry of the trailing block is scanned, and the
+    first of least nonzero magnitude in row-major order is the pivot."""
+    m = len(A)
+    n = len(A[0]) if m else ncols
+    S = [list(map(operator.index, row)) for row in A]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_sub(i, j, q):
+        if q:
+            S[i] = [a - q * b for a, b in zip(S[i], S[j])]
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_sub(j, k, q):
+        if q:
+            for row in S + V:
+                row[j] -= q * row[k]
+
+    for t in range(min(m, n)):
+        while True:
+            best = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    if S[i][j] and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            S[t], S[best[0]] = S[best[0]], S[t]
+            U[t], U[best[0]] = U[best[0]], U[t]
+            for row in S + V:
+                row[t], row[best[1]] = row[best[1]], row[t]
+            if S[t][t] < 0:
+                S[t] = [-a for a in S[t]]
+                U[t] = [-a for a in U[t]]
+            p = S[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                row_sub(i, t, S[i][t] // p)
+                dirty |= S[i][t] != 0
+            for j in range(t + 1, n):
+                col_sub(j, t, S[t][j] // p)
+                dirty |= S[t][j] != 0
+            if dirty:
+                continue
+            off = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
+                        if S[i][j] % p), None)
+            if off is None:
+                break
+            row_sub(t, off[0], -1)
+        if all(S[i][j] == 0 for i in range(t, m) for j in range(t, n)):
+            break
+    return SmithDecomposition(freeze(U), freeze(S), freeze(V))
 
 
 # ---------------------------------------------------------------------------

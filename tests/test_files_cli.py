@@ -348,7 +348,7 @@ def test_every_error_type_has_its_exit_code(monkeypatch, capsys):
     for name, cls in types.items():
         def fail(args, cls=cls):
             raise cls("boom")
-        monkeypatch.setattr(cli, "cmd_fan", fail)
+        monkeypatch.setitem(cli.COMMANDS, "fan", (fail, *cli.COMMANDS["fan"][1:]))
         code = EXIT_CODES[name]
         assert (name, main(["fan", fx("p2.fan.json")])) == (name, code)
         assert capsys.readouterr().err == f"{OWN_PREFIXES.get(name, PREFIXES[code])}: boom\n"
@@ -394,6 +394,20 @@ def test_problem_needs_a_complete_simplicial_fan(tmp_path, capsys, fan, witness)
 def test_exit_non_integer_option(capsys, argv):
     assert main(argv) == 2
     assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ample", fx("p2.fan.json"), "--coeffs", "1,,1,1"],
+    ["ample", fx("p2.fan.json"), "--coeffs", "1,0,0,"],
+    ["cone-xalpha", fx("p2.fan.json"), "--coeffs", ",1,0,0"],
+    ["monomials", fx("p2.fan.json"), "--free", "1, ,"],
+    ["monomials", fx("torsion.fan.json"), "--free", "1", "--torsion", ",1"],
+])
+def test_exit_empty_option_field(capsys, argv):
+    """``1,,1,1`` once read as the three coefficients 1, 1, 1 and ran."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("parse error: ") and "empty field" in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,16 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from toricres import (
     InvalidFan,
+    compute_grading,
     cone_det,
     cone_group_order,
     is_complete,
     is_simplicial,
+    load_fan,
     make_fan,
     smith_normal_form,
 )
+from toricres.grading import degree_system
 from toricres.lattice import (
     dot,
     hnf_rows,
@@ -18,7 +22,9 @@ from toricres.lattice import (
     reduce_mod_lattice,
 )
 
-from oracles import mat_rank, smith_verify, solve_integer, solve_rational
+from conftest import FIXTURES
+from oracles import (full_scan_smith_normal_form, mat_rank, random_surface, smith_verify,
+                     solve_integer, solve_rational)
 
 
 def test_dot_of_integers_and_fractions():
@@ -53,6 +59,35 @@ def test_smith_rectangular_and_unimodular_factors():
     assert smith_verify(s, a)
     assert abs(mat_det(s.U)) == 1
     assert abs(mat_det(s.V)) == 1
+
+
+def _smith_inputs():
+    """The rays of every fixture fan and of random surfaces of 8 to 38 rays,
+    each with the degree system of its grading, and seeded integer
+    matrices of every shape up to 5 x 5."""
+    fans = [load_fan(path) for path in sorted(FIXTURES.glob("*.fan.json"))]
+    rng = random.Random(45)
+    for nrays in range(8, 39, 3):
+        fan, _ = random_surface(rng, nrays, box=4)
+        fans.append((fan, compute_grading(fan)))
+    for fan, grading in fans:
+        yield fan.rays, 0
+        yield degree_system(grading), grading.nvars + len(grading.moduli)
+    for m in range(6):
+        for n in range(1, 6):
+            yield [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)], n
+
+
+def test_smith_stops_at_a_unit_with_the_full_scan_decomposition():
+    """A unit pivot ends the pivot search; it is the first least entry in
+    row-major order, so U, S and V are those of a scan of every entry."""
+    count = 0
+    for A, ncols in _smith_inputs():
+        dec = smith_normal_form(A, ncols)
+        assert dec == full_scan_smith_normal_form(A, ncols), A
+        assert smith_verify(dec, A) or not A
+        count += 1
+    assert count > 60
 
 
 def test_simplicial_fans(p2, p1p1, pentagon):
