@@ -16,7 +16,7 @@ from .cayley import (
     equal_degree_check,
     jacobian_ideal_degree_check,
 )
-from .divisors import PositivityReport, cone_functionals, is_ample, is_cartier, is_q_ample
+from .divisors import PositivityReport, is_ample, is_cartier, is_q_ample
 from .errors import (
     AllReduceToZero,
     CodimNotOne,
@@ -81,7 +81,6 @@ from .poly import (
     MultiPoly,
     degree_of,
     dehomogenize,
-    is_homogeneous,
     parse_poly,
     poly_det,
     poly_to_string,
@@ -101,7 +100,6 @@ from .residues import (
     ZeroLocusReport,
     cone_determinant,
     decompose,
-    in_irrelevant_ideal,
     irrelevant_ideal,
     jacobian_residue_check,
     no_common_zeros_on_x,
@@ -118,7 +116,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CayleyData", "build_cayley", "bundle_class", "cayley_polytope_check",
     "critical_degree_lifted", "equal_degree_check", "jacobian_ideal_degree_check",
-    "PositivityReport", "cone_functionals", "is_ample", "is_cartier", "is_q_ample",
+    "PositivityReport", "is_ample", "is_cartier", "is_q_ample",
     "AllReduceToZero", "CodimNotOne", "DecompositionFailed", "DegreeMismatch",
     "ExponentTooLarge", "HypothesesFailed", "InfiniteIntersection",
     "InvalidFan", "NoIntegralLift", "NonSimpleZero", "NonSquare", "NotAGrading",
@@ -134,13 +132,13 @@ __all__ = [
     "CompletenessReport", "FanData", "SmithDecomposition", "cone_det", "cone_group_order",
     "is_complete", "is_simplicial", "make_fan", "smith_normal_form",
     "euler_jacobi_check", "sum_local_residues",
-    "MultiPoly", "degree_of", "dehomogenize", "is_homogeneous",
-    "parse_poly", "poly_det", "poly_to_string",
+    "MultiPoly", "degree_of", "dehomogenize", "parse_poly", "poly_det",
+    "poly_to_string",
     "HPolytope", "divisor_polytope", "intersection_number", "lattice_points",
     "monomial_basis",
     "AnnihilationReport", "CodimReport", "ResidueProblem", "ResidueReport",
     "ZeroLocusReport", "cone_determinant", "decompose",
-    "in_irrelevant_ideal", "irrelevant_ideal", "jacobian_residue_check",
+    "irrelevant_ideal", "jacobian_residue_check",
     "no_common_zeros_on_x", "residue_report",
     "sigma_independence_check", "toric_jacobian", "toric_residue",
     "variable_annihilation_check", "verify_gtl",

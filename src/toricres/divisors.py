@@ -60,12 +60,6 @@ def slacks(fan: FanData, scaled, meets, pairs):
     return [dot(meets[k][0], fan.rays[j]) + scaled[j] * meets[k][1] for k, j in pairs]
 
 
-def cone_functionals(fan: FanData, coeffs) -> list[tuple[Fraction, ...]]:
-    """Per-cone m with <m, ray_i> = -a_i on the cone's rays."""
-    d, _, meets = support_meets(fan, coeffs)
-    return [tuple(Fraction(x, den * d) for x in num) for num, den in meets]
-
-
 def _cartier(d, meets):
     """The cones whose functional is not integral."""
     return tuple(k for k, (num, den) in enumerate(meets) if any(x % (den * d) for x in num))

@@ -140,7 +140,10 @@ def smith_normal_form(A, ncols: int = 0) -> SmithDecomposition:
     """Smith normal form with transforms, by pivoting on least-magnitude
     entries; ``ncols`` is the column count of an A with no rows.  The pivot
     is the first least entry in row-major order; the search for it ends
-    with the row of the first entry of magnitude 1, as none is smaller."""
+    with the row of the first entry of magnitude 1, as none is smaller.
+    Once the pivot's row and column are cleared, a trailing entry the pivot
+    does not divide is added into its row and the pivot sought again; a
+    pivot of 1 divides every entry, so it skips that search."""
     m = len(A)
     n = len(A[0]) if m else ncols
     S = [list(map(operator.index, row)) for row in A]
@@ -200,6 +203,8 @@ def smith_normal_form(A, ncols: int = 0) -> SmithDecomposition:
                 dirty |= S[t][j] != 0
             if dirty:
                 continue
+            if p == 1:  # every integer is a multiple of a unit: nothing is off
+                break
             off = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
                         if S[i][j] % p), None)
             if off is None:

@@ -125,9 +125,13 @@ class _Quotient:
 
     @cached_property
     def _scales(self):
-        """(s_b for b in B, their lcm): column b of the composed M_1 is s_b*e_b."""
-        scales = [c[b] for b, c in self._compose(dict.fromkeys(self.basis[:1], 1)).items()]
-        return scales, lcm(*scales)
+        """(s_b for b in B, their lcm): column b of the composed M_1 is s_b*e_b,
+        s_1 = 1 and s_b = s_c*D_j along ``_steps``, as x_j*x^c = x^b is
+        standard and D_j*M_{x_j} holds D_j there."""
+        scales = dict.fromkeys(self.basis[:1], 1)
+        for b, c, table in self._steps:
+            scales[b] = scales[c] * table[c][b]
+        return list(scales.values()), lcm(*scales.values())
 
     def _reduce(self, g: MultiPoly):
         """(d, v) with NF(g) = v/d, v packed integer terms in lowest terms."""

@@ -393,14 +393,6 @@ def degree_of(p: MultiPoly, grading):
     return d0
 
 
-def is_homogeneous(p: MultiPoly, grading) -> bool:
-    try:
-        degree_of(p, grading)
-    except NotHomogeneous:
-        return False
-    return True
-
-
 def poly_det(M: list[list[MultiPoly]]) -> MultiPoly:
     """The determinant of a square matrix of polynomials, in integers over
     one denominator.

@@ -1,14 +1,19 @@
 """Rational polytopes from divisor data, and top intersection numbers.
 
 A polytope is stored by inequalities <m, normal_i> + offset_i >= 0 and
-worked on as integer rows, each scaled by its offset's denominator.  Its one
-vertex list is the cone functionals of ``divisors.support_meets`` for a
-nef divisor on a complete fan, or else found by integer Cramer's rule on
-every n-subset of the rows.  Lattice points scan the vertices' bounding box
-in runs along the last coordinate, whose exact integer interval comes from
-the rows.  No Fraction is built per point or per subset; vertices are exact
-Fractions.  Intersection numbers read no polytope: each is one sum of the
-cone functionals over the fan's cone table.
+worked on as integer rows, each scaled by its offset's denominator.  For a
+nef divisor on a complete fan it keeps the cone meets of
+``divisors.support_meets``, integer numerators over a denominator, and its
+integer bounding box comes from them by floor division; any other
+polytope finds its vertices by integer Cramer's rule on every n-subset of
+the rows and reads its box from them.  Lattice points are one integer walk
+over the box in runs along the last coordinate: the row values of each
+prefix are formed once, by adding one column of the rows to those of the
+prefix before, and give both the run's exact interval and the exponent
+vector at its first point.  No Fraction is built per point, per run or per
+subset; the vertex list, exact Fractions, is built only when read.
+Intersection numbers read no polytope: each is one sum of the cone
+functionals over the fan's cone table.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ class HPolytope:
     dim: int
     normals: tuple[tuple[int, ...], ...]
     offsets: tuple[Fraction, ...]
+    # the distinct (num, den) with vertex num/den, den > 0, when
+    # ``divisor_polytope`` kept the cone meets of a nef divisor
+    _meets = None
 
     def __post_init__(self):
         if len(self.normals) != len(self.offsets):
@@ -60,10 +68,30 @@ class HPolytope:
 
     @cached_property
     def vertices(self) -> list[tuple[Fraction, ...]]:
-        """The sorted vertex list from n-subsets, unless ``divisor_polytope`` set it."""
+        """The sorted vertex list, built when read: the Fraction view of the
+        cone meets that ``divisor_polytope`` kept, else from n-subsets after
+        a boundedness test.  ``divisor_polytope`` sets the list of a D that
+        is not nef on a complete fan from n-subsets, with no such test."""
+        if self._meets is not None:
+            return sorted(tuple(Fraction(x, den) for x in num) for num, den in self._meets)
         if self.dim and not _is_bounded(self):
             raise Unbounded("polytope has an unbounded direction")
         return _vertices(self)
+
+    @cached_property
+    def _box(self) -> list[tuple[int, int]] | None:
+        """The integer bounding box, (lo, hi) per coordinate, of the
+        vertices, or None when there are none.  From kept cone meets it is
+        integer floor division, lo = min ceil(num/den) and hi = max
+        floor(num/den), and reads no vertex."""
+        if self._meets is not None:
+            return [(min(-(-num[j] // den) for num, den in self._meets),
+                     max(num[j] // den for num, den in self._meets)) for j in range(self.dim)]
+        verts = self.vertices
+        if not verts:
+            return None
+        return [(ceil(min(v[j] for v in verts)), floor(max(v[j] for v in verts)))
+                for j in range(self.dim)]
 
 
 def divisor_polytope(fan, coeffs) -> HPolytope:
@@ -72,16 +100,18 @@ def divisor_polytope(fan, coeffs) -> HPolytope:
     On a complete fan the rays positively span N_R, so P_D is bounded, and D
     is nef iff every cone functional m_σ lies in P_D, read on the walls,
     and its vertices are then the distinct m_σ (Cox–Little–Schenck, *Toric
-    Varieties*, §6.1); other D enumerate n-subsets, as on other fans.
+    Varieties*, §6.1).  The polytope then keeps the distinct meets
+    (num, den*d), m_σ = num/(den*d), for its box and its vertex view; a D
+    that is not nef enumerates n-subsets at once, with no boundedness
+    test, and a fan that is not complete leaves both to ``vertices``.
     """
-    poly = HPolytope(fan.dim, fan.rays, tuple(Fraction(c) for c in coeffs))
+    poly = HPolytope(fan.dim, fan.rays, tuple(coeffs))
     if is_complete(fan):
         d, scaled, meets = support_meets(fan, poly.offsets)
         if all(s >= 0 for s in slacks(fan, scaled, meets, fan.walls)):
-            verts = sorted(tuple(Fraction(x, den * d) for x in num) for num, den in set(meets))
+            object.__setattr__(poly, "_meets", {(num, den * d) for num, den in meets})
         else:
-            verts = _vertices(poly)
-        object.__setattr__(poly, "vertices", verts)
+            object.__setattr__(poly, "vertices", _vertices(poly))
     return poly
 
 
@@ -115,42 +145,53 @@ def _is_bounded(poly: HPolytope) -> bool:
     return True
 
 
+def _prefix_values(box, cols, s):
+    """(p, s + sum_j p_j*cols[j]) for each integer p of the box, in
+    lexicographic order: each step along a coordinate adds its column once."""
+    if not box:
+        yield (), s
+        return
+    (lo, hi), col = box[0], cols[0]
+    s = [v + lo * c for v, c in zip(s, col)]
+    for x in range(lo, hi + 1):
+        for p, t in _prefix_values(box[1:], cols[1:], s):
+            yield (x,) + p, t
+        s = [v + c for v, c in zip(s, col)]
+
+
 def _runs(poly: HPolytope):
     """The integer points of a polytope of dimension n >= 1, in lexicographic
-    order, as runs (p, lo, hi): the points p + (x,) for lo <= x <= hi.
+    order, as runs (p, s, lo, hi): the points p + (x,) for lo <= x <= hi,
+    at which integer row i takes the value s_i + c_i*x, c_i its last
+    normal entry.
 
-    The first n-1 coordinates run over the vertices' bounding box.  At each
-    such prefix p the rows whose last normal entry c is zero are tested
-    once; every other row, with s its value at p, bounds the last coordinate
-    x by c*x + s >= 0, so x >= ceil(-s/c) for c > 0 and x <= floor(s/-c) for
-    c < 0.
+    The first n-1 coordinates run over ``_box``, and ``_prefix_values``
+    forms the row values s of each prefix p once.  Rows with c = 0 are
+    tested once per prefix; every other row bounds x by c*x + s >= 0, so
+    x >= -(s // c) for c > 0 and x <= s // -c for c < 0.
     """
-    verts = poly.vertices
-    if not verts:
+    box = poly._box
+    if box is None:
         return
-    box = [(ceil(min(v[j] for v in verts)), floor(max(v[j] for v in verts)))
-           for j in range(poly.dim)]
-    flat = [(nr[:-1], off) for nr, off in poly._rows if nr[-1] == 0]
-    slanted = [(nr[:-1], off, nr[-1]) for nr, off in poly._rows if nr[-1]]
-    for p in itertools.product(*(range(lo, hi + 1) for lo, hi in box[:-1])):
-        if any(dot(nr, p) + off < 0 for nr, off in flat):
+    cols = list(zip(*(nr for nr, _ in poly._rows)))
+    flat = [i for i, c in enumerate(cols[-1]) if not c]
+    up = [(i, c) for i, c in enumerate(cols[-1]) if c > 0]
+    down = [(i, -c) for i, c in enumerate(cols[-1]) if c < 0]
+    lo0, hi0 = box[-1]
+    for p, s in _prefix_values(box[:-1], cols, [off for _, off in poly._rows]):
+        if any(s[i] < 0 for i in flat):
             continue
-        lo, hi = box[-1]
-        for nr, off, c in slanted:
-            s = dot(nr, p) + off
-            if c > 0:
-                lo = max(lo, -(s // c))
-            else:
-                hi = min(hi, s // -c)
+        lo = max([lo0] + [-(s[i] // c) for i, c in up])
+        hi = min([hi0] + [s[i] // c for i, c in down])
         if lo <= hi:
-            yield p, lo, hi
+            yield p, s, lo, hi
 
 
 def lattice_points(poly: HPolytope) -> list[tuple[int, ...]]:
     """All integer points, in lexicographic order: the runs, expanded."""
     if poly.dim == 0:
         return list(poly.vertices)  # none, or the one point ()
-    return [p + (x,) for p, lo, hi in _runs(poly) for x in range(lo, hi + 1)]
+    return [p + (x,) for p, _, lo, hi in _runs(poly) for x in range(lo, hi + 1)]
 
 
 def intersection_number(fan, *divisors) -> Fraction:
@@ -195,15 +236,15 @@ def intersection_number(fan, *divisors) -> Fraction:
 
 def divisor_monomials(poly: HPolytope) -> list[tuple[int, ...]]:
     """Sorted exponent vectors e_i = <m, normal_i> + a_i of the monomials of
-    the divisor sum a_i D_i (integer a_i), one per lattice point m.  Along a
-    run each e is the previous one plus the normals' last column, so a run
-    takes dot products only at its first point."""
+    the divisor sum a_i D_i (integer a_i), one per lattice point m.  A run
+    (p, s, lo, hi) of ``_runs`` starts at e_i = s_i + c_i*lo, c_i the last
+    normal entry, and each next e adds c: no dot product is taken."""
     out = []
-    for p, lo, hi in _runs(poly):
+    last = [nr[-1] for nr, _ in poly._rows]
+    for _, s, lo, hi in _runs(poly):
         k = hi - lo + 1
-        starts = ((dot(p + (lo,), nr) + a, nr[-1]) for nr, a in poly._rows)
-        out.extend(zip(*(range(e, e + c * k, c) if c else itertools.repeat(e, k)
-                         for e, c in starts)))
+        out.extend(zip(*(range(e + c * lo, e + c * (hi + 1), c) if c else itertools.repeat(e, k)
+                         for e, c in zip(s, last))))
     return sorted(out)
 
 

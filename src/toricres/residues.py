@@ -59,10 +59,6 @@ def irrelevant_witness(p: MultiPoly, fan: FanData) -> Exponent | None:
     return next((e for e in sorted(p.num) if not any(_divides(g, e) for g in gens)), None)
 
 
-def in_irrelevant_ideal(p: MultiPoly, fan: FanData) -> bool:
-    return irrelevant_witness(p, fan) is None
-
-
 @dataclass(frozen=True)
 class ZeroLocusReport:
     ok: bool

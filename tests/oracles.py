@@ -52,8 +52,9 @@ and Fraction elimination, is a reference value for both the exact residue
 and the package's trace, and the chart that holds those zeros is found
 by ideal membership.  Tests compare engine output against them.  The
 queries only tests call (evaluation, substitution and coefficients of a
-polynomial, the order comparison, the Smith-form check with its matrix
-product, the Smith form that scans every entry for each pivot, a packed basis unpacked to exponent tuples, a polynomial built
+polynomial, the order comparison, homogeneity, membership in the
+irrelevant ideal, the cone functionals as Fractions, the Smith-form check
+with its matrix product, the Smith form that scans every entry for each pivot, a packed basis unpacked to exponent tuples, a polynomial built
 unchecked from Fraction terms and a polynomial's integer terms mod P) live
 here too, as does a generator of random complete surfaces with an ample
 class.
@@ -80,6 +81,7 @@ from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeM
                       compute_grading, cone_determinant, dehomogenize,
                       is_complete, is_simplicial, make_fan, monomial_basis)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
+from toricres.divisors import support_meets
 from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
 from toricres.groebner import (Packing, grevlex, lex, packed_basis,
                                quotient_is_finite, standard_monomials)
@@ -90,7 +92,8 @@ from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, degree_of, poly_det as integer_poly_det
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
                                 lattice_points)
-from toricres.residues import P, CodimReport, ZeroLocusReport, _require_hypotheses
+from toricres.residues import (P, CodimReport, ZeroLocusReport, _require_hypotheses,
+                               irrelevant_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +149,25 @@ def greater(order: MonomialOrder, a: Exponent, b: Exponent) -> bool:
     return order.key(a) > order.key(b)
 
 
+def is_homogeneous(p: MultiPoly, grading) -> bool:
+    try:
+        degree_of(p, grading)
+    except NotHomogeneous:
+        return False
+    return True
+
+
+def in_irrelevant_ideal(p: MultiPoly, fan: FanData) -> bool:
+    return irrelevant_witness(p, fan) is None
+
+
+def cone_functionals(fan: FanData, coeffs) -> list[tuple[Fraction, ...]]:
+    """Per-cone m with <m, ray_i> = -a_i on the cone's rays: the Fraction
+    view of ``divisors.support_meets``."""
+    d, _, meets = support_meets(fan, coeffs)
+    return [tuple(Fraction(x, den * d) for x in num) for num, den in meets]
+
+
 def mat_mul(A, B):
     if not A:
         return []
@@ -175,8 +197,10 @@ def smith_verify(dec: SmithDecomposition, A) -> bool:
 
 def full_scan_smith_normal_form(A, ncols: int = 0) -> SmithDecomposition:
     """``smith_normal_form`` as it ran before its pivot search stopped at
-    the first unit: every entry of the trailing block is scanned, and the
-    first of least nonzero magnitude in row-major order is the pivot."""
+    the first unit and a unit pivot skipped the search for an entry it does
+    not divide: every entry of the trailing block is scanned, the first of
+    least nonzero magnitude in row-major order is the pivot, and every
+    pivot searches for an entry it does not divide."""
     m = len(A)
     n = len(A[0]) if m else ncols
     S = [list(map(operator.index, row)) for row in A]

@@ -1,13 +1,13 @@
 from toricres import (
     MultiPoly,
-    cone_functionals,
-    in_irrelevant_ideal,
     is_ample,
     is_cartier,
     is_q_ample,
     monomial_basis,
     representative_divisor,
 )
+
+from oracles import cone_functionals, in_irrelevant_ideal
 
 
 def pentagon_class(a, b, c):

@@ -8,9 +8,10 @@ gives and, as X with A·X = det(A)·B, the product of the minors adjugate
 over the determinant; ``oracles.trace_of_solve``, the reference trace of
 the local sums, must give the trace of the solutions for the columns of
 B, and refuse pairs of other shapes;
-``cone_functionals`` must return the tuples of
-``oracles.fraction_cone_functionals`` wherever each maximal cone has dim
-independent rays, and refuse the other fans by naming the cone; and the
+``oracles.cone_functionals``, the Fraction view of ``support_meets``, must
+return the tuples of ``oracles.fraction_cone_functionals`` wherever each
+maximal cone has dim independent rays, and refuse the other fans by
+naming the cone; and the
 Cayley weight functional of ``jacobian_ideal_degree_check``, found by one
 Smith solve, must be the rational one.
 """
@@ -25,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 from toricres import (
     InvalidFan,
     build_cayley,
-    cone_functionals,
     degree_of,
     is_ample,
     is_cartier,
@@ -40,9 +40,9 @@ from toricres.lattice import bareiss, cramer, mat_identity, smith_normal_form
 
 from conftest import FIXTURES, load, complete_polygon_fans
 import oracles
-from oracles import (adjugate, fraction_cone_functionals, fraction_jacobian_ideal_degree_check,
-                     fraction_mat_det, mat_mul, mat_rank, solve_rational, trace_of_solve,
-                     weight_system)
+from oracles import (adjugate, cone_functionals, fraction_cone_functionals,
+                     fraction_jacobian_ideal_degree_check, fraction_mat_det, mat_mul, mat_rank,
+                     solve_rational, trace_of_solve, weight_system)
 from test_differential import stellar_fans_3d
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,8 +1,9 @@
 """Divisor polytopes whose vertices come from the fan, against the n-subset path.
 
-``divisor_polytope`` on a complete fan sets the vertex list to the sorted
-distinct cone functionals m_σ when every m_σ satisfies all rows (D is nef),
-and otherwise to the n-subset enumeration without a boundedness test; on an
+``divisor_polytope`` on a complete fan keeps the cone meets when every m_σ
+satisfies all rows (D is nef), so that the vertex list is the sorted
+distinct cone functionals m_σ, and otherwise sets the vertex list to the
+n-subset enumeration without a boundedness test; on an
 incomplete fan it leaves the vertices to ``HPolytope.vertices``, the
 boundedness test and the enumeration.  Either way the vertex list, the
 lattice points and the exponent vectors must equal those of the plain
@@ -41,11 +42,10 @@ from toricres import (
     representative_divisor,
 )
 from toricres import lattice, polytopes
-from toricres.divisors import cone_functionals
 
 from conftest import F1, FIXTURES, INCOMPLETE, complete_polygon_fans, load
-from oracles import (box_lattice_points, dot_divisor_monomials, facet_recursion_volume,
-                     fraction_vertices, ring_intersection)
+from oracles import (box_lattice_points, cone_functionals, dot_divisor_monomials,
+                     facet_recursion_volume, fraction_vertices, ring_intersection)
 from test_differential import stellar_fans_3d
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)

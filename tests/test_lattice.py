@@ -79,8 +79,10 @@ def _smith_inputs():
 
 
 def test_smith_stops_at_a_unit_with_the_full_scan_decomposition():
-    """A unit pivot ends the pivot search; it is the first least entry in
-    row-major order, so U, S and V are those of a scan of every entry."""
+    """A unit pivot ends the pivot search, and it skips the search for an
+    entry it does not divide; it is the first least entry in row-major
+    order and divides every entry, so U, S and V are those of a scan of
+    every entry."""
     count = 0
     for A, ncols in _smith_inputs():
         dec = smith_normal_form(A, ncols)

@@ -10,8 +10,10 @@ clause can catch an exponent refusal, the lattice, grading and bundle
 layers truncate no value with ``int``, ``poly.py`` has one product loop
 and imports nothing from ``grading``, every cone solve outside
 ``lattice.py`` reads the fan's cone table, no
-module but ``poly.py`` reads a polynomial's Fraction view, and no module
-but ``groebner.py`` reads the exponent-tuple views of a basis.
+module but ``poly.py`` reads a polynomial's Fraction view, no module
+but ``groebner.py`` reads the exponent-tuple views of a basis, and the
+lattice walk of ``polytopes.py`` is integer-only and takes each row value
+once.
 """
 
 import ast
@@ -272,3 +274,22 @@ def test_only_groebner_reads_the_tuple_views_of_a_basis():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr in ("reducers", "generators")]
     assert reads == []
+
+
+def test_the_lattice_walk_is_integer_only_and_single_pass():
+    """``_prefix_values``, ``_runs`` and ``divisor_monomials`` in
+    ``polytopes.py`` name no ``Fraction``, ``ceil``, ``floor`` or ``dot``:
+    the box is integers before the walk starts, each prefix's row values
+    are formed once by adding a column, and a run's exponent vectors start
+    from them, as ``divisor_monomials`` once took the dot products of each
+    run's first point again."""
+    path = ROOT / "src" / "toricres" / "polytopes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    walk = ("_prefix_values", "_runs", "divisor_monomials")
+    assert set(walk) <= set(defs)
+    banned = {"Fraction", "ceil", "floor", "dot"}
+    found = [(name, node.lineno) for name in walk for node in ast.walk(defs[name])
+             if isinstance(node, ast.Name) and node.id in banned
+             or isinstance(node, ast.Attribute) and node.attr in banned]
+    assert found == []

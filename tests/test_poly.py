@@ -18,7 +18,6 @@ from toricres import (
     decompose,
     degree_of,
     dehomogenize,
-    is_homogeneous,
     parse_poly,
     poly_det,
     poly_to_string,
@@ -31,7 +30,8 @@ from toricres.cayley import _lift_poly
 from conftest import FIXTURES, load, poly
 from oracles import (constructor_decompose, constructor_dehomogenize,
                      constructor_lift_poly, constructor_partial,
-                     evaluate, fraction_product, is_constant, substitute)
+                     evaluate, fraction_product, is_constant, is_homogeneous,
+                     substitute)
 from test_quotient import SYSTEM_FANS, square_systems
 
 XYZ = ("x", "y", "z")

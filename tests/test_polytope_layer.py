@@ -24,7 +24,6 @@ from toricres import (
     Unbounded,
     build_cayley,
     cayley_polytope_check,
-    cone_functionals,
     degree_of,
     divisor_polytope,
     is_ample,
@@ -38,8 +37,8 @@ import toricres
 from toricres import cayley, divisors, polytopes
 
 from conftest import FIXTURES, _cross, complete_polygon_fans, load
-from oracles import (box_lattice_points, facet_recursion_volume, fraction_strictness_failures,
-                     fraction_vertices)
+from oracles import (box_lattice_points, cone_functionals, facet_recursion_volume,
+                     fraction_strictness_failures, fraction_vertices)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 

@@ -18,6 +18,7 @@ a system built to need it.
 
 from fractions import Fraction
 from functools import cache, partial
+from math import lcm
 
 import numpy as np
 import pytest
@@ -359,6 +360,29 @@ def test_the_multiplication_tables_commute_on_random_systems(case):
         assert_variables_commute(quotient)
 
 
+def assert_scales_compose_the_unit(quotient):
+    """The scales read along ``_steps`` are the composed M_1: its column b
+    is s_b*e_b, and L is the lcm of the s_b."""
+    scales, L = quotient._scales
+    cols = quotient._compose(dict.fromkeys(quotient.basis[:1], 1))
+    assert [cols[b] for b in quotient.basis] == [{b: s} for b, s in zip(quotient.basis, scales)]
+    assert L == lcm(*scales)
+
+
+def test_the_scales_are_the_composed_unit_on_every_numeric_fixture_chart():
+    quotients = [q for name in NUMERIC_FIXTURES for q in finite_quotients(load(name).problem)]
+    assert any(q._scales[1] > 1 for q in quotients)
+    for quotient in quotients:
+        assert_scales_compose_the_unit(quotient)
+
+
+@SETTINGS
+@given(square_systems(["p2", "p1p1", "p3", "p112", "pentagon"]))
+def test_the_scales_are_the_composed_unit_on_random_systems(case):
+    for quotient in finite_quotients(case[0]):
+        assert_scales_compose_the_unit(quotient)
+
+
 def test_a_trace_reduces_two_polynomials_and_no_monomial(monkeypatch):
     """The tables come from the border pass, so one trace divides the
     integer terms of f_k*J and h on the packed table and nothing else."""
@@ -464,6 +488,7 @@ def test_a_quotient_with_no_standard_monomial_has_trace_0():
     the reference gives from two empty matrices."""
     quotient = localres._Quotient([MultiPoly.constant(1, 3)])
     assert quotient.basis == []
+    assert quotient._scales == ([], 1)
     one = MultiPoly.constant(1, 1)
     assert assert_trace_is_the_reference(quotient, one, one) == 0
     assert euler_jacobi_check(1, [MultiPoly.constant(1, 3)], one) == (True, 0)

@@ -18,7 +18,6 @@ from toricres import (
     cone_group_order,
     decompose,
     degree_of,
-    in_irrelevant_ideal,
     irrelevant_ideal,
     poly_det,
     residue_report,
@@ -30,6 +29,7 @@ from toricres import (
 from toricres.cli import _random_admissible
 
 from conftest import FIXTURES, load, poly, polys
+from oracles import in_irrelevant_ideal
 from test_quotient import SYSTEM_FANS, square_systems
 
 
