@@ -12,7 +12,6 @@ polytope's offsets, and both critical degrees are ``critical_degree``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .divisors import is_ample
 from .errors import DegreeMismatch, NotAmple
@@ -20,20 +19,19 @@ from .grading import Grading, compute_grading, critical_degree
 from .lattice import FanData, make_fan, smith_normal_form
 from .poly import MultiPoly, degree_of
 from .polytopes import divisor_polytope, lattice_points, monomial_basis
+from .values import Value
 
 
-@dataclass(frozen=True)
-class CayleyData:
+class CayleyData(Value):
     """``bundle`` is the bundle's fan, its rays the lifted base rays then
     y_0..y_n, under default variable names (a base variable may be named
     y0); ``grading`` is its grading; ``variables`` are the display names."""
 
-    fan: FanData
-    divisors: tuple[tuple[int, ...], ...]
-    bundle: FanData
-    grading: Grading
-    base_grading: Grading
-    variables: tuple[str, ...]
+    __slots__ = _fields = ("fan", "divisors", "bundle", "grading", "base_grading", "variables")
+
+    def __init__(self, fan: FanData, divisors: tuple[tuple[int, ...], ...], bundle: FanData,
+                 grading: Grading, base_grading: Grading, variables: tuple[str, ...]):
+        self._set(fan, divisors, bundle, grading, base_grading, variables)
 
     @property
     def n(self) -> int:

@@ -10,19 +10,19 @@ walls of a complete fan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidFan
 from .lattice import FanData, clear_denominators, dot, is_complete, mat_vec
+from .values import Value
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    ok: bool
-    cartier: bool
-    witnesses: tuple = ()
+class PositivityReport(Value):
+    __slots__ = _fields = ("ok", "cartier", "witnesses")
+
+    def __init__(self, ok: bool, cartier: bool, witnesses: tuple = ()):
+        self._set(ok, cartier, witnesses)
 
     def __bool__(self):
         return self.ok

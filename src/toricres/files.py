@@ -21,7 +21,6 @@ Problem file:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidFan, ParseError
@@ -30,6 +29,7 @@ from .groebner import MonomialOrder, grevlex, parse_order
 from .lattice import FanData, is_complete, make_fan
 from .poly import _NAME, MultiPoly, parse_poly
 from .residues import ResidueProblem
+from .values import Value
 
 
 def _load_json(path: Path) -> dict:
@@ -90,14 +90,12 @@ def load_fan(path) -> tuple[FanData, Grading]:
     return fan, compute_grading(fan)
 
 
-@dataclass(frozen=True)
-class LoadedProblem:
-    fan: FanData
-    grading: Grading
-    order: MonomialOrder
-    problem: ResidueProblem
-    inputs: tuple[MultiPoly, ...]
-    fan_path: str
+class LoadedProblem(Value):
+    __slots__ = _fields = ("fan", "grading", "order", "problem", "inputs", "fan_path")
+
+    def __init__(self, fan: FanData, grading: Grading, order: MonomialOrder,
+                 problem: ResidueProblem, inputs: tuple[MultiPoly, ...], fan_path: str):
+        self._set(fan, grading, order, problem, inputs, fan_path)
 
 
 def load_problem(path, sigma_override: int | None = None,

@@ -9,7 +9,6 @@ exponent vectors.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DegreeMismatch, NoIntegralLift, NotAGrading, NotSurjective
@@ -23,24 +22,35 @@ from .lattice import (
     reduce_mod_lattice,
     smith_normal_form,
 )
+from .values import Value
 
 
-@dataclass(frozen=True)
-class DegreeClass:
-    """An element of the grading group: free part plus cyclic residues."""
+class DegreeClass(Value):
+    """An element of the grading group: free part plus cyclic residues.
+    Built and compared once per term by ``degree_of``, so its ``__init__``,
+    ``__eq__`` and ``__hash__`` name the fields directly."""
 
-    free: Vec
-    torsion: Vec = ()
-    moduli: Vec = ()
+    __slots__ = _fields = ("free", "torsion", "moduli")
 
-    def __post_init__(self):
-        if len(self.torsion) != len(self.moduli):
+    def __init__(self, free: Vec, torsion: Vec = (), moduli: Vec = ()):
+        if len(torsion) != len(moduli):
             raise ValueError("torsion and moduli lengths differ")
-        moduli = tuple(map(operator.index, self.moduli))
-        object.__setattr__(self, "free", tuple(map(operator.index, self.free)))
+        moduli = tuple(map(operator.index, moduli))
+        if moduli and min(moduli) < 1:
+            raise ValueError(f"moduli {moduli} must be positive")
+        object.__setattr__(self, "free", tuple(map(operator.index, free)))
         object.__setattr__(self, "torsion", tuple(
-            operator.index(t) % m for t, m in zip(self.torsion, moduli)))
+            operator.index(t) % m for t, m in zip(torsion, moduli)))
         object.__setattr__(self, "moduli", moduli)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.free, self.torsion, self.moduli)
+                == (other.free, other.torsion, other.moduli))
+
+    def __hash__(self):
+        return hash((self.free, self.torsion, self.moduli))
 
     def __add__(self, other):
         if self.moduli != other.moduli or len(self.free) != len(other.free):
@@ -61,15 +71,14 @@ class DegreeClass:
         return not any(self.free) and not any(self.torsion)
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(Value):
     """Exponent-vector grading: free rows, torsion rows, and cyclic moduli."""
 
-    rays: Mat
-    free_rows: Mat
-    torsion_rows: Mat = ()
-    moduli: Vec = ()
-    provenance: str = "computed"
+    _fields = ("rays", "free_rows", "torsion_rows", "moduli", "provenance")
+
+    def __init__(self, rays: Mat, free_rows: Mat, torsion_rows: Mat = (), moduli: Vec = (),
+                 provenance: str = "computed"):
+        self._set(rays, free_rows, torsion_rows, moduli, provenance)
 
     @property
     def nvars(self) -> int:

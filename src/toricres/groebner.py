@@ -48,26 +48,37 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb, gcd
 
 from .errors import DegreeMismatch, ExponentTooLarge, ParseError
 from .poly import Exponent, MultiPoly
+from .values import Value
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """kind is "grevlex" or "lex"; precedence lists variables from greatest."""
+class MonomialOrder(Value):
+    """kind is "grevlex" or "lex"; precedence lists variables from greatest.
+    Hashed by ``packing_of``'s cache for every basis, so its ``__init__``,
+    ``__eq__`` and ``__hash__`` name the fields directly."""
 
-    kind: str
-    precedence: tuple[int, ...]
+    __slots__ = _fields = ("kind", "precedence")
 
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if tuple(sorted(self.precedence)) != tuple(range(len(self.precedence))):
+    def __init__(self, kind: str, precedence: tuple[int, ...]):
+        if kind not in ("grevlex", "lex"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        precedence = tuple(map(operator.index, precedence))
+        if tuple(sorted(precedence)) != tuple(range(len(precedence))):
             raise ValueError("precedence must be a permutation of the variables")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "precedence", precedence)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.precedence) == (other.kind, other.precedence)
+
+    def __hash__(self):
+        return hash((self.kind, self.precedence))
 
     @property
     def nvars(self) -> int:
@@ -477,16 +488,17 @@ def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
     return reduced
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Value):
     """A reduced Groebner basis over Q as its packed reducer table, as
     ``packed_basis`` builds it, on the packing of ``order``: the one stored
     form, of which ``reducers`` and ``generators`` are views built on first
     use.  A packing is fixed by its order, so two bases are equal when
     their tables and orders are."""
 
-    table: tuple[Reducer, ...]
-    order: MonomialOrder
+    _fields = ("table", "order")
+
+    def __init__(self, table: tuple[Reducer, ...], order: MonomialOrder):
+        self._set(table, order)
 
     @classmethod
     def of(cls, gens, order):

@@ -14,11 +14,11 @@ gives a rank or a lattice.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvalidFan
+from .values import Value
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -100,13 +100,13 @@ def cramer(rows, rhs):
     return tuple(x // g for x in num), den // g
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Value):
     """U A V = S with U, V unimodular and S diagonal with a divisibility chain."""
 
-    U: Mat
-    S: Mat
-    V: Mat
+    __slots__ = _fields = ("U", "S", "V")
+
+    def __init__(self, U: Mat, S: Mat, V: Mat):
+        self._set(U, S, V)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -280,17 +280,15 @@ def hnf_reduced_rows(vectors, ncols):
 # fans
 
 
-@dataclass(frozen=True)
-class FanData:
+class FanData(Value):
     """A fan given by its rays and maximal cones (0-based ray index sets)."""
 
-    dim: int
-    rays: Mat
-    max_cones: tuple[tuple[int, ...], ...]
-    variables: tuple[str, ...]
+    _fields = ("dim", "rays", "max_cones", "variables")
 
-    def __post_init__(self):
-        n = self.dim
+    def __init__(self, dim: int, rays: Mat, max_cones: tuple[tuple[int, ...], ...],
+                 variables: tuple[str, ...]):
+        self._set(dim, rays, max_cones, variables)
+        n = dim
         if n < 1:
             raise InvalidFan("ambient dimension must be positive")
         if len(self.rays) < n:
@@ -392,10 +390,11 @@ def cone_group_order(fan: FanData, k: int) -> int:
     return abs(d)
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    ok: bool
-    witness: str | None = None
+class CompletenessReport(Value):
+    __slots__ = _fields = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: str | None = None):
+        self._set(ok, witness)
 
     def __bool__(self):
         return self.ok

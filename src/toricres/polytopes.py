@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, prod
@@ -29,28 +28,25 @@ from .divisors import slacks, support_meets
 from .errors import InvalidFan, Unbounded
 from .grading import representative_divisor
 from .lattice import cramer, dot, hnf_rows, is_complete, mat_det
+from .values import Value
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(Value):
     """Intersection of half spaces <m, normal> + offset >= 0; normals are ints."""
 
-    dim: int
-    normals: tuple[tuple[int, ...], ...]
-    offsets: tuple[Fraction, ...]
+    _fields = ("dim", "normals", "offsets")
     # the distinct (num, den) with vertex num/den, den > 0, when
     # ``divisor_polytope`` kept the cone meets of a nef divisor
     _meets = None
 
-    def __post_init__(self):
-        if len(self.normals) != len(self.offsets):
+    def __init__(self, dim: int, normals: tuple[tuple[int, ...], ...],
+                 offsets: tuple[Fraction, ...]):
+        if len(normals) != len(offsets):
             raise ValueError("one offset per normal is required")
-        if any(len(nr) != self.dim for nr in self.normals):
+        if any(len(nr) != dim for nr in normals):
             raise ValueError("each normal needs one entry per dimension")
-        object.__setattr__(self, "normals",
-                           tuple(tuple(map(operator.index, nr)) for nr in self.normals))
-        object.__setattr__(self, "offsets",
-                           tuple(Fraction(o) for o in self.offsets))
+        self._set(dim, tuple(tuple(map(operator.index, nr)) for nr in normals),
+                  tuple(Fraction(o) for o in offsets))
 
     def contains(self, point) -> bool:
         """Whether the point satisfies every inequality; ValueError unless it

@@ -11,7 +11,6 @@ integers, and held as one integer vector over a common denominator.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -33,6 +32,7 @@ from .groebner import (GroebnerBasis, MonomialOrder, divide, grevlex, packed_bas
 from .lattice import FanData, cone_det, cone_group_order, is_complete
 from .poly import Exponent, MultiPoly, degree_of, dehomogenize, poly_det
 from .polytopes import intersection_number, monomial_basis
+from .values import Value
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -59,11 +59,12 @@ def irrelevant_witness(p: MultiPoly, fan: FanData) -> Exponent | None:
     return next((e for e in sorted(p.num) if not any(_divides(g, e) for g in gens)), None)
 
 
-@dataclass(frozen=True)
-class ZeroLocusReport:
-    ok: bool
-    witness_cone: int | None = None
-    witness_monomial: Exponent | None = None
+class ZeroLocusReport(Value):
+    __slots__ = _fields = ("ok", "witness_cone", "witness_monomial")
+
+    def __init__(self, ok: bool, witness_cone: int | None = None,
+                 witness_monomial: Exponent | None = None):
+        self._set(ok, witness_cone, witness_monomial)
 
     def __bool__(self):
         return self.ok
@@ -243,12 +244,12 @@ def decompose(F: MultiPoly, fan: FanData, cone_index: int):
     return tuple(MultiPoly.from_integer_terms(fan.nvars, F.d, part) for part in parts)
 
 
-@dataclass(frozen=True)
-class CodimReport:
-    ok: bool
-    pivot: Exponent | None
-    witness: tuple[Exponent, Exponent] | None
-    quotient_dim: int
+class CodimReport(Value):
+    __slots__ = _fields = ("ok", "pivot", "witness", "quotient_dim")
+
+    def __init__(self, ok: bool, pivot: Exponent | None,
+                 witness: tuple[Exponent, Exponent] | None, quotient_dim: int):
+        self._set(ok, pivot, witness, quotient_dim)
 
     def __bool__(self):
         return self.ok
@@ -331,8 +332,9 @@ class ResidueProblem:
     reads the cached basis too, so building it builds the basis: on a
     complete fan with n+1 rays the basis's pure-power leads decide it, and
     on other fans it certifies each chart by a power of zhat reducing to
-    zero.  Construction only validates shapes, homogeneity and the rays of
-    sigma, so non-conforming inputs can still be probed.
+    zero.  Construction only validates shapes, homogeneity, that the
+    grading is the fan's and the rays of sigma, so non-conforming inputs
+    can still be probed.
     """
 
     def __init__(self, fan: FanData, polys, order: MonomialOrder | None = None,
@@ -353,6 +355,8 @@ class ResidueProblem:
         if self.order.nvars != fan.nvars:
             raise DegreeMismatch("monomial order does not match the fan's variables")
         self.grading = grading if grading is not None else compute_grading(fan)
+        if self.grading.rays != fan.rays:
+            raise DegreeMismatch("the grading belongs to a fan with other rays")
         self.degrees = tuple(degree_of(p, self.grading) for p in self.polys)
         self._sigma_det = cone_det(fan, sigma)
         if self._sigma_det == 0:
@@ -496,15 +500,13 @@ def _require_residue(problem: ResidueProblem):
             "cone determinant lies in the ideal; residue undefined")
 
 
-@dataclass(frozen=True)
-class ResidueReport:
-    critical: DegreeClass
-    monomials: tuple
-    pivot: Exponent
-    delta: MultiPoly
-    c_sigma: Fraction
-    c_h: Fraction
-    residue: Fraction
+class ResidueReport(Value):
+    __slots__ = _fields = ("critical", "monomials", "pivot", "delta", "c_sigma", "c_h",
+                           "residue")
+
+    def __init__(self, critical: DegreeClass, monomials: tuple, pivot: Exponent,
+                 delta: MultiPoly, c_sigma: Fraction, c_h: Fraction, residue: Fraction):
+        self._set(critical, monomials, pivot, delta, c_sigma, c_h, residue)
 
 
 def residue_report(problem: ResidueProblem, H: MultiPoly) -> ResidueReport:
@@ -566,10 +568,11 @@ def verify_gtl(problem: ResidueProblem, A, H: MultiPoly) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class AnnihilationReport:
-    ok: bool
-    witness: tuple[int, Exponent] | None = None
+class AnnihilationReport(Value):
+    __slots__ = _fields = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: tuple[int, Exponent] | None = None):
+        self._set(ok, witness)
 
     def __bool__(self):
         return self.ok

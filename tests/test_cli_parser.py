@@ -4,7 +4,8 @@
 and that parser must behave as the parser of every subcommand does: the
 same standard output, standard error, exit code and namespace on every
 argv, help pages and argparse errors included.  Importing the package
-builds no parser and loads no argparse.
+builds no parser and loads no argparse, and neither it nor the command
+line loads dataclasses or inspect.
 """
 
 import argparse
@@ -97,14 +98,24 @@ def test_main_builds_one_subparser_for_a_command(monkeypatch, capsys):
         in capsys.readouterr().out
 
 
-def test_importing_the_package_builds_no_command_line():
-    """The API import loads neither argparse nor the CLI module."""
+def _loaded_by_import(module, names):
+    """Which of ``names`` a fresh interpreter holds after ``import module``."""
     env = dict(os.environ)
     root = str(Path(toricres.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    probe = ("import sys, toricres; "
-             "print(sorted({'argparse', 'toricres.cli'} & set(sys.modules)))")
+    probe = f"import sys, {module}; print(sorted({set(names)!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_package_builds_no_command_line():
+    """The API import loads neither argparse nor the CLI module, and the
+    value classes generate no code: no dataclasses, no inspect."""
+    assert _loaded_by_import(
+        "toricres", ["argparse", "toricres.cli", "dataclasses", "inspect"]) == "[]\n"
+
+
+def test_importing_the_command_line_loads_no_dataclasses():
+    assert _loaded_by_import("toricres.cli", ["dataclasses", "inspect"]) == "[]\n"

@@ -61,6 +61,15 @@ def test_a_degree_class_of_another_group_is_refused(p2, torsion_fan):
     assert tg.degree(representative_divisor(tg, degree)) == degree
 
 
+def test_a_degree_class_refuses_a_modulus_below_one():
+    """Z/0 and Z/-3 are no cyclic factors: modulus 0 once raised a bare
+    ZeroDivisionError and -3 was kept with torsion -2; modulus 1 stays."""
+    for moduli in [(0,), (-3,), (3, 0)]:
+        with pytest.raises(ValueError, match="must be positive"):
+            DegreeClass((1,), (1,) * len(moduli), moduli)
+    assert DegreeClass((1,), (4,), (1,)).torsion == (0,)
+
+
 def test_a_variable_index_outside_the_ring_is_refused(p2):
     """-1 is refused, not read as the last variable, and 3 as the index of
     no variable."""

@@ -4,6 +4,7 @@ import pytest
 
 from toricres import (
     GroebnerBasis,
+    MonomialOrder,
     MultiPoly,
     ParseError,
     grevlex,
@@ -176,3 +177,12 @@ def test_radical_and_chart_routes_agree(p1p1, p2):
         radical = all(radical_member(MultiPoly.monomial(e), F)
                       for e in irrelevant_ideal(fan))
         assert radical == no_common_zeros_on_x(fan, F).ok
+
+
+def test_an_order_given_a_list_is_hashable_and_builds_a_basis():
+    """A precedence list is kept as a tuple: an order is hashed by the
+    packing cache of every basis, and a list once raised a bare TypeError."""
+    order = MonomialOrder("lex", [1, 0])
+    assert order == MonomialOrder("lex", (1, 0)) and order.precedence == (1, 0)
+    gens = [parse_poly(t, ("x", "y")) for t in ("x^2 - y", "y^2 - 1")]
+    assert GroebnerBasis.of(gens, order) == GroebnerBasis.of(gens, MonomialOrder("lex", (1, 0)))

@@ -13,7 +13,7 @@ and imports nothing from ``grading``, every cone solve outside
 module but ``poly.py`` reads a polynomial's Fraction view, no module
 but ``groebner.py`` reads the exponent-tuple views of a basis, and the
 lattice walk of ``polytopes.py`` is integer-only and takes each row value
-once.
+once, and no module of the package imports ``dataclasses``.
 """
 
 import ast
@@ -292,4 +292,18 @@ def test_the_lattice_walk_is_integer_only_and_single_pass():
     found = [(name, node.lineno) for name in walk for node in ast.walk(defs[name])
              if isinstance(node, ast.Name) and node.id in banned
              or isinstance(node, ast.Attribute) and node.attr in banned]
+    assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    """No module of the package imports ``dataclasses``: its value classes
+    are plain classes on ``values.Value``, so no import generates their
+    methods or loads ``dataclasses`` and ``inspect``."""
+    found = []
+    for path in sorted((ROOT / "src" / "toricres").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                  or isinstance(node, ast.Import)
+                  and any(a.name == "dataclasses" for a in node.names)]
     assert found == []

@@ -206,6 +206,17 @@ def test_wrong_degree_rejected():
         toric_residue(lp.problem, poly("x0 + x1^3", lp.fan))
 
 
+def test_a_grading_of_another_fan_is_refused(p2, p112):
+    """The P(1,1,2) grading on the P^2 fan: x2^4 has P(1,1,2)'s critical
+    degree of (x0^2, x1^2, x2^2), which P^2's own grading refuses."""
+    fan, own = p2
+    F = polys(["x0^2", "x1^2", "x2^2"], fan)
+    with pytest.raises(DegreeMismatch, match="other rays"):
+        ResidueProblem(fan, F, grading=p112[1])
+    with pytest.raises(WrongDegree):
+        toric_residue(ResidueProblem(fan, F, grading=own), poly("x2^4", fan))
+
+
 def test_membership_guard():
     lp = load("pentagon_outside.json")
     pb = lp.problem
