@@ -78,7 +78,8 @@ class Grading(Value):
 
     def __init__(self, rays: Mat, free_rows: Mat, torsion_rows: Mat = (), moduli: Vec = (),
                  provenance: str = "computed"):
-        self._set(rays, free_rows, torsion_rows, moduli, provenance)
+        self._set(freeze(rays), freeze(free_rows), freeze(torsion_rows),
+                  tuple(map(operator.index, moduli)), provenance)
 
     @property
     def nvars(self) -> int:
@@ -93,10 +94,15 @@ class Grading(Value):
         e = tuple(map(operator.index, exponent))
         if len(e) != self.nvars:
             raise DegreeMismatch(f"exponent has {len(e)} entries for {self.nvars} variables")
-        return DegreeClass(
-            tuple(dot(row, e) for row in self.free_rows),
-            tuple(dot(row, e) for row in self.torsion_rows),
-            self.moduli)
+        values = self.degree_values(e)
+        return DegreeClass(values[:self.rank], values[self.rank:], self.moduli)
+
+    def degree_values(self, e) -> tuple[int, ...]:
+        """The free values, then the torsion values mod their moduli, of an
+        exponent of the ring: its ``degree`` as ints, which ``degree_of`` compares."""
+        mul = operator.mul
+        return (*[sum(map(mul, row, e)) for row in self.free_rows],
+                *[sum(map(mul, row, e)) % m for row, m in zip(self.torsion_rows, self.moduli)])
 
     def variable_degree(self, i: int) -> DegreeClass:
         if not 0 <= i < self.nvars:
@@ -133,7 +139,7 @@ def grading_from_rays(rays) -> Grading:
             moduli.append(s)
     free_raw = [list(snf.U[i]) for i in range(n, cols)]
     free_rows = hnf_reduced_rows(free_raw, cols)
-    return Grading(rays, freeze(free_rows), freeze(torsion_rows), tuple(moduli))
+    return Grading(rays, free_rows, torsion_rows, moduli)
 
 
 def compute_grading(fan) -> Grading:
@@ -152,7 +158,7 @@ def validate_user_grading(fan, free_rows) -> Grading:
     form of R is C, which is already reduced.  The torsion rows and moduli
     are the computed ones.
     """
-    rays = freeze(fan.rays)
+    rays = fan.rays
     free_rows = freeze(free_rows)
     n = fan.dim
     cols = len(rays)

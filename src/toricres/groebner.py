@@ -165,29 +165,35 @@ class Packing:
         if any(x & self.guard for x in exps):
             raise ExponentTooLarge(TOO_LARGE)
 
-    def lcm(self, a: int, b: int) -> int:
-        """Fieldwise the larger exponent: a guard-bit comparison marks the
+    def lcms(self, leads, b: int) -> list[int]:
+        """The lcm of each packed monomial of ``leads`` with b, in one loop:
+        fieldwise the larger exponent.  A guard-bit comparison marks the
         fields where a's is at least b's (a's M - e_i, under grevlex).  The
         grevlex degree adds the e_i two to a slot of 2*WIDTH bits; the sum
         and each slot are below 2^(2*WIDTH) - 1, so mod it they agree."""
-        G, w = self.guard, WIDTH
-        d = ((a | G) - b) & G
-        m = d - (d >> (w - 1))  # the value bits of the marked fields
-        if self.lex:
-            return b ^ ((a ^ b) & m)
-        f = (a ^ ((a ^ b) & m)) & self.fields
-        e, pairs = f ^ self.one, self.pairs  # the fields e_i
-        degree = ((e & pairs) + ((e >> w) & pairs)) % ((1 << 2 * w) - 1)
-        return (degree << self.top) | f
+        G, w, lex_, one, fields, pairs = (self.guard, WIDTH, self.lex, self.one,
+                                          self.fields, self.pairs)
+        out = []
+        for a in leads:
+            d = ((a | G) - b) & G
+            m = d - (d >> (w - 1))  # the value bits of the marked fields
+            if lex_:
+                out.append(b ^ ((a ^ b) & m))
+            else:
+                f = (a ^ ((a ^ b) & m)) & fields
+                e = f ^ one  # the fields e_i
+                degree = ((e & pairs) + ((e >> w) & pairs)) % ((1 << 2 * w) - 1)
+                out.append((degree << self.top) | f)
+        return out
 
-    def divides(self, a: int, b: int) -> bool:
-        """Whether x^a divides x^b: b's fields at least a's (at most, under
-        grevlex), so that each difference leaves its guard bit set."""
-        G = self.guard
-        return ((b | G) - a if self.lex else (a | G) - b) & G == G
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of x^a and x^b: ``lcms`` on the one lead a."""
+        return self.lcms((a,), b)[0]
 
     def first_divisor(self, table, x: int):
-        """The first reducer of ``table`` whose lead divides x, or None."""
+        """The first reducer of ``table`` whose lead divides x, or None: the
+        one divisibility test.  x^a divides x^b when b's fields are at least
+        a's (at most, under grevlex): each difference keeps its guard bit."""
         G = self.guard
         if self.lex:
             t = x | G
@@ -314,25 +320,24 @@ def _gm_update(table, pairs, new_lead: int, packing: Packing, serial):
     last candidate, and none from an equal-lcm group that holds a coprime
     pair; a divisor precedes its multiple in any monomial order, so each
     lcm is tested against the minimal lcms found so far alone.  Old pairs
-    whose lcm the new lead properly refines are discarded.
+    whose lcm the new lead properly refines are discarded.  The lcms are
+    one ``Packing.lcms`` call, and the groups a dict of last indices.
     """
     t = len(table)
-    lcm, divides = packing.lcm, packing.divides
-    lcms = [lcm(le, new_lead) for le, _, _ in table]
+    lcms = packing.lcms([r[0] for r in table], new_lead)
     product = new_lead - packing.one
-    at = lcms.__getitem__
+    last = dict(zip(lcms, range(t)))  # a later index overwrites an earlier one
+    coprime = {L for r, L in zip(table, lcms) if L == r[0] + product}
+    first = packing.first_divisor
     minimal, kept = [], []
-    # a stable sort: equal lcms keep index order, so the last is group[-1]
-    for L, group in itertools.groupby(sorted(range(t), key=at), key=at):
-        if any(divides(m, L) for m in minimal):
-            continue
-        minimal.append(L)
-        group = list(group)
-        if all(L != table[i][0] + product for i in group):
-            kept.append(group[-1])
+    for L in sorted(last):
+        if first(minimal, L) is None:
+            minimal.append((L,))
+            if L not in coprime:
+                kept.append(last[L])
     kept.sort()
     new = [p for p in pairs
-           if not (divides(new_lead, p[0]) and lcms[p[2]] != p[0] and lcms[p[3]] != p[0])]
+           if not (first(((new_lead,),), p[0]) and lcms[p[2]] != p[0] and lcms[p[3]] != p[0])]
     new += [(lcms[i], next(serial), i, t) for i in kept]
     heapq.heapify(new)
     return new
@@ -416,7 +421,10 @@ def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
     be reduced mod the modulus: ``divide`` reduces each one it pops, so a
     term that is 0 there cancels.  Returns ``[(packing_of(order).one, 1,
     ())]`` once a remainder is a nonzero constant: the reduced basis of the
-    unit ideal.
+    unit ideal.  One loop runs the generators, by ascending lead, then the
+    pairs as they pop.  The final pass divides a tail only when a lower
+    lead divides a term of it: else ``divide`` and ``integer_reducer``
+    would hand back the element as it is, primitive with lc > 0 or monic.
 
     Forms under grevlex, at least as many as the m variables, have S-pairs
     that are forms, popped in nondecreasing degree, and the Froeberg series
@@ -446,6 +454,7 @@ def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
     packing = packing_of(order)
     gens = [packing.pack_terms(g) for g in gens if g]
     filled = _lead_count(gens, packing)
+    first = packing.first_divisor
     table: list[Reducer] = []
     pairs: list[tuple] = []
     serial = itertools.count()
@@ -453,15 +462,15 @@ def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
     # one step per exponent of the input, and divide pops every term handed
     # to it and tests each remainder term against every reducer
     work = order.nvars * sum(map(len, gens))
-
-    def candidates():
-        yield from sorted(gens, key=max)
-        while pairs:
+    todo = sorted(gens, key=max)[::-1]
+    while todo or pairs:
+        if todo:
+            q = todo.pop()
+        else:
             L, _, i, j = heapq.heappop(pairs)
-            if not (filled and filled(L, table, work)):
-                yield s_polynomial(table[i], table[j], packing)
-
-    for q in candidates():
+            if filled and filled(L, table, work):
+                continue
+            q = s_polynomial(table[i], table[j], packing)
         r = divide(q, table, packing, modulus)[1]
         work += len(q) + len(r) * len(table)
         if not r:
@@ -473,18 +482,21 @@ def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
         table.append(g)
     # minimalize: in ascending lead order, where a divisor comes first, drop
     # an element whose lead a lead kept before it divides
-    divides = packing.divides
     minimal = []
     for g in sorted(table, key=operator.itemgetter(0)):
-        if not any(divides(h[0], g[0]) for h in minimal):
+        if first(minimal, g[0]) is None:
             minimal.append(g)
     # reduce tails by the lower leads: a lead above g's divides no term
     # below it; no other minimal lead divides a lead, which keeps its
     # coefficient times the scale of the division
     reduced = []
-    for p, (le, lc, tail) in enumerate(minimal):
-        scale, rem = divide(dict(tail), minimal[:p], packing, modulus)
-        reduced.append(integer_reducer({le: scale * lc, **rem}, modulus))
+    for p, g in enumerate(minimal):
+        lower = minimal[:p]
+        if any(first(lower, x) for x, _ in g[2]):
+            le, lc, tail = g
+            scale, rem = divide(dict(tail), lower, packing, modulus)
+            g = integer_reducer({le: scale * lc, **rem}, modulus)
+        reduced.append(g)
     return reduced
 
 

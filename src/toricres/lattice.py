@@ -287,8 +287,8 @@ class FanData(Value):
 
     def __init__(self, dim: int, rays: Mat, max_cones: tuple[tuple[int, ...], ...],
                  variables: tuple[str, ...]):
-        self._set(dim, rays, max_cones, variables)
-        n = dim
+        self._set(operator.index(dim), freeze(rays), freeze(max_cones), tuple(variables))
+        n = self.dim
         if n < 1:
             raise InvalidFan("ambient dimension must be positive")
         if len(self.rays) < n:
@@ -366,7 +366,7 @@ def make_fan(dim, rays, max_cones, variables=None, one_based=False):
     cones = tuple(tuple(sorted({operator.index(i) - shift for i in cone})) for cone in max_cones)
     if variables is None:
         variables = tuple(f"x{i + 1}" for i in range(len(rays)))
-    return FanData(operator.index(dim), rays, cones, tuple(variables))
+    return FanData(dim, rays, cones, variables)
 
 
 def cone_det(fan: FanData, k: int) -> int:

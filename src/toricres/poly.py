@@ -380,15 +380,17 @@ def poly_to_string(p: MultiPoly, names) -> str:
 # graded structure
 
 def degree_of(p: MultiPoly, grading):
-    """Common degree class of all terms; raises when terms disagree."""
+    """Common degree class of all terms; NotHomogeneous, with the first term
+    and the first whose ``grading.degree_values`` differ as the witness."""
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no degree")
     it = iter(p.num)
     first = next(it)
     d0 = grading.degree(first)
+    values = grading.degree_values
+    v0 = values(first)
     for e in it:
-        d = grading.degree(e)
-        if d != d0:
+        if values(e) != v0:
             raise NotHomogeneous("terms of different degree", witness=(first, e))
     return d0
 

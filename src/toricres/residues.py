@@ -39,6 +39,14 @@ def _divides(a: Exponent, b: Exponent) -> bool:
     return all(map(operator.le, a, b))
 
 
+def _require_ring(p, fan: FanData, name: str = "a polynomial"):
+    """TypeError unless p is a MultiPoly, DegreeMismatch unless of the fan's ring."""
+    if not isinstance(p, MultiPoly):
+        raise TypeError(f"{name} must be a MultiPoly, not {type(p).__name__}")
+    if p.nvars != fan.nvars:
+        raise DegreeMismatch("polynomial ring does not match the fan")
+
+
 def off_cone_exponent(fan: FanData, k: int) -> Exponent:
     """The exponent of zhat, the product of the variables off maximal cone k."""
     cone = fan.cone(k)
@@ -53,8 +61,7 @@ def irrelevant_ideal(fan: FanData) -> tuple[Exponent, ...]:
 def irrelevant_witness(p: MultiPoly, fan: FanData) -> Exponent | None:
     """A term of p outside the irrelevant ideal, or None when p lies inside;
     DegreeMismatch unless p lies in the fan's ring."""
-    if p.nvars != fan.nvars:
-        raise DegreeMismatch("polynomial ring does not match the fan")
+    _require_ring(p, fan)
     gens = irrelevant_ideal(fan)
     return next((e for e in sorted(p.num) if not any(_divides(g, e) for g in gens)), None)
 
@@ -220,8 +227,7 @@ def decompose(F: MultiPoly, fan: FanData, cone_index: int):
     the rest must be divisible by zhat.  Each slot divides its terms by one
     monomial, so no two of them meet.
     """
-    if F.nvars != fan.nvars:
-        raise DegreeMismatch("polynomial ring does not match the fan")
+    _require_ring(F, fan)
     cone = fan.cone(cone_index)
     zhat = off_cone_exponent(fan, cone_index)
     parts = [dict() for _ in range(len(cone) + 1)]
@@ -332,9 +338,9 @@ class ResidueProblem:
     reads the cached basis too, so building it builds the basis: on a
     complete fan with n+1 rays the basis's pure-power leads decide it, and
     on other fans it certifies each chart by a power of zhat reducing to
-    zero.  Construction only validates shapes, homogeneity, that the
-    grading is the fan's and the rays of sigma, so non-conforming inputs
-    can still be probed.
+    zero.  Construction only validates that the inputs are MultiPolys,
+    shapes, homogeneity, that the grading is the fan's and the rays of
+    sigma, so non-conforming inputs can still be probed.
     """
 
     def __init__(self, fan: FanData, polys, order: MonomialOrder | None = None,
@@ -345,8 +351,7 @@ class ResidueProblem:
             raise DegreeMismatch(
                 f"need {fan.dim + 1} polynomials, got {len(self.polys)}")
         for p in self.polys:
-            if p.nvars != fan.nvars:
-                raise DegreeMismatch("polynomial ring does not match the fan")
+            _require_ring(p, fan, "an input")
             if p.is_zero():
                 raise ZeroPolynomial("input polynomials must be nonzero")
         fan.cone(sigma)  # ValueError when no maximal cone has the index
@@ -471,10 +476,9 @@ def toric_residue(problem: ResidueProblem, H: MultiPoly) -> Fraction:
 
 
 def require_critical_degree(problem: ResidueProblem, H: MultiPoly):
-    """DegreeMismatch unless H lies in the ring of the fan, WrongDegree
-    unless H is 0 or has the critical degree."""
-    if H.nvars != problem.fan.nvars:
-        raise DegreeMismatch("polynomial ring does not match the fan")
+    """TypeError unless H is a MultiPoly, DegreeMismatch unless it lies in
+    the fan's ring, WrongDegree unless it is 0 or has the critical degree."""
+    _require_ring(H, problem.fan, "H")
     # an H with every term in the critical slice has the critical degree
     if H.is_zero() or problem._monomial_set.issuperset(H.num):
         return
@@ -540,7 +544,8 @@ def verify_gtl(problem: ResidueProblem, A, H: MultiPoly) -> bool:
     once H is multiplied by det(A).  A must be nonsingular with a column
     degree pattern, deg A_ij + deg F_i = beta_j on each nonzero entry, so
     each term of det(A) has degree sum beta_j - sum deg F_i and the G have
-    the critical degree of the F plus deg det(A)."""
+    the critical degree of the F plus deg det(A).  H is checked first."""
+    _require_ring(H, problem.fan, "H")
     n1 = len(problem.polys)
     if len(A) != n1 or any(len(row) != n1 for row in A):
         raise DegreeMismatch("transformation matrix has the wrong shape")

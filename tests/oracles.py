@@ -5,10 +5,11 @@ the package's own pipeline.  The slow paths are the straightforward forms
 of routines the package runs in a faster or different form: division by a
 linear scan for the greatest term, the integer division, S-polynomials and
 Buchberger on exponent tuples with a tuple heap key, as they ran before
-each monomial was one packed int, the heap-ordered division over Fractions
-against monic reducers with its S-polynomials, the integer reducers read
-back from a monic Fraction basis, Buchberger over parallel lists with
-MultiPoly S-polynomials, the multiplication tables of a chart quotient
+each monomial was one packed int, the packed pair update with its
+equal-lcm groups from ``itertools.groupby``, the heap-ordered division
+over Fractions against monic reducers with its S-polynomials, the integer
+reducers read back from a monic Fraction basis, Buchberger over parallel
+lists with MultiPoly S-polynomials, the multiplication tables of a chart quotient
 from Fraction normal forms, the chart quotient on exponent tuples as it
 ran before its monomials were packed ints, the finiteness test and the standard monomials
 of a quotient on exponent tuples, the quotient dimension of a chart system
@@ -857,6 +858,39 @@ def _tuple_gm_update(table, pairs, new_lead, order: MonomialOrder):
     kept_old = [p for p in pairs
                 if not (_divides(lt, p[1]) and lcms[p[2]] != p[1] and lcms[p[3]] != p[1])]
     return kept_old + [(order.key(lcms[i]), lcms[i], i, t) for i in D if not coprime[i]]
+
+
+def groupby_gm_update(table, pairs, new_lead: int, packing: Packing, serial):
+    """The packed Gebauer-Moeller pair update as it ran with one
+    ``Packing.lcm`` call per lead, its equal-lcm groups from
+    ``itertools.groupby`` over the stable sort and the minimality test one
+    ``any`` over the minimal lcms, by one divisibility test per lcm: the new
+    heap of ``(lcm, serial number, i, j)`` pairs, keeping for each minimal
+    lcm its last candidate and none from a group that holds a coprime
+    pair."""
+    t = len(table)
+    lcm = packing.lcm
+
+    def divides(a, b):
+        return packing.first_divisor([(a,)], b) is not None
+
+    lcms = [lcm(le, new_lead) for le, _, _ in table]
+    product = new_lead - packing.one
+    at = lcms.__getitem__
+    minimal, kept = [], []
+    for L, group in itertools.groupby(sorted(range(t), key=at), key=at):
+        if any(divides(m, L) for m in minimal):
+            continue
+        minimal.append(L)
+        group = list(group)
+        if all(L != table[i][0] + product for i in group):
+            kept.append(group[-1])
+    kept.sort()
+    new = [p for p in pairs
+           if not (divides(new_lead, p[0]) and lcms[p[2]] != p[0] and lcms[p[3]] != p[0])]
+    new += [(lcms[i], next(serial), i, t) for i in kept]
+    heapq.heapify(new)
+    return new
 
 
 def tuple_buchberger(gens, order: MonomialOrder, modulus: int = 0):

@@ -5,8 +5,9 @@ No linter is installed, so these are the checks: every import in
 a name it never uses, every function and class the package defines at
 module level is read or exported, no sum on the residue path (the
 residue, the determinants of polynomials and the local sums) starts from
-a Fraction, the Groebner kernel builds no exponent tuple, no ``except``
-clause can catch an exponent refusal, the lattice, grading and bundle
+a Fraction, the Groebner kernel builds no exponent tuple, only
+``Packing`` and the overflow test of ``divide`` read the guard bits, no
+``except`` clause can catch an exponent refusal, the lattice, grading and bundle
 layers truncate no value with ``int``, ``poly.py`` has one product loop
 and imports nothing from ``grading``, every cone solve outside
 ``lattice.py`` reads the fan's cone table, no
@@ -130,7 +131,7 @@ def test_the_groebner_kernel_builds_no_exponent_tuple():
     did to key them by exponent tuples.  Tuples are packed where they enter
     a call and unpacked where they leave it."""
     kernel = {"groebner.py": ("divide", "s_polynomial", "_gm_update", "_lead_count",
-                              "packed_basis"),
+                              "packed_basis", "Packing.lcms"),
               "residues.py": ("_certified",),
               "localres.py": ("_Quotient._times_variable", "_Quotient._steps",
                               "_Quotient._scales", "_Quotient._reduce", "_Quotient._compose",
@@ -150,6 +151,22 @@ def test_the_groebner_kernel_builds_no_exponent_tuple():
             unpacks = [node.lineno for node in ast.walk(defs[function])
                        if isinstance(node, ast.Attribute) and node.attr == "unpack"]
             assert unpacks == [], (name, function, unpacks)
+
+
+def test_only_the_packing_and_the_overflow_test_read_the_guard_bits():
+    """In ``groebner.py`` only the methods of ``Packing`` and the overflow
+    test of ``divide`` (one read) read ``.guard``: the guard-bit lcm and
+    divisibility formulas stay in ``Packing``, one of each, and are not
+    copied into the pair loop or the final pass for speed."""
+    path = ROOT / "src" / "toricres" / "groebner.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "Packing":
+            continue
+        reads += [getattr(node, "name", None) for sub in ast.walk(node)
+                  if isinstance(sub, ast.Attribute) and sub.attr == "guard"]
+    assert reads == ["divide"]
 
 
 def test_no_except_clause_can_catch_an_exponent_refusal():

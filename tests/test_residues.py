@@ -22,9 +22,13 @@ from toricres import (
     poly_det,
     residue_report,
     sigma_independence_check,
+    sum_local_residues,
     toric_residue,
     variable_annihilation_check,
+    verify_gtl,
 )
+import toricres.groebner as groebner_mod
+import toricres.residues as residues_mod
 
 from toricres.cli import _random_admissible
 
@@ -215,6 +219,28 @@ def test_a_grading_of_another_fan_is_refused(p2, p112):
         ResidueProblem(fan, F, grading=p112[1])
     with pytest.raises(WrongDegree):
         toric_residue(ResidueProblem(fan, F, grading=own), poly("x2^4", fan))
+
+
+@pytest.mark.parametrize("call", [
+    lambda pb: toric_residue(pb, 1),
+    lambda pb: residue_report(pb, 2.0),
+    lambda pb: sum_local_residues(pb, 1, 0),
+    lambda pb: verify_gtl(pb, [[int(i == j) for j in range(3)] for i in range(3)], 1),
+], ids=["toric_residue", "residue_report", "sum_local_residues", "verify_gtl"])
+def test_an_h_that_is_no_polynomial_is_refused_by_type_before_any_work(monkeypatch, call):
+    """A TypeError that names the type, raised before any basis is built:
+    ``verify_gtl`` builds no transformed problem first."""
+    lp = load("p2_fermat.json")
+    monkeypatch.setattr(residues_mod, "ResidueProblem", None)
+    monkeypatch.setattr(groebner_mod, "packed_basis", None)
+    with pytest.raises(TypeError, match="H must be a MultiPoly, not (int|float)"):
+        call(lp.problem)
+
+
+def test_an_input_that_is_no_polynomial_is_refused_by_type(p2):
+    fan, _ = p2
+    with pytest.raises(TypeError, match="an input must be a MultiPoly, not int"):
+        ResidueProblem(fan, [1, 2, 3])
 
 
 def test_membership_guard():

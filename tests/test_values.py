@@ -28,6 +28,7 @@ from toricres import (
     ResidueReport,
     SmithDecomposition,
     ZeroLocusReport,
+    make_fan,
     parse_poly,
 )
 
@@ -102,3 +103,15 @@ def test_value_classes_behave_as_values(cls, names, values, defaults, changed, t
             delattr(a, name)
     assert pickle.loads(pickle.dumps(a)) == a
     assert repr(a) == text
+
+
+def test_list_built_fans_and_gradings_are_frozen_values():
+    """Lists are frozen as ``make_fan`` and ``lattice.freeze`` freeze them:
+    a list-built fan equals and hashes as the ``make_fan`` one, and a
+    list-built grading equals and hashes as the tuple-built one."""
+    fan = FanData(1, [[1], [-1]], [[0], [1]], ["x", "y"])
+    assert fan == make_fan(1, [[1], [-1]], [[0], [1]], ["x", "y"]) == FAN
+    assert hash(fan) == hash(FAN) and repr(fan) == FAN_REPR
+    grading = Grading([[1], [-1]], [[1, 1]], [], [])
+    assert grading == GRADING and hash(grading) == hash(GRADING)
+    assert repr(grading) == GRADING_REPR
