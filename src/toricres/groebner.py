@@ -186,10 +186,6 @@ class Packing:
                 out.append((degree << self.top) | f)
         return out
 
-    def lcm(self, a: int, b: int) -> int:
-        """The lcm of x^a and x^b: ``lcms`` on the one lead a."""
-        return self.lcms((a,), b)[0]
-
     def first_divisor(self, table, x: int):
         """The first reducer of ``table`` whose lead divides x, or None: the
         one divisibility test.  x^a divides x^b when b's fields are at least
@@ -288,16 +284,15 @@ def divide(terms: dict, table, packing: Packing, modulus: int = 0) -> tuple[int,
     return scale, {x: c * (scale // s) for x, c, s in rem}
 
 
-def s_polynomial(f: Reducer, g: Reducer, packing: Packing) -> dict:
+def s_polynomial(f: Reducer, g: Reducer, packing: Packing, L: int) -> dict:
     """Packed integer terms of (lc_g/h)*x^(L-lead_f)*f - (lc_f/h)*x^(L-lead_g)*g,
-    L the lcm of the leads and h = gcd(lc_f, lc_g): the shifted tails, as
-    the leads cancel, tested for guard bits once summed (packing is
-    one-to-one on them, so two that meet are one monomial)."""
+    L the lcm of the leads (the pair's heap key) and h = gcd(lc_f, lc_g):
+    the shifted tails, as the leads cancel, tested for guard bits once
+    summed (packing is one-to-one on them, so two that meet are one monomial)."""
     fe, fc, ftail = f
     ge, gc, gtail = g
     h = gcd(fc, gc)
     a, b = gc // h, fc // h
-    L = packing.lcm(fe, ge)
     sf, sg = L - fe, L - ge
     terms = {x + sf: a * c for x, c in ftail}
     for x, c in gtail:
@@ -470,7 +465,7 @@ def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
             L, _, i, j = heapq.heappop(pairs)
             if filled and filled(L, table, work):
                 continue
-            q = s_polynomial(table[i], table[j], packing)
+            q = s_polynomial(table[i], table[j], packing, L)
         r = divide(q, table, packing, modulus)[1]
         work += len(q) + len(r) * len(table)
         if not r:

@@ -28,6 +28,14 @@ def dot(u, v) -> int:
     return sum(map(operator.mul, u, v))
 
 
+def as_index(x, must: str) -> int:
+    """x as an exact int (``operator.index``), or TypeError: ``must``, not its type."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{must}, not {type(x).__name__}") from None
+
+
 def clear_denominators(values) -> tuple[int, list[int]]:
     """d, the lcm of the denominators of the rationals ``values``, and the
     integers d*v."""

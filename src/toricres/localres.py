@@ -25,7 +25,6 @@ which holds every zero on X, off the torus too (``sum_local_residues``).
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .grading import representative_divisor
 from .groebner import GroebnerBasis, divide, grevlex, quotient_is_finite, standard_monomials
-from .lattice import cone_det, cramer, mat_det
+from .lattice import as_index, cone_det, cramer, mat_det
 from .poly import MultiPoly, dehomogenize, poly_det
 from .polytopes import intersection_number
 from .residues import require_critical_degree
@@ -220,10 +219,7 @@ def sum_local_residues(problem, H: MultiPoly, k: int) -> Fraction:
     raises NotTorusZero: no single chart holds Z.  As f_k vanishes at no
     zero, a singular M_{f_k*J} means det M_J = 0: NonSimpleZero.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise TypeError(f"k must be an integer input index, not {type(k).__name__}") from None
+    k = as_index(k, "k must be an integer input index")
     require_critical_degree(problem, H)
     if not 0 <= k < len(problem.polys):
         raise ValueError(f"no input with index {k}")

@@ -28,9 +28,10 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
-from .lattice import clear_denominators
+from .lattice import as_index, clear_denominators
 
 Exponent = tuple[int, ...]
+_INT, _TUPLE = frozenset({int}), frozenset({tuple})  # the types of a bulk term dict
 
 
 def _rational(c):
@@ -45,14 +46,28 @@ def _rational(c):
 
 
 class MultiPoly:
+    """terms, a dict (or None) of exponent -> int or Fraction, in nvars >= 0
+    variables.  A plain dict of exact ints keyed by exact tuples of nvars
+    exact ints passes four set checks and is copied, zeros dropped; any other
+    runs the per-term loop, which canonicalizes or refuses each term."""
+
     __slots__ = ("nvars", "d", "num")
 
     def __init__(self, nvars: int, terms=None):
+        nvars = as_index(nvars, "nvars must be an int")
+        if nvars < 0:
+            raise ValueError(f"nvars must be nonnegative, not {nvars}")
         self.nvars = nvars
-        clean = {}
         rational = False
-        if terms:
-            for e, c in terms.items():
+        if type(terms) is dict and set(map(type, values := terms.values())) == _INT \
+                and set(map(type, terms)) == _TUPLE and set(map(len, terms)) == {nvars} \
+                and set(map(type, itertools.chain.from_iterable(terms))) <= _INT:
+            clean = {e: c for e, c in terms.items() if c} if 0 in values else terms.copy()
+        elif terms is not None and not hasattr(terms, "items"):
+            raise TypeError(f"terms must be a dict, not {type(terms).__name__}")
+        else:
+            clean = {}
+            for e, c in (terms or {}).items():
                 if type(c) is not int:
                     c = _rational(c)
                     rational = rational or type(c) is not int

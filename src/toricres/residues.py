@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd
 
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
 from .grading import DegreeClass, Grading, compute_grading, critical_degree, representative_divisor
 from .groebner import (GroebnerBasis, MonomialOrder, divide, grevlex, packed_basis, packing_of,
                        quotient_is_finite)
-from .lattice import FanData, cone_det, cone_group_order, is_complete
+from .lattice import FanData, as_index, cone_det, cone_group_order, is_complete
 from .poly import Exponent, MultiPoly, degree_of, dehomogenize, poly_det
 from .polytopes import intersection_number, monomial_basis
 from .values import Value
@@ -338,13 +339,14 @@ class ResidueProblem:
     reads the cached basis too, so building it builds the basis: on a
     complete fan with n+1 rays the basis's pure-power leads decide it, and
     on other fans it certifies each chart by a power of zhat reducing to
-    zero.  Construction only validates that the inputs are MultiPolys,
+    zero.  Construction reads sigma as an int, then only validates inputs,
     shapes, homogeneity, that the grading is the fan's and the rays of
     sigma, so non-conforming inputs can still be probed.
     """
 
     def __init__(self, fan: FanData, polys, order: MonomialOrder | None = None,
                  sigma: int = 0, grading: Grading | None = None):
+        sigma = as_index(sigma, "sigma must be an integer cone index")
         self.fan = fan
         self.polys = tuple(polys)
         if len(self.polys) != fan.dim + 1:
@@ -435,12 +437,17 @@ class ResidueProblem:
         d = cone_det(self.fan, cone_index) * self._sigma_det
         return (d > 0) - (d < 0)
 
+    def _pairing(self, H: MultiPoly) -> tuple[int, int]:
+        """(S, H.d*D), the functional at H as a fraction: S is H.num dotted
+        with D*l in C-level passes, a term off the critical degree as 0."""
+        (D, num), terms = self._functional[1], H.num
+        return sum(map(operator.mul, map(num.get, terms, repeat(0)), terms.values())), H.d * D
+
     def normal_coefficient(self, H: MultiPoly) -> Fraction:
         """Coefficient of the pivot in the normal form of H: the functional
         at H = H.num/H.d, one integer dot product of H.num with D*l over
-        H.d*D; terms outside the critical degree give 0."""
-        D, num = self._functional[1]
-        return Fraction(sum(num[e] * c for e, c in H.num.items() if e in num), H.d * D)
+        H.d*D (``_pairing``); terms outside the critical degree give 0."""
+        return Fraction(*self._pairing(H))
 
 
 def cone_determinant(problem: ResidueProblem, cone_index: int | None = None) -> MultiPoly:
@@ -467,12 +474,14 @@ def _require_hypotheses(problem: ResidueProblem):
 def toric_residue(problem: ResidueProblem, H: MultiPoly) -> Fraction:
     """Exact residue of H, normalized so the cone determinant has residue 1:
     c(H)/c_sigma, once the degree of H and the hypotheses of the residue
-    hold; 0 for H = 0, which needs no hypothesis."""
+    hold; 0 for H = 0, which needs no hypothesis.  With S/T the functional at
+    H and c = c_sigma != 0, one Fraction: S*c.denominator / (T*c.numerator)."""
     require_critical_degree(problem, H)
     if H.is_zero():
         return Fraction(0)
     _require_residue(problem)
-    return problem.normal_coefficient(H) / problem.c_sigma
+    (S, T), c = problem._pairing(H), problem.c_sigma
+    return Fraction(S * c.denominator, T * c.numerator)
 
 
 def require_critical_degree(problem: ResidueProblem, H: MultiPoly):

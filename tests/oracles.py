@@ -57,8 +57,9 @@ polynomial, the order comparison, homogeneity, membership in the
 irrelevant ideal, the cone functionals as Fractions, the Smith-form check
 with its matrix product, the Smith form that scans every entry for each pivot, a packed basis unpacked to exponent tuples, a polynomial built
 unchecked from Fraction terms and a polynomial's integer terms mod P) live
-here too, as does a generator of random complete surfaces with an ample
-class.
+here too, as do the constructor's per-term loop, which read every term
+dict before a canonical one was taken in bulk, and a generator of random
+complete surfaces with an ample class.
 """
 
 from __future__ import annotations
@@ -862,19 +863,18 @@ def _tuple_gm_update(table, pairs, new_lead, order: MonomialOrder):
 
 def groupby_gm_update(table, pairs, new_lead: int, packing: Packing, serial):
     """The packed Gebauer-Moeller pair update as it ran with one
-    ``Packing.lcm`` call per lead, its equal-lcm groups from
+    ``Packing.lcms`` call per lead, its equal-lcm groups from
     ``itertools.groupby`` over the stable sort and the minimality test one
     ``any`` over the minimal lcms, by one divisibility test per lcm: the new
     heap of ``(lcm, serial number, i, j)`` pairs, keeping for each minimal
     lcm its last candidate and none from a group that holds a coprime
     pair."""
     t = len(table)
-    lcm = packing.lcm
 
     def divides(a, b):
         return packing.first_divisor([(a,)], b) is not None
 
-    lcms = [lcm(le, new_lead) for le, _, _ in table]
+    lcms = [packing.lcms((le,), new_lead)[0] for le, _, _ in table]
     product = new_lead - packing.one
     at = lcms.__getitem__
     minimal, kept = [], []
@@ -948,6 +948,38 @@ def unpacked_basis(gens, order: MonomialOrder, modulus: int = 0):
     packing = Packing(order)
     return [(packing.unpack(le), lc, tuple(packing.unpack_terms(dict(tail)).items()))
             for le, lc, tail in packed_basis(gens, order, modulus)]
+
+
+def loop_canonical_terms(nvars: int, terms) -> tuple:
+    """``(nvars, d, num)`` as ``MultiPoly(nvars, terms)`` built them term by
+    term: each coefficient read as an int or a Fraction (TypeError on any
+    other), zeros dropped before their key is read, each key read with
+    ``operator.index`` and its length checked, then one negative-exponent
+    pass and the denominators cleared once."""
+    clean = {}
+    rational = False
+    if terms:
+        for e, c in terms.items():
+            if type(c) is not int:
+                if not isinstance(c, Fraction):
+                    try:
+                        c = operator.index(c)
+                    except TypeError:
+                        raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction") \
+                            from None
+                rational = rational or type(c) is not int
+            if c:
+                e = tuple(map(operator.index, e))
+                if len(e) != nvars:
+                    raise ValueError("exponent length mismatch")
+                clean[e] = c
+    if min(itertools.chain.from_iterable(clean), default=0) < 0:
+        raise ValueError("negative exponent")
+    d = 1
+    if rational:
+        d, nums = clear_denominators(clean.values())
+        clean = dict(zip(clean, nums))
+    return nvars, d, clean
 
 
 def fraction_poly(nvars: int, terms: dict) -> MultiPoly:

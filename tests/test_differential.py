@@ -99,7 +99,9 @@ def packed_divide(terms, table, order, modulus=0):
 def packed_s_polynomial(f, g, order):
     """``s_polynomial`` of two tuple reducers, read back as tuples."""
     packing = Packing(order)
-    return packing.unpack_terms(s_polynomial(*pack_table(packing, [f, g]), packing))
+    pf, pg = pack_table(packing, [f, g])
+    L = packing.lcms((pf[0],), pg[0])[0]
+    return packing.unpack_terms(s_polynomial(pf, pg, packing, L))
 
 
 def codim_outcome(check):

@@ -71,7 +71,7 @@ def test_packing_keeps_order_products_divisibility_and_exponents(case):
         for b, y in zip(exps, xs):
             assert (packing.first_divisor([(x,)], y) is not None) \
                 == all(map(operator.le, a, b))
-            assert packing.lcm(x, y) == packing.pack(tuple(map(max, a, b)))
+            assert packing.lcms((x,), y) == [packing.pack(tuple(map(max, a, b)))]
             total = tuple(map(operator.add, a, b))
             if max(total) <= MAX:
                 assert x + y - packing.one == packing.pack(total)

@@ -8,13 +8,16 @@ with leads at the field maximum M.  ``Packing.lcms`` must be the
 fieldwise maximum of ``oracles._lcm``.  On the five shapes of the dense
 benchmark rungs the tables must be the tuple kernel's over Q and mod P,
 and the final pass must divide exactly the elements whose tail a lower
-lead divides.  ``degree_of`` compares terms by ``Grading.degree_values``
-and must refuse with the first differing term as its witness, for a
-torsion-only and a free mismatch, and accept terms whose torsion values
-differ by a multiple of the modulus.
+lead divides.  ``Packing.lcms`` runs only in the pair update: each
+S-polynomial takes its lcm from the popped pair's key.  ``degree_of``
+compares terms by ``Grading.degree_values`` and must refuse with the
+first differing term as its witness, for a torsion-only and a free
+mismatch, and accept terms whose torsion values differ by a multiple of
+the modulus.
 """
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,7 +86,7 @@ def test_lcms_are_the_fieldwise_maxima(data):
     b = data.draw(st.tuples(*[EXPONENTS] * m))
     got = packing.lcms([packing.pack(a) for a in leads], packing.pack(b))
     assert [packing.unpack(x) for x in got] == [_lcm(a, b) for a in leads]
-    assert [packing.lcm(packing.pack(a), packing.pack(b)) for a in leads] == got
+    assert [packing.lcms((packing.pack(a),), packing.pack(b))[0] for a in leads] == got
 
 
 def _rungs():
@@ -145,6 +148,31 @@ def test_the_final_pass_divides_only_tails_a_lower_lead_divides(monkeypatch, nam
                        for h in minimal[:p] for x, _ in g[2])]
     assert final == expected
     assert 0 < len(final) < len(reduced)
+
+
+@pytest.mark.parametrize("modulus", [0, P])
+@pytest.mark.parametrize("name, fan, grading, exponent", RUNGS, ids=[r[0] for r in RUNGS])
+def test_lcms_run_only_in_the_pair_update(monkeypatch, name, fan, grading, exponent, modulus):
+    """Every ``lcms`` call comes from ``_gm_update``, and every S-polynomial
+    is handed the lcm of its two leads, the key of the pair popped."""
+    callers, handed = [], []
+    real_lcms, real_s = Packing.lcms, groebner_mod.s_polynomial
+
+    def lcms(self, leads, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_lcms(self, leads, b)
+
+    def s_polynomial(f, g, packing, L):
+        handed.append((packing.unpack(f[0]), packing.unpack(g[0]), packing.unpack(L)))
+        return real_s(f, g, packing, L)
+
+    monkeypatch.setattr(Packing, "lcms", lcms)
+    monkeypatch.setattr(groebner_mod, "s_polynomial", s_polynomial)
+    gens = [p.num for p in seeded_dense_system(fan, grading, grading.degree(exponent), 1)]
+    order = grevlex(fan.nvars)
+    assert unpacked_basis(gens, order, modulus) == tuple_buchberger(gens, order, modulus)
+    assert callers and set(callers) == {"_gm_update"}
+    assert handed and all(L == _lcm(a, b) for a, b, L in handed)
 
 
 # ---------------------------------------------------------------------------
