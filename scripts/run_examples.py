@@ -81,7 +81,7 @@ def run_pentagon():
     names = lp.fan.variables
     print(f"  critical-degree monomials: {len(pb.monomials)}")
     print(f"  codimension-one: {pb.codim.ok}, pivot "
-          f"{poly_to_string_mon(pb.pivot, names)}")
+          f"{poly_to_string_mon(pb.codim.pivot, names)}")
     delta = pb.delta
     print(f"  cone determinant ({len(delta.terms)} terms): "
           f"{poly_to_string(delta, names)}")

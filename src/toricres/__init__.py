@@ -73,10 +73,7 @@ from .lattice import (
     make_fan,
     smith_normal_form,
 )
-from .localres import (
-    euler_jacobi_check,
-    sum_local_residues,
-)
+from .localres import sum_local_residues
 from .poly import (
     MultiPoly,
     degree_of,
@@ -131,7 +128,7 @@ __all__ = [
     "parse_order", "quotient_is_finite", "standard_monomials",
     "CompletenessReport", "FanData", "SmithDecomposition", "cone_det", "cone_group_order",
     "is_complete", "is_simplicial", "make_fan", "smith_normal_form",
-    "euler_jacobi_check", "sum_local_residues",
+    "sum_local_residues",
     "MultiPoly", "degree_of", "dehomogenize", "parse_poly", "poly_det",
     "poly_to_string",
     "HPolytope", "divisor_polytope", "intersection_number", "lattice_points",

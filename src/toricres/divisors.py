@@ -10,11 +10,10 @@ walls of a complete fan.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidFan
-from .lattice import FanData, clear_denominators, dot, is_complete, mat_vec
+from .lattice import FanData, as_rational, clear_denominators, dot, is_complete, mat_vec
 from .values import Value
 
 
@@ -36,7 +35,7 @@ def support_meets(fan: FanData, coeffs):
     that m_k = num/(den*d).  A cone without dim independent rays raises."""
     if len(coeffs) != fan.nvars:
         raise InvalidFan("one coefficient per ray is required")
-    d, scaled = clear_denominators(map(Fraction, coeffs))
+    d, scaled = clear_denominators(map(as_rational, coeffs))
     meets = []
     for k, (cone, (det, adj)) in enumerate(zip(fan.max_cones, fan.cone_table)):
         if not det:

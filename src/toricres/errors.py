@@ -110,7 +110,7 @@ class ZeroOnPolarLocus(ToricError):
 
 class NotTorusZero(ToricError):
     """In the local sums, no single chart holds every zero of the partial
-    system; in the torus totals, a zero has a vanishing coordinate."""
+    system."""
 
 
 class InfiniteIntersection(ToricError):

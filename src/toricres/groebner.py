@@ -84,11 +84,6 @@ class MonomialOrder(Value):
     def nvars(self) -> int:
         return len(self.precedence)
 
-    def key(self, e: Exponent):
-        if self.kind == "lex":
-            return tuple(e[i] for i in self.precedence)
-        return (sum(e), tuple(-e[i] for i in reversed(self.precedence)))
-
 
 def grevlex(nvars: int) -> MonomialOrder:
     return MonomialOrder("grevlex", tuple(range(nvars)))
@@ -498,9 +493,9 @@ def packed_basis(gens, order: MonomialOrder, modulus: int = 0) -> list[Reducer]:
 class GroebnerBasis(Value):
     """A reduced Groebner basis over Q as its packed reducer table, as
     ``packed_basis`` builds it, on the packing of ``order``: the one stored
-    form, of which ``reducers`` and ``generators`` are views built on first
-    use.  A packing is fixed by its order, so two bases are equal when
-    their tables and orders are."""
+    form, of which ``generators`` is a view built on first use.  A packing
+    is fixed by its order, so two bases are equal when their tables and
+    orders are."""
 
     _fields = ("table", "order")
 
@@ -519,28 +514,28 @@ class GroebnerBasis(Value):
         return packing_of(self.order)
 
     @cached_property
-    def reducers(self) -> tuple[Reducer, ...]:
-        """The table with its monomials as exponent tuples."""
-        unpack, unpack_terms = self.packing.unpack, self.packing.unpack_terms
-        return tuple((unpack(le), lc, tuple(unpack_terms(dict(tail)).items()))
-                     for le, lc, tail in self.table)
-
-    @cached_property
     def generators(self) -> tuple[MultiPoly, ...]:
         """The reduced monic basis as Fraction polynomials; the package
         itself reads only the table."""
-        return tuple(MultiPoly.from_integer_terms(self.order.nvars, lc, {le: lc, **dict(tail)})
-                     for le, lc, tail in self.reducers)
+        nvars, unpack_terms = self.order.nvars, self.packing.unpack_terms
+        return tuple(MultiPoly.from_integer_terms(nvars, lc, unpack_terms({le: lc, **dict(tail)}))
+                     for le, lc, tail in self.table)
 
-    def reduce(self, p: MultiPoly) -> MultiPoly:
-        """Remainder of p: ``divide`` on its integer terms returns the integer
-        remainder r of scale*p.num, and the normal form is r/(scale*p.d),
-        brought to lowest terms."""
-        if p.nvars != self.order.nvars:
-            raise DegreeMismatch("polynomial ring does not match the basis")
+    def remainder(self, p: MultiPoly) -> tuple[int, dict]:
+        """(d, r) with the normal form of p equal to r/d, r packed integer
+        terms in lowest terms: ``divide`` on p's integer terms returns the
+        integer remainder of scale*p.num, over scale*p.d."""
         packing = self.packing
         scale, rem = divide(packing.pack_terms(p.num), self.table, packing)
-        return MultiPoly.from_integer_terms(p.nvars, scale * p.d, packing.unpack_terms(rem))
+        k = gcd(scale * p.d, *rem.values())
+        return scale * p.d // k, {y: c // k for y, c in rem.items()}
+
+    def reduce(self, p: MultiPoly) -> MultiPoly:
+        """The normal form of p, its ``remainder`` unpacked."""
+        if p.nvars != self.order.nvars:
+            raise DegreeMismatch("polynomial ring does not match the basis")
+        d, rem = self.remainder(p)
+        return MultiPoly.from_integer_terms(p.nvars, d, self.packing.unpack_terms(rem))
 
 
 def _least_pure_powers(gb: GroebnerBasis) -> dict[int, int]:

@@ -14,6 +14,7 @@ gives a rank or a lattice.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -34,6 +35,18 @@ def as_index(x, must: str) -> int:
         return operator.index(x)
     except TypeError:
         raise TypeError(f"{must}, not {type(x).__name__}") from None
+
+
+def as_rational(c):
+    """c as an int or a Fraction, or TypeError: the one reader of a
+    coefficient, which refuses a float, str, Decimal or complex, as those
+    would be read in binary or parsed."""
+    if isinstance(c, Fraction):
+        return c
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction") from None
 
 
 def clear_denominators(values) -> tuple[int, list[int]]:

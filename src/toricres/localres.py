@@ -15,8 +15,8 @@ vanishes at a zero, and when every zero is simple and off g, the sum of
 h/(g*J) over the zeros, J the Jacobian determinant, is the trace of
 M_{g*J}^-1 M_h (Cattani-Dickenstein-Sturmfels, *Computing multidimensional
 residues*, 1996), Tr M_q for q = h/(g*J): one integer solve for q
-(``lattice.cramer``) and M_q's diagonal.  A singular M_{g*J} is refused:
-NonSimpleZero when det M_J = 0, else because g vanishes at a zero.
+(``lattice.cramer``) and M_q's diagonal, or no value when M_{g*J} is
+singular.
 
 A residue is such a trace on one chart: the first whose dimension is the
 chart group order times the intersection number of the other n degrees,
@@ -31,7 +31,6 @@ from math import gcd, lcm
 
 from .divisors import is_q_ample
 from .errors import (
-    DegreeMismatch,
     InfiniteIntersection,
     NonSimpleZero,
     NotTorusZero,
@@ -39,8 +38,8 @@ from .errors import (
     ZeroOnPolarLocus,
 )
 from .grading import representative_divisor
-from .groebner import GroebnerBasis, divide, grevlex, quotient_is_finite, standard_monomials
-from .lattice import as_index, cone_det, cramer, mat_det
+from .groebner import GroebnerBasis, grevlex, quotient_is_finite, standard_monomials
+from .lattice import as_index, cone_det, cramer
 from .poly import MultiPoly, dehomogenize, poly_det
 from .polytopes import intersection_number
 from .residues import require_critical_degree
@@ -132,12 +131,6 @@ class _Quotient:
             scales[b] = scales[c] * table[c][b]
         return list(scales.values()), lcm(*scales.values())
 
-    def _reduce(self, g: MultiPoly):
-        """(d, v) with NF(g) = v/d, v packed integer terms in lowest terms."""
-        scale, rem = divide(self.gb.packing.pack_terms(g.num), self.gb.table, self.gb.packing)
-        k = gcd(scale * g.d, *rem.values())
-        return scale * g.d // k, {y: c // k for y, c in rem.items()}
-
     def _compose(self, first):
         """{b: column b} from column 1 = ``first``: column b is table times column
         c along ``_steps``, s_b*NF(x^b * first) for s_b = prod_j D_j^(b_j)."""
@@ -151,23 +144,18 @@ class _Quotient:
         return cols
 
     def matrix(self, g: MultiPoly):
-        """(d, G), G = d*M_g*diag(s_b) composed from NF(g) = v/d (``_reduce``):
+        """(d, G), G = d*M_g*diag(s_b) composed from NF(g) = v/d (``remainder``):
         the s_b scale the G of every g by one similarity and keep det G = 0."""
-        d, first = self._reduce(g)
+        d, first = self.gb.remainder(g)
         cols, B = self._compose(first), self.basis
         return d, [[cols[b].get(e, 0) for b in B] for e in B]
-
-    def require_simple(self):
-        """NonSimpleZero unless det M_J != 0, J the Jacobian determinant."""
-        if mat_det(self.matrix(self.jacobian)[1]) == 0:
-            raise NonSimpleZero("the Jacobian vanishes at a zero (det M_J = 0)")
 
     def trace(self, h: MultiPoly, g: MultiPoly) -> Fraction | None:
         """The sum of h/(g*J) over the zeros (0 if none), or None when M_{g*J} is singular:
         Tr M_q for q = h/(g*J).  One ``cramer`` solves G*y = v, G = d*M_{g*J}*diag(s_b)
         (``matrix``), NF(h) = v/d_h; q = (d/d_h)*(s_b*y_b), composed to s_b times M_q."""
         d, G = self.matrix(g * self.jacobian)
-        d_h, v = self._reduce(h)
+        d_h, v = self.gb.remainder(h)
         if (solved := cramer(G, [v.get(b, 0) for b in self.basis])) is None:
             return None
         (y, det), (scales, L) = solved, self._scales
@@ -242,23 +230,3 @@ def sum_local_residues(problem, H: MultiPoly, k: int) -> Fraction:
             return (-1) ** k * problem.cone_sign(cone) * total
     raise NotTorusZero(f"no single chart holds every zero of the inputs but {k}")
 
-
-def euler_jacobi_check(nvars: int, f_list, g: MultiPoly):
-    """Sum of g/(x_1...x_n * J) over the zeros of f_list, J the Jacobian
-    determinant, exactly: the torus residues of g against the given divisor
-    polynomials, weighted by the torus form.  Returns (total == 0, total).
-
-    Refuses with DegreeMismatch, before any basis is built, unless f_list
-    holds nvars >= 1 polynomials and every polynomial has nvars variables;
-    with NotZeroDimensional when the zeros are not finite, with
-    NonSimpleZero when det M_J = 0 (a multiple zero), and with NotTorusZero
-    when some zero has a vanishing coordinate.
-    """
-    if nvars < 1 or len(f_list) != nvars or any(p.nvars != nvars for p in (*f_list, g)):
-        raise DegreeMismatch(f"need {nvars} polynomials in {nvars} variables")
-    quotient = _Quotient(list(f_list))
-    total = quotient.trace(g, MultiPoly.monomial((1,) * nvars))
-    if total is None:
-        quotient.require_simple()
-        raise NotTorusZero("zero off the torus")
-    return total == 0, total

@@ -28,28 +28,18 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
-from .lattice import as_index, clear_denominators
+from .lattice import as_index, as_rational, clear_denominators
 
 Exponent = tuple[int, ...]
 _INT, _TUPLE = frozenset({int}), frozenset({tuple})  # the types of a bulk term dict
-
-
-def _rational(c):
-    """c as an int or a Fraction; TypeError on a float, str, Decimal or
-    complex, which would be read in binary or parsed."""
-    if isinstance(c, Fraction):
-        return c
-    try:
-        return operator.index(c)
-    except TypeError:
-        raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction") from None
 
 
 class MultiPoly:
     """terms, a dict (or None) of exponent -> int or Fraction, in nvars >= 0
     variables.  A plain dict of exact ints keyed by exact tuples of nvars
     exact ints passes four set checks and is copied, zeros dropped; any other
-    runs the per-term loop, which canonicalizes or refuses each term."""
+    runs the per-term loop, which canonicalizes or refuses each term and
+    adds the terms of keys that read to one exponent."""
 
     __slots__ = ("nvars", "d", "num")
 
@@ -69,13 +59,17 @@ class MultiPoly:
             clean = {}
             for e, c in (terms or {}).items():
                 if type(c) is not int:
-                    c = _rational(c)
+                    c = as_rational(c)
                     rational = rational or type(c) is not int
                 if c:
                     e = tuple(map(operator.index, e))
                     if len(e) != nvars:
                         raise ValueError("exponent length mismatch")
-                    # equal exponents are one dict key: no two terms meet
+                    if e in clean:  # two keys read to one exponent: add them
+                        c += clean[e]
+                        if not c:
+                            del clean[e]
+                            continue
                     clean[e] = c
         # one pass over every exponent: a test per term slows building an H
         if min(itertools.chain.from_iterable(clean), default=0) < 0:
@@ -112,7 +106,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars, c):
-        c = Fraction(_rational(c))
+        c = Fraction(as_rational(c))
         return cls.from_integer_terms(nvars, c.denominator,
                                       {(0,) * nvars: c.numerator} if c else {})
 
@@ -180,7 +174,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = Fraction(_rational(other))
+            c = Fraction(as_rational(other))
             if not c:
                 return MultiPoly.zero(self.nvars)
             n = c.numerator

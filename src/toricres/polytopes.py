@@ -27,7 +27,7 @@ from math import ceil, floor, prod
 from .divisors import slacks, support_meets
 from .errors import InvalidFan, Unbounded
 from .grading import representative_divisor
-from .lattice import cramer, dot, hnf_rows, is_complete, mat_det
+from .lattice import as_rational, cramer, dot, hnf_rows, is_complete, mat_det
 from .values import Value
 
 
@@ -46,15 +46,7 @@ class HPolytope(Value):
         if any(len(nr) != dim for nr in normals):
             raise ValueError("each normal needs one entry per dimension")
         self._set(dim, tuple(tuple(map(operator.index, nr)) for nr in normals),
-                  tuple(Fraction(o) for o in offsets))
-
-    def contains(self, point) -> bool:
-        """Whether the point satisfies every inequality; ValueError unless it
-        has one entry per dimension."""
-        if len(point) != self.dim:
-            raise ValueError(f"point has {len(point)} entries in dimension {self.dim}")
-        return all(dot(point, nr) + off >= 0
-                   for nr, off in zip(self.normals, self.offsets))
+                  tuple(Fraction(as_rational(o)) for o in offsets))
 
     @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -401,10 +401,6 @@ class ResidueProblem:
         D, num = self._functional[1]
         return {m: Fraction(v, D) for m, v in num.items()}
 
-    @property
-    def pivot(self) -> Exponent:
-        return self.codim.pivot
-
     @cached_property
     def membership_failures(self):
         witnesses = (irrelevant_witness(p, self.fan) for p in self.polys)
@@ -531,7 +527,7 @@ def residue_report(problem: ResidueProblem, H: MultiPoly) -> ResidueReport:
     return ResidueReport(
         critical=problem.critical,
         monomials=tuple(problem.monomials),
-        pivot=problem.pivot,
+        pivot=problem.codim.pivot,
         delta=problem.delta,
         c_sigma=problem.c_sigma,
         c_h=c_h,

@@ -53,13 +53,16 @@ and Fraction elimination, is a reference value for both the exact residue
 and the package's trace, and the chart that holds those zeros is found
 by ideal membership.  Tests compare engine output against them.  The
 queries only tests call (evaluation, substitution and coefficients of a
-polynomial, the order comparison, homogeneity, membership in the
-irrelevant ideal, the cone functionals as Fractions, the Smith-form check
+polynomial, the order comparison and its tuple key, whether a polytope
+contains a point, a basis's reducer table on exponent tuples, homogeneity,
+membership in the irrelevant ideal, the cone functionals as Fractions, the Smith-form check
 with its matrix product, the Smith form that scans every entry for each pivot, a packed basis unpacked to exponent tuples, a polynomial built
 unchecked from Fraction terms and a polynomial's integer terms mod P) live
 here too, as do the constructor's per-term loop, which read every term
-dict before a canonical one was taken in bulk, and a generator of random
-complete surfaces with an ample class.
+dict before a canonical one was taken in bulk, the torus total of
+Cattani and Dickenstein with its simple-zero test, once exported as
+``euler_jacobi_check``, and a generator of random complete surfaces with
+an ample class.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import atan2, ceil, factorial, floor, gcd, lcm, prod
 
 import numpy as np
@@ -90,6 +93,7 @@ from toricres.groebner import (Packing, grevlex, lex, packed_basis,
 from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cone_det, dot,
                               freeze, hnf_rows, mat_det, mat_vec, reduce_mod_lattice,
                               smith_normal_form)
+from toricres import localres
 from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, degree_of, poly_det as integer_poly_det
 from toricres.polytopes import (HPolytope, divisor_monomials, divisor_polytope,
@@ -108,7 +112,7 @@ def is_constant(p: MultiPoly) -> bool:
 def leading_term(p: MultiPoly, order: MonomialOrder):
     if p.is_zero():
         raise ValueError("leading term of zero")
-    e = max(p.terms, key=order.key)
+    e = max(p.terms, key=partial(order_key, order))
     return e, p.terms[e]
 
 
@@ -147,8 +151,31 @@ def substitute(p: MultiPoly, values: dict[int, "MultiPoly | int | Fraction"]):
     return out
 
 
+def order_key(order: MonomialOrder, e: Exponent):
+    """A tuple that ascends with the order: the greater monomial has the
+    greater key."""
+    if order.kind == "lex":
+        return tuple(e[i] for i in order.precedence)
+    return (sum(e), tuple(-e[i] for i in reversed(order.precedence)))
+
+
 def greater(order: MonomialOrder, a: Exponent, b: Exponent) -> bool:
-    return order.key(a) > order.key(b)
+    return order_key(order, a) > order_key(order, b)
+
+
+def contains(poly: HPolytope, point) -> bool:
+    """Whether the point satisfies every inequality of ``poly``; ValueError
+    unless it has one entry per dimension."""
+    if len(point) != poly.dim:
+        raise ValueError(f"point has {len(point)} entries in dimension {poly.dim}")
+    return all(dot(point, nr) + off >= 0 for nr, off in zip(poly.normals, poly.offsets))
+
+
+def reducers(gb: GroebnerBasis) -> tuple:
+    """The reducer table of a basis with its monomials as exponent tuples."""
+    unpack, unpack_terms = gb.packing.unpack, gb.packing.unpack_terms
+    return tuple((unpack(le), lc, tuple(unpack_terms(dict(tail)).items()))
+                 for le, lc, tail in gb.table)
 
 
 def is_homogeneous(p: MultiPoly, grading) -> bool:
@@ -536,7 +563,7 @@ def _divides(a, b) -> bool:
 
 def leading_exponents(gb) -> tuple:
     """The leads of a basis's reducers, as exponent tuples."""
-    return tuple(le for le, _, _ in gb.reducers)
+    return tuple(le for le, _, _ in reducers(gb))
 
 
 def is_unit_ideal(gb) -> bool:
@@ -575,7 +602,7 @@ def linear_scan_normal_form(p, basis, order):
     rem = {}
     work = dict(p.terms)
     while work:
-        e = max(work, key=order.key)
+        e = max(work, key=partial(order_key, order))
         c = work.pop(e)
         hit = None
         for (le, lc), g in leads:
@@ -617,9 +644,9 @@ def all_monomial_codim_check(fan, grading, polys, order) -> CodimReport:
     if not standard:
         raise AllReduceToZero(
             "every critical-degree monomial reduces to zero")
-    pivot = min(standard, key=order.key)
+    pivot = min(standard, key=partial(order_key, order))
     if len(standard) > 1:
-        others = sorted(standard, key=order.key)
+        others = sorted(standard, key=partial(order_key, order))
         return CodimReport(False, pivot, (others[0], others[1]), len(standard))
     for m in mons:
         nf = linear_scan_normal_form(MultiPoly.monomial(m), gb.generators, order)
@@ -640,7 +667,7 @@ def normal_form_coefficient(problem, H) -> Fraction:
     if not standard:
         raise AllReduceToZero(
             "every critical-degree monomial reduces to zero")
-    pivot = min(standard, key=problem.order.key)
+    pivot = min(standard, key=partial(order_key, problem.order))
     nf = linear_scan_normal_form(H, gb.generators, problem.order)
     return nf.terms.get(pivot, Fraction(0))
 
@@ -687,18 +714,18 @@ def normal_form_sigma_independence(problem) -> bool:
 # built it before it held one integer vector over a common denominator
 
 
-def fraction_functional(order: MonomialOrder, groebner, monomials) -> tuple[CodimReport, dict]:
+def fraction_functional(order: MonomialOrder, table, monomials) -> tuple[CodimReport, dict]:
     """Codimension report and the functional as a dict of Fractions, from
     one ascending pass over ``monomials``: 1 at the pivot, 0 at every other
     standard monomial, -sum c_t*l(t*m/le)/lc at a monomial that the first
-    dividing reducer (le, lc, tail) of ``groebner`` reduces."""
+    dividing reducer (le, lc, tail) of ``table``, on exponent tuples, reduces."""
     if not monomials:
         raise AllReduceToZero("no monomials exist in the critical degree")
     add, sub = operator.add, operator.sub
     ell = {}
     standard = []
-    for m in sorted(monomials, key=order.key):
-        hit = first_divisor(groebner.reducers, m)
+    for m in sorted(monomials, key=partial(order_key, order)):
+        hit = first_divisor(table, m)
         if hit is None:
             ell[m] = Fraction(0) if standard else Fraction(1)
             standard.append(m)
@@ -753,7 +780,7 @@ def _sub_exp(a: Exponent, b: Exponent) -> Exponent:
 def integer_reducer(terms: dict, order: MonomialOrder, modulus: int = 0):
     """(lead exponent, lead coefficient, tail terms) of nonzero integer
     terms: primitive with lc > 0 over Q, monic over GF(p)."""
-    le = max(terms, key=order.key)
+    le = max(terms, key=partial(order_key, order))
     lc = terms[le]
     if modulus:
         inv = pow(lc, -1, modulus)
@@ -858,7 +885,7 @@ def _tuple_gm_update(table, pairs, new_lead, order: MonomialOrder):
             D.append(i)
     kept_old = [p for p in pairs
                 if not (_divides(lt, p[1]) and lcms[p[2]] != p[1] and lcms[p[3]] != p[1])]
-    return kept_old + [(order.key(lcms[i]), lcms[i], i, t) for i in D if not coprime[i]]
+    return kept_old + [(order_key(order, lcms[i]), lcms[i], i, t) for i in D if not coprime[i]]
 
 
 def groupby_gm_update(table, pairs, new_lead: int, packing: Packing, serial):
@@ -910,9 +937,10 @@ def tuple_buchberger(gens, order: MonomialOrder, modulus: int = 0):
         return []
     table = []
     pairs = []
+    key = partial(order_key, order)
 
     def candidates():
-        yield from sorted(G, key=lambda q: order.key(max(q, key=order.key)))
+        yield from sorted(G, key=lambda q: key(max(q, key=key)))
         while pairs:
             best = min(pairs, key=operator.itemgetter(0))
             pairs.remove(best)
@@ -931,7 +959,7 @@ def tuple_buchberger(gens, order: MonomialOrder, modulus: int = 0):
     minimal = [g for i, g in enumerate(table)
                if not any(k != i and _divides(h[0], g[0]) and (h[0] != g[0] or k < i)
                           for k, h in enumerate(table))]
-    minimal.sort(key=lambda g: order.key(g[0]))
+    minimal.sort(key=lambda g: key(g[0]))
     # reduce tails; no other minimal lead divides a lead, which keeps its
     # coefficient times the scale of the division
     reduced = []
@@ -954,8 +982,9 @@ def loop_canonical_terms(nvars: int, terms) -> tuple:
     """``(nvars, d, num)`` as ``MultiPoly(nvars, terms)`` built them term by
     term: each coefficient read as an int or a Fraction (TypeError on any
     other), zeros dropped before their key is read, each key read with
-    ``operator.index`` and its length checked, then one negative-exponent
-    pass and the denominators cleared once."""
+    ``operator.index`` and its length checked, two keys read to one
+    exponent added in the first one's place and dropped when the sum is 0,
+    then one negative-exponent pass and the denominators cleared once."""
     clean = {}
     rational = False
     if terms:
@@ -972,6 +1001,11 @@ def loop_canonical_terms(nvars: int, terms) -> tuple:
                 e = tuple(map(operator.index, e))
                 if len(e) != nvars:
                     raise ValueError("exponent length mismatch")
+                if e in clean:
+                    c += clean[e]
+                    if not c:
+                        del clean[e]
+                        continue
                 clean[e] = c
     if min(itertools.chain.from_iterable(clean), default=0) < 0:
         raise ValueError("negative exponent")
@@ -1166,10 +1200,10 @@ def parallel_list_buchberger(gens, order, modulus=0):
 
     def pair_key(ij):
         i, j = ij
-        return order.key(tuple(max(x, y) for x, y in zip(leads[i], leads[j])))
+        return order_key(order, tuple(max(x, y) for x, y in zip(leads[i], leads[j])))
 
     def candidates():
-        yield from sorted(G, key=lambda q: order.key(leading_term(q, order)[0]))
+        yield from sorted(G, key=lambda q: order_key(order, leading_term(q, order)[0]))
         while pairs:
             best = min(pairs, key=pair_key)
             pairs.remove(best)
@@ -1197,7 +1231,7 @@ def parallel_list_buchberger(gens, order, modulus=0):
         if r.is_zero():
             continue
         reduced.append(monic(r))
-    reduced.sort(key=lambda q: order.key(leading_term(q, order)[0]))
+    reduced.sort(key=lambda q: order_key(order, leading_term(q, order)[0]))
     return reduced
 
 
@@ -1445,10 +1479,6 @@ class TupleQuotient:
                     col[f] = col.get(f, 0) + c * x
             cols[b] = col
         return nf.d, [[cols[b].get(e, 0) for b in self.basis] for e in self.basis]
-
-    def require_simple(self):
-        if mat_det(self.matrix(self.jacobian)[1]) == 0:
-            raise NonSimpleZero("the Jacobian vanishes at a zero (det M_J = 0)")
 
     def trace(self, h: MultiPoly, g: MultiPoly) -> Fraction | None:
         d_gj, A = self.matrix(g * self.jacobian)
@@ -1797,7 +1827,7 @@ def fraction_vertices(poly):
         if v in seen:
             continue
         seen.add(v)
-        if poly.contains(v):
+        if contains(poly, v):
             out.append(v)
     out.sort()
     return out
@@ -1863,7 +1893,7 @@ def box_lattice_points(poly):
         lo = min(v[j] for v in verts)
         hi = max(v[j] for v in verts)
         ranges.append(range(ceil(lo), floor(hi) + 1))
-    return [pt for pt in itertools.product(*ranges) if poly.contains(pt)]
+    return [pt for pt in itertools.product(*ranges) if contains(poly, pt)]
 
 
 def dot_divisor_monomials(rays, coeffs):
@@ -2448,9 +2478,43 @@ def screen_residue_sum(problem, H, k, zero_locus=split_chart_zero_locus):
     fk, quotient = _chart(problem, k, problem.sigma)
     total = quotient.trace(dehomogenize(H, fan, problem.sigma), fk)
     if total is None:
-        quotient.require_simple()
+        require_simple(quotient)
         raise ZeroOnPolarLocus("dropped input vanishes at a zero: a common zero on X")
     return (-1) ** k * total
+
+
+# ---------------------------------------------------------------------------
+# the torus total, the Euler-Jacobi sum of Cattani and Dickenstein (*A global
+# view of residues in the torus*, JPAA 117-118, 1997), as the package exported
+# it: a trace on the quotient that ``localres._Quotient`` names when called
+
+
+def require_simple(quotient):
+    """NonSimpleZero unless det M_J != 0 on a chart quotient, J the
+    Jacobian determinant."""
+    if mat_det(quotient.matrix(quotient.jacobian)[1]) == 0:
+        raise NonSimpleZero("the Jacobian vanishes at a zero (det M_J = 0)")
+
+
+def euler_jacobi_check(nvars: int, f_list, g: MultiPoly):
+    """Sum of g/(x_1...x_n * J) over the zeros of f_list, J the Jacobian
+    determinant, exactly: the torus residues of g against the given divisor
+    polynomials, weighted by the torus form.  Returns (total == 0, total).
+
+    Refuses with DegreeMismatch, before any basis is built, unless f_list
+    holds nvars >= 1 polynomials and every polynomial has nvars variables;
+    with NotZeroDimensional when the zeros are not finite, with
+    NonSimpleZero when det M_J = 0 (a multiple zero), and with NotTorusZero
+    when some zero has a vanishing coordinate.
+    """
+    if nvars < 1 or len(f_list) != nvars or any(p.nvars != nvars for p in (*f_list, g)):
+        raise DegreeMismatch(f"need {nvars} polynomials in {nvars} variables")
+    quotient = localres._Quotient(list(f_list))
+    total = quotient.trace(g, MultiPoly.monomial((1,) * nvars))
+    if total is None:
+        require_simple(quotient)
+        raise NotTorusZero("zero off the torus")
+    return total == 0, total
 
 
 # ---------------------------------------------------------------------------
@@ -2594,7 +2658,7 @@ def numeric_residue_sum(problem, H, k, seed: int = 0) -> complex:
         (None, None, None))
     if cone is None:
         raise NotTorusZero(f"no single chart holds every zero of the inputs but {k}")
-    quotient.require_simple()
+    require_simple(quotient)
     h = _complex_terms(dehomogenize(H, fan, cone))
     fk = _complex_terms(fk)
     total = sum((complex(_evaluate(h, z)) / (complex(_evaluate(fk, z)) * det)
@@ -2606,7 +2670,7 @@ def numeric_torus_total(nvars: int, f_list, g: MultiPoly, seed: int = 0) -> comp
     """Sum of g/(x_1...x_n * J) over the zeros of f_list in floating point,
     with the refusals of ``euler_jacobi_check`` in its order."""
     quotient = _Quotient(list(f_list))
-    quotient.require_simple()
+    require_simple(quotient)
     if mat_det(quotient.matrix(MultiPoly.monomial((1,) * nvars))[1]) == 0:
         raise NotTorusZero("zero off the torus")
     g_terms = _complex_terms(g)
@@ -2625,7 +2689,7 @@ def solve_chart_system(polys, seed: int = 0):
     multiple zero) or when the combination of coordinate matrices that the
     seed picks resolves fewer distinct zeros than dim Q[x]/I."""
     quotient = _Quotient(list(polys))
-    quotient.require_simple()
+    require_simple(quotient)
     return quotient_zeros(quotient, seed)[0], len(quotient.basis)
 
 
@@ -2644,7 +2708,7 @@ def chart_zero_set(problem, k: int, cone_index: int | None = None,
     with InfiniteIntersection for a positive-dimensional system."""
     cone = problem.sigma if cone_index is None else cone_index
     quotient = _chart(problem, k, cone)[1]
-    quotient.require_simple()
+    require_simple(quotient)
     zeros, dets = quotient_zeros(quotient, seed)
     return NumericZeroSet(cone, tuple(zeros), tuple(dets), len(quotient.basis))
 

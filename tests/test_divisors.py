@@ -1,8 +1,18 @@
+import re
+from fractions import Fraction
+
+import pytest
+
 from toricres import (
+    HPolytope,
     MultiPoly,
+    PositivityReport,
+    divisor_polytope,
+    intersection_number,
     is_ample,
     is_cartier,
     is_q_ample,
+    lattice_points,
     monomial_basis,
     representative_divisor,
 )
@@ -90,3 +100,49 @@ def test_ample_implies_section_ring_in_irrelevant_ideal(pentagon):
     alpha = g.degree(coeffs)
     for m in monomial_basis(fan, g, alpha):
         assert in_irrelevant_ideal(MultiPoly.monomial(m), fan)
+
+
+# every reader of a divisor's coefficients, as a function of (fan, coeffs)
+COEFFICIENT_READERS = {
+    "intersection_number": intersection_number,
+    "is_cartier": is_cartier,
+    "is_q_ample": is_q_ample,
+    "is_ample": is_ample,
+    "divisor_polytope": divisor_polytope,
+    "HPolytope": lambda fan, coeffs: HPolytope(fan.dim, fan.rays, coeffs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_READERS))
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, "1/3", "1"])
+def test_a_float_or_string_coefficient_is_refused(pentagon, name, bad):
+    """A float would be read in binary (0.1 as 3602879701896397/2^55) and
+    a string parsed; both are refused, as ``MultiPoly`` refuses them."""
+    fan, _ = pentagon
+    message = re.escape(f"coefficient {bad!r} is neither an int nor a Fraction")
+    with pytest.raises(TypeError, match=message):
+        COEFFICIENT_READERS[name](fan, pentagon_class(1, bad, 1))
+
+
+@pytest.mark.parametrize("coeffs, volume, cartier, strict, vertices, points", [
+    (pentagon_class(1, 3, 1), 5, (), (), [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1)], 6),
+    (pentagon_class(2, 3, 1), Fraction(13, 2), (2,), (),
+     [(0, 0), (0, 1), (1, 2), (2, 0), (Fraction(5, 2), Fraction(1, 2))], 7),
+    (pentagon_class(Fraction(1, 2), Fraction(3, 2), Fraction(1, 2)), Fraction(5, 4),
+     (1, 2, 3, 4), (), [(0, 0), (0, Fraction(1, 2)), (Fraction(1, 2), 0),
+                        (Fraction(1, 2), 1), (1, Fraction(1, 2))], 1),
+])
+def test_int_and_fraction_coefficients_keep_their_values(pentagon, coeffs, volume, cartier,
+                                                         strict, vertices, points):
+    """Ints, Fractions and ints as Fractions read alike, to the values
+    pinned here."""
+    fan, _ = pentagon
+    for c in (coeffs, tuple(map(Fraction, coeffs))):
+        assert intersection_number(fan, c) == volume
+        assert is_cartier(fan, c) == PositivityReport(not cartier, not cartier, cartier)
+        assert is_q_ample(fan, c) == PositivityReport(not strict, not cartier, strict)
+        assert is_ample(fan, c) == (PositivityReport(False, False, cartier) if cartier
+                                    else PositivityReport(not strict, True, strict))
+        poly = divisor_polytope(fan, c)
+        assert poly.vertices == vertices and len(lattice_points(poly)) == points
+        assert HPolytope(fan.dim, fan.rays, c).offsets == tuple(map(Fraction, coeffs))

@@ -44,7 +44,7 @@ from toricres import (
 from toricres import lattice, polytopes
 
 from conftest import F1, FIXTURES, INCOMPLETE, complete_polygon_fans, load
-from oracles import (box_lattice_points, cone_functionals, dot_divisor_monomials,
+from oracles import (box_lattice_points, cone_functionals, contains, dot_divisor_monomials,
                      facet_recursion_volume, fraction_vertices, ring_intersection)
 from test_differential import stellar_fans_3d
 
@@ -80,7 +80,8 @@ def path_calls(fan, coeffs):
 
 
 def is_nef(fan, coeffs):
-    return all(divisor_polytope(fan, coeffs).contains(m) for m in cone_functionals(fan, coeffs))
+    poly = divisor_polytope(fan, coeffs)
+    return all(contains(poly, m) for m in cone_functionals(fan, coeffs))
 
 
 def assert_same_as_n_subsets(fan, coeffs):

@@ -57,7 +57,7 @@ from toricres.residues import residue_functional
 
 from conftest import FIXTURES, load
 from oracles import (fraction_functional, fraction_normal_coefficient, normal_form_coefficient,
-                     normal_form_residue, normal_form_sigma_independence)
+                     normal_form_residue, normal_form_sigma_independence, reducers)
 import test_quotient
 from test_quotient import square_systems
 
@@ -298,7 +298,7 @@ def assert_functional_matches_oracle(pb):
     the Fraction view ``ell`` and the value of every probe H equal those of
     the oracle's Fraction pass, and a value is a Fraction; a pass that
     fails fails as the oracle's does."""
-    expected = outcome(lambda: fraction_functional(pb.order, pb.groebner, pb.monomials))
+    expected = outcome(lambda: fraction_functional(pb.order, reducers(pb.groebner), pb.monomials))
     got = outcome(lambda: residue_functional(pb.groebner, pb.monomials))
     if expected[0] != "value":
         assert got == expected
@@ -559,8 +559,9 @@ def test_numeric_outcomes_and_refusals_match_multipoly_evaluate(monkeypatch):
 def assert_reducers_homogeneous(pb, order):
     basis = ResidueProblem(pb.fan, pb.polys, order=order, sigma=pb.sigma,
                            grading=pb.grading).groebner
-    assert basis.reducers
-    for le, _, tail in basis.reducers:
+    table = reducers(basis)
+    assert table
+    for le, _, tail in table:
         d = pb.grading.degree(le)
         assert all(pb.grading.degree(e) == d for e, _ in tail), (le, tail)
 

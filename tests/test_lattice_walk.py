@@ -37,7 +37,7 @@ from toricres import polytopes
 from toricres.cayley import _bundle_exponent, critical_degree_lifted
 
 from conftest import F1, FIXTURES, INCOMPLETE, load
-from oracles import (box_lattice_points, cone_functionals, dot_divisor_monomials,
+from oracles import (box_lattice_points, cone_functionals, contains, dot_divisor_monomials,
                      fraction_vertices, random_surface)
 
 FAN_FIXTURES = sorted(FIXTURES.glob("*.fan.json"))
@@ -49,7 +49,7 @@ CUBE = make_fan(3, [(0, 0, -1), (1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 0, 0), (0
 
 
 def is_nef(fan, coeffs):
-    return all(HPolytope(fan.dim, fan.rays, coeffs).contains(m)
+    return all(contains(HPolytope(fan.dim, fan.rays, coeffs), m)
                for m in cone_functionals(fan, coeffs))
 
 

@@ -20,7 +20,6 @@ from toricres import (
     ResidueProblem,
     WrongDegree,
     ZeroOnPolarLocus,
-    euler_jacobi_check,
     parse_poly,
     residue_report,
     sum_local_residues,
@@ -28,7 +27,7 @@ from toricres import (
 )
 
 from conftest import load
-from oracles import chart_zero_set, local_residue_simple, solve_chart_system
+from oracles import chart_zero_set, euler_jacobi_check, local_residue_simple, solve_chart_system
 
 TOL = 1e-8
 XY = ("x", "y")

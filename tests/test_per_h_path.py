@@ -111,6 +111,41 @@ def test_a_dict_off_the_bulk_path_is_read_as_the_loop_reads_it(terms):
     assert outcome(lambda: built(2, terms)) == outcome(lambda: loop_canonical_terms(2, terms))
 
 
+def summed_monomials(nvars, terms):
+    """The sum of the monomials c*x^e of ``terms``, each built alone."""
+    total = MultiPoly.zero(nvars)
+    for e, c in terms.items():
+        total = total + MultiPoly.monomial(tuple(map(int, e)), c)
+    return total
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0): 5, (Index(1), 0): -5},                        # cancel to 0
+    {(1, 0): 1, b"\x01\x00": 2},                           # bytes meets a tuple
+    {(1, 0): Fraction(1, 2), (Index(1), 0): Fraction(1, 2)},  # halves make x
+    {(0, 2): 1, (1, 0): 3, (Index(1), 0): -1, b"\x01\x00": Fraction(1, 3)},
+], ids=["cancel", "bytes", "halves", "three-meet"])
+def test_keys_that_read_to_one_exponent_add(terms):
+    """Keys equal as dict keys are one key before the constructor sees
+    them; these differ as keys and read to one exponent."""
+    p, want = MultiPoly(2, terms), summed_monomials(2, terms)
+    assert (p.d, p.num) == (want.d, want.num)
+    assert (p.nvars, p.d, p.num) == loop_canonical_terms(2, terms)
+
+
+@SETTINGS
+@given(st.dictionaries(st.one_of(st.tuples(INT_ENTRIES, INT_ENTRIES),
+                                 st.tuples(st.builds(Index, INT_ENTRIES), INT_ENTRIES),
+                                 st.lists(INT_ENTRIES, min_size=2, max_size=2).map(bytes),
+                                 st.lists(INT_ENTRIES, min_size=2, max_size=2).map(Key)),
+                       st.one_of(INT_COEFFS, st.fractions(min_value=-3, max_value=3,
+                                                          max_denominator=5)),
+                       max_size=8))
+def test_a_term_dict_is_the_sum_of_its_monomials(terms):
+    p, want = MultiPoly(2, terms), summed_monomials(2, terms)
+    assert (p.d, p.num) == (want.d, want.num)
+
+
 def test_a_canonical_dict_is_copied_with_its_zeros_dropped():
     terms = {(2, 0): 3, (1, 1): 0, (0, 2): -1}
     p = MultiPoly(2, terms)

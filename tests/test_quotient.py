@@ -36,7 +36,6 @@ from toricres import (
     ZeroOnPolarLocus,
     compute_grading,
     dehomogenize,
-    euler_jacobi_check,
     grevlex,
     lex,
     load_fan,
@@ -48,13 +47,13 @@ from toricres import (
     sum_local_residues,
     toric_residue,
 )
-from toricres import localres, residues
+from toricres import groebner, localres, residues
 from toricres.localres import COMPARE_TOL
 
 import oracles
 from conftest import FIXTURES, load
 from oracles import (SEPARATION_TOL, NotShapePosition, chart_system, chart_zero_set, coefficient,
-                     fraction_matrix, fraction_times_variable, holding_cones,
+                     euler_jacobi_check, fraction_matrix, fraction_times_variable, holding_cones,
                      nullstellensatz_refusal, numeric_residue_sum, screen_residue_sum,
                      shape_position_chart_zeros, shape_position_solve, shape_position_sum,
                      solve_chart_system, solver_refusal, substitute, trace_residue_sum)
@@ -385,15 +384,16 @@ def test_the_scales_are_the_composed_unit_on_random_systems(case):
 
 def test_a_trace_reduces_two_polynomials_and_no_monomial(monkeypatch):
     """The tables come from the border pass, so one trace divides the
-    integer terms of f_k*J and h on the packed table and nothing else."""
+    integer terms of f_k*J and h on the packed table and nothing else,
+    through the basis's ``remainder``."""
     divided = []
-    real = localres.divide
+    real = groebner.divide
 
     def counted(terms, table, packing, modulus=0):
         divided.append(terms)
         return real(terms, table, packing, modulus)
 
-    monkeypatch.setattr(localres, "divide", counted)
+    monkeypatch.setattr(groebner, "divide", counted)
     for name in NUMERIC_FIXTURES:
         lp = load(name)
         pb = lp.problem

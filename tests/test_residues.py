@@ -301,7 +301,7 @@ def test_torsion_residue():
     pb = lp.problem
     assert pb.critical.torsion == (0,)
     assert len(pb.monomials) == 10
-    assert pb.pivot == (2, 2, 2)
+    assert pb.codim.pivot == (2, 2, 2)
     assert toric_residue(pb, lp.inputs[0]) == 1
     assert toric_residue(pb, pb.delta) == 1
 
