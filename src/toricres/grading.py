@@ -1,9 +1,11 @@
 """Divisor class grading of the homogeneous coordinate ring.
 
-The grading group is the cokernel of the ray pairing map.  Its free part is
-read off the Smith transform; finite cyclic factors are carried alongside as
-torsion rows with their moduli.  Degrees are values of that quotient map on
-exponent vectors.
+The grading group is the cokernel of the ray pairing map.  Its free rows are
+the reduced left Hermite basis of the rays' relations, built in one pass
+over the rays (``kernel_hermite_rows``); when the rays span a sublattice of
+index above 1, the finite cyclic factors are read off a Smith transform of
+the rays and carried alongside as torsion rows with their moduli.  Degrees
+are values of that quotient map on exponent vectors.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import operator
 from functools import cached_property
 
-from .errors import DegreeMismatch, NoIntegralLift, NotAGrading, NotSurjective
+from .errors import DegreeMismatch, InvalidFan, NoIntegralLift, NotAGrading, NotSurjective
 from .lattice import (
     Mat,
     Vec,
@@ -19,6 +21,7 @@ from .lattice import (
     freeze,
     hnf_reduced_rows,
     hnf_rows,
+    kernel_hermite_rows,
     reduce_mod_lattice,
     smith_normal_form,
 )
@@ -113,32 +116,66 @@ class Grading(Value):
 
     @cached_property
     def _divisor_system(self):
-        """Smith form of the degree system on all variables and right-aligned
-        Hermite basis of the pairing image, for ``representative_divisor``."""
-        nv = self.nvars
+        """What ``representative_divisor`` reads, built once per grading.
+
+        A column that is a unit vector ±e_i of the free rows is the unit
+        column of row i (the first one); the other rows, the special rows,
+        vanish there.  Given the rest x_R of an exponent, the unit rows fix
+        x_u = ±(f_i - row_i·x_R), and the torsion rows, with that
+        substituted, read t_k - c_k·f on x_R alone.  So the special rows and
+        the substituted torsion rows, each with a column for its modulus,
+        are one small system on the rest, put in Smith form; None when it
+        has no rows, and then x_R = 0.  Last, the right-aligned Hermite
+        basis of the pairing image."""
+        F, T, nv = self.free_rows, self.torsion_rows, self.nvars
+        unit = {}
+        for j, col in enumerate(zip(*F)):
+            nonzero = [i for i, a in enumerate(col) if a]
+            if len(nonzero) == 1 and col[nonzero[0]] in (1, -1):
+                unit.setdefault(nonzero[0], j)
+        rest = sorted(set(range(nv)) - set(unit.values()))
+        units = tuple((i, u, F[i][u], [(l, F[i][l]) for l in rest if F[i][l]])
+                      for i, u in unit.items())
+        special = [i for i in range(len(F)) if i not in unit]
+        t = len(T)
+        system = [[F[i][l] for l in rest] + [0] * t for i in special]
+        subs = []
+        for k, trow in enumerate(T):
+            c = [(i, trow[u] * sign) for i, u, sign, _ in units if trow[u]]
+            row = [trow[l] - sum(a * F[i][l] for i, a in c) for l in rest]
+            system.append(row + [self.moduli[k] * (h == k) for h in range(t)])
+            subs.append(c)
+        snf = smith_normal_form(system) if system else None
         n = len(self.rays[0]) if self.rays else 0
         image_rows = [tuple(r[j] for r in self.rays) for j in range(n)]
-        return (smith_normal_form(degree_system(self), nv + len(self.moduli)),
+        return (units, special, subs, rest, snf,
                 tuple(hnf_rows(image_rows, nv, align="right")))
 
 
 def grading_from_rays(rays) -> Grading:
-    """Cokernel presentation of the ray pairing map via Smith normal form."""
+    """The grading of the Cox ring of the rays: free rows from
+    ``kernel_hermite_rows``, and torsion rows and moduli from a Smith form
+    of the rays only when they span a sublattice of index above 1.
+    InvalidFan for no rays or rays of unequal lengths; NotSurjective when
+    they span less than the ambient rank."""
     rays = freeze(rays)
+    if not rays:
+        raise InvalidFan("no rays")
     n = len(rays[0])
-    cols = len(rays)
-    snf = smith_normal_form(rays)  # rows are the rays: m maps to (<m, ray_i>)_i
-    d = snf.diagonal
-    if any(x == 0 for x in d) or len(d) < n:
+    for k, ray in enumerate(rays):
+        if len(ray) != n:
+            raise InvalidFan(f"ray {k} has wrong length")
+    free_rows, index = kernel_hermite_rows(rays, n)
+    if not index:
         raise NotSurjective("rays do not span the ambient lattice")
     torsion_rows = []
     moduli = []
-    for i, s in enumerate(d):
-        if s > 1:
-            torsion_rows.append(snf.U[i])
-            moduli.append(s)
-    free_raw = [list(snf.U[i]) for i in range(n, cols)]
-    free_rows = hnf_reduced_rows(free_raw, cols)
+    if index > 1:
+        snf = smith_normal_form(rays)  # rows are the rays: m maps to (<m, ray_i>)_i
+        for u, s in zip(snf.U, snf.diagonal):
+            if s > 1:
+                torsion_rows.append(u)
+                moduli.append(s)
     return Grading(rays, free_rows, torsion_rows, moduli)
 
 
@@ -195,35 +232,32 @@ def critical_degree(grading: Grading, degrees) -> DegreeClass:
     return total - anticanonical_class(grading)
 
 
-def degree_system(grading: Grading) -> list[list[int]]:
-    """Integer rows of the degree map on the exponent vectors.
-
-    The free rows come first, then each torsion row with one extra column
-    holding its modulus, so the first nvars entries of an integer solution
-    of rows·x = (free, torsion) are exponents of that degree.
-    """
-    t = len(grading.torsion_rows)
-    rows = [list(row) + [0] * t for row in grading.free_rows]
-    for k, trow in enumerate(grading.torsion_rows):
-        aux = [0] * t
-        aux[k] = grading.moduli[k]
-        rows.append(list(trow) + aux)
-    return rows
-
-
 def representative_divisor(grading: Grading, degree: DegreeClass) -> Vec:
     """A canonical exponent vector with the given degree.
 
-    Solves the stacked integer system (free rows exactly, torsion rows up to
-    their moduli), then reduces modulo the pairing image by right-aligned
-    Hermite division so equal degrees give equal representatives.  Both
-    forms are built once per grading.  DegreeMismatch unless the class has
-    the grading's rank of free entries and its moduli.
+    Solves the free rows exactly and the torsion rows up to their moduli:
+    the small Smith form of ``Grading._divisor_system`` gives the entries
+    off the unit columns, or zeros when there is none, and each unit row
+    then gives its unit column's entry.  Reducing modulo the pairing image
+    by right-aligned Hermite division makes equal degrees give equal
+    representatives.  Both forms are built once per grading, and on a
+    torsion-free grading whose free rows have unit pivots only there is no
+    Smith form.  DegreeMismatch unless the class has the grading's rank of
+    free entries and its moduli.
     """
     if len(degree.free) != grading.rank or degree.moduli != grading.moduli:
         raise DegreeMismatch("degree class is not of this grading's group")
-    snf, basis = grading._divisor_system
-    sol = snf.solve(list(degree.free) + list(degree.torsion))
-    if sol is None:
-        raise NoIntegralLift("degree is not in the grading group image")
-    return reduce_mod_lattice(sol[:grading.nvars], basis)
+    units, special, subs, rest, snf, basis = grading._divisor_system
+    f = degree.free
+    x = [0] * grading.nvars
+    if snf is not None:
+        rhs = [f[i] for i in special]
+        rhs += [t - sum(a * f[i] for i, a in c) for t, c in zip(degree.torsion, subs)]
+        sol = snf.solve(rhs)
+        if sol is None:
+            raise NoIntegralLift("degree is not in the grading group image")
+        for l, a in zip(rest, sol):
+            x[l] = a
+    for i, u, sign, terms in units:
+        x[u] = sign * (f[i] - sum(a * x[l] for l, a in terms))
+    return reduce_mod_lattice(x, basis)

@@ -8,7 +8,8 @@ job and no arithmetic over Q: one fraction-free elimination of [A | B]
 det R and adj R of each maximal cone (a fan's ``cone_table``, built once
 with its ``facets`` and ``walls``); the Smith form solves over the
 integers (``SmithDecomposition.solve``), and the Smith or Hermite form
-gives a rank or a lattice.
+gives a rank or a lattice; one pass over a fan's rays gives the Hermite
+basis of their relations (``kernel_hermite_rows``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import InvalidFan
 from .values import Value
@@ -278,6 +279,87 @@ def reduce_mod_lattice(v, hnf_basis):
         if q:
             a = [x - q * y for x, y in zip(a, row)]
     return tuple(a)
+
+
+def kernel_hermite_rows(rays, n) -> tuple[Mat, int]:
+    """The reduced left Hermite basis of K = {a : Σ a_i η_i = 0}, the
+    integer relations of the rays η_i in Z^n, and the index of the rays'
+    span in Z^n (0 when its rank is below n), in one pass over the rays
+    from right to left.
+
+    Let Λ_j = span_Z{η_l : l > j} and K_j = K ∩ {a_l = 0, l < j}, of rank
+    (m - j) - rank{η_l : l >= j}.  Column j is a pivot of K's left Hermite
+    form iff rank K_j > rank K_(j+1), that is iff η_j lies in span_Q Λ_j;
+    else η_j joins Q, the rightmost independent rays.  The pivot g_j, the
+    least positive a_j on K_j, is the order of η_j mod Λ_j.  When g_j = 1,
+    η_j lies in Λ_j and Λ_(j-1) = Λ_j: so Λ_j is spanned by the rays of Q
+    and the special rays l > j, those with g_l > 1.  The pass keeps an
+    echelon basis of Λ_j with each vector's integer expression over those
+    rays.  Reducing η_j by it column by column, scaled each time by the
+    least factor that makes the quotient exact, gives g_j, the lcm of the
+    denominators of η_j's coordinates in that basis, and the expression of
+    g_j·η_j.  Row j is g_j·e_j minus that expression, reduced into
+    [0, g_l) at each later special pivot l, left to right, by row l, which
+    is zero left of l; it has no entry at another unit pivot, as no
+    expression has.  So the rows lie in K, with K's pivots and pivot values
+    and the reduction of a reduced Hermite basis, which is unique: they are
+    K's.  The index is the product of the pivots of Λ_(-1)'s echelon basis.
+    """
+    m = len(rays)
+    basis = {}  # pivot column -> (vector, expression over Q and the special rays)
+    rows = {}  # pivot ray -> its row, sparse
+    special = []  # special pivots, right to left
+
+    def insert(v, e):  # Euclid on rows at each column; a new pivot meets a zero row
+        for c in range(n):
+            if v[c]:
+                b, be = basis.get(c, ([0] * n, {}))
+                while v[c]:
+                    q = b[c] // v[c]
+                    b, v = v, [x - q * y for x, y in zip(b, v)]
+                    be, e = e, {l: be.get(l, 0) - q * e.get(l, 0) for l in be.keys() | e.keys()}
+                sign = 1 if b[c] > 0 else -1
+                basis[c] = ([sign * x for x in b], {l: sign * a for l, a in be.items()})
+
+    for j in range(m - 1, -1, -1):
+        v, s, coef = list(rays[j]), 1, {}  # s·η_j = v + Σ coef[c]·basis[c]
+        for c in range(n):
+            if not v[c]:
+                continue
+            if c not in basis:
+                s = 0
+                break
+            b, p = basis[c][0], basis[c][0][c]
+            t = p // gcd(p, v[c])
+            if t > 1:
+                s, v = s * t, [t * x for x in v]
+                coef = {k: t * x for k, x in coef.items()}
+            q = v[c] // p
+            v = [x - q * y for x, y in zip(v, b)]
+            coef[c] = coef.get(c, 0) + q
+        if s:
+            row = {j: s}
+            for c, k in coef.items():
+                for l, a in basis[c][1].items():
+                    row[l] = row.get(l, 0) - k * a
+            for l in reversed(special):
+                q = row.get(l, 0) // rows[l][l]
+                if q:
+                    for i, a in rows[l].items():
+                        row[i] = row.get(i, 0) - q * a
+            rows[j] = row
+            if s > 1:
+                special.append(j)
+        if s != 1:
+            insert(list(rays[j]), {j: 1})
+    index = prod(b[c] for c, (b, _) in basis.items()) if len(basis) == n else 0
+    out = []
+    for j in sorted(rows):
+        dense = [0] * m
+        for l, a in rows[j].items():
+            dense[l] = a
+        out.append(tuple(dense))
+    return tuple(out), index
 
 
 def hnf_reduced_rows(vectors, ncols):

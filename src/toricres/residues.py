@@ -590,13 +590,14 @@ class AnnihilationReport(Value):
 
 def variable_annihilation_check(problem: ResidueProblem) -> AnnihilationReport:
     """Every variable times every critical-degree monomial must lie in the
-    ideal; the witness names the first product that does not."""
+    ideal; the witness names the first product that does not.  A product
+    lies in it when its packed ``remainder`` has no terms."""
     gb = problem.groebner
     for i in range(problem.fan.nvars):
         for m in problem.monomials:
             e = list(m)
             e[i] += 1
-            if not gb.reduce(MultiPoly.monomial(e)).is_zero():
+            if gb.remainder(MultiPoly.monomial(e))[1]:
                 return AnnihilationReport(False, (i, m))
     return AnnihilationReport(True)
 

@@ -30,7 +30,9 @@ on the distinguished chart behind a torus screen, as it ran before the
 chart that holds the zeros was found by a count, the chart of a
 polynomial, its partials, its cone decomposition, its lift to a degree and
 to the bundle ring through the validating constructor, a user degree basis
-accepted when the degree map it defines is onto, the representative divisor
+accepted when the degree map it defines is onto, the grading of a list of
+rays from a Smith form of the rays and a Hermite form of its kernel rows,
+the integer rows of the degree map, the representative divisor
 of a degree from a Smith form built per call, the
 polytope volume by a pyramid recursion over facets, intersection numbers
 by a recursion in the intersection ring of the fan, polytope vertices by
@@ -81,18 +83,18 @@ import numpy as np
 from toricres import (AllReduceToZero, CodimNotOne, DecompositionFailed, DegreeMismatch,
                       GroebnerBasis, HypothesesFailed, PositivityReport,
                       InfiniteIntersection, InvalidFan, MonomialOrder, MultiPoly, NoIntegralLift,
-                      NonSimpleZero, NonSquare, NotHomogeneous, NotTorusZero,
+                      NonSimpleZero, NonSquare, NotHomogeneous, NotSurjective, NotTorusZero,
                       NotZeroDimensional, ToricError, Unbounded, WrongDegree, ZeroOnPolarLocus,
                       compute_grading, cone_determinant, dehomogenize,
                       is_complete, is_simplicial, make_fan, monomial_basis)
 from toricres.cayley import _bundle_exponent, _lift_poly, bundle_class, critical_degree_lifted
 from toricres.divisors import support_meets
-from toricres.grading import Grading, critical_degree, degree_system, representative_divisor
+from toricres.grading import Grading, critical_degree, representative_divisor
 from toricres.groebner import (Packing, grevlex, lex, packed_basis,
                                quotient_is_finite, standard_monomials)
 from toricres.lattice import (FanData, SmithDecomposition, clear_denominators, cone_det, dot,
-                              freeze, hnf_rows, mat_det, mat_vec, reduce_mod_lattice,
-                              smith_normal_form)
+                              freeze, hnf_reduced_rows, hnf_rows, mat_det, mat_vec,
+                              reduce_mod_lattice, smith_normal_form)
 from toricres import localres
 from toricres.localres import _chart, _Quotient
 from toricres.poly import Exponent, degree_of, poly_det as integer_poly_det
@@ -1235,12 +1237,45 @@ def parallel_list_buchberger(gens, order, modulus=0):
     return reduced
 
 
+def smith_hermite_grading(rays) -> Grading:
+    """The grading of the rays as ``grading_from_rays`` built it before its
+    one pass: a Smith form of the ray matrix, its torsion rows and moduli,
+    and the reduced left Hermite form of its kernel rows U[n:]."""
+    rays = freeze(rays)
+    n = len(rays[0])
+    cols = len(rays)
+    snf = smith_normal_form(rays)
+    d = snf.diagonal
+    if any(x == 0 for x in d) or len(d) < n:
+        raise NotSurjective("rays do not span the ambient lattice")
+    torsion_rows = [snf.U[i] for i, s in enumerate(d) if s > 1]
+    moduli = [s for s in d if s > 1]
+    free_rows = hnf_reduced_rows([list(snf.U[i]) for i in range(n, cols)], cols)
+    return Grading(rays, free_rows, torsion_rows, moduli)
+
+
+def degree_system(grading: Grading) -> list[list[int]]:
+    """Integer rows of the degree map on the exponent vectors.
+
+    The free rows come first, then each torsion row with one extra column
+    holding its modulus, so the first nvars entries of an integer solution
+    of rows·x = (free, torsion) are exponents of that degree.
+    """
+    t = len(grading.torsion_rows)
+    rows = [list(row) + [0] * t for row in grading.free_rows]
+    for k, trow in enumerate(grading.torsion_rows):
+        aux = [0] * t
+        aux[k] = grading.moduli[k]
+        rows.append(list(trow) + aux)
+    return rows
+
+
 def per_call_representative_divisor(grading, degree):
     """The canonical exponent vector of a degree, with the degree system put
     in Smith form and the pairing image in Hermite form on every call."""
     nv = grading.nvars
     rhs = list(degree.free) + list(degree.torsion)
-    sol = smith_normal_form(degree_system(grading)).solve(rhs)
+    sol = smith_normal_form(degree_system(grading), nv + len(grading.moduli)).solve(rhs)
     if sol is None:
         raise NoIntegralLift("degree is not in the grading group image")
     n = len(grading.rays[0]) if grading.rays else 0

@@ -223,18 +223,35 @@ def test_representative_divisor_matches_a_smith_form_per_call(name, data):
         assert representative_divisor(g, target) == per_call_representative_divisor(g, target)
 
 
+# the Smith forms a fixture fan's grading and lift make: (in the grading,
+# rows of the lift's one system).  The free rows of p1, p112, p1p1 and p2
+# have unit pivots only and no torsion, so neither makes one; the pentagon's
+# pivot 2 leaves one special row; the torsion fan's rays span an index-3
+# sublattice, so its grading takes a Smith form of the rays for the torsion
+# row, which its lift solves alone.
+SMITH_FORMS = {"p1": (0, None), "p112": (0, None), "p1p1": (0, None), "p2": (0, None),
+               "pentagon": (0, 1), "torsion": (1, 1)}
+
+
 @pytest.mark.parametrize("name", FANS)
 def test_one_grading_makes_one_smith_form(name, monkeypatch):
+    """A grading and its lift make a Smith form only for special and
+    torsion rows, and at most one each (``SMITH_FORMS``): no call at all
+    on a torsion-free fan whose free rows have unit pivots only."""
     fan, _ = load_fan(FIXTURES / name)
-    g = compute_grading(fan)
     calls = []
     real = grading_mod.smith_normal_form
     monkeypatch.setattr(grading_mod, "smith_normal_form",
                         lambda A, *cols: calls.append(A) or real(A, *cols))
+    g = compute_grading(fan)
+    in_grading = len(calls)
     for e in ((0,) * fan.nvars, (1,) * fan.nvars, (3,) + (0,) * (fan.nvars - 1)):
         target = g.degree(e)
         assert representative_divisor(g, target) == per_call_representative_divisor(g, target)
-    assert len(calls) == 1
+    grading_forms, lift_rows = SMITH_FORMS[name.split(".")[0]]
+    assert in_grading == grading_forms
+    assert calls[:in_grading] == [fan.rays] * grading_forms
+    assert [len(A) for A in calls[in_grading:]] == ([] if lift_rows is None else [lift_rows])
 
 
 def test_torsion_fan_accepts_the_negated_basis(torsion_fan):

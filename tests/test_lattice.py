@@ -14,7 +14,6 @@ from toricres import (
     make_fan,
     smith_normal_form,
 )
-from toricres.grading import degree_system
 from toricres.lattice import (
     dot,
     hnf_rows,
@@ -23,8 +22,8 @@ from toricres.lattice import (
 )
 
 from conftest import FIXTURES
-from oracles import (full_scan_smith_normal_form, mat_rank, random_surface, smith_verify,
-                     solve_integer, solve_rational)
+from oracles import (degree_system, full_scan_smith_normal_form, mat_rank, random_surface,
+                     smith_verify, solve_integer, solve_rational)
 
 
 def test_dot_of_integers_and_fractions():

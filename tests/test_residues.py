@@ -279,6 +279,16 @@ def test_annihilation_check():
     assert report.witness is not None
 
 
+def test_annihilation_check_reads_packed_remainders(monkeypatch):
+    """Each product is tested by whether its packed remainder has terms:
+    no normal form is unpacked into a polynomial."""
+    monkeypatch.setattr(groebner_mod.GroebnerBasis, "reduce",
+                        lambda gb, p: pytest.fail("a normal form was unpacked"))
+    assert variable_annihilation_check(load("pentagon_small.json").problem).ok
+    report = variable_annihilation_check(load("pentagon_outside.json").problem)
+    assert not report.ok and report.witness is not None
+
+
 def test_annihilation_specific_product():
     lp = load("pentagon_outside.json")
     pb = lp.problem
